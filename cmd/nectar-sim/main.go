@@ -62,7 +62,7 @@ func run(args []string) error {
 		"front each node's duplicate check with a Bloom filter (never changes results)")
 	noVerifyCache := fs.Bool("noverifycache", false,
 		"disable the run-wide signature-verification memo (never changes results; "+
-			"under -scheme slim the memo costs more than the checks it skips)")
+			"-scheme insecure|slim never consult it: their signatures do not bind the message)")
 	kappaMode := fs.String("kappa", "exact",
 		"with -churn: ground-truth κ evaluation: exact|incremental|approx")
 	tracePath := fs.String("trace", "",

@@ -197,7 +197,53 @@ func TestVerifyCacheEquivalenceProperty(t *testing.T) {
 						seed, tc.name, v.name, got.VerifyCacheHits, v.wantHits)
 				}
 			}
+			// The memo's accounting is a function of the run, not of the
+			// schedule: every fast-path counter repeats at any worker count.
+			for _, workers := range []int{1, 2, 4} {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				got, err := Simulate(cfg)
+				if err != nil {
+					t.Fatalf("seed %d %s/workers=%d: %v", seed, tc.name, workers, err)
+				}
+				if got.FastPath != ref.FastPath {
+					t.Errorf("seed %d %s/workers=%d: fast-path counters diverge: got %+v, ref %+v",
+						seed, tc.name, workers, got.FastPath, ref.FastPath)
+				}
+			}
 		}
+	}
+}
+
+// TestVerifyCacheFollowsTheScheme: the memo is consulted only when the
+// scheme's signatures bind the message (DESIGN.md §9) — decided from the
+// scheme, not from a knob. Unbound ablation schemes make zero lookups and
+// match their uncached run byte for byte; the real schemes still hit.
+func TestVerifyCacheFollowsTheScheme(t *testing.T) {
+	for _, scheme := range []string{"ed25519", "hmac", "insecure", "slim"} {
+		cfg := equivalenceCases(t, 1)[0].cfg // ring, all correct
+		cfg.SchemeName = scheme
+		got, err := Simulate(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		lookups := got.VerifyCacheHits + got.VerifyCacheMisses
+		switch scheme {
+		case "insecure", "slim":
+			if lookups != 0 {
+				t.Errorf("%s: %d memo lookups, want 0", scheme, lookups)
+			}
+		default:
+			if got.VerifyCacheHits == 0 || got.VerifyCacheMisses == 0 {
+				t.Errorf("%s: memo stats %d/%d, want hits and misses", scheme, got.VerifyCacheHits, got.VerifyCacheMisses)
+			}
+		}
+		cfg.NoVerifyCache = true
+		ref, err := Simulate(cfg)
+		if err != nil {
+			t.Fatalf("%s uncached: %v", scheme, err)
+		}
+		assertSimEquivalent(t, scheme+" cached vs uncached", ref, got)
 	}
 }
 

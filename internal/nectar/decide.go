@@ -50,12 +50,17 @@ func (c *DecideCache) connectivityAtLeast(g *graph.Graph, k int) bool {
 		return got
 	}
 	c.mu.Unlock()
-	// Computed outside the lock: concurrent callers may race to the same
-	// answer (the predicate is pure), and decision phases are usually
-	// sequential anyway.
+	// Computed outside the lock: the predicate is pure, so concurrent
+	// callers of one view may both compute it. The one that comes back
+	// second finds the first's entry and counts the hit, so Hits() is a
+	// function of the views decided, not of the schedule.
 	got = g.ConnectivityAtLeast(k)
 	c.mu.Lock()
-	c.m[key] = got
+	if _, raced := c.m[key]; raced {
+		c.hits++
+	} else {
+		c.m[key] = got
+	}
 	c.mu.Unlock()
 	return got
 }

@@ -13,26 +13,6 @@ import (
 	"github.com/nectar-repro/nectar/internal/wire"
 )
 
-// countingVerifier routes a node's verifications through the shared
-// VerifyCache while attributing hits to the node's own Stats. Nodes are
-// single-goroutine (see Node), so the unsynchronized counter is safe; the
-// cache itself is concurrency-safe.
-type countingVerifier struct {
-	v    sig.Verifier
-	c    *sig.VerifyCache
-	hits *int
-}
-
-func (cv countingVerifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
-	ok, hit := cv.c.Verify(cv.v, signer, msg, sg)
-	if hit {
-		*cv.hits++
-	}
-	return ok
-}
-
-func (cv countingVerifier) SigSize() int { return cv.v.SigSize() }
-
 // Decision is NECTAR's output (§III-D).
 type Decision int
 
@@ -107,7 +87,8 @@ type Config struct {
 	// Verification is deterministic for every provided scheme, so the memo
 	// is semantics-preserving; share one cache across the nodes of a trial
 	// so signatures re-verified at every recipient of a flood are checked
-	// once (DESIGN.md §9). Nil disables memoization.
+	// once (DESIGN.md §9). Nil disables memoization, and a Verifier whose
+	// signatures do not bind the message never consults it (sig.Cached).
 	VerifyCache *sig.VerifyCache
 	// DedupBloom puts a Bloom filter in front of the duplicate check
 	// (DESIGN.md §14). The filter holds every edge of Gi (seeded with the
@@ -136,9 +117,6 @@ type Stats struct {
 	// decode before the chain was parsed or any hop allocated (DESIGN.md
 	// §9). Always 0 in paranoid mode, which fully decodes first.
 	LazyDiscards int
-	// VerifyCacheHits counts signature verifications this node served from
-	// the shared VerifyCache (0 when no cache is configured).
-	VerifyCacheHits int
 	// BloomSkips counts duplicate checks resolved by a dedup Bloom-filter
 	// miss alone, skipping the exact edge-set probe (0 without the filter;
 	// see Config.DedupBloom).
@@ -165,7 +143,7 @@ type relayItem struct {
 type Node struct {
 	cfg     Config
 	nRounds int
-	ver     sig.Verifier // effective verifier: cfg.Verifier, cache-wrapped when configured
+	ver     sig.Verifier // effective verifier: sig.Cached(cfg.Verifier, cfg.VerifyCache)
 	view    *graph.Graph // Gi: the discovered adjacency
 	queue   []relayItem  // filled in Deliver(r), drained by Emit(r+1)
 	started bool         // round-1 neighborhood announcement has been emitted
@@ -228,10 +206,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if nd.nRounds == 0 {
 		nd.nRounds = cfg.N - 1
 	}
-	nd.ver = cfg.Verifier
-	if cfg.VerifyCache != nil {
-		nd.ver = countingVerifier{v: cfg.Verifier, c: cfg.VerifyCache, hits: &nd.stats.VerifyCacheHits}
-	}
+	nd.ver = sig.Cached(cfg.Verifier, cfg.VerifyCache)
 	seen := make(ids.Set, len(cfg.Neighbors))
 	for _, nb := range cfg.Neighbors {
 		if nb == cfg.Me || int(nb) >= cfg.N {

@@ -3,29 +3,42 @@
 // other node's signatures, and Byzantine nodes cannot forge the signatures
 // of correct nodes.
 //
-// Two schemes are provided:
+// Three kinds of scheme are provided:
 //
 //   - Ed25519 (stdlib crypto/ed25519) — a real asymmetric scheme,
 //     substituting for the paper's ECDSA (same 64-byte signature order of
 //     magnitude, see DESIGN.md §4). Used by default in tests, examples and
 //     the TCP deployment.
 //   - HMAC — a keyed simulation scheme with identical signature sizes,
-//     ~50× faster, used for the large benchmark sweeps. Unforgeability
-//     holds *within the simulation* by capability discipline: protocol
-//     code (including adversaries) signs only through the Signer handle
-//     bound to its own identity.
+//     used for the large benchmark sweeps: two domain-separated
+//     HMAC-SHA256 tags per signature, computed from per-key SHA-256
+//     midstates so a tag costs the hashing and nothing else.
+//     Unforgeability holds *within the simulation* by capability
+//     discipline: protocol code (including adversaries) signs only through
+//     the Signer handle bound to its own identity.
+//   - Insecure and its 4-byte variant Slim — no crypto at all, for cost
+//     and scale ablations. Their signatures do not bind the message
+//     (Verifier.BindsMessage reports false).
 //
 // Signers are distributed as capabilities: a node — correct or Byzantine —
 // receives only SignerFor(its own ID) plus the shared Verifier, which
 // cannot produce signatures on behalf of others (for Ed25519,
 // cryptographically; for HMAC, by interface discipline).
+//
+// VerifyCache memoizes verdicts across the nodes of a run (DESIGN.md §9):
+// lock-sharded, with hit/miss counts that are a pure function of the
+// lookups made, and skipped by Cached for schemes that do not bind the
+// message.
 package sig
 
 import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
+	"hash"
+	"sync"
 
 	"github.com/nectar-repro/nectar/internal/ids"
 )
@@ -44,6 +57,12 @@ type Verifier interface {
 	Verify(signer ids.NodeID, msg, sg []byte) bool
 	// SigSize returns the fixed signature length in bytes.
 	SigSize() int
+	// BindsMessage reports whether a signature commits to the message it
+	// signs, i.e. whether Verify's verdict depends on msg. It is a property
+	// of the scheme: true for Ed25519 and HMAC, false for the insecure and
+	// slim ablations, whose one constant tag per signer verifies for any
+	// message. Cached reads it to decide whether memoizing can pay.
+	BindsMessage() bool
 }
 
 // Scheme is a signature scheme instantiated for a fixed population of n
@@ -138,23 +157,91 @@ func (v ed25519Verifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
 
 func (v ed25519Verifier) SigSize() int { return Ed25519SigSize }
 
+func (v ed25519Verifier) BindsMessage() bool { return true }
+
 // ---- HMAC simulation scheme ----
 
-// HMAC is the fast simulation Scheme: signatures are 64-byte HMAC-SHA256
-// tags (two domain-separated 32-byte halves) under per-node keys derived
-// from a master seed. Same wire size as Ed25519, so cost measurements are
-// unchanged.
+// hmacSigSize is the HMAC scheme's signature width: two SHA-256 tags.
+const hmacSigSize = 2 * sha256.Size
+
+// hmacDomains separates the two 32-byte halves of a signature.
+var hmacDomains = [2]byte{0x01, 0x02}
+
+// HMAC is the fast simulation Scheme: a signature over msg by node i is
+//
+//	HMAC-SHA256(keyᵢ, 0x01‖msg) ‖ HMAC-SHA256(keyᵢ, 0x02‖msg)
+//
+// under per-node keys derived from a master seed — the same 64-byte wire
+// size as Ed25519, so cost measurements are unchanged.
+//
+// HMAC(k, m) = H(k⊕opad ‖ H(k⊕ipad ‖ m)), and both pad blocks depend on
+// the key alone. NewHMAC therefore hashes them once per node and keeps the
+// SHA-256 midstates; a tag restores a midstate into a pooled scratch
+// digest and hashes only the message and the inner digest, so signing
+// costs what the hash costs — no per-tag digest, pad or key-schedule
+// allocation (DESIGN.md §4). Signers and the Verifier are safe for
+// concurrent use.
 type HMAC struct {
-	keys [][32]byte
+	n int
+	// states holds, per node, three marshaled SHA-256 states of stride
+	// bytes each: the inner hash after key⊕ipad‖0x01, after key⊕ipad‖0x02,
+	// and the outer hash after key⊕opad.
+	states []byte
+	stride int
+	pool   sync.Pool // of *hmacScratch
 }
 
 var _ Scheme = (*HMAC)(nil)
 
+// sha256State is a SHA-256 digest whose running state can be saved and
+// restored; crypto/sha256 digests have implemented it since go 1.10.
+type sha256State interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+func newSHA256State() sha256State { return sha256.New().(sha256State) }
+
+// hmacScratch is the reusable state of one tag computation.
+type hmacScratch struct {
+	d     sha256State
+	inner [sha256.Size]byte
+	tag   [hmacSigSize]byte // Verify's expected signature
+}
+
 // NewHMAC builds the HMAC scheme for n nodes from seed.
 func NewHMAC(n int, seed int64) *HMAC {
-	s := &HMAC{keys: make([][32]byte, n)}
+	s := &HMAC{n: n}
+	s.pool.New = func() any { return &hmacScratch{d: newSHA256State()} }
+	d := newSHA256State()
+	snapshot := func() {
+		st, err := d.MarshalBinary()
+		if err != nil { // never, for a SHA-256 digest: a toolchain bug
+			panic("sig: marshaling SHA-256 state: " + err.Error())
+		}
+		s.stride = len(st)
+		s.states = append(s.states, st...)
+	}
 	for i := 0; i < n; i++ {
-		s.keys[i] = deriveSeed(seed, uint32(i), "hmac-key")
+		key := deriveSeed(seed, uint32(i), "hmac-key")
+		var ipad, opad [sha256.BlockSize]byte
+		for j := range ipad {
+			ipad[j], opad[j] = 0x36, 0x5c
+		}
+		for j, b := range key {
+			ipad[j] ^= b
+			opad[j] ^= b
+		}
+		for _, domain := range hmacDomains {
+			d.Reset()
+			d.Write(ipad[:])
+			d.Write([]byte{domain})
+			snapshot()
+		}
+		d.Reset()
+		d.Write(opad[:])
+		snapshot()
 	}
 	return s
 }
@@ -163,15 +250,26 @@ func NewHMAC(n int, seed int64) *HMAC {
 func (s *HMAC) Name() string { return "hmac" }
 
 // N implements Scheme.
-func (s *HMAC) N() int { return len(s.keys) }
+func (s *HMAC) N() int { return s.n }
 
-func (s *HMAC) tag(id ids.NodeID, msg []byte) []byte {
-	out := make([]byte, 0, 64)
-	for _, domain := range []byte{0x01, 0x02} {
-		mac := hmac.New(sha256.New, s.keys[id][:])
-		mac.Write([]byte{domain})
-		mac.Write(msg)
-		out = mac.Sum(out)
+// restore loads a marshaled midstate into the scratch digest.
+func (sc *hmacScratch) restore(state []byte) {
+	if err := sc.d.UnmarshalBinary(state); err != nil {
+		panic("sig: restoring SHA-256 state: " + err.Error())
+	}
+}
+
+// appendTag appends id's signature over msg to out.
+func (s *HMAC) appendTag(sc *hmacScratch, id ids.NodeID, msg, out []byte) []byte {
+	st := s.states[int(id)*3*s.stride:][:3*s.stride]
+	outer := st[2*s.stride:]
+	for k := range hmacDomains {
+		sc.restore(st[k*s.stride:][:s.stride])
+		sc.d.Write(msg)
+		inner := sc.d.Sum(sc.inner[:0])
+		sc.restore(outer)
+		sc.d.Write(inner)
+		out = sc.d.Sum(out)
 	}
 	return out
 }
@@ -179,7 +277,10 @@ func (s *HMAC) tag(id ids.NodeID, msg []byte) []byte {
 // SignerFor implements Scheme.
 func (s *HMAC) SignerFor(id ids.NodeID) Signer {
 	return funcSigner{id: id, sign: func(msg []byte) []byte {
-		return s.tag(id, msg)
+		sc := s.pool.Get().(*hmacScratch)
+		out := s.appendTag(sc, id, msg, make([]byte, 0, hmacSigSize))
+		s.pool.Put(sc)
+		return out
 	}}
 }
 
@@ -189,13 +290,18 @@ func (s *HMAC) Verifier() Verifier { return hmacVerifier{s} }
 type hmacVerifier struct{ s *HMAC }
 
 func (v hmacVerifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
-	if int(signer) >= len(v.s.keys) || len(sg) != 64 {
+	if int(signer) >= v.s.n || len(sg) != hmacSigSize {
 		return false
 	}
-	return hmac.Equal(sg, v.s.tag(signer, msg))
+	sc := v.s.pool.Get().(*hmacScratch)
+	ok := hmac.Equal(sg, v.s.appendTag(sc, signer, msg, sc.tag[:0]))
+	v.s.pool.Put(sc)
+	return ok
 }
 
-func (v hmacVerifier) SigSize() int { return 64 }
+func (v hmacVerifier) SigSize() int { return hmacSigSize }
+
+func (v hmacVerifier) BindsMessage() bool { return true }
 
 // ---- Insecure ablation scheme ----
 
@@ -259,6 +365,8 @@ func (v insecureVerifier) Verify(signer ids.NodeID, _ []byte, sg []byte) bool {
 }
 
 func (v insecureVerifier) SigSize() int { return v.s.sigSize }
+
+func (v insecureVerifier) BindsMessage() bool { return false }
 
 // Names lists the scheme names ByName accepts, for error messages and
 // flag validation.

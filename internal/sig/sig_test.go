@@ -1,6 +1,10 @@
 package sig
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"sync"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -147,6 +151,104 @@ func BenchmarkVerifyHMAC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !v.Verify(0, msg, sg) {
 			b.Fatal("verify failed")
+		}
+	}
+}
+
+// referenceHMACTag is the construction the scheme documents, built with
+// the standard library: HMAC-SHA256(key, 0x01‖msg) ‖ HMAC-SHA256(key,
+// 0x02‖msg) under the node's derived key. It stays in the test file; the
+// scheme itself never calls crypto/hmac.New.
+func referenceHMACTag(seed int64, id ids.NodeID, msg []byte) []byte {
+	key := deriveSeed(seed, uint32(id), "hmac-key")
+	var out []byte
+	for _, domain := range []byte{0x01, 0x02} {
+		mac := hmac.New(sha256.New, key[:])
+		mac.Write([]byte{domain})
+		mac.Write(msg)
+		out = mac.Sum(out)
+	}
+	return out
+}
+
+// TestHMACMatchesReference: the keyed-midstate tags are bit-identical to
+// the crypto/hmac construction, for several keys and for message lengths
+// on both sides of every SHA-256 padding boundary (the inner hash has
+// already absorbed 65 bytes, so 54/55/56 and 63/64/65 straddle the block
+// and length-field edges).
+func TestHMACMatchesReference(t *testing.T) {
+	lengths := []int{0, 1, 54, 55, 56, 63, 64, 65, 500, 5000}
+	for _, seed := range []int64{1, 7, -3} {
+		s := NewHMAC(5, seed)
+		v := s.Verifier()
+		for id := ids.NodeID(0); id < 5; id++ {
+			signer := s.SignerFor(id)
+			for _, n := range lengths {
+				msg := make([]byte, n)
+				for i := range msg {
+					msg[i] = byte(i*31 + n + int(id))
+				}
+				want := referenceHMACTag(seed, id, msg)
+				if got := signer.Sign(msg); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d node %v len %d: tag diverges from crypto/hmac", seed, id, n)
+				}
+				if !v.Verify(id, msg, want) {
+					t.Errorf("seed %d node %v len %d: reference tag rejected", seed, id, n)
+				}
+			}
+		}
+	}
+}
+
+// TestHMACAllocs pins the hot path: Verify allocates nothing, Sign only
+// the signature it returns.
+func TestHMACAllocs(t *testing.T) {
+	s := NewHMAC(2, 1)
+	signer, v := s.SignerFor(1), s.Verifier()
+	msg := make([]byte, 300)
+	sg := signer.Sign(msg)
+	if a := testing.AllocsPerRun(200, func() {
+		if !v.Verify(1, msg, sg) {
+			t.Fatal("valid signature rejected")
+		}
+	}); a != 0 {
+		t.Errorf("Verify allocates %.0f objects/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { sg = signer.Sign(msg) }); a > 1 {
+		t.Errorf("Sign allocates %.0f objects/op, want <= 1", a)
+	}
+}
+
+// TestHMACConcurrent: signers and the shared verifier draw their scratch
+// from a pool, so concurrent use must stay correct; run under -race.
+func TestHMACConcurrent(t *testing.T) {
+	s := NewHMAC(4, 9)
+	v := s.Verifier()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := ids.NodeID(w % 4)
+			signer := s.SignerFor(id)
+			for i := 0; i < 200; i++ {
+				msg := []byte{byte(w), byte(i), 0xAB}
+				sg := signer.Sign(msg)
+				if !bytes.Equal(sg, referenceHMACTag(9, id, msg)) || !v.Verify(id, msg, sg) {
+					t.Errorf("worker %d: bad tag on iteration %d", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+func TestBindsMessage(t *testing.T) {
+	want := map[string]bool{"ed25519": true, "hmac": true, "insecure": false, "slim": false}
+	for _, name := range Names() {
+		if got := ByName(name, 2, 1).Verifier().BindsMessage(); got != want[name] {
+			t.Errorf("%s: BindsMessage() = %v, want %v", name, got, want[name])
 		}
 	}
 }

@@ -2,89 +2,188 @@ package sig
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
-	"sync/atomic"
 
 	"github.com/nectar-repro/nectar/internal/ids"
 )
 
-// maxCachedSigSize bounds the fixed-width signature slot of a cache key.
-// Every provided scheme fits (Ed25519 and HMAC tags are 64 bytes); larger
+// maxCachedSigSize is the longest signature the memo stores. Every
+// provided scheme fits (Ed25519 and HMAC tags are 64 bytes); longer
 // signatures simply bypass the cache.
 const maxCachedSigSize = 64
 
-// verifyKey identifies a (signer, signature) pair. The signed message is
-// not part of the key — it is compared byte-for-byte against the stored
-// entry on lookup, which is both cheaper than hashing the message into the
-// key and immune to hash collisions an adversary might engineer.
+// verifyKey indexes the memo by signer and the head of the signature —
+// eight pseudorandom bytes for any real scheme, so honest entries almost
+// never share a key. Neither the rest of the signature nor the signed
+// message is part of the key: both are compared byte-for-byte against the
+// stored entries on lookup, which keeps map slots small and makes the
+// memo immune to collisions an adversary might engineer.
 type verifyKey struct {
 	signer ids.NodeID
 	sigLen uint8
-	sig    [maxCachedSigSize]byte
+	head   [8]byte
 }
 
-// verifyEntry records one memoized verification: the exact message the
-// signature was checked against and the verifier's verdict.
+func keyOf(signer ids.NodeID, sg []byte) verifyKey {
+	k := verifyKey{signer: signer, sigLen: uint8(len(sg))}
+	copy(k.head[:], sg)
+	return k
+}
+
+// verifyEntry records one memoized verification: the exact signature and
+// message checked (rec = sig‖msg, split at the key's sigLen) and the
+// verifier's verdict. The first entry under a key lives inline in the map
+// value; next links further ones — a signature an adversary replayed over
+// other bytes, or forged to share a head — and is allocated only when
+// such a second entry actually shows up, so honest traffic never pays a
+// heap object per entry.
 type verifyEntry struct {
-	msg []byte
-	ok  bool
+	rec  []byte
+	ok   bool
+	next *verifyEntry
+}
+
+// matches reports whether e records exactly (sg, msg).
+func (e *verifyEntry) matches(sg, msg []byte) bool {
+	return len(e.rec) == len(sg)+len(msg) &&
+		bytes.Equal(e.rec[:len(sg)], sg) && bytes.Equal(e.rec[len(sg):], msg)
+}
+
+// verifyShardCount is the number of independently locked shards, a power
+// of two. Sixteen keeps two to four delivery workers off each other's
+// locks while the per-shard maps stay large enough to grow like one map.
+const (
+	verifyShardBits  = 4
+	verifyShardCount = 1 << verifyShardBits
+)
+
+// Stored sig‖msg records are copied into per-shard chunks that start at
+// minVerifyChunk bytes and double up to maxVerifyChunk: one allocation
+// per chunk instead of one per miss, without charging short trials for
+// arena they never fill.
+const (
+	minVerifyChunk = 1 << 10
+	maxVerifyChunk = 1 << 14
+)
+
+// verifyShard is one lock's worth of the memo. The counters live here,
+// under the lock, so hit-or-miss is decided atomically with the lookup or
+// insert it describes. Sized to one 64-byte cache line so neighbouring
+// shards' locks do not false-share.
+type verifyShard struct {
+	mu     sync.Mutex
+	m      map[verifyKey]verifyEntry
+	hits   int64
+	misses int64
+	chunk  []byte // the current record chunk; see insert
+	_      [8]byte
 }
 
 // VerifyCache memoizes signature verifications. Verification is a pure
-// function of (signer, message, signature) for every deterministic scheme
-// (Ed25519, HMAC, and the insecure ablation all qualify), so returning a
-// recorded verdict is semantics-preserving — flooding protocols re-verify
-// the same hop signatures at every recipient, and the memo collapses that
-// Θ(n·deg) repetition to one real verification per distinct signature
-// (DESIGN.md §9).
+// function of (signer, message, signature) for every deterministic scheme,
+// so returning a recorded verdict is semantics-preserving — flooding
+// protocols re-verify the same hop signatures at every recipient, and the
+// memo collapses that Θ(n·deg) repetition to one real verification per
+// distinct signature (DESIGN.md §9).
 //
-// VerifyCache is safe for concurrent use; share one per simulated trial
-// (trial-level parallelism then stays contention-free, since distinct
-// trials use distinct caches). Soundness does not depend on hashing: a
-// hit requires the stored message to equal the queried message exactly,
-// so colliding keys merely fall through to the real verifier.
+// VerifyCache is safe for concurrent use; share one per simulated trial.
+// Its accounting is a pure function of the multiset of lookups, never of
+// their interleaving: every distinct (signer, sig, msg) triple counts
+// exactly one miss and every other lookup of it a hit, so Stats reads the
+// same at any worker count. Soundness does not depend on hashing: a hit
+// requires the stored signature and message to equal the queried ones
+// exactly.
 type VerifyCache struct {
-	mu     sync.RWMutex
-	m      map[verifyKey]verifyEntry
-	hits   atomic.Int64
-	misses atomic.Int64
+	shards [verifyShardCount]verifyShard
 }
 
 // NewVerifyCache returns an empty cache.
 func NewVerifyCache() *VerifyCache {
-	return &VerifyCache{m: make(map[verifyKey]verifyEntry)}
+	c := &VerifyCache{}
+	for i := range c.shards {
+		c.shards[i].m = make(map[verifyKey]verifyEntry)
+	}
+	return c
+}
+
+// shard picks k's shard (forged all-zero tags still spread by signer).
+func (c *VerifyCache) shard(k verifyKey) *verifyShard {
+	h := (uint32(k.signer) ^ binary.LittleEndian.Uint32(k.head[:])) * 0x9E3779B1
+	return &c.shards[h>>(32-verifyShardBits)]
+}
+
+// lookup returns the verdict recorded for (k, sg, msg). Callers hold
+// sh.mu.
+func (sh *verifyShard) lookup(k verifyKey, sg, msg []byte) (ok, found bool) {
+	e, present := sh.m[k]
+	if !present {
+		return false, false
+	}
+	for p := &e; p != nil; p = p.next {
+		if p.matches(sg, msg) {
+			return p.ok, true
+		}
+	}
+	return false, false
+}
+
+// insert records the verdict for (k, sg, msg), which must not be present.
+// The bytes are copied — verification inputs are built in reusable
+// buffers (VerifyChain extends one in place) — into the shard's chunked
+// arena; filled chunks stay alive through the entries that point into
+// them. Callers hold sh.mu.
+func (sh *verifyShard) insert(k verifyKey, sg, msg []byte, ok bool) {
+	need := len(sg) + len(msg)
+	if need > cap(sh.chunk)-len(sh.chunk) {
+		size := min(max(2*cap(sh.chunk), minVerifyChunk), maxVerifyChunk)
+		sh.chunk = make([]byte, 0, max(size, need))
+	}
+	start := len(sh.chunk)
+	sh.chunk = append(append(sh.chunk, sg...), msg...)
+	rec := sh.chunk[start:len(sh.chunk):len(sh.chunk)]
+	first, present := sh.m[k]
+	if !present {
+		sh.m[k] = verifyEntry{rec: rec, ok: ok}
+		return
+	}
+	first.next = &verifyEntry{rec: rec, ok: ok, next: first.next}
+	sh.m[k] = first
 }
 
 // Verify checks sg over msg by signer, consulting the memo first. It
-// reports the verdict and whether it was served from the cache. A nil
+// reports the verdict and whether the lookup counted as a hit. A nil
 // receiver always delegates to v, so call sites can plumb an optional
 // cache without branching.
+//
+// The real verification runs outside the shard lock. Two callers that
+// miss the same triple concurrently both verify, but the second to come
+// back finds the first's entry and counts a hit — the counts are those of
+// some sequential order of the same lookups, whatever the schedule.
 func (c *VerifyCache) Verify(v Verifier, signer ids.NodeID, msg, sg []byte) (ok, hit bool) {
 	if c == nil || len(sg) > maxCachedSigSize {
 		return v.Verify(signer, msg, sg), false
 	}
-	k := verifyKey{signer: signer, sigLen: uint8(len(sg))}
-	copy(k.sig[:], sg)
-	c.mu.RLock()
-	e, found := c.m[k]
-	c.mu.RUnlock()
-	if found && bytes.Equal(e.msg, msg) {
-		c.hits.Add(1)
-		return e.ok, true
+	k := keyOf(signer, sg)
+	sh := c.shard(k)
+	sh.mu.Lock()
+	if ok, hit = sh.lookup(k, sg, msg); hit {
+		sh.hits++
+	}
+	sh.mu.Unlock()
+	if hit {
+		return ok, true
 	}
 	ok = v.Verify(signer, msg, sg)
-	c.misses.Add(1)
-	if !found {
-		// First verdict for this (signer, sig) wins the slot; the message
-		// must be copied — verification inputs are built in reusable
-		// buffers (VerifyChain extends one in place).
-		c.mu.Lock()
-		if _, exists := c.m[k]; !exists {
-			c.m[k] = verifyEntry{msg: append([]byte(nil), msg...), ok: ok}
-		}
-		c.mu.Unlock()
+	sh.mu.Lock()
+	if _, hit = sh.lookup(k, sg, msg); hit {
+		sh.hits++
+	} else {
+		sh.misses++
+		sh.insert(k, sg, msg, ok)
 	}
-	return ok, false
+	sh.mu.Unlock()
+	return ok, hit
 }
 
 // Stats returns the cumulative hit and miss counts.
@@ -92,37 +191,42 @@ func (c *VerifyCache) Stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		hits += sh.hits
+		misses += sh.misses
+		sh.mu.Unlock()
+	}
+	return hits, misses
 }
 
 // Len returns the number of memoized verdicts.
 func (c *VerifyCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+	_, misses := c.Stats()
+	return int(misses)
 }
 
 // cachedVerifier decorates a Verifier with a VerifyCache.
 type cachedVerifier struct {
-	v Verifier
+	Verifier
 	c *VerifyCache
 }
 
 func (cv cachedVerifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
-	ok, _ := cv.c.Verify(cv.v, signer, msg, sg)
+	ok, _ := cv.c.Verify(cv.Verifier, signer, msg, sg)
 	return ok
 }
 
-func (cv cachedVerifier) SigSize() int { return cv.v.SigSize() }
-
-// Cached returns a Verifier that consults c before delegating to v. A nil
-// cache returns v unchanged.
+// Cached returns a Verifier that consults c before delegating to v. It
+// returns v unchanged when c is nil, and when v's signatures do not bind
+// the message (Verifier.BindsMessage): such a scheme stamps one constant
+// tag per signer, so every lookup would land on one (signer, sig) slot,
+// compare the message, miss, and pay the nanosecond verifier anyway — the
+// memo can only cost (DESIGN.md §9).
 func Cached(v Verifier, c *VerifyCache) Verifier {
-	if c == nil {
+	if c == nil || !v.BindsMessage() {
 		return v
 	}
-	return cachedVerifier{v: v, c: c}
+	return cachedVerifier{Verifier: v, c: c}
 }

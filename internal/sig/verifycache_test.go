@@ -171,3 +171,97 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 		t.Errorf("cache holds %d entries, want %d", c.Len(), len(msgs))
 	}
 }
+
+// TestVerifyCacheAccountingIsScheduleIndependent: eight goroutines look up
+// an overlapping set of triples — including messages replayed under one
+// (signer, sig) and forged signatures sharing an honest one's key, the
+// collision-link paths — in different orders. Every
+// distinct triple must count exactly one miss and every other lookup a
+// hit, whatever the interleaving. Run with -race -count=10.
+func TestVerifyCacheAccountingIsScheduleIndependent(t *testing.T) {
+	scheme := NewHMAC(8, 1)
+	v := scheme.Verifier()
+	type triple struct {
+		signer ids.NodeID
+		msg    []byte
+		sg     []byte
+		ok     bool
+	}
+	var triples []triple
+	for i := 0; i < 24; i++ {
+		id := ids.NodeID(i % 8)
+		msg := []byte{byte(i), 0xC0, 0xDE}
+		triples = append(triples, triple{id, msg, scheme.SignerFor(id).Sign(msg), true})
+	}
+	// Replays: triples 0..3's signatures over two other messages each.
+	for i := 0; i < 4; i++ {
+		for _, other := range [][]byte{[]byte("replay A"), []byte("replay B")} {
+			triples = append(triples, triple{triples[i].signer, other, triples[i].sg, false})
+		}
+	}
+	// Forgeries sharing a memo key (signer and signature head) with an
+	// honest signature but differing further in.
+	for i := 4; i < 8; i++ {
+		forged := append([]byte(nil), triples[i].sg...)
+		forged[len(forged)-1] ^= 0xFF
+		triples = append(triples, triple{triples[i].signer, triples[i].msg, forged, false})
+	}
+	const workers, passes = 8, 5
+	c := NewVerifyCache()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for p := 0; p < passes; p++ {
+				for i := range triples {
+					tr := triples[(i+5*w+p)%len(triples)] // every worker starts elsewhere
+					if ok, _ := c.Verify(v, tr.signer, tr.msg, tr.sg); ok != tr.ok {
+						t.Errorf("signer %v msg %q: verdict %v, want %v", tr.signer, tr.msg, ok, tr.ok)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	lookups, distinct := int64(workers*passes*len(triples)), int64(len(triples))
+	hits, misses := c.Stats()
+	if hits != lookups-distinct || misses != distinct {
+		t.Errorf("stats = %d hits / %d misses, want %d / %d", hits, misses, lookups-distinct, distinct)
+	}
+	if c.Len() != len(triples) {
+		t.Errorf("cache holds %d verdicts, want %d", c.Len(), len(triples))
+	}
+}
+
+// TestCachedSkipsUnboundSchemes: a scheme whose signature does not bind
+// the message stamps one constant tag per signer, so the memo could only
+// collide; Cached must hand such a verifier back untouched, while the
+// binding schemes keep memoizing.
+func TestCachedSkipsUnboundSchemes(t *testing.T) {
+	payload := []byte("edge statement")
+	for _, name := range Names() {
+		scheme := ByName(name, 6, 1)
+		v := scheme.Verifier()
+		c := NewVerifyCache()
+		cv := Cached(v, c)
+		chain := buildChainN(scheme, payload, 5)
+		for i := 0; i < 3; i++ {
+			if !VerifyChain(cv, payload, chain) {
+				t.Fatalf("%s: valid chain rejected", name)
+			}
+		}
+		hits, misses := c.Stats()
+		if v.BindsMessage() {
+			if hits != 10 || misses != 5 {
+				t.Errorf("%s: stats = %d/%d, want 10 hits, 5 misses", name, hits, misses)
+			}
+		} else if hits+misses != 0 {
+			t.Errorf("%s: %d memo lookups for a scheme that does not bind the message", name, hits+misses)
+		}
+	}
+}

@@ -7,8 +7,7 @@ package nectar
 // staging layout, dedup, decision phase — not signature arithmetic.
 // BenchmarkKappaIncremental isolates the epoch ground-truth κ evaluation
 // that dominates low-churn dynamic runs: from-scratch Dinic each epoch
-// versus the KappaTracker's certified reuse (BENCH_scale.json pins the
-// ≥5× gap).
+// versus the KappaTracker's certified reuse (a ≥5× gap).
 
 import (
 	"fmt"
@@ -22,8 +21,8 @@ import (
 // scaleFull reports whether the heavy n=10⁴ cases should run. They take
 // minutes and gigabytes (a connected flood is Θ(n·m) acceptances), so
 // they are opt-in via NECTAR_SCALE=1 — set by `SCALE=1 scripts/bench.sh`
-// when recording BENCH_scale.json — and skipped in the CI -benchtime=1x
-// sweep, which runs every benchmark it can see.
+// — and skipped in the CI -benchtime=1x sweep, which runs every benchmark
+// it can see.
 func scaleFull() bool { return os.Getenv("NECTAR_SCALE") != "" }
 
 // largeNGraph builds one of the sparse large-n families.
@@ -87,9 +86,6 @@ func BenchmarkLargeN(b *testing.B) {
 					Seed:       int64(i + 1),
 					SchemeName: "slim",
 					BloomDedup: true,
-					// Under slim pseudo-signatures the verify memo costs more
-					// (hashing every message) than the checks it skips.
-					NoVerifyCache: true,
 				})
 				if err != nil {
 					b.Fatal(err)
