@@ -243,7 +243,8 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		buildOpts := []BuildOption{WithVerifyCache(NewVerifyCache())}
+		vcache := NewVerifyCache()
+		buildOpts := []BuildOption{WithVerifyCache(vcache)}
 		if cfg.BloomDedup {
 			buildOpts = append(buildOpts, WithBloomDedup())
 		}
@@ -316,6 +317,13 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 						Partitionable: o.Decision == Partitionable,
 						Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
 					}
+				}
+				// The epoch is over: its memo dies with its keys, and the
+				// nodes that never decide (Byzantine, absent) give their
+				// scratch back too.
+				vcache.Release()
+				for _, nd := range nodes {
+					nd.Release()
 				}
 				return out
 			},

@@ -4,6 +4,8 @@
 package fixture
 
 import (
+	"sync"
+
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/nectar"
 	"github.com/nectar-repro/nectar/internal/rounds"
@@ -63,6 +65,30 @@ func (w *wrapper) suppressedEmit(round int) {
 	//nectar:allow-bufretain fixture: consumer drains the batch within the round
 	w.held = w.inner.Emit(round)
 }
+
+// A free list launders nothing (DESIGN.md §9): a pooled slot is a field
+// like any other, so parking the delivered buffer in one is flagged even
+// though the slot goes straight back to its pool — the next borrower would
+// find the alias there. Run-lifetime scratch may only carry slots its
+// owner filled with copies and zeroed on the way back.
+type slot struct{ data []byte }
+
+var slots = sync.Pool{New: func() any { return new(slot) }}
+
+type recycler struct{}
+
+func (recycler) Deliver(round int, from ids.NodeID, data []byte) {
+	s := slots.Get().(*slot)
+	s.data = data // want `field data`
+	slots.Put(s)  // returned un-zeroed: the store above is the finding
+
+	s = slots.Get().(*slot)
+	s.data = append([]byte(nil), data...) // a copy the slot owns: fine
+	s.data = nil                          // and zeroed before it goes back
+	slots.Put(s)
+}
+
+func (recycler) Emit(round int) []rounds.Send { return nil }
 
 func copySends(in []rounds.Send) []rounds.Send {
 	out := make([]rounds.Send, len(in))

@@ -139,6 +139,7 @@ func buildNectar(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) (
 		var pc obs.FastPath
 		for i, nd := range nodes {
 			if sc.Byz.Has(ids.NodeID(i)) {
+				nd.Release() // never decides
 				continue
 			}
 			o := nd.DecideShared(dc)
@@ -150,6 +151,7 @@ func buildNectar(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) (
 			pc.LazyDiscards += int64(nd.Stats().LazyDiscards)
 		}
 		pc.VerifyCacheHits, pc.VerifyCacheMisses = vcache.Stats()
+		vcache.Release()
 		pc.DecideCacheHits = dc.Hits()
 		return out, pc
 	}

@@ -123,8 +123,9 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 		if scheme == nil {
 			return nil, fmt.Errorf("unknown scheme %q", spec.SchemeName)
 		}
+		vcache := sig.NewVerifyCache()
 		nodes, err := nectar.BuildNodes(g, spec.T, scheme, spec.EpochRounds,
-			nectar.WithVerifyCache(sig.NewVerifyCache()))
+			nectar.WithVerifyCache(vcache))
 		if err != nil {
 			return nil, err
 		}
@@ -142,6 +143,7 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 				for i, nd := range nodes {
 					id := ids.NodeID(i)
 					if absent.Has(id) {
+						nd.Release() // never decides
 						continue
 					}
 					o := nd.DecideShared(dc)
@@ -150,6 +152,7 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 						Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
 					}
 				}
+				vcache.Release() // the epoch is over; its memo dies with its keys
 				return out
 			},
 		}, nil

@@ -62,6 +62,9 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 		}
 		nd, err := NewNode(cfg)
 		if err != nil {
+			for _, built := range nodes[:i] {
+				built.Release()
+			}
 			return nil, fmt.Errorf("nectar: node %v: %w", me, err)
 		}
 		nodes[i] = nd

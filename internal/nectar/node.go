@@ -3,6 +3,7 @@ package nectar
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/nectar-repro/nectar/internal/bloom"
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -145,9 +146,31 @@ type Node struct {
 	nRounds int
 	ver     sig.Verifier // effective verifier: sig.Cached(cfg.Verifier, cfg.VerifyCache)
 	view    *graph.Graph // Gi: the discovered adjacency
-	queue   []relayItem  // filled in Deliver(r), drained by Emit(r+1)
 	started bool         // round-1 neighborhood announcement has been emitted
 	stats   Stats
+	// The propagation phase's buffers, borrowed from the package free list
+	// by NewNode and handed back by Release — at the latest implicitly, at
+	// the first Decide. box is the free-list entry they came from, nil once
+	// returned.
+	nodeScratch
+	box *nodeScratch
+	// dedup, when non-nil, is the Bloom front of the duplicate check — it
+	// holds a superset of Gi's edges, so a miss proves the edge unseen.
+	dedup *bloom.Filter
+	// Evidence tracing (DESIGN.md §13): off by default and enabled only by
+	// the engine's TraceEvidence call when a run has a Tracer, so the
+	// untraced hot path buffers nothing. evbuf fills during Deliver (one
+	// goroutine per node) and is drained by the engine's scheduler
+	// goroutine between rounds; lastReach tracks the reachable-set size so
+	// growth events fire only when an accepted edge actually extends it.
+	tracing   bool
+	evbuf     []obs.Event
+	lastReach int
+}
+
+// nodeScratch is a node's propagation-phase scratch (DESIGN.md §9, §14).
+type nodeScratch struct {
+	queue []relayItem // filled in Deliver(r), drained by Emit(r+1)
 	// Emit-side allocation reuse (DESIGN.md §9): every message of a round
 	// is encoded into one scratch arena and the send headers into one
 	// reusable slice. Both are reset at the next Emit — safe because the
@@ -160,22 +183,52 @@ type Node struct {
 	// chain signing-input buffer), and the accept arena that owns the
 	// queued messages' wire bytes. The scratch contents are transient per
 	// Deliver call; the arena lives until the queue is drained and is
-	// truncated at the end of the draining Emit. dedup, when non-nil, is
-	// the Bloom front of the duplicate check — it holds a superset of Gi's
-	// edges, so a miss proves the edge unseen.
+	// truncated at the end of the draining Emit.
 	hopScratch []sig.Hop
 	scr        msgScratch
 	arenaRaw   []byte
-	dedup      *bloom.Filter
-	// Evidence tracing (DESIGN.md §13): off by default and enabled only by
-	// the engine's TraceEvidence call when a run has a Tracer, so the
-	// untraced hot path buffers nothing. evbuf fills during Deliver (one
-	// goroutine per node) and is drained by the engine's scheduler
-	// goroutine between rounds; lastReach tracks the reachable-set size so
-	// growth events fire only when an accepted edge actually extends it.
-	tracing   bool
-	evbuf     []obs.Event
-	lastReach int
+}
+
+// scratchPool recycles nodeScratch values across the nodes of successive
+// runs (DESIGN.md §9): a sweep or a dynamic run rebuilds every node per
+// trial or epoch, and each used to grow these buffers from nil. The free
+// list only supplies capacity — Release truncates every buffer and zeroes
+// every slot that holds a slice, so a recycled scratch is
+// indistinguishable from the zero value except in what it need not
+// allocate.
+var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+
+// Release hands the node's propagation scratch back to the free list once
+// the propagation phase is over. The first Decide does it implicitly, so a
+// driver only calls Release for the nodes it never decides — the inner
+// nodes of Byzantine wrappers, nodes churned out of an epoch — and on its
+// error paths. It is idempotent, and optional: the node stays as usable as
+// before (it works on zero-value scratch from here on), and one that is
+// never released merely recycles nothing. A relay queue cut short by the
+// horizon is live state, not scratch: it stays on the node together with
+// the arena its items point into.
+func (nd *Node) Release() {
+	s := nd.box
+	if s == nil {
+		return
+	}
+	nd.box = nil
+	*s, nd.nodeScratch = nd.nodeScratch, nodeScratch{}
+	if len(s.queue) > 0 {
+		nd.queue, nd.arenaRaw = s.queue, s.arenaRaw
+		s.queue, s.arenaRaw = nil, nil
+	}
+	clear(s.queue[:cap(s.queue)])
+	s.queue = s.queue[:0]
+	s.enc.Reset()
+	clear(s.sendBuf[:cap(s.sendBuf)])
+	s.sendBuf = s.sendBuf[:0]
+	clear(s.hopScratch[:cap(s.hopScratch)])
+	s.hopScratch = s.hopScratch[:0]
+	s.scr.stmt.Reset()
+	s.scr.cs.Reset()
+	s.arenaRaw = s.arenaRaw[:0]
+	scratchPool.Put(s)
 }
 
 var _ rounds.Protocol = (*Node)(nil)
@@ -246,6 +299,9 @@ func NewNode(cfg Config) (*Node, error) {
 			nd.dedup.AddKey(edgeKey(graph.NewEdge(cfg.Me, nb)))
 		}
 	}
+	// Borrowed last, so no error path above holds it.
+	nd.box = scratchPool.Get().(*nodeScratch)
+	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
 	return nd, nil
 }
 
@@ -549,7 +605,11 @@ func (nd *Node) Decide() Outcome { return nd.DecideShared(nil) }
 // (DESIGN.md §9). The per-node reachability BFS (which depends on the
 // local identity) is always computed directly; outcomes are bit-identical
 // with and without a cache.
+//
+// Deciding marks the end of the propagation phase, so the first call also
+// Releases the node's scratch.
 func (nd *Node) DecideShared(c *DecideCache) Outcome {
+	nd.Release()
 	r := nd.view.CountReachable(nd.cfg.Me)
 	kOverT := c.connectivityAtLeast(nd.view, nd.cfg.T+1)
 	out := Outcome{Reachable: r, ConnectivityOverT: kOverT}

@@ -1,0 +1,118 @@
+package rounds
+
+import (
+	"math/rand"
+	"sync"
+)
+
+// Run-lifetime recycling (DESIGN.md §9). A sweep or a dynamic run drives
+// the engine once per trial or epoch, and every run used to grow the same
+// staging — per-recipient inboxes, the flat SoA arrays, the dedup maps,
+// the shuffle RNGs — from nil by append-doubling and then drop it. The
+// staging of a finished run is kept on a free list instead, so the next
+// run starts at the capacity the last one reached.
+//
+// The free list only ever supplies capacity. release truncates every
+// buffer to length zero, clears every map, and zeroes every slot that held
+// a payload slice up to its capacity, so nothing a finished run
+// referenced stays reachable and nothing it staged can be observed by the
+// next run: results cannot depend on whether, or from which run, a staging
+// was recycled.
+
+// staging is the scratch one engine run owns from acquire to release.
+type staging struct {
+	// workers and useSoA say which shards the current run routes through:
+	// soa[:workers] or shards[:workers]. A recycled staging may carry more
+	// shards, and shards of the other layout, from earlier runs; they stay
+	// parked, already scrubbed by the run that used them.
+	workers int
+	useSoA  bool
+
+	outboxes [][]Send
+	inboxes  [][]delivery // per-recipient merged+shuffled inbox
+	shards   []*routeShard
+	soa      []*soaShard
+	rngs     []*rand.Rand // per-worker shuffle RNGs, reseeded per recipient
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// acquireStaging returns a staging sized for n nodes and the given worker
+// count, with the chosen layout's shards in place.
+func acquireStaging(n, workers int, useSoA bool) *staging {
+	st := stagingPool.Get().(*staging)
+	st.workers, st.useSoA = workers, useSoA
+	st.outboxes = resize(st.outboxes, n)
+	st.inboxes = resize(st.inboxes, n)
+	if useSoA {
+		st.soa = resize(st.soa, max(workers, len(st.soa)))
+		for w, sh := range st.soa[:workers] {
+			if sh == nil {
+				st.soa[w] = &soaShard{seen: make(map[uint64]bool)}
+			}
+		}
+	} else {
+		st.shards = resize(st.shards, max(workers, len(st.shards)))
+		for w, sh := range st.shards[:workers] {
+			if sh == nil {
+				sh = &routeShard{seen: make(map[uint64]bool)}
+				st.shards[w] = sh
+			}
+			sh.inbox = resize(sh.inbox, n)
+		}
+	}
+	// One reusable shuffle RNG per worker: delivery reseeds it per
+	// recipient, which reproduces the stream of a fresh
+	// rand.New(rand.NewSource(seed)) exactly (Rand.Seed resets the source
+	// to NewSource state), so a recycled RNG's history is unobservable.
+	st.rngs = resize(st.rngs, max(workers, len(st.rngs)))
+	for w, rng := range st.rngs[:workers] {
+		if rng == nil {
+			st.rngs[w] = rand.New(rand.NewSource(0))
+		}
+	}
+	return st
+}
+
+// release scrubs what the run used down to bare capacity and returns the
+// staging to the free list. The caller must not touch st afterwards.
+func (st *staging) release() {
+	scrubAll(st.outboxes)
+	scrubAll(st.inboxes)
+	if st.useSoA {
+		for _, sh := range st.soa[:st.workers] {
+			sh.to, sh.from, sh.order = sh.to[:0], sh.from[:0], sh.order[:0]
+			sh.off, sh.cur = sh.off[:0], sh.cur[:0]
+			sh.data = scrub(sh.data)
+			clear(sh.seen)
+		}
+	} else {
+		for _, sh := range st.shards[:st.workers] {
+			scrubAll(sh.inbox)
+			clear(sh.seen)
+		}
+	}
+	stagingPool.Put(st)
+}
+
+// resize returns s with length n, keeping its elements (and whatever
+// capacity they carry) where the backing array is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// scrub zeroes s up to its capacity and returns it at length zero.
+func scrub[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// scrubAll scrubs every inner slice of s.
+func scrubAll[T any](s [][]T) {
+	for i := range s {
+		s[i] = scrub(s[i])
+	}
+}

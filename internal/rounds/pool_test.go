@@ -1,0 +1,224 @@
+package rounds
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"github.com/nectar-repro/nectar/internal/graph"
+	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/topology"
+)
+
+// The staging free list promises capacity, never content (pool.go). These
+// tests hand the engine staging whose every buffer is full of garbage
+// beyond length zero — what a recycled staging would look like if release
+// scrubbed nothing — and require runs identical to ones on fresh staging.
+
+// withStagingPool swaps the package free list for one whose every miss is
+// served by fresh, and restores a clean one afterwards. A just-assigned
+// pool is empty, so the next acquire is certain to call fresh.
+func withStagingPool(t *testing.T, fresh func() *staging) {
+	t.Helper()
+	stagingPool = sync.Pool{New: func() any { return fresh() }}
+	t.Cleanup(func() {
+		stagingPool = sync.Pool{New: func() any { return new(staging) }}
+	})
+}
+
+// poisonedStaging is a staging of awkward shape (sized for 5 nodes and 3
+// workers, both layouts populated) with garbage in every slot up to
+// capacity and every buffer at length zero.
+func poisonedStaging() *staging {
+	junk := bytes.Repeat([]byte{0xFF}, 64)
+	deliveries := func() []delivery {
+		d := make([]delivery, 9)
+		for i := range d {
+			d[i] = delivery{from: ids.NodeID(1 << 30), data: junk}
+		}
+		return d[:0]
+	}
+	int32s := func() []int32 {
+		s := make([]int32, 11)
+		for i := range s {
+			s[i] = -7
+		}
+		return s[:0]
+	}
+	usedMap := func() map[uint64]bool {
+		m := make(map[uint64]bool)
+		for i := uint64(0); i < 100; i++ {
+			m[i] = true
+		}
+		clear(m)
+		return m
+	}
+	st := new(staging)
+	for i := 0; i < 5; i++ {
+		sends := make([]Send, 4)
+		for k := range sends {
+			sends[k] = Send{To: 3, Data: junk}
+		}
+		st.outboxes = append(st.outboxes, sends[:0])
+		st.inboxes = append(st.inboxes, deliveries())
+	}
+	st.outboxes, st.inboxes = st.outboxes[:0], st.inboxes[:0]
+	for w := 0; w < 3; w++ {
+		sh := &routeShard{seen: usedMap()}
+		for i := 0; i < 5; i++ {
+			sh.inbox = append(sh.inbox, deliveries())
+		}
+		sh.inbox = sh.inbox[:0]
+		st.shards = append(st.shards, sh)
+
+		data := make([][]byte, 11)
+		for i := range data {
+			data[i] = junk
+		}
+		st.soa = append(st.soa, &soaShard{
+			to: int32s(), from: int32s(), data: data[:0],
+			off: int32s(), cur: int32s(), order: int32s(),
+			seen: usedMap(),
+		})
+		rng := rand.New(rand.NewSource(int64(w) + 99))
+		rng.Int63() // mid-stream, as a recycled RNG would be
+		st.rngs = append(st.rngs, rng)
+	}
+	return st
+}
+
+// transcript runs a flood over g and returns everything observable:
+// metrics and each node's delivery sequence.
+func transcript(t *testing.T, g *graph.Graph, cfg Config) (*Metrics, [][]string) {
+	t.Helper()
+	nodes, m := runFlood(t, g, cfg)
+	got := make([][]string, len(nodes))
+	for i, nd := range nodes {
+		got[i] = nd.received
+	}
+	return m, got
+}
+
+func TestPoisonedStagingChangesNothing(t *testing.T) {
+	harary, err := topology.Harary(4, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{topology.Ring(3), topology.Ring(9), harary} {
+		for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
+			for _, workers := range []int{1, 2, 4} {
+				cfg := Config{Rounds: g.N(), Seed: 5, Layout: layout, Workers: workers, LossRate: 0.1}
+				name := fmt.Sprintf("n=%d/layout=%d/workers=%d", g.N(), layout, workers)
+
+				withStagingPool(t, func() *staging { return new(staging) })
+				wantM, wantT := transcript(t, g, cfg)
+
+				withStagingPool(t, poisonedStaging)
+				gotM, gotT := transcript(t, g, cfg)
+				if !reflect.DeepEqual(gotM, wantM) {
+					t.Errorf("%s: metrics differ on poisoned staging:\n got %+v\nwant %+v", name, gotM, wantM)
+				}
+				if !reflect.DeepEqual(gotT, wantT) {
+					t.Errorf("%s: delivery transcript differs on poisoned staging", name)
+				}
+
+				// And again on whatever the poisoned run gave back.
+				againM, againT := transcript(t, g, cfg)
+				if !reflect.DeepEqual(againM, wantM) || !reflect.DeepEqual(againT, wantT) {
+					t.Errorf("%s: run on recycled staging differs", name)
+				}
+			}
+		}
+	}
+}
+
+// TestReleaseScrubsStaging drives a flood through a staging and checks
+// what Run put back on the free list: nothing but capacity — no payload
+// slice reachable from any slot, every buffer empty.
+func TestReleaseScrubsStaging(t *testing.T) {
+	g := topology.Complete(6)
+	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
+		var st *staging // the one staging the run below borrows
+		withStagingPool(t, func() *staging { st = new(staging); return st })
+		runFlood(t, g, Config{Rounds: 3, Seed: 1, Layout: layout, Workers: 2})
+		if st == nil || cap(st.inboxes) == 0 {
+			t.Fatalf("layout %d: the run did not go through the free list", layout)
+		}
+
+		checkDeliveries := func(where string, boxes [][]delivery) {
+			for i, box := range boxes[:cap(boxes)] {
+				if len(box) != 0 {
+					t.Errorf("layout %d %s[%d]: length %d after release", layout, where, i, len(box))
+				}
+				for _, d := range box[:cap(box)] {
+					if d.data != nil || d.from != 0 {
+						t.Fatalf("layout %d %s[%d]: slot still holds %+v", layout, where, i, d)
+					}
+				}
+			}
+		}
+		checkDeliveries("inboxes", st.inboxes)
+		for _, box := range st.outboxes[:cap(st.outboxes)] {
+			for _, s := range box[:cap(box)] {
+				if s.Data != nil {
+					t.Fatalf("layout %d outboxes: slot still holds a payload", layout)
+				}
+			}
+		}
+		if len(st.shards)+len(st.soa) != 2 {
+			t.Errorf("layout %d: %d AoS + %d SoA shards for a 2-worker run", layout, len(st.shards), len(st.soa))
+		}
+		for w, sh := range st.shards {
+			checkDeliveries(fmt.Sprintf("shard %d inbox", w), sh.inbox)
+			if len(sh.seen) != 0 {
+				t.Errorf("layout %d shard %d: seen map not cleared", layout, w)
+			}
+		}
+		for w, sh := range st.soa {
+			if cap(sh.data) == 0 {
+				t.Errorf("layout %d soa shard %d: never used", layout, w)
+			}
+			if len(sh.to)+len(sh.from)+len(sh.data)+len(sh.off)+len(sh.cur)+len(sh.order)+len(sh.seen) != 0 {
+				t.Errorf("layout %d soa shard %d: buffers not empty after release", layout, w)
+			}
+			for _, d := range sh.data[:cap(sh.data)] {
+				if d != nil {
+					t.Fatalf("layout %d soa shard %d: data slot still holds a payload", layout, w)
+				}
+			}
+		}
+	}
+}
+
+// TestFailedRunLeavesNoTrace: every error return of Run precedes the
+// acquire, so a failed call cannot leave anything behind for the next run.
+func TestFailedRunLeavesNoTrace(t *testing.T) {
+	g := topology.Ring(6)
+	cfg := Config{Rounds: 6, Seed: 3}
+	wantM, wantT := transcript(t, g, cfg)
+
+	acquired := 0
+	withStagingPool(t, func() *staging { acquired++; return new(staging) })
+	bad := []Config{
+		{Rounds: 3},                          // no graph
+		{Graph: topology.Ring(4), Rounds: 3}, // node count mismatch
+		{Graph: g, Rounds: -1},
+		{Graph: g, Rounds: 3, LossRate: 1},
+		{Graph: g, Rounds: 3, Workers: -2},
+	}
+	for i, c := range bad {
+		if _, err := Run(c, make([]Protocol, g.N())); err == nil {
+			t.Fatalf("bad config %d accepted", i)
+		}
+	}
+	if acquired != 0 {
+		t.Errorf("failed runs acquired staging %d times", acquired)
+	}
+	gotM, gotT := transcript(t, g, cfg)
+	if !reflect.DeepEqual(gotM, wantM) || !reflect.DeepEqual(gotT, wantT) {
+		t.Error("run after failed runs differs from the reference")
+	}
+}

@@ -26,7 +26,6 @@ package rounds
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -294,7 +293,8 @@ type delivery struct {
 // every recipient plus the scalar counters that would otherwise contend.
 // Per-sender metric arrays need no shard — sender stripes are disjoint.
 // Shards persist across rounds (buffers are truncated, not reallocated) to
-// keep GC pressure flat on large graphs.
+// keep GC pressure flat on large graphs, and across runs as part of the
+// recycled staging (pool.go).
 type routeShard struct {
 	inbox          [][]delivery // per-recipient staged messages, sender-major
 	seen           map[uint64]bool
@@ -303,21 +303,18 @@ type routeShard struct {
 	droppedLoss    int64
 }
 
-// engine holds one run's reusable state.
+// engine holds one run's state. The embedded staging — buffers, worker
+// count, layout — is borrowed from the package free list for the duration
+// of the run (pool.go).
 type engine struct {
+	*staging
 	cfg       Config
 	g         *graph.Graph
 	n         int
 	overhead  int
-	workers   int
 	nodes     []Protocol
 	quiescers []Quiescer // non-nil only when every node implements Quiescer
 	m         *Metrics
-	outboxes  [][]Send
-	shards    []*routeShard // AoS staging, nil when soa is active
-	soa       []*soaShard   // SoA staging, nil when shards is active
-	inboxes   [][]delivery  // per-recipient merged+shuffled inbox, reused
-	rngs      []*rand.Rand  // per-worker shuffle RNGs, reseeded per recipient
 	// traceDelivered[i] is recipient i's delivery count for the current
 	// round, written by deliver (each recipient is handled by exactly one
 	// worker per round, so writes never contend) and drained into
@@ -368,12 +365,15 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 	if workers < 1 {
 		workers = 1
 	}
+	useSoA := cfg.Layout == LayoutSoA || (cfg.Layout == LayoutAuto && n >= SoAThreshold)
+	st := acquireStaging(n, workers, useSoA)
+	defer st.release()
 	e := &engine{
+		staging:  st,
 		cfg:      cfg,
 		g:        g,
 		n:        n,
 		overhead: cfg.overhead(),
-		workers:  workers,
 		nodes:    nodes,
 		m: &Metrics{
 			BytesSent:      make([]int64, n),
@@ -383,22 +383,6 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 			BytesByRound:   make([]int64, cfg.Rounds),
 			Rounds:         cfg.Rounds,
 		},
-		outboxes: make([][]Send, n),
-		inboxes:  make([][]delivery, n),
-	}
-	if cfg.Layout == LayoutSoA || (cfg.Layout == LayoutAuto && n >= SoAThreshold) {
-		e.soa = make([]*soaShard, workers)
-		for w := range e.soa {
-			e.soa[w] = &soaShard{seen: make(map[uint64]bool)}
-		}
-	} else {
-		e.shards = make([]*routeShard, workers)
-		for w := range e.shards {
-			e.shards[w] = &routeShard{
-				inbox: make([][]delivery, n),
-				seen:  make(map[uint64]bool),
-			}
-		}
 	}
 	if cfg.Tracer != nil {
 		e.traceDelivered = make([]int64, n)
@@ -409,14 +393,6 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 				src.TraceEvidence(true)
 			}
 		}
-	}
-	// One reusable shuffle RNG per worker: delivery used to allocate a
-	// fresh rand.Rand per recipient per round; reseeding reproduces the
-	// exact same stream (Rand.Seed resets the source to NewSource state),
-	// so delivery orders are byte-identical to the allocating version.
-	e.rngs = make([]*rand.Rand, workers)
-	for w := range e.rngs {
-		e.rngs[w] = rand.New(rand.NewSource(0))
 	}
 	// Early exit is sound only when every node can attest quiescence;
 	// one opaque protocol forces the full horizon.
@@ -475,11 +451,11 @@ func (e *engine) run() {
 		// per-sender metric rows are contention-free and staged inboxes
 		// concatenate back to sender-major order.
 		var dropNonEdge, dropLoss int64
-		if e.soa != nil {
+		if e.useSoA {
 			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
 				e.routeSoA(e.soa[w], r, lo, hi)
 			})
-			for _, sh := range e.soa {
+			for _, sh := range e.soa[:e.workers] {
 				e.m.BytesByRound[r-1] += sh.bytesThisRound
 				dropNonEdge += sh.droppedNonEdge
 				dropLoss += sh.droppedLoss
@@ -489,7 +465,7 @@ func (e *engine) run() {
 			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
 				e.route(e.shards[w], r, lo, hi)
 			})
-			for _, sh := range e.shards {
+			for _, sh := range e.shards[:e.workers] {
 				e.m.BytesByRound[r-1] += sh.bytesThisRound
 				dropNonEdge += sh.droppedNonEdge
 				dropLoss += sh.droppedLoss
@@ -610,12 +586,12 @@ func (e *engine) route(sh *routeShard, round, lo, hi int) {
 // w selects the calling worker's reusable shuffle RNG.
 func (e *engine) deliver(w, i, round int) {
 	inbox := e.inboxes[i][:0]
-	if e.soa != nil {
-		for _, sh := range e.soa {
+	if e.useSoA {
+		for _, sh := range e.soa[:e.workers] {
 			inbox = sh.gather(i, inbox)
 		}
 	} else {
-		for _, sh := range e.shards {
+		for _, sh := range e.shards[:e.workers] {
 			inbox = append(inbox, sh.inbox[i]...)
 			sh.inbox[i] = sh.inbox[i][:0]
 		}

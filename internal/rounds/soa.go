@@ -38,7 +38,7 @@ const (
 const SoAThreshold = 2048
 
 // soaShard is one worker's flat staging state. Buffers persist across
-// rounds (truncated, not reallocated).
+// rounds (truncated, not reallocated) and, with the staging, across runs.
 type soaShard struct {
 	to   []int32
 	from []int32

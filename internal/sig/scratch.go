@@ -22,6 +22,15 @@ type ChainScratch struct {
 	hops []Hop
 }
 
+// Reset empties the scratch but keeps its capacity, zeroing the hop slots
+// so no signature they referenced stays reachable — for owners that hand
+// the scratch on to another run (DESIGN.md §9).
+func (cs *ChainScratch) Reset() {
+	cs.w.Reset()
+	clear(cs.hops[:cap(cs.hops)])
+	cs.hops = cs.hops[:0]
+}
+
 // AppendInto is AppendHop backed by the scratch: it returns chain extended
 // with a hop signed by s, with the hop slice (but not the signature bytes,
 // which the Signer allocates) drawn from the scratch. The input chain is

@@ -67,17 +67,24 @@ const (
 	maxVerifyChunk = 1 << 14
 )
 
+// verifyStore is what a shard keeps its entries in: the map and the
+// chunks its records are copied into. It is the part of the memo that
+// outlives a cache on the package free list (see Release).
+type verifyStore struct {
+	m      map[verifyKey]verifyEntry
+	chunks [][]byte // chunks[:cur] are full, chunks[cur] is being filled
+}
+
 // verifyShard is one lock's worth of the memo. The counters live here,
 // under the lock, so hit-or-miss is decided atomically with the lookup or
 // insert it describes. Sized to one 64-byte cache line so neighbouring
 // shards' locks do not false-share.
 type verifyShard struct {
-	mu     sync.Mutex
-	m      map[verifyKey]verifyEntry
+	mu sync.Mutex
+	verifyStore
+	cur    int // index of the chunk being filled; see insert
 	hits   int64
 	misses int64
-	chunk  []byte // the current record chunk; see insert
-	_      [8]byte
 }
 
 // VerifyCache memoizes signature verifications. Verification is a pure
@@ -98,13 +105,47 @@ type VerifyCache struct {
 	shards [verifyShardCount]verifyShard
 }
 
+// verifyStorePool recycles the storage of released caches (DESIGN.md §9):
+// a sweep builds one memo per trial and a dynamic run one per epoch, each
+// growing the same sixteen maps and chunk lists from nothing. Only the
+// stores travel, never a *VerifyCache — a holder of a released cache must
+// not be able to reach the memo of whichever run is handed its storage
+// next, since a memo must never outlive its scheme's key set.
+var verifyStorePool = sync.Pool{New: func() any { return new([verifyShardCount]verifyStore) }}
+
 // NewVerifyCache returns an empty cache.
 func NewVerifyCache() *VerifyCache {
 	c := &VerifyCache{}
+	stores := verifyStorePool.Get().(*[verifyShardCount]verifyStore)
 	for i := range c.shards {
-		c.shards[i].m = make(map[verifyKey]verifyEntry)
+		c.shards[i].verifyStore = stores[i]
 	}
 	return c
+}
+
+// Release empties the cache and hands its storage — the shard maps,
+// cleared, and the record chunks, truncated — to the caches built after
+// it, which then start at the capacity this one reached. Call it once the
+// run the cache served is over and Stats has been read: Release resets the
+// counters too. A released cache is an empty cache and stays usable (it
+// allocates afresh); never releasing merely forgoes the recycling.
+func (c *VerifyCache) Release() {
+	if c == nil {
+		return
+	}
+	stores := new([verifyShardCount]verifyStore)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		clear(sh.m)
+		for j := range sh.chunks {
+			sh.chunks[j] = sh.chunks[j][:0]
+		}
+		stores[i] = sh.verifyStore
+		sh.verifyStore, sh.cur, sh.hits, sh.misses = verifyStore{}, 0, 0, 0
+		sh.mu.Unlock()
+	}
+	verifyStorePool.Put(stores)
 }
 
 // shard picks k's shard (forged all-zero tags still spread by signer).
@@ -132,16 +173,27 @@ func (sh *verifyShard) lookup(k verifyKey, sg, msg []byte) (ok, found bool) {
 // The bytes are copied — verification inputs are built in reusable
 // buffers (VerifyChain extends one in place) — into the shard's chunked
 // arena; filled chunks stay alive through the entries that point into
-// them. Callers hold sh.mu.
+// them, and through chunks, which is how Release finds them again. A
+// recycled store arrives with its chunks empty and cur at 0, so the walk
+// below fills them in order before it allocates. Callers hold sh.mu.
 func (sh *verifyShard) insert(k verifyKey, sg, msg []byte, ok bool) {
 	need := len(sg) + len(msg)
-	if need > cap(sh.chunk)-len(sh.chunk) {
-		size := min(max(2*cap(sh.chunk), minVerifyChunk), maxVerifyChunk)
-		sh.chunk = make([]byte, 0, max(size, need))
+	for sh.cur < len(sh.chunks) && need > cap(sh.chunks[sh.cur])-len(sh.chunks[sh.cur]) {
+		sh.cur++
 	}
-	start := len(sh.chunk)
-	sh.chunk = append(append(sh.chunk, sg...), msg...)
-	rec := sh.chunk[start:len(sh.chunk):len(sh.chunk)]
+	if sh.cur == len(sh.chunks) {
+		size := minVerifyChunk
+		if sh.cur > 0 {
+			size = min(2*cap(sh.chunks[sh.cur-1]), maxVerifyChunk)
+		}
+		sh.chunks = append(sh.chunks, make([]byte, 0, max(size, need)))
+	}
+	chunk := append(append(sh.chunks[sh.cur], sg...), msg...)
+	rec := chunk[len(sh.chunks[sh.cur]):len(chunk):len(chunk)]
+	sh.chunks[sh.cur] = chunk
+	if sh.m == nil {
+		sh.m = make(map[verifyKey]verifyEntry)
+	}
 	first, present := sh.m[k]
 	if !present {
 		sh.m[k] = verifyEntry{rec: rec, ok: ok}

@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -262,6 +263,86 @@ func TestCachedSkipsUnboundSchemes(t *testing.T) {
 			}
 		} else if hits+misses != 0 {
 			t.Errorf("%s: %d memo lookups for a scheme that does not bind the message", name, hits+misses)
+		}
+	}
+}
+
+// lookupScript is a fixed sequence of verifications — repeats, forgeries,
+// a replayed signature over other bytes, messages long enough to roll the
+// record chunks over — and the (verdict, hit) pair each returned.
+func lookupScript(c *VerifyCache, scheme Scheme) (verdicts [][2]bool, hits, misses int64) {
+	v := scheme.Verifier()
+	long := make([]byte, 3*minVerifyChunk)
+	for round := 0; round < 3; round++ {
+		for s := 0; s < scheme.N(); s++ {
+			id := ids.NodeID(s)
+			for k := 0; k < 20; k++ {
+				msg := append(long[:(k%4)*minVerifyChunk/2], byte(s), byte(k))
+				sg := scheme.SignerFor(id).Sign(msg)
+				ok, hit := c.Verify(v, id, msg, sg)
+				verdicts = append(verdicts, [2]bool{ok, hit})
+				ok, hit = c.Verify(v, id, append(msg, 'x'), sg) // replay over other bytes
+				verdicts = append(verdicts, [2]bool{ok, hit})
+				ok, hit = c.Verify(v, id, msg, make([]byte, len(sg))) // forgery
+				verdicts = append(verdicts, [2]bool{ok, hit})
+			}
+		}
+	}
+	hits, misses = c.Stats()
+	return verdicts, hits, misses
+}
+
+// TestVerifyCachePoisonedStoreChangesNothing: the store free list promises
+// capacity, never content. A cache built on stores whose maps were full
+// and whose chunks hold garbage beyond length zero — and then one built on
+// whatever Release gave back, under a different key set — must answer and
+// count exactly like a cache built on nothing.
+func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
+	fresh := func() any { return new([verifyShardCount]verifyStore) }
+	t.Cleanup(func() { verifyStorePool = sync.Pool{New: fresh} })
+
+	verifyStorePool = sync.Pool{New: fresh}
+	scheme := NewHMAC(5, 11)
+	want, wantHits, wantMisses := lookupScript(NewVerifyCache(), scheme)
+
+	verifyStorePool = sync.Pool{New: func() any {
+		stores := new([verifyShardCount]verifyStore)
+		for i := range stores {
+			m := make(map[verifyKey]verifyEntry)
+			for k := 0; k < 200; k++ {
+				m[verifyKey{signer: ids.NodeID(k)}] = verifyEntry{rec: []byte("stale"), ok: true}
+			}
+			clear(m)
+			stores[i].m = m
+			for _, size := range []int{minVerifyChunk, 7, 2 * minVerifyChunk} {
+				chunk := make([]byte, size)
+				for j := range chunk {
+					chunk[j] = 0xFF
+				}
+				stores[i].chunks = append(stores[i].chunks, chunk[:0])
+			}
+		}
+		return stores
+	}}
+	c := NewVerifyCache()
+	got, hits, misses := lookupScript(c, scheme)
+	if !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses {
+		t.Errorf("poisoned store: stats %d/%d, want %d/%d; verdicts equal: %v",
+			hits, misses, wantHits, wantMisses, reflect.DeepEqual(got, want))
+	}
+
+	// Dirty the storage under another key set, release it, and repeat on
+	// whatever comes back: the other scheme's verdicts must not be served.
+	lookupScript(c, NewHMAC(5, 12))
+	c.Release()
+	if h, m := c.Stats(); h != 0 || m != 0 || c.Len() != 0 {
+		t.Errorf("released cache reports %d/%d, len %d", h, m, c.Len())
+	}
+	for _, again := range []*VerifyCache{NewVerifyCache(), c} { // recycled storage; the released cache itself
+		got, hits, misses = lookupScript(again, scheme)
+		if !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses {
+			t.Errorf("after release: stats %d/%d, want %d/%d; verdicts equal: %v",
+				hits, misses, wantHits, wantMisses, reflect.DeepEqual(got, want))
 		}
 	}
 }

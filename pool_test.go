@@ -1,0 +1,220 @@
+package nectar
+
+// Run-lifetime recycling (DESIGN.md §9): the engine's staging, the nodes'
+// propagation scratch and the verification memo's storage survive from one
+// run to the next on per-package free lists. They may only ever carry
+// capacity. The in-package tests of internal/rounds, internal/nectar and
+// internal/sig feed each free list synthetic garbage; the tests here check
+// the whole stack from the outside — results after arbitrary other runs
+// equal results on cold free lists, at any concurrency — and pin the
+// allocation saving so it cannot rot.
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// coldPools empties every sync.Pool in the process: one collection moves
+// the pools' contents to their victim caches, the second drops those.
+func coldPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// dirtyPools leaves the free lists full of buffers from runs that share
+// nothing with the equivalence matrix: other sizes, another scheme and key
+// set, both staging layouts, a garbage flooder's 0xFF-heavy payloads.
+func dirtyPools(t *testing.T) {
+	t.Helper()
+	g, err := Harary(6, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []SimulationConfig{
+		{Graph: g, T: 3, Seed: 99, SchemeName: "slim", Byzantine: map[NodeID]Behavior{4: BehaviorGarbage}},
+		{Graph: g, T: 3, Seed: 98, SchemeName: "hmac", Layout: LayoutSoA, Byzantine: map[NodeID]Behavior{9: BehaviorStale}},
+		{Graph: Ring(5), T: 1, Seed: 97, SchemeName: "hmac", Rounds: 1}, // cut short: queues loaded at Decide
+	} {
+		if _, err := Simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWarmPoolsEquivalenceProperty: for a slice of the engine-equivalence
+// matrix — every Byzantine behaviour, both layouts, the Bloom front — the
+// complete SimulationResult on recycled buffers equals the one on cold
+// free lists.
+func TestWarmPoolsEquivalenceProperty(t *testing.T) {
+	for _, tc := range equivalenceCases(t, 7) {
+		for _, v := range []struct {
+			name  string
+			apply func(*SimulationConfig)
+		}{
+			{"default", func(*SimulationConfig) {}},
+			{"soa+bloom", func(c *SimulationConfig) { c.Layout = LayoutSoA; c.BloomDedup = true }},
+		} {
+			cfg := tc.cfg
+			v.apply(&cfg)
+			coldPools()
+			cold, err := Simulate(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, v.name, err)
+			}
+			dirtyPools(t)
+			for i := 0; i < 2; i++ { // on the dirt, then on its own leavings
+				warm, err := Simulate(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", tc.name, v.name, err)
+				}
+				if !reflect.DeepEqual(warm, cold) {
+					t.Errorf("%s/%s: warm run %d differs from the cold run:\nwarm: %+v\ncold: %+v",
+						tc.name, v.name, i, warm, cold)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentRunsMatchSerial hammers the three public drivers from
+// eight goroutines at once — free lists shared, buffers migrating between
+// runs of different shapes — and requires every result to equal its serial
+// value. Run under -race, it is also the data-race check of the pools.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	cases := equivalenceCases(t, 1)
+	sims := []SimulationConfig{cases[0].cfg, cases[13].cfg, cases[len(cases)-1].cfg}
+	specs := []ExperimentSpec{
+		{Name: "nectar", Protocol: ProtoNectar, Attack: AttackSplitBrain, Scenario: BridgeScenario(14, 2, 6, 1.8, 2), T: 2, Trials: 2, Seed: 5},
+		{Name: "mtg", Protocol: ProtoMtG, Attack: AttackPoison, Scenario: BridgeScenario(14, 2, 6, 1.8, 0), T: 2, Trials: 2, Seed: 5},
+	}
+	dynamicRun := func() (*DynamicResult, error) {
+		g, err := Harary(4, 12)
+		if err != nil {
+			return nil, err
+		}
+		sched, err := PoissonChurnSchedule(g, 0.03, 11, 4*11, rand.New(rand.NewSource(2)))
+		if err != nil {
+			return nil, err
+		}
+		return SimulateDynamic(DynamicConfig{
+			Schedule: sched, T: 1, Seed: 2, SchemeName: "hmac", Epochs: 4,
+			Byzantine: map[NodeID]Behavior{3: BehaviorEquivocate},
+		})
+	}
+	// trials strips the one field DeepEqual cannot compare (Spec.Scenario
+	// is a func).
+	trials := func(rs []*ExperimentResult) [][]ExperimentTrial {
+		out := make([][]ExperimentTrial, len(rs))
+		for i, r := range rs {
+			out[i] = r.Trials
+		}
+		return out
+	}
+
+	type results struct {
+		sims []*SimulationResult
+		exps [][]ExperimentTrial
+		dyn  *DynamicResult
+	}
+	all := func() (results, error) {
+		var r results
+		for _, cfg := range sims {
+			res, err := Simulate(cfg)
+			if err != nil {
+				return r, err
+			}
+			r.sims = append(r.sims, res)
+		}
+		exps, err := RunExperiments(specs, 2)
+		if err != nil {
+			return r, err
+		}
+		r.exps = trials(exps)
+		r.dyn, err = dynamicRun()
+		return r, err
+	}
+
+	want, err := all()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2; i++ {
+				got, err := all()
+				if err != nil {
+					t.Errorf("goroutine %d: %v", w, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d, pass %d: concurrent results differ from the serial ones", w, i)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFailedSimulateLeavesNoTrace: error returns — before the build, and
+// after it with nodes and memo already borrowed — change nothing about a
+// later run.
+func TestFailedSimulateLeavesNoTrace(t *testing.T) {
+	good := equivalenceCases(t, 1)[2].cfg
+	coldPools()
+	want, err := Simulate(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateFailure := good // split-brain without a Blocked set fails in wrapByzantine, after BuildNodes
+	lateFailure.Blocked = nil
+	earlyFailure := good
+	earlyFailure.SchemeName = "rot13"
+	for _, bad := range []SimulationConfig{lateFailure, earlyFailure} {
+		if _, err := Simulate(bad); err == nil {
+			t.Fatal("bad config accepted")
+		}
+	}
+	got, err := Simulate(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("run after failed runs differs from the cold reference")
+	}
+}
+
+// TestWarmRunAllocatesAFraction pins the point of the free lists on the
+// benchmark's drone-hmac shape: once one run has filled them, an identical
+// run allocates at most a quarter of the bytes.
+func TestWarmRunAllocatesAFraction(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation and thins sync.Pool")
+	}
+	g, _, err := Drone(60, 2.5, 1.2, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimulationConfig{Graph: g, T: 2, Seed: 3, SchemeName: "hmac"}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	coldPools()
+	cold := run()
+	warm := run()
+	t.Logf("cold %.1f MB, warm %.1f MB (%.0f%%)", float64(cold)/1e6, float64(warm)/1e6, 100*float64(warm)/float64(cold))
+	if warm > cold/4 {
+		t.Errorf("warm run allocated %d bytes, more than a quarter of the cold run's %d", warm, cold)
+	}
+}

@@ -10,9 +10,10 @@
 # Usage: scripts/bench.sh            # 3 iterations per benchmark
 #        BENCHTIME=10x scripts/bench.sh
 #
-# The large-n scaling benchmarks (DESIGN.md §14) are recorded separately —
-# full detections at n=10³/10⁴ are too heavy for the default trajectory:
-#   SCALE=1 scripts/bench.sh         # writes BENCH_scale.json, 1 iteration
+# The large-n scaling benchmarks (DESIGN.md §14) are run on demand and
+# not committed — full detections at n=10³/10⁴ take minutes and tens of
+# gigabytes, so no snapshot of them rides in the repository:
+#   SCALE=1 OUT=scale.json scripts/bench.sh   # 1 iteration; OUT defaults to a temp file
 #
 # The distributed-sweep benchmarks (DESIGN.md §15) — serial local vs
 # coordinator + loopback worker fleets — are also a separate file:
@@ -24,7 +25,7 @@ PKGS=". ./internal/nectar ./internal/sig"
 if [[ -n "${SCALE:-}" ]]; then
   BENCHTIME="${BENCHTIME:-1x}"
   PATTERN='^(BenchmarkLargeN$|BenchmarkKappaIncremental$)'
-  OUT="${OUT:-BENCH_scale.json}"
+  OUT="${OUT:-$(mktemp)}"
   TIMEOUT=90m # the connected n=10⁴ flood alone is minutes of Θ(n·m) work
   export NECTAR_SCALE=1 # unlock the heavy n=10⁴ cases
 elif [[ -n "${DIST:-}" ]]; then

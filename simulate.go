@@ -182,6 +182,7 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	var vcache *sig.VerifyCache
 	if !cfg.NoVerifyCache {
 		vcache = sig.NewVerifyCache()
+		defer vcache.Release() // after Stats below, and on every error path
 		opts = append(opts, WithVerifyCache(vcache))
 	}
 	if cfg.ParanoidVerify {
@@ -194,6 +195,13 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Deciding releases a node's scratch; this covers the nodes that never
+	// decide (the inner nodes of Byzantine wrappers) and the error paths.
+	defer func() {
+		for _, nd := range nodes {
+			nd.Release()
+		}
+	}()
 	protos := make([]rounds.Protocol, n)
 	for i, nd := range nodes {
 		protos[i] = nd
