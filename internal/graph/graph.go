@@ -14,7 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -53,10 +53,19 @@ func (e Edge) Other(x ids.NodeID) ids.NodeID {
 // String implements fmt.Stringer.
 func (e Edge) String() string { return fmt.Sprintf("{%v,%v}", e.U, e.V) }
 
-// bitsetDegreeThreshold is the degree at which a vertex graduates from
-// binary-searched neighbor lists to a dense bitset row. Below it a sorted
-// scan of ≤ 64 IDs beats the cache miss on a (n+63)/64-word row; above it
-// HasEdge must be O(1) for the router's per-delivery edge checks.
+// denseMaxWords is the largest row width, in 64-bit words, at which a graph
+// keeps its whole adjacency matrix as bits: up to n = 192 the n×⌈n/64⌉-word
+// matrix is no larger than the n slice headers (24 bytes each) a table of
+// per-vertex rows would cost before holding a single row.
+const denseMaxWords = 3
+
+// bitsetDegreeThreshold is the degree at which a vertex of a graph too
+// large for a whole bit matrix graduates from a binary-searched neighbor
+// list to a dense bitset row of its own. A row costs ⌈n/64⌉ words per
+// vertex per graph, which n views of n vertices cannot afford for every
+// vertex; a binary search over fewer than 64 IDs is at most six probes of
+// one or two cache lines, and above that HasEdge must be O(1) for the
+// router's per-delivery edge checks.
 const bitsetDegreeThreshold = 64
 
 // Graph is a simple undirected graph over the fixed vertex set [0, n).
@@ -64,21 +73,28 @@ const bitsetDegreeThreshold = 64
 // (the system model assumes all processes know n). The zero value is an
 // empty graph over zero vertices; use New for a usable instance.
 //
-// Storage is a hybrid tuned for the n=10⁴-node regime (DESIGN.md §14):
-// sorted neighbor lists are always maintained (O(n+m) per graph — a
-// protocol run holds one discovered view per node, so quadratic-in-n rows
-// per view are unaffordable), and dense []uint64 bitset rows are attached
-// lazily to vertices whose degree crosses bitsetDegreeThreshold, giving
-// O(1) HasEdge on exactly the rows where a binary search would hurt. The
-// outer row table is itself allocated on first use, so sparse views (trees,
-// rings, bounded-degree scatters) never pay for it.
+// Sorted neighbor lists are always maintained and are the source of truth
+// (O(n+m) per graph). Bit rows sit beside them purely to make HasEdge —
+// the router's edge check, a node's duplicate probe — a shift and a mask,
+// in one of two regimes chosen by n (DESIGN.md §14):
+//
+//   - n ≤ 192 (every graph and view at the paper's scale): the whole
+//     matrix, one allocation made by the first AddEdge, so an edgeless
+//     graph costs nothing and HasEdge never searches a list.
+//   - larger n: a protocol run holds one discovered view per node, so
+//     quadratic-in-n bits per view are unaffordable; a row is attached
+//     lazily to each vertex whose degree crosses bitsetDegreeThreshold,
+//     and the table of rows is itself allocated on first use, so sparse
+//     views (trees, rings, bounded-degree scatters) never pay for it.
 //
 // Graph is not safe for concurrent mutation; concurrent reads are safe.
 type Graph struct {
-	n    int
-	nbr  [][]ids.NodeID // sorted neighbor lists, the source of truth
-	bits [][]uint64     // lazy dense rows; nil table / nil rows = absent
-	m    int            // number of edges
+	n      int
+	nbr    [][]ids.NodeID // sorted neighbor lists, the source of truth
+	stride int            // words per row of dense; 0 when n is too large for it
+	dense  []uint64       // the n×stride bit matrix; nil until the first edge
+	bits   [][]uint64     // lazy per-vertex rows (stride == 0); nil table / nil rows = absent
+	m      int            // number of edges
 }
 
 // New returns an empty graph over n vertices.
@@ -86,10 +102,14 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Graph{
+	g := &Graph{
 		n:   n,
 		nbr: make([][]ids.NodeID, n),
 	}
+	if w := (n + 63) / 64; w <= denseMaxWords {
+		g.stride = w
+	}
+	return g
 }
 
 // FromEdges builds a graph over n vertices with the given edges.
@@ -114,38 +134,28 @@ func (g *Graph) valid(v ids.NodeID) {
 	}
 }
 
-// row returns v's bitset row, or nil if v is below the dense threshold.
-func (g *Graph) row(v ids.NodeID) []uint64 {
-	if g.bits == nil {
-		return nil
+// bitWord returns the word holding v's bit in u's bit row, or nil if u has
+// no row: an edgeless small graph, or a vertex below the dense threshold
+// of a large one.
+func (g *Graph) bitWord(u, v ids.NodeID) *uint64 {
+	if g.dense != nil {
+		return &g.dense[int(u)*g.stride+int(v>>6)]
 	}
-	return g.bits[v]
-}
-
-// ensureRow materializes v's bitset row from its neighbor list.
-func (g *Graph) ensureRow(v ids.NodeID) []uint64 {
-	if g.bits == nil {
-		g.bits = make([][]uint64, g.n)
-	}
-	r := g.bits[v]
-	if r == nil {
-		r = make([]uint64, (g.n+63)/64)
-		for _, w := range g.nbr[v] {
-			r[w>>6] |= 1 << (w & 63)
+	if g.bits != nil {
+		if r := g.bits[u]; r != nil {
+			return &r[v>>6]
 		}
-		g.bits[v] = r
 	}
-	return r
+	return nil
 }
 
 // hasNeighbor is the raw membership test behind HasEdge (no validation).
 func (g *Graph) hasNeighbor(u, v ids.NodeID) bool {
-	if r := g.row(u); r != nil {
-		return r[v>>6]&(1<<(v&63)) != 0
+	if w := g.bitWord(u, v); w != nil {
+		return *w&(1<<(v&63)) != 0
 	}
-	s := g.nbr[u]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
+	_, found := slices.BinarySearch(g.nbr[u], v)
+	return found
 }
 
 // AddEdge inserts the undirected edge {u, v}. Adding an existing edge is a
@@ -166,18 +176,30 @@ func (g *Graph) AddEdge(u, v ids.NodeID) {
 	g.m++
 }
 
-// setBit records v in u's bitset row, materializing the row if u's degree
-// just crossed the dense threshold.
+// setBit records v in u's bit row. It allocates the matrix on a small
+// graph's first edge, and on a large graph materializes u's row from its
+// neighbor list when u's degree has just crossed the dense threshold.
 func (g *Graph) setBit(u, v ids.NodeID) {
-	r := g.row(u)
-	if r == nil {
-		if len(g.nbr[u]) < bitsetDegreeThreshold {
-			return
-		}
-		g.ensureRow(u) // includes v: nbr[u] is already updated
+	if w := g.bitWord(u, v); w != nil {
+		*w |= 1 << (v & 63)
 		return
 	}
-	r[v>>6] |= 1 << (v & 63)
+	if g.stride > 0 {
+		g.dense = make([]uint64, g.n*g.stride)
+		*g.bitWord(u, v) |= 1 << (v & 63)
+		return
+	}
+	if len(g.nbr[u]) < bitsetDegreeThreshold {
+		return
+	}
+	if g.bits == nil {
+		g.bits = make([][]uint64, g.n)
+	}
+	r := make([]uint64, (g.n+63)/64)
+	for _, x := range g.nbr[u] { // includes v: nbr[u] is already updated
+		r[x>>6] |= 1 << (x & 63)
+	}
+	g.bits[u] = r
 }
 
 // RemoveEdge deletes the undirected edge {u, v} if present.
@@ -189,11 +211,11 @@ func (g *Graph) RemoveEdge(u, v ids.NodeID) {
 	}
 	g.nbr[u] = removeSorted(g.nbr[u], v)
 	g.nbr[v] = removeSorted(g.nbr[v], u)
-	if r := g.row(u); r != nil {
-		r[v>>6] &^= 1 << (v & 63)
+	if w := g.bitWord(u, v); w != nil {
+		*w &^= 1 << (v & 63)
 	}
-	if r := g.row(v); r != nil {
-		r[u>>6] &^= 1 << (u & 63)
+	if w := g.bitWord(v, u); w != nil {
+		*w &^= 1 << (u & 63)
 	}
 	g.m--
 }
@@ -250,6 +272,9 @@ func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	for u := 0; u < g.n; u++ {
 		c.nbr[u] = append([]ids.NodeID(nil), g.nbr[u]...)
+	}
+	if g.dense != nil {
+		c.dense = append([]uint64(nil), g.dense...)
 	}
 	if g.bits != nil {
 		c.bits = make([][]uint64, g.n)
@@ -391,7 +416,7 @@ func (g *Graph) DOT(name string) string {
 }
 
 func insertSorted(s []ids.NodeID, v ids.NodeID) []ids.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
+	i, _ := slices.BinarySearch(s, v)
 	if len(s) == cap(s) {
 		// Grow straight to a small round capacity instead of letting append
 		// walk 1→2→4: with n views of n lists each, those doubling steps
@@ -416,8 +441,7 @@ func insertSorted(s []ids.NodeID, v ids.NodeID) []ids.NodeID {
 }
 
 func removeSorted(s []ids.NodeID, v ids.NodeID) []ids.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
+	if i, found := slices.BinarySearch(s, v); found {
 		return append(s[:i], s[i+1:]...)
 	}
 	return s

@@ -165,8 +165,9 @@ func TestCSRViewMatchesNeighbors(t *testing.T) {
 
 func TestBitsetRowsStayConsistentAcrossThreshold(t *testing.T) {
 	// Drive a vertex's degree well past bitsetDegreeThreshold, then back
-	// down, checking HasEdge/Degree against a naive map at every step.
-	n := bitsetDegreeThreshold * 3
+	// down, checking HasEdge/Degree against a naive map at every step. n is
+	// large enough that rows are per-vertex and lazy, not one whole matrix.
+	n := bitsetDegreeThreshold * 4
 	g := New(n)
 	naive := map[[2]ids.NodeID]bool{}
 	has := func(u, v ids.NodeID) bool {

@@ -1,0 +1,177 @@
+package graph
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/nectar-repro/nectar/internal/ids"
+)
+
+// The bit rows beside the neighbor lists — the whole matrix up to n = 192,
+// lazy per-vertex rows above — exist only to answer HasEdge faster. These
+// tests drive random mutation sequences at vertex counts on both sides of
+// every boundary of that storage (a row of one, two, three, four words; the
+// last n with a matrix and the first without) and require every observable
+// to match a reference that has the neighbor lists and nothing else.
+
+// edgeModel is the independent model: a set of normalized edges.
+type edgeModel struct {
+	n     int
+	edges map[Edge]bool
+}
+
+// listOnly builds a Graph with the model's edges and no bit storage at
+// all, whatever its size: HasEdge, Fingerprint and Connectivity on it run
+// on the sorted lists alone.
+func (m *edgeModel) listOnly() *Graph {
+	ref := &Graph{n: m.n, nbr: make([][]ids.NodeID, m.n), m: len(m.edges)}
+	for e := range m.edges {
+		ref.nbr[e.U] = append(ref.nbr[e.U], e.V)
+		ref.nbr[e.V] = append(ref.nbr[e.V], e.U)
+	}
+	for _, l := range ref.nbr {
+		slices.Sort(l)
+	}
+	return ref
+}
+
+// checkAgainst compares every observable of g with the list-only
+// reference of the model.
+func checkAgainst(t *testing.T, where string, g *Graph, m *edgeModel) {
+	t.Helper()
+	ref := m.listOnly()
+	if g.N() != m.n || g.M() != len(m.edges) {
+		t.Fatalf("%s: n=%d m=%d, want n=%d m=%d", where, g.N(), g.M(), m.n, len(m.edges))
+	}
+	for u := 0; u < m.n; u++ {
+		uu := ids.NodeID(u)
+		got, want := g.Neighbors(uu), ref.Neighbors(uu)
+		if len(got) != len(want) {
+			t.Fatalf("%s: Neighbors(%d) = %v, want %v", where, u, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: Neighbors(%d) = %v, want %v", where, u, got, want)
+			}
+		}
+		for v := 0; v < m.n; v++ {
+			vv := ids.NodeID(v)
+			want := false
+			if u != v {
+				want = m.edges[NewEdge(uu, vv)]
+			}
+			if g.HasEdge(uu, vv) != want || ref.HasEdge(uu, vv) != want {
+				t.Fatalf("%s: HasEdge(%d,%d) = %v (list-only %v), want %v", where, u, v, g.HasEdge(uu, vv), ref.HasEdge(uu, vv), want)
+			}
+		}
+	}
+	if !g.Equal(ref) || !ref.Equal(g) {
+		t.Fatalf("%s: not Equal to the list-only reference", where)
+	}
+	if g.Fingerprint() != ref.Fingerprint() {
+		t.Fatalf("%s: Fingerprint differs from the list-only reference", where)
+	}
+	if got, want := g.Connectivity(), ref.Connectivity(); got != want {
+		t.Fatalf("%s: Connectivity = %d, list-only reference gives %d", where, got, want)
+	}
+}
+
+func TestStorageMatchesListOnlyReference(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 128, 192, 193, 300} {
+		n := n
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			g := New(n)
+			m := &edgeModel{n: n, edges: map[Edge]bool{}}
+			checkAgainst(t, "empty", g, m)
+			if n < 2 {
+				return
+			}
+			steps := 12 * n
+			for step := 1; step <= steps; step++ {
+				// Half the endpoints land on a few hub vertices, so that at
+				// n > 192 their degree crosses bitsetDegreeThreshold (rows
+				// appear mid-sequence) while most vertices stay list-only;
+				// vertex n-1 is a hub to exercise the last bit of a row.
+				u := ids.NodeID(rng.Intn(n))
+				if step%2 == 0 {
+					u = []ids.NodeID{0, ids.NodeID(n / 2), ids.NodeID(n - 1)}[rng.Intn(3)]
+				}
+				v := ids.NodeID(rng.Intn(n))
+				if u == v {
+					continue
+				}
+				e := NewEdge(u, v)
+				// Removals are a third of the steps, more once the graph
+				// has filled up, so hubs cross the threshold both ways.
+				if rng.Intn(3) == 0 || (m.edges[e] && rng.Intn(2) == 0) {
+					g.RemoveEdge(u, v)
+					delete(m.edges, e)
+				} else {
+					g.AddEdge(v, u)
+					m.edges[e] = true
+				}
+				switch {
+				case step%(3*n) == 0:
+					checkAgainst(t, fmt.Sprintf("step %d", step), g, m)
+				case step%(4*n) == 1:
+					// Continue on a clone, or on a rebuild from the edge
+					// list: both must carry the full state forward.
+					if rng.Intn(2) == 0 {
+						g = g.Clone()
+					} else {
+						g = FromEdges(n, m.listOnly().Edges())
+					}
+				}
+			}
+			checkAgainst(t, "final", g, m)
+			if n > 192 && g.bits == nil {
+				t.Fatal("no vertex crossed the dense threshold: the lazy-row path went untested")
+			}
+
+			// Emptying the graph again leaves the storage consistent.
+			for _, e := range m.listOnly().Edges() {
+				g.RemoveEdge(e.V, e.U)
+				delete(m.edges, e)
+			}
+			checkAgainst(t, "emptied", g, m)
+		})
+	}
+}
+
+// TestCloneCopiesBitMatrixOnce: the clone of a small graph gets its own
+// copy of the bit matrix — one allocation, not one per row — and shares no
+// word of it with the original.
+func TestCloneCopiesBitMatrixOnce(t *testing.T) {
+	const n = 100
+	g := New(n)
+	if g.dense != nil {
+		t.Fatal("an edgeless graph allocated its bit matrix")
+	}
+	for v := 1; v < n; v++ {
+		g.AddEdge(0, ids.NodeID(v))
+		g.AddEdge(ids.NodeID(v), ids.NodeID((v%(n-1))+1))
+	}
+	if len(g.dense) != n*2 || g.bits != nil {
+		t.Fatalf("n=%d: matrix of %d words and row table %v, want %d words and no table", n, len(g.dense), g.bits != nil, n*2)
+	}
+	c := g.Clone()
+	if len(c.dense) != len(g.dense) || &c.dense[0] == &g.dense[0] {
+		t.Fatal("clone shares or lacks the bit matrix")
+	}
+	for i := range c.dense {
+		c.dense[i] = 0
+	}
+	if !g.HasEdge(0, 1) || !g.HasEdge(n-1, 0) {
+		t.Fatal("clearing the clone's matrix changed the original")
+	}
+
+	// n lists + the list table + the Graph + the matrix; a per-row copy
+	// would add n-1 more.
+	allocs := testing.AllocsPerRun(20, func() { _ = g.Clone() })
+	if want := float64(n + 3); allocs != want {
+		t.Fatalf("Clone made %v allocations, want %v", allocs, want)
+	}
+}

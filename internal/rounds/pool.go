@@ -3,6 +3,7 @@ package rounds
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 )
 
 // Run-lifetime recycling (DESIGN.md §9). A sweep or a dynamic run drives
@@ -32,15 +33,40 @@ type staging struct {
 	inboxes  [][]delivery // per-recipient merged+shuffled inbox
 	shards   []*routeShard
 	soa      []*soaShard
+	meters   []*meter     // per-worker metering state, either layout
 	rngs     []*rand.Rand // per-worker shuffle RNGs, reseeded per recipient
 }
 
-var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+// The free list is a few hot slots over a sync.Pool. A released staging
+// parks in the first empty slot, where the next run finds it from
+// whichever goroutine and P it starts on; only when every slot is taken —
+// more runs in flight at once than there are slots — does one go to the
+// pool, and only when every slot is empty does a run ask the pool. The
+// pool alone lost stagings at random: Put parks a lone item in the
+// releasing P's private slot, which a Get on another P cannot steal, so
+// whenever the scheduler had moved the caller between two runs the second
+// grew a whole staging from nil again — tens of MB on a 60-node drone
+// flood, on one op in ten or in thirty as the scheduler pleased, and on
+// one sweep in three for the second of two concurrent units. The price is
+// that up to len(stagingHot) scrubbed stagings stay reachable for the life
+// of the process; what the pool holds the collector still reclaims.
+var (
+	stagingHot  [4]atomic.Pointer[staging]
+	stagingPool = sync.Pool{New: func() any { return new(staging) }}
+)
 
 // acquireStaging returns a staging sized for n nodes and the given worker
 // count, with the chosen layout's shards in place.
 func acquireStaging(n, workers int, useSoA bool) *staging {
-	st := stagingPool.Get().(*staging)
+	var st *staging
+	for i := range stagingHot {
+		if st = stagingHot[i].Swap(nil); st != nil {
+			break
+		}
+	}
+	if st == nil {
+		st = stagingPool.Get().(*staging)
+	}
 	st.workers, st.useSoA = workers, useSoA
 	st.outboxes = resize(st.outboxes, n)
 	st.inboxes = resize(st.inboxes, n)
@@ -48,27 +74,33 @@ func acquireStaging(n, workers int, useSoA bool) *staging {
 		st.soa = resize(st.soa, max(workers, len(st.soa)))
 		for w, sh := range st.soa[:workers] {
 			if sh == nil {
-				st.soa[w] = &soaShard{seen: make(map[uint64]bool)}
+				st.soa[w] = new(soaShard)
 			}
 		}
 	} else {
 		st.shards = resize(st.shards, max(workers, len(st.shards)))
 		for w, sh := range st.shards[:workers] {
 			if sh == nil {
-				sh = &routeShard{seen: make(map[uint64]bool)}
+				sh = new(routeShard)
 				st.shards[w] = sh
 			}
 			sh.inbox = resize(sh.inbox, n)
 		}
 	}
+	st.meters = resize(st.meters, max(workers, len(st.meters)))
+	for w, mt := range st.meters[:workers] {
+		if mt == nil {
+			st.meters[w] = &meter{seen: make(map[uint64]bool)}
+		}
+	}
 	// One reusable shuffle RNG per worker: delivery reseeds it per
 	// recipient, which reproduces the stream of a fresh
-	// rand.New(rand.NewSource(seed)) exactly (Rand.Seed resets the source
-	// to NewSource state), so a recycled RNG's history is unobservable.
+	// rand.New(rand.NewSource(seed)) exactly (shufflesource.go), so a
+	// recycled RNG's history is unobservable.
 	st.rngs = resize(st.rngs, max(workers, len(st.rngs)))
 	for w, rng := range st.rngs[:workers] {
 		if rng == nil {
-			st.rngs[w] = rand.New(rand.NewSource(0))
+			st.rngs[w] = newShuffleRand()
 		}
 	}
 	return st
@@ -84,12 +116,18 @@ func (st *staging) release() {
 			sh.to, sh.from, sh.order = sh.to[:0], sh.from[:0], sh.order[:0]
 			sh.off, sh.cur = sh.off[:0], sh.cur[:0]
 			sh.data = scrub(sh.data)
-			clear(sh.seen)
 		}
 	} else {
 		for _, sh := range st.shards[:st.workers] {
 			scrubAll(sh.inbox)
-			clear(sh.seen)
+		}
+	}
+	for _, mt := range st.meters[:st.workers] {
+		mt.resetDedup()
+	}
+	for i := range stagingHot {
+		if stagingHot[i].CompareAndSwap(nil, st) {
+			return
 		}
 	}
 	stagingPool.Put(st)

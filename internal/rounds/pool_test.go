@@ -3,9 +3,10 @@ package rounds
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -19,14 +20,19 @@ import (
 // scrubbed nothing — and require runs identical to ones on fresh staging.
 
 // withStagingPool swaps the package free list for one whose every miss is
-// served by fresh, and restores a clean one afterwards. A just-assigned
-// pool is empty, so the next acquire is certain to call fresh.
+// served by fresh, and restores a clean one afterwards. The hot slots are
+// emptied and a just-assigned pool is empty, so the next acquire is
+// certain to call fresh.
 func withStagingPool(t *testing.T, fresh func() *staging) {
 	t.Helper()
-	stagingPool = sync.Pool{New: func() any { return fresh() }}
-	t.Cleanup(func() {
-		stagingPool = sync.Pool{New: func() any { return new(staging) }}
-	})
+	reset := func(newStaging func() any) {
+		for i := range stagingHot {
+			stagingHot[i].Store(nil)
+		}
+		stagingPool = sync.Pool{New: newStaging}
+	}
+	reset(func() any { return fresh() })
+	t.Cleanup(func() { reset(func() any { return new(staging) }) })
 }
 
 // poisonedStaging is a staging of awkward shape (sized for 5 nodes and 3
@@ -67,7 +73,7 @@ func poisonedStaging() *staging {
 	}
 	st.outboxes, st.inboxes = st.outboxes[:0], st.inboxes[:0]
 	for w := 0; w < 3; w++ {
-		sh := &routeShard{seen: usedMap()}
+		sh := new(routeShard)
 		for i := 0; i < 5; i++ {
 			sh.inbox = append(sh.inbox, deliveries())
 		}
@@ -81,9 +87,10 @@ func poisonedStaging() *staging {
 		st.soa = append(st.soa, &soaShard{
 			to: int32s(), from: int32s(), data: data[:0],
 			off: int32s(), cur: int32s(), order: int32s(),
-			seen: usedMap(),
 		})
-		rng := rand.New(rand.NewSource(int64(w) + 99))
+		st.meters = append(st.meters, &meter{seen: usedMap(), last: junk})
+		rng := newShuffleRand()
+		rng.Seed(int64(w) + 99)
 		rng.Int63() // mid-stream, as a recycled RNG would be
 		st.rngs = append(st.rngs, rng)
 	}
@@ -173,15 +180,20 @@ func TestReleaseScrubsStaging(t *testing.T) {
 		}
 		for w, sh := range st.shards {
 			checkDeliveries(fmt.Sprintf("shard %d inbox", w), sh.inbox)
-			if len(sh.seen) != 0 {
-				t.Errorf("layout %d shard %d: seen map not cleared", layout, w)
+		}
+		if len(st.meters) != 2 {
+			t.Errorf("layout %d: %d meters for a 2-worker run", layout, len(st.meters))
+		}
+		for w, mt := range st.meters {
+			if len(mt.seen) != 0 || mt.last != nil {
+				t.Errorf("layout %d meter %d: dedup state not cleared", layout, w)
 			}
 		}
 		for w, sh := range st.soa {
 			if cap(sh.data) == 0 {
 				t.Errorf("layout %d soa shard %d: never used", layout, w)
 			}
-			if len(sh.to)+len(sh.from)+len(sh.data)+len(sh.off)+len(sh.cur)+len(sh.order)+len(sh.seen) != 0 {
+			if len(sh.to)+len(sh.from)+len(sh.data)+len(sh.off)+len(sh.cur)+len(sh.order) != 0 {
 				t.Errorf("layout %d soa shard %d: buffers not empty after release", layout, w)
 			}
 			for _, d := range sh.data[:cap(sh.data)] {
@@ -189,6 +201,42 @@ func TestReleaseScrubsStaging(t *testing.T) {
 					t.Fatalf("layout %d soa shard %d: data slot still holds a payload", layout, w)
 				}
 			}
+		}
+	}
+}
+
+// TestRepeatedRunsShareStaging: the stagings one wave of runs releases are
+// the ones the next wave borrows, whatever the collector did and wherever
+// the scheduler put the callers in between — a sync.Pool alone promises
+// neither, and a miss re-grows a whole staging from nil. A wave of k
+// concurrent runs can need k stagings, and no number of waves needs more.
+func TestRepeatedRunsShareStaging(t *testing.T) {
+	g := topology.Ring(6)
+	for _, atOnce := range []int{1, 2, len(stagingHot)} {
+		var made atomic.Int32
+		withStagingPool(t, func() *staging { made.Add(1); return new(staging) })
+		for wave := 0; wave < 10; wave++ {
+			done := make(chan error)
+			for k := 0; k < atOnce; k++ {
+				protos := make([]Protocol, g.N())
+				for id := range protos {
+					protos[id] = newFloodNode(ids.NodeID(id), g, "x")
+				}
+				go func() { // a fresh goroutine, on whichever P is free
+					_, err := Run(Config{Graph: g, Rounds: 3, Seed: 1, Workers: 2}, protos)
+					done <- err
+				}()
+			}
+			for k := 0; k < atOnce; k++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.GC() // two collections empty a sync.Pool
+		}
+		if n := int(made.Load()); n < 1 || n > atOnce {
+			t.Errorf("10 waves of %d runs built %d stagings, want 1..%d", atOnce, n, atOnce)
 		}
 	}
 }

@@ -25,7 +25,9 @@
 package rounds
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -289,15 +291,28 @@ type delivery struct {
 	data []byte
 }
 
-// routeShard is one worker's private routing state: staged deliveries for
-// every recipient plus the scalar counters that would otherwise contend.
-// Per-sender metric arrays need no shard — sender stripes are disjoint.
-// Shards persist across rounds (buffers are truncated, not reallocated) to
-// keep GC pressure flat on large graphs, and across runs as part of the
-// recycled staging (pool.go).
+// routeShard is one worker's staged deliveries for every recipient in the
+// array-of-structs layout. Shards persist across rounds (buffers are
+// truncated, not reallocated) to keep GC pressure flat on large graphs,
+// and across runs as part of the recycled staging (pool.go).
 type routeShard struct {
-	inbox          [][]delivery // per-recipient staged messages, sender-major
-	seen           map[uint64]bool
+	inbox [][]delivery // per-recipient staged messages, sender-major
+}
+
+// meter is one worker's private metering state, the same for both staging
+// layouts: the per-sender broadcast dedup and the scalar counters that
+// would otherwise contend. Per-sender metric arrays need no shard — sender
+// stripes are disjoint.
+type meter struct {
+	// seen holds the hashes of the payloads the current sender has been
+	// charged for in BytesBroadcast this round.
+	seen map[uint64]bool
+	// last is the previous payload admitted from the current sender.
+	// Fan-out sends share one encoded buffer per payload, so consecutive
+	// sends over the same slice skip the hash: same pointer and length
+	// imply same content, never a behaviour change. seen still catches
+	// non-consecutive or re-encoded repeats by content.
+	last           []byte
 	bytesThisRound int64
 	droppedNonEdge int64
 	droppedLoss    int64
@@ -453,24 +468,18 @@ func (e *engine) run() {
 		var dropNonEdge, dropLoss int64
 		if e.useSoA {
 			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
-				e.routeSoA(e.soa[w], r, lo, hi)
+				e.routeSoA(e.soa[w], e.meters[w], r, lo, hi)
 			})
-			for _, sh := range e.soa[:e.workers] {
-				e.m.BytesByRound[r-1] += sh.bytesThisRound
-				dropNonEdge += sh.droppedNonEdge
-				dropLoss += sh.droppedLoss
-				sh.bytesThisRound, sh.droppedNonEdge, sh.droppedLoss = 0, 0, 0
-			}
 		} else {
 			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
-				e.route(e.shards[w], r, lo, hi)
+				e.route(e.shards[w], e.meters[w], r, lo, hi)
 			})
-			for _, sh := range e.shards[:e.workers] {
-				e.m.BytesByRound[r-1] += sh.bytesThisRound
-				dropNonEdge += sh.droppedNonEdge
-				dropLoss += sh.droppedLoss
-				sh.bytesThisRound, sh.droppedNonEdge, sh.droppedLoss = 0, 0, 0
-			}
+		}
+		for _, mt := range e.meters[:e.workers] {
+			e.m.BytesByRound[r-1] += mt.bytesThisRound
+			dropNonEdge += mt.droppedNonEdge
+			dropLoss += mt.droppedLoss
+			mt.bytesThisRound, mt.droppedNonEdge, mt.droppedLoss = 0, 0, 0
 		}
 		e.m.DroppedNonEdge += dropNonEdge
 		e.m.DroppedLoss += dropLoss
@@ -535,8 +544,7 @@ func (e *engine) run() {
 }
 
 // route meters and stages the outboxes of senders [lo, hi) into sh.
-func (e *engine) route(sh *routeShard, round, lo, hi int) {
-	m := e.m
+func (e *engine) route(sh *routeShard, mt *meter, round, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if len(e.outboxes[i]) == 0 {
 			// Quiescent sender: skip the map clear (most nodes are silent
@@ -544,41 +552,49 @@ func (e *engine) route(sh *routeShard, round, lo, hi int) {
 			e.outboxes[i] = nil
 			continue
 		}
-		from := ids.NodeID(i)
-		clear(sh.seen)
-		// Fan-out sends share one encoded buffer per payload, so the
-		// broadcast-dedup hash of consecutive sends over the same slice is
-		// memoized by identity (same pointer and length imply same content
-		// — never a behaviour change). The seen map still catches
-		// non-consecutive or re-encoded repeats by content.
-		var lastData []byte
+		mt.resetDedup()
 		for k, s := range e.outboxes[i] {
-			if s.To == from || int(s.To) >= e.n || !e.g.HasEdge(from, s.To) {
-				sh.droppedNonEdge++
-				continue
+			if e.admit(mt, round, i, k, s) {
+				sh.inbox[s.To] = append(sh.inbox[s.To], delivery{from: ids.NodeID(i), data: s.Data})
 			}
-			size := int64(len(s.Data) + e.overhead)
-			m.BytesSent[i] += size
-			sh.bytesThisRound += size
-			m.MsgsSent[i]++
-			if len(s.Data) > 0 && len(lastData) == len(s.Data) && &lastData[0] == &s.Data[0] {
-				// Same payload as the previous routed send: its hash is in
-				// seen and BytesBroadcast already counted it this round.
-			} else {
-				if h := fnv64(s.Data); !sh.seen[h] {
-					sh.seen[h] = true
-					m.BytesBroadcast[i] += size
-				}
-				lastData = s.Data
-			}
-			if e.cfg.LossRate > 0 && lossDraw(e.cfg.Seed, round, i, k) < e.cfg.LossRate {
-				sh.droppedLoss++
-				continue
-			}
-			sh.inbox[s.To] = append(sh.inbox[s.To], delivery{from: from, data: s.Data})
 		}
 		e.outboxes[i] = nil
 	}
+}
+
+// resetDedup forgets the payloads of the previous sender.
+func (mt *meter) resetDedup() {
+	clear(mt.seen)
+	mt.last = nil
+}
+
+// admit applies the network's rules and the sender-side accounting to send
+// k of sender i's round outbox, and reports whether the message is to be
+// staged for delivery: not when no channel exists (self-send, unknown or
+// non-neighbor destination — unmetered), and not when it is lost to
+// Config.LossRate (metered as sent).
+func (e *engine) admit(mt *meter, round, i, k int, s Send) bool {
+	from := ids.NodeID(i)
+	if s.To == from || int(s.To) >= e.n || !e.g.HasEdge(from, s.To) {
+		mt.droppedNonEdge++
+		return false
+	}
+	size := int64(len(s.Data) + e.overhead)
+	e.m.BytesSent[i] += size
+	mt.bytesThisRound += size
+	e.m.MsgsSent[i]++
+	if len(s.Data) == 0 || len(mt.last) != len(s.Data) || &mt.last[0] != &s.Data[0] {
+		if h := payloadHash(s.Data); !mt.seen[h] {
+			mt.seen[h] = true
+			e.m.BytesBroadcast[i] += size
+		}
+		mt.last = s.Data
+	}
+	if e.cfg.LossRate > 0 && lossDraw(e.cfg.Seed, round, i, k) < e.cfg.LossRate {
+		mt.droppedLoss++
+		return false
+	}
+	return true
 }
 
 // deliver merges recipient i's staged messages, shuffles, and delivers.
@@ -600,11 +616,13 @@ func (e *engine) deliver(w, i, round int) {
 	if len(inbox) == 0 {
 		return
 	}
-	rng := e.rngs[w]
-	rng.Seed(e.cfg.Seed ^ int64(round)<<20 ^ int64(i))
-	rng.Shuffle(len(inbox), func(a, b int) {
-		inbox[a], inbox[b] = inbox[b], inbox[a]
-	})
+	if len(inbox) > 1 { // shuffling one message draws nothing
+		rng := e.rngs[w]
+		rng.Seed(e.cfg.Seed ^ int64(round)<<20 ^ int64(i))
+		rng.Shuffle(len(inbox), func(a, b int) {
+			inbox[a], inbox[b] = inbox[b], inbox[a]
+		})
+	}
 	e.m.MsgsDelivered[i] += int64(len(inbox))
 	if e.traceDelivered != nil {
 		e.traceDelivered[i] = int64(len(inbox))
@@ -647,20 +665,37 @@ func splitmix64(h uint64) uint64 {
 	return h
 }
 
-// fnv64 hashes a payload (FNV-1a) for per-round broadcast deduplication.
-// A 64-bit hash collision would merely undercount BytesBroadcast by one
-// message — negligible for metering purposes.
-func fnv64(data []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime
+// payloadHash hashes a payload for per-round broadcast deduplication. The
+// length seeds the state; each step folds sixteen bytes in with one
+// 64×64→128-bit multiply whose halves are XORed together; a remaining whole
+// word and the last 1–7 bytes take a step each; the SplitMix64 finalizer
+// closes. It is a fixed function of the bytes — no per-process seed — so
+// BytesBroadcast is reproducible. A 64-bit collision would merely
+// undercount BytesBroadcast by one message, negligible for metering.
+func payloadHash(data []byte) uint64 {
+	const k = 0x9e3779b97f4a7c15 // 2⁶⁴/φ
+	h := uint64(len(data)) * k
+	for ; len(data) >= 16; data = data[16:] {
+		h = mulMix(binary.LittleEndian.Uint64(data)^k, binary.LittleEndian.Uint64(data[8:])^h)
 	}
-	return h
+	if len(data) >= 8 {
+		h = mulMix(binary.LittleEndian.Uint64(data)^k, h)
+		data = data[8:]
+	}
+	if len(data) > 0 {
+		var tail uint64
+		for _, b := range data {
+			tail = tail<<8 | uint64(b)
+		}
+		h = mulMix(tail^k, h)
+	}
+	return splitmix64(h)
+}
+
+// mulMix multiplies a and b to 128 bits and folds the halves together.
+func mulMix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 // parallelChunks splits [0, n) into one contiguous chunk per worker and

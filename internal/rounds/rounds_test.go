@@ -317,6 +317,63 @@ func TestBroadcastAccountingDeduplicatesPayloads(t *testing.T) {
 	}
 }
 
+// scriptedNode emits a fixed list of sends every round.
+type scriptedNode struct{ sends []Send }
+
+func (s *scriptedNode) Emit(int) []Send                 { return s.sends }
+func (s *scriptedNode) Deliver(int, ids.NodeID, []byte) {}
+
+// TestBroadcastAccountingIsByContent pins what BytesBroadcast treats as
+// "the same payload": equal bytes, whatever buffer they sit in and
+// wherever in the outbox they recur — and nothing less. The payloads are
+// shaped around the hash's steps (payloadHash: sixteen bytes, then a
+// whole word, then a 1–7 byte tail): every combination of those, sub-word
+// payloads, and pairs that differ only at the very end or only in length.
+func TestBroadcastAccountingIsByContent(t *testing.T) {
+	word := "01234567"
+	block := word + "89abcdef"
+	distinct := []string{
+		"", "a", "b", "abc", "abcdefg", // shorter than a word
+		word, block, block + block, // whole steps only
+		word + "x", word + "y", // word + one-byte tail, differing in the last byte
+		word + "8", word + "89", word + "89abcde", // tails of 1, 2 and 7 bytes
+		block + word, block + "x", block + word + "x", block + word + "y", // block + word and/or tail
+		"1" + block[1:], block[:8] + "9" + block[9:], // differ from block in the first byte of either word
+		block + "\x00", block + "\x00\x00", // differ only in length
+		"\x00", "\x00\x00", "\x00\x00\x00\x00\x00\x00\x00\x00", // zero bytes still count by length
+		block + "0123456\x80", block + "0123456\x00", // differ in the top bit of the last byte
+	}
+	g := topology.Star(3) // node 0 with neighbors 1 and 2
+	var sends []Send
+	var wantUnicast, wantBroadcast int64
+	// Every payload goes out three times from three separate buffers, the
+	// repeats a full pass apart so that no two are consecutive.
+	for pass := 0; pass < 3; pass++ {
+		for _, p := range distinct {
+			sends = append(sends, Send{To: ids.NodeID(1 + pass%2), Data: []byte(p)})
+			wantUnicast += int64(len(p) + DefaultMsgOverhead)
+			if pass == 0 {
+				wantBroadcast += int64(len(p) + DefaultMsgOverhead)
+			}
+		}
+	}
+	const rounds = 2
+	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
+		protos := []Protocol{&scriptedNode{sends: sends}, &silentNode{}, &silentNode{}}
+		m, err := Run(Config{Graph: g, Rounds: rounds, Seed: 1, Layout: layout}, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.BytesSent[0] != rounds*wantUnicast {
+			t.Errorf("layout %d: BytesSent = %d, want %d", layout, m.BytesSent[0], rounds*wantUnicast)
+		}
+		if m.BytesBroadcast[0] != rounds*wantBroadcast {
+			t.Errorf("layout %d: BytesBroadcast = %d, want %d (each of %d distinct payloads once per round)",
+				layout, m.BytesBroadcast[0], rounds*wantBroadcast, len(distinct))
+		}
+	}
+}
+
 func TestLossRateDropsRoughlyTheRightFraction(t *testing.T) {
 	g := topology.Complete(10)
 	protos := make([]Protocol, 10)

@@ -49,18 +49,11 @@ type soaShard struct {
 	off   []int32
 	cur   []int32
 	order []int32
-	// scalar counters, mirroring routeShard.
-	seen           map[uint64]bool
-	bytesThisRound int64
-	droppedNonEdge int64
-	droppedLoss    int64
 }
 
-// routeSoA meters and stages the outboxes of senders [lo, hi) into sh —
-// the metering logic is line-for-line route(), with the per-recipient
-// append replaced by flat appends.
-func (e *engine) routeSoA(sh *soaShard, round, lo, hi int) {
-	m := e.m
+// routeSoA meters and stages the outboxes of senders [lo, hi) into sh:
+// route() with the per-recipient append replaced by flat appends.
+func (e *engine) routeSoA(sh *soaShard, mt *meter, round, lo, hi int) {
 	sh.to = sh.to[:0]
 	sh.from = sh.from[:0]
 	sh.data = sh.data[:0]
@@ -69,34 +62,13 @@ func (e *engine) routeSoA(sh *soaShard, round, lo, hi int) {
 			e.outboxes[i] = nil
 			continue
 		}
-		from := ids.NodeID(i)
-		clear(sh.seen)
-		var lastData []byte
+		mt.resetDedup()
 		for k, s := range e.outboxes[i] {
-			if s.To == from || int(s.To) >= e.n || !e.g.HasEdge(from, s.To) {
-				sh.droppedNonEdge++
-				continue
+			if e.admit(mt, round, i, k, s) {
+				sh.to = append(sh.to, int32(s.To))
+				sh.from = append(sh.from, int32(i))
+				sh.data = append(sh.data, s.Data)
 			}
-			size := int64(len(s.Data) + e.overhead)
-			m.BytesSent[i] += size
-			sh.bytesThisRound += size
-			m.MsgsSent[i]++
-			if len(s.Data) > 0 && len(lastData) == len(s.Data) && &lastData[0] == &s.Data[0] {
-				// Same payload as the previous routed send (see route).
-			} else {
-				if h := fnv64(s.Data); !sh.seen[h] {
-					sh.seen[h] = true
-					m.BytesBroadcast[i] += size
-				}
-				lastData = s.Data
-			}
-			if e.cfg.LossRate > 0 && lossDraw(e.cfg.Seed, round, i, k) < e.cfg.LossRate {
-				sh.droppedLoss++
-				continue
-			}
-			sh.to = append(sh.to, int32(s.To))
-			sh.from = append(sh.from, int32(from))
-			sh.data = append(sh.data, s.Data)
 		}
 		e.outboxes[i] = nil
 	}

@@ -18,7 +18,11 @@ import (
 )
 
 // coldPools empties every sync.Pool in the process: one collection moves
-// the pools' contents to their victim caches, the second drops those.
+// the pools' contents to their victim caches, the second drops those. The
+// buffers it cannot reach are the stagings in the engine's hot slots
+// (internal/rounds/pool.go), which no collection clears: "cold" below is
+// cold in node scratch, memo stores and overflow stagings, and the hot
+// stagings' own garbage-in test is TestPoisonedStagingChangesNothing.
 func coldPools() {
 	runtime.GC()
 	runtime.GC()
@@ -191,7 +195,9 @@ func TestFailedSimulateLeavesNoTrace(t *testing.T) {
 
 // TestWarmRunAllocatesAFraction pins the point of the free lists on the
 // benchmark's drone-hmac shape: once one run has filled them, an identical
-// run allocates at most a quarter of the bytes.
+// run allocates at most a quarter of the bytes — an eighth against a run
+// in a fresh process, a fifth when an earlier test left a hot
+// staging warm and the cold run only grows scratch and memo.
 func TestWarmRunAllocatesAFraction(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation and thins sync.Pool")

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_baseline.json — the committed perf trajectory of the
 # paper's evaluation benchmarks (Figs. 3-7) plus the hot-path
-# micro-benchmarks (BenchmarkDeliver, BenchmarkVerifyChain, DESIGN.md §9).
+# micro-benchmarks (BenchmarkDeliver, BenchmarkVerifyChain, DESIGN.md §9)
+# and the engine's own cost per routed message (BenchmarkEngineSelf,
+# DESIGN.md §6).
 #
 # Future PRs compare against this file with:
 #   go run ./cmd/benchdiff compare BENCH_baseline.json new.json
@@ -21,7 +23,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PKGS=". ./internal/nectar ./internal/sig"
+PKGS=". ./internal/nectar ./internal/sig ./internal/rounds"
 if [[ -n "${SCALE:-}" ]]; then
   BENCHTIME="${BENCHTIME:-1x}"
   PATTERN='^(BenchmarkLargeN$|BenchmarkKappaIncremental$)'
@@ -36,7 +38,7 @@ elif [[ -n "${DIST:-}" ]]; then
   PKGS="./internal/exp/dist"
 else
   BENCHTIME="${BENCHTIME:-3x}"
-  PATTERN='^(BenchmarkFig[34567]|BenchmarkDeliver$|BenchmarkEmitRelay$|BenchmarkVerifyChain$)'
+  PATTERN='^(BenchmarkFig[34567]|BenchmarkDeliver$|BenchmarkEmitRelay$|BenchmarkVerifyChain$|BenchmarkEngineSelf$)'
   OUT="${OUT:-BENCH_baseline.json}"
   TIMEOUT=20m
 fi
