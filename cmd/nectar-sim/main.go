@@ -56,13 +56,6 @@ func run(args []string) error {
 		"per-round link down probability (flap) or node leave probability (nodes)")
 	drift := fs.Float64("drift", 0.5, "barycenter separation added per epoch (mobility)")
 	workers := fs.Int("workers", 0, "engine worker cap (0 = GOMAXPROCS; never changes results)")
-	layout := fs.String("layout", "auto",
-		"round-engine staging layout: auto|aos|soa (never changes results)")
-	bloomDedup := fs.Bool("bloom", false,
-		"front each node's duplicate check with a Bloom filter (never changes results)")
-	noVerifyCache := fs.Bool("noverifycache", false,
-		"disable the run-wide signature-verification memo (never changes results; "+
-			"-scheme insecure|slim never consult it: their signatures do not bind the message)")
 	kappaMode := fs.String("kappa", "exact",
 		"with -churn: ground-truth κ evaluation: exact|incremental|approx")
 	tracePath := fs.String("trace", "",
@@ -122,19 +115,12 @@ func run(args []string) error {
 		}
 	}
 
-	eng, err := parseEngineFlags(*layout, *bloomDedup)
-	if err != nil {
-		return err
-	}
 	kmode, err := parseKappaMode(*kappaMode)
 	if err != nil {
 		return err
 	}
 
 	if *churn != "" {
-		if *noVerifyCache {
-			return fmt.Errorf("-noverifycache only applies to static runs (-churn epochs share one cache each)")
-		}
 		// Resolve the default once: buildSchedule (workload horizon) and
 		// the detection run must agree on the epoch count.
 		if *epochs == 0 {
@@ -145,7 +131,7 @@ func run(args []string) error {
 			epochRounds: *rounds, epochs: *epochs, rate: *churnRate,
 			drift: *drift, byzantine: byzantine, blocked: blockedMap,
 			workers: *workers, asJSON: *asJSON, tracePath: *tracePath,
-			metricsOut: *metricsOut, engine: eng, kappa: kmode,
+			metricsOut: *metricsOut, kappa: kmode,
 		})
 	}
 	if *metricsOut != "" {
@@ -161,17 +147,14 @@ func run(args []string) error {
 		return err
 	}
 	cfg := nectar.SimulationConfig{
-		Graph:         g,
-		T:             *t,
-		Seed:          *seed,
-		SchemeName:    *scheme,
-		Rounds:        *rounds,
-		Byzantine:     byzantine,
-		Blocked:       blockedMap,
-		Workers:       *workers,
-		Layout:        eng.layout,
-		BloomDedup:    eng.bloom,
-		NoVerifyCache: *noVerifyCache,
+		Graph:      g,
+		T:          *t,
+		Seed:       *seed,
+		SchemeName: *scheme,
+		Rounds:     *rounds,
+		Byzantine:  byzantine,
+		Blocked:    blockedMap,
+		Workers:    *workers,
 	}
 	var sink *cliutil.TraceSink
 	if *tracePath != "" {
@@ -232,27 +215,6 @@ func run(args []string) error {
 	return nil
 }
 
-// engineFlags carries the result-preserving engine knobs (DESIGN.md §14).
-type engineFlags struct {
-	layout nectar.Layout
-	bloom  bool
-}
-
-func parseEngineFlags(layout string, bloom bool) (engineFlags, error) {
-	eng := engineFlags{bloom: bloom}
-	switch layout {
-	case "auto":
-		eng.layout = nectar.LayoutAuto
-	case "aos":
-		eng.layout = nectar.LayoutAoS
-	case "soa":
-		eng.layout = nectar.LayoutSoA
-	default:
-		return eng, fmt.Errorf("unknown -layout %q (valid: auto, aos, soa)", layout)
-	}
-	return eng, nil
-}
-
 func parseKappaMode(mode string) (nectar.KappaMode, error) {
 	switch mode {
 	case "exact":
@@ -281,7 +243,6 @@ type dynFlags struct {
 	asJSON      bool
 	tracePath   string
 	metricsOut  string
-	engine      engineFlags
 	kappa       nectar.KappaMode
 }
 
@@ -348,8 +309,6 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 		Byzantine:   f.byzantine,
 		Blocked:     f.blocked,
 		Workers:     f.workers,
-		Layout:      f.engine.layout,
-		BloomDedup:  f.engine.bloom,
 		Kappa:       nectar.KappaConfig{Mode: f.kappa},
 	}
 	var sink *cliutil.TraceSink

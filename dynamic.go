@@ -133,12 +133,6 @@ type DynamicConfig struct {
 	// under low churn; KappaApprox samples an upper bound with an exact
 	// fallback near the threshold.
 	Kappa KappaConfig
-	// Layout selects the round engine's staging data layout (see
-	// SimulationConfig.Layout). Results are byte-identical for every value.
-	Layout Layout
-	// BloomDedup fronts every node's duplicate check with a Bloom filter
-	// (see SimulationConfig.BloomDedup). Results are byte-identical.
-	BloomDedup bool
 }
 
 // EpochResult reports one epoch of a dynamic run.
@@ -244,11 +238,7 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 			return nil, err
 		}
 		vcache := NewVerifyCache()
-		buildOpts := []BuildOption{WithVerifyCache(vcache)}
-		if cfg.BloomDedup {
-			buildOpts = append(buildOpts, WithBloomDedup())
-		}
-		nodes, err := BuildNodes(g, cfg.T, scheme, cfg.EpochRounds, buildOpts...)
+		nodes, err := BuildNodes(g, cfg.T, scheme, cfg.EpochRounds, WithVerifyCache(vcache))
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +331,6 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		Tracer:      cfg.Tracer,
 		Registry:    cfg.Registry,
 		Kappa:       cfg.Kappa,
-		Layout:      cfg.Layout,
 	}, build)
 	if err != nil {
 		return nil, err

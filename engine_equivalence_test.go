@@ -6,9 +6,7 @@ package nectar
 // to a full-horizon sequential run. The matrix covers the four scenario
 // shapes of the evaluation (ring, drone scatter, hierarchical tree of
 // cliques, Byzantine bridge), every Byzantine behaviour Simulate
-// supports, and several seeds. The same matrix pins the large-n engine
-// variants (DESIGN.md §14): forced struct-of-arrays staging and the
-// Bloom-fronted duplicate check must also be byte-identical.
+// supports, and several seeds.
 
 import (
 	"fmt"
@@ -172,8 +170,8 @@ func TestVerifyCacheEquivalenceProperty(t *testing.T) {
 		wantHits bool // the memo must actually fire, not silently no-op
 	}{
 		{"cached/paranoid", func(c *SimulationConfig) { c.ParanoidVerify = true }, true},
-		{"uncached/default", func(c *SimulationConfig) { c.NoVerifyCache = true }, false},
-		{"uncached/paranoid", func(c *SimulationConfig) { c.NoVerifyCache = true; c.ParanoidVerify = true }, false},
+		{"uncached/default", func(c *SimulationConfig) { c.noVerifyCache = true }, false},
+		{"uncached/paranoid", func(c *SimulationConfig) { c.noVerifyCache = true; c.ParanoidVerify = true }, false},
 	}
 	for _, seed := range []int64{1, 7} {
 		for _, tc := range equivalenceCases(t, seed) {
@@ -238,58 +236,12 @@ func TestVerifyCacheFollowsTheScheme(t *testing.T) {
 				t.Errorf("%s: memo stats %d/%d, want hits and misses", scheme, got.VerifyCacheHits, got.VerifyCacheMisses)
 			}
 		}
-		cfg.NoVerifyCache = true
+		cfg.noVerifyCache = true
 		ref, err := Simulate(cfg)
 		if err != nil {
 			t.Fatalf("%s uncached: %v", scheme, err)
 		}
 		assertSimEquivalent(t, scheme+" cached vs uncached", ref, got)
-	}
-}
-
-// TestLargeNVariantEquivalenceProperty: the large-n engine variants —
-// forced struct-of-arrays round staging and the Bloom-fronted duplicate
-// check (DESIGN.md §14) — are pure wall-clock/allocation optimizations:
-// for every scenario of the matrix each variant must be byte-identical to
-// the default (AoS staging, filterless) run. The Bloom filter holds a
-// superset of each node's view, so a miss proves the edge unseen and a
-// hit falls through to the exact probe — the duplicate verdict, and with
-// it every counter and output, never changes.
-func TestLargeNVariantEquivalenceProperty(t *testing.T) {
-	variants := []struct {
-		name      string
-		mut       func(*SimulationConfig)
-		wantBloom bool // the filter must actually resolve misses, not no-op
-	}{
-		{"layout-soa", func(c *SimulationConfig) { c.Layout = LayoutSoA }, false},
-		{"bloom", func(c *SimulationConfig) { c.BloomDedup = true }, true},
-		{"bloom/soa", func(c *SimulationConfig) { c.BloomDedup = true; c.Layout = LayoutSoA }, true},
-		{"bloom/paranoid", func(c *SimulationConfig) { c.BloomDedup = true; c.ParanoidVerify = true }, true},
-	}
-	for _, seed := range []int64{1, 7} {
-		for _, tc := range equivalenceCases(t, seed) {
-			ref, err := Simulate(tc.cfg) // AoS via auto-layout, no filter
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
-			}
-			for _, v := range variants {
-				cfg := tc.cfg
-				v.mut(&cfg)
-				got, err := Simulate(cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s: %v", seed, tc.name, v.name, err)
-				}
-				label := fmt.Sprintf("seed %d %s/%s", seed, tc.name, v.name)
-				assertSimEquivalent(t, label, ref, got)
-				if fired := got.BloomSkips > 0; fired != v.wantBloom {
-					t.Errorf("%s: BloomSkips=%d, want fired=%v", label, got.BloomSkips, v.wantBloom)
-				}
-				if !cfg.ParanoidVerify && got.LazyDiscards != ref.LazyDiscards {
-					t.Errorf("%s: LazyDiscards diverge: got=%d ref=%d",
-						label, got.LazyDiscards, ref.LazyDiscards)
-				}
-			}
-		}
 	}
 }
 
@@ -368,7 +320,6 @@ func TestExperimentEquivalence(t *testing.T) {
 		}{
 			{"full-horizon", func(s *ExperimentSpec) { s.FullHorizon = true }},
 			{"engine-parallel", func(s *ExperimentSpec) { s.EngineParallel = true }},
-			{"no-verify-cache", func(s *ExperimentSpec) { s.NoVerifyCache = true }},
 		} {
 			spec := base
 			variant.mut(&spec)

@@ -73,9 +73,6 @@ type Config struct {
 	// values on skipped epochs; approx mode is probabilistic away from the
 	// threshold.
 	Kappa KappaConfig
-	// Layout selects each epoch engine's staging data layout (DESIGN.md
-	// §14). Results are byte-identical for every value.
-	Layout rounds.Layout
 }
 
 // EpochReport scores one epoch.
@@ -236,7 +233,6 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 			Seed:        seed,
 			FullHorizon: cfg.FullHorizon,
 			Workers:     cfg.Workers,
-			Layout:      cfg.Layout,
 			Tracer:      cfg.Tracer,
 		}, stack.Protos)
 		if err != nil {

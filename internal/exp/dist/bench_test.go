@@ -17,8 +17,7 @@ import (
 // real fleet where every worker brings its own CPUs. What the fleet
 // numbers measure is therefore the coordinator's scheduling overlap
 // (how many units it keeps in flight) plus the protocol's per-unit
-// dispatch overhead, not core contention on the bench host. They pin
-// BENCH_dist.json via DIST=1 scripts/bench.sh.
+// dispatch overhead, not core contention on the bench host.
 
 // benchRunner mirrors fakeRunner with a fixed per-unit latency.
 type benchRunner struct {

@@ -160,13 +160,13 @@ func buildNectar(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) (
 
 // nectarStack builds the per-vertex protocol stack (correct NECTAR nodes
 // plus wrapped Byzantine behaviours) and returns the underlying nodes for
-// white-box inspection, plus the per-trial verification memo (nil when
-// disabled by Spec.NoVerifyCache).
+// white-box inspection, plus the per-trial verification memo (nil for the
+// tests' uncached reference runs).
 func nectarStack(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, []*nectar.Node, *sig.VerifyCache, error) {
 	g := sc.Graph
 	var opts []nectar.BuildOption
 	var vcache *sig.VerifyCache
-	if !spec.NoVerifyCache {
+	if !spec.noVerifyCache {
 		vcache = sig.NewVerifyCache()
 		opts = append(opts, nectar.WithVerifyCache(vcache))
 	}

@@ -59,11 +59,11 @@ type Spec struct {
 	// every trial through all rounds. Results are identical either way;
 	// used by equivalence tests and round-complexity ablations.
 	FullHorizon bool
-	// NoVerifyCache disables the per-trial signature-verification memo
-	// (NECTAR only, see DESIGN.md §9). Verification is deterministic, so
-	// results are identical either way; the knob exists for equivalence
-	// tests and crypto-cost ablations.
-	NoVerifyCache bool
+
+	// noVerifyCache runs NECTAR trials without the per-trial
+	// signature-verification memo (DESIGN.md §9): the uncached reference
+	// this package's tests compare the default against.
+	noVerifyCache bool
 }
 
 // Truth is the scenario's ground truth, computed from the generated graph

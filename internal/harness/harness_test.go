@@ -341,6 +341,37 @@ func TestEngineParallelMatchesSequentialTrials(t *testing.T) {
 	}
 }
 
+// TestVerifyCacheMatchesUncachedTrials: the per-trial verification memo is
+// a pure wall-clock optimization — every protocol's trials must score and
+// meter identically against the uncached reference run.
+func TestVerifyCacheMatchesUncachedTrials(t *testing.T) {
+	for _, proto := range []ProtocolKind{ProtoNectar, ProtoMtG, ProtoMtGv2} {
+		base := Spec{
+			Protocol: proto, Attack: AttackSplitBrain,
+			T: 2, Trials: 4, Seed: 11,
+			Scenario: Bridge(14, 2, 6, 1.8, 2),
+		}
+		ref, err := Run(base)
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		uncached := base
+		uncached.noVerifyCache = true
+		got, err := Run(uncached)
+		if err != nil {
+			t.Fatalf("%s/uncached: %v", proto, err)
+		}
+		for i := range ref.Trials {
+			r, g := ref.Trials[i], got.Trials[i]
+			if r.Accuracy != g.Accuracy || r.Agreement != g.Agreement ||
+				r.MeanBytesPerNode != g.MeanBytesPerNode || r.MaxBytesPerNode != g.MaxBytesPerNode ||
+				r.MeanBroadcastBytes != g.MeanBroadcastBytes {
+				t.Errorf("%s trial %d diverges without the verify cache:\nref: %+v\ngot: %+v", proto, i, r, g)
+			}
+		}
+	}
+}
+
 func TestTruthFieldsComputed(t *testing.T) {
 	// TwoTConnected: κ(K6)=5 ≥ 2·2 with T=2 → true; with T=0 → false
 	// (degenerate case excluded).

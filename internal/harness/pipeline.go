@@ -35,9 +35,9 @@ func (r *specRunner) Fingerprint() string {
 	// change results, so a checkpoint stays valid across them. Scenario
 	// is a function and cannot be fingerprinted — the plan key owns
 	// scenario identity (DESIGN.md §10).
-	return fmt.Sprintf("static|%s|%s|%s|t=%d|trials=%d|seed=%d|scheme=%s|rounds=%d|fanout=%d|loss=%g|full=%t|novc=%t",
+	return fmt.Sprintf("static|%s|%s|%s|t=%d|trials=%d|seed=%d|scheme=%s|rounds=%d|fanout=%d|loss=%g|full=%t",
 		s.Name, s.Protocol, s.Attack, s.T, s.Trials, s.Seed, s.SchemeName,
-		s.Rounds, s.Fanout, s.LossRate, s.FullHorizon, s.NoVerifyCache)
+		s.Rounds, s.Fanout, s.LossRate, s.FullHorizon)
 }
 
 func (r *specRunner) Units() int           { return r.spec.Trials }

@@ -25,13 +25,6 @@ func WithVerifyCache(cache *sig.VerifyCache) BuildOption {
 	return func(c *Config) { c.VerifyCache = cache }
 }
 
-// WithBloomDedup fronts every node's duplicate check with a Bloom filter
-// (DESIGN.md §14). Outcomes and counters are bit-identical with and
-// without it; see Config.DedupBloom.
-func WithBloomDedup() BuildOption {
-	return func(c *Config) { c.DedupBloom = true }
-}
-
 // BuildNodes constructs one correct NECTAR node per vertex of g, with
 // setup-time proofs of neighborhood built under scheme. t is the assumed
 // Byzantine bound handed to every node; roundsOverride (0 = default n-1)

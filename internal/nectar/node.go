@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/nectar-repro/nectar/internal/bloom"
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/obs"
@@ -91,14 +90,6 @@ type Config struct {
 	// once (DESIGN.md §9). Nil disables memoization, and a Verifier whose
 	// signatures do not bind the message never consults it (sig.Cached).
 	VerifyCache *sig.VerifyCache
-	// DedupBloom puts a Bloom filter in front of the duplicate check
-	// (DESIGN.md §14). The filter holds every edge of Gi (seeded with the
-	// initial neighborhood, extended on every accept), so a probe that
-	// misses proves the edge unseen and skips the exact Gi lookup; a hit —
-	// true or false positive — falls through to the exact check. No
-	// classification, counter, or output changes either way; the
-	// equivalence tests pin runs byte-identical with the knob on and off.
-	DedupBloom bool
 }
 
 // Stats counts a node's message-handling outcomes; useful to tests and
@@ -118,10 +109,6 @@ type Stats struct {
 	// decode before the chain was parsed or any hop allocated (DESIGN.md
 	// §9). Always 0 in paranoid mode, which fully decodes first.
 	LazyDiscards int
-	// BloomSkips counts duplicate checks resolved by a dedup Bloom-filter
-	// miss alone, skipping the exact edge-set probe (0 without the filter;
-	// see Config.DedupBloom).
-	BloomSkips int
 }
 
 // relayItem is a first-received edge message queued for relay in the next
@@ -154,9 +141,6 @@ type Node struct {
 	// returned.
 	nodeScratch
 	box *nodeScratch
-	// dedup, when non-nil, is the Bloom front of the duplicate check — it
-	// holds a superset of Gi's edges, so a miss proves the edge unseen.
-	dedup *bloom.Filter
 	// Evidence tracing (DESIGN.md §13): off by default and enabled only by
 	// the engine's TraceEvidence call when a run has a Tracer, so the
 	// untraced hot path buffers nothing. evbuf fills during Deliver (one
@@ -281,34 +265,10 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		nd.view.AddEdge(cfg.Me, nb)
 	}
-	if cfg.DedupBloom {
-		// Size for ~4n distinct edges at 1% FP: sparse detection topologies
-		// (rings, trees, geometric graphs) stay under that; denser graphs
-		// only raise the FP rate, which costs an exact lookup per hit and
-		// changes nothing else.
-		est := 4 * cfg.N
-		if est < 64 {
-			est = 64
-		}
-		mBits, hashes, err := bloom.Dimension(est, 0.01)
-		if err != nil {
-			return nil, fmt.Errorf("nectar: sizing dedup bloom: %w", err)
-		}
-		nd.dedup = bloom.New(mBits, hashes)
-		for _, nb := range cfg.Neighbors {
-			nd.dedup.AddKey(edgeKey(graph.NewEdge(cfg.Me, nb)))
-		}
-	}
 	// Borrowed last, so no error path above holds it.
 	nd.box = scratchPool.Get().(*nodeScratch)
 	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
 	return nd, nil
-}
-
-// edgeKey packs a canonical (U < V) edge into the 64-bit key the dedup
-// Bloom filter indexes.
-func edgeKey(e graph.Edge) uint64 {
-	return uint64(e.U)<<32 | uint64(e.V)
 }
 
 // Rounds returns the number of edge-propagation rounds this node runs
@@ -428,7 +388,7 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 			nd.traceReject(round, from, len(m.Chain), err)
 			return
 		}
-		if nd.knownEdge(m.Proof.Edge) {
+		if nd.view.HasEdge(m.Proof.Edge.U, m.Proof.Edge.V) {
 			nd.stats.Duplicates++
 			return
 		}
@@ -441,7 +401,7 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 		nd.traceReject(round, from, 0, err)
 		return
 	}
-	if nd.knownEdge(e) {
+	if nd.view.HasEdge(e.U, e.V) {
 		nd.stats.Duplicates++
 		nd.stats.LazyDiscards++
 		return
@@ -461,21 +421,6 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 	nd.accept(round, m.Proof.Edge, len(m.Chain), from, data)
 }
 
-// knownEdge reports whether e is already in Gi — the duplicate predicate
-// of Alg. 1 l. 14, optionally fronted by the dedup Bloom filter. The
-// filter holds a superset of Gi's edges (NewNode seeds it, accept extends
-// it), so a miss proves e unseen without touching the exact structure; a
-// hit is resolved by the exact lookup, making the verdict — and therefore
-// every downstream counter and output — identical with and without the
-// filter.
-func (nd *Node) knownEdge(e graph.Edge) bool {
-	if nd.dedup != nil && !nd.dedup.MightContainKey(edgeKey(e)) {
-		nd.stats.BloomSkips++
-		return false
-	}
-	return nd.view.HasEdge(e.U, e.V)
-}
-
 // accept records a first-seen valid edge e (carried by a message whose
 // validated decode had hops chain links) and queues the message for relay.
 // data aliases the delivered buffer, whose lifetime ends with the round,
@@ -490,9 +435,6 @@ func (nd *Node) accept(round int, e graph.Edge, hops int, from ids.NodeID, data 
 		from: from,
 	})
 	nd.view.AddEdge(e.U, e.V)
-	if nd.dedup != nil {
-		nd.dedup.AddKey(edgeKey(e))
-	}
 	nd.stats.Accepted++
 	if nd.tracing {
 		nd.evbuf = append(nd.evbuf, obs.Event{

@@ -128,7 +128,7 @@ func TestPoisonedScratchChangesNothing(t *testing.T) {
 	}{
 		{"ring/hmac", topology.Ring(8), sig.NewHMAC(8, 3), 0, nil},
 		{"harary/hmac", harary, sig.NewHMAC(10, 3), 0, nil},
-		{"harary/slim/bloom", harary, sig.ByName("slim", 10, 3), 0, []BuildOption{WithBloomDedup()}},
+		{"harary/slim", harary, sig.ByName("slim", 10, 3), 0, nil},
 		{"line/hmac/paranoid", topology.Line(7), sig.NewHMAC(7, 3), 0, []BuildOption{WithParanoidVerify()}},
 		// A horizon shorter than the diameter: nodes decide mid-flood,
 		// with relay queues still loaded.

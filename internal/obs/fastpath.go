@@ -12,11 +12,6 @@ type FastPath struct {
 	VerifyCacheMisses int64 `json:"verify_cache_misses"`
 	LazyDiscards      int64 `json:"lazy_discards"`
 	DecideCacheHits   int64 `json:"decide_cache_hits"`
-	// BloomSkips counts duplicate checks resolved by a dedup Bloom-filter
-	// miss alone, skipping the exact edge-set probe (DESIGN.md §14).
-	// omitempty: the field only appears in runs with the filter enabled,
-	// so earlier checkpoint records round-trip byte-identically.
-	BloomSkips int64 `json:"bloom_skips,omitempty"`
 }
 
 // Add accumulates o into f.
@@ -25,7 +20,6 @@ func (f *FastPath) Add(o FastPath) {
 	f.VerifyCacheMisses += o.VerifyCacheMisses
 	f.LazyDiscards += o.LazyDiscards
 	f.DecideCacheHits += o.DecideCacheHits
-	f.BloomSkips += o.BloomSkips
 }
 
 // VerifyHitRate returns hits/(hits+misses), or 0 with no lookups.
@@ -48,5 +42,4 @@ func (f FastPath) Publish(reg *Registry) {
 	reg.Counter("nectar_fastpath_verify_cache_misses_total", "Signature verify-cache misses.").Add(f.VerifyCacheMisses)
 	reg.Counter("nectar_fastpath_lazy_discards_total", "Duplicates discarded from the 8-byte lazy header decode.").Add(f.LazyDiscards)
 	reg.Counter("nectar_fastpath_decide_cache_hits_total", "Decide-cache hits (identical reachability views).").Add(f.DecideCacheHits)
-	reg.Counter("nectar_fastpath_bloom_skips_total", "Duplicate checks resolved by a Bloom miss alone.").Add(f.BloomSkips)
 }

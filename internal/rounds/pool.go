@@ -8,10 +8,10 @@ import (
 
 // Run-lifetime recycling (DESIGN.md §9). A sweep or a dynamic run drives
 // the engine once per trial or epoch, and every run used to grow the same
-// staging — per-recipient inboxes, the flat SoA arrays, the dedup maps,
-// the shuffle RNGs — from nil by append-doubling and then drop it. The
-// staging of a finished run is kept on a free list instead, so the next
-// run starts at the capacity the last one reached.
+// staging — per-recipient inboxes, the dedup maps, the shuffle RNGs —
+// from nil by append-doubling and then drop it. The staging of a finished
+// run is kept on a free list instead, so the next run starts at the
+// capacity the last one reached.
 //
 // The free list only ever supplies capacity. release truncates every
 // buffer to length zero, clears every map, and zeroes every slot that held
@@ -22,18 +22,16 @@ import (
 
 // staging is the scratch one engine run owns from acquire to release.
 type staging struct {
-	// workers and useSoA say which shards the current run routes through:
-	// soa[:workers] or shards[:workers]. A recycled staging may carry more
-	// shards, and shards of the other layout, from earlier runs; they stay
-	// parked, already scrubbed by the run that used them.
+	// workers says which shards the current run routes through:
+	// shards[:workers]. A recycled staging may carry more shards from
+	// earlier runs; they stay parked, already scrubbed by the run that
+	// used them.
 	workers int
-	useSoA  bool
 
 	outboxes [][]Send
 	inboxes  [][]delivery // per-recipient merged+shuffled inbox
 	shards   []*routeShard
-	soa      []*soaShard
-	meters   []*meter     // per-worker metering state, either layout
+	meters   []*meter     // per-worker metering state
 	rngs     []*rand.Rand // per-worker shuffle RNGs, reseeded per recipient
 }
 
@@ -56,8 +54,8 @@ var (
 )
 
 // acquireStaging returns a staging sized for n nodes and the given worker
-// count, with the chosen layout's shards in place.
-func acquireStaging(n, workers int, useSoA bool) *staging {
+// count.
+func acquireStaging(n, workers int) *staging {
 	var st *staging
 	for i := range stagingHot {
 		if st = stagingHot[i].Swap(nil); st != nil {
@@ -67,25 +65,16 @@ func acquireStaging(n, workers int, useSoA bool) *staging {
 	if st == nil {
 		st = stagingPool.Get().(*staging)
 	}
-	st.workers, st.useSoA = workers, useSoA
+	st.workers = workers
 	st.outboxes = resize(st.outboxes, n)
 	st.inboxes = resize(st.inboxes, n)
-	if useSoA {
-		st.soa = resize(st.soa, max(workers, len(st.soa)))
-		for w, sh := range st.soa[:workers] {
-			if sh == nil {
-				st.soa[w] = new(soaShard)
-			}
+	st.shards = resize(st.shards, max(workers, len(st.shards)))
+	for w, sh := range st.shards[:workers] {
+		if sh == nil {
+			sh = new(routeShard)
+			st.shards[w] = sh
 		}
-	} else {
-		st.shards = resize(st.shards, max(workers, len(st.shards)))
-		for w, sh := range st.shards[:workers] {
-			if sh == nil {
-				sh = new(routeShard)
-				st.shards[w] = sh
-			}
-			sh.inbox = resize(sh.inbox, n)
-		}
+		sh.inbox = resize(sh.inbox, n)
 	}
 	st.meters = resize(st.meters, max(workers, len(st.meters)))
 	for w, mt := range st.meters[:workers] {
@@ -111,16 +100,8 @@ func acquireStaging(n, workers int, useSoA bool) *staging {
 func (st *staging) release() {
 	scrubAll(st.outboxes)
 	scrubAll(st.inboxes)
-	if st.useSoA {
-		for _, sh := range st.soa[:st.workers] {
-			sh.to, sh.from, sh.order = sh.to[:0], sh.from[:0], sh.order[:0]
-			sh.off, sh.cur = sh.off[:0], sh.cur[:0]
-			sh.data = scrub(sh.data)
-		}
-	} else {
-		for _, sh := range st.shards[:st.workers] {
-			scrubAll(sh.inbox)
-		}
+	for _, sh := range st.shards[:st.workers] {
+		scrubAll(sh.inbox)
 	}
 	for _, mt := range st.meters[:st.workers] {
 		mt.resetDedup()
@@ -142,15 +123,11 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// scrub zeroes s up to its capacity and returns it at length zero.
-func scrub[T any](s []T) []T {
-	clear(s[:cap(s)])
-	return s[:0]
-}
-
-// scrubAll scrubs every inner slice of s.
+// scrubAll zeroes every inner slice of s up to its capacity and leaves it
+// at length zero.
 func scrubAll[T any](s [][]T) {
 	for i := range s {
-		s[i] = scrub(s[i])
+		clear(s[i][:cap(s[i])])
+		s[i] = s[i][:0]
 	}
 }

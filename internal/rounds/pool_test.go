@@ -36,8 +36,8 @@ func withStagingPool(t *testing.T, fresh func() *staging) {
 }
 
 // poisonedStaging is a staging of awkward shape (sized for 5 nodes and 3
-// workers, both layouts populated) with garbage in every slot up to
-// capacity and every buffer at length zero.
+// workers) with garbage in every slot up to capacity and every buffer at
+// length zero.
 func poisonedStaging() *staging {
 	junk := bytes.Repeat([]byte{0xFF}, 64)
 	deliveries := func() []delivery {
@@ -46,13 +46,6 @@ func poisonedStaging() *staging {
 			d[i] = delivery{from: ids.NodeID(1 << 30), data: junk}
 		}
 		return d[:0]
-	}
-	int32s := func() []int32 {
-		s := make([]int32, 11)
-		for i := range s {
-			s[i] = -7
-		}
-		return s[:0]
 	}
 	usedMap := func() map[uint64]bool {
 		m := make(map[uint64]bool)
@@ -80,14 +73,6 @@ func poisonedStaging() *staging {
 		sh.inbox = sh.inbox[:0]
 		st.shards = append(st.shards, sh)
 
-		data := make([][]byte, 11)
-		for i := range data {
-			data[i] = junk
-		}
-		st.soa = append(st.soa, &soaShard{
-			to: int32s(), from: int32s(), data: data[:0],
-			off: int32s(), cur: int32s(), order: int32s(),
-		})
 		st.meters = append(st.meters, &meter{seen: usedMap(), last: junk})
 		rng := newShuffleRand()
 		rng.Seed(int64(w) + 99)
@@ -115,28 +100,26 @@ func TestPoisonedStagingChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []*graph.Graph{topology.Ring(3), topology.Ring(9), harary} {
-		for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
-			for _, workers := range []int{1, 2, 4} {
-				cfg := Config{Rounds: g.N(), Seed: 5, Layout: layout, Workers: workers, LossRate: 0.1}
-				name := fmt.Sprintf("n=%d/layout=%d/workers=%d", g.N(), layout, workers)
+		for _, workers := range []int{1, 2, 4} {
+			cfg := Config{Rounds: g.N(), Seed: 5, Workers: workers, LossRate: 0.1}
+			name := fmt.Sprintf("n=%d/workers=%d", g.N(), workers)
 
-				withStagingPool(t, func() *staging { return new(staging) })
-				wantM, wantT := transcript(t, g, cfg)
+			withStagingPool(t, func() *staging { return new(staging) })
+			wantM, wantT := transcript(t, g, cfg)
 
-				withStagingPool(t, poisonedStaging)
-				gotM, gotT := transcript(t, g, cfg)
-				if !reflect.DeepEqual(gotM, wantM) {
-					t.Errorf("%s: metrics differ on poisoned staging:\n got %+v\nwant %+v", name, gotM, wantM)
-				}
-				if !reflect.DeepEqual(gotT, wantT) {
-					t.Errorf("%s: delivery transcript differs on poisoned staging", name)
-				}
+			withStagingPool(t, poisonedStaging)
+			gotM, gotT := transcript(t, g, cfg)
+			if !reflect.DeepEqual(gotM, wantM) {
+				t.Errorf("%s: metrics differ on poisoned staging:\n got %+v\nwant %+v", name, gotM, wantM)
+			}
+			if !reflect.DeepEqual(gotT, wantT) {
+				t.Errorf("%s: delivery transcript differs on poisoned staging", name)
+			}
 
-				// And again on whatever the poisoned run gave back.
-				againM, againT := transcript(t, g, cfg)
-				if !reflect.DeepEqual(againM, wantM) || !reflect.DeepEqual(againT, wantT) {
-					t.Errorf("%s: run on recycled staging differs", name)
-				}
+			// And again on whatever the poisoned run gave back.
+			againM, againT := transcript(t, g, cfg)
+			if !reflect.DeepEqual(againM, wantM) || !reflect.DeepEqual(againT, wantT) {
+				t.Errorf("%s: run on recycled staging differs", name)
 			}
 		}
 	}
@@ -147,60 +130,48 @@ func TestPoisonedStagingChangesNothing(t *testing.T) {
 // slice reachable from any slot, every buffer empty.
 func TestReleaseScrubsStaging(t *testing.T) {
 	g := topology.Complete(6)
-	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
-		var st *staging // the one staging the run below borrows
-		withStagingPool(t, func() *staging { st = new(staging); return st })
-		runFlood(t, g, Config{Rounds: 3, Seed: 1, Layout: layout, Workers: 2})
-		if st == nil || cap(st.inboxes) == 0 {
-			t.Fatalf("layout %d: the run did not go through the free list", layout)
-		}
+	var st *staging // the one staging the run below borrows
+	withStagingPool(t, func() *staging { st = new(staging); return st })
+	runFlood(t, g, Config{Rounds: 3, Seed: 1, Workers: 2})
+	if st == nil || cap(st.inboxes) == 0 {
+		t.Fatal("the run did not go through the free list")
+	}
 
-		checkDeliveries := func(where string, boxes [][]delivery) {
-			for i, box := range boxes[:cap(boxes)] {
-				if len(box) != 0 {
-					t.Errorf("layout %d %s[%d]: length %d after release", layout, where, i, len(box))
-				}
-				for _, d := range box[:cap(box)] {
-					if d.data != nil || d.from != 0 {
-						t.Fatalf("layout %d %s[%d]: slot still holds %+v", layout, where, i, d)
-					}
-				}
+	checkDeliveries := func(where string, boxes [][]delivery) {
+		for i, box := range boxes[:cap(boxes)] {
+			if len(box) != 0 {
+				t.Errorf("%s[%d]: length %d after release", where, i, len(box))
 			}
-		}
-		checkDeliveries("inboxes", st.inboxes)
-		for _, box := range st.outboxes[:cap(st.outboxes)] {
-			for _, s := range box[:cap(box)] {
-				if s.Data != nil {
-					t.Fatalf("layout %d outboxes: slot still holds a payload", layout)
+			for _, d := range box[:cap(box)] {
+				if d.data != nil || d.from != 0 {
+					t.Fatalf("%s[%d]: slot still holds %+v", where, i, d)
 				}
 			}
 		}
-		if len(st.shards)+len(st.soa) != 2 {
-			t.Errorf("layout %d: %d AoS + %d SoA shards for a 2-worker run", layout, len(st.shards), len(st.soa))
-		}
-		for w, sh := range st.shards {
-			checkDeliveries(fmt.Sprintf("shard %d inbox", w), sh.inbox)
-		}
-		if len(st.meters) != 2 {
-			t.Errorf("layout %d: %d meters for a 2-worker run", layout, len(st.meters))
-		}
-		for w, mt := range st.meters {
-			if len(mt.seen) != 0 || mt.last != nil {
-				t.Errorf("layout %d meter %d: dedup state not cleared", layout, w)
+	}
+	checkDeliveries("inboxes", st.inboxes)
+	for _, box := range st.outboxes[:cap(st.outboxes)] {
+		for _, s := range box[:cap(box)] {
+			if s.Data != nil {
+				t.Fatal("outboxes: slot still holds a payload")
 			}
 		}
-		for w, sh := range st.soa {
-			if cap(sh.data) == 0 {
-				t.Errorf("layout %d soa shard %d: never used", layout, w)
-			}
-			if len(sh.to)+len(sh.from)+len(sh.data)+len(sh.off)+len(sh.cur)+len(sh.order) != 0 {
-				t.Errorf("layout %d soa shard %d: buffers not empty after release", layout, w)
-			}
-			for _, d := range sh.data[:cap(sh.data)] {
-				if d != nil {
-					t.Fatalf("layout %d soa shard %d: data slot still holds a payload", layout, w)
-				}
-			}
+	}
+	if len(st.shards) != 2 {
+		t.Errorf("%d shards for a 2-worker run", len(st.shards))
+	}
+	for w, sh := range st.shards {
+		if cap(sh.inbox) == 0 {
+			t.Errorf("shard %d: never used", w)
+		}
+		checkDeliveries(fmt.Sprintf("shard %d inbox", w), sh.inbox)
+	}
+	if len(st.meters) != 2 {
+		t.Errorf("%d meters for a 2-worker run", len(st.meters))
+	}
+	for w, mt := range st.meters {
+		if len(mt.seen) != 0 || mt.last != nil {
+			t.Errorf("meter %d: dedup state not cleared", w)
 		}
 	}
 }

@@ -150,27 +150,18 @@ type Config struct {
 	// means DefaultMsgOverhead, any negative value means a true
 	// zero-overhead configuration (payload bytes only).
 	MsgOverhead int
-	// Sequential disables per-node parallelism. Results are identical
-	// either way; sequential mode is mainly for debugging.
-	Sequential bool
 	// Workers caps the engine's intra-run parallelism (emit / route /
-	// deliver stripes): 0 means GOMAXPROCS, negative is invalid.
-	// Sequential takes precedence (forces 1). Worker count never changes
-	// results — routing is sender-striped and merged in sender-major
-	// order — so schedulers (internal/exp) are free to split one machine
-	// budget between concurrent trials and each trial's engine.
+	// deliver stripes): 0 means GOMAXPROCS, 1 runs every phase inline on
+	// the caller's goroutine, negative is invalid. Worker count never
+	// changes results — routing is sender-striped and merged in
+	// sender-major order — so schedulers (internal/exp) are free to split
+	// one machine budget between concurrent trials and each trial's engine.
 	Workers int
 	// FullHorizon disables quiescence early exit: all Rounds rounds run
 	// even when every node is quiescent. Results are identical either
 	// way (the skipped rounds are provably silent); the knob exists for
 	// equivalence tests and ablations.
 	FullHorizon bool
-	// Layout selects the router's staging data layout (DESIGN.md §14):
-	// LayoutAuto (zero value) uses struct-of-arrays staging at or above
-	// SoAThreshold nodes and the classic per-recipient-slice layout below
-	// it; LayoutAoS / LayoutSoA force one side. Results are byte-identical
-	// for every value.
-	Layout Layout
 	// LossRate drops each routed message independently with the given
 	// probability (0 = reliable channels, the paper's model). Message
 	// loss violates NECTAR's channel assumption and exists to reproduce
@@ -291,18 +282,17 @@ type delivery struct {
 	data []byte
 }
 
-// routeShard is one worker's staged deliveries for every recipient in the
-// array-of-structs layout. Shards persist across rounds (buffers are
-// truncated, not reallocated) to keep GC pressure flat on large graphs,
-// and across runs as part of the recycled staging (pool.go).
+// routeShard is one worker's staged deliveries for every recipient.
+// Shards persist across rounds (buffers are truncated, not reallocated) to
+// keep GC pressure flat on large graphs, and across runs as part of the
+// recycled staging (pool.go).
 type routeShard struct {
 	inbox [][]delivery // per-recipient staged messages, sender-major
 }
 
-// meter is one worker's private metering state, the same for both staging
-// layouts: the per-sender broadcast dedup and the scalar counters that
-// would otherwise contend. Per-sender metric arrays need no shard — sender
-// stripes are disjoint.
+// meter is one worker's private metering state: the per-sender broadcast
+// dedup and the scalar counters that would otherwise contend. Per-sender
+// metric arrays need no shard — sender stripes are disjoint.
 type meter struct {
 	// seen holds the hashes of the payloads the current sender has been
 	// charged for in BytesBroadcast this round.
@@ -318,9 +308,9 @@ type meter struct {
 	droppedLoss    int64
 }
 
-// engine holds one run's state. The embedded staging — buffers, worker
-// count, layout — is borrowed from the package free list for the duration
-// of the run (pool.go).
+// engine holds one run's state. The embedded staging — buffers and worker
+// count — is borrowed from the package free list for the duration of the
+// run (pool.go).
 type engine struct {
 	*staging
 	cfg       Config
@@ -371,17 +361,13 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 	if cfg.Workers > 0 {
 		workers = cfg.Workers
 	}
-	if cfg.Sequential {
-		workers = 1
-	}
 	if workers > n {
 		workers = n
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	useSoA := cfg.Layout == LayoutSoA || (cfg.Layout == LayoutAuto && n >= SoAThreshold)
-	st := acquireStaging(n, workers, useSoA)
+	st := acquireStaging(n, workers)
 	defer st.release()
 	e := &engine{
 		staging:  st,
@@ -466,15 +452,9 @@ func (e *engine) run() {
 		// per-sender metric rows are contention-free and staged inboxes
 		// concatenate back to sender-major order.
 		var dropNonEdge, dropLoss int64
-		if e.useSoA {
-			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
-				e.routeSoA(e.soa[w], e.meters[w], r, lo, hi)
-			})
-		} else {
-			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
-				e.route(e.shards[w], e.meters[w], r, lo, hi)
-			})
-		}
+		parallelChunks(e.n, e.workers, func(w, lo, hi int) {
+			e.route(e.shards[w], e.meters[w], r, lo, hi)
+		})
 		for _, mt := range e.meters[:e.workers] {
 			e.m.BytesByRound[r-1] += mt.bytesThisRound
 			dropNonEdge += mt.droppedNonEdge
@@ -602,15 +582,9 @@ func (e *engine) admit(mt *meter, round, i, k int, s Send) bool {
 // w selects the calling worker's reusable shuffle RNG.
 func (e *engine) deliver(w, i, round int) {
 	inbox := e.inboxes[i][:0]
-	if e.useSoA {
-		for _, sh := range e.soa[:e.workers] {
-			inbox = sh.gather(i, inbox)
-		}
-	} else {
-		for _, sh := range e.shards[:e.workers] {
-			inbox = append(inbox, sh.inbox[i]...)
-			sh.inbox[i] = sh.inbox[i][:0]
-		}
+	for _, sh := range e.shards[:e.workers] {
+		inbox = append(inbox, sh.inbox[i]...)
+		sh.inbox[i] = sh.inbox[i][:0]
 	}
 	e.inboxes[i] = inbox
 	if len(inbox) == 0 {
@@ -700,7 +674,7 @@ func mulMix(a, b uint64) uint64 {
 
 // parallelChunks splits [0, n) into one contiguous chunk per worker and
 // runs fn(worker, lo, hi) concurrently. With one worker it runs inline
-// (no goroutines) — the Sequential debugging mode.
+// (no goroutines).
 func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 || n <= 1 {
 		fn(0, 0, n)

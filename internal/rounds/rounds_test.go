@@ -167,17 +167,17 @@ func TestCustomOverhead(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g := topology.Complete(9)
-	run := func(sequential bool) ([][]string, *Metrics) {
-		nodes, m := runFlood(t, g, Config{Rounds: 4, Seed: 77, Sequential: sequential})
+	run := func(workers int) ([][]string, *Metrics) {
+		nodes, m := runFlood(t, g, Config{Rounds: 4, Seed: 77, Workers: workers})
 		recv := make([][]string, len(nodes))
 		for i, n := range nodes {
 			recv[i] = n.received
 		}
 		return recv, m
 	}
-	r1, m1 := run(false)
-	r2, m2 := run(false)
-	r3, m3 := run(true)
+	r1, m1 := run(0)
+	r2, m2 := run(0)
+	r3, m3 := run(1) // sequential: every phase inline
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("two parallel runs with same seed differ")
 	}
@@ -358,19 +358,17 @@ func TestBroadcastAccountingIsByContent(t *testing.T) {
 		}
 	}
 	const rounds = 2
-	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
-		protos := []Protocol{&scriptedNode{sends: sends}, &silentNode{}, &silentNode{}}
-		m, err := Run(Config{Graph: g, Rounds: rounds, Seed: 1, Layout: layout}, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.BytesSent[0] != rounds*wantUnicast {
-			t.Errorf("layout %d: BytesSent = %d, want %d", layout, m.BytesSent[0], rounds*wantUnicast)
-		}
-		if m.BytesBroadcast[0] != rounds*wantBroadcast {
-			t.Errorf("layout %d: BytesBroadcast = %d, want %d (each of %d distinct payloads once per round)",
-				layout, m.BytesBroadcast[0], rounds*wantBroadcast, len(distinct))
-		}
+	protos := []Protocol{&scriptedNode{sends: sends}, &silentNode{}, &silentNode{}}
+	m, err := Run(Config{Graph: g, Rounds: rounds, Seed: 1}, protos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.BytesSent[0] != rounds*wantUnicast {
+		t.Errorf("BytesSent = %d, want %d", m.BytesSent[0], rounds*wantUnicast)
+	}
+	if m.BytesBroadcast[0] != rounds*wantBroadcast {
+		t.Errorf("BytesBroadcast = %d, want %d (each of %d distinct payloads once per round)",
+			m.BytesBroadcast[0], rounds*wantBroadcast, len(distinct))
 	}
 }
 
@@ -501,18 +499,18 @@ func TestZeroOverheadSentinel(t *testing.T) {
 
 func TestLossDeterministicAcrossParallelism(t *testing.T) {
 	g := topology.Complete(12)
-	run := func(sequential bool) *Metrics {
+	run := func(workers int) *Metrics {
 		protos := make([]Protocol, 12)
 		for i := range protos {
 			protos[i] = &raceNode{g: g, id: ids.NodeID(i)}
 		}
-		m, err := Run(Config{Graph: g, Rounds: 8, Seed: 21, LossRate: 0.3, Sequential: sequential}, protos)
+		m, err := Run(Config{Graph: g, Rounds: 8, Seed: 21, LossRate: 0.3, Workers: workers}, protos)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	seq, par := run(true), run(false)
+	seq, par := run(1), run(0)
 	if seq.DroppedLoss != par.DroppedLoss || !reflect.DeepEqual(seq.MsgsDelivered, par.MsgsDelivered) {
 		t.Errorf("loss decisions depend on parallelism: seq dropped %d, par dropped %d",
 			seq.DroppedLoss, par.DroppedLoss)

@@ -125,10 +125,6 @@ type BuildOption = inectar.BuildOption
 // and strictly higher CPU cost.
 func WithParanoidVerify() BuildOption { return inectar.WithParanoidVerify() }
 
-// WithBloomDedup fronts every node's duplicate check with a Bloom filter
-// (DESIGN.md §14) — a large-n performance knob with bit-identical results.
-func WithBloomDedup() BuildOption { return inectar.WithBloomDedup() }
-
 // BuildNodes constructs one correct NECTAR node per vertex of g
 // (simulation convenience; real deployments build Nodes from local
 // Configs).

@@ -30,7 +30,7 @@ func coldPools() {
 
 // dirtyPools leaves the free lists full of buffers from runs that share
 // nothing with the equivalence matrix: other sizes, another scheme and key
-// set, both staging layouts, a garbage flooder's 0xFF-heavy payloads.
+// set, a garbage flooder's 0xFF-heavy payloads.
 func dirtyPools(t *testing.T) {
 	t.Helper()
 	g, err := Harary(6, 30)
@@ -39,7 +39,7 @@ func dirtyPools(t *testing.T) {
 	}
 	for _, cfg := range []SimulationConfig{
 		{Graph: g, T: 3, Seed: 99, SchemeName: "slim", Byzantine: map[NodeID]Behavior{4: BehaviorGarbage}},
-		{Graph: g, T: 3, Seed: 98, SchemeName: "hmac", Layout: LayoutSoA, Byzantine: map[NodeID]Behavior{9: BehaviorStale}},
+		{Graph: g, T: 3, Seed: 98, SchemeName: "hmac", Byzantine: map[NodeID]Behavior{9: BehaviorStale}},
 		{Graph: Ring(5), T: 1, Seed: 97, SchemeName: "hmac", Rounds: 1}, // cut short: queues loaded at Decide
 	} {
 		if _, err := Simulate(cfg); err != nil {
@@ -49,35 +49,24 @@ func dirtyPools(t *testing.T) {
 }
 
 // TestWarmPoolsEquivalenceProperty: for a slice of the engine-equivalence
-// matrix — every Byzantine behaviour, both layouts, the Bloom front — the
-// complete SimulationResult on recycled buffers equals the one on cold
-// free lists.
+// matrix — every Byzantine behaviour — the complete SimulationResult on
+// recycled buffers equals the one on cold free lists.
 func TestWarmPoolsEquivalenceProperty(t *testing.T) {
 	for _, tc := range equivalenceCases(t, 7) {
-		for _, v := range []struct {
-			name  string
-			apply func(*SimulationConfig)
-		}{
-			{"default", func(*SimulationConfig) {}},
-			{"soa+bloom", func(c *SimulationConfig) { c.Layout = LayoutSoA; c.BloomDedup = true }},
-		} {
-			cfg := tc.cfg
-			v.apply(&cfg)
-			coldPools()
-			cold, err := Simulate(cfg)
+		coldPools()
+		cold, err := Simulate(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		dirtyPools(t)
+		for i := 0; i < 2; i++ { // on the dirt, then on its own leavings
+			warm, err := Simulate(tc.cfg)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, v.name, err)
+				t.Fatalf("%s: %v", tc.name, err)
 			}
-			dirtyPools(t)
-			for i := 0; i < 2; i++ { // on the dirt, then on its own leavings
-				warm, err := Simulate(cfg)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", tc.name, v.name, err)
-				}
-				if !reflect.DeepEqual(warm, cold) {
-					t.Errorf("%s/%s: warm run %d differs from the cold run:\nwarm: %+v\ncold: %+v",
-						tc.name, v.name, i, warm, cold)
-				}
+			if !reflect.DeepEqual(warm, cold) {
+				t.Errorf("%s: warm run %d differs from the cold run:\nwarm: %+v\ncold: %+v",
+					tc.name, i, warm, cold)
 			}
 		}
 	}

@@ -4,7 +4,7 @@ package nectar
 // points. BenchmarkLargeN runs full detections at n = 10³ and 10⁴ on the
 // sparse families the regime targets (ring, k-ary tree, geometric
 // scatter) with the slim scheme, so the numbers measure the engine —
-// staging layout, dedup, decision phase — not signature arithmetic.
+// staging, dedup, decision phase — not signature arithmetic.
 // BenchmarkKappaIncremental isolates the epoch ground-truth κ evaluation
 // that dominates low-churn dynamic runs: from-scratch Dinic each epoch
 // versus the KappaTracker's certified reuse (a ≥5× gap).
@@ -20,9 +20,8 @@ import (
 
 // scaleFull reports whether the heavy n=10⁴ cases should run. They take
 // minutes and gigabytes (a connected flood is Θ(n·m) acceptances), so
-// they are opt-in via NECTAR_SCALE=1 — set by `SCALE=1 scripts/bench.sh`
-// — and skipped in the CI -benchtime=1x sweep, which runs every benchmark
-// it can see.
+// they are opt-in via NECTAR_SCALE=1 and skipped in the CI -benchtime=1x
+// sweep, which runs every benchmark it can see.
 func scaleFull() bool { return os.Getenv("NECTAR_SCALE") != "" }
 
 // largeNGraph builds one of the sparse large-n families.
@@ -73,7 +72,7 @@ func BenchmarkLargeN(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("%s/n=%d", tc.kind, tc.n), func(b *testing.B) {
 			if tc.n > 1000 && !scaleFull() {
-				b.Skip("n=10⁴ cases are opt-in: set NECTAR_SCALE=1 (see scripts/bench.sh)")
+				b.Skip("n=10⁴ cases are opt-in: set NECTAR_SCALE=1")
 			}
 			g := largeNGraph(b, tc.kind, tc.n)
 			b.ReportAllocs()
@@ -85,7 +84,6 @@ func BenchmarkLargeN(b *testing.B) {
 					T:          1,
 					Seed:       int64(i + 1),
 					SchemeName: "slim",
-					BloomDedup: true,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -64,21 +64,6 @@ func (b Behavior) Valid() bool {
 	return false
 }
 
-// Layout selects the round engine's staging data layout (DESIGN.md §14).
-// Results are byte-identical for every value.
-type Layout = rounds.Layout
-
-// Router staging layouts.
-const (
-	// LayoutAuto picks struct-of-arrays staging at or above
-	// rounds.SoAThreshold nodes.
-	LayoutAuto = rounds.LayoutAuto
-	// LayoutAoS forces the per-recipient-slice staging layout.
-	LayoutAoS = rounds.LayoutAoS
-	// LayoutSoA forces the flat struct-of-arrays staging layout.
-	LayoutSoA = rounds.LayoutSoA
-)
-
 // SimulationConfig drives one in-memory NECTAR execution.
 type SimulationConfig struct {
 	// Graph is the communication network. Required.
@@ -102,11 +87,6 @@ type SimulationConfig struct {
 	// all rounds to execute. Results are identical either way; the knob
 	// exists for equivalence testing and round-complexity ablations.
 	FullHorizon bool
-	// NoVerifyCache disables the run-wide signature-verification memo
-	// (DESIGN.md §9). Verification is deterministic, so results are
-	// identical either way; the knob exists for equivalence testing and
-	// crypto-cost ablations.
-	NoVerifyCache bool
 	// ParanoidVerify applies the literal Alg. 1 check order on every node
 	// (signature verification before the duplicate discard) instead of the
 	// default lazy header-first decode. Decisions are identical either
@@ -116,17 +96,14 @@ type SimulationConfig struct {
 	// Results are identical for any worker count (DESIGN.md §6, §10);
 	// bound it when sharing a machine with other runs.
 	Workers int
-	// Layout selects the round engine's staging data layout (DESIGN.md
-	// §14): the zero value picks struct-of-arrays automatically at large n.
-	// Results are byte-identical for every value.
-	Layout rounds.Layout
-	// BloomDedup fronts every node's duplicate check with a Bloom filter
-	// (DESIGN.md §14). Results are byte-identical either way; the filter
-	// only short-cuts exact lookups it proves unnecessary.
-	BloomDedup bool
 	// Tracer, when non-nil, receives per-round engine trace events
 	// (DESIGN.md §12). Tracing never changes results; nil is free.
 	Tracer obs.Tracer
+
+	// noVerifyCache runs without the run-wide signature-verification memo
+	// (DESIGN.md §9): the uncached reference the equivalence tests compare
+	// the default against. Settable from in-package tests only.
+	noVerifyCache bool
 }
 
 // SimulationResult reports the decisions and traffic of one execution.
@@ -180,16 +157,13 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 
 	var opts []BuildOption
 	var vcache *sig.VerifyCache
-	if !cfg.NoVerifyCache {
+	if !cfg.noVerifyCache {
 		vcache = sig.NewVerifyCache()
 		defer vcache.Release() // after Stats below, and on every error path
 		opts = append(opts, WithVerifyCache(vcache))
 	}
 	if cfg.ParanoidVerify {
 		opts = append(opts, WithParanoidVerify())
-	}
-	if cfg.BloomDedup {
-		opts = append(opts, WithBloomDedup())
 	}
 	nodes, err := BuildNodes(cfg.Graph, cfg.T, scheme, cfg.Rounds, opts...)
 	if err != nil {
@@ -224,7 +198,6 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 		Seed:        cfg.Seed,
 		FullHorizon: cfg.FullHorizon,
 		Workers:     cfg.Workers,
-		Layout:      cfg.Layout,
 		Tracer:      cfg.Tracer,
 	}, protos)
 	if err != nil {
@@ -252,7 +225,6 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 		o := nd.DecideTraced(dc, cfg.Tracer, 0)
 		res.Outcomes[id] = o
 		res.LazyDiscards += int64(nd.Stats().LazyDiscards)
-		res.BloomSkips += int64(nd.Stats().BloomSkips)
 		if o.Confirmed {
 			res.Confirmed = true
 		}
