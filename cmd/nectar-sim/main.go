@@ -55,7 +55,7 @@ func run(args []string) error {
 	churnRate := fs.Float64("churn-rate", 0.02,
 		"per-round link down probability (flap) or node leave probability (nodes)")
 	drift := fs.Float64("drift", 0.5, "barycenter separation added per epoch (mobility)")
-	workers := fs.Int("workers", 0, "engine worker cap (0 = GOMAXPROCS; never changes results)")
+	workers := fs.Int("workers", 0, "parallelism budget (0 = GOMAXPROCS): engine workers, and under -churn epochs in flight first; never changes results")
 	kappaMode := fs.String("kappa", "exact",
 		"with -churn: ground-truth κ evaluation: exact|incremental|approx")
 	tracePath := fs.String("trace", "",

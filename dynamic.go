@@ -117,8 +117,12 @@ type DynamicConfig struct {
 	Blocked map[NodeID][]NodeID
 	// FullHorizon disables the engine's quiescence early exit.
 	FullHorizon bool
-	// Workers caps each epoch's engine parallelism (0 = GOMAXPROCS).
-	// Results are identical for any worker count (DESIGN.md §6, §10).
+	// Workers is the run's parallelism budget (0 = GOMAXPROCS): epochs
+	// are independent detection instances, so up to Workers of them run
+	// their engines side by side, and budget beyond the epoch count goes
+	// to each engine's workers. A Tracer keeps one epoch in flight and
+	// gives its engine the whole budget. Results are identical for any
+	// budget (DESIGN.md §6, §7, §10).
 	Workers int
 	// Tracer, when non-nil, receives epoch and per-round engine trace
 	// events (DESIGN.md §12). Tracing never changes results; nil is free.
@@ -219,7 +223,8 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	}
 
 	// Per-epoch decisions for full-Outcome extraction, filled once by
-	// each epoch's Finish (dynamic.Run calls build sequentially).
+	// each epoch's Finish (dynamic.Run calls build and Finish on this
+	// goroutine, each in epoch order).
 	type epochNodes struct {
 		outcomes map[NodeID]Outcome
 		correct  []NodeID // present, non-Byzantine, in ID order

@@ -2,7 +2,9 @@ package dynamic
 
 import (
 	"fmt"
+	"runtime"
 
+	"github.com/nectar-repro/nectar/internal/exp"
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/obs"
@@ -34,7 +36,12 @@ type Stack struct {
 
 // BuildFn wires one epoch: g is the live graph at the epoch's first round
 // (callee-owned), absent the nodes currently churned out, and seed the
-// epoch's derived seed. Run calls it once per epoch, in order.
+// epoch's derived seed. Run calls it once per epoch, and the returned
+// stacks' Finish once each, all on the goroutine that called Run and each
+// in epoch order — so builds and Finish closures may share state without
+// a lock. They do not alternate: build(e+k) may run before Finish(e), for
+// k below the run's window (Config.Workers), while the engines of epochs
+// e..e+k-1 step their Protos on other goroutines.
 type BuildFn func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*Stack, error)
 
 // Config parameterizes an epoch-based re-detection run.
@@ -54,12 +61,18 @@ type Config struct {
 	Epochs int
 	// FullHorizon disables the engine's quiescence early exit.
 	FullHorizon bool
-	// Workers caps each epoch's engine parallelism (0 = GOMAXPROCS); see
-	// rounds.Config.Workers. Results are identical for any worker count.
+	// Workers is the run's parallelism budget (0 = GOMAXPROCS), split by
+	// exp.SplitBudget between epochs in flight and each epoch's engine
+	// workers: epochs are independent agreement instances with no barrier
+	// between them, so they win the budget while there are enough of them,
+	// and what is left over goes to rounds.Config.Workers. Results are
+	// identical for any budget (DESIGN.md §7).
 	Workers int
 	// Tracer, when non-nil, receives epoch_start / epoch_verdict events
 	// bracketing each epoch's engine events (the same Tracer is handed to
-	// rounds.Config). Nil by default; tracing never changes results.
+	// rounds.Config). Event order is the trace contract, so a traced run
+	// keeps one epoch in flight and gives its engine the whole budget. Nil
+	// by default; tracing never changes results.
 	Tracer obs.Tracer
 	// Registry, when non-nil, receives the run's detection-quality
 	// metrics (DESIGN.md §13): per-epoch κ-margin (κ − t) and per-flip
@@ -166,6 +179,15 @@ func (r *Result) DetectionLatency() (mean float64, detected, undetected int) {
 	return mean, detected, undetected
 }
 
+// flight is one epoch between its build and its Finish: the report so far
+// (the engine's goroutine adds Metrics), the stack to finish, and the
+// engine's error, sent once it has stopped.
+type flight struct {
+	rep   EpochReport
+	stack *Stack
+	done  chan error
+}
+
 // Run executes epoch-based re-detection: for each epoch it replays the
 // schedule to the epoch's first round, asks build for a fresh protocol
 // stack over the live graph, drives the rounds engine with the schedule's
@@ -173,6 +195,12 @@ func (r *Result) DetectionLatency() (mean float64, detected, undetected int) {
 // quiescence), and scores the outcome against the epoch's ground truth.
 // Flips of the ground truth are matched against the epochs that follow to
 // measure detection latency.
+//
+// Up to a window of epochs run their engines concurrently (Config.Workers);
+// build, the ground-truth κ, Finish and scoring stay on the calling
+// goroutine, in epoch order. Run returns only after every engine it
+// launched has stopped, with the first error in epoch order: the epochs
+// before it have been finished, none at or after it is.
 func Run(cfg Config, build BuildFn) (*Result, error) {
 	if build == nil {
 		return nil, fmt.Errorf("dynamic: Run requires a build function")
@@ -185,6 +213,9 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 	}
 	if cfg.EpochRounds < 0 || cfg.Epochs < 0 {
 		return nil, fmt.Errorf("dynamic: negative EpochRounds or Epochs")
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("dynamic: negative Workers %d", cfg.Workers)
 	}
 	n := cfg.Schedule.Base.N()
 	epochRounds := cfg.EpochRounds
@@ -204,10 +235,21 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 			epochs = (h-2+epochRounds)/epochRounds + 1
 		}
 	}
+	budget := cfg.Workers
+	if budget == 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	concurrent := epochs
+	if cfg.Tracer != nil {
+		concurrent = 1 // the trace is one ordered stream
+	}
+	window, engineWorkers := exp.SplitBudget(budget, concurrent)
 
 	res := &Result{EpochRounds: epochRounds}
 	ke := newKappaEval(cfg.Kappa, cfg.T, cfg.Seed)
-	for e := 0; e < epochs; e++ {
+
+	// start wires epoch e and launches its engine.
+	start := func(e int) (*flight, error) {
 		offset := e * epochRounds
 		w, err := WindowAt(cfg.Schedule, offset)
 		if err != nil {
@@ -222,46 +264,94 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 		}
 		// Ground truth is a pure function of the epoch's start state, so
 		// it can be computed up front and announced on the epoch_start
-		// event.
+		// event (in epoch order: the incremental evaluator is stateful).
 		kappa, kappaExact, truthPart := ke.eval(e, gStart, absent)
 		if cfg.Tracer != nil {
 			cfg.Tracer.Emit(obs.Event{Type: obs.EvEpochStart, Epoch: e, Round: offset + 1, N: int64(kappa)})
 		}
-		metrics, err := rounds.Run(rounds.Config{
-			Topology:    w,
-			Rounds:      epochRounds,
-			Seed:        seed,
-			FullHorizon: cfg.FullHorizon,
-			Workers:     cfg.Workers,
-			Tracer:      cfg.Tracer,
-		}, stack.Protos)
+		f := &flight{
+			rep: EpochReport{
+				Epoch:              e,
+				StartRound:         offset + 1,
+				Kappa:              kappa,
+				KappaIsExact:       kappaExact,
+				TruthPartitionable: truthPart,
+				Absent:             absent.Sorted(),
+				Agreement:          true,
+			},
+			stack: stack,
+			done:  make(chan error, 1),
+		}
+		go func() {
+			var err error
+			f.rep.Metrics, err = rounds.Run(rounds.Config{
+				Topology:    w,
+				Rounds:      epochRounds,
+				Seed:        seed,
+				FullHorizon: cfg.FullHorizon,
+				Workers:     engineWorkers,
+				Tracer:      cfg.Tracer,
+			}, stack.Protos)
+			f.done <- err
+		}()
+		return f, nil
+	}
+
+	// The epochs in flight, oldest first, and the run's error once there
+	// is one. retire waits for the oldest engine and, unless an earlier
+	// epoch already failed, finishes and scores its epoch.
+	var inFlight []*flight
+	var runErr error
+	retire := func() {
+		f := inFlight[0]
+		inFlight[0] = nil // the backing array must not keep a finished stack alive
+		inFlight = inFlight[1:]
+		err := <-f.done
+		if runErr != nil {
+			return
+		}
 		if err != nil {
-			return nil, fmt.Errorf("dynamic: epoch %d: %w", e, err)
+			runErr = fmt.Errorf("dynamic: epoch %d: %w", f.rep.Epoch, err)
+			return
 		}
-		verdicts := stack.Finish()
-		rep := EpochReport{
-			Epoch:              e,
-			StartRound:         offset + 1,
-			Kappa:              kappa,
-			KappaIsExact:       kappaExact,
-			TruthPartitionable: truthPart,
-			Absent:             absent.Sorted(),
-			Verdicts:           verdicts,
-			Agreement:          true,
-			Metrics:            metrics,
-		}
-		for _, id := range sortedKeys(verdicts) {
+		rep := f.rep
+		rep.Verdicts = f.stack.Finish()
+		for _, id := range sortedKeys(rep.Verdicts) {
 			if rep.Decision == "" {
-				rep.Decision = verdicts[id].Key
-			} else if verdicts[id].Key != rep.Decision {
+				rep.Decision = rep.Verdicts[id].Key
+			} else if rep.Verdicts[id].Key != rep.Decision {
 				rep.Agreement = false
 			}
 		}
 		if cfg.Tracer != nil {
-			cfg.Tracer.Emit(obs.Event{Type: obs.EvEpochVerdict, Epoch: e, Key: rep.Decision,
+			cfg.Tracer.Emit(obs.Event{Type: obs.EvEpochVerdict, Epoch: rep.Epoch, Key: rep.Decision,
 				Attrs: []obs.Attr{{K: "agreement", V: b2i(rep.Agreement)}, {K: "truth_partitionable", V: b2i(rep.TruthPartitionable)}}})
 		}
 		res.Epochs = append(res.Epochs, rep)
+	}
+	var startErr error
+	for e := 0; e < epochs; e++ {
+		if len(inFlight) == window {
+			if retire(); runErr != nil {
+				break
+			}
+		}
+		f, err := start(e)
+		if err != nil {
+			startErr = err
+			break
+		}
+		inFlight = append(inFlight, f)
+	}
+	for len(inFlight) > 0 {
+		retire()
+	}
+	// Every epoch in flight was older than the one that failed to start.
+	if runErr == nil {
+		runErr = startErr
+	}
+	if runErr != nil {
+		return nil, runErr
 	}
 
 	// Ground-truth flips and their detection latency: a flip at epoch e

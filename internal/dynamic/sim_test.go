@@ -208,4 +208,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Schedule: Static(base), T: -1}, buildOracle(1, 0)); err == nil {
 		t.Error("negative T accepted")
 	}
+	if _, err := Run(Config{Schedule: Static(base), T: 1, Workers: -1}, buildOracle(1, 0)); err == nil {
+		t.Error("negative Workers accepted")
+	}
 }

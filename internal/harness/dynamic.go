@@ -41,8 +41,9 @@ type DynamicSpec struct {
 	// schedule horizon plus one fresh epoch).
 	Epochs int
 	// Jobs is the spec's total parallelism budget, split between
-	// trial-level workers and each trial's per-epoch engine workers
-	// exactly like Spec.Jobs (0 = GOMAXPROCS; see DESIGN.md §10).
+	// trial-level workers and each trial's own budget (epochs in flight,
+	// then engine workers) exactly like Spec.Jobs (0 = GOMAXPROCS; see
+	// DESIGN.md §10).
 	Jobs int
 }
 

@@ -132,7 +132,7 @@ func dynamicSpecForTest() DynamicSpec {
 
 func TestDynamicPipelineMatchesLegacyBitForBit(t *testing.T) {
 	want := stripDynamic(legacyRunDynamic(t, dynamicSpecForTest()))
-	for _, jobs := range []int{1, 4} {
+	for _, jobs := range []int{1, 4, 64} { // 64: budget left over for each trial's epoch window
 		s := dynamicSpecForTest()
 		s.Jobs = jobs
 		got, err := RunDynamic(s)

@@ -91,7 +91,7 @@ func TestDeliveryOrderIsPinned(t *testing.T) {
 		{"drone60/lossy", drone, 12, 1 << 40, 0.2, "dda08c6ae914cccfcf61572ed8fe275c88905856a54aa796d44a3c9234f96ad6"},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 3, 4, 7} {
 			cfg := Config{Rounds: tc.rounds, Seed: tc.seed, LossRate: tc.loss, Workers: workers}
 			if got := deliveryDigest(t, tc.g, cfg); got != tc.want {
 				t.Errorf("%s workers=%d: delivery digest %s, want %s", tc.name, workers, got, tc.want)

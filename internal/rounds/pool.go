@@ -2,8 +2,8 @@ package rounds
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
+
+	"github.com/nectar-repro/nectar/internal/freelist"
 )
 
 // Run-lifetime recycling (DESIGN.md §9). A sweep or a dynamic run drives
@@ -35,36 +35,15 @@ type staging struct {
 	rngs     []*rand.Rand // per-worker shuffle RNGs, reseeded per recipient
 }
 
-// The free list is a few hot slots over a sync.Pool. A released staging
-// parks in the first empty slot, where the next run finds it from
-// whichever goroutine and P it starts on; only when every slot is taken —
-// more runs in flight at once than there are slots — does one go to the
-// pool, and only when every slot is empty does a run ask the pool. The
-// pool alone lost stagings at random: Put parks a lone item in the
-// releasing P's private slot, which a Get on another P cannot steal, so
-// whenever the scheduler had moved the caller between two runs the second
-// grew a whole staging from nil again — tens of MB on a 60-node drone
-// flood, on one op in ten or in thirty as the scheduler pleased, and on
-// one sweep in three for the second of two concurrent units. The price is
-// that up to len(stagingHot) scrubbed stagings stay reachable for the life
-// of the process; what the pool holds the collector still reclaims.
-var (
-	stagingHot  [4]atomic.Pointer[staging]
-	stagingPool = sync.Pool{New: func() any { return new(staging) }}
-)
+// stagingFree is the free list (hot slots over a sync.Pool: a bare pool
+// loses a lone staging whenever the scheduler moves the caller between two
+// runs — see internal/freelist).
+var stagingFree = freelist.New(func() *staging { return new(staging) })
 
 // acquireStaging returns a staging sized for n nodes and the given worker
 // count.
 func acquireStaging(n, workers int) *staging {
-	var st *staging
-	for i := range stagingHot {
-		if st = stagingHot[i].Swap(nil); st != nil {
-			break
-		}
-	}
-	if st == nil {
-		st = stagingPool.Get().(*staging)
-	}
+	st := stagingFree.Acquire()
 	st.workers = workers
 	st.outboxes = resize(st.outboxes, n)
 	st.inboxes = resize(st.inboxes, n)
@@ -106,12 +85,7 @@ func (st *staging) release() {
 	for _, mt := range st.meters[:st.workers] {
 		mt.resetDedup()
 	}
-	for i := range stagingHot {
-		if stagingHot[i].CompareAndSwap(nil, st) {
-			return
-		}
-	}
-	stagingPool.Put(st)
+	stagingFree.Release(st)
 }
 
 // resize returns s with length n, keeping its elements (and whatever

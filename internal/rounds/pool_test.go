@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/nectar-repro/nectar/internal/freelist"
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/topology"
@@ -19,20 +19,13 @@ import (
 // beyond length zero — what a recycled staging would look like if release
 // scrubbed nothing — and require runs identical to ones on fresh staging.
 
-// withStagingPool swaps the package free list for one whose every miss is
-// served by fresh, and restores a clean one afterwards. The hot slots are
-// emptied and a just-assigned pool is empty, so the next acquire is
-// certain to call fresh.
+// withStagingPool swaps the package free list for an empty one whose every
+// miss is served by fresh, and restores a clean one afterwards: the next
+// acquire is certain to call fresh.
 func withStagingPool(t *testing.T, fresh func() *staging) {
 	t.Helper()
-	reset := func(newStaging func() any) {
-		for i := range stagingHot {
-			stagingHot[i].Store(nil)
-		}
-		stagingPool = sync.Pool{New: newStaging}
-	}
-	reset(func() any { return fresh() })
-	t.Cleanup(func() { reset(func() any { return new(staging) }) })
+	stagingFree = freelist.New(fresh)
+	t.Cleanup(func() { stagingFree = freelist.New(func() *staging { return new(staging) }) })
 }
 
 // poisonedStaging is a staging of awkward shape (sized for 5 nodes and 3
@@ -100,7 +93,7 @@ func TestPoisonedStagingChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []*graph.Graph{topology.Ring(3), topology.Ring(9), harary} {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 3, 4, 7} {
 			cfg := Config{Rounds: g.N(), Seed: 5, Workers: workers, LossRate: 0.1}
 			name := fmt.Sprintf("n=%d/workers=%d", g.N(), workers)
 
@@ -183,7 +176,7 @@ func TestReleaseScrubsStaging(t *testing.T) {
 // concurrent runs can need k stagings, and no number of waves needs more.
 func TestRepeatedRunsShareStaging(t *testing.T) {
 	g := topology.Ring(6)
-	for _, atOnce := range []int{1, 2, len(stagingHot)} {
+	for _, atOnce := range []int{1, 2, freelist.Slots} {
 		var made atomic.Int32
 		withStagingPool(t, func() *staging { made.Add(1); return new(staging) })
 		for wave := 0; wave < 10; wave++ {

@@ -30,6 +30,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -150,12 +151,14 @@ type Config struct {
 	// means DefaultMsgOverhead, any negative value means a true
 	// zero-overhead configuration (payload bytes only).
 	MsgOverhead int
-	// Workers caps the engine's intra-run parallelism (emit / route /
-	// deliver stripes): 0 means GOMAXPROCS, 1 runs every phase inline on
-	// the caller's goroutine, negative is invalid. Worker count never
+	// Workers caps the engine's intra-run parallelism (emit and deliver
+	// blocks, route stripes): 0 means GOMAXPROCS, 1 runs every phase inline
+	// on the caller's goroutine, negative is invalid. Worker count never
 	// changes results — routing is sender-striped and merged in
-	// sender-major order — so schedulers (internal/exp) are free to split
-	// one machine budget between concurrent trials and each trial's engine.
+	// sender-major order, emit and deliver touch each node from exactly one
+	// goroutine — so schedulers (internal/exp, internal/dynamic) are free
+	// to split one machine budget between concurrent trials or epochs and
+	// each one's engine.
 	Workers int
 	// FullHorizon disables quiescence early exit: all Rounds rounds run
 	// even when every node is quiescent. Results are identical either
@@ -440,8 +443,9 @@ func (e *engine) run() {
 			e.cfg.Tracer.Emit(obs.Event{Type: obs.EvRoundStart, Round: r})
 		}
 		// Phase 1: every node emits its round-r messages (in parallel —
-		// nodes are independent state machines).
-		parallelChunks(e.n, e.workers, func(_, lo, hi int) {
+		// nodes are independent state machines; workers claim blocks, so a
+		// run of busy relays does not land on one of them).
+		parallelBlocks(e.n, e.workers, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//nectar:allow-bufretain the engine is the consuming side of the contract; outboxes are read only until this round's delivery phase ends
 				e.outboxes[i] = e.nodes[i].Emit(r)
@@ -450,7 +454,8 @@ func (e *engine) run() {
 
 		// Phase 2: route. Each worker owns a contiguous sender stripe, so
 		// per-sender metric rows are contention-free and staged inboxes
-		// concatenate back to sender-major order.
+		// concatenate back to sender-major order — the one phase whose
+		// result is defined by who handles which index, so it stays striped.
 		var dropNonEdge, dropLoss int64
 		parallelChunks(e.n, e.workers, func(w, lo, hi int) {
 			e.route(e.shards[w], e.meters[w], r, lo, hi)
@@ -468,8 +473,10 @@ func (e *engine) run() {
 		// from the worker shards in stripe order (restoring sender-major
 		// order), then shuffled with a round/recipient-specific seed so
 		// protocols cannot accidentally rely on sender-ordered delivery,
-		// yet runs stay reproducible.
-		parallelChunks(e.n, e.workers, func(w, lo, hi int) {
+		// yet runs stay reproducible. Recipients are claimed in blocks like
+		// emitters: the merge reads every shard whoever runs it, and the
+		// shuffle is seeded per recipient, so nothing depends on the claim.
+		parallelBlocks(e.n, e.workers, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e.deliver(w, i, r)
 			}
@@ -672,6 +679,33 @@ func mulMix(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
+// parallelBlocks covers [0, n) with fn(worker, lo, hi) calls over disjoint
+// blocks that the workers claim from one counter as they finish their
+// last, so a phase whose cost is skewed over the indices — a tree's
+// relaying internal nodes are its lowest — ends when the work does, not
+// when the unluckiest stripe does (DESIGN.md §6). Each index goes to
+// exactly one call and every w is below workers, but which worker gets
+// which block is the scheduler's choice: fn's effect must not depend on
+// it. With one worker it runs inline (no goroutines).
+func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
+	if workers <= 1 || n <= 1 {
+		fn(0, 0, n)
+		return
+	}
+	workers = min(workers, n)
+	block := max(1, n/(8*workers))
+	var next atomic.Int64
+	fanOut(workers, func(w int) {
+		for {
+			hi := int(next.Add(int64(block)))
+			if hi-block >= n {
+				return
+			}
+			fn(w, hi-block, min(hi, n))
+		}
+	})
+}
+
 // parallelChunks splits [0, n) into one contiguous chunk per worker and
 // runs fn(worker, lo, hi) concurrently. With one worker it runs inline
 // (no goroutines).
@@ -680,18 +714,21 @@ func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
+	fanOut(workers, func(w int) {
+		fn(w, w*n/workers, (w+1)*n/workers)
+	})
+}
+
+// fanOut runs fn(0) … fn(workers-1) on a goroutine each and waits for all.
+func fanOut(workers int, fn func(w int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			fn(w)
+		}(w)
 	}
 	wg.Wait()
 }

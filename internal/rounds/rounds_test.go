@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -510,10 +511,13 @@ func TestLossDeterministicAcrossParallelism(t *testing.T) {
 		}
 		return m
 	}
-	seq, par := run(1), run(0)
-	if seq.DroppedLoss != par.DroppedLoss || !reflect.DeepEqual(seq.MsgsDelivered, par.MsgsDelivered) {
-		t.Errorf("loss decisions depend on parallelism: seq dropped %d, par dropped %d",
-			seq.DroppedLoss, par.DroppedLoss)
+	seq := run(1)
+	for _, workers := range []int{0, 3, 7} { // 7 does not divide n: ragged stripes and blocks
+		par := run(workers)
+		if seq.DroppedLoss != par.DroppedLoss || !reflect.DeepEqual(seq.MsgsDelivered, par.MsgsDelivered) {
+			t.Errorf("loss decisions depend on parallelism: seq dropped %d, workers=%d dropped %d",
+				seq.DroppedLoss, workers, par.DroppedLoss)
+		}
 	}
 }
 
@@ -546,5 +550,38 @@ func TestBytesByRoundTrailingSilence(t *testing.T) {
 	}
 	if total != m.TotalBytes() {
 		t.Errorf("per-round sum %d != total %d", total, m.TotalBytes())
+	}
+}
+
+// TestParallelBlocksCoverEveryIndexOnce: whatever the scheduler does, the
+// block-claiming helper hands each index of [0, n) to exactly one call and
+// never names a worker it was not given.
+func TestParallelBlocksCoverEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 500} {
+		for _, workers := range []int{1, 2, 3, 8, n + 1} {
+			visits := make([]atomic.Int32, n)
+			var badWorker, badBlock atomic.Int32
+			parallelBlocks(n, workers, func(w, lo, hi int) {
+				if w < 0 || w >= workers {
+					badWorker.Add(1)
+				}
+				if lo < 0 || hi > n || lo > hi {
+					badBlock.Add(1)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					visits[i].Add(1)
+				}
+			})
+			if badWorker.Load() != 0 || badBlock.Load() != 0 {
+				t.Errorf("n=%d workers=%d: %d calls with a worker out of range, %d with a block out of range",
+					n, workers, badWorker.Load(), badBlock.Load())
+			}
+			for i := range visits {
+				if v := visits[i].Load(); v != 1 {
+					t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, v)
+				}
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"sync"
 
+	"github.com/nectar-repro/nectar/internal/freelist"
 	"github.com/nectar-repro/nectar/internal/ids"
 )
 
@@ -105,18 +106,25 @@ type VerifyCache struct {
 	shards [verifyShardCount]verifyShard
 }
 
-// verifyStorePool recycles the storage of released caches (DESIGN.md §9):
-// a sweep builds one memo per trial and a dynamic run one per epoch, each
-// growing the same sixteen maps and chunk lists from nothing. Only the
-// stores travel, never a *VerifyCache — a holder of a released cache must
-// not be able to reach the memo of whichever run is handed its storage
-// next, since a memo must never outlive its scheme's key set.
-var verifyStorePool = sync.Pool{New: func() any { return new([verifyShardCount]verifyStore) }}
+// verifyStores is one cache's worth of storage, the unit of recycling.
+type verifyStores [verifyShardCount]verifyStore
+
+// verifyStoreFree recycles the storage of released caches (DESIGN.md §9):
+// a sweep builds one memo per trial and a dynamic run one per epoch — up
+// to a window of them alive at once — each growing the same sixteen maps
+// and chunk lists from nothing. Only the stores travel, never a
+// *VerifyCache — a holder of a released cache must not be able to reach
+// the memo of whichever run is handed its storage next, since a memo must
+// never outlive its scheme's key set. Hot slots over a sync.Pool, like the
+// engine's staging: a bare pool loses a lone item whenever the releasing
+// and the next acquiring goroutine sit on different Ps (see
+// internal/freelist).
+var verifyStoreFree = freelist.New(func() *verifyStores { return new(verifyStores) })
 
 // NewVerifyCache returns an empty cache.
 func NewVerifyCache() *VerifyCache {
 	c := &VerifyCache{}
-	stores := verifyStorePool.Get().(*[verifyShardCount]verifyStore)
+	stores := verifyStoreFree.Acquire()
 	for i := range c.shards {
 		c.shards[i].verifyStore = stores[i]
 	}
@@ -133,7 +141,7 @@ func (c *VerifyCache) Release() {
 	if c == nil {
 		return
 	}
-	stores := new([verifyShardCount]verifyStore)
+	stores := new(verifyStores)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -145,7 +153,7 @@ func (c *VerifyCache) Release() {
 		sh.verifyStore, sh.cur, sh.hits, sh.misses = verifyStore{}, 0, 0, 0
 		sh.mu.Unlock()
 	}
-	verifyStorePool.Put(stores)
+	verifyStoreFree.Release(stores)
 }
 
 // shard picks k's shard (forged all-zero tags still spread by signer).

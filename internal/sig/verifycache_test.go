@@ -2,9 +2,12 @@ package sig
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/nectar-repro/nectar/internal/freelist"
 	"github.com/nectar-repro/nectar/internal/ids"
 )
 
@@ -292,21 +295,26 @@ func lookupScript(c *VerifyCache, scheme Scheme) (verdicts [][2]bool, hits, miss
 	return verdicts, hits, misses
 }
 
+// withVerifyStores swaps the package free list for an empty one whose every
+// miss is served by fresh, and restores a clean one afterwards.
+func withVerifyStores(t *testing.T, fresh func() *verifyStores) {
+	t.Helper()
+	verifyStoreFree = freelist.New(fresh)
+	t.Cleanup(func() { verifyStoreFree = freelist.New(func() *verifyStores { return new(verifyStores) }) })
+}
+
 // TestVerifyCachePoisonedStoreChangesNothing: the store free list promises
 // capacity, never content. A cache built on stores whose maps were full
 // and whose chunks hold garbage beyond length zero — and then one built on
 // whatever Release gave back, under a different key set — must answer and
 // count exactly like a cache built on nothing.
 func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
-	fresh := func() any { return new([verifyShardCount]verifyStore) }
-	t.Cleanup(func() { verifyStorePool = sync.Pool{New: fresh} })
-
-	verifyStorePool = sync.Pool{New: fresh}
+	withVerifyStores(t, func() *verifyStores { return new(verifyStores) })
 	scheme := NewHMAC(5, 11)
 	want, wantHits, wantMisses := lookupScript(NewVerifyCache(), scheme)
 
-	verifyStorePool = sync.Pool{New: func() any {
-		stores := new([verifyShardCount]verifyStore)
+	withVerifyStores(t, func() *verifyStores {
+		stores := new(verifyStores)
 		for i := range stores {
 			m := make(map[verifyKey]verifyEntry)
 			for k := 0; k < 200; k++ {
@@ -323,7 +331,7 @@ func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
 			}
 		}
 		return stores
-	}}
+	})
 	c := NewVerifyCache()
 	got, hits, misses := lookupScript(c, scheme)
 	if !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses {
@@ -343,6 +351,41 @@ func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses {
 			t.Errorf("after release: stats %d/%d, want %d/%d; verdicts equal: %v",
 				hits, misses, wantHits, wantMisses, reflect.DeepEqual(got, want))
+		}
+	}
+}
+
+// TestRepeatedRunsShareVerifyStores mirrors the engine's
+// TestRepeatedRunsShareStaging for the memo: the stores one wave of caches
+// releases are the ones the next wave is built on, whatever the collector
+// did and wherever the scheduler put the callers in between. A wave of k
+// concurrent caches — k epochs of a dynamic run in flight — can need k
+// stores, and no number of waves needs more.
+func TestRepeatedRunsShareVerifyStores(t *testing.T) {
+	scheme := NewHMAC(5, 11)
+	for _, atOnce := range []int{1, 2, freelist.Slots} {
+		var made atomic.Int32
+		withVerifyStores(t, func() *verifyStores { made.Add(1); return new(verifyStores) })
+		for wave := 0; wave < 10; wave++ {
+			var held, done sync.WaitGroup
+			held.Add(atOnce)
+			done.Add(atOnce)
+			for k := 0; k < atOnce; k++ {
+				go func() { // a fresh goroutine, on whichever P is free
+					defer done.Done()
+					c := NewVerifyCache()
+					held.Done()
+					held.Wait() // the whole wave holds its stores at once
+					lookupScript(c, scheme)
+					c.Release()
+				}()
+			}
+			done.Wait()
+			runtime.GC()
+			runtime.GC() // two collections empty a sync.Pool
+		}
+		if n := int(made.Load()); n < 1 || n > atOnce {
+			t.Errorf("10 waves of %d caches built %d stores, want 1..%d", atOnce, n, atOnce)
 		}
 	}
 }
