@@ -9,6 +9,7 @@ import (
 	"github.com/nectar-repro/nectar/internal/dynamic"
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
+	inectar "github.com/nectar-repro/nectar/internal/nectar"
 	"github.com/nectar-repro/nectar/internal/rounds"
 )
 
@@ -216,6 +217,9 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	}
 	n := cfg.Schedule.Base.N()
 	if err := validateSchemeName(cfg.SchemeName); err != nil {
+		return nil, err
+	}
+	if err := inectar.CheckRounds(n, cfg.EpochRounds); err != nil {
 		return nil, err
 	}
 	if _, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked); err != nil {

@@ -306,7 +306,7 @@ func (c *checker) taintedCall(call *ast.CallExpr) bool {
 	case strings.Contains(lower, "copy") || strings.Contains(lower, "clone"):
 		return false // deep-copy constructors: EdgeMsg.Copy, copySends, ...
 	case strings.Contains(name, "NoCopy"):
-		return true // decodeEdgeMsgNoCopy, DecodeHopsNoCopy: alias by design
+		return true // decodeProofNoCopy, DecodeHopsNoCopy: alias by design
 	case name == "Emit":
 		return true // Emit batches stay backed by the emitter's arena
 	case name == "Raw" || name == "LenBytes":

@@ -99,17 +99,39 @@ type Graph struct {
 
 // New returns an empty graph over n vertices.
 func New(n int) *Graph {
+	g := new(Graph)
+	g.Reset(n)
+	return g
+}
+
+// Reset makes g the empty graph over n vertices while keeping what it has
+// allocated: the table of lists, every list's capacity, and the bit matrix
+// (zeroed) when the new n still fits it. A graph rebuilt run after run — a
+// node's pooled view, DESIGN.md §9 — stops allocating once it has seen its
+// working size. Lazy bit rows go: their width is tied to the old n.
+func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	g := &Graph{
-		n:   n,
-		nbr: make([][]ids.NodeID, n),
+	// Every list is emptied, so regrowing into the table's capacity later
+	// exposes nothing.
+	for v := range g.nbr {
+		g.nbr[v] = g.nbr[v][:0]
 	}
+	if n > cap(g.nbr) {
+		grown := make([][]ids.NodeID, n)
+		copy(grown, g.nbr[:cap(g.nbr)])
+		g.nbr = grown
+	}
+	dense := g.dense
+	*g = Graph{n: n, nbr: g.nbr[:n]}
 	if w := (n + 63) / 64; w <= denseMaxWords {
 		g.stride = w
+		if size := n * w; 0 < size && size <= cap(dense) {
+			g.dense = dense[:size] // else the first edge allocates it
+			clear(g.dense)
+		}
 	}
-	return g
 }
 
 // FromEdges builds a graph over n vertices with the given edges.

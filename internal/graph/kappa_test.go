@@ -142,27 +142,6 @@ func TestApproxConnectivityDeterministic(t *testing.T) {
 	}
 }
 
-func TestCSRViewMatchesNeighbors(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(20, 0.3, rng)
-	c := g.CSRView()
-	if c.N() != g.N() {
-		t.Fatalf("N: %d vs %d", c.N(), g.N())
-	}
-	for v := 0; v < g.N(); v++ {
-		want := g.Neighbors(ids.NodeID(v))
-		got := c.Neighbors(ids.NodeID(v))
-		if len(want) != len(got) {
-			t.Fatalf("v=%d: %v vs %v", v, got, want)
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("v=%d: %v vs %v", v, got, want)
-			}
-		}
-	}
-}
-
 func TestBitsetRowsStayConsistentAcrossThreshold(t *testing.T) {
 	// Drive a vertex's degree well past bitsetDegreeThreshold, then back
 	// down, checking HasEdge/Degree against a naive map at every step. n is

@@ -175,3 +175,82 @@ func TestCloneCopiesBitMatrixOnce(t *testing.T) {
 		t.Fatalf("Clone made %v allocations, want %v", allocs, want)
 	}
 }
+
+// randomEdits applies steps random insertions and removals to g and to the
+// model, hub-heavy like TestStorageMatchesListOnlyReference's so that lists
+// grow long, shrink again (leaving garbage beyond their lengths) and, at
+// n > 192, hubs get lazy bit rows.
+func randomEdits(rng *rand.Rand, g *Graph, m *edgeModel, steps int) {
+	if m.n < 2 {
+		return
+	}
+	for step := 0; step < steps; step++ {
+		u, v := ids.NodeID(rng.Intn(m.n)), ids.NodeID(rng.Intn(m.n))
+		if step%2 == 0 {
+			u = ids.NodeID((m.n - 1) * rng.Intn(2))
+		}
+		if u == v {
+			continue
+		}
+		if e := NewEdge(u, v); rng.Intn(4) == 0 {
+			g.RemoveEdge(u, v)
+			delete(m.edges, e)
+		} else {
+			g.AddEdge(u, v)
+			m.edges[e] = true
+		}
+	}
+}
+
+// TestResetMatchesNew: one Graph reset through vertex counts on both sides
+// of every storage boundary — growing, shrinking, through zero, each time
+// from a state full of edges, bit rows and list garbage — is from every
+// Reset on indistinguishable from New(n): empty, and after a random edit
+// script equal in every observable to a fresh graph given the same script.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := New(5)
+	sizes := []int{300, 64, 0, 193, 1, 192, 300, 2, 193, 64, 64, 0, 300}
+	for i, n := range sizes {
+		where := fmt.Sprintf("reset %d to n=%d", i, n)
+		g.Reset(n)
+		m := &edgeModel{n: n, edges: map[Edge]bool{}}
+		checkAgainst(t, where+", empty", g, m)
+		matrix := 0 // words of bit matrix a graph of this size may hold
+		if n <= 192 {
+			matrix = n * ((n + 63) / 64)
+		}
+		if g.bits != nil || (g.dense != nil && len(g.dense) != matrix) {
+			t.Fatalf("%s: kept lazy rows, or a bit matrix of %d words where %d fit", where, len(g.dense), matrix)
+		}
+		seed := rng.Int63()
+		randomEdits(rand.New(rand.NewSource(seed)), g, m, 10*n)
+		checkAgainst(t, where+", edited", g, m)
+		fresh, fm := New(n), &edgeModel{n: n, edges: map[Edge]bool{}}
+		randomEdits(rand.New(rand.NewSource(seed)), fresh, fm, 10*n)
+		if !g.Equal(fresh) || g.Fingerprint() != fresh.Fingerprint() || g.Connectivity() != fresh.Connectivity() {
+			t.Fatalf("%s: differs from New(%d) after the same edits", where, n)
+		}
+		if n > 192 && g.bits == nil {
+			t.Fatalf("%s: no hub crossed the dense threshold: lazy rows went untested", where)
+		}
+	}
+}
+
+// TestResetKeepsCapacity pins the point of Reset: rebuilding the same graph
+// on a reset one allocates nothing — not the table, not a list, not the bit
+// matrix — where New pays for each.
+func TestResetKeepsCapacity(t *testing.T) {
+	for _, n := range []int{64, 300} {
+		g := New(n)
+		build := func() {
+			for v := 1; v < n; v++ {
+				g.AddEdge(ids.NodeID(v), ids.NodeID((v-1)/3)) // a 3-ary tree
+			}
+		}
+		build()
+		if allocs := testing.AllocsPerRun(10, func() { g.Reset(n); build() }); allocs != 0 {
+			t.Errorf("n=%d: rebuilding on a reset graph allocates %.0f objects, want 0", n, allocs)
+		}
+	}
+}

@@ -23,15 +23,24 @@ func (g *Graph) Reachable(src ids.NodeID) []bool {
 }
 
 // CountReachable returns the number of vertices reachable from src,
-// including src itself. This is Alg. 1's DetectReachableNode(Gi).
+// including src itself. This is Alg. 1's DetectReachableNode(Gi). It runs
+// once per node per decision, so it counts inside its own BFS on one
+// exact-size scratch — the queue, then a visited bitset.
 func (g *Graph) CountReachable(src ids.NodeID) int {
-	cnt := 0
-	for _, ok := range g.Reachable(src) {
-		if ok {
-			cnt++
+	g.valid(src)
+	scratch := make([]uint32, g.n+(g.n+31)/32)
+	queue, seen := scratch[:1:g.n], scratch[g.n:]
+	queue[0] = uint32(src)
+	seen[src>>5] = 1 << (src & 31)
+	for head := 0; head < len(queue); head++ {
+		for _, v := range g.nbr[queue[head]] {
+			if w := &seen[v>>5]; *w&(1<<(v&31)) == 0 {
+				*w |= 1 << (v & 31)
+				queue = append(queue, uint32(v)) // never grows: a vertex enters once
+			}
 		}
 	}
-	return cnt
+	return len(queue)
 }
 
 // IsConnected reports whether the graph is connected. Graphs with zero or

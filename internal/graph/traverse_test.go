@@ -25,6 +25,30 @@ func TestReachableAndCount(t *testing.T) {
 	}
 }
 
+// TestCountReachableMatchesReachable: the counting BFS agrees with the set
+// it no longer builds, from every source of random sparse graphs whose sizes
+// straddle the word boundaries of its visited bitset — on one allocation.
+func TestCountReachableMatchesReachable(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 2, 31, 32, 33, 64, 65, 200} {
+		g := randomGraph(n, 1.2/float64(n), rng) // around the connectivity threshold: many components
+		for src := 0; src < n; src++ {
+			want := 0
+			for _, ok := range g.Reachable(ids.NodeID(src)) {
+				if ok {
+					want++
+				}
+			}
+			if got := g.CountReachable(ids.NodeID(src)); got != want {
+				t.Fatalf("n=%d: CountReachable(%d) = %d, Reachable marks %d", n, src, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { g.CountReachable(0) }); allocs != 1 {
+			t.Errorf("n=%d: CountReachable makes %.0f allocations, want 1", n, allocs)
+		}
+	}
+}
+
 func TestIsConnected(t *testing.T) {
 	tests := []struct {
 		name string

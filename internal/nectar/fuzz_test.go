@@ -64,9 +64,11 @@ func deliverOp(from ids.NodeID, round int, data []byte) []byte {
 // default-mode node and to a paranoid-mode twin (literal Alg. 1 order, the
 // reference the lazy header-first path is measured against). Whatever the
 // sequence, neither node may panic, both must end with the same view, the
-// same acceptance count and the same relay queue, and every edge in the
-// view must be an initial neighbor edge or one carried by a delivery that
-// passes checkMsg on its own. Rounds are drawn from 1..n, the range the
+// same acceptance count and the same relay queue, every edge in the view
+// must be an initial neighbor edge or one carried by a delivery that passes
+// checkMsg on its own, and each node must have rejected exactly the
+// deliveries the allocating reference (DecodeEdgeMsg + checkMsg) rejects in
+// that node's order of checks. Rounds are drawn from 1..n, the range the
 // engine calls Deliver with.
 func FuzzNodeDeliver(f *testing.F) {
 	const n, me = 6, ids.NodeID(2) // ring: node 2 hears from 1 and 3
@@ -123,16 +125,28 @@ func FuzzNodeDeliver(f *testing.F) {
 		for _, nb := range g.Neighbors(me) {
 			justified.AddEdge(me, nb)
 		}
+		defRejects, parRejects := 0, 0 // what the reference rejects, in each order
 		for len(in) >= 4 {
 			from, round := ids.NodeID(in[0]%n), 1+int(in[1]%n)
 			size := min(int(in[2])<<8|int(in[3]), len(in)-4)
 			data := in[4 : 4+size]
 			in = in[4+size:]
-			if m, err := DecodeEdgeMsg(data, sigSize, n); err == nil && checkMsg(v, m, from, round) == nil {
+			m, err := DecodeEdgeMsg(data, sigSize, n)
+			valid := err == nil && checkMsg(v, m, from, round) == nil
+			if !valid {
+				parRejects++
+				// Header first: a known edge is a duplicate whatever follows it.
+				if e, err := DecodeEdgeHeader(data, n); err != nil || !justified.HasEdge(e.U, e.V) {
+					defRejects++
+				}
+			} else {
 				justified.AddEdge(m.Proof.Edge.U, m.Proof.Edge.V)
 			}
 			def.Deliver(round, from, data)
 			par.Deliver(round, from, data)
+		}
+		if d, p := def.Stats().Rejected, par.Stats().Rejected; d != defRejects || p != parRejects {
+			t.Fatalf("default rejected %d and paranoid %d, the reference %d and %d", d, p, defRejects, parRejects)
 		}
 		view := def.View()
 		if !view.Equal(par.View()) {

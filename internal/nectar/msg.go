@@ -1,6 +1,7 @@
 package nectar
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -35,8 +36,7 @@ func (m EdgeMsg) encodeTo(w *wire.Writer, sigSize int) {
 }
 
 // Copy returns a deep copy of the message whose signature slices own their
-// memory. Decoding with decodeEdgeMsgNoCopy aliases the delivered buffer;
-// a node that accepts (and therefore retains) the message copies it first.
+// memory, for retaining a message decoded zero-copy from a delivered buffer.
 func (m EdgeMsg) Copy() EdgeMsg {
 	m.Proof.SigU = append([]byte(nil), m.Proof.SigU...)
 	m.Proof.SigV = append([]byte(nil), m.Proof.SigV...)
@@ -75,39 +75,19 @@ func DecodeEdgeHeader(data []byte, n int) (graph.Edge, error) {
 // DecodeEdgeMsg parses an EdgeMsg, validating structure only (framing,
 // endpoint ranges, full consumption). Signature validity, chain length and
 // signer policy are checked separately by checkMsg. The result owns its
-// memory; the hot path uses decodeEdgeMsgNoCopy and copies only accepted
-// messages.
+// memory. Together the two are the reference that checkRaw, Deliver's one
+// pass over the wire bytes, is tested against.
 func DecodeEdgeMsg(data []byte, sigSize, n int) (EdgeMsg, error) {
-	m, err := decodeEdgeMsgNoCopy(data, sigSize, n)
-	if err != nil {
-		return EdgeMsg{}, err
-	}
-	return m.Copy(), nil
-}
-
-// decodeEdgeMsgNoCopy parses an EdgeMsg whose signature slices alias data.
-func decodeEdgeMsgNoCopy(data []byte, sigSize, n int) (EdgeMsg, error) {
-	m, _, err := decodeEdgeMsgInto(data, sigSize, n, nil)
-	return m, err
-}
-
-// decodeEdgeMsgInto is decodeEdgeMsgNoCopy with the chain decoded into
-// hops[:0] (growing it as needed). It returns the message and the grown
-// scratch so a per-node deliver loop allocates zero hop slices at steady
-// state. Everything in the result — signatures and hops alike — is only
-// valid until the caller's next use of data or the scratch; retainers copy
-// (Node.accept).
-func decodeEdgeMsgInto(data []byte, sigSize, n int, hops []sig.Hop) (EdgeMsg, []sig.Hop, error) {
 	r := wire.ReaderOf(data)
 	p, err := decodeProofNoCopy(&r, sigSize, n)
 	if err != nil {
-		return EdgeMsg{}, hops, err
+		return EdgeMsg{}, err
 	}
-	chain := sig.DecodeHopsInto(hops, &r, sigSize)
+	chain := sig.DecodeHopsNoCopy(&r, sigSize)
 	if err := r.Close(); err != nil {
-		return EdgeMsg{}, chain, err
+		return EdgeMsg{}, err
 	}
-	return EdgeMsg{Proof: p, Chain: chain}, chain, nil
+	return EdgeMsg{Proof: p, Chain: chain}.Copy(), nil
 }
 
 // ForgeEdgeMsg builds a round-1 announcement of the edge between the two
@@ -149,22 +129,6 @@ var (
 // Cheap structural checks run first so that the expensive signature
 // verifications only happen for plausible messages.
 func checkMsg(v sig.Verifier, m EdgeMsg, from ids.NodeID, round int) error {
-	var sc msgScratch
-	return sc.check(v, m, from, round)
-}
-
-// msgScratch carries the reusable buffers of the verification path — the
-// proof-statement writer and the chain signing-input scratch — so a node
-// checking Θ(m) surviving messages allocates neither per message
-// (DESIGN.md §14). The zero value is ready; not safe for concurrent use.
-type msgScratch struct {
-	stmt wire.Writer
-	cs   sig.ChainScratch
-}
-
-// check applies exactly checkMsg's policy with the scratch's buffers. The
-// verdicts and the bytes handed to v are identical.
-func (sc *msgScratch) check(v sig.Verifier, m EdgeMsg, from ids.NodeID, round int) error {
 	if len(m.Chain) != round {
 		return fmt.Errorf("%w: %d hops in round %d", errChainLength, len(m.Chain), round)
 	}
@@ -178,12 +142,78 @@ func (sc *msgScratch) check(v sig.Verifier, m EdgeMsg, from ids.NodeID, round in
 	if last := m.Chain[len(m.Chain)-1].Signer; last != from {
 		return fmt.Errorf("%w: signed %v, delivered by %v", errChainSender, last, from)
 	}
-	stmt := proofStatementInto(&sc.stmt, m.Proof.Edge)
+	stmt := proofStatement(m.Proof.Edge)
 	if !m.Proof.verifyStmt(v, stmt) {
 		return errProofSig
 	}
-	if !sc.cs.Verify(v, stmt, m.Chain) {
+	if !sig.VerifyChain(v, stmt, m.Chain) {
 		return errChainSig
 	}
 	return nil
+}
+
+// msgScratch carries the reusable buffers of a node's sign and verify
+// paths — the proof-statement writer and the chain signing-input scratch
+// (DESIGN.md §14). The zero value is ready; not safe for concurrent use.
+type msgScratch struct {
+	stmt wire.Writer
+	cs   sig.ChainScratch
+}
+
+// statement returns the proof statement for e, or nil when v's scheme does
+// not bind the message: no signature under it depends on what was signed,
+// so the hot path builds no signing input at all (sig.ChainScratch).
+func (sc *msgScratch) statement(v sig.Verifier, e graph.Edge) []byte {
+	if !v.BindsMessage() {
+		return nil
+	}
+	return proofStatementInto(&sc.stmt, e)
+}
+
+// checkRaw is DecodeEdgeMsg followed by checkMsg in one pass over the wire
+// bytes: the same checks in the same order with the same Verify calls, but
+// every field is read in place at its fixed offset — nothing is decoded
+// into an EdgeMsg, no []sig.Hop exists, and a rejection allocates no
+// error. It returns the carried edge and the hop count the reference would
+// have decoded when it failed: 0 until the framing is known to be sound.
+func (sc *msgScratch) checkRaw(v sig.Verifier, data []byte, n int, from ids.NodeID, round int) (graph.Edge, int, error) {
+	sigSize := v.SigSize()
+	ps, hop := proofWireSize(sigSize), sig.HopWireSize(sigSize)
+	if len(data) < ps {
+		return graph.Edge{}, 0, wire.ErrTruncated
+	}
+	e, err := DecodeEdgeHeader(data, n)
+	if err != nil {
+		return e, 0, err
+	}
+	if len(data) < ps+2 {
+		return e, 0, wire.ErrTruncated
+	}
+	count, rawHops := int(binary.BigEndian.Uint16(data[ps:])), data[ps+2:]
+	if len(rawHops) < count*hop {
+		return e, 0, wire.ErrTruncated
+	}
+	if len(rawHops) > count*hop {
+		return e, 0, wire.ErrTrailing
+	}
+	if count != round {
+		return e, count, errChainLength
+	}
+	if !sig.DistinctRawSigners(rawHops, sigSize) {
+		return e, count, errChainSigners
+	}
+	if init := ids.NodeID(binary.BigEndian.Uint32(rawHops)); init != e.U && init != e.V {
+		return e, count, errChainInitiator
+	}
+	if last := ids.NodeID(binary.BigEndian.Uint32(rawHops[len(rawHops)-hop:])); last != from {
+		return e, count, errChainSender
+	}
+	stmt := sc.statement(v, e)
+	if !v.Verify(e.U, stmt, data[8:8+sigSize]) || !v.Verify(e.V, stmt, data[8+sigSize:ps]) {
+		return e, count, errProofSig
+	}
+	if !sc.cs.VerifyRawChain(v, stmt, rawHops) {
+		return e, count, errChainSig
+	}
+	return e, count, nil
 }

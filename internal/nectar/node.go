@@ -1,8 +1,10 @@
 package nectar
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -70,7 +72,10 @@ type Config struct {
 	Proofs map[ids.NodeID]Proof
 	// Signer is the local signing capability.
 	Signer sig.Signer
-	// Verifier checks signatures of all processes.
+	// Verifier checks signatures of all processes. It must come from the
+	// sig.Scheme Signer comes from: the node reads the signature width and
+	// BindsMessage off it, and skips building what either would be handed
+	// when the scheme does not bind the message.
 	Verifier sig.Verifier
 	// Rounds overrides the number of edge-propagation rounds; 0 means the
 	// default n-1 (the safe lower bound when the topology is unknown,
@@ -132,15 +137,16 @@ type Node struct {
 	cfg     Config
 	nRounds int
 	ver     sig.Verifier // effective verifier: sig.Cached(cfg.Verifier, cfg.VerifyCache)
-	view    *graph.Graph // Gi: the discovered adjacency
 	started bool         // round-1 neighborhood announcement has been emitted
 	stats   Stats
-	// The propagation phase's buffers, borrowed from the package free list
-	// by NewNode and handed back by Release — at the latest implicitly, at
-	// the first Decide. box is the free-list entry they came from, nil once
-	// returned.
+	// The propagation phase's buffers and the view they fill, borrowed from
+	// the package free list by NewNode and handed back by Release — at the
+	// latest implicitly, at the first Decide. box is the free-list entry
+	// they came from, nil once returned; from then on snapshot, the edge
+	// list Release took of the view, is the node's result (see gi).
 	nodeScratch
-	box *nodeScratch
+	box      *nodeScratch
+	snapshot []graph.Edge
 	// Evidence tracing (DESIGN.md §13): off by default and enabled only by
 	// the engine's TraceEvidence call when a run has a Tracer, so the
 	// untraced hot path buffers nothing. evbuf fills during Deliver (one
@@ -154,32 +160,34 @@ type Node struct {
 
 // nodeScratch is a node's propagation-phase scratch (DESIGN.md §9, §14).
 type nodeScratch struct {
+	// view is Gi, the discovered adjacency; a recycled one keeps its table,
+	// its lists' capacity and its bit matrix (graph.Reset).
+	view  *graph.Graph
 	queue []relayItem // filled in Deliver(r), drained by Emit(r+1)
 	// Emit-side allocation reuse (DESIGN.md §9): every message of a round
 	// is encoded into one scratch arena and the send headers into one
 	// reusable slice. Both are reset at the next Emit — safe because the
 	// engine contract bounds Data lifetime to the round, and the Deliver
-	// side copies what it retains.
+	// side copies what it retains. A mid-round arena growth leaves earlier
+	// sub-slices on the old backing array, intact.
 	enc     wire.Writer
 	sendBuf []rounds.Send
-	// Deliver-side allocation reuse (DESIGN.md §14): the hop slice the
-	// zero-copy decode fills, the verification scratch (statement writer +
-	// chain signing-input buffer), and the accept arena that owns the
-	// queued messages' wire bytes. The scratch contents are transient per
-	// Deliver call; the arena lives until the queue is drained and is
-	// truncated at the end of the draining Emit.
-	hopScratch []sig.Hop
-	scr        msgScratch
-	arenaRaw   []byte
+	// Deliver-side allocation reuse (DESIGN.md §14): the verification
+	// scratch (statement writer + chain signing-input buffer), and the
+	// accept arena that owns the queued messages' wire bytes. The scratch
+	// contents are transient per Deliver call; the arena lives until the
+	// queue is drained and is truncated at the end of the draining Emit.
+	scr      msgScratch
+	arenaRaw []byte
 }
 
 // scratchPool recycles nodeScratch values across the nodes of successive
 // runs (DESIGN.md §9): a sweep or a dynamic run rebuilds every node per
 // trial or epoch, and each used to grow these buffers from nil. The free
 // list only supplies capacity — Release truncates every buffer and zeroes
-// every slot that holds a slice, so a recycled scratch is
-// indistinguishable from the zero value except in what it need not
-// allocate.
+// every slot that holds a slice, and NewNode resets the view to its own n —
+// so a recycled scratch is indistinguishable from the zero value except in
+// what it need not allocate.
 var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 
 // Release hands the node's propagation scratch back to the free list once
@@ -187,16 +195,18 @@ var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 // driver only calls Release for the nodes it never decides — the inner
 // nodes of Byzantine wrappers, nodes churned out of an epoch — and on its
 // error paths. It is idempotent, and optional: the node stays as usable as
-// before (it works on zero-value scratch from here on), and one that is
-// never released merely recycles nothing. A relay queue cut short by the
-// horizon is live state, not scratch: it stays on the node together with
-// the arena its items point into.
+// before (from here on it works on zero-value scratch and, via gi, on a
+// view of its own), and one that is never released merely recycles
+// nothing. A relay queue cut short by the horizon is live state, not
+// scratch: it stays on the node together with the arena its items point
+// into.
 func (nd *Node) Release() {
 	s := nd.box
 	if s == nil {
 		return
 	}
 	nd.box = nil
+	nd.snapshot = nd.view.Edges()
 	*s, nd.nodeScratch = nd.nodeScratch, nodeScratch{}
 	if len(s.queue) > 0 {
 		nd.queue, nd.arenaRaw = s.queue, s.arenaRaw
@@ -207,12 +217,20 @@ func (nd *Node) Release() {
 	s.enc.Reset()
 	clear(s.sendBuf[:cap(s.sendBuf)])
 	s.sendBuf = s.sendBuf[:0]
-	clear(s.hopScratch[:cap(s.hopScratch)])
-	s.hopScratch = s.hopScratch[:0]
 	s.scr.stmt.Reset()
 	s.scr.cs.Reset()
 	s.arenaRaw = s.arenaRaw[:0]
 	scratchPool.Put(s)
+}
+
+// gi returns the view. A released node rebuilds one of its own from the
+// snapshot first — on View, a second Decide, or a delivery after the first —
+// which the drivers never do, so a run pays for no graph it does not pool.
+func (nd *Node) gi() *graph.Graph {
+	if nd.view == nil {
+		nd.view, nd.snapshot = graph.FromEdges(nd.cfg.N, nd.snapshot), nil
+	}
+	return nd.view
 }
 
 var _ rounds.Protocol = (*Node)(nil)
@@ -236,10 +254,10 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Signer.ID() != cfg.Me {
 		return nil, fmt.Errorf("nectar: signer bound to %v, node is %v", cfg.Signer.ID(), cfg.Me)
 	}
-	if cfg.Rounds < 0 {
-		return nil, fmt.Errorf("nectar: negative Rounds %d", cfg.Rounds)
+	if err := CheckRounds(cfg.N, cfg.Rounds); err != nil {
+		return nil, err
 	}
-	nd := &Node{cfg: cfg, nRounds: cfg.Rounds, view: graph.New(cfg.N)}
+	nd := &Node{cfg: cfg, nRounds: cfg.Rounds}
 	if nd.nRounds == 0 {
 		nd.nRounds = cfg.N - 1
 	}
@@ -263,12 +281,36 @@ func NewNode(cfg Config) (*Node, error) {
 		if !p.Verify(nd.ver) {
 			return nil, fmt.Errorf("nectar: proof for neighbor %v does not verify", nb)
 		}
-		nd.view.AddEdge(cfg.Me, nb)
 	}
 	// Borrowed last, so no error path above holds it.
 	nd.box = scratchPool.Get().(*nodeScratch)
 	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
+	if nd.view == nil {
+		nd.view = new(graph.Graph)
+	}
+	nd.view.Reset(cfg.N)
+	for _, nb := range cfg.Neighbors {
+		nd.view.AddEdge(cfg.Me, nb)
+	}
 	return nd, nil
+}
+
+// CheckRounds validates a round horizon for an n-node system (0 = the
+// default n-1). A chain's hop count travels as a uint16 (sig.EncodeHops)
+// and grows by one per round: past 65 535 it would wrap and every peer
+// discard the relay on chain length, a silent liveness loss. Drivers call
+// it before generating any key.
+func CheckRounds(n, rounds int) error {
+	if rounds < 0 {
+		return fmt.Errorf("nectar: negative Rounds %d", rounds)
+	}
+	if rounds == 0 {
+		rounds = n - 1
+	}
+	if rounds > math.MaxUint16 {
+		return fmt.Errorf("nectar: %d rounds exceed the %d hops a chain's wire encoding can count", rounds, math.MaxUint16)
+	}
+	return nil
 }
 
 // Rounds returns the number of edge-propagation rounds this node runs
@@ -287,14 +329,17 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	// are free for reuse — zero steady-state allocation on the emit path.
 	nd.enc.Reset()
 	out := nd.sendBuf[:0]
+	v := nd.cfg.Verifier
+	sigSize := v.SigSize()
 	if round == 1 {
 		for _, j := range nd.cfg.Neighbors {
 			p := nd.cfg.Proofs[j]
-			msg := EdgeMsg{
+			start := nd.enc.Len()
+			EdgeMsg{
 				Proof: p,
 				Chain: nd.scr.cs.AppendInto(nd.cfg.Signer, proofStatementInto(&nd.scr.stmt, p.Edge), nil),
-			}
-			data := nd.encodeMsg(msg)
+			}.encodeTo(&nd.enc, sigSize)
+			data := nd.enc.Bytes()[start:]
 			for _, dest := range nd.cfg.Neighbors {
 				out = append(out, rounds.Send{To: dest, Data: data})
 			}
@@ -302,15 +347,13 @@ func (nd *Node) Emit(round int) []rounds.Send {
 		nd.sendBuf = out
 		return out
 	}
-	sigSize := nd.cfg.Verifier.SigSize()
 	ps := proofWireSize(sigSize)
 	for _, item := range nd.queue {
 		// Extend the retained wire bytes directly: sign over the raw hop
 		// region (bit-for-bit the input AppendInto would build from decoded
 		// hops), then emit proof and existing hops verbatim with the new
 		// hop appended — no []Hop is ever materialized on the relay path.
-		stmt := proofStatementInto(&nd.scr.stmt, item.edge)
-		sg := nd.scr.cs.SignRawChain(nd.cfg.Signer, stmt, item.raw[ps+2:], sigSize)
+		sg := nd.scr.cs.SignRawChain(nd.cfg.Signer, v, nd.scr.statement(v, item.edge), item.raw[ps+2:])
 		data := nd.encodeRelay(item.raw, ps, sg, sigSize)
 		for _, dest := range nd.cfg.Neighbors {
 			if dest != item.from {
@@ -326,38 +369,19 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	return out
 }
 
-// encodeMsg appends m to the node's encode arena and returns the encoded
-// sub-slice. A mid-round arena growth leaves earlier sub-slices pointing
-// into the old backing array — still intact, since Reset only truncates
-// the current one at the next Emit.
-func (nd *Node) encodeMsg(m EdgeMsg) []byte {
-	start := nd.enc.Len()
-	m.encodeTo(&nd.enc, nd.cfg.Verifier.SigSize())
-	return nd.enc.Bytes()[start:]
-}
-
 // encodeRelay appends the relay of a retained message to the encode arena:
-// the proof and hop regions of raw copied verbatim, the hop count bumped,
-// and the node's own hop appended. Every retained field is fixed-width, so
-// the verbatim copy is byte-for-byte what re-encoding the decoded message
-// would produce.
+// raw copied verbatim into a region sized for one more hop, the hop count
+// bumped in place, and the node's own hop written after it. Every retained
+// field is fixed-width, so this is byte-for-byte what re-encoding the
+// decoded message would produce — down to a signature of the wrong width,
+// which is cut or zero-padded to the hop's, mirroring EncodeHops.
 func (nd *Node) encodeRelay(raw []byte, ps int, sg []byte, sigSize int) []byte {
-	start := nd.enc.Len()
-	r := wire.ReaderOf(raw[ps:])
-	count := r.U16()
-	nd.enc.Raw(raw[:ps])
-	nd.enc.U16(count + 1)
-	nd.enc.Raw(raw[ps+2:])
-	nd.enc.NodeID(nd.cfg.Me)
-	if len(sg) != sigSize {
-		// Honest signers emit exactly sigSize bytes; normalize defensively,
-		// mirroring EncodeHops.
-		fixed := make([]byte, sigSize)
-		copy(fixed, sg)
-		sg = fixed
-	}
-	nd.enc.Raw(sg)
-	return nd.enc.Bytes()[start:]
+	out := nd.enc.Extend(len(raw) + sig.HopWireSize(sigSize))
+	hop := out[copy(out, raw):]
+	binary.BigEndian.PutUint16(out[ps:], binary.BigEndian.Uint16(raw[ps:])+1)
+	binary.BigEndian.PutUint32(hop, uint32(nd.cfg.Me))
+	clear(hop[4+copy(hop[4:], sg):])
+	return out
 }
 
 // Deliver implements rounds.Protocol (Alg. 1 ll. 13-15). Invalid messages
@@ -365,76 +389,55 @@ func (nd *Node) encodeRelay(raw []byte, ps int, sg []byte, sigSize int) []byte {
 // work; a first-seen valid edge is recorded and queued for relay in the
 // next round.
 //
-// The default mode decodes lazily, header first (DESIGN.md §9): the edge
+// The default mode reads the header first (DESIGN.md §9): the edge
 // endpoints live in the first 8 bytes, and duplicates — the dominant case
-// in a flood — are discarded from them alone, before the chain is parsed
-// or a single hop allocated. Only messages that survive the duplicate
-// check are fully decoded (zero-copy, aliasing data) and verified; only
-// accepted messages are copied into owned memory for relay.
+// in a flood — are discarded from them alone, before the chain is looked
+// at. Messages that survive the duplicate check get the one-pass check
+// over their wire bytes (checkRaw), which aliases data and retains none of
+// it; only accepted messages are copied into owned memory for relay.
+// Paranoid mode is the literal Alg. 1 order: the full check first, then
+// the duplicate check.
 func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
-	sigSize := nd.cfg.Verifier.SigSize()
-	if nd.cfg.ParanoidVerify {
-		// Literal Alg. 1 order: full decode and verification first, then
-		// the duplicate check.
-		m, hops, err := decodeEdgeMsgInto(data, sigSize, nd.cfg.N, nd.hopScratch)
-		nd.hopScratch = hops
+	if !nd.cfg.ParanoidVerify {
+		e, err := DecodeEdgeHeader(data, nd.cfg.N)
 		if err != nil {
 			nd.stats.Rejected++
 			nd.traceReject(round, from, 0, err)
 			return
 		}
-		if err := nd.scr.check(nd.ver, m, from, round); err != nil {
-			nd.stats.Rejected++
-			nd.traceReject(round, from, len(m.Chain), err)
-			return
-		}
-		if nd.view.HasEdge(m.Proof.Edge.U, m.Proof.Edge.V) {
+		if nd.gi().HasEdge(e.U, e.V) {
 			nd.stats.Duplicates++
+			nd.stats.LazyDiscards++
 			return
 		}
-		nd.accept(round, m.Proof.Edge, len(m.Chain), from, data)
-		return
 	}
-	e, err := DecodeEdgeHeader(data, nd.cfg.N)
+	e, hops, err := nd.scr.checkRaw(nd.ver, data, nd.cfg.N, from, round)
 	if err != nil {
 		nd.stats.Rejected++
-		nd.traceReject(round, from, 0, err)
+		nd.traceReject(round, from, hops, err)
 		return
 	}
-	if nd.view.HasEdge(e.U, e.V) {
+	if nd.cfg.ParanoidVerify && nd.gi().HasEdge(e.U, e.V) {
 		nd.stats.Duplicates++
-		nd.stats.LazyDiscards++
 		return
 	}
-	m, hops, err := decodeEdgeMsgInto(data, sigSize, nd.cfg.N, nd.hopScratch)
-	nd.hopScratch = hops
-	if err != nil {
-		nd.stats.Rejected++
-		nd.traceReject(round, from, 0, err)
-		return
-	}
-	if err := nd.scr.check(nd.ver, m, from, round); err != nil {
-		nd.stats.Rejected++
-		nd.traceReject(round, from, len(m.Chain), err)
-		return
-	}
-	nd.accept(round, m.Proof.Edge, len(m.Chain), from, data)
+	nd.accept(round, e, hops, from, data)
 }
 
 // accept records a first-seen valid edge e (carried by a message whose
-// validated decode had hops chain links) and queues the message for relay.
+// validated chain has hops links) and queues the message for relay.
 // data aliases the delivered buffer, whose lifetime ends with the round,
-// so the message's canonical wire prefix is copied into the accept arena
-// here — one contiguous copy per distinct edge, the only copy on the
-// deliver path, with no per-hop structures retained (DESIGN.md §14).
+// so the message — the check has made sure data is its canonical encoding
+// and nothing more — is copied into the accept arena here: one contiguous
+// copy per distinct edge, the only copy on the deliver path, with no
+// per-hop structures retained (DESIGN.md §14).
 func (nd *Node) accept(round int, e graph.Edge, hops int, from ids.NodeID, data []byte) {
-	wl := MsgWireSize(nd.cfg.Verifier.SigSize(), hops)
 	nd.queue = append(nd.queue, relayItem{
-		raw:  nd.copyToArena(data[:wl]),
+		raw:  nd.copyToArena(data),
 		edge: e,
 		from: from,
 	})
-	nd.view.AddEdge(e.U, e.V)
+	nd.gi().AddEdge(e.U, e.V)
 	nd.stats.Accepted++
 	if nd.tracing {
 		nd.evbuf = append(nd.evbuf, obs.Event{
@@ -450,7 +453,7 @@ func (nd *Node) accept(round int, e graph.Edge, hops int, from ids.NodeID, data 
 		// paid only under tracing. Most accepted edges close triangles and
 		// grow nothing; the ones that do are exactly the evidence behind
 		// DetectReachableNode's final count.
-		if r := nd.view.CountReachable(nd.cfg.Me); r > nd.lastReach {
+		if r := nd.gi().CountReachable(nd.cfg.Me); r > nd.lastReach {
 			nd.evbuf = append(nd.evbuf, obs.Event{
 				Type: obs.EvReachGrow, Round: round, Node: int(nd.cfg.Me),
 				N:     int64(r),
@@ -516,7 +519,7 @@ func rejectReason(err error) string {
 func (nd *Node) TraceEvidence(on bool) {
 	nd.tracing = on
 	if on {
-		nd.lastReach = nd.view.CountReachable(nd.cfg.Me)
+		nd.lastReach = nd.gi().CountReachable(nd.cfg.Me)
 	}
 }
 
@@ -549,11 +552,11 @@ func (nd *Node) Decide() Outcome { return nd.DecideShared(nil) }
 // with and without a cache.
 //
 // Deciding marks the end of the propagation phase, so the first call also
-// Releases the node's scratch.
+// Releases the node's scratch — once it has decided, on the pooled view.
 func (nd *Node) DecideShared(c *DecideCache) Outcome {
+	r := nd.gi().CountReachable(nd.cfg.Me)
+	kOverT := c.connectivityAtLeast(nd.gi(), nd.cfg.T+1)
 	nd.Release()
-	r := nd.view.CountReachable(nd.cfg.Me)
-	kOverT := c.connectivityAtLeast(nd.view, nd.cfg.T+1)
 	out := Outcome{Reachable: r, ConnectivityOverT: kOverT}
 	if kOverT && r == nd.cfg.N {
 		out.Decision = NotPartitionable
@@ -598,7 +601,7 @@ func b2i(b bool) int64 {
 }
 
 // View returns a copy of Gi, the node's discovered graph.
-func (nd *Node) View() *graph.Graph { return nd.view.Clone() }
+func (nd *Node) View() *graph.Graph { return nd.gi().Clone() }
 
 // Stats returns the node's message-handling counters.
 func (nd *Node) Stats() Stats { return nd.stats }

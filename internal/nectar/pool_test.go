@@ -31,15 +31,44 @@ func withScratchPool(t *testing.T, fresh func() *nodeScratch) {
 	})
 }
 
+// usedView is a view as some other run left it: n vertices, nearly complete,
+// so every list is long, the bit matrix (n <= 192) is mostly ones and vertex
+// 0 has a lazy bit row (n > 192) — and with garbage beyond the lists'
+// lengths, where removed neighbours used to be.
+func usedView(n int) *graph.Graph {
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if u == 0 || (u+v)%3 != 0 {
+				g.AddEdge(ids.NodeID(u), ids.NodeID(v))
+			}
+		}
+	}
+	for v := 2; v < n; v += 2 {
+		g.RemoveEdge(ids.NodeID(v), ids.NodeID(v-1))
+	}
+	return g
+}
+
+// usedViewSizes are the previous sizes poisoned scratches cycle through:
+// below, at and above the fixtures' n, on both sides of the graph's storage
+// boundary at 192, and 0 for a scratch that never held a view.
+var usedViewSizes = []int{3, 10, 150, 300, 0}
+
+var poisonedCount int
+
 func poisonedScratch() *nodeScratch {
 	junk := bytes.Repeat([]byte{0xFF}, 512)
 	s := new(nodeScratch)
+	poisonedCount++
+	if n := usedViewSizes[poisonedCount%len(usedViewSizes)]; n > 0 {
+		s.view = usedView(n)
+	}
 	for i := 0; i < 6; i++ {
 		s.queue = append(s.queue, relayItem{raw: junk, edge: graph.NewEdge(1, 2), from: 3})
 		s.sendBuf = append(s.sendBuf, rounds.Send{To: 1 << 20, Data: junk})
-		s.hopScratch = append(s.hopScratch, sig.Hop{Signer: 1 << 20, Sig: junk})
 	}
-	s.queue, s.sendBuf, s.hopScratch = s.queue[:0], s.sendBuf[:0], s.hopScratch[:0]
+	s.queue, s.sendBuf = s.queue[:0], s.sendBuf[:0]
 	s.enc.Raw(junk)
 	s.enc.Reset()
 	s.scr.stmt.Raw(junk)
@@ -188,14 +217,22 @@ func TestNodeUsableAfterRelease(t *testing.T) {
 		t.Fatal("identical clusters diverged before any release")
 	}
 	loaded := 0
-	for _, nd := range released {
+	for i, nd := range released {
 		if len(nd.queue) > 0 {
 			loaded++
 		}
+		before := nd.View()
 		early := nd.Decide()
 		nd.Release() // idempotent
-		if nd.box != nil {
-			t.Fatal("scratch still borrowed after Decide")
+		if nd.box != nil || nd.view != nil {
+			t.Fatal("scratch or view still borrowed after Decide")
+		}
+		if i%2 == 0 {
+			// Half the nodes rebuild their view here, the other half on the
+			// next delivery.
+			if !nd.View().Equal(before) || nd.View().Fingerprint() != before.Fingerprint() {
+				t.Errorf("node %v: View after Decide differs from View before it", nd.ID())
+			}
 		}
 		if again := nd.Decide(); again != early {
 			t.Errorf("node %v: second Decide %+v != first %+v", nd.ID(), again, early)
@@ -208,6 +245,9 @@ func TestNodeUsableAfterRelease(t *testing.T) {
 		t.Error("released nodes put different bytes on the wire than nodes that kept their buffers")
 	}
 	for i := range kept {
+		if released[i].snapshot != nil {
+			t.Errorf("node %d: still holds the Release snapshot beside the view rebuilt from it", i)
+		}
 		if kept[i].Stats() != released[i].Stats() {
 			t.Errorf("node %d: stats %+v vs %+v", i, released[i].Stats(), kept[i].Stats())
 		}
@@ -233,15 +273,18 @@ func TestReleaseScrubsScratch(t *testing.T) {
 		if len(nd.queue) > 0 {
 			nd.Emit(3) // drain, so the queue travels with the scratch
 		}
-		if cap(nd.queue) == 0 || cap(nd.sendBuf) == 0 || cap(nd.hopScratch) == 0 || cap(nd.arenaRaw) == 0 {
+		if cap(nd.queue) == 0 || cap(nd.sendBuf) == 0 || cap(nd.arenaRaw) == 0 || nd.view.M() <= g.Degree(nd.ID()) {
 			t.Fatal("fixture broken: scratch never grew")
 		}
-		s := nd.box
+		s, view := nd.box, nd.View()
 		nd.Release()
 		if !reflect.DeepEqual(nd.nodeScratch, nodeScratch{}) {
 			t.Error("node kept scratch after Release")
 		}
-		if len(s.queue)+len(s.sendBuf)+len(s.hopScratch)+len(s.arenaRaw)+s.enc.Len()+s.scr.stmt.Len() != 0 {
+		if !reflect.DeepEqual(nd.snapshot, view.Edges()) || cap(nd.snapshot) != view.M() {
+			t.Error("Release did not keep the view as an exact-size edge list")
+		}
+		if len(s.queue)+len(s.sendBuf)+len(s.arenaRaw)+s.enc.Len()+s.scr.stmt.Len() != 0 {
 			t.Error("released scratch has non-empty buffers")
 		}
 		for _, it := range s.queue[:cap(s.queue)] {
@@ -254,10 +297,22 @@ func TestReleaseScrubsScratch(t *testing.T) {
 				t.Fatal("released send slot still references a payload")
 			}
 		}
-		for _, h := range s.hopScratch[:cap(s.hopScratch)] {
-			if h.Sig != nil {
-				t.Fatal("released hop slot still references a signature")
+	}
+	// The view is scrubbed by its next borrower, who knows the n to reset it
+	// to: whichever released view a new node gets — of this n, here, and of
+	// others in TestPoisonedScratchChangesNothing — it starts from its own
+	// neighborhood and nothing else.
+	for _, n := range []int{4, 10, 300} {
+		ring := topology.Ring(n)
+		again, err := BuildNodes(ring, 1, sig.NewHMAC(n, 5), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range again {
+			if v := nd.View(); v.N() != n || v.M() != 2 || !v.HasEdge(nd.ID(), ring.Neighbors(nd.ID())[0]) || v.Connectivity() != 0 {
+				t.Fatalf("n=%d: node %v starts from view %v", n, nd.ID(), v)
 			}
+			nd.Release()
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"encoding/binary"
+
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/wire"
 )
@@ -94,33 +96,49 @@ func VerifyChain(v Verifier, payload []byte, chain []Hop) bool {
 	return true
 }
 
-// distinctScanMax is the chain length up to which DistinctSigners uses
-// the allocation-free quadratic scan. Honest chains are bounded by the
-// graph diameter (quiescence, §IV-E), so virtually every checked chain
-// takes the scan path; only adversarially long chains on full-horizon
-// runs pay the map.
-const distinctScanMax = 32
-
 // DistinctSigners reports whether no node signed the chain twice. The
 // Dolev–Strong argument behind Lemma 2 requires relayed chains to carry
 // pairwise-distinct signers; correct nodes discard chains violating this.
 func DistinctSigners(chain []Hop) bool {
-	if len(chain) <= distinctScanMax {
-		for i := 1; i < len(chain); i++ {
-			for j := 0; j < i; j++ {
-				if chain[j].Signer == chain[i].Signer {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	seen := make(ids.Set, len(chain))
-	for _, h := range chain {
-		if seen.Has(h.Signer) {
+	return distinct(len(chain), func(i int) ids.NodeID { return chain[i].Signer })
+}
+
+// distinct reports whether signer(0..n-1) are pairwise distinct, on a set.
+func distinct(n int, signer func(int) ids.NodeID) bool {
+	seen := make(ids.Set, n)
+	for i := 0; i < n; i++ {
+		if seen.Has(signer(i)) {
 			return false
 		}
-		seen.Add(h.Signer)
+		seen.Add(signer(i))
+	}
+	return true
+}
+
+// distinctScanMax is the chain length up to which DistinctRawSigners uses
+// the allocation-free quadratic scan. Honest chains are bounded by the
+// graph diameter (quiescence, §IV-E), so virtually every checked chain
+// takes the scan path; only adversarially long chains on full-horizon
+// runs pay the set.
+const distinctScanMax = 32
+
+// DistinctRawSigners is DistinctSigners over a raw chain (scratch.go) of
+// sigSize-byte signatures. The scan gathers the signers from their hop
+// stride into an array first, so its quadratic part compares registers.
+func DistinctRawSigners(rawHops []byte, sigSize int) bool {
+	hop := HopWireSize(sigSize)
+	n := len(rawHops) / hop
+	if n > distinctScanMax {
+		return distinct(n, func(i int) ids.NodeID { return ids.NodeID(binary.BigEndian.Uint32(rawHops[i*hop:])) })
+	}
+	var signers [distinctScanMax]uint32
+	for i := range signers[:n] {
+		signers[i] = binary.BigEndian.Uint32(rawHops[i*hop:])
+		for _, s := range signers[:i] {
+			if s == signers[i] {
+				return false
+			}
+		}
 	}
 	return true
 }
@@ -144,20 +162,10 @@ func EncodeHops(w *wire.Writer, chain []Hop, sigSize int) {
 	}
 }
 
-// DecodeHops reads a chain written by EncodeHops. On malformed input the
-// reader's error state is set and nil is returned. Hop signatures own
-// their memory; the hot path uses DecodeHopsNoCopy.
-func DecodeHops(r *wire.Reader, sigSize int) []Hop {
-	chain := DecodeHopsNoCopy(r, sigSize)
-	for i := range chain {
-		chain[i].Sig = append([]byte(nil), chain[i].Sig...)
-	}
-	return chain
-}
-
 // DecodeHopsNoCopy reads a chain written by EncodeHops with hop signatures
 // aliasing the reader's input — callers that retain the chain past the
-// input's lifetime must copy the signatures.
+// input's lifetime must copy the signatures. On malformed input the
+// reader's error state is set and nil is returned.
 func DecodeHopsNoCopy(r *wire.Reader, sigSize int) []Hop {
 	count := int(r.U16())
 	if r.Err() != nil {

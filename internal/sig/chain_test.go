@@ -125,7 +125,7 @@ func TestEncodeDecodeHops(t *testing.T) {
 	}
 
 	r := wire.NewReader(w.Bytes())
-	got := DecodeHops(r, v.SigSize())
+	got := DecodeHopsNoCopy(r, v.SigSize())
 	if err := r.Close(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestDecodeHopsRejectsLyingCount(t *testing.T) {
 	w := wire.NewWriter(8)
 	w.U16(1000) // claims 1000 hops, provides none
 	r := wire.NewReader(w.Bytes())
-	if got := DecodeHops(r, 64); got != nil || r.Err() == nil {
+	if got := DecodeHopsNoCopy(r, 64); got != nil || r.Err() == nil {
 		t.Errorf("lying hop count accepted: %v (err=%v)", got, r.Err())
 	}
 }
@@ -155,7 +155,7 @@ func TestEncodeHopsNormalizesOddSizes(t *testing.T) {
 		t.Errorf("encoded size %d", w.Len())
 	}
 	r := wire.NewReader(w.Bytes())
-	got := DecodeHops(r, 64)
+	got := DecodeHopsNoCopy(r, 64)
 	if r.Close() != nil || len(got) != 1 || len(got[0].Sig) != 64 {
 		t.Errorf("normalized decode failed: %v, err=%v", got, r.Err())
 	}

@@ -1,22 +1,27 @@
 package sig
 
 import (
+	"encoding/binary"
+
+	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/wire"
 )
 
-// Hot-path chain operations (DESIGN.md §14). At large n a NECTAR flood
-// performs Θ(n·m) relays and acceptances, and the per-call allocations of
-// AppendHop / VerifyChain — one signing-input buffer and one hop slice
-// each — dominate the profile. ChainScratch carries those two buffers so
-// a single-goroutine owner (one Node) pays them once, not once per
-// message. Results are byte-identical to the allocating entry points; the
-// scratch only changes where the bytes live.
+// Hot-path chain operations (DESIGN.md §9, §14). A NECTAR flood performs
+// Θ(n·m) relays and acceptances, and what AppendHop / VerifyChain do per
+// call — allocate a signing input, walk a []Hop decoded from the wire —
+// dominated its profile. ChainScratch carries the signing-input buffer and
+// works on a raw chain: a chain in its wire encoding, the hop region
+// EncodeHops writes after the count prefix — whole (4+sigSize)-byte hops,
+// nothing else. Relays retain accepted messages in that form and Deliver
+// checks them in it, so a single-goroutine owner (one Node) touches a
+// chain's bytes once and allocates nothing. Results are byte-identical to
+// the allocating entry points.
 
 // ChainScratch holds the reusable buffers of a chain-processing hot loop:
-// the incrementally built signing input and a hop slice for extended
-// chains. The zero value is ready to use. Not safe for concurrent use;
-// values returned by AppendInto are only valid until the next AppendInto
-// call on the same scratch.
+// the signing input and a hop slice for extended chains. The zero value is
+// ready to use. Not safe for concurrent use; values returned by AppendInto
+// are only valid until the next AppendInto call on the same scratch.
 type ChainScratch struct {
 	w    wire.Writer
 	hops []Hop
@@ -47,65 +52,53 @@ func (cs *ChainScratch) AppendInto(s Signer, payload []byte, chain []Hop) []Hop 
 	return cs.hops
 }
 
-// SignRawChain returns s's signature extending a chain given as its wire
-// encoding: rawHops is the hop region written by EncodeHops after the
-// count prefix — whole (4+sigSize)-byte hops, nothing else. The bytes
-// handed to s are exactly chainInput(payload, hops) for the decoded hop
-// sequence, so the resulting signature is identical to AppendInto's; the
-// raw entry point exists for relays that retain accepted messages as wire
-// bytes and never materialize []Hop (DESIGN.md §14).
-func (cs *ChainScratch) SignRawChain(s Signer, payload, rawHops []byte, sigSize int) []byte {
+// rawInput writes chainInput(payload, hops) for the decoded sequence of
+// rawHops into the scratch: the buffer is sized once, and each hop is two
+// copies at a fixed offset. Every chainInput(payload, hops[:i]) is a prefix
+// of the result, (4+sigSize)+4 bytes shorter per hop left out.
+func (cs *ChainScratch) rawInput(payload, rawHops []byte, sigSize int) []byte {
 	cs.w.Reset()
 	chainInputStart(&cs.w, payload)
-	r := wire.ReaderOf(rawHops)
-	for r.Remaining() >= 4+sigSize {
-		chainInputHop(&cs.w, Hop{Signer: r.NodeID(), Sig: r.Raw(sigSize)})
+	hop := HopWireSize(sigSize)
+	out := cs.w.Extend(len(rawHops) / hop * (hop + 4))
+	for ; len(rawHops) >= hop; rawHops, out = rawHops[hop:], out[hop+4:] {
+		copy(out[:4], rawHops[:4])
+		binary.BigEndian.PutUint32(out[4:], uint32(sigSize))
+		copy(out[8:hop+4], rawHops[4:hop])
 	}
-	return s.Sign(cs.w.Bytes())
+	return cs.w.Bytes()
 }
 
-// Verify is VerifyChain backed by the scratch's signing-input buffer: one
-// incrementally extended buffer, zero allocations. The verdict and the
-// bytes handed to v are identical to VerifyChain's.
-func (cs *ChainScratch) Verify(v Verifier, payload []byte, chain []Hop) bool {
-	if len(chain) == 0 {
-		return true
+// SignRawChain returns s's signature extending a raw chain. The bytes
+// handed to s are exactly chainInput(payload, hops) for the decoded hop
+// sequence, so the signature is identical to AppendInto's — unless v's
+// scheme does not bind the message, in which case no input can change the
+// signature, none is built, and s signs nil.
+func (cs *ChainScratch) SignRawChain(s Signer, v Verifier, payload, rawHops []byte) []byte {
+	if !v.BindsMessage() {
+		return s.Sign(nil)
 	}
-	cs.w.Reset()
-	chainInputStart(&cs.w, payload)
-	for i, h := range chain {
-		if !v.Verify(h.Signer, cs.w.Bytes(), h.Sig) {
+	return s.Sign(cs.rawInput(payload, rawHops, v.SigSize()))
+}
+
+// VerifyRawChain is VerifyChain over a raw chain: the same verdict from the
+// same Verify calls in the same order, hop #i against
+// chainInput(payload, hops[:i]) — or against nil when v's scheme does not
+// bind the message and the input could not change the verdict.
+func (cs *ChainScratch) VerifyRawChain(v Verifier, payload, rawHops []byte) bool {
+	sigSize := v.SigSize()
+	hop := HopWireSize(sigSize)
+	var input []byte
+	size, step := 0, 0
+	if v.BindsMessage() && len(rawHops) >= hop {
+		// The last hop signs the others and is signed by none.
+		input = cs.rawInput(payload, rawHops[:len(rawHops)-hop], sigSize)
+		size, step = chainInputSize(payload, nil), hop+4
+	}
+	for ; len(rawHops) >= hop; rawHops, size = rawHops[hop:], size+step {
+		if !v.Verify(ids.NodeID(binary.BigEndian.Uint32(rawHops)), input[:size], rawHops[4:hop]) {
 			return false
-		}
-		if i < len(chain)-1 {
-			chainInputHop(&cs.w, h)
 		}
 	}
 	return true
-}
-
-// DecodeHopsInto reads a chain written by EncodeHops into dst[:0], growing
-// it as needed, with hop signatures aliasing the reader's input. It is
-// DecodeHopsNoCopy with a caller-owned backing slice, for decode loops
-// that would otherwise allocate one hop slice per message. On malformed
-// input the reader's error state is set and an empty slice is returned.
-func DecodeHopsInto(dst []Hop, r *wire.Reader, sigSize int) []Hop {
-	dst = dst[:0]
-	count := int(r.U16())
-	if r.Err() != nil {
-		return dst
-	}
-	if count*(4+sigSize) > r.Remaining() {
-		r.Fail(wire.ErrTruncated)
-		return dst
-	}
-	for i := 0; i < count; i++ {
-		h := Hop{Signer: r.NodeID()}
-		h.Sig = r.Raw(sigSize)
-		if r.Err() != nil {
-			return dst[:0]
-		}
-		dst = append(dst, h)
-	}
-	return dst
 }

@@ -2,6 +2,8 @@ package sig
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -38,69 +40,149 @@ func TestAppendIntoMatchesAppendHop(t *testing.T) {
 	}
 }
 
-func TestScratchVerifyMatchesVerifyChain(t *testing.T) {
-	s := NewHMAC(6, 2)
-	v := s.Verifier()
-	payload := []byte("edge{p0,p4}")
-	good := buildChain(s, payload, 0, 2, 4)
-	var cs ChainScratch
-	if !cs.Verify(v, payload, good) {
-		t.Error("valid chain rejected")
-	}
-	if !cs.Verify(v, payload, nil) {
-		t.Error("empty chain should verify trivially")
-	}
-	if cs.Verify(v, []byte("edge{p0,p5}"), good) {
-		t.Error("chain accepted over different payload")
-	}
-	bad := append([]Hop(nil), good...)
-	bad[1].Sig = append([]byte(nil), bad[1].Sig...)
-	bad[1].Sig[0] ^= 0xFF
-	if cs.Verify(v, payload, bad) {
-		t.Error("tampered chain accepted")
-	}
-	// Reuse after a failure must not poison later verdicts.
-	if !cs.Verify(v, payload, good) {
-		t.Error("valid chain rejected after scratch reuse")
-	}
-}
-
-func TestDecodeHopsIntoMatchesNoCopy(t *testing.T) {
-	s := NewHMAC(6, 3)
-	sigSize := s.Verifier().SigSize()
-	payload := []byte("p")
-	chain := buildChain(s, payload, 1, 3, 5)
+// rawChain returns chain's hop region as EncodeHops writes it, without the
+// count prefix.
+func rawChain(chain []Hop, sigSize int) []byte {
 	var w wire.Writer
 	EncodeHops(&w, chain, sigSize)
-	data := w.Bytes()
+	return w.Bytes()[2:]
+}
 
-	var scratch []Hop
-	for round := 0; round < 2; round++ {
-		r := wire.ReaderOf(data)
-		scratch = DecodeHopsInto(scratch, &r, sigSize)
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if len(scratch) != len(chain) {
-			t.Fatalf("decoded %d hops", len(scratch))
-		}
-		for i := range chain {
-			if scratch[i].Signer != chain[i].Signer || !bytes.Equal(scratch[i].Sig, chain[i].Sig) {
-				t.Fatalf("round %d: hop %d differs", round, i)
+// signedInputs records what a Signer or Verifier was handed.
+type signedInputs struct{ seen [][]byte }
+
+func (r *signedInputs) signer(s Signer) Signer {
+	return funcSigner{id: s.ID(), sign: func(msg []byte) []byte {
+		r.seen = append(r.seen, bytes.Clone(msg))
+		return s.Sign(msg)
+	}}
+}
+
+// TestScratchVerifyMatchesVerifyChain: over a chain's wire bytes the scratch
+// reaches VerifyChain's verdict through the same Verify calls — hop i
+// against chainInput(payload, chain[:i]) for a binding scheme, against nil
+// for one that is not — on chains of 0 to 12 hops, tampered or not, and
+// with a scratch that is reused throughout.
+func TestScratchVerifyMatchesVerifyChain(t *testing.T) {
+	payload := []byte("edge{p0,p4}")
+	var cs ChainScratch
+	for _, s := range []Scheme{NewEd25519(16, 2), NewHMAC(16, 2), NewInsecure(16, Ed25519SigSize), NewSlim(16)} {
+		v := s.Verifier()
+		sigSize := v.SigSize()
+		for _, hops := range []int{0, 1, 2, 3, 12} {
+			good := buildChainN(s, payload, hops)
+			cases := map[string][]Hop{"valid": good}
+			for i := range good {
+				bad := append([]Hop(nil), good...)
+				bad[i].Sig = bytes.Clone(bad[i].Sig)
+				bad[i].Sig[sigSize-1] ^= 0x40
+				cases[fmt.Sprintf("sig %d flipped", i)] = bad
+				far := append([]Hop(nil), good...)
+				far[i].Signer = 1 << 20 // no such key
+				cases[fmt.Sprintf("signer %d out of range", i)] = far
+			}
+			for name, chain := range cases {
+				for _, pl := range [][]byte{payload, []byte("edge{p0,p5}")} {
+					var want, got [][]byte
+					wantOK := VerifyChain(recordingVerifier{v, &want}, pl, chain)
+					gotOK := cs.VerifyRawChain(recordingVerifier{v, &got}, pl, rawChain(chain, sigSize))
+					if gotOK != wantOK {
+						t.Fatalf("%s, %d hops, %s: raw verdict %v, VerifyChain %v", s.Name(), hops, name, gotOK, wantOK)
+					}
+					if !v.BindsMessage() {
+						want = make([][]byte, len(want)) // nothing is built: every call sees nil
+					}
+					if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+						t.Fatalf("%s, %d hops, %s: Verify was handed other inputs than VerifyChain hands it", s.Name(), hops, name)
+					}
+				}
 			}
 		}
 	}
+}
 
-	// Truncated input: error set, empty result, scratch reusable.
-	r := wire.ReaderOf(data[:len(data)-1])
-	scratch = DecodeHopsInto(scratch, &r, sigSize)
-	if r.Err() == nil || len(scratch) != 0 {
-		t.Fatalf("truncated decode: err=%v len=%d", r.Err(), len(scratch))
+// TestSignRawChainMatchesAppendHop: extending a chain from its wire bytes
+// signs exactly what AppendHop signs and returns the same signature; a
+// scheme that does not bind the message is handed nil, once.
+func TestSignRawChainMatchesAppendHop(t *testing.T) {
+	payload := []byte("proof(p0,p1)")
+	var cs ChainScratch
+	for _, s := range []Scheme{NewEd25519(16, 1), NewHMAC(16, 1), NewSlim(16)} {
+		v := s.Verifier()
+		for _, hops := range []int{0, 1, 3, 12} {
+			chain := buildChainN(s, payload, hops)
+			var want, got signedInputs
+			wantHop := AppendHop(want.signer(s.SignerFor(15)), payload, chain)[hops]
+			gotSig := cs.SignRawChain(got.signer(s.SignerFor(15)), v, payload, rawChain(chain, v.SigSize()))
+			if !bytes.Equal(gotSig, wantHop.Sig) {
+				t.Fatalf("%s, %d hops: signature differs from AppendHop's", s.Name(), hops)
+			}
+			if !v.BindsMessage() {
+				want.seen = [][]byte{nil}
+			}
+			if !reflect.DeepEqual(got.seen, want.seen) {
+				t.Fatalf("%s, %d hops: signed other bytes than AppendHop signs", s.Name(), hops)
+			}
+		}
+	}
+}
+
+// TestRawChainIsAllocationFree: on a warm scratch neither raw entry point
+// allocates, whether or not it builds a signing input (what a real scheme
+// adds on top is its own: TestHMACAllocs).
+func TestRawChainIsAllocationFree(t *testing.T) {
+	s := NewInsecure(16, Ed25519SigSize)
+	payload := []byte("edge statement")
+	raw := rawChain(buildChainN(s, payload, 12), Ed25519SigSize)
+	var cs ChainScratch
+	signer := s.SignerFor(15)
+	for name, v := range map[string]Verifier{"binding": bindingInsecure{s.Verifier()}, "unbound": s.Verifier()} {
+		cs.VerifyRawChain(v, payload, raw) // sizes the buffer
+		if allocs := testing.AllocsPerRun(100, func() {
+			if !cs.VerifyRawChain(v, payload, raw) {
+				t.Fatal("chain rejected")
+			}
+			cs.SignRawChain(signer, v, payload, raw)
+		}); allocs != 0 {
+			t.Errorf("%s: raw verify + sign allocate %.1f objects/op, want 0", name, allocs)
+		}
+	}
+}
+
+// bindingInsecure makes the free verifier claim to bind the message, so the
+// signing input is built and nothing else costs.
+type bindingInsecure struct{ Verifier }
+
+func (bindingInsecure) BindsMessage() bool { return true }
+
+func TestDistinctRawSignersMatchesDistinctSigners(t *testing.T) {
+	for _, sigSize := range []int{0, 4, 64} {
+		for _, n := range []int{0, 1, 2, distinctScanMax, distinctScanMax + 1, distinctScanMax + 8} {
+			chain := make([]Hop, n)
+			for i := range chain {
+				chain[i] = Hop{Signer: ids.NodeID(3 * i), Sig: make([]byte, sigSize)}
+			}
+			if !DistinctRawSigners(rawChain(chain, sigSize), sigSize) {
+				t.Fatalf("sigSize %d: distinct %d-hop chain rejected", sigSize, n)
+			}
+			for _, pair := range [][2]int{{0, n - 1}, {n / 2, n - 1}, {0, 1}} {
+				if n < 2 || pair[0] == pair[1] {
+					continue
+				}
+				dup := append([]Hop(nil), chain...)
+				dup[pair[1]].Signer = dup[pair[0]].Signer
+				if DistinctSigners(dup) || DistinctRawSigners(rawChain(dup, sigSize), sigSize) {
+					t.Fatalf("sigSize %d, %d hops: signer %d repeated at %d accepted", sigSize, n, pair[0], pair[1])
+				}
+			}
+		}
 	}
 }
 
 func TestDistinctSignersLongChainUsesMapPath(t *testing.T) {
-	// Above distinctScanMax the map path must agree with the scan.
+	// A chain longer than distinctScanMax, where the raw check switches from
+	// its scan to the set DistinctSigners always uses
+	// (TestDistinctRawSignersMatchesDistinctSigners holds the two together).
 	n := distinctScanMax + 8
 	chain := make([]Hop, n)
 	for i := range chain {

@@ -11,6 +11,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"github.com/nectar-repro/nectar/internal/ids"
 )
@@ -77,6 +78,14 @@ func (w *Writer) NodeID(id ids.NodeID) { w.U32(uint32(id)) }
 // Raw appends b with no length prefix (for fixed-size fields such as
 // signatures).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
+// Extend appends n bytes of unspecified content and returns them for the
+// caller to fill in place: a fixed-layout region of known size costs one
+// capacity check, not one per field. Valid until the Writer next grows.
+func (w *Writer) Extend(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
+}
 
 // LenBytes appends a uint32 length prefix followed by b.
 func (w *Writer) LenBytes(b []byte) {

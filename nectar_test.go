@@ -1,7 +1,9 @@
 package nectar
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -181,5 +183,57 @@ func TestFacadeNodeConstruction(t *testing.T) {
 	}
 	if SchemeByName("ed25519", 3, 1) == nil || SchemeByName("nope", 3, 1) != nil {
 		t.Error("SchemeByName wrong")
+	}
+}
+
+// TestRoundsBeyondTheWireLimit: a chain's hop count travels as a uint16 and
+// grows by one per round, so a horizon past 65 535 rounds — given, or the
+// default n-1 — would wrap it and lose liveness silently. NewNode refuses
+// such a horizon, and so do Simulate and SimulateDynamic, with the same
+// error and before they generate a key (the large-n rows would otherwise
+// spend seconds on Ed25519 key pairs first).
+func TestRoundsBeyondTheWireLimit(t *testing.T) {
+	const limit = 1<<16 - 1
+	scheme := NewHMACScheme(2, 1)
+	for _, tc := range []struct {
+		n, rounds int
+		ok        bool
+	}{
+		{4, 0, true},
+		{4, limit, true},
+		{4, limit + 1, false},
+		{4, -1, false},
+		{limit + 1, 0, true},
+		{limit + 2, 0, false},
+		{limit + 2, 7, true},
+		{200000, 0, false},
+	} {
+		_, err := NewNode(Config{
+			N: tc.n, T: 1, Me: 0, Rounds: tc.rounds,
+			Neighbors: []NodeID{1},
+			Proofs:    map[NodeID]Proof{1: MakeProof(scheme.SignerFor(0), scheme.SignerFor(1))},
+			Signer:    scheme.SignerFor(0),
+			Verifier:  scheme.Verifier(),
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewNode(N=%d, Rounds=%d): err = %v, want ok = %v", tc.n, tc.rounds, err, tc.ok)
+		}
+		if tc.ok && tc.n > 8 {
+			continue // a whole system of that size is not a unit test
+		}
+		want := fmt.Sprint(err)
+		if tc.rounds >= 0 && !tc.ok && !strings.Contains(want, "65535") {
+			t.Errorf("NewNode(N=%d, Rounds=%d): error %q does not name the limit", tc.n, tc.rounds, want)
+		}
+		g := NewGraph(tc.n)
+		g.AddEdge(0, 1)
+		_, err = Simulate(SimulationConfig{Graph: g, T: 1, Rounds: tc.rounds})
+		if got := fmt.Sprint(err); got != want {
+			t.Errorf("Simulate(n=%d, Rounds=%d): err = %s, want %s", tc.n, tc.rounds, got, want)
+		}
+		_, err = SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(g), T: 1, EpochRounds: tc.rounds, Epochs: 1})
+		if got := fmt.Sprint(err); got != want && tc.rounds >= 0 { // a negative EpochRounds has the dynamic layer's own error
+			t.Errorf("SimulateDynamic(n=%d, EpochRounds=%d): err = %s, want %s", tc.n, tc.rounds, got, want)
+		}
 	}
 }

@@ -182,34 +182,56 @@ func TestFailedSimulateLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocatesAFraction pins the point of the free lists on the
-// benchmark's drone-hmac shape: once one run has filled them, an identical
-// run allocates at most a quarter of the bytes — an eighth against a run
-// in a fresh process, a fifth when an earlier test left a hot
-// staging warm and the cold run only grows scratch and memo.
+// TestWarmRunAllocatesAFraction pins the point of the free lists on two of
+// the benchmark's shapes: once one run has filled them, an identical run
+// allocates at most a quarter of the bytes. On drone-hmac's shape, where
+// nearly every delivery is a duplicate, it is an eighth against a run in a
+// fresh process and a fifth when an earlier test left a hot staging warm
+// and the cold run only grows scratch and memo. On tree-slim's — unique
+// paths, every delivery first-seen, the per-node views the bulk of a cold
+// run — the warm run also stays under a hundred objects per node: each node
+// used to grow a view of its own, some 540 objects on the 500-node tree,
+// and now resets a recycled one.
 func TestWarmRunAllocatesAFraction(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation and thins sync.Pool")
 	}
-	g, _, err := Drone(60, 2.5, 1.2, rand.New(rand.NewSource(3)))
+	drone, _, err := Drone(60, 2.5, 1.2, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SimulationConfig{Graph: g, T: 2, Seed: 3, SchemeName: "hmac"}
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := Simulate(cfg); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+	tree, err := KaryTree(3, 200)
+	if err != nil {
+		t.Fatal(err)
 	}
-	coldPools()
-	cold := run()
-	warm := run()
-	t.Logf("cold %.1f MB, warm %.1f MB (%.0f%%)", float64(cold)/1e6, float64(warm)/1e6, 100*float64(warm)/float64(cold))
-	if warm > cold/4 {
-		t.Errorf("warm run allocated %d bytes, more than a quarter of the cold run's %d", warm, cold)
+	for _, tc := range []struct {
+		name           string
+		cfg            SimulationConfig
+		objectsPerNode uint64 // ceiling on a warm run's allocations per node; 0 = none
+	}{
+		{"drone/hmac", SimulationConfig{Graph: drone, T: 2, Seed: 3, SchemeName: "hmac"}, 0},
+		{"tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: 3, SchemeName: "slim"}, 100},
+	} {
+		run := func() (bytes, objects uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Simulate(tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+		}
+		coldPools()
+		cold, _ := run()
+		warm, objects := run()
+		n := uint64(tc.cfg.Graph.N())
+		t.Logf("%s: cold %.1f MB, warm %.1f MB (%.0f%%), %d objects per node", tc.name,
+			float64(cold)/1e6, float64(warm)/1e6, 100*float64(warm)/float64(cold), objects/n)
+		if warm > cold/4 {
+			t.Errorf("%s: warm run allocated %d bytes, more than a quarter of the cold run's %d", tc.name, warm, cold)
+		}
+		if tc.objectsPerNode > 0 && objects >= tc.objectsPerNode*n {
+			t.Errorf("%s: warm run allocated %d objects, %d or more per node", tc.name, objects, tc.objectsPerNode)
+		}
 	}
 }

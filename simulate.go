@@ -7,6 +7,7 @@ import (
 	"github.com/nectar-repro/nectar/internal/adversary"
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
+	inectar "github.com/nectar-repro/nectar/internal/nectar"
 	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/rounds"
 	"github.com/nectar-repro/nectar/internal/sig"
@@ -145,6 +146,9 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	n := cfg.Graph.N()
 	if n == 0 {
 		return nil, fmt.Errorf("nectar: empty graph")
+	}
+	if err := inectar.CheckRounds(n, cfg.Rounds); err != nil {
+		return nil, err
 	}
 	scheme, err := resolveScheme(cfg.SchemeName, n, cfg.Seed)
 	if err != nil {
