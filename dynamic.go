@@ -241,6 +241,18 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	// scoped per epoch below: each epoch derives a fresh key set, and a
 	// memo must never outlive its scheme.
 	dc := NewDecideCache()
+	// live holds, oldest first, the release of every epoch built — its memo,
+	// which dies with its keys, and the scratch of the nodes that never
+	// decide (Byzantine, absent) — until the epoch's Finish runs it; builds
+	// and Finishes both go in epoch order. What a failed run leaves here —
+	// the epoch whose build failed, those dynamic.Run never finishes — is
+	// released on return.
+	var live []func()
+	defer func() {
+		for _, release := range live {
+			release()
+		}
+	}()
 	build := func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*dynamic.Stack, error) {
 		scheme, err := resolveScheme(cfg.SchemeName, n, seed)
 		if err != nil {
@@ -248,6 +260,12 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		}
 		vcache := NewVerifyCache()
 		nodes, err := BuildNodes(g, cfg.T, scheme, cfg.EpochRounds, WithVerifyCache(vcache))
+		live = append(live, func() {
+			vcache.Release()
+			for _, nd := range nodes {
+				nd.Release()
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -317,13 +335,8 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 						Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
 					}
 				}
-				// The epoch is over: its memo dies with its keys, and the
-				// nodes that never decide (Byzantine, absent) give their
-				// scratch back too.
-				vcache.Release()
-				for _, nd := range nodes {
-					nd.Release()
-				}
+				live[0]()
+				live[0], live = nil, live[1:] // the backing array must not keep its nodes alive
 				return out
 			},
 		}, nil

@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -62,5 +66,71 @@ func TestFingerprintMutationTracksState(t *testing.T) {
 	g.RemoveEdge(2, 3)
 	if g.Fingerprint() != fp1 {
 		t.Error("add+remove did not restore the fingerprint")
+	}
+}
+
+// fingerprintPerEdge is the definition Fingerprint is held to: SHA-256 over
+// n as a uint64, then every edge (U < V, by U then V) as two uint32s, one
+// Write per edge.
+func fingerprintPerEdge(g *Graph) [32]byte {
+	h := sha256.New()
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], uint64(g.N()))
+	h.Write(buf[:])
+	for _, e := range g.Edges() {
+		binary.BigEndian.PutUint32(buf[:4], uint32(e.U))
+		binary.BigEndian.PutUint32(buf[4:], uint32(e.V))
+		h.Write(buf[:])
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// TestFingerprintMatchesPerEdgeReference: feeding the hash in chunks changes
+// nothing about the value, on random graphs on every side of the storage
+// boundaries (64, 192) and with edge counts on every side of the chunk's (the
+// first chunk holds n and 511 edges, each later one 512).
+func TestFingerprintMatchesPerEdgeReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, n := range []int{1, 2, 63, 64, 65, 192, 193, 500} {
+		var pairs []Edge
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, Edge{U: ids.NodeID(u), V: ids.NodeID(v)})
+			}
+		}
+		for _, m := range []int{0, 1, n - 1, len(pairs) / 3, len(pairs), 510, 511, 512, 513, 1023, 1024, 1535, 1536} {
+			if m > len(pairs) {
+				continue
+			}
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			g := New(n)
+			for _, e := range pairs[:m] {
+				g.AddEdge(e.V, e.U)
+			}
+			if g.Fingerprint() != fingerprintPerEdge(g) {
+				t.Errorf("n=%d, m=%d: Fingerprint differs from the per-edge reference", n, m)
+			}
+		}
+	}
+}
+
+// TestFingerprintKnownAnswer pins the value itself — decision memos and
+// tests compare fingerprints across processes and commits — and that the
+// chunk buffer stays on the stack.
+func TestFingerprintKnownAnswer(t *testing.T) {
+	g := New(193)
+	for i := 0; i < 193; i++ {
+		g.AddEdge(ids.NodeID(i), ids.NodeID((i+1)%193))
+		g.AddEdge(ids.NodeID(i), ids.NodeID((i+57)%193))
+	}
+	fp := g.Fingerprint()
+	const want = "0bc8c13e7dec686cd3ad3186c029fe24ad5f90ff01d592b646f1c2ceef009f55"
+	if got := hex.EncodeToString(fp[:]); got != want {
+		t.Errorf("Fingerprint = %s, want %s", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { g.Fingerprint() }); allocs != 0 {
+		t.Errorf("Fingerprint allocates %.0f objects, want 0", allocs)
 	}
 }

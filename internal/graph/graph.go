@@ -337,20 +337,29 @@ func (g *Graph) Equal(h *Graph) bool {
 // influence the views being compared. The digest hashes the sorted edge
 // list (O(n+m)) rather than the n²/2 adjacency triangle, so fingerprinting
 // stays viable at n=10⁴ where the triangle alone would be 6MB per view.
+//
+// The hashed stream is n then every edge, 8 bytes each; it reaches the hash
+// in chunks of a stack buffer, since a Write per edge cost more than the
+// hashing.
 func (g *Graph) Fingerprint() [32]byte {
 	h := sha256.New()
-	var buf [8]byte
+	var buf [4096]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(g.n))
-	h.Write(buf[:])
+	fill := 8
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.nbr[u] {
 			if ids.NodeID(u) < v {
-				binary.BigEndian.PutUint32(buf[:4], uint32(u))
-				binary.BigEndian.PutUint32(buf[4:], uint32(v))
-				h.Write(buf[:])
+				if fill == len(buf) {
+					h.Write(buf[:])
+					fill = 0
+				}
+				binary.BigEndian.PutUint32(buf[fill:], uint32(u))
+				binary.BigEndian.PutUint32(buf[fill+4:], uint32(v))
+				fill += 8
 			}
 		}
 	}
+	h.Write(buf[:fill])
 	var out [32]byte
 	h.Sum(out[:0])
 	return out

@@ -119,6 +119,15 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 	// One decision memo per trial (scheme-independent); one verification
 	// memo per epoch (a memo must never outlive its scheme's key set).
 	dc := nectar.NewDecideCache()
+	// live holds, oldest first, the release of every epoch built — its memo
+	// and the scratch of the nodes that never decide — until the epoch's
+	// Finish runs it; what a failed run leaves is released on return.
+	var live []func()
+	defer func() {
+		for _, release := range live {
+			release()
+		}
+	}()
 	build := func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*dynamic.Stack, error) {
 		scheme := sig.ByName(spec.SchemeName, n, seed)
 		if scheme == nil {
@@ -127,6 +136,12 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 		vcache := sig.NewVerifyCache()
 		nodes, err := nectar.BuildNodes(g, spec.T, scheme, spec.EpochRounds,
 			nectar.WithVerifyCache(vcache))
+		live = append(live, func() {
+			vcache.Release()
+			for _, nd := range nodes {
+				nd.Release()
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +159,6 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 				for i, nd := range nodes {
 					id := ids.NodeID(i)
 					if absent.Has(id) {
-						nd.Release() // never decides
 						continue
 					}
 					o := nd.DecideShared(dc)
@@ -153,7 +167,8 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 						Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
 					}
 				}
-				vcache.Release() // the epoch is over; its memo dies with its keys
+				live[0]() // the epoch is over
+				live[0], live = nil, live[1:]
 				return out
 			},
 		}, nil

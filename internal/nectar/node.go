@@ -136,8 +136,9 @@ type relayItem struct {
 type Node struct {
 	cfg     Config
 	nRounds int
-	ver     sig.Verifier // effective verifier: sig.Cached(cfg.Verifier, cfg.VerifyCache)
-	started bool         // round-1 neighborhood announcement has been emitted
+	ver     sig.Verifier     // effective verifier: sig.Cached(cfg.Verifier, cfg.VerifyCache)
+	signer  sig.AppendSigner // cfg.Signer's append form, resolved once (appendSigner)
+	started bool             // round-1 neighborhood announcement has been emitted
 	stats   Stats
 	// The propagation phase's buffers and the view they fill, borrowed from
 	// the package free list by NewNode and handed back by Release — at the
@@ -262,6 +263,7 @@ func NewNode(cfg Config) (*Node, error) {
 		nd.nRounds = cfg.N - 1
 	}
 	nd.ver = sig.Cached(cfg.Verifier, cfg.VerifyCache)
+	nd.signer = appendSigner(cfg.Signer)
 	seen := make(ids.Set, len(cfg.Neighbors))
 	for _, nb := range cfg.Neighbors {
 		if nb == cfg.Me || int(nb) >= cfg.N {
@@ -349,12 +351,7 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	}
 	ps := proofWireSize(sigSize)
 	for _, item := range nd.queue {
-		// Extend the retained wire bytes directly: sign over the raw hop
-		// region (bit-for-bit the input AppendInto would build from decoded
-		// hops), then emit proof and existing hops verbatim with the new
-		// hop appended — no []Hop is ever materialized on the relay path.
-		sg := nd.scr.cs.SignRawChain(nd.cfg.Signer, v, nd.scr.statement(v, item.edge), item.raw[ps+2:])
-		data := nd.encodeRelay(item.raw, ps, sg, sigSize)
+		data := nd.encodeRelay(item, v, ps, sigSize)
 		for _, dest := range nd.cfg.Neighbors {
 			if dest != item.from {
 				out = append(out, rounds.Send{To: dest, Data: data})
@@ -370,17 +367,26 @@ func (nd *Node) Emit(round int) []rounds.Send {
 }
 
 // encodeRelay appends the relay of a retained message to the encode arena:
-// raw copied verbatim into a region sized for one more hop, the hop count
-// bumped in place, and the node's own hop written after it. Every retained
-// field is fixed-width, so this is byte-for-byte what re-encoding the
-// decoded message would produce — down to a signature of the wrong width,
-// which is cut or zero-padded to the hop's, mirroring EncodeHops.
-func (nd *Node) encodeRelay(raw []byte, ps int, sg []byte, sigSize int) []byte {
+// the wire bytes copied verbatim into a region sized for one more hop, the
+// hop count bumped in place, and the node's own hop after it, signed in its
+// slot over the raw hop region (bit-for-bit the input AppendInto would build
+// from decoded hops) — no []Hop and no signature is ever materialized on the
+// relay path. Every retained field is fixed-width, so this is byte-for-byte
+// what re-encoding the decoded message would produce — down to a signature
+// of the wrong width, which is cut or zero-padded to the hop's, mirroring
+// EncodeHops: the slot's capacity ends with the hop, so a longer one is
+// appended into memory of its own, not into the arena behind the slot.
+func (nd *Node) encodeRelay(item relayItem, v sig.Verifier, ps, sigSize int) []byte {
+	raw := item.raw
 	out := nd.enc.Extend(len(raw) + sig.HopWireSize(sigSize))
 	hop := out[copy(out, raw):]
 	binary.BigEndian.PutUint16(out[ps:], binary.BigEndian.Uint16(raw[ps:])+1)
 	binary.BigEndian.PutUint32(hop, uint32(nd.cfg.Me))
-	clear(hop[4+copy(hop[4:], sg):])
+	slot := hop[4:len(hop):len(hop)]
+	sg := nd.scr.cs.AppendSignRawChain(slot[:0], nd.signer, v, nd.scr.statement(v, item.edge), raw[ps+2:])
+	if len(sg) != sigSize {
+		clear(slot[copy(slot, sg):])
+	}
 	return out
 }
 

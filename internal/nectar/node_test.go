@@ -292,7 +292,7 @@ func TestNewNodeValidation(t *testing.T) {
 	}{
 		{"zero N", func(c *Config) { c.N = 0 }},
 		{"negative T", func(c *Config) { c.T = -1 }},
-		{"me out of range", func(c *Config) { c.Me = 9; c.Signer = scheme.SignerFor(9) }},
+		{"me out of range", func(c *Config) { c.Me = 9; c.Signer = sig.NewHMAC(10, 1).SignerFor(9) }},
 		{"nil signer", func(c *Config) { c.Signer = nil }},
 		{"nil verifier", func(c *Config) { c.Verifier = nil }},
 		{"signer identity mismatch", func(c *Config) { c.Signer = scheme.SignerFor(2) }},

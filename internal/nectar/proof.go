@@ -58,16 +58,40 @@ func proofStatementInto(w *wire.Writer, e graph.Edge) []byte {
 // to forge fictitious edges between themselves (both signatures are
 // theirs to give).
 func MakeProof(a, b sig.Signer) Proof {
+	// Room for two signatures of any built-in scheme; wider ones grow it.
+	p, _ := appendProof(make([]byte, 0, 2*sig.Ed25519SigSize), a, b)
+	return p
+}
+
+// appendProof is MakeProof with both signatures appended to slab, which it
+// returns extended — one slab can carry the proofs of a whole build.
+func appendProof(slab []byte, a, b sig.Signer) (Proof, []byte) {
 	e := graph.NewEdge(a.ID(), b.ID())
 	stmt := proofStatement(e)
-	p := Proof{Edge: e}
-	sa, sb := a.Sign(stmt), b.Sign(stmt)
-	if e.U == a.ID() {
-		p.SigU, p.SigV = sa, sb
-	} else {
-		p.SigU, p.SigV = sb, sa
+	start := len(slab)
+	slab = appendSigner(a).AppendSign(slab, stmt)
+	mid := len(slab)
+	slab = appendSigner(b).AppendSign(slab, stmt)
+	// Capped, so that appending to one signature cannot write into the next.
+	p := Proof{Edge: e, SigU: slab[start:mid:mid], SigV: slab[mid:len(slab):len(slab)]}
+	if e.U != a.ID() {
+		p.SigU, p.SigV = p.SigV, p.SigU
 	}
-	return p
+	return p, slab
+}
+
+// signCopy is the append form of a Signer that has none of its own: Sign and
+// a copy, so a wrapper that overrides Sign goes on seeing every signature.
+type signCopy struct{ sig.Signer }
+
+func (s signCopy) AppendSign(dst, msg []byte) []byte { return append(dst, s.Sign(msg)...) }
+
+// appendSigner returns s's append form (sig.AppendSigner).
+func appendSigner(s sig.Signer) sig.AppendSigner {
+	if as, ok := s.(sig.AppendSigner); ok {
+		return as
+	}
+	return signCopy{s}
 }
 
 // Verify reports whether both endpoint signatures are valid.
@@ -135,8 +159,9 @@ func fixWidth(b []byte, size int) []byte {
 // startup.
 func BuildProofs(scheme sig.Scheme, g *graph.Graph) map[graph.Edge]Proof {
 	out := make(map[graph.Edge]Proof, g.M())
+	slab := make([]byte, 0, 2*scheme.Verifier().SigSize()*g.M())
 	for _, e := range g.Edges() {
-		out[e] = MakeProof(scheme.SignerFor(e.U), scheme.SignerFor(e.V))
+		out[e], slab = appendProof(slab, scheme.SignerFor(e.U), scheme.SignerFor(e.V))
 	}
 	return out
 }

@@ -19,12 +19,14 @@ import (
 // the allocating entry points.
 
 // ChainScratch holds the reusable buffers of a chain-processing hot loop:
-// the signing input and a hop slice for extended chains. The zero value is
-// ready to use. Not safe for concurrent use; values returned by AppendInto
-// are only valid until the next AppendInto call on the same scratch.
+// the signing input, and a hop slice and a signature buffer for extended
+// chains. The zero value is ready to use. Not safe for concurrent use;
+// values returned by AppendInto are only valid until the next AppendInto
+// call on the same scratch.
 type ChainScratch struct {
 	w    wire.Writer
 	hops []Hop
+	sig  []byte
 }
 
 // Reset empties the scratch but keeps its capacity, zeroing the hop slots
@@ -34,21 +36,27 @@ func (cs *ChainScratch) Reset() {
 	cs.w.Reset()
 	clear(cs.hops[:cap(cs.hops)])
 	cs.hops = cs.hops[:0]
+	cs.sig = cs.sig[:0]
 }
 
 // AppendInto is AppendHop backed by the scratch: it returns chain extended
-// with a hop signed by s, with the hop slice (but not the signature bytes,
-// which the Signer allocates) drawn from the scratch. The input chain is
-// not modified. The returned slice is overwritten by the next AppendInto;
-// callers that retain it must copy first.
+// with a hop signed by s, with the hop slice and the new hop's signature
+// drawn from the scratch. The input chain is not modified. Both are
+// overwritten by the next AppendInto; callers that retain the result must
+// copy it, signature included, first.
 func (cs *ChainScratch) AppendInto(s Signer, payload []byte, chain []Hop) []Hop {
 	cs.w.Reset()
 	chainInputStart(&cs.w, payload)
 	for _, h := range chain {
 		chainInputHop(&cs.w, h)
 	}
+	if as, ok := s.(AppendSigner); ok {
+		cs.sig = as.AppendSign(cs.sig[:0], cs.w.Bytes())
+	} else { // no append form: Sign and a copy
+		cs.sig = append(cs.sig[:0], s.Sign(cs.w.Bytes())...)
+	}
 	cs.hops = append(cs.hops[:0], chain...)
-	cs.hops = append(cs.hops, Hop{Signer: s.ID(), Sig: s.Sign(cs.w.Bytes())})
+	cs.hops = append(cs.hops, Hop{Signer: s.ID(), Sig: cs.sig})
 	return cs.hops
 }
 
@@ -69,16 +77,16 @@ func (cs *ChainScratch) rawInput(payload, rawHops []byte, sigSize int) []byte {
 	return cs.w.Bytes()
 }
 
-// SignRawChain returns s's signature extending a raw chain. The bytes
-// handed to s are exactly chainInput(payload, hops) for the decoded hop
-// sequence, so the signature is identical to AppendInto's — unless v's
+// AppendSignRawChain appends to dst s's signature extending a raw chain. The
+// bytes handed to s are exactly chainInput(payload, hops) for the decoded
+// hop sequence, so the signature is identical to AppendInto's — unless v's
 // scheme does not bind the message, in which case no input can change the
 // signature, none is built, and s signs nil.
-func (cs *ChainScratch) SignRawChain(s Signer, v Verifier, payload, rawHops []byte) []byte {
+func (cs *ChainScratch) AppendSignRawChain(dst []byte, s AppendSigner, v Verifier, payload, rawHops []byte) []byte {
 	if !v.BindsMessage() {
-		return s.Sign(nil)
+		return s.AppendSign(dst, nil)
 	}
-	return s.Sign(cs.rawInput(payload, rawHops, v.SigSize()))
+	return s.AppendSign(dst, cs.rawInput(payload, rawHops, v.SigSize()))
 }
 
 // VerifyRawChain is VerifyChain over a raw chain: the same verdict from the

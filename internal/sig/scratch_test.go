@@ -48,14 +48,24 @@ func rawChain(chain []Hop, sigSize int) []byte {
 	return w.Bytes()[2:]
 }
 
-// signedInputs records what a Signer or Verifier was handed.
+// signedInputs records what a Signer was handed, through either method.
 type signedInputs struct{ seen [][]byte }
 
-func (r *signedInputs) signer(s Signer) Signer {
-	return funcSigner{id: s.ID(), sign: func(msg []byte) []byte {
-		r.seen = append(r.seen, bytes.Clone(msg))
-		return s.Sign(msg)
-	}}
+type recordingSigner struct {
+	Signer
+	r *signedInputs
+}
+
+func (r *signedInputs) signer(s Signer) recordingSigner { return recordingSigner{s, r} }
+
+func (s recordingSigner) Sign(msg []byte) []byte {
+	s.r.seen = append(s.r.seen, bytes.Clone(msg))
+	return s.Signer.Sign(msg)
+}
+
+func (s recordingSigner) AppendSign(dst, msg []byte) []byte {
+	s.r.seen = append(s.r.seen, bytes.Clone(msg))
+	return s.Signer.(AppendSigner).AppendSign(dst, msg)
 }
 
 // TestScratchVerifyMatchesVerifyChain: over a chain's wire bytes the scratch
@@ -102,8 +112,9 @@ func TestScratchVerifyMatchesVerifyChain(t *testing.T) {
 }
 
 // TestSignRawChainMatchesAppendHop: extending a chain from its wire bytes
-// signs exactly what AppendHop signs and returns the same signature; a
-// scheme that does not bind the message is handed nil, once.
+// signs exactly what AppendHop signs and appends the same signature behind
+// what dst already holds; a scheme that does not bind the message is handed
+// nil, once.
 func TestSignRawChainMatchesAppendHop(t *testing.T) {
 	payload := []byte("proof(p0,p1)")
 	var cs ChainScratch
@@ -113,8 +124,8 @@ func TestSignRawChainMatchesAppendHop(t *testing.T) {
 			chain := buildChainN(s, payload, hops)
 			var want, got signedInputs
 			wantHop := AppendHop(want.signer(s.SignerFor(15)), payload, chain)[hops]
-			gotSig := cs.SignRawChain(got.signer(s.SignerFor(15)), v, payload, rawChain(chain, v.SigSize()))
-			if !bytes.Equal(gotSig, wantHop.Sig) {
+			gotSig := cs.AppendSignRawChain([]byte("dst"), got.signer(s.SignerFor(15)), v, payload, rawChain(chain, v.SigSize()))
+			if !bytes.Equal(gotSig, append([]byte("dst"), wantHop.Sig...)) {
 				t.Fatalf("%s, %d hops: signature differs from AppendHop's", s.Name(), hops)
 			}
 			if !v.BindsMessage() {
@@ -135,14 +146,15 @@ func TestRawChainIsAllocationFree(t *testing.T) {
 	payload := []byte("edge statement")
 	raw := rawChain(buildChainN(s, payload, 12), Ed25519SigSize)
 	var cs ChainScratch
-	signer := s.SignerFor(15)
+	signer := s.SignerFor(15).(AppendSigner)
+	slot := make([]byte, 0, Ed25519SigSize)
 	for name, v := range map[string]Verifier{"binding": bindingInsecure{s.Verifier()}, "unbound": s.Verifier()} {
 		cs.VerifyRawChain(v, payload, raw) // sizes the buffer
 		if allocs := testing.AllocsPerRun(100, func() {
 			if !cs.VerifyRawChain(v, payload, raw) {
 				t.Fatal("chain rejected")
 			}
-			cs.SignRawChain(signer, v, payload, raw)
+			cs.AppendSignRawChain(slot, signer, v, payload, raw)
 		}); allocs != 0 {
 			t.Errorf("%s: raw verify + sign allocate %.1f objects/op, want 0", name, allocs)
 		}

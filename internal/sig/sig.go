@@ -78,14 +78,18 @@ type Scheme interface {
 	Verifier() Verifier
 }
 
-// funcSigner adapts a closure to Signer.
-type funcSigner struct {
-	id   ids.NodeID
-	sign func(msg []byte) []byte
+// AppendSigner is the optional append-style form of a Signer (DESIGN.md §4),
+// which the signers of every built-in scheme have: a caller that has already
+// reserved the signature's place — a hop slot in an encode arena, a slab of
+// proofs — signs into it instead of copying out of a slice Sign allocated.
+// A Signer without it (a wrapper that embeds a Signer and overrides Sign,
+// say) is signed through Sign and a copy, and so goes on seeing every call.
+type AppendSigner interface {
+	// AppendSign appends the signature Sign(msg) returns to dst, as append
+	// does — in place when dst has the capacity — and returns the extended
+	// slice. It does not retain dst or msg.
+	AppendSign(dst, msg []byte) []byte
 }
-
-func (s funcSigner) ID() ids.NodeID         { return s.id }
-func (s funcSigner) Sign(msg []byte) []byte { return s.sign(msg) }
 
 // deriveSeed expands (seed, id, domain) into 32 deterministic bytes, used
 // to generate per-node key material reproducibly.
@@ -109,8 +113,13 @@ const Ed25519SigSize = ed25519.SignatureSize
 // Ed25519 is a Scheme backed by stdlib crypto/ed25519 with keys derived
 // deterministically from a seed.
 type Ed25519 struct {
-	priv []ed25519.PrivateKey
-	pub  []ed25519.PublicKey
+	signers []ed25519Signer
+	pub     []ed25519.PublicKey
+}
+
+type ed25519Signer struct {
+	id   ids.NodeID
+	priv ed25519.PrivateKey
 }
 
 var _ Scheme = (*Ed25519)(nil)
@@ -118,13 +127,14 @@ var _ Scheme = (*Ed25519)(nil)
 // NewEd25519 generates deterministic keypairs for n nodes from seed.
 func NewEd25519(n int, seed int64) *Ed25519 {
 	s := &Ed25519{
-		priv: make([]ed25519.PrivateKey, n),
-		pub:  make([]ed25519.PublicKey, n),
+		signers: make([]ed25519Signer, n),
+		pub:     make([]ed25519.PublicKey, n),
 	}
 	for i := 0; i < n; i++ {
 		ks := deriveSeed(seed, uint32(i), "ed25519-key")
-		s.priv[i] = ed25519.NewKeyFromSeed(ks[:])
-		s.pub[i] = s.priv[i].Public().(ed25519.PublicKey)
+		priv := ed25519.NewKeyFromSeed(ks[:])
+		s.signers[i] = ed25519Signer{id: ids.NodeID(i), priv: priv}
+		s.pub[i] = priv.Public().(ed25519.PublicKey)
 	}
 	return s
 }
@@ -133,14 +143,21 @@ func NewEd25519(n int, seed int64) *Ed25519 {
 func (s *Ed25519) Name() string { return "ed25519" }
 
 // N implements Scheme.
-func (s *Ed25519) N() int { return len(s.priv) }
+func (s *Ed25519) N() int { return len(s.signers) }
 
 // SignerFor implements Scheme.
-func (s *Ed25519) SignerFor(id ids.NodeID) Signer {
-	priv := s.priv[id]
-	return funcSigner{id: id, sign: func(msg []byte) []byte {
-		return ed25519.Sign(priv, msg)
-	}}
+func (s *Ed25519) SignerFor(id ids.NodeID) Signer { return &s.signers[id] }
+
+func (s *ed25519Signer) ID() ids.NodeID { return s.id }
+
+func (s *ed25519Signer) Sign(msg []byte) []byte {
+	return s.AppendSign(make([]byte, 0, Ed25519SigSize), msg)
+}
+
+// AppendSign implements AppendSigner. ed25519.Sign is written to inline, so
+// the signature it makes stays on this frame and the append is its only copy.
+func (s *ed25519Signer) AppendSign(dst, msg []byte) []byte {
+	return append(dst, ed25519.Sign(s.priv, msg)...)
 }
 
 // Verifier implements Scheme.
@@ -186,9 +203,15 @@ type HMAC struct {
 	// states holds, per node, three marshaled SHA-256 states of stride
 	// bytes each: the inner hash after key⊕ipad‖0x01, after key⊕ipad‖0x02,
 	// and the outer hash after key⊕opad.
-	states []byte
-	stride int
-	pool   sync.Pool // of *hmacScratch
+	states  []byte
+	stride  int
+	pool    sync.Pool // of *hmacScratch
+	signers []hmacSigner
+}
+
+type hmacSigner struct {
+	s  *HMAC
+	id ids.NodeID
 }
 
 var _ Scheme = (*HMAC)(nil)
@@ -212,7 +235,7 @@ type hmacScratch struct {
 
 // NewHMAC builds the HMAC scheme for n nodes from seed.
 func NewHMAC(n int, seed int64) *HMAC {
-	s := &HMAC{n: n}
+	s := &HMAC{n: n, signers: make([]hmacSigner, n)}
 	s.pool.New = func() any { return &hmacScratch{d: newSHA256State()} }
 	d := newSHA256State()
 	snapshot := func() {
@@ -220,10 +243,14 @@ func NewHMAC(n int, seed int64) *HMAC {
 		if err != nil { // never, for a SHA-256 digest: a toolchain bug
 			panic("sig: marshaling SHA-256 state: " + err.Error())
 		}
-		s.stride = len(st)
+		if s.states == nil { // every state has the first one's size
+			s.stride = len(st)
+			s.states = make([]byte, 0, n*3*s.stride)
+		}
 		s.states = append(s.states, st...)
 	}
 	for i := 0; i < n; i++ {
+		s.signers[i] = hmacSigner{s: s, id: ids.NodeID(i)}
 		key := deriveSeed(seed, uint32(i), "hmac-key")
 		var ipad, opad [sha256.BlockSize]byte
 		for j := range ipad {
@@ -275,13 +302,21 @@ func (s *HMAC) appendTag(sc *hmacScratch, id ids.NodeID, msg, out []byte) []byte
 }
 
 // SignerFor implements Scheme.
-func (s *HMAC) SignerFor(id ids.NodeID) Signer {
-	return funcSigner{id: id, sign: func(msg []byte) []byte {
-		sc := s.pool.Get().(*hmacScratch)
-		out := s.appendTag(sc, id, msg, make([]byte, 0, hmacSigSize))
-		s.pool.Put(sc)
-		return out
-	}}
+func (s *HMAC) SignerFor(id ids.NodeID) Signer { return &s.signers[id] }
+
+func (h *hmacSigner) ID() ids.NodeID { return h.id }
+
+func (h *hmacSigner) Sign(msg []byte) []byte {
+	return h.AppendSign(make([]byte, 0, hmacSigSize), msg)
+}
+
+// AppendSign implements AppendSigner: both tags go from the pooled scratch
+// digest straight to dst.
+func (h *hmacSigner) AppendSign(dst, msg []byte) []byte {
+	sc := h.s.pool.Get().(*hmacScratch)
+	dst = h.s.appendTag(sc, h.id, msg, dst)
+	h.s.pool.Put(sc)
+	return dst
 }
 
 // Verifier implements Scheme.
@@ -348,12 +383,24 @@ func (s *Insecure) SignerFor(id ids.NodeID) Signer {
 	if s.sigSize >= 4 {
 		binary.BigEndian.PutUint32(tag, uint32(id))
 	}
-	// Every Sign call returns the same backing array: the scheme exists
-	// for cost and scale ablations, where a per-signature allocation
-	// would mask the engine being measured. Signatures are immutable by
-	// convention everywhere downstream (encode, arena copy, cache key).
-	return funcSigner{id: id, sign: func([]byte) []byte { return tag }}
+	return &insecureSigner{id: id, tag: tag}
 }
+
+type insecureSigner struct {
+	id  ids.NodeID
+	tag []byte
+}
+
+func (s *insecureSigner) ID() ids.NodeID { return s.id }
+
+// Sign returns the same backing array on every call: the scheme exists
+// for cost and scale ablations, where a per-signature allocation would
+// mask the engine being measured. Signatures are immutable by convention
+// everywhere downstream (encode, arena copy, cache key).
+func (s *insecureSigner) Sign([]byte) []byte { return s.tag }
+
+// AppendSign implements AppendSigner.
+func (s *insecureSigner) AppendSign(dst, _ []byte) []byte { return append(dst, s.tag...) }
 
 // Verifier implements Scheme.
 func (s *Insecure) Verifier() Verifier { return insecureVerifier{s} }

@@ -219,6 +219,69 @@ func TestHMACAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendSignMatchesSign: under each built-in scheme AppendSign appends
+// exactly the bytes Sign returns — behind whatever dst already holds, which
+// it leaves alone, and in place when dst has the room, which is what lets a
+// relay sign into its hop slot (DESIGN.md §4).
+func TestAppendSignMatchesSign(t *testing.T) {
+	prefix := []byte("prefix")
+	for _, name := range Names() {
+		s := ByName(name, 4, 7)
+		signer := s.SignerFor(2)
+		as, ok := signer.(AppendSigner)
+		if !ok {
+			t.Fatalf("%s: signer has no AppendSign", name)
+		}
+		for _, msg := range [][]byte{nil, []byte("m"), bytes.Repeat([]byte{0xA5}, 300)} {
+			want := signer.Sign(msg)
+			if len(want) != s.Verifier().SigSize() {
+				t.Fatalf("%s: Sign returned %d bytes, want %d", name, len(want), s.Verifier().SigSize())
+			}
+			if got := as.AppendSign(nil, msg); !bytes.Equal(got, want) {
+				t.Errorf("%s: AppendSign(nil) differs from Sign", name)
+			}
+			// dst full: the result is a new array, dst's bytes in front.
+			if got := as.AppendSign(bytes.Clone(prefix), msg); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+				t.Errorf("%s: AppendSign onto a full dst is not dst followed by Sign's bytes", name)
+			}
+			// dst with room to spare: extended where it is, nothing beyond touched.
+			buf := bytes.Repeat([]byte{0xEE}, len(prefix)+len(want)+8)
+			got := as.AppendSign(buf[:copy(buf, prefix)], msg)
+			if &got[0] != &buf[0] {
+				t.Errorf("%s: AppendSign moved a dst that had the capacity", name)
+			}
+			if !bytes.Equal(buf, append(append(bytes.Clone(prefix), want...), bytes.Repeat([]byte{0xEE}, 8)...)) {
+				t.Errorf("%s: AppendSign in place left other bytes than prefix, signature, untouched spare", name)
+			}
+		}
+	}
+}
+
+// TestAppendSignAllocs pins what the seam is for: signing into memory the
+// caller owns allocates nothing under HMAC and the ablation schemes. Under
+// Ed25519 it is strictly fewer objects than Sign — ed25519.Sign's result
+// stays on the stack — and what remains is the standard library's own, which
+// differs between Go releases.
+func TestAppendSignAllocs(t *testing.T) {
+	msg := make([]byte, 300)
+	for _, name := range Names() {
+		s := ByName(name, 2, 1)
+		signer := s.SignerFor(1)
+		as := signer.(AppendSigner)
+		slot := make([]byte, 0, s.Verifier().SigSize())
+		appendAllocs := testing.AllocsPerRun(200, func() { as.AppendSign(slot, msg) })
+		signAllocs := testing.AllocsPerRun(200, func() { signer.Sign(msg) })
+		t.Logf("%s: AppendSign %.0f objects/op, Sign %.0f", name, appendAllocs, signAllocs)
+		if name == "ed25519" {
+			if appendAllocs >= signAllocs {
+				t.Errorf("ed25519: AppendSign allocates %.0f objects/op, Sign %.0f: want strictly fewer", appendAllocs, signAllocs)
+			}
+		} else if appendAllocs != 0 {
+			t.Errorf("%s: AppendSign allocates %.0f objects/op, want 0", name, appendAllocs)
+		}
+	}
+}
+
 // TestHMACConcurrent: signers and the shared verifier draw their scratch
 // from a pool, so concurrent use must stay correct; run under -race.
 func TestHMACConcurrent(t *testing.T) {
