@@ -32,6 +32,7 @@ import (
 	"time"
 
 	nectar "github.com/nectar-repro/nectar"
+	inectar "github.com/nectar-repro/nectar/internal/nectar"
 	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/tcpnet"
 )
@@ -90,9 +91,18 @@ func run(args []string) error {
 		dep.RoundMS = 200
 	}
 
+	if dep.N <= 0 {
+		return fmt.Errorf("deployment: n must be positive, got %d", dep.N)
+	}
+	if *id >= uint(dep.N) {
+		return fmt.Errorf("-id %d out of range for n=%d", *id, dep.N)
+	}
 	me := nectar.NodeID(*id)
 	g := nectar.NewGraph(dep.N)
 	for _, e := range dep.Edges {
+		if e[0] >= uint32(dep.N) || e[1] >= uint32(dep.N) || e[0] == e[1] {
+			return fmt.Errorf("deployment: edge %v needs two distinct endpoints below n=%d", e, dep.N)
+		}
 		g.AddEdge(nectar.NodeID(e[0]), nectar.NodeID(e[1]))
 	}
 	addrs := make(map[nectar.NodeID]string, len(dep.Nodes))
@@ -103,16 +113,7 @@ func run(args []string) error {
 	if scheme == nil {
 		return fmt.Errorf("unknown scheme %q", dep.Scheme)
 	}
-	proofs := nectar.BuildProofs(scheme, g)
-	node, err := nectar.NewNode(nectar.Config{
-		N:         dep.N,
-		T:         dep.T,
-		Me:        me,
-		Neighbors: g.Neighbors(me),
-		Proofs:    nectar.NeighborProofs(proofs, g, me),
-		Signer:    scheme.SignerFor(me),
-		Verifier:  scheme.Verifier(),
-	})
+	node, err := nectar.NewNode(inectar.NodeConfig(g, dep.T, scheme, nectar.BuildProofs(scheme, g), me, 0))
 	if err != nil {
 		return err
 	}

@@ -102,4 +102,22 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-config", cfg, "-id", "0", "-start-at", "yesterday"}); err == nil {
 		t.Error("bad start-at accepted")
 	}
+	// A hostile deployment file is an error, not a panic.
+	ports = freePorts(t, 3)
+	for _, tc := range []struct {
+		name  string
+		n     int
+		id    string
+		edges [][2]uint32
+	}{
+		{"no nodes", 0, "0", nil},
+		{"id out of range", 3, "9", [][2]uint32{{0, 1}, {1, 2}}},
+		{"edge endpoint out of range", 3, "0", [][2]uint32{{0, 1}, {2, 5}}},
+		{"self-loop", 3, "0", [][2]uint32{{0, 1}, {2, 2}}},
+	} {
+		cfg := writeDeployment(t, tc.n, 1, ports[:tc.n], tc.edges)
+		if err := run([]string{"-config", cfg, "-id", tc.id, "-start-in", "0s"}); err == nil {
+			t.Errorf("%s: deployment accepted", tc.name)
+		}
+	}
 }

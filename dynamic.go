@@ -3,14 +3,10 @@ package nectar
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 
-	"github.com/nectar-repro/nectar/internal/adversary"
 	"github.com/nectar-repro/nectar/internal/dynamic"
-	"github.com/nectar-repro/nectar/internal/graph"
-	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/harness"
 	inectar "github.com/nectar-repro/nectar/internal/nectar"
-	"github.com/nectar-repro/nectar/internal/rounds"
 )
 
 // Dynamic-network subsystem re-exports (DESIGN.md §7): time-varying
@@ -216,131 +212,24 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		return nil, err
 	}
 	n := cfg.Schedule.Base.N()
-	if err := validateSchemeName(cfg.SchemeName); err != nil {
+	schemeName, err := resolveSchemeName(cfg.SchemeName)
+	if err != nil {
 		return nil, err
 	}
 	if err := inectar.CheckRounds(n, cfg.EpochRounds); err != nil {
 		return nil, err
 	}
-	if _, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked); err != nil {
+	attacks, blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
+	if err != nil {
 		return nil, err
 	}
-
-	// Per-epoch decisions for full-Outcome extraction, filled once by
-	// each epoch's Finish (dynamic.Run calls build and Finish on this
-	// goroutine, each in epoch order).
-	type epochNodes struct {
-		outcomes map[NodeID]Outcome
-		correct  []NodeID // present, non-Byzantine, in ID order
-	}
-	var perEpoch []*epochNodes
-
-	// The decision memo is scheme-independent (a pure graph predicate), so
-	// one cache serves every epoch — repeated views across quiet epochs
-	// share a single connectivity computation. The verification memo is
-	// scoped per epoch below: each epoch derives a fresh key set, and a
-	// memo must never outlive its scheme.
-	dc := NewDecideCache()
-	// live holds, oldest first, the release of every epoch built — its memo,
-	// which dies with its keys, and the scratch of the nodes that never
-	// decide (Byzantine, absent) — until the epoch's Finish runs it; builds
-	// and Finishes both go in epoch order. What a failed run leaves here —
-	// the epoch whose build failed, those dynamic.Run never finishes — is
-	// released on return.
-	var live []func()
-	defer func() {
-		for _, release := range live {
-			release()
-		}
-	}()
-	build := func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*dynamic.Stack, error) {
-		scheme, err := resolveScheme(cfg.SchemeName, n, seed)
-		if err != nil {
-			return nil, err
-		}
-		vcache := NewVerifyCache()
-		nodes, err := BuildNodes(g, cfg.T, scheme, cfg.EpochRounds, WithVerifyCache(vcache))
-		live = append(live, func() {
-			vcache.Release()
-			for _, nd := range nodes {
-				nd.Release()
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		protos := make([]rounds.Protocol, n)
-		for i, nd := range nodes {
-			protos[i] = nd
-		}
-		byz := ids.NewSet()
-		for b := range cfg.Byzantine {
-			byz.Add(b)
-		}
-		simCfg := SimulationConfig{
-			Graph:     g,
-			T:         cfg.T,
-			Seed:      seed,
-			Byzantine: cfg.Byzantine,
-			Blocked:   cfg.Blocked,
-		}
-		// Coordinated behaviours get a fresh controller per epoch: nodes
-		// are rebuilt each epoch, so adversary observations reset with
-		// them.
-		epochRounds := cfg.EpochRounds
-		if epochRounds == 0 {
-			epochRounds = n - 1
-		}
-		coord := coordinatorFor(cfg.Byzantine)
-		for _, b := range byz.Sorted() {
-			if absent.Has(b) {
-				// Replaced by Silent below: a churned-out node is off the
-				// network entirely, so it must not join the coordinated
-				// coalition and steer victim selection.
-				continue
-			}
-			p, err := wrapByzantine(simCfg, scheme, nodes[b], b, byz, coord, epochRounds)
-			if err != nil {
-				return nil, err
-			}
-			protos[b] = p
-		}
-		// Churned-out nodes are off the network entirely.
-		en := &epochNodes{}
-		for _, a := range absent.Sorted() {
-			protos[a] = adversary.Silent{}
-		}
-		for i := 0; i < n; i++ {
-			id := NodeID(i)
-			if !byz.Has(id) && !absent.Has(id) {
-				en.correct = append(en.correct, id)
-			}
-		}
-		perEpoch = append(perEpoch, en)
-		return &dynamic.Stack{
-			Protos: protos,
-			Finish: func() map[ids.NodeID]dynamic.Verdict {
-				// The decision phase (reachability + max-flow) is the
-				// dominant per-node cost: run it once here and keep the
-				// Outcomes for the EpochResult assembly below.
-				en.outcomes = make(map[NodeID]Outcome, len(en.correct))
-				out := make(map[ids.NodeID]dynamic.Verdict, len(en.correct))
-				for _, id := range en.correct {
-					// kappa_eval provenance per decision (DESIGN.md §13);
-					// ID-ordered on this goroutine, so deterministic.
-					o := nodes[id].DecideTraced(dc, cfg.Tracer, epoch)
-					en.outcomes[id] = o
-					out[id] = dynamic.Verdict{
-						Partitionable: o.Decision == Partitionable,
-						Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
-					}
-				}
-				live[0]()
-				live[0], live = nil, live[1:] // the backing array must not keep its nodes alive
-				return out
-			},
-		}, nil
-	}
+	// Each epoch's outcomes, in epoch order (dynamic.Run finishes epochs in
+	// order, on this goroutine).
+	var decided [][]Outcome
+	build, release := harness.NectarEpochs(harness.NectarConfig{
+		T: cfg.T, Rounds: cfg.EpochRounds, Byzantine: attacks, Blocked: blocked,
+	}, schemeName, cfg.Tracer, func(outs []Outcome) { decided = append(decided, outs) })
+	defer release()
 
 	inner, err := dynamic.Run(dynamic.Config{
 		Schedule:    cfg.Schedule,
@@ -360,7 +249,6 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 
 	res := &DynamicResult{EpochRounds: inner.EpochRounds, Flips: inner.Flips, KappaStats: inner.KappaStats}
 	for e, rep := range inner.Epochs {
-		en := perEpoch[e]
 		er := EpochResult{
 			Epoch:              rep.Epoch,
 			StartRound:         rep.StartRound,
@@ -368,26 +256,11 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 			KappaIsExact:       rep.KappaIsExact,
 			TruthPartitionable: rep.TruthPartitionable,
 			Absent:             rep.Absent,
-			Outcomes:           make(map[NodeID]Outcome, len(en.correct)),
-			Agreement:          true,
 			BytesSent:          rep.Metrics.BytesSent,
 			Rounds:             rep.Metrics.Rounds,
 			ActiveRounds:       rep.Metrics.ActiveRounds,
 		}
-		first := true
-		for _, id := range en.correct {
-			o := en.outcomes[id]
-			er.Outcomes[id] = o
-			if o.Confirmed {
-				er.Confirmed = true
-			}
-			if first {
-				er.Decision = o.Decision
-				first = false
-			} else if o.Decision != er.Decision {
-				er.Agreement = false
-			}
-		}
+		er.Outcomes, er.Agreement, er.Decision, er.Confirmed = tally(decided[e])
 		res.Epochs = append(res.Epochs, er)
 	}
 	return res, nil

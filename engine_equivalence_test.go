@@ -169,9 +169,9 @@ func TestVerifyCacheEquivalenceProperty(t *testing.T) {
 		mut      func(*SimulationConfig)
 		wantHits bool // the memo must actually fire, not silently no-op
 	}{
-		{"cached/paranoid", func(c *SimulationConfig) { c.ParanoidVerify = true }, true},
+		{"cached/paranoid", func(c *SimulationConfig) { c.paranoidVerify = true }, true},
 		{"uncached/default", func(c *SimulationConfig) { c.noVerifyCache = true }, false},
-		{"uncached/paranoid", func(c *SimulationConfig) { c.noVerifyCache = true; c.ParanoidVerify = true }, false},
+		{"uncached/paranoid", func(c *SimulationConfig) { c.noVerifyCache = true; c.paranoidVerify = true }, false},
 	}
 	for _, seed := range []int64{1, 7} {
 		for _, tc := range equivalenceCases(t, seed) {
@@ -262,7 +262,7 @@ func TestLazyDiscardFires(t *testing.T) {
 	// Paranoid mode decodes fully before the duplicate check, so the lazy
 	// counter must stay zero there.
 	res, err = Simulate(SimulationConfig{
-		Graph: Ring(12), T: 1, Seed: 5, SchemeName: "hmac", ParanoidVerify: true,
+		Graph: Ring(12), T: 1, Seed: 5, SchemeName: "hmac", paranoidVerify: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/nectar-repro/nectar/internal/adversary"
@@ -127,108 +128,215 @@ func buildTrial(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([
 }
 
 func buildNectar(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
-	protos, nodes, vcache, err := nectarStack(spec, sc, scheme, trialSeed)
+	run, err := nectarTrial(spec, sc, scheme, trialSeed)
 	if err != nil {
 		return nil, nil, err
 	}
 	finish := func() ([]nodeDecision, obs.FastPath) {
-		// Near-identical views across nodes (Lemma 2) share one
-		// connectivity computation via the per-trial decision memo.
-		dc := nectar.NewDecideCache()
-		out := make([]nodeDecision, sc.Graph.N())
-		var pc obs.FastPath
-		for i, nd := range nodes {
-			if sc.Byz.Has(ids.NodeID(i)) {
-				nd.Release() // never decides
-				continue
+		outs, pc := run.Finish(nectar.NewDecideCache(), nil, 0)
+		out := make([]nodeDecision, len(outs))
+		for i, o := range outs {
+			if o.Decision != nectar.Undecided {
+				out[i] = nodeDecision{
+					detected:  o.Decision == nectar.Partitionable,
+					key:       o.Decision.String(),
+					confirmed: o.Confirmed,
+				}
 			}
-			o := nd.DecideShared(dc)
-			out[i] = nodeDecision{
-				detected:  o.Decision == nectar.Partitionable,
-				key:       o.Decision.String(),
-				confirmed: o.Confirmed,
-			}
-			pc.LazyDiscards += int64(nd.Stats().LazyDiscards)
 		}
-		pc.VerifyCacheHits, pc.VerifyCacheMisses = vcache.Stats()
-		vcache.Release()
-		pc.DecideCacheHits = dc.Hits()
 		return out, pc
 	}
-	return protos, finish, nil
+	return run.Protos, finish, nil
 }
 
-// nectarStack builds the per-vertex protocol stack (correct NECTAR nodes
-// plus wrapped Byzantine behaviours) and returns the underlying nodes for
-// white-box inspection, plus the per-trial verification memo (nil for the
-// tests' uncached reference runs).
-func nectarStack(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, []*nectar.Node, *sig.VerifyCache, error) {
-	g := sc.Graph
+// nectarTrial builds a static trial's NECTAR run: every Byzantine node of
+// the scenario runs the spec's attack.
+func nectarTrial(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) (*NectarRun, error) {
+	attacks := make(map[ids.NodeID]AttackKind, sc.Byz.Len())
+	for b := range sc.Byz {
+		attacks[b] = spec.Attack
+	}
+	return BuildNectar(NectarConfig{
+		Graph: sc.Graph, T: spec.T, Scheme: scheme, Rounds: spec.Rounds, Seed: trialSeed,
+		Byzantine: attacks, Blocked: sc.Blocked, NoVerifyCache: spec.noVerifyCache,
+	})
+}
+
+// NectarConfig describes one NECTAR run for BuildNectar, the one place a run
+// is assembled: Simulate, SimulateDynamic (per epoch), and the static and
+// dynamic experiment drivers are adaptors over it.
+type NectarConfig struct {
+	// Graph is the communication network and T the bound every node gets.
+	Graph *graph.Graph
+	T     int
+	// Scheme signs proofs and relays; the run's verification memo is
+	// scoped to it.
+	Scheme sig.Scheme
+	// Rounds overrides the n-1 horizon (0 = n-1); the phased attack keys
+	// its switch round on the resolved horizon.
+	Rounds int
+	// Seed is the engine seed: garbage flooder b is seeded Seed^b.
+	Seed int64
+	// Byzantine assigns each Byzantine node its attack. A Byzantine node
+	// never decides; under AttackNone it stays correct on the wire.
+	Byzantine map[ids.NodeID]AttackKind
+	// Blocked is each split-brain node's stonewalled side. A missing (nil)
+	// set is a configuration error; an empty one blocks nobody.
+	Blocked map[ids.NodeID]ids.Set
+	// Absent nodes are churned out: Silent on the wire, outside any
+	// coordinated coalition, and undecided.
+	Absent ids.Set
+	// NoVerifyCache and ParanoidVerify select the tests' reference runs:
+	// no verification memo, and the literal Alg. 1 check order. Results
+	// are identical either way (DESIGN.md §9).
+	NoVerifyCache, ParanoidVerify bool
+}
+
+// NectarRun is a built run: Protos for the engine, the NECTAR node of every
+// vertex under its wrapper (for white-box inspection), and the memo they
+// share until Finish or Release hands it back.
+type NectarRun struct {
+	Protos []rounds.Protocol
+	Nodes  []*nectar.Node
+	byz    map[ids.NodeID]AttackKind
+	absent ids.Set
+	vcache *sig.VerifyCache
+}
+
+// BuildNectar builds the nodes of cfg.Graph with their run-wide verification
+// memo and puts every present Byzantine node behind its attack. On error it
+// has already released what it borrowed.
+func BuildNectar(cfg NectarConfig) (*NectarRun, error) {
+	r := &NectarRun{byz: cfg.Byzantine, absent: cfg.Absent}
 	var opts []nectar.BuildOption
-	var vcache *sig.VerifyCache
-	if !spec.noVerifyCache {
-		vcache = sig.NewVerifyCache()
-		opts = append(opts, nectar.WithVerifyCache(vcache))
+	if !cfg.NoVerifyCache {
+		r.vcache = sig.NewVerifyCache()
+		opts = append(opts, nectar.WithVerifyCache(r.vcache))
 	}
-	nodes, err := nectar.BuildNodes(g, spec.T, scheme, spec.Rounds, opts...)
+	if cfg.ParanoidVerify {
+		opts = append(opts, nectar.WithParanoidVerify())
+	}
+	nodes, err := nectar.BuildNodes(cfg.Graph, cfg.T, cfg.Scheme, cfg.Rounds, opts...)
 	if err != nil {
-		return nil, nil, nil, err
+		r.Release()
+		return nil, err
 	}
-	protos := make([]rounds.Protocol, g.N())
+	r.Nodes = nodes
+	r.Protos = make([]rounds.Protocol, len(nodes))
 	for i, nd := range nodes {
-		protos[i] = nd
+		r.Protos[i] = nd
 	}
-	sigSize := scheme.Verifier().SigSize()
-	horizon := spec.Rounds
+	if err := r.wrapAttacks(&cfg); err != nil {
+		r.Release()
+		return nil, err
+	}
+	for a := range cfg.Absent {
+		r.Protos[a] = adversary.Silent{}
+	}
+	return r, nil
+}
+
+// wrapAttacks is the NECTAR behaviour switch: it wraps every present
+// Byzantine node, in ID order, with its attack. The coordinated attacks
+// (adaptive, phased) of a run share one controller.
+func (r *NectarRun) wrapAttacks(cfg *NectarConfig) error {
+	g, scheme := cfg.Graph, cfg.Scheme
+	byz := make([]ids.NodeID, 0, len(cfg.Byzantine))
+	for b := range cfg.Byzantine {
+		byz = append(byz, b)
+	}
+	slices.Sort(byz)
+	horizon := cfg.Rounds
 	if horizon == 0 {
 		horizon = g.N() - 1
 	}
-	// Coordinated attacks share one controller across the whole coalition.
+	sigSize := scheme.Verifier().SigSize()
 	var coord *adversary.Coordinator
-	if spec.Attack == AttackAdaptive || spec.Attack == AttackPhased {
-		coord = adversary.NewCoordinator()
-	}
-	for _, b := range sc.Byz.Sorted() {
-		inner := nodes[b]
-		nbrs := g.Neighbors(b)
-		switch spec.Attack {
+	for _, b := range byz {
+		if cfg.Absent.Has(b) {
+			continue // Silent, and must not steer a coalition's victim choice
+		}
+		inner, nbrs := r.Nodes[b], g.Neighbors(b)
+		switch attack := cfg.Byzantine[b]; attack {
 		case AttackNone:
-			// keep the correct behaviour
 		case AttackCrash:
-			protos[b] = adversary.Silent{}
+			r.Protos[b] = adversary.Silent{}
 		case AttackSplitBrain:
-			protos[b] = adversary.SplitBrain(inner, sc.Blocked[b])
+			blocked := cfg.Blocked[b]
+			if blocked == nil {
+				return fmt.Errorf("harness: split-brain node %v has no Blocked set", b)
+			}
+			r.Protos[b] = adversary.SplitBrain(inner, blocked)
 		case AttackFakeEdges:
 			var partners []sig.Signer
-			for _, other := range sc.Byz.Sorted() {
+			for _, other := range byz {
 				if other != b {
 					partners = append(partners, scheme.SignerFor(other))
 				}
 			}
-			protos[b] = adversary.NewNectarFakeEdges(inner, scheme.SignerFor(b), partners, sigSize, nbrs)
+			r.Protos[b] = adversary.NewNectarFakeEdges(inner, scheme.SignerFor(b), partners, sigSize, nbrs)
 		case AttackGarbage:
-			protos[b] = adversary.NewGarbage(nbrs, trialSeed^int64(b), 200)
+			r.Protos[b] = adversary.NewGarbage(nbrs, cfg.Seed^int64(b), 200)
 		case AttackStale:
-			protos[b] = adversary.NewNectarStaleReplay(inner)
+			r.Protos[b] = adversary.NewNectarStaleReplay(inner)
 		case AttackEquivocate:
-			protos[b] = adversary.NectarEquivocate(inner)
+			r.Protos[b] = adversary.NectarEquivocate(inner)
 		case AttackOmitOwn:
 			hide := make(map[graph.Edge]bool)
-			for other := range sc.Byz {
+			for _, other := range byz {
 				if other != b && g.HasEdge(b, other) {
 					hide[graph.NewEdge(b, other)] = true
 				}
 			}
-			protos[b] = adversary.NectarOmitOwn(inner, sigSize, hide)
-		case AttackAdaptive:
-			protos[b] = coord.Join(inner, b, nbrs, adversary.AlwaysEquivocate())
-		case AttackPhased:
-			protos[b] = coord.Join(inner, b, nbrs, adversary.StaleThenEquivocate(adversary.PhasedSwitchRound(horizon)))
+			r.Protos[b] = adversary.NectarOmitOwn(inner, sigSize, hide)
+		case AttackAdaptive, AttackPhased:
+			if coord == nil {
+				coord = adversary.NewCoordinator()
+			}
+			sched := adversary.AlwaysEquivocate()
+			if attack == AttackPhased {
+				sched = adversary.StaleThenEquivocate(adversary.PhasedSwitchRound(horizon))
+			}
+			r.Protos[b] = coord.Join(inner, b, nbrs, sched)
 		default:
-			return nil, nil, nil, fmt.Errorf("harness: attack %q not defined for NECTAR", spec.Attack)
+			return fmt.Errorf("harness: attack %q not defined for NECTAR", attack)
 		}
 	}
-	return protos, nodes, vcache, nil
+	return nil
+}
+
+// Finish runs the decision phase once the engine has stopped: the present
+// correct nodes decide in ID order on the calling goroutine, through dc and
+// with a kappa_eval event each to tr (nil = none) under epoch, so the
+// events are deterministic. It returns the outcomes indexed by node —
+// Undecided for the Byzantine and absent nodes, which do not decide — and
+// the run's fast-path counters, then releases the run.
+func (r *NectarRun) Finish(dc *nectar.DecideCache, tr obs.Tracer, epoch int) ([]nectar.Outcome, obs.FastPath) {
+	outs := make([]nectar.Outcome, len(r.Nodes))
+	var pc obs.FastPath
+	for i, nd := range r.Nodes {
+		id := ids.NodeID(i)
+		if _, byz := r.byz[id]; byz || r.absent.Has(id) {
+			continue
+		}
+		outs[i] = nd.DecideTraced(dc, tr, epoch)
+		pc.LazyDiscards += int64(nd.Stats().LazyDiscards)
+	}
+	pc.VerifyCacheHits, pc.VerifyCacheMisses = r.vcache.Stats()
+	pc.DecideCacheHits = dc.Hits()
+	r.Release()
+	return outs, pc
+}
+
+// Release hands the memo and the scratch of the nodes that never decided
+// back to their free lists (DESIGN.md §9). Finish calls it; drivers call it
+// on their error paths. It is idempotent.
+func (r *NectarRun) Release() {
+	r.vcache.Release()
+	r.vcache = nil
+	for _, nd := range r.Nodes {
+		nd.Release()
+	}
 }
 
 func buildMtG(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {

@@ -5,12 +5,11 @@ import (
 	"math/rand"
 	"strconv"
 
-	"github.com/nectar-repro/nectar/internal/adversary"
 	"github.com/nectar-repro/nectar/internal/dynamic"
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/nectar"
-	"github.com/nectar-repro/nectar/internal/rounds"
+	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/sig"
 	"github.com/nectar-repro/nectar/internal/stats"
 )
@@ -114,66 +113,8 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 	if err != nil {
 		return DynamicTrial{}, err
 	}
-	n := sched.Base.N()
-
-	// One decision memo per trial (scheme-independent); one verification
-	// memo per epoch (a memo must never outlive its scheme's key set).
-	dc := nectar.NewDecideCache()
-	// live holds, oldest first, the release of every epoch built — its memo
-	// and the scratch of the nodes that never decide — until the epoch's
-	// Finish runs it; what a failed run leaves is released on return.
-	var live []func()
-	defer func() {
-		for _, release := range live {
-			release()
-		}
-	}()
-	build := func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*dynamic.Stack, error) {
-		scheme := sig.ByName(spec.SchemeName, n, seed)
-		if scheme == nil {
-			return nil, fmt.Errorf("unknown scheme %q", spec.SchemeName)
-		}
-		vcache := sig.NewVerifyCache()
-		nodes, err := nectar.BuildNodes(g, spec.T, scheme, spec.EpochRounds,
-			nectar.WithVerifyCache(vcache))
-		live = append(live, func() {
-			vcache.Release()
-			for _, nd := range nodes {
-				nd.Release()
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		protos := make([]rounds.Protocol, n)
-		for i, nd := range nodes {
-			protos[i] = nd
-		}
-		for a := range absent {
-			protos[a] = adversary.Silent{}
-		}
-		return &dynamic.Stack{
-			Protos: protos,
-			Finish: func() map[ids.NodeID]dynamic.Verdict {
-				out := make(map[ids.NodeID]dynamic.Verdict, n-absent.Len())
-				for i, nd := range nodes {
-					id := ids.NodeID(i)
-					if absent.Has(id) {
-						continue
-					}
-					o := nd.DecideShared(dc)
-					out[id] = dynamic.Verdict{
-						Partitionable: o.Decision == nectar.Partitionable,
-						Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
-					}
-				}
-				live[0]() // the epoch is over
-				live[0], live = nil, live[1:]
-				return out
-			},
-		}, nil
-	}
-
+	build, release := NectarEpochs(NectarConfig{T: spec.T, Rounds: spec.EpochRounds}, spec.SchemeName, nil, nil)
+	defer release()
 	res, err := dynamic.Run(dynamic.Config{
 		Schedule:    sched,
 		T:           spec.T,
@@ -186,6 +127,62 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 		return DynamicTrial{}, err
 	}
 	return scoreDynamic(res), nil
+}
+
+// NectarEpochs returns the dynamic.BuildFn of a NECTAR run over an evolving
+// topology — SimulateDynamic's and RunDynamic's — and the release its caller
+// defers. Each epoch is a fresh BuildNectar of cfg on the epoch's graph,
+// absent set and seed, under a scheme named schemeName keyed by that seed: a
+// verification memo must never outlive its key set. Finish decides through
+// one decision memo for the whole run (the predicate is scheme-independent),
+// with kappa_eval events to tr, and hands the outcomes to decided when it is
+// non-nil. release frees what a failed run leaves built but unfinished —
+// the epochs dynamic.Run never finishes.
+func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided func([]nectar.Outcome)) (build dynamic.BuildFn, release func()) {
+	dc := nectar.NewDecideCache()
+	// The runs built and not yet finished, oldest first: dynamic.Run builds
+	// and finishes each in epoch order, so Finish always takes unfinished[0].
+	var unfinished []*NectarRun
+	build = func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*dynamic.Stack, error) {
+		scheme := sig.ByName(schemeName, g.N(), seed)
+		if scheme == nil {
+			return nil, fmt.Errorf("unknown scheme %q", schemeName)
+		}
+		c := cfg
+		c.Graph, c.Scheme, c.Seed, c.Absent = g, scheme, seed, absent
+		run, err := BuildNectar(c)
+		if err != nil {
+			return nil, err
+		}
+		unfinished = append(unfinished, run)
+		return &dynamic.Stack{
+			Protos: run.Protos,
+			Finish: func() map[ids.NodeID]dynamic.Verdict {
+				outs, _ := run.Finish(dc, tr, epoch)
+				unfinished[0], unfinished = nil, unfinished[1:] // the backing array must not keep its nodes alive
+				out := make(map[ids.NodeID]dynamic.Verdict, len(outs))
+				for i, o := range outs {
+					if o.Decision != nectar.Undecided {
+						out[ids.NodeID(i)] = dynamic.Verdict{
+							Partitionable: o.Decision == nectar.Partitionable,
+							Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
+						}
+					}
+				}
+				if decided != nil {
+					decided(outs)
+				}
+				return out
+			},
+		}, nil
+	}
+	release = func() {
+		for _, run := range unfinished {
+			run.Release()
+		}
+		unfinished = nil
+	}
+	return build, release
 }
 
 // scoreDynamic folds a dynamic run into per-trial metrics.

@@ -187,16 +187,9 @@ func trialSeedOf(base int64, trial int) int64 {
 // rounds engine with the given intra-trial worker allowance, and scores
 // the outcome.
 func runTrial(spec *Spec, trial, engineWorkers int) (Trial, error) {
-	trialSeed := trialSeedOf(spec.Seed, trial)
-	rng := rand.New(rand.NewSource(trialSeed))
-	sc, err := spec.Scenario(rng)
+	sc, scheme, trialSeed, err := trialSetup(spec, trial)
 	if err != nil {
 		return Trial{}, err
-	}
-	n := sc.Graph.N()
-	scheme := sig.ByName(spec.SchemeName, n, trialSeed^0x5F5F5F5F)
-	if scheme == nil {
-		return Trial{}, fmt.Errorf("unknown scheme %q", spec.SchemeName)
 	}
 	protos, finish, err := buildTrial(spec, sc, scheme, trialSeed)
 	if err != nil {
@@ -204,7 +197,7 @@ func runTrial(spec *Spec, trial, engineWorkers int) (Trial, error) {
 	}
 	r := spec.Rounds
 	if r == 0 {
-		r = n - 1
+		r = sc.Graph.N() - 1
 	}
 	metrics, err := rounds.Run(rounds.Config{
 		Graph:       sc.Graph,
@@ -219,6 +212,21 @@ func runTrial(spec *Spec, trial, engineWorkers int) (Trial, error) {
 	}
 	decisions, pc := finish()
 	return score(spec, sc, decisions, pc, metrics), nil
+}
+
+// trialSetup generates trial i's scenario from the trial's seed, which it
+// returns with the scheme keyed from it.
+func trialSetup(spec *Spec, trial int) (*Scenario, sig.Scheme, int64, error) {
+	trialSeed := trialSeedOf(spec.Seed, trial)
+	sc, err := spec.Scenario(rand.New(rand.NewSource(trialSeed)))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	scheme := sig.ByName(spec.SchemeName, sc.Graph.N(), trialSeed^0x5F5F5F5F)
+	if scheme == nil {
+		return nil, nil, 0, fmt.Errorf("unknown scheme %q", spec.SchemeName)
+	}
+	return sc, scheme, trialSeed, nil
 }
 
 // score computes the trial metrics over correct nodes.

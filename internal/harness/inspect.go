@@ -2,20 +2,18 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/nectar-repro/nectar/internal/nectar"
 	"github.com/nectar-repro/nectar/internal/rounds"
-	"github.com/nectar-repro/nectar/internal/sig"
 )
 
 // White-box single-trial plumbing: generate a scenario and a NECTAR stack
 // while keeping direct references to the underlying nodes, so tests can
 // inspect discovered views (e.g. the Lemma 2 identical-views property).
 
-// buildForInspection generates spec's scenario (trial 0 seeding) and the
-// NECTAR protocol stack, returning the scenario, the engine stack, and
-// the underlying nodes.
+// buildForInspection generates spec's scenario (trial 0) and the
+// NECTAR run the static driver builds for it, returning the scenario, the
+// engine stack, and the underlying nodes.
 func buildForInspection(spec *Spec) (*Scenario, []rounds.Protocol, []*nectar.Node, error) {
 	if spec.Protocol != ProtoNectar {
 		return nil, nil, nil, fmt.Errorf("harness: inspection is NECTAR-only, got %q", spec.Protocol)
@@ -23,21 +21,15 @@ func buildForInspection(spec *Spec) (*Scenario, []rounds.Protocol, []*nectar.Nod
 	if spec.SchemeName == "" {
 		spec.SchemeName = "hmac"
 	}
-	trialSeed := spec.Seed
-	rng := rand.New(rand.NewSource(trialSeed))
-	sc, err := spec.Scenario(rng)
+	sc, scheme, trialSeed, err := trialSetup(spec, 0)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	scheme := sig.ByName(spec.SchemeName, sc.Graph.N(), trialSeed^0x5F5F5F5F)
-	if scheme == nil {
-		return nil, nil, nil, fmt.Errorf("harness: unknown scheme %q", spec.SchemeName)
-	}
-	protos, nodes, _, err := nectarStack(spec, sc, scheme, trialSeed)
+	run, err := nectarTrial(spec, sc, scheme, trialSeed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return sc, protos, nodes, nil
+	return sc, run.Protos, run.Nodes, nil
 }
 
 // runEngine drives a stack built by buildForInspection through the spec's

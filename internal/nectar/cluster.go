@@ -30,8 +30,8 @@ func WithVerifyCache(cache *sig.VerifyCache) BuildOption {
 // Byzantine bound handed to every node; roundsOverride (0 = default n-1)
 // is forwarded to each node's Config.
 //
-// Simulation setup only: real deployments construct Nodes individually
-// from their local Config (see cmd/nectar-node).
+// Simulation setup only: a real deployment constructs its one Node from
+// NodeConfig (see cmd/nectar-node).
 func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, opts ...BuildOption) ([]*Node, error) {
 	if scheme.N() < g.N() {
 		return nil, fmt.Errorf("nectar: scheme for %d nodes, graph has %d", scheme.N(), g.N())
@@ -40,20 +40,7 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 	nodes := make([]*Node, g.N())
 	for i := range nodes {
 		me := ids.NodeID(i)
-		cfg := Config{
-			N:         g.N(),
-			T:         t,
-			Me:        me,
-			Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
-			Proofs:    NeighborProofs(proofs, g, me),
-			Signer:    scheme.SignerFor(me),
-			Verifier:  scheme.Verifier(),
-			Rounds:    roundsOverride,
-		}
-		for _, opt := range opts {
-			opt(&cfg)
-		}
-		nd, err := NewNode(cfg)
+		nd, err := NewNode(NodeConfig(g, t, scheme, proofs, me, roundsOverride, opts...))
 		if err != nil {
 			for _, built := range nodes[:i] {
 				built.Release()
@@ -63,4 +50,24 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 		nodes[i] = nd
 	}
 	return nodes, nil
+}
+
+// NodeConfig is node me's Config on g — the one BuildNodes hands NewNode:
+// its neighborhood in g, its proofs taken from proofs (as BuildProofs makes
+// them), and its signer and the verifier from scheme.
+func NodeConfig(g *graph.Graph, t int, scheme sig.Scheme, proofs map[graph.Edge]Proof, me ids.NodeID, roundsOverride int, opts ...BuildOption) Config {
+	cfg := Config{
+		N:         g.N(),
+		T:         t,
+		Me:        me,
+		Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
+		Proofs:    NeighborProofs(proofs, g, me),
+		Signer:    scheme.SignerFor(me),
+		Verifier:  scheme.Verifier(),
+		Rounds:    roundsOverride,
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
 }

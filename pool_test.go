@@ -165,7 +165,7 @@ func TestFailedSimulateLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lateFailure := good // split-brain without a Blocked set fails in wrapByzantine, after BuildNodes
+	lateFailure := good // split-brain without a Blocked set fails in harness.BuildNectar, after BuildNodes
 	lateFailure.Blocked = nil
 	earlyFailure := good
 	earlyFailure.SchemeName = "rot13"
@@ -206,7 +206,7 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Split-brain without a Blocked set fails in wrapByzantine, after
+	// Split-brain without a Blocked set fails in harness.BuildNectar, after
 	// BuildNodes — but only once the node is present to be wrapped.
 	lateFailure := good
 	lateFailure.Blocked = nil

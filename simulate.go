@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/nectar-repro/nectar/internal/adversary"
-	"github.com/nectar-repro/nectar/internal/graph"
+	"github.com/nectar-repro/nectar/internal/harness"
 	"github.com/nectar-repro/nectar/internal/ids"
 	inectar "github.com/nectar-repro/nectar/internal/nectar"
 	"github.com/nectar-repro/nectar/internal/obs"
@@ -65,6 +64,10 @@ func (b Behavior) Valid() bool {
 	return false
 }
 
+// attack maps b to the harness attack of the same name: every behaviour is
+// one of the NECTAR attacks other than none (TestBehaviorsAreTheNectarAttacks).
+func (b Behavior) attack() harness.AttackKind { return harness.AttackKind(b) }
+
 // SimulationConfig drives one in-memory NECTAR execution.
 type SimulationConfig struct {
 	// Graph is the communication network. Required.
@@ -88,11 +91,6 @@ type SimulationConfig struct {
 	// all rounds to execute. Results are identical either way; the knob
 	// exists for equivalence testing and round-complexity ablations.
 	FullHorizon bool
-	// ParanoidVerify applies the literal Alg. 1 check order on every node
-	// (signature verification before the duplicate discard) instead of the
-	// default lazy header-first decode. Decisions are identical either
-	// way; see Config.ParanoidVerify.
-	ParanoidVerify bool
 	// Workers caps the engine's intra-run parallelism (0 = GOMAXPROCS).
 	// Results are identical for any worker count (DESIGN.md §6, §10);
 	// bound it when sharing a machine with other runs.
@@ -102,9 +100,11 @@ type SimulationConfig struct {
 	Tracer obs.Tracer
 
 	// noVerifyCache runs without the run-wide signature-verification memo
-	// (DESIGN.md §9): the uncached reference the equivalence tests compare
+	// (DESIGN.md §9), and paranoidVerify applies the literal Alg. 1 check
+	// order (verification before the duplicate discard; see
+	// Config.ParanoidVerify): the references the equivalence tests compare
 	// the default against. Settable from in-package tests only.
-	noVerifyCache bool
+	noVerifyCache, paranoidVerify bool
 }
 
 // SimulationResult reports the decisions and traffic of one execution.
@@ -150,51 +150,26 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	if err := inectar.CheckRounds(n, cfg.Rounds); err != nil {
 		return nil, err
 	}
-	scheme, err := resolveScheme(cfg.SchemeName, n, cfg.Seed)
+	schemeName, err := resolveSchemeName(cfg.SchemeName)
 	if err != nil {
 		return nil, err
 	}
-	byz, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
+	attacks, blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
 	if err != nil {
 		return nil, err
 	}
-
-	var opts []BuildOption
-	var vcache *sig.VerifyCache
-	if !cfg.noVerifyCache {
-		vcache = sig.NewVerifyCache()
-		defer vcache.Release() // after Stats below, and on every error path
-		opts = append(opts, WithVerifyCache(vcache))
-	}
-	if cfg.ParanoidVerify {
-		opts = append(opts, WithParanoidVerify())
-	}
-	nodes, err := BuildNodes(cfg.Graph, cfg.T, scheme, cfg.Rounds, opts...)
+	run, err := harness.BuildNectar(harness.NectarConfig{
+		Graph: cfg.Graph, T: cfg.T, Scheme: sig.ByName(schemeName, n, cfg.Seed),
+		Rounds: cfg.Rounds, Seed: cfg.Seed, Byzantine: attacks, Blocked: blocked,
+		NoVerifyCache: cfg.noVerifyCache, ParanoidVerify: cfg.paranoidVerify,
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Deciding releases a node's scratch; this covers the nodes that never
-	// decide (the inner nodes of Byzantine wrappers) and the error paths.
-	defer func() {
-		for _, nd := range nodes {
-			nd.Release()
-		}
-	}()
-	protos := make([]rounds.Protocol, n)
-	for i, nd := range nodes {
-		protos[i] = nd
-	}
+	defer run.Release() // the engine's error path; a no-op after Finish
 	r := cfg.Rounds
 	if r == 0 {
 		r = n - 1
-	}
-	coord := coordinatorFor(cfg.Byzantine)
-	for _, b := range byz.Sorted() {
-		p, err := wrapByzantine(cfg, scheme, nodes[b], b, byz, coord, r)
-		if err != nil {
-			return nil, err
-		}
-		protos[b] = p
 	}
 	metrics, err := rounds.Run(rounds.Config{
 		Graph:       cfg.Graph,
@@ -203,162 +178,96 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 		FullHorizon: cfg.FullHorizon,
 		Workers:     cfg.Workers,
 		Tracer:      cfg.Tracer,
-	}, protos)
+	}, run.Protos)
 	if err != nil {
 		return nil, err
 	}
-
+	// Verdict provenance (DESIGN.md §13): under tracing each decision emits
+	// a kappa_eval event, in ID order on this goroutine.
+	outs, fastPath := run.Finish(NewDecideCache(), cfg.Tracer, 0)
 	res := &SimulationResult{
-		Outcomes:       make(map[NodeID]Outcome, n-byz.Len()),
-		Agreement:      true,
 		BytesSent:      metrics.BytesSent,
 		BytesBroadcast: metrics.BytesBroadcast,
 		Rounds:         r,
 		ActiveRounds:   metrics.ActiveRounds,
+		FastPath:       fastPath,
 	}
-	dc := NewDecideCache()
-	first := true
-	for i, nd := range nodes {
-		id := NodeID(i)
-		if byz.Has(id) {
-			continue
-		}
-		// Verdict provenance (DESIGN.md §13): under tracing each decision
-		// emits a kappa_eval event; nodes decide in ascending ID order on
-		// this one goroutine, so the events are deterministic.
-		o := nd.DecideTraced(dc, cfg.Tracer, 0)
-		res.Outcomes[id] = o
-		res.LazyDiscards += int64(nd.Stats().LazyDiscards)
-		if o.Confirmed {
-			res.Confirmed = true
-		}
-		if first {
-			res.Decision = o.Decision
-			first = false
-		} else if o.Decision != res.Decision {
-			res.Agreement = false
-		}
-	}
-	res.VerifyCacheHits, res.VerifyCacheMisses = vcache.Stats()
-	res.DecideCacheHits = dc.Hits()
+	res.Outcomes, res.Agreement, res.Decision, res.Confirmed = tally(outs)
 	return res, nil
 }
 
-// validateSchemeName checks a scheme name ("" = the ed25519 default)
-// without constructing the scheme, naming the valid schemes on error —
-// misconfigurations fail before any key generation.
-func validateSchemeName(name string) error {
+// tally folds a run's outcomes, indexed by node with Undecided for the nodes
+// that did not decide, into the per-node map and agreement summary of the
+// result types: Decision is the lowest-ID node's.
+func tally(outs []Outcome) (outcomes map[NodeID]Outcome, agreement bool, decision Decision, confirmed bool) {
+	outcomes = make(map[NodeID]Outcome, len(outs))
+	agreement = true
+	for i, o := range outs {
+		if o.Decision == Undecided {
+			continue
+		}
+		if len(outcomes) == 0 {
+			decision = o.Decision
+		} else if o.Decision != decision {
+			agreement = false
+		}
+		outcomes[NodeID(i)] = o
+		confirmed = confirmed || o.Confirmed
+	}
+	return outcomes, agreement, decision, confirmed
+}
+
+// resolveSchemeName checks a scheme name without constructing the scheme,
+// naming the valid schemes on error — misconfigurations fail before any key
+// generation — and resolves "" to the ed25519 default.
+func resolveSchemeName(name string) (string, error) {
 	if name == "" {
-		return nil
+		return "ed25519", nil
 	}
 	for _, s := range sig.Names() {
 		if name == s {
-			return nil
+			return name, nil
 		}
 	}
-	return fmt.Errorf("nectar: unknown scheme %q (valid: %s)",
+	return "", fmt.Errorf("nectar: unknown scheme %q (valid: %s)",
 		name, strings.Join(sig.Names(), ", "))
 }
 
-// resolveScheme validates a scheme name ("" = "ed25519") and constructs
-// the scheme.
-func resolveScheme(name string, n int, seed int64) (Scheme, error) {
-	if err := validateSchemeName(name); err != nil {
-		return nil, err
-	}
-	if name == "" {
-		name = "ed25519"
-	}
-	return sig.ByName(name, n, seed), nil
-}
-
 // checkByzantine validates a Byzantine assignment for an n-node system
-// with bound t: known behaviours, in-range IDs, count within t, and
+// with bound t — known behaviours, in-range IDs, count within t, and
 // Blocked entries only for split-brain nodes (anything else is a
-// misconfigured attack scenario that would otherwise silently no-op).
-func checkByzantine(n, t int, byzantine map[NodeID]Behavior, blocked map[NodeID][]NodeID) (ids.Set, error) {
-	byz := ids.NewSet()
+// misconfigured attack scenario that would otherwise silently no-op) — and
+// converts it for harness.BuildNectar. A split-brain node with no Blocked
+// targets gets no set, which BuildNectar rejects once it wraps the node.
+func checkByzantine(n, t int, byzantine map[NodeID]Behavior, blocked map[NodeID][]NodeID) (map[NodeID]harness.AttackKind, map[NodeID]ids.Set, error) {
+	attacks := make(map[NodeID]harness.AttackKind, len(byzantine))
 	for b, beh := range byzantine {
 		if int(b) >= n {
-			return nil, fmt.Errorf("nectar: Byzantine node %v out of range", b)
+			return nil, nil, fmt.Errorf("nectar: Byzantine node %v out of range", b)
 		}
 		if !beh.Valid() {
-			return nil, fmt.Errorf("nectar: node %v has unknown behavior %q (valid: %v)",
+			return nil, nil, fmt.Errorf("nectar: node %v has unknown behavior %q (valid: %v)",
 				b, beh, KnownBehaviors())
 		}
-		byz.Add(b)
+		attacks[b] = beh.attack()
 	}
-	if byz.Len() > t {
-		return nil, fmt.Errorf("nectar: %d Byzantine nodes exceed T=%d", byz.Len(), t)
+	if len(attacks) > t {
+		return nil, nil, fmt.Errorf("nectar: %d Byzantine nodes exceed T=%d", len(attacks), t)
 	}
+	sets := make(map[NodeID]ids.Set, len(blocked))
 	for b, targets := range blocked {
 		if byzantine[b] != BehaviorSplitBrain {
-			return nil, fmt.Errorf("nectar: Blocked entry for node %v, which has behavior %q (want %q)",
+			return nil, nil, fmt.Errorf("nectar: Blocked entry for node %v, which has behavior %q (want %q)",
 				b, byzantine[b], BehaviorSplitBrain)
 		}
 		for _, to := range targets {
 			if int(to) >= n {
-				return nil, fmt.Errorf("nectar: Blocked target %v of node %v out of range", to, b)
+				return nil, nil, fmt.Errorf("nectar: Blocked target %v of node %v out of range", to, b)
 			}
 		}
-	}
-	return byz, nil
-}
-
-// coordinatorFor returns one fresh shared controller when any assigned
-// behaviour is coordinated (adaptive/phased), nil otherwise. All
-// coordinated nodes of a run join the same controller; other Byzantine
-// behaviours are simply not joined.
-func coordinatorFor(byzantine map[NodeID]Behavior) *adversary.Coordinator {
-	for _, beh := range byzantine {
-		if beh == BehaviorAdaptive || beh == BehaviorPhased {
-			return adversary.NewCoordinator()
+		if len(targets) > 0 {
+			sets[b] = ids.NewSet(targets...)
 		}
 	}
-	return nil
-}
-
-// wrapByzantine builds the adversary wrapper for node b. coord is the
-// shared controller for coordinated behaviours (non-nil iff the run has
-// any); horizon is the run's round count, which phased schedules key on.
-func wrapByzantine(cfg SimulationConfig, scheme Scheme, inner *Node, b NodeID, byz ids.Set, coord *adversary.Coordinator, horizon int) (rounds.Protocol, error) {
-	nbrs := cfg.Graph.Neighbors(b)
-	switch cfg.Byzantine[b] {
-	case BehaviorCrash:
-		return adversary.Silent{}, nil
-	case BehaviorSplitBrain:
-		blocked := ids.NewSet(cfg.Blocked[b]...)
-		if blocked.Len() == 0 {
-			return nil, fmt.Errorf("nectar: split-brain node %v has no Blocked set", b)
-		}
-		return adversary.SplitBrain(inner, blocked), nil
-	case BehaviorFakeEdges:
-		var partners []Signer
-		for _, other := range byz.Sorted() {
-			if other != b {
-				partners = append(partners, scheme.SignerFor(other))
-			}
-		}
-		return adversary.NewNectarFakeEdges(inner, scheme.SignerFor(b), partners,
-			scheme.Verifier().SigSize(), nbrs), nil
-	case BehaviorGarbage:
-		return adversary.NewGarbage(nbrs, cfg.Seed^int64(b), 200), nil
-	case BehaviorStale:
-		return adversary.NewNectarStaleReplay(inner), nil
-	case BehaviorEquivocate:
-		return adversary.NectarEquivocate(inner), nil
-	case BehaviorOmitOwn:
-		hide := make(map[graph.Edge]bool)
-		for _, other := range byz.Sorted() {
-			if other != b && cfg.Graph.HasEdge(b, other) {
-				hide[graph.NewEdge(b, other)] = true
-			}
-		}
-		return adversary.NectarOmitOwn(inner, scheme.Verifier().SigSize(), hide), nil
-	case BehaviorAdaptive:
-		return coord.Join(inner, b, nbrs, adversary.AlwaysEquivocate()), nil
-	case BehaviorPhased:
-		return coord.Join(inner, b, nbrs, adversary.StaleThenEquivocate(adversary.PhasedSwitchRound(horizon))), nil
-	}
-	return nil, fmt.Errorf("nectar: unknown behavior %q for node %v", cfg.Byzantine[b], b)
+	return attacks, sets, nil
 }
