@@ -5,7 +5,10 @@
 // Launches eight NECTAR processes (as goroutines, one listener each) that
 // talk exclusively over 127.0.0.1 TCP connections with Ed25519
 // signatures and wall-clock synchronous rounds — the same code path as
-// cmd/nectar-node, self-contained in one binary for convenience.
+// cmd/nectar-node, self-contained in one binary for convenience. Each
+// process runs Simulate's round engine over its one node, so "sent" is
+// metered as there: a send to a downed peer (with Reconnect) counts as
+// sent, like a LossRate loss; one to a non-neighbor, in DroppedNonEdge.
 package main
 
 import (

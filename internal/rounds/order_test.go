@@ -39,22 +39,19 @@ func (n *recordingNode) Deliver(round int, from ids.NodeID, data []byte) {
 	n.floodNode.Deliver(round, from, data)
 }
 
-// deliveryDigest runs a recorded flood and returns the SHA-256 over the
-// per-recipient digests of (round, recipient, from, payload) sequences, in
-// recipient order.
-func deliveryDigest(t *testing.T, g *graph.Graph, cfg Config) string {
-	t.Helper()
+// recordingNodes returns a recording flood node per vertex of g.
+func recordingNodes(g *graph.Graph) []*recordingNode {
 	nodes := make([]*recordingNode, g.N())
-	protos := make([]Protocol, g.N())
 	for i := range nodes {
 		id := ids.NodeID(i)
 		nodes[i] = &recordingNode{floodNode: newFloodNode(id, g, fmt.Sprintf("origin-%d", i)), h: sha256.New()}
-		protos[i] = nodes[i]
 	}
-	cfg.Graph = g
-	if _, err := Run(cfg, protos); err != nil {
-		t.Fatal(err)
-	}
+	return nodes
+}
+
+// digestOf returns the SHA-256 over the nodes' per-recipient digests of
+// (round, recipient, from, payload) sequences, in recipient order.
+func digestOf(nodes []*recordingNode) string {
 	total := sha256.New()
 	for _, nd := range nodes {
 		total.Write(nd.h.Sum(nil))
@@ -62,12 +59,36 @@ func deliveryDigest(t *testing.T, g *graph.Graph, cfg Config) string {
 	return hex.EncodeToString(total.Sum(nil))
 }
 
-// TestDeliveryOrderIsPinned compares the delivery sequences of floods on
-// three graph families with digests captured at the commit before the
-// engine's shuffle source replaced math/rand's (PR 15). A change to the
-// shuffle — a different generator, seed derivation, or swap order — fails
-// here first.
-func TestDeliveryOrderIsPinned(t *testing.T) {
+// deliveryDigest runs a recorded flood and returns its digestOf and metrics.
+func deliveryDigest(t *testing.T, g *graph.Graph, cfg Config) (string, *Metrics) {
+	t.Helper()
+	nodes := recordingNodes(g)
+	protos := make([]Protocol, g.N())
+	for i, nd := range nodes {
+		protos[i] = nd
+	}
+	cfg.Graph = g
+	m, err := Run(cfg, protos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digestOf(nodes), m
+}
+
+// orderCase is a flood whose delivery digest is pinned.
+type orderCase struct {
+	name   string
+	g      *graph.Graph
+	rounds int
+	seed   int64
+	loss   float64
+	want   string
+}
+
+// pinnedOrderCases are floods on three graph families with digests
+// captured before the engine's shuffle source replaced math/rand's.
+func pinnedOrderCases(t *testing.T) []orderCase {
+	t.Helper()
 	harary, err := topology.Harary(6, 35)
 	if err != nil {
 		t.Fatal(err)
@@ -76,24 +97,23 @@ func TestDeliveryOrderIsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name   string
-		g      *graph.Graph
-		rounds int
-		seed   int64
-		loss   float64
-		want   string
-	}{
+	return []orderCase{
 		{"ring16", topology.Ring(16), 16, 1, 0, "8b01727b2dd65cd5f0a75fd900dc5f7d1c0686f2c3ce28ffda2dc5aac12acf1f"},
 		{"harary6-35", harary, 10, 42, 0, "7c34837c6d48ac41dce86b8d13578eca2e231b1c71490ebcd1317059775edf7a"},
 		{"harary6-35/negative-seed", harary, 10, -7, 0, "d8474042fd1337af1a1eb4c247c94ab6f40198e15c0659e28131fbbdf68181fc"},
 		{"drone60", drone, 12, 3, 0, "4cdd2c3a317203989d10bde4de2e86da2b152d84e631a639c7e5adfccc1441f0"},
 		{"drone60/lossy", drone, 12, 1 << 40, 0.2, "dda08c6ae914cccfcf61572ed8fe275c88905856a54aa796d44a3c9234f96ad6"},
 	}
-	for _, tc := range cases {
+}
+
+// TestDeliveryOrderIsPinned compares the delivery sequences of the pinned
+// floods with their digests. A change to the shuffle — a different
+// generator, seed derivation, or swap order — fails here first.
+func TestDeliveryOrderIsPinned(t *testing.T) {
+	for _, tc := range pinnedOrderCases(t) {
 		for _, workers := range []int{1, 2, 3, 4, 7} {
 			cfg := Config{Rounds: tc.rounds, Seed: tc.seed, LossRate: tc.loss, Workers: workers}
-			if got := deliveryDigest(t, tc.g, cfg); got != tc.want {
+			if got, _ := deliveryDigest(t, tc.g, cfg); got != tc.want {
 				t.Errorf("%s workers=%d: delivery digest %s, want %s", tc.name, workers, got, tc.want)
 			}
 		}

@@ -25,10 +25,12 @@
 package rounds
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -126,6 +128,29 @@ type EvidenceSource interface {
 	DrainEvidence(emit func(obs.Event))
 }
 
+// Transport joins engines that each run a share of one network's nodes —
+// the processes of a TCP deployment (internal/tcpnet), or engines side by
+// side in a test. Each engine holds all n slots, a placeholder that emits
+// nothing in those of remote nodes, and calls the transport from the
+// scheduler goroutine only (DESIGN.md §6, "one loop, two transports").
+type Transport interface {
+	// Remote reports whether node id runs in another engine; asked once
+	// per node before round 1.
+	Remote(id ids.NodeID) bool
+	// Exchange runs between route and deliver. out holds the round's
+	// admitted sends to remote nodes, by recipient and then sender-major;
+	// Exchange returns the round's sends from remote nodes to this
+	// engine's, each sender's in send order. Both need stay valid only
+	// until the round's delivery ends. An error ends the run.
+	Exchange(round int, out []Envelope) ([]Envelope, error)
+}
+
+// Envelope is one message crossing a Transport.
+type Envelope struct {
+	From, To ids.NodeID
+	Data     []byte
+}
+
 // DefaultMsgOverhead is the per-message byte overhead added to the sender's
 // byte count: a 4-byte sender ID and a 4-byte length prefix, matching the
 // TCP framing in internal/tcpnet.
@@ -180,6 +205,10 @@ type Config struct {
 	// and the equivalence property test pins tracer-on/off outputs
 	// byte-identical. Nil (the default) costs nothing on the hot path.
 	Tracer obs.Tracer
+	// Transport, when non-nil, splits the network across engines; a split
+	// run delivers and meters what one engine would. Nil (the default) is
+	// the single in-memory engine.
+	Transport Transport
 }
 
 // overhead resolves the MsgOverhead sentinel: 0 = default, negative = none.
@@ -333,6 +362,10 @@ type engine struct {
 	// EvidenceSource, drained after each round's delivery barrier in
 	// ascending node order. Nil when cfg.Tracer is nil.
 	evidence []EvidenceSource
+	// remote[i] marks the nodes cfg.Transport runs elsewhere; sent is the
+	// round's sends to them. Both nil without a transport.
+	remote []bool
+	sent   []Envelope
 }
 
 // Run drives nodes through cfg.Rounds synchronous rounds and returns the
@@ -410,11 +443,19 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 		quiescers[i] = q
 	}
 	e.quiescers = quiescers
-	e.run()
+	if cfg.Transport != nil {
+		e.remote = make([]bool, n)
+		for i := range e.remote {
+			e.remote[i] = cfg.Transport.Remote(ids.NodeID(i))
+		}
+	}
+	if err := e.run(); err != nil {
+		return nil, err
+	}
 	return e.m, nil
 }
 
-func (e *engine) run() {
+func (e *engine) run() error {
 	// nextChange is the first upcoming round with a different topology
 	// (0 = none). It both triggers adjacency swaps and re-arms the
 	// quiescence early exit: an all-quiescent network fast-forwards to
@@ -468,6 +509,11 @@ func (e *engine) run() {
 		}
 		e.m.DroppedNonEdge += dropNonEdge
 		e.m.DroppedLoss += dropLoss
+		if e.remote != nil {
+			if err := e.exchange(r); err != nil {
+				return err
+			}
+		}
 
 		// Phase 3: merge + deliver. Each recipient's inbox is assembled
 		// from the worker shards in stripe order (restoring sender-major
@@ -519,7 +565,7 @@ func (e *engine) run() {
 					if e.cfg.Tracer != nil {
 						e.cfg.Tracer.Emit(obs.Event{Type: obs.EvQuiesce, Round: r, N: int64(e.cfg.Rounds)})
 					}
-					return
+					return nil
 				}
 				if e.cfg.Tracer != nil {
 					e.cfg.Tracer.Emit(obs.Event{Type: obs.EvQuiesce, Round: r, N: int64(nextChange)})
@@ -528,6 +574,7 @@ func (e *engine) run() {
 			}
 		}
 	}
+	return nil
 }
 
 // route meters and stages the outboxes of senders [lo, hi) into sh.
@@ -547,6 +594,33 @@ func (e *engine) route(sh *routeShard, mt *meter, round, lo, hi int) {
 		}
 		e.outboxes[i] = nil
 	}
+}
+
+// exchange moves the staged sends to remote recipients out through the
+// transport and stages what it returns in shard 0, from where deliver
+// sorts it into sender-major order.
+func (e *engine) exchange(round int) error {
+	out := e.sent[:0]
+	for j, remote := range e.remote {
+		if !remote {
+			continue
+		}
+		for _, sh := range e.shards[:e.workers] {
+			for _, d := range sh.inbox[j] {
+				out = append(out, Envelope{From: d.from, To: ids.NodeID(j), Data: d.data})
+			}
+			sh.inbox[j] = sh.inbox[j][:0]
+		}
+	}
+	e.sent = out
+	in, err := e.cfg.Transport.Exchange(round, out)
+	if err != nil {
+		return err
+	}
+	for _, env := range in {
+		e.shards[0].inbox[env.To] = append(e.shards[0].inbox[env.To], delivery{from: env.From, data: env.Data})
+	}
+	return nil
 }
 
 // resetDedup forgets the payloads of the previous sender.
@@ -592,6 +666,9 @@ func (e *engine) deliver(w, i, round int) {
 	for _, sh := range e.shards[:e.workers] {
 		inbox = append(inbox, sh.inbox[i]...)
 		sh.inbox[i] = sh.inbox[i][:0]
+	}
+	if e.remote != nil { // stable: each sender's own order stays
+		slices.SortStableFunc(inbox, func(a, b delivery) int { return cmp.Compare(a.from, b.from) })
 	}
 	e.inboxes[i] = inbox
 	if len(inbox) == 0 {

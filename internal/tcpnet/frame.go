@@ -19,15 +19,32 @@ func DialPeer(addr string, retry time.Duration, deadline time.Time) (net.Conn, e
 	if retry <= 0 {
 		retry = 50 * time.Millisecond
 	}
+	return dialRetry(addr, nil, retry, deadline, nil)
+}
+
+// dialRetry is that loop: it dials addr and writes hello (if any), retrying
+// every retry until both succeed, deadline passes (zero: never) or stop
+// closes.
+func dialRetry(addr string, hello []byte, retry time.Duration, deadline time.Time, stop <-chan struct{}) (net.Conn, error) {
 	for {
 		c, err := net.DialTimeout("tcp", addr, retry*4)
 		if err == nil {
-			return c, nil
+			if len(hello) == 0 {
+				return c, nil
+			}
+			if _, err = c.Write(hello); err == nil {
+				return c, nil
+			}
+			c.Close()
 		}
-		if time.Now().After(deadline) {
+		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
 		}
-		time.Sleep(retry)
+		select {
+		case <-stop:
+			return nil, fmt.Errorf("tcpnet: dial %s: shut down", addr)
+		case <-time.After(retry):
+		}
 	}
 }
 

@@ -5,29 +5,37 @@
 // The synchronous model of §II is realized with wall-clock rounds: all
 // processes agree on a start instant and a round duration ΔT chosen so
 // that messages sent at the beginning of a round are delivered before it
-// ends. One TCP connection exists per communication-graph edge; the
-// lower-ID endpoint listens, the higher-ID endpoint dials, and a 4-byte ID
-// handshake authenticates the connection's edge. Frames are
-// length-prefixed, matching the byte accounting of the in-memory engine
-// (rounds.DefaultMsgOverhead).
+// ends. Each process runs rounds.Run over its one node with the peer table
+// as transport, so it shares the simulator's edge rules, metering and
+// delivery shuffle (DESIGN.md §6). One TCP connection exists per edge; the
+// lower-ID endpoint listens, the higher-ID endpoint dials and sends a
+// 4-byte hello naming itself. Frames are length-prefixed, matching the
+// engine's byte accounting (rounds.DefaultMsgOverhead).
+//
+// The hello is not authenticated: any process that reaches a listener can
+// claim to be a higher-ID neighbor, take its slot by connecting first at
+// startup, and under Config.Reconnect replace its live connection mid-run.
+// Deployments must trust the network between their processes (DESIGN.md
+// §12).
 //
 // With Config.Reconnect the node survives peer connection failures
 // instead of aborting: sends to a downed neighbor are dropped and
 // counted, lower-ID neighbors are redialed in the background, and the
-// listener keeps accepting re-handshakes from higher-ID neighbors — the
+// listener keeps adopting re-handshakes from higher-ID neighbors — the
 // long-running-service posture of cmd/nectar-node, surfaced through the
 // nectar_node_* metrics (DESIGN.md §12).
 package tcpnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
+	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/rounds"
@@ -53,8 +61,9 @@ type Config struct {
 	// must use the same value; it must be far enough in the future for
 	// connection establishment to finish.
 	StartAt time.Time
-	// RoundDuration is ΔT. It must comfortably exceed the network round
-	// trip; 200ms is generous on localhost.
+	// RoundDuration is ΔT. It must cover the network round trip plus one
+	// round's processing, since a round's messages are delivered when its
+	// window closes; 200ms is generous on localhost.
 	RoundDuration time.Duration
 	// Rounds is the number of synchronous rounds to execute.
 	Rounds int
@@ -65,8 +74,8 @@ type Config struct {
 	// sends to a downed neighbor are dropped and counted
 	// (Stats.SendsDropped) instead of aborting the run, lower-ID
 	// neighbors are redialed in the background, and the listener keeps
-	// accepting re-handshakes from higher-ID neighbors for the whole
-	// run. Off by default — a batch deployment's fail-fast abort is the
+	// adopting re-handshakes from higher-ID neighbors for the whole run.
+	// Off by default — a batch deployment's fail-fast abort is the
 	// legacy behavior.
 	Reconnect bool
 	// Metrics, when non-nil, receives live nectar_node_* counters and
@@ -77,11 +86,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Stats meters the local node's traffic.
+// Stats meters the local node's traffic. The traffic fields are the
+// engine's rounds.Metrics entries for the local node: a send to a downed
+// neighbor is metered as sent, like a message lost to rounds.Config.LossRate,
+// and a send that is not to a neighbor counts in DroppedNonEdge.
 type Stats struct {
-	BytesSent     int64
-	MsgsSent      int64
-	MsgsDelivered int64
+	BytesSent      int64
+	BytesBroadcast int64
+	MsgsSent       int64
+	MsgsDelivered  int64
+	DroppedNonEdge int64
 	// LateMsgs counts frames that arrived after their round window closed
 	// and were delivered in a later round (the protocol layer discards
 	// them if stale).
@@ -96,13 +110,20 @@ type Stats struct {
 }
 
 // frame is one received message, stamped with its arrival instant so the
-// round loop can map it onto the shared round grid (messages read from
-// the channel a few ms after a boundary may belong to either side of it).
+// peer table can map it onto the shared round grid.
 type frame struct {
 	from ids.NodeID
 	data []byte
 	at   time.Time
 }
+
+// remote stands in for every node this process does not run: it emits
+// nothing and, by not implementing rounds.Quiescer, keeps the engine on
+// the full horizon — a process cannot see whether its peers are quiet.
+type remote struct{}
+
+func (remote) Emit(int) []rounds.Send          { return nil }
+func (remote) Deliver(int, ids.NodeID, []byte) {}
 
 // Run executes proto over TCP for cfg.Rounds wall-clock rounds and
 // returns the traffic stats. It blocks until the run completes.
@@ -110,30 +131,42 @@ func Run(cfg Config, proto rounds.Protocol) (*Stats, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	conns, ln, err := connect(cfg)
-	if ln != nil {
-		defer ln.Close()
+	// The round loop is one rounds.Run over the local node's edges: proto
+	// in slot Me, placeholders in the others, the peer table as transport.
+	n := int(cfg.Me) + 1
+	for _, nb := range cfg.Neighbors {
+		n = max(n, int(nb)+1)
 	}
-	if err != nil {
-		closeAll(conns)
-		return nil, err
+	g := graph.New(n)
+	nodes := make([]rounds.Protocol, n)
+	for i := range nodes {
+		nodes[i] = remote{}
 	}
-
+	nodes[cfg.Me] = proto
+	ln := cfg.Listener
+	for _, nb := range cfg.Neighbors {
+		g.AddEdge(cfg.Me, nb)
+		if nb > cfg.Me && ln == nil {
+			var err error
+			if ln, err = net.Listen("tcp", cfg.Addrs[cfg.Me]); err != nil {
+				return nil, fmt.Errorf("tcpnet: listen %s: %w", cfg.Addrs[cfg.Me], err)
+			}
+		}
+	}
 	stats := &Stats{}
 	pt := newPeerTable(&cfg, stats)
-	for id, c := range conns {
-		pt.adopt(id, c, false)
-	}
-	if cfg.Reconnect && ln != nil {
-		// Higher-ID neighbors dial us; keep accepting their
-		// re-handshakes for the whole run.
-		pt.aux.Add(1)
-		go pt.acceptLoop(ln)
+	err := pt.start(ln)
+	if err == nil {
+		time.Sleep(time.Until(cfg.StartAt))
+		var m *rounds.Metrics
+		if m, err = rounds.Run(rounds.Config{Graph: g, Rounds: cfg.Rounds, Workers: 1, Transport: pt}, nodes); err == nil {
+			stats.BytesSent, stats.BytesBroadcast = m.BytesSent[cfg.Me], m.BytesBroadcast[cfg.Me]
+			stats.MsgsSent, stats.MsgsDelivered = m.MsgsSent[cfg.Me], m.MsgsDelivered[cfg.Me]
+			stats.DroppedNonEdge = m.DroppedNonEdge
+		}
 	}
 
-	err = runRounds(cfg, proto, pt, stats)
-
-	// Unblock every reader, redialer, and the accept loop, then wait for
+	// Unblock every reader, dialer, and the accept loop, then wait for
 	// them before reading the final stats.
 	pt.shutdown()
 	if ln != nil {
@@ -164,147 +197,32 @@ func validate(cfg *Config) error {
 		if _, ok := cfg.Addrs[nb]; !ok {
 			return fmt.Errorf("tcpnet: no address for neighbor %v", nb)
 		}
+		if _, ok := cfg.Addrs[cfg.Me]; !ok && nb > cfg.Me && cfg.Listener == nil {
+			return fmt.Errorf("tcpnet: no listen address for %v", cfg.Me)
+		}
 	}
 	return nil
 }
 
-// connect establishes one connection per incident edge: dial neighbors
-// with smaller IDs, accept from neighbors with larger IDs.
-func connect(cfg Config) (map[ids.NodeID]net.Conn, net.Listener, error) {
-	conns := make(map[ids.NodeID]net.Conn, len(cfg.Neighbors))
-	expectAccept := 0
-	for _, nb := range cfg.Neighbors {
-		if nb > cfg.Me {
-			expectAccept++
-		}
-	}
-	ln := cfg.Listener
-	if ln == nil && expectAccept > 0 {
-		addr, ok := cfg.Addrs[cfg.Me]
-		if !ok {
-			return nil, nil, fmt.Errorf("tcpnet: no listen address for %v", cfg.Me)
-		}
-		var err error
-		ln, err = net.Listen("tcp", addr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
-		}
-	}
-
-	deadline := cfg.StartAt
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-
-	// Accept loop for higher-ID neighbors.
-	if expectAccept > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			accepted := 0
-			for accepted < expectAccept {
-				if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-					_ = d.SetDeadline(deadline)
-				}
-				c, err := ln.Accept()
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("tcpnet: accept: %w", err)
-					}
-					mu.Unlock()
-					return
-				}
-				var hello [4]byte
-				if _, err := io.ReadFull(c, hello[:]); err != nil {
-					c.Close()
-					continue
-				}
-				peer := ids.NodeID(binary.BigEndian.Uint32(hello[:]))
-				if !isNeighbor(cfg.Neighbors, peer) || peer <= cfg.Me {
-					cfg.Logf("rejecting connection claiming to be %v", peer)
-					c.Close()
-					continue
-				}
-				mu.Lock()
-				if _, dup := conns[peer]; dup {
-					mu.Unlock()
-					c.Close()
-					continue
-				}
-				conns[peer] = c
-				mu.Unlock()
-				accepted++
-			}
-			// Clear the handshake deadline: the run's accept loop (under
-			// Reconnect) must block indefinitely, not inherit StartAt.
-			if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-				_ = d.SetDeadline(time.Time{})
-			}
-		}()
-	}
-
-	// Dial lower-ID neighbors, retrying until the start instant.
-	for _, nb := range cfg.Neighbors {
-		if nb >= cfg.Me {
-			continue
-		}
-		wg.Add(1)
-		go func(nb ids.NodeID) {
-			defer wg.Done()
-			addr := cfg.Addrs[nb]
-			for {
-				c, err := net.DialTimeout("tcp", addr, cfg.DialRetry*4)
-				if err == nil {
-					var hello [4]byte
-					binary.BigEndian.PutUint32(hello[:], uint32(cfg.Me))
-					if _, err := c.Write(hello[:]); err == nil {
-						mu.Lock()
-						conns[nb] = c
-						mu.Unlock()
-						return
-					}
-					c.Close()
-				}
-				if time.Now().After(deadline) {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("tcpnet: dialing %v at %s: %w", nb, addr, err)
-					}
-					mu.Unlock()
-					return
-				}
-				time.Sleep(cfg.DialRetry)
-			}
-		}(nb)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return conns, ln, firstErr
-	}
-	if len(conns) != len(cfg.Neighbors) {
-		return conns, ln, fmt.Errorf("tcpnet: %d of %d neighbor connections established",
-			len(conns), len(cfg.Neighbors))
-	}
-	cfg.Logf("node %v connected to %d neighbors", cfg.Me, len(conns))
-	return conns, ln, nil
-}
-
 // peerTable tracks the live connection per neighbor across failures and
 // reconnects, publishing transitions to the Stats and (when configured)
-// the metrics registry.
+// the metrics registry. It is the engine's rounds.Transport.
 type peerTable struct {
 	cfg      *Config
 	stats    *Stats
 	incoming chan frame
+	// carry holds frames read during an earlier round's window but
+	// stamped after it: they wait for their own round.
+	carry []frame
 
-	mu     sync.Mutex
-	conns  map[ids.NodeID]net.Conn
-	closed bool
+	mu      sync.Mutex
+	conns   map[ids.NodeID]net.Conn
+	closed  bool
+	running bool // startup is over: every adopt now is a re-establishment
 
 	done    chan struct{}
 	readers sync.WaitGroup // one readLoop per live connection
-	aux     sync.WaitGroup // accept loop + redialers
+	aux     sync.WaitGroup // accept loop + dialers
 
 	// Live instruments; all nil without Config.Metrics.
 	connected                *obs.Gauge
@@ -345,7 +263,7 @@ func newPeerTable(cfg *Config, stats *Stats) *peerTable {
 		pt.droppedC = reg.Counter(metricSendsDropped, helpSendsDropped)
 		pt.lateC = reg.Counter(metricLateMsgs, helpLateMsgs)
 		pt.roundsC = reg.Counter("nectar_node_rounds_completed_total", "Wall-clock rounds completed.")
-		pt.bytesC = reg.Counter("nectar_node_bytes_sent_total", "Bytes sent on the wire, payload plus framing.")
+		pt.bytesC = reg.Counter("nectar_node_bytes_sent_total", "Bytes sent to neighbors, payload plus framing.")
 		pt.sentC = reg.Counter("nectar_node_msgs_sent_total", "Messages sent to neighbors.")
 		pt.deliveredC = reg.Counter("nectar_node_msgs_delivered_total", "Messages delivered to the local protocol.")
 	}
@@ -368,31 +286,56 @@ func PeerHealth(reg *obs.Registry) []obs.Attr {
 	}
 }
 
-// get returns the peer's live connection, or nil.
-func (pt *peerTable) get(id ids.NodeID) net.Conn {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.conns[id]
+// start brings the connections up — the accept loop when this node
+// listens, a dialer per lower-ID neighbor — and waits until the table
+// holds every neighbor or StartAt passes. The accept loop runs for the
+// whole run; without Reconnect it only ever fills empty slots.
+func (pt *peerTable) start(ln net.Listener) error {
+	if ln != nil {
+		pt.aux.Add(1)
+		go pt.acceptLoop(ln)
+	}
+	for _, nb := range pt.cfg.Neighbors {
+		if nb < pt.cfg.Me {
+			pt.aux.Add(1)
+			go pt.dial(nb, pt.cfg.StartAt)
+		}
+	}
+	for {
+		pt.mu.Lock()
+		got := len(pt.conns)
+		pt.running = got == len(pt.cfg.Neighbors)
+		pt.mu.Unlock()
+		if pt.running {
+			pt.cfg.Logf("node %v connected to %d neighbors", pt.cfg.Me, got)
+			return nil
+		}
+		if time.Now().After(pt.cfg.StartAt) {
+			return fmt.Errorf("tcpnet: %d of %d neighbor connections established by the start instant",
+				got, len(pt.cfg.Neighbors))
+		}
+		time.Sleep(pt.cfg.DialRetry)
+	}
 }
 
-// adopt installs a connection for peer and starts its read loop. With
-// reconnect=true it replaces (and closes) any previous connection and
-// counts a re-establishment; after shutdown the connection is closed and
-// discarded.
-func (pt *peerTable) adopt(peer ids.NodeID, c net.Conn, reconnect bool) {
+// adopt installs a connection for peer and starts its read loop. A live
+// connection is kept without Reconnect and replaced with it; after
+// shutdown c is closed.
+func (pt *peerTable) adopt(peer ids.NodeID, c net.Conn) {
 	pt.mu.Lock()
-	if pt.closed {
+	old, live := pt.conns[peer]
+	if pt.closed || live && !pt.cfg.Reconnect {
 		pt.mu.Unlock()
 		c.Close()
 		return
 	}
-	if old, ok := pt.conns[peer]; ok {
+	if live {
 		old.Close()
 	} else if pt.connected != nil {
 		pt.connected.Inc()
 	}
 	pt.conns[peer] = c
-	if reconnect {
+	if pt.running {
 		pt.stats.PeerReconnects++
 		if pt.reconnC != nil {
 			pt.reconnC.Inc()
@@ -403,7 +346,7 @@ func (pt *peerTable) adopt(peer ids.NodeID, c net.Conn, reconnect bool) {
 	pt.readers.Add(1)
 	go func() {
 		defer pt.readers.Done()
-		readLoop(peer, c, pt.incoming)
+		readLoop(peer, c, pt.incoming, pt.done)
 		pt.lost(peer, c)
 	}()
 }
@@ -415,8 +358,8 @@ func (pt *peerTable) adopt(peer ids.NodeID, c net.Conn, reconnect bool) {
 // redialer; higher-ID peers redial us through the accept loop.
 func (pt *peerTable) lost(peer ids.NodeID, c net.Conn) {
 	if !pt.cfg.Reconnect {
-		// Legacy mode: leave the dead connection in the table so the
-		// next write to it fails and aborts the run (fail-fast).
+		// Fail-fast: leave the dead connection in the table so the next
+		// write to it fails and aborts the run.
 		return
 	}
 	c.Close()
@@ -431,46 +374,34 @@ func (pt *peerTable) lost(peer ids.NodeID, c net.Conn) {
 		pt.connected.Dec()
 		pt.downC.Inc()
 	}
-	redial := pt.cfg.Reconnect && peer < pt.cfg.Me
+	redial := peer < pt.cfg.Me
+	if redial {
+		pt.aux.Add(1) // under mu, so before shutdown and Run's aux.Wait
+	}
 	pt.mu.Unlock()
 	pt.cfg.Logf("node %v lost connection to %v", pt.cfg.Me, peer)
 	if redial {
-		pt.aux.Add(1)
-		go pt.redial(peer)
+		go pt.dial(peer, time.Time{})
 	}
 }
 
-// redial re-establishes the outbound connection to a lower-ID peer,
-// retrying on cfg.DialRetry until shutdown.
-func (pt *peerTable) redial(peer ids.NodeID) {
+// dial connects to lower-ID neighbor peer with the hello, retrying until
+// deadline (zero: until shutdown), and adopts the connection.
+func (pt *peerTable) dial(peer ids.NodeID, deadline time.Time) {
 	defer pt.aux.Done()
-	addr := pt.cfg.Addrs[peer]
-	for {
-		select {
-		case <-pt.done:
-			return
-		default:
-		}
-		c, err := net.DialTimeout("tcp", addr, pt.cfg.DialRetry*4)
-		if err == nil {
-			var hello [4]byte
-			binary.BigEndian.PutUint32(hello[:], uint32(pt.cfg.Me))
-			if _, err := c.Write(hello[:]); err == nil {
-				pt.adopt(peer, c, true)
-				return
-			}
-			c.Close()
-		}
-		select {
-		case <-pt.done:
-			return
-		case <-time.After(pt.cfg.DialRetry):
-		}
+	var hello [4]byte
+	binary.BigEndian.PutUint32(hello[:], uint32(pt.cfg.Me))
+	c, err := dialRetry(pt.cfg.Addrs[peer], hello[:], pt.cfg.DialRetry, deadline, pt.done)
+	if err != nil {
+		pt.cfg.Logf("node %v: neighbor %v: %v", pt.cfg.Me, peer, err)
+		return
 	}
+	pt.adopt(peer, c)
 }
 
-// acceptLoop accepts re-handshakes from higher-ID neighbors for the
-// whole run (Reconnect only). It exits when the listener closes.
+// acceptLoop reads the hello of every connection to the listener and
+// adopts those naming a higher-ID neighbor. It exits when the listener
+// closes.
 func (pt *peerTable) acceptLoop(ln net.Listener) {
 	defer pt.aux.Done()
 	for {
@@ -484,24 +415,16 @@ func (pt *peerTable) acceptLoop(ln net.Listener) {
 			continue
 		}
 		peer := ids.NodeID(binary.BigEndian.Uint32(hello[:]))
-		if !isNeighbor(pt.cfg.Neighbors, peer) || peer <= pt.cfg.Me {
+		if !slices.Contains(pt.cfg.Neighbors, peer) || peer <= pt.cfg.Me {
 			pt.cfg.Logf("rejecting connection claiming to be %v", peer)
 			c.Close()
 			continue
 		}
-		pt.adopt(peer, c, true)
+		pt.adopt(peer, c)
 	}
 }
 
-// dropSend counts one message dropped for lack of a live connection.
-func (pt *peerTable) dropSend() {
-	pt.stats.SendsDropped++
-	if pt.droppedC != nil {
-		pt.droppedC.Inc()
-	}
-}
-
-// shutdown closes every live connection and stops redialers; subsequent
+// shutdown closes every live connection and stops dialers; subsequent
 // adopts are rejected.
 func (pt *peerTable) shutdown() {
 	pt.mu.Lock()
@@ -513,101 +436,91 @@ func (pt *peerTable) shutdown() {
 	pt.mu.Unlock()
 }
 
-// runRounds drives the wall-clock round loop.
-func runRounds(cfg Config, proto rounds.Protocol, pt *peerTable, stats *Stats) error {
-	// Wait for the agreed start instant.
-	if d := time.Until(cfg.StartAt); d > 0 {
-		time.Sleep(d)
-	}
-	// roundOf maps an arrival instant onto the shared round grid. All
-	// processes agree on StartAt, so the grid is the one cross-process
-	// ground truth; the local loop variable can lag it by scheduler
-	// jitter at each boundary.
-	roundOf := func(t time.Time) int {
-		if !t.After(cfg.StartAt) {
-			return 1
+// Remote implements rounds.Transport: the process runs only Me.
+func (pt *peerTable) Remote(id ids.NodeID) bool { return id != pt.cfg.Me }
+
+// Exchange implements rounds.Transport: it writes the round's sends (all
+// from Me to neighbors — the engine has already dropped the rest) and
+// returns the frames of the round's window. Without Reconnect a failed
+// write ends the run.
+func (pt *peerTable) Exchange(round int, out []rounds.Envelope) ([]rounds.Envelope, error) {
+	for _, s := range out {
+		if pt.bytesC != nil {
+			pt.bytesC.Add(int64(len(s.Data) + rounds.DefaultMsgOverhead))
+			pt.sentC.Inc()
 		}
-		return int(t.Sub(cfg.StartAt)/cfg.RoundDuration) + 1
-	}
-	// carry holds frames that arrived after the local drain's round
-	// window but belong to the next round (a peer's Emit racing this
-	// node's timer): delivering them under the old label would make the
-	// protocol reject them (signature chains are length-checked per
-	// round), so they wait for their own round.
-	var carry []frame
-	for r := 1; r <= cfg.Rounds; r++ {
-		roundEnd := cfg.StartAt.Add(time.Duration(r) * cfg.RoundDuration)
-		for _, s := range proto.Emit(r) {
-			c := pt.get(s.To)
-			if c == nil {
-				if cfg.Reconnect && isNeighbor(cfg.Neighbors, s.To) {
-					// Downed neighbor: the message is lost, the run
-					// survives. Without Reconnect a missing entry only
-					// ever means "not an edge" — the engine-equivalent
-					// silent drop.
-					pt.dropSend()
-				}
+		pt.mu.Lock()
+		c := pt.conns[s.To]
+		pt.mu.Unlock()
+		if c != nil {
+			err := writeFrame(c, s.From, s.Data)
+			if err == nil {
 				continue
 			}
-			if err := writeFrame(c, cfg.Me, s.Data); err != nil {
-				if !cfg.Reconnect {
-					return fmt.Errorf("tcpnet: round %d send to %v: %w", r, s.To, err)
-				}
-				pt.dropSend()
-				pt.lost(s.To, c)
-				continue
+			if !pt.cfg.Reconnect {
+				return nil, fmt.Errorf("tcpnet: round %d send to %v: %w", round, s.To, err)
 			}
-			stats.BytesSent += int64(len(s.Data) + rounds.DefaultMsgOverhead)
-			stats.MsgsSent++
-			if pt.bytesC != nil {
-				pt.bytesC.Add(int64(len(s.Data) + rounds.DefaultMsgOverhead))
-				pt.sentC.Inc()
-			}
+			pt.lost(s.To, c)
 		}
-		deliver := func(round int, f frame) {
-			stats.MsgsDelivered++
-			if pt.deliveredC != nil {
-				pt.deliveredC.Inc()
-			}
-			proto.Deliver(round, f.from, f.data)
+		// The neighbor is down (only ever under Reconnect): the send is lost.
+		pt.stats.SendsDropped++
+		if pt.droppedC != nil {
+			pt.droppedC.Inc()
 		}
-		// Frames held over from the previous drain belong to this round;
-		// deliver them now that Emit(r) has run.
-		for _, f := range carry {
-			deliver(roundOf(f.at), f)
-		}
-		carry = carry[:0]
-		// Deliver everything that arrives within the round window.
-		timer := time.NewTimer(time.Until(roundEnd))
-	drain:
-		for {
-			select {
-			case f := <-pt.incoming:
-				fr := roundOf(f.at)
-				if fr > r {
-					carry = append(carry, f)
-					continue
-				}
-				if fr < r {
-					// Arrived after its window closed; the protocol layer
-					// discards it if stale.
-					stats.LateMsgs++
-					if pt.lateC != nil {
-						pt.lateC.Inc()
-					}
-				}
-				deliver(r, f)
-			case <-timer.C:
-				break drain
-			}
-		}
-		timer.Stop()
-		if pt.roundsC != nil {
-			pt.roundsC.Inc()
-		}
-		cfg.Logf("node %v finished round %d/%d", cfg.Me, r, cfg.Rounds)
 	}
-	return nil
+	in := pt.collect(round)
+	if pt.roundsC != nil {
+		pt.roundsC.Inc()
+		pt.deliveredC.Add(int64(len(in)))
+	}
+	pt.cfg.Logf("node %v finished round %d/%d", pt.cfg.Me, round, pt.cfg.Rounds)
+	return in, nil
+}
+
+// collect gathers round r's frames: those carried over, then everything
+// read until r's window on the StartAt grid — which all processes share,
+// unlike their loops — closes. A frame stamped after the window waits for
+// its round (signature chains are length-checked per round); one stamped
+// before it is delivered now and counted in LateMsgs.
+func (pt *peerTable) collect(r int) []rounds.Envelope {
+	var in []rounds.Envelope
+	take := func(f frame) {
+		fr := 1
+		if f.at.After(pt.cfg.StartAt) {
+			fr = int(f.at.Sub(pt.cfg.StartAt)/pt.cfg.RoundDuration) + 1
+		}
+		if fr > r {
+			pt.carry = append(pt.carry, f)
+			return
+		}
+		if fr < r {
+			pt.stats.LateMsgs++
+			if pt.lateC != nil {
+				pt.lateC.Inc()
+			}
+		}
+		in = append(in, rounds.Envelope{From: f.from, To: pt.cfg.Me, Data: f.data})
+	}
+	held := pt.carry
+	pt.carry = nil
+	for _, f := range held {
+		take(f)
+	}
+	timer := time.NewTimer(time.Until(pt.cfg.StartAt.Add(time.Duration(r) * pt.cfg.RoundDuration)))
+	defer timer.Stop()
+	for {
+		select {
+		case f := <-pt.incoming:
+			take(f)
+		case <-timer.C:
+			// Frames queued when the window closes are sorted by their
+			// stamps too, not left to look late next round.
+			for len(pt.incoming) > 0 {
+				take(<-pt.incoming)
+			}
+			return in
+		}
+	}
 }
 
 // writeFrame sends [from:4][len:4][payload].
@@ -620,9 +533,11 @@ func writeFrame(c net.Conn, from ids.NodeID, data []byte) error {
 }
 
 // readLoop parses frames from one connection into the shared channel. The
-// sender ID in the frame header is ignored in favor of the authenticated
-// connection identity: a Byzantine neighbor cannot spoof a third party.
-func readLoop(peer ids.NodeID, c net.Conn, out chan<- frame) {
+// sender ID in the frame header is ignored in favor of the peer the
+// connection's hello named: a neighbor cannot label its frames as another
+// node's. The hello itself is unauthenticated (see the package comment).
+// It returns once done closes: a flooding peer cannot stall Run's shutdown.
+func readLoop(peer ids.NodeID, c net.Conn, out chan<- frame, done <-chan struct{}) {
 	for {
 		var hdr [8]byte
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
@@ -636,25 +551,10 @@ func readLoop(peer ids.NodeID, c net.Conn, out chan<- frame) {
 		if _, err := io.ReadFull(c, data); err != nil {
 			return
 		}
-		out <- frame{from: peer, data: data, at: time.Now()}
-	}
-}
-
-func isNeighbor(neighbors []ids.NodeID, id ids.NodeID) bool {
-	for _, nb := range neighbors {
-		if nb == id {
-			return true
+		select {
+		case out <- frame{from: peer, data: data, at: time.Now()}:
+		case <-done:
+			return
 		}
 	}
-	return false
 }
-
-func closeAll(conns map[ids.NodeID]net.Conn) {
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// ErrTooFewRounds is returned by helpers when a deployment would run fewer
-// rounds than NECTAR needs (n-1).
-var ErrTooFewRounds = errors.New("tcpnet: rounds below the protocol horizon")

@@ -27,6 +27,23 @@ func launchCluster(t *testing.T, g *graph.Graph, tByz int, roundDur time.Duratio
 	if err != nil {
 		t.Fatal(err)
 	}
+	protos := make([]rounds.Protocol, n)
+	for i, nd := range nodes {
+		protos[i] = nd
+	}
+	runCluster(t, g, protos, n-1, roundDur)
+	outcomes := make([]nectar.Outcome, n)
+	for i, nd := range nodes {
+		outcomes[i] = nd.Decide()
+	}
+	return outcomes
+}
+
+// runCluster runs protos[i] as node i of g, one Run per node over
+// localhost TCP, and returns each node's stats.
+func runCluster(t *testing.T, g *graph.Graph, protos []rounds.Protocol, nRounds int, roundDur time.Duration) []*Stats {
+	t.Helper()
+	n := g.N()
 	// Pre-bind ephemeral listeners so every process knows every address.
 	listeners := make([]net.Listener, n)
 	addrs := make(map[ids.NodeID]string, n)
@@ -39,7 +56,7 @@ func launchCluster(t *testing.T, g *graph.Graph, tByz int, roundDur time.Duratio
 		addrs[ids.NodeID(i)] = ln.Addr().String()
 	}
 	start := time.Now().Add(300 * time.Millisecond)
-	outcomes := make([]nectar.Outcome, n)
+	stats := make([]*Stats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -47,20 +64,15 @@ func launchCluster(t *testing.T, g *graph.Graph, tByz int, roundDur time.Duratio
 		go func(i int) {
 			defer wg.Done()
 			me := ids.NodeID(i)
-			_, err := Run(Config{
+			stats[i], errs[i] = Run(Config{
 				Me:            me,
 				Addrs:         addrs,
 				Neighbors:     g.Neighbors(me),
 				Listener:      listeners[i],
 				StartAt:       start,
 				RoundDuration: roundDur,
-				Rounds:        n - 1,
-			}, nodes[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outcomes[i] = nodes[i].Decide()
+				Rounds:        nRounds,
+			}, protos[i])
 		}(i)
 	}
 	wg.Wait()
@@ -69,7 +81,7 @@ func launchCluster(t *testing.T, g *graph.Graph, tByz int, roundDur time.Duratio
 			t.Fatalf("node %d: %v", i, err)
 		}
 	}
-	return outcomes
+	return stats
 }
 
 func TestNectarOverRealTCP(t *testing.T) {
@@ -148,7 +160,7 @@ func TestDialFailureSurfacesError(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(cfg, silent{})
+		_, err := Run(cfg, remote{})
 		done <- err
 	}()
 	select {
@@ -160,11 +172,6 @@ func TestDialFailureSurfacesError(t *testing.T) {
 		t.Fatal("Run hung on unreachable neighbor")
 	}
 }
-
-type silent struct{}
-
-func (silent) Emit(int) []rounds.Send          { return nil }
-func (silent) Deliver(int, ids.NodeID, []byte) {}
 
 // chatty sends one ping to a fixed peer every round.
 type chatty struct{ to ids.NodeID }
@@ -382,7 +389,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	out := make(chan frame, 1)
-	go readLoop(7, b, out)
+	go readLoop(7, b, out, nil)
 	if err := writeFrame(a, 3, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +412,7 @@ func TestReadLoopDropsOversizedFrames(t *testing.T) {
 	out := make(chan frame, 1)
 	done := make(chan struct{})
 	go func() {
-		readLoop(1, b, out)
+		readLoop(1, b, out, nil)
 		close(done)
 	}()
 	hdr := make([]byte, 8)
@@ -417,5 +424,28 @@ func TestReadLoopDropsOversizedFrames(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("readLoop did not drop the connection")
+	}
+}
+
+// TestReadLoopStopsOnShutdown blocks readLoop on a channel nobody drains
+// — a peer still sending after the last round — and closes the stop
+// channel: the loop must return, or Run's shutdown would wait forever.
+func TestReadLoopStopsOnShutdown(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	stop, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		readLoop(1, b, make(chan frame), stop)
+		close(exited)
+	}()
+	if err := writeFrame(a, 1, []byte("flood")); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	select {
+	case <-exited:
+	case <-time.After(time.Second):
+		t.Fatal("readLoop blocked on a full channel after shutdown")
 	}
 }
