@@ -116,6 +116,7 @@ func SplitBrain(inner rounds.Protocol, blocked ids.Set) rounds.Protocol {
 type BloomPoison struct {
 	neighbors []ids.NodeID
 	payload   []byte
+	sendBuf   []rounds.Send // refilled every round: OutFilter compacts in place
 }
 
 var _ rounds.Protocol = (*BloomPoison)(nil)
@@ -132,10 +133,11 @@ func NewBloomPoison(neighbors []ids.NodeID, filterBits, filterHashes int) *Bloom
 
 // Emit implements rounds.Protocol.
 func (b *BloomPoison) Emit(int) []rounds.Send {
-	out := make([]rounds.Send, 0, len(b.neighbors))
+	out := b.sendBuf[:0]
 	for _, to := range b.neighbors {
 		out = append(out, rounds.Send{To: to, Data: b.payload})
 	}
+	b.sendBuf = out
 	return out
 }
 

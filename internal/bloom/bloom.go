@@ -5,6 +5,7 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -120,13 +121,16 @@ func (f *Filter) ByteSize() int { return f.mBits / 8 }
 // MarshalBinary serializes the bit array (geometry travels out of band:
 // all MtG nodes share static configuration).
 func (f *Filter) MarshalBinary() []byte {
-	out := make([]byte, 0, f.ByteSize())
+	return f.AppendBinary(make([]byte, 0, f.ByteSize()))
+}
+
+// AppendBinary appends MarshalBinary's encoding to dst and returns the
+// extended slice, so a gossiping node can reuse one buffer every round.
+func (f *Filter) AppendBinary(dst []byte) []byte {
 	for _, w := range f.bits {
-		for b := 0; b < 8; b++ {
-			out = append(out, byte(w>>(8*b)))
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out
+	return dst
 }
 
 // UnmarshalInto parses data produced by MarshalBinary into f. The data
@@ -141,6 +145,19 @@ func (f *Filter) UnmarshalInto(data []byte) error {
 			w = w<<8 | uint64(data[i*8+b])
 		}
 		f.bits[i] = w
+	}
+	return nil
+}
+
+// UnionBinary merges a MarshalBinary encoding into f in place — Union with
+// the filter UnmarshalInto would decode, without building it. data must
+// match f's geometry; on a length mismatch f is left unchanged.
+func (f *Filter) UnionBinary(data []byte) error {
+	if len(data) != f.ByteSize() {
+		return fmt.Errorf("bloom: %d bytes for a %d-byte filter", len(data), f.ByteSize())
+	}
+	for i := range f.bits {
+		f.bits[i] |= binary.LittleEndian.Uint64(data[i*8:])
 	}
 	return nil
 }

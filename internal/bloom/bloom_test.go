@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -120,6 +121,50 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if !f.Equal(g) {
 			t.Fatal("marshal round trip changed filter")
 		}
+	}
+}
+
+// TestInPlaceCodecMatchesReference: AppendBinary appends exactly
+// MarshalBinary's bytes, and UnionBinary leaves a filter exactly as
+// UnmarshalInto followed by Union does.
+func TestInPlaceCodecMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	fill := func(f *Filter) *Filter {
+		for i := rng.Intn(60); i > 0; i-- {
+			f.Add(ids.NodeID(rng.Intn(500)))
+		}
+		return f
+	}
+	for trial := 0; trial < 50; trial++ {
+		f, other := fill(New(768, 3)), fill(New(768, 3))
+		prefix := []byte{0xAB, 0xCD}
+		if got := f.AppendBinary(prefix); !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], f.MarshalBinary()) {
+			t.Fatal("AppendBinary differs from MarshalBinary")
+		}
+		want := f.Clone()
+		decoded := New(768, 3)
+		if err := decoded.UnmarshalInto(other.MarshalBinary()); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Union(decoded); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.UnionBinary(other.MarshalBinary()); err != nil {
+			t.Fatal(err)
+		}
+		if !f.Equal(want) {
+			t.Fatal("UnionBinary differs from UnmarshalInto + Union")
+		}
+	}
+	f := fill(New(256, 3))
+	before := f.Clone()
+	for _, size := range []int{0, 7, 31, 33} {
+		if err := f.UnionBinary(bytes.Repeat([]byte{0xFF}, size)); err == nil {
+			t.Errorf("%d-byte payload accepted by a 32-byte filter", size)
+		}
+	}
+	if !f.Equal(before) {
+		t.Error("rejected payload changed the filter")
 	}
 }
 

@@ -115,20 +115,20 @@ type nodeDecision struct {
 // buildTrial wires one trial: a protocol stack per vertex (correct nodes
 // plus wrapped Byzantine behaviours) and a finish function reading every
 // node's decision after the run (entries for Byzantine nodes are zero).
-func buildTrial(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
+func buildTrial(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
 	switch spec.Protocol {
 	case ProtoNectar:
-		return buildNectar(spec, sc, scheme, trialSeed)
+		return buildNectar(spec, sc, trialSeed)
 	case ProtoMtG:
-		return buildMtG(spec, sc, scheme, trialSeed)
+		return buildMtG(spec, sc, trialSeed)
 	case ProtoMtGv2:
-		return buildMtGv2(spec, sc, scheme, trialSeed)
+		return buildMtGv2(spec, sc, trialSeed)
 	}
 	return nil, nil, fmt.Errorf("harness: unknown protocol %q", spec.Protocol)
 }
 
-func buildNectar(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
-	run, err := nectarTrial(spec, sc, scheme, trialSeed)
+func buildNectar(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
+	run, err := nectarTrial(spec, sc, trialSeed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,13 +151,14 @@ func buildNectar(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) (
 
 // nectarTrial builds a static trial's NECTAR run: every Byzantine node of
 // the scenario runs the spec's attack.
-func nectarTrial(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) (*NectarRun, error) {
+func nectarTrial(spec *Spec, sc *Scenario, trialSeed int64) (*NectarRun, error) {
 	attacks := make(map[ids.NodeID]AttackKind, sc.Byz.Len())
 	for b := range sc.Byz {
 		attacks[b] = spec.Attack
 	}
 	return BuildNectar(NectarConfig{
-		Graph: sc.Graph, T: spec.T, Scheme: scheme, Rounds: spec.Rounds, Seed: trialSeed,
+		Graph: sc.Graph, T: spec.T, Scheme: trialScheme(spec, sc.Graph.N(), trialSeed),
+		Rounds: spec.Rounds, Seed: trialSeed,
 		Byzantine: attacks, Blocked: sc.Blocked, NoVerifyCache: spec.noVerifyCache,
 	})
 }
@@ -339,7 +340,7 @@ func (r *NectarRun) Release() {
 	}
 }
 
-func buildMtG(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
+func buildMtG(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
 	g := sc.Graph
 	protos := make([]rounds.Protocol, g.N())
 	nodes := make([]*mtg.Node, g.N())
@@ -387,8 +388,9 @@ func buildMtG(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]r
 	return protos, finish, nil
 }
 
-func buildMtGv2(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
+func buildMtGv2(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
 	g := sc.Graph
+	scheme := trialScheme(spec, g.N(), trialSeed)
 	protos := make([]rounds.Protocol, g.N())
 	nodes := make([]*mtg.NodeV2, g.N())
 	for i := range protos {

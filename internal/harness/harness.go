@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/obs"
@@ -165,6 +166,9 @@ func (s Spec) validate() (Spec, error) {
 	if s.SchemeName == "" {
 		s.SchemeName = "hmac"
 	}
+	if !slices.Contains(sig.Names(), s.SchemeName) {
+		return s, fmt.Errorf("harness: unknown scheme %q (valid: %v)", s.SchemeName, sig.Names())
+	}
 	if !attackSupported(s.Protocol, s.Attack) {
 		return s, fmt.Errorf("harness: attack %q not defined for protocol %q", s.Attack, s.Protocol)
 	}
@@ -187,11 +191,11 @@ func trialSeedOf(base int64, trial int) int64 {
 // rounds engine with the given intra-trial worker allowance, and scores
 // the outcome.
 func runTrial(spec *Spec, trial, engineWorkers int) (Trial, error) {
-	sc, scheme, trialSeed, err := trialSetup(spec, trial)
+	sc, trialSeed, err := trialSetup(spec, trial)
 	if err != nil {
 		return Trial{}, err
 	}
-	protos, finish, err := buildTrial(spec, sc, scheme, trialSeed)
+	protos, finish, err := buildTrial(spec, sc, trialSeed)
 	if err != nil {
 		return Trial{}, err
 	}
@@ -214,19 +218,22 @@ func runTrial(spec *Spec, trial, engineWorkers int) (Trial, error) {
 	return score(spec, sc, decisions, pc, metrics), nil
 }
 
-// trialSetup generates trial i's scenario from the trial's seed, which it
-// returns with the scheme keyed from it.
-func trialSetup(spec *Spec, trial int) (*Scenario, sig.Scheme, int64, error) {
+// trialSetup derives trial i's seed and generates the trial's scenario
+// from it.
+func trialSetup(spec *Spec, trial int) (*Scenario, int64, error) {
 	trialSeed := trialSeedOf(spec.Seed, trial)
 	sc, err := spec.Scenario(rand.New(rand.NewSource(trialSeed)))
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	scheme := sig.ByName(spec.SchemeName, sc.Graph.N(), trialSeed^0x5F5F5F5F)
-	if scheme == nil {
-		return nil, nil, 0, fmt.Errorf("unknown scheme %q", spec.SchemeName)
-	}
-	return sc, scheme, trialSeed, nil
+	return sc, trialSeed, nil
+}
+
+// trialScheme keys the spec's scheme (validated up front) for a trial on n
+// nodes. Only NECTAR and MtGv2 trials key one, so a trial of MtG, which
+// signs nothing, generates no keys.
+func trialScheme(spec *Spec, n int, trialSeed int64) sig.Scheme {
+	return sig.ByName(spec.SchemeName, n, trialSeed^0x5F5F5F5F)
 }
 
 // score computes the trial metrics over correct nodes.

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/sig"
 	"github.com/nectar-repro/nectar/internal/topology"
 )
 
@@ -45,6 +47,32 @@ func TestRunValidation(t *testing.T) {
 	bad.Attack = AttackPoison // not defined for NECTAR
 	if _, err := Run(bad); err == nil {
 		t.Error("poison attack on NECTAR accepted")
+	}
+}
+
+// TestUnknownSchemeRejectedUpFront: a scheme typo fails validation, naming
+// the valid schemes, before any trial generates a scenario.
+func TestUnknownSchemeRejectedUpFront(t *testing.T) {
+	for _, p := range Protocols() {
+		generated := 0
+		_, err := NewRunner(Spec{
+			Protocol: p, T: 1, Trials: 1, Seed: 1, SchemeName: "ed2559",
+			Scenario: func(rng *rand.Rand) (*Scenario, error) {
+				generated++
+				return Plain(hararyGen(2, 6))(rng)
+			},
+		})
+		if err == nil {
+			t.Fatalf("%s: unknown scheme accepted", p)
+		}
+		for _, name := range sig.Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name scheme %q", p, err, name)
+			}
+		}
+		if generated != 0 {
+			t.Errorf("%s: %d scenarios generated before the scheme was rejected", p, generated)
+		}
 	}
 }
 

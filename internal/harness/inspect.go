@@ -18,14 +18,15 @@ func buildForInspection(spec *Spec) (*Scenario, []rounds.Protocol, []*nectar.Nod
 	if spec.Protocol != ProtoNectar {
 		return nil, nil, nil, fmt.Errorf("harness: inspection is NECTAR-only, got %q", spec.Protocol)
 	}
-	if spec.SchemeName == "" {
-		spec.SchemeName = "hmac"
-	}
-	sc, scheme, trialSeed, err := trialSetup(spec, 0)
+	valid, err := spec.validate()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	run, err := nectarTrial(spec, sc, scheme, trialSeed)
+	sc, trialSeed, err := trialSetup(&valid, 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	run, err := nectarTrial(&valid, sc, trialSeed)
 	if err != nil {
 		return nil, nil, nil, err
 	}

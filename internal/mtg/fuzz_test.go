@@ -47,6 +47,49 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// FuzzNodeV2Deliver feeds an MtGv2 node arbitrary payloads after a valid
+// batch. Invariant: the in-place Deliver never panics, and the node ends
+// holding exactly what its reference twin — DecodeBatch, then the
+// per-entry range, duplicate and signature checks — holds: the same Known()
+// set in the same discovery order. The slim scheme accepts any signature of
+// its width, so fuzzed entries reach the accept path, not only rejection.
+func FuzzNodeV2Deliver(f *testing.F) {
+	const n = 6
+	scheme := sig.NewSlim(n)
+	ss := scheme.Verifier().SigSize()
+	first := EncodeBatch([]SignedID{{ID: 2, Sig: SignID(scheme.SignerFor(2))}}, ss)
+	f.Add(EncodeBatch([]SignedID{
+		{ID: 3, Sig: SignID(scheme.SignerFor(3))},
+		{ID: 2, Sig: SignID(scheme.SignerFor(2))}, // already held
+		{ID: 9, Sig: SignID(scheme.SignerFor(1))}, // out of range
+		{ID: 5, Sig: SignID(scheme.SignerFor(5))},
+		{ID: 5, Sig: SignID(scheme.SignerFor(5))}, // twice in one batch
+	}, ss))
+	f.Add(first[:len(first)-1])
+	f.Add(append(first, 0))
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0xFF, 0xFF})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := ConfigV2{
+			N: n, Me: 0, Neighbors: []ids.NodeID{1},
+			Signer: scheme.SignerFor(0), Verifier: scheme.Verifier(), Seed: 1,
+		}
+		nd, err := NewNodeV2(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefV2(cfg)
+		for _, payload := range [][]byte{first, data, data} {
+			nd.Deliver(1, 1, payload)
+			ref.deliver(payload)
+			if !sameState(nd, ref) {
+				t.Fatalf("node holds %v, reference %v", nd.discovered(), ref.order)
+			}
+		}
+	})
+}
+
 // FuzzBloomDeliver checks MtG filter handling against arbitrary payloads.
 func FuzzBloomDeliver(f *testing.F) {
 	f.Add([]byte{})

@@ -63,9 +63,13 @@ type Config struct {
 
 // Node is a correct MindTheGap process.
 type Node struct {
-	cfg    Config
-	filter *bloom.Filter
-	rng    *rand.Rand
+	cfg      Config
+	filter   *bloom.Filter
+	partners partners
+	// payload and sendBuf hold the round's encoded filter and sends; both
+	// are reused every round (the rounds.Protocol buffer contract).
+	payload []byte
+	sendBuf []rounds.Send
 }
 
 var _ rounds.Protocol = (*Node)(nil)
@@ -88,10 +92,11 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("mtg: negative fanout %d", cfg.Fanout)
 	}
 	n := &Node{
-		cfg:    cfg,
-		filter: bloom.New(cfg.FilterBits, cfg.FilterHashes),
-		rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Me)<<32)),
+		cfg:      cfg,
+		filter:   bloom.New(cfg.FilterBits, cfg.FilterHashes),
+		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors), cfg.Fanout),
 	}
+	n.payload = make([]byte, 0, n.filter.ByteSize())
 	n.filter.Add(cfg.Me)
 	return n, nil
 }
@@ -99,15 +104,16 @@ func NewNode(cfg Config) (*Node, error) {
 // Emit implements rounds.Protocol: each round the node sends its current
 // filter to Fanout randomly chosen neighbors.
 func (n *Node) Emit(round int) []rounds.Send {
-	targets := pickTargets(n.rng, n.cfg.Neighbors, n.cfg.Fanout)
-	if len(targets) == 0 {
+	picks := n.partners.pick()
+	if len(picks) == 0 {
 		return nil
 	}
-	data := n.filter.MarshalBinary()
-	out := make([]rounds.Send, 0, len(targets))
-	for _, to := range targets {
-		out = append(out, rounds.Send{To: to, Data: data})
+	n.payload = n.filter.AppendBinary(n.payload[:0])
+	out := n.sendBuf[:0]
+	for _, k := range picks {
+		out = append(out, rounds.Send{To: n.cfg.Neighbors[k], Data: n.payload})
 	}
+	n.sendBuf = out
 	return out
 }
 
@@ -117,15 +123,11 @@ func (n *Node) Emit(round int) []rounds.Send {
 // the protocol's topology-independent cost profile (Fig. 4's flat line).
 func (n *Node) Quiescent() bool { return false }
 
-// Deliver implements rounds.Protocol: merge the received filter. Malformed
-// payloads are ignored.
+// Deliver implements rounds.Protocol: merge the received filter in place.
+// A payload of the wrong size is ignored (geometries otherwise match by
+// construction), so the error needs no handling.
 func (n *Node) Deliver(round int, from ids.NodeID, data []byte) {
-	in := bloom.New(n.cfg.FilterBits, n.cfg.FilterHashes)
-	if err := in.UnmarshalInto(data); err != nil {
-		return
-	}
-	// Union never fails here: geometries match by construction.
-	_ = n.filter.Union(in)
+	_ = n.filter.UnionBinary(data)
 }
 
 // Decide returns the node's epoch-end conclusion: partitioned iff its
@@ -161,16 +163,35 @@ func validateBase(n int, me ids.NodeID, neighbors []ids.NodeID) error {
 	return nil
 }
 
-// pickTargets selects min(fanout, len(neighbors)) distinct random
-// neighbors.
-func pickTargets(rng *rand.Rand, neighbors []ids.NodeID, fanout int) []ids.NodeID {
-	if fanout >= len(neighbors) {
-		return neighbors
+// partners draws a node's gossip partners as positions in its neighbor
+// list, into a scratch reused every round. It makes exactly the Intn draws
+// rand.Perm(degree) makes, so a node's RNG stream — and with it every later
+// pick — is what a fresh permutation per round would give.
+type partners struct {
+	rng    *rand.Rand
+	fanout int
+	perm   []int
+}
+
+func newPartners(seed int64, me ids.NodeID, degree, fanout int) partners {
+	p := partners{rng: rand.New(rand.NewSource(seed ^ int64(me)<<32)), fanout: fanout, perm: make([]int, degree)}
+	for i := range p.perm {
+		p.perm[i] = i // what pick returns when the fanout covers the neighborhood
 	}
-	perm := rng.Perm(len(neighbors))
-	out := make([]ids.NodeID, fanout)
-	for i := 0; i < fanout; i++ {
-		out[i] = neighbors[perm[i]]
+	return p
+}
+
+// pick returns min(fanout, degree) distinct neighbor positions, valid until
+// the next pick. When the fanout covers the neighborhood that is every
+// position in order, and nothing is drawn.
+func (p *partners) pick() []int {
+	if p.fanout >= len(p.perm) {
+		return p.perm
 	}
-	return out
+	for i := range p.perm { // rand.Perm, in place
+		j := p.rng.Intn(i + 1)
+		p.perm[i] = p.perm[j]
+		p.perm[j] = i
+	}
+	return p.perm[:p.fanout]
 }

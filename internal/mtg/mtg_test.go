@@ -1,6 +1,7 @@
 package mtg
 
 import (
+	"math"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -277,5 +278,15 @@ func TestMtGv2Validation(t *testing.T) {
 	bad.Fanout = -2
 	if _, err := NewNodeV2(bad); err == nil {
 		t.Error("negative fanout accepted")
+	}
+	// A batch counts its credentials in a u16.
+	bad = good
+	bad.N = math.MaxUint16 + 1
+	if _, err := NewNodeV2(bad); err == nil {
+		t.Error("N past a batch's u16 count accepted")
+	}
+	bad.N = math.MaxUint16
+	if _, err := NewNodeV2(bad); err != nil {
+		t.Errorf("N = %d rejected: %v", bad.N, err)
 	}
 }

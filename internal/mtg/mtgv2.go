@@ -1,8 +1,9 @@
 package mtg
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math"
 
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/rounds"
@@ -15,20 +16,21 @@ import (
 // reachability of nodes they never heard from; they can still withhold
 // relays (the §V-D split-brain attack measures exactly that).
 
-// idStatement is the canonical statement a node signs to prove liveness.
-func idStatement(id ids.NodeID) []byte {
-	w := wire.NewWriter(16)
-	w.Raw([]byte("mtg-id-v1"))
-	w.NodeID(id)
-	return w.Bytes()
+// idTag is the domain-separation prefix of every credential statement.
+var idTag = []byte("mtg-id-v1")
+
+// appendIDStatement appends the canonical statement a node signs to prove
+// liveness to dst.
+func appendIDStatement(dst []byte, id ids.NodeID) []byte {
+	return binary.BigEndian.AppendUint32(append(dst, idTag...), uint32(id))
 }
 
 // SignID returns the signer's signed-ID credential.
-func SignID(s sig.Signer) []byte { return s.Sign(idStatement(s.ID())) }
+func SignID(s sig.Signer) []byte { return s.Sign(appendIDStatement(nil, s.ID())) }
 
 // VerifyID reports whether sg is id's valid signed-ID credential.
 func VerifyID(v sig.Verifier, id ids.NodeID, sg []byte) bool {
-	return v.Verify(id, idStatement(id), sg)
+	return v.Verify(id, appendIDStatement(nil, id), sg)
 }
 
 // SignedID is one flooded credential.
@@ -38,7 +40,8 @@ type SignedID struct {
 }
 
 // EncodeBatch serializes a batch of signed IDs: u16 count, then fixed
-// (id, signature) entries.
+// (id, signature) entries. With DecodeBatch it is the reference codec that
+// NodeV2's in-place Emit and Deliver are tested against.
 func EncodeBatch(batch []SignedID, sigSize int) []byte {
 	w := wire.NewWriter(2 + len(batch)*(4+sigSize))
 	w.U16(uint16(len(batch)))
@@ -106,10 +109,18 @@ type ConfigV2 struct {
 // NodeV2 is a correct MtGv2 process.
 type NodeV2 struct {
 	cfg   ConfigV2
-	known map[ids.NodeID][]byte // valid credentials, own included
-	order []ids.NodeID          // discovery order, for deterministic batches
-	sent  map[ids.NodeID]int    // per-neighbor high-water mark into order
-	rng   *rand.Rand
+	entry int // wire size of one credential: a node ID and a signature
+	// known[id] records that id's credential is held; creds holds the held
+	// credentials in discovery order (own first) and in wire form, so a
+	// batch is a count and a suffix of creds. Sized for all N, it never grows.
+	known    []bool
+	creds    []byte
+	sent     []int // credentials sent so far, by neighbor position
+	partners partners
+	// Round scratch: the batches, the sends, a checked credential's statement.
+	enc     wire.Writer
+	sendBuf []rounds.Send
+	stmt    []byte
 }
 
 var _ rounds.Protocol = (*NodeV2)(nil)
@@ -119,6 +130,11 @@ var _ rounds.Protocol = (*NodeV2)(nil)
 func NewNodeV2(cfg ConfigV2) (*NodeV2, error) {
 	if err := validateBase(cfg.N, cfg.Me, cfg.Neighbors); err != nil {
 		return nil, err
+	}
+	// A batch counts its credentials in a u16: a node holding more would
+	// send a wrapped count, and every receiver drop the whole batch.
+	if cfg.N > math.MaxUint16 {
+		return nil, fmt.Errorf("mtg: N=%d exceeds the %d credentials a batch can count", cfg.N, math.MaxUint16)
 	}
 	if cfg.Signer == nil || cfg.Verifier == nil {
 		return nil, fmt.Errorf("mtg: Signer and Verifier are required for MtGv2")
@@ -132,33 +148,55 @@ func NewNodeV2(cfg ConfigV2) (*NodeV2, error) {
 	if cfg.Fanout < 0 {
 		return nil, fmt.Errorf("mtg: negative fanout %d", cfg.Fanout)
 	}
+	entry := 4 + cfg.Verifier.SigSize()
 	n := &NodeV2{
-		cfg:   cfg,
-		known: map[ids.NodeID][]byte{cfg.Me: SignID(cfg.Signer)},
-		order: []ids.NodeID{cfg.Me},
-		sent:  make(map[ids.NodeID]int, len(cfg.Neighbors)),
-		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Me)<<32)),
+		cfg:      cfg,
+		entry:    entry,
+		known:    make([]bool, cfg.N),
+		creds:    make([]byte, 0, cfg.N*entry),
+		sent:     make([]int, len(cfg.Neighbors)),
+		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors), cfg.Fanout),
+		// Room for one partner's batch of every credential; more grow it.
+		enc: wire.MakeWriter(BatchWireSize(cfg.N, entry-4)),
 	}
+	n.accept(cfg.Me, SignID(cfg.Signer))
 	return n, nil
 }
 
+// accept records id's credential, copying sg cut or zero-padded to the
+// signature size, as EncodeBatch puts it on the wire.
+func (n *NodeV2) accept(id ids.NodeID, sg []byte) {
+	n.known[id] = true
+	e := n.creds[len(n.creds) : len(n.creds)+n.entry]
+	binary.BigEndian.PutUint32(e, uint32(id))
+	w := copy(e[4:], sg)
+	clear(e[4+w:])
+	n.creds = n.creds[:len(n.creds)+n.entry]
+}
+
+// held returns the number of credentials the node holds.
+func (n *NodeV2) held() int { return len(n.creds) / n.entry }
+
 // Emit implements rounds.Protocol: send to each gossip partner every
 // credential not yet sent to it (at most once per neighbor per epoch —
-// the paper's cost containment for MtGv2).
+// the paper's cost containment for MtGv2). Each batch is byte for byte
+// EncodeBatch of those credentials.
 func (n *NodeV2) Emit(round int) []rounds.Send {
-	var out []rounds.Send
-	for _, to := range pickTargets(n.rng, n.cfg.Neighbors, n.cfg.Fanout) {
-		from := n.sent[to]
-		if from >= len(n.order) {
+	n.enc.Reset()
+	out := n.sendBuf[:0]
+	held := n.held()
+	for _, k := range n.partners.pick() {
+		from := n.sent[k]
+		if from >= held {
 			continue
 		}
-		batch := make([]SignedID, 0, len(n.order)-from)
-		for _, id := range n.order[from:] {
-			batch = append(batch, SignedID{ID: id, Sig: n.known[id]})
-		}
-		n.sent[to] = len(n.order)
-		out = append(out, rounds.Send{To: to, Data: EncodeBatch(batch, n.cfg.Verifier.SigSize())})
+		start := n.enc.Len()
+		n.enc.U16(uint16(held - from))
+		n.enc.Raw(n.creds[from*n.entry:])
+		n.sent[k] = held
+		out = append(out, rounds.Send{To: n.cfg.Neighbors[k], Data: n.enc.Bytes()[start:]})
 	}
+	n.sendBuf = out
 	return out
 }
 
@@ -167,48 +205,49 @@ func (n *NodeV2) Emit(round int) []rounds.Send {
 // which gossip partners its RNG would pick (send-at-most-once per
 // neighbor), so it is quiescent until a new credential arrives.
 func (n *NodeV2) Quiescent() bool {
-	for _, nb := range n.cfg.Neighbors {
-		if n.sent[nb] < len(n.order) {
+	held := n.held()
+	for _, s := range n.sent {
+		if s < held {
 			return false
 		}
 	}
 	return true
 }
 
-// Deliver implements rounds.Protocol: record every new, valid credential.
-// Invalid entries are ignored individually (one bad entry does not poison
+// Deliver implements rounds.Protocol: record every new, valid credential,
+// reading the batch in place. Framing is DecodeBatch's: a batch whose
+// length is not exactly what its count says is dropped whole. Past that,
+// invalid entries are ignored individually (one bad entry does not poison
 // the batch).
 func (n *NodeV2) Deliver(round int, from ids.NodeID, data []byte) {
-	batch, err := DecodeBatch(data, n.cfg.Verifier.SigSize())
-	if err != nil {
+	if len(data) < 2 || len(data)-2 != int(binary.BigEndian.Uint16(data))*n.entry {
 		return
 	}
-	for _, e := range batch {
-		if int(e.ID) >= n.cfg.N {
+	for e := data[2:]; len(e) > 0; e = e[n.entry:] {
+		id := ids.NodeID(binary.BigEndian.Uint32(e))
+		if int(id) >= n.cfg.N || n.known[id] {
 			continue
 		}
-		if _, ok := n.known[e.ID]; ok {
-			continue
+		sg := e[4:n.entry]
+		n.stmt = appendIDStatement(n.stmt[:0], id)
+		if n.cfg.Verifier.Verify(id, n.stmt, sg) {
+			n.accept(id, sg)
 		}
-		if !VerifyID(n.cfg.Verifier, e.ID, e.Sig) {
-			continue
-		}
-		n.known[e.ID] = e.Sig
-		n.order = append(n.order, e.ID)
 	}
 }
 
 // Decide returns the epoch-end conclusion: partitioned iff some node's
 // credential never arrived.
 func (n *NodeV2) Decide() Outcome {
-	return Outcome{Partitioned: len(n.known) < n.cfg.N, Known: len(n.known)}
+	held := n.held()
+	return Outcome{Partitioned: held < n.cfg.N, Known: held}
 }
 
 // Known returns the set of IDs whose credentials the node holds.
 func (n *NodeV2) Known() ids.Set {
-	out := make(ids.Set, len(n.known))
-	for id := range n.known {
-		out.Add(id)
+	out := make(ids.Set, n.held())
+	for e := n.creds; len(e) > 0; e = e[n.entry:] {
+		out.Add(ids.NodeID(binary.BigEndian.Uint32(e)))
 	}
 	return out
 }

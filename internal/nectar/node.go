@@ -265,6 +265,7 @@ func NewNode(cfg Config) (*Node, error) {
 	nd.ver = sig.Cached(cfg.Verifier, cfg.VerifyCache)
 	nd.signer = appendSigner(cfg.Signer)
 	seen := make(ids.Set, len(cfg.Neighbors))
+	stmt := statementWriter() // one for every neighbor's proof
 	for _, nb := range cfg.Neighbors {
 		if nb == cfg.Me || int(nb) >= cfg.N {
 			return nil, fmt.Errorf("nectar: invalid neighbor %v", nb)
@@ -280,7 +281,7 @@ func NewNode(cfg Config) (*Node, error) {
 		if p.Edge != graph.NewEdge(cfg.Me, nb) {
 			return nil, fmt.Errorf("nectar: proof for %v has edge %v", nb, p.Edge)
 		}
-		if !p.Verify(nd.ver) {
+		if !p.verifyStmt(nd.ver, proofStatementInto(&stmt, p.Edge)) {
 			return nil, fmt.Errorf("nectar: proof for neighbor %v does not verify", nb)
 		}
 	}

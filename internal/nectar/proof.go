@@ -37,9 +37,13 @@ var proofTag = []byte("nbr-proof-v1")
 
 // proofStatement returns the canonical byte statement both endpoints sign.
 func proofStatement(e graph.Edge) []byte {
-	w := wire.NewWriter(24)
-	return proofStatementInto(w, e)
+	w := statementWriter()
+	return proofStatementInto(&w, e)
 }
+
+// statementWriter returns a writer with room for a proof statement. A build
+// or a node keeps one for every statement it builds.
+func statementWriter() wire.Writer { return wire.MakeWriter(24) }
 
 // proofStatementInto rebuilds the canonical statement for e in w (reset
 // first) and returns the encoded bytes — the allocation-free variant for
@@ -59,15 +63,17 @@ func proofStatementInto(w *wire.Writer, e graph.Edge) []byte {
 // theirs to give).
 func MakeProof(a, b sig.Signer) Proof {
 	// Room for two signatures of any built-in scheme; wider ones grow it.
-	p, _ := appendProof(make([]byte, 0, 2*sig.Ed25519SigSize), a, b)
+	w := statementWriter()
+	p, _ := appendProof(make([]byte, 0, 2*sig.Ed25519SigSize), &w, a, b)
 	return p
 }
 
 // appendProof is MakeProof with both signatures appended to slab, which it
-// returns extended — one slab can carry the proofs of a whole build.
-func appendProof(slab []byte, a, b sig.Signer) (Proof, []byte) {
+// returns extended, and the statement built in w — one slab and one writer
+// can serve the proofs of a whole build.
+func appendProof(slab []byte, w *wire.Writer, a, b sig.Signer) (Proof, []byte) {
 	e := graph.NewEdge(a.ID(), b.ID())
-	stmt := proofStatement(e)
+	stmt := proofStatementInto(w, e)
 	start := len(slab)
 	slab = appendSigner(a).AppendSign(slab, stmt)
 	mid := len(slab)
@@ -160,8 +166,9 @@ func fixWidth(b []byte, size int) []byte {
 func BuildProofs(scheme sig.Scheme, g *graph.Graph) map[graph.Edge]Proof {
 	out := make(map[graph.Edge]Proof, g.M())
 	slab := make([]byte, 0, 2*scheme.Verifier().SigSize()*g.M())
+	stmt := statementWriter()
 	for _, e := range g.Edges() {
-		out[e], slab = appendProof(slab, scheme.SignerFor(e.U), scheme.SignerFor(e.V))
+		out[e], slab = appendProof(slab, &stmt, scheme.SignerFor(e.U), scheme.SignerFor(e.V))
 	}
 	return out
 }
