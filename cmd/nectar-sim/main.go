@@ -203,7 +203,7 @@ func run(args []string) error {
 	fmt.Printf("traffic       %.1f KB total, %.1f KB/node (unicast)\n",
 		float64(total)/1000, float64(total)/1000/float64(g.N()))
 	if checks := res.VerifyCacheHits + res.VerifyCacheMisses; checks > 0 {
-		fmt.Printf("fast path     %.0f%% verify-cache hit rate (%d/%d), %d lazy discards, %d shared decisions\n",
+		fmt.Printf("fast path     %.0f%% of message checks from the memo (%d/%d), %d lazy discards, %d shared decisions\n",
 			100*float64(res.VerifyCacheHits)/float64(checks),
 			res.VerifyCacheHits, checks, res.LazyDiscards, res.DecideCacheHits)
 	}

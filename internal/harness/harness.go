@@ -62,7 +62,7 @@ type Spec struct {
 	FullHorizon bool
 
 	// noVerifyCache runs NECTAR trials without the per-trial
-	// signature-verification memo (DESIGN.md §9): the uncached reference
+	// message-check memo (DESIGN.md §9): the uncached reference
 	// this package's tests compare the default against.
 	noVerifyCache bool
 }
@@ -115,7 +115,7 @@ type Trial struct {
 	// (equal to Rounds when no early exit happened).
 	Rounds       int
 	ActiveRounds int
-	// FastPath groups the trial's fast-path counters (verify-cache
+	// FastPath groups the trial's fast-path counters (memo
 	// hits/misses, lazy header-only discards, decide-cache hits — NECTAR
 	// only, zero for baselines; see DESIGN.md §9, §12). Embedded, so the
 	// fields promote and the trial's JSON checkpoint encoding stays flat.
@@ -137,8 +137,8 @@ type Result struct {
 	// ActiveRounds summarizes per-trial engine rounds actually executed
 	// (quiescence early exit makes this < the horizon on most topologies).
 	ActiveRounds stats.Summary
-	// VerifyCacheHitRate summarizes the per-trial fraction of signature
-	// verifications served from the memo (0 when the cache is disabled);
+	// VerifyCacheHitRate summarizes the per-trial fraction of message
+	// checks answered by the memo (0 when the cache is disabled);
 	// LazyDiscards summarizes per-trial header-only duplicate discards.
 	VerifyCacheHitRate stats.Summary
 	LazyDiscards       stats.Summary

@@ -18,7 +18,7 @@ func WithParanoidVerify() BuildOption {
 	return func(c *Config) { c.ParanoidVerify = true }
 }
 
-// WithVerifyCache shares a signature-verification memo across every node
+// WithVerifyCache shares a message-check memo across every node
 // built — the per-trial cache of the fast path (DESIGN.md §9). Outcomes
 // are bit-identical with and without it; see Config.VerifyCache.
 func WithVerifyCache(cache *sig.VerifyCache) BuildOption {

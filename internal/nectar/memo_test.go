@@ -1,0 +1,132 @@
+package nectar
+
+import (
+	"slices"
+	"testing"
+
+	"github.com/nectar-repro/nectar/internal/graph"
+	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/sig"
+	"github.com/nectar-repro/nectar/internal/wire"
+)
+
+// Through a run's verification memo, checkRaw answers from records of
+// whole validated messages (DESIGN.md §9). These tests hold its verdicts to
+// the memo-less reference, DecodeEdgeMsg + checkMsg, on the deliveries that
+// could fool a memo: bytes that share a record's key or prefix but not its
+// content.
+
+// seedMemo makes through sc the checks a run makes before rawCases' valid
+// hops-hop message arrives: NewNode's check of the proof, then each correct
+// relay's acceptance of the shorter prefixes, each in its round.
+func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int) {
+	t.Helper()
+	v := scheme.Verifier()
+	relayers := make([]ids.NodeID, hops-1)
+	for i := range relayers {
+		relayers[i] = ids.NodeID(10 + i)
+	}
+	m := chainMsg(scheme, 4, 7, relayers...)
+	var proof wire.Writer
+	m.Proof.encode(&proof, v.SigSize())
+	if err := sc.checkSigs(v, m.Proof.Edge, proof.Bytes(), nil); err != nil {
+		t.Fatalf("seeding the proof: %v", err)
+	}
+	for k := 1; k < hops; k++ {
+		prefix := EdgeMsg{Proof: m.Proof, Chain: m.Chain[:k]}.Encode(v.SigSize())
+		if _, _, err := sc.checkRaw(v, prefix, rawCheckN, m.Chain[k-1].Signer, k); err != nil {
+			t.Fatalf("seeding the %d-hop prefix: %v", k, err)
+		}
+	}
+}
+
+// TestMemoVerdictsMatchReference: after a correct flood of edge {4,7}
+// (4 → 10 → 11) has gone through a shared memo, every delivery below gets
+// the reference's verdict, label and hop count, twice — the second time from
+// the record the first left — and never makes a Verify call the reference
+// would not, nor any on a re-delivery.
+func TestMemoVerdictsMatchReference(t *testing.T) {
+	scheme := sig.NewHMAC(rawCheckN, 1)
+	v := scheme.Verifier()
+	sigSize := v.SigSize()
+	ps, hop := proofWireSize(sigSize), sig.HopWireSize(sigSize)
+	memo := sig.NewVerifyCache()
+	defer memo.Release()
+	sc := msgScratch{memo: memo}
+	seedMemo(t, &sc, scheme, 3)
+
+	valid := chainMsg(scheme, 4, 7, 10, 11).Encode(sigSize)
+	edit := func(data []byte, f func(m []byte)) []byte {
+		m := slices.Clone(data)
+		f(m)
+		return m
+	}
+	otherEdge := chainMsg(scheme, 4, 8).Encode(sigSize)[:ps] // {4,8}'s proof, NewNode-checked below
+	if err := sc.checkSigs(v, graph.NewEdge(4, 8), otherEdge, nil); err != nil {
+		t.Fatal(err)
+	}
+	byzRelay := chainMsg(scheme, 4, 7, 20, 21).Encode(sigSize) // 20's relay reached only 21
+	forged := chainMsg(scheme, 30, 31).Encode(sigSize)         // a Byzantine pair's own edge
+	cases := []rawCase{
+		{"valid", valid, 11, 3},
+		{"proof signature U flipped", edit(valid, func(m []byte) { m[8] ^= 0x01 }), 11, 3},
+		{"proof signature V flipped", edit(valid, func(m []byte) { m[ps-1] ^= 0x01 }), 11, 3},
+		{"one round late", valid, 11, 4},
+		{"same last hop over another edge", edit(valid, func(m []byte) { copy(m, otherEdge) }), 11, 3},
+		{"last hop flipped", edit(valid, func(m []byte) { m[len(m)-1] ^= 0x01 }), 11, 3},
+		{"first hop flipped", edit(valid, func(m []byte) { m[ps+2+hop-1] ^= 0x01 }), 11, 3},
+		{"relay of a prefix no correct node accepted", byzRelay, 21, 3},
+		{"relay of an unaccepted prefix with a bad hop", edit(byzRelay, func(m []byte) { m[ps+2+2*hop-1] ^= 0x01 }), 21, 3},
+		{"relay of an unaccepted prefix over a bad proof", edit(byzRelay, func(m []byte) { m[8] ^= 0x01 }), 21, 3},
+		{"forged edge", forged, 30, 1},
+		{"forged edge from the other endpoint", chainMsg(scheme, 31, 30).Encode(sigSize), 31, 1},
+		{"forged edge with a bad proof", edit(forged, func(m []byte) { m[ps-1] ^= 0x01 }), 30, 1},
+	}
+	reasons := map[string]int{}
+	for _, c := range cases {
+		for pass := 0; pass < 2; pass++ {
+			var refCalls, memoCalls []verifyCall
+			want := referenceVerdict(tapeVerifier{v, &refCalls}, c.data, rawCheckN, c.from, c.round)
+			got := rawVerdict(&sc, tapeVerifier{v, &memoCalls}, c.data, rawCheckN, c.from, c.round)
+			if got != want {
+				t.Fatalf("%s, delivery %d: memo says %+v, reference %+v", c.name, pass+1, got, want)
+			}
+			if len(memoCalls) > len(refCalls) || pass > 0 && len(memoCalls) > 0 {
+				t.Errorf("%s, delivery %d: %d Verify calls through the memo, %d in the reference", c.name, pass+1, len(memoCalls), len(refCalls))
+			}
+			reasons[got.Reason]++
+		}
+	}
+	for _, r := range []string{"", "proof_sig", "chain_sig", "chain_length"} {
+		if reasons[r] == 0 {
+			t.Errorf("no case ended in %q: %v", r, reasons)
+		}
+	}
+}
+
+// FuzzCheckRawMemo is TestMemoVerdictsMatchReference on arbitrary bytes,
+// sender and round: each input is checked through a memo that a valid
+// 12-hop flood has seeded, then checked again, and both verdicts must be
+// the reference's. Seeded with the thinned cases of FuzzCheckRaw.
+func FuzzCheckRawMemo(f *testing.F) {
+	hmac := sig.NewHMAC(rawCheckN, 1)
+	v := hmac.Verifier()
+	for _, hops := range []int{1, 3, 12} {
+		for _, c := range rawCases(hmac, hops, 97) {
+			f.Add(c.data, byte(c.from), byte(c.round-1))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, from, round byte) {
+		memo := sig.NewVerifyCache()
+		defer memo.Release()
+		sc := msgScratch{memo: memo}
+		seedMemo(t, &sc, hmac, 12)
+		c := rawCase{"fuzz", data, ids.NodeID(from), 1 + int(round)%rawCheckN}
+		want := referenceVerdict(v, c.data, rawCheckN, c.from, c.round)
+		for pass := 0; pass < 2; pass++ {
+			if got := rawVerdict(&sc, v, c.data, rawCheckN, c.from, c.round); got != want {
+				t.Fatalf("delivery %d: memo says %+v, reference %+v", pass+1, got, want)
+			}
+		}
+	})
+}

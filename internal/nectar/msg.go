@@ -154,11 +154,20 @@ func checkMsg(v sig.Verifier, m EdgeMsg, from ids.NodeID, round int) error {
 
 // msgScratch carries the reusable buffers of a node's sign and verify
 // paths — the proof-statement writer and the chain signing-input scratch
-// (DESIGN.md §14). The zero value is ready; not safe for concurrent use.
+// (DESIGN.md §14) — and the run's verification memo, if the scheme binds
+// the message. The zero value is ready; not safe for concurrent use.
 type msgScratch struct {
 	stmt wire.Writer
 	cs   sig.ChainScratch
+	memo *sig.VerifyCache
 }
+
+// Memo verdicts (sig.VerifyCache): which of checkMsg's signature checks a
+// record failed, if any. sigsBadProof is the one bit sigsBadChain leaves
+// clear.
+const sigsValid, sigsBadProof, sigsBadChain uint8 = 0, 1, 2
+
+var sigsErr = [...]error{sigsValid: nil, sigsBadProof: errProofSig, sigsBadChain: errChainSig}
 
 // statement returns the proof statement for e, or nil when v's scheme does
 // not bind the message: no signature under it depends on what was signed,
@@ -171,11 +180,12 @@ func (sc *msgScratch) statement(v sig.Verifier, e graph.Edge) []byte {
 }
 
 // checkRaw is DecodeEdgeMsg followed by checkMsg in one pass over the wire
-// bytes: the same checks in the same order with the same Verify calls, but
-// every field is read in place at its fixed offset — nothing is decoded
-// into an EdgeMsg, no []sig.Hop exists, and a rejection allocates no
-// error. It returns the carried edge and the hop count the reference would
-// have decoded when it failed: 0 until the framing is known to be sound.
+// bytes: the same checks in the same order with the same verdict — and,
+// without a memo, the same Verify calls — but every field is read in place
+// at its fixed offset: nothing is decoded into an EdgeMsg, no []sig.Hop
+// exists, and a rejection allocates no error. It returns the carried edge
+// and the hop count the reference would have decoded when it failed: 0
+// until the framing is known to be sound.
 func (sc *msgScratch) checkRaw(v sig.Verifier, data []byte, n int, from ids.NodeID, round int) (graph.Edge, int, error) {
 	sigSize := v.SigSize()
 	ps, hop := proofWireSize(sigSize), sig.HopWireSize(sigSize)
@@ -208,12 +218,62 @@ func (sc *msgScratch) checkRaw(v sig.Verifier, data []byte, n int, from ids.Node
 	if last := ids.NodeID(binary.BigEndian.Uint32(rawHops[len(rawHops)-hop:])); last != from {
 		return e, count, errChainSender
 	}
-	stmt := sc.statement(v, e)
-	if !v.Verify(e.U, stmt, data[8:8+sigSize]) || !v.Verify(e.V, stmt, data[8+sigSize:ps]) {
-		return e, count, errProofSig
+	return e, count, sc.checkSigs(v, e, data[:ps], rawHops)
+}
+
+// checkSigs runs checkMsg's signature checks — the proof's two, then the
+// chain's in order — on a message's wire bytes proof ‖ hops, through the
+// memo if the node has one (DESIGN.md §9): one counted lookup of the whole
+// message; on a miss, the longest stored prefix — normally all but the last
+// hop, stored when the sender accepted it — vouches for its signatures, and
+// only the rest are verified.
+func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []byte) error {
+	sigSize := v.SigSize()
+	hop, known := sig.HopWireSize(sigSize), -1 // known: hops a stored prefix vouches for; -1, not the proof either
+	var signer ids.NodeID
+	var sg []byte
+	if sc.memo != nil {
+		signer, sg = outermost(proof, rawHops, sigSize)
+		if verdict, hit := sc.memo.Lookup(signer, sg, proof, rawHops, true); hit {
+			return sigsErr[verdict]
+		}
+		for known = len(rawHops)/hop - 1; known >= 0; known-- {
+			prefix := rawHops[:known*hop]
+			pSigner, pSig := outermost(proof, prefix, sigSize)
+			if verdict, found := sc.memo.Lookup(pSigner, pSig, proof, prefix, false); found {
+				if verdict != sigsValid { // the prefix's rejection is the message's
+					sc.memo.Store(signer, sg, proof, rawHops, verdict, true)
+					return sigsErr[verdict]
+				}
+				break
+			}
+		}
 	}
-	if !sc.cs.VerifyRawChain(v, stmt, rawHops) {
-		return e, count, errChainSig
+	stmt, verdict := sc.statement(v, e), sigsValid
+	if known < 0 && (!v.Verify(e.U, stmt, proof[8:8+sigSize]) || !v.Verify(e.V, stmt, proof[8+sigSize:])) {
+		verdict = sigsBadProof
+	} else if !sc.cs.VerifyRawChain(v, stmt, rawHops, max(known, 0)) {
+		verdict = sigsBadChain
 	}
-	return e, count, nil
+	if sc.memo != nil {
+		if known < 0 && len(rawHops) > 0 {
+			// Not even the proof was stored: both endpoints are Byzantine and
+			// forged it. Store it too, uncounted, for the other endpoint's
+			// announcement — valid unless it is what failed.
+			pSigner, pSig := outermost(proof, nil, sigSize)
+			sc.memo.Store(pSigner, pSig, proof, nil, verdict&sigsBadProof, false)
+		}
+		sc.memo.Store(signer, sg, proof, rawHops, verdict, true)
+	}
+	return sigsErr[verdict]
+}
+
+// outermost returns the signer and signature a memo record proof ‖ hops is
+// keyed by: its last hop's, or the proof's second for a bare proof.
+func outermost(proof, rawHops []byte, sigSize int) (ids.NodeID, []byte) {
+	if len(rawHops) == 0 {
+		return ids.NodeID(binary.BigEndian.Uint32(proof[4:])), proof[8+sigSize:]
+	}
+	last := rawHops[len(rawHops)-sig.HopWireSize(sigSize):]
+	return ids.NodeID(binary.BigEndian.Uint32(last)), last[4:]
 }

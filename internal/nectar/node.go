@@ -88,12 +88,12 @@ type Config struct {
 	// O(m·deg) to O(m) chains per node (DESIGN.md §2). Exposed as an
 	// ablation knob; decisions are identical either way.
 	ParanoidVerify bool
-	// VerifyCache, when non-nil, memoizes signature verifications.
-	// Verification is deterministic for every provided scheme, so the memo
-	// is semantics-preserving; share one cache across the nodes of a trial
-	// so signatures re-verified at every recipient of a flood are checked
-	// once (DESIGN.md §9). Nil disables memoization, and a Verifier whose
-	// signatures do not bind the message never consults it (sig.Cached).
+	// VerifyCache, when non-nil, memoizes message checks by their exact
+	// bytes. Verification is deterministic for every provided scheme, so the
+	// memo is semantics-preserving; share one cache across the nodes of a
+	// trial so a message is checked once for all its recipients, and a relay
+	// costs its last hop (DESIGN.md §9). Nil disables memoization, and a
+	// Verifier whose signatures do not bind the message never consults it.
 	VerifyCache *sig.VerifyCache
 }
 
@@ -136,7 +136,6 @@ type relayItem struct {
 type Node struct {
 	cfg     Config
 	nRounds int
-	ver     sig.Verifier     // effective verifier: sig.Cached(cfg.Verifier, cfg.VerifyCache)
 	signer  sig.AppendSigner // cfg.Signer's append form, resolved once (appendSigner)
 	started bool             // round-1 neighborhood announcement has been emitted
 	stats   Stats
@@ -209,6 +208,7 @@ func (nd *Node) Release() {
 	nd.box = nil
 	nd.snapshot = nd.view.Edges()
 	*s, nd.nodeScratch = nd.nodeScratch, nodeScratch{}
+	nd.scr.memo, s.scr.memo = s.scr.memo, nil // the node keeps its memo; the free list holds none
 	if len(s.queue) > 0 {
 		nd.queue, nd.arenaRaw = s.queue, s.arenaRaw
 		s.queue, s.arenaRaw = nil, nil
@@ -262,10 +262,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if nd.nRounds == 0 {
 		nd.nRounds = cfg.N - 1
 	}
-	nd.ver = sig.Cached(cfg.Verifier, cfg.VerifyCache)
 	nd.signer = appendSigner(cfg.Signer)
 	seen := make(ids.Set, len(cfg.Neighbors))
-	stmt := statementWriter() // one for every neighbor's proof
 	for _, nb := range cfg.Neighbors {
 		if nb == cfg.Me || int(nb) >= cfg.N {
 			return nil, fmt.Errorf("nectar: invalid neighbor %v", nb)
@@ -281,19 +279,29 @@ func NewNode(cfg Config) (*Node, error) {
 		if p.Edge != graph.NewEdge(cfg.Me, nb) {
 			return nil, fmt.Errorf("nectar: proof for %v has edge %v", nb, p.Edge)
 		}
-		if !p.verifyStmt(nd.ver, proofStatementInto(&stmt, p.Edge)) {
-			return nil, fmt.Errorf("nectar: proof for neighbor %v does not verify", nb)
-		}
 	}
-	// Borrowed last, so no error path above holds it.
+	// Borrowed once the configuration is sound; a failing proof returns it.
 	nd.box = scratchPool.Get().(*nodeScratch)
 	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
+	if cfg.Verifier.BindsMessage() { // an unbound scheme's constant tags could only collide
+		nd.scr.memo = cfg.VerifyCache
+	}
 	if nd.view == nil {
 		nd.view = new(graph.Graph)
 	}
 	nd.view.Reset(cfg.N)
+	// Proofs are checked in wire form (in the emit arena, which Emit resets)
+	// as bare records, which the edge's round-1 messages then extend.
+	sigSize := cfg.Verifier.SigSize()
 	for _, nb := range cfg.Neighbors {
 		nd.view.AddEdge(cfg.Me, nb)
+		p := cfg.Proofs[nb]
+		nd.enc.Reset()
+		p.encode(&nd.enc, sigSize) // a signature of another width is invalid, not to be cut to size
+		if len(p.SigU) != sigSize || len(p.SigV) != sigSize || nd.scr.checkSigs(cfg.Verifier, p.Edge, nd.enc.Bytes(), nil) != nil {
+			nd.Release()
+			return nil, fmt.Errorf("nectar: proof for neighbor %v does not verify", nb)
+		}
 	}
 	return nd, nil
 }
@@ -418,7 +426,7 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 			return
 		}
 	}
-	e, hops, err := nd.scr.checkRaw(nd.ver, data, nd.cfg.N, from, round)
+	e, hops, err := nd.scr.checkRaw(nd.cfg.Verifier, data, nd.cfg.N, from, round)
 	if err != nil {
 		nd.stats.Rejected++
 		nd.traceReject(round, from, hops, err)

@@ -1,7 +1,7 @@
 package obs
 
 // FastPath groups the fast-path counters of one simulation run
-// (DESIGN.md §9): signature verify-cache hits/misses, duplicate
+// (DESIGN.md §9): message-check memo hits/misses, duplicate
 // discards from the lazy header-first decode, and decide-cache hits.
 // It is embedded by value in nectar.SimulationResult and harness.Trial,
 // so the fields promote (existing accessors keep compiling) and JSON
@@ -38,8 +38,8 @@ func (f FastPath) Publish(reg *Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("nectar_fastpath_verify_cache_hits_total", "Signature verify-cache hits.").Add(f.VerifyCacheHits)
-	reg.Counter("nectar_fastpath_verify_cache_misses_total", "Signature verify-cache misses.").Add(f.VerifyCacheMisses)
+	reg.Counter("nectar_fastpath_verify_cache_hits_total", "Message checks answered by the verification memo.").Add(f.VerifyCacheHits)
+	reg.Counter("nectar_fastpath_verify_cache_misses_total", "Message checks the verification memo had to verify.").Add(f.VerifyCacheMisses)
 	reg.Counter("nectar_fastpath_lazy_discards_total", "Duplicates discarded from the 8-byte lazy header decode.").Add(f.LazyDiscards)
 	reg.Counter("nectar_fastpath_decide_cache_hits_total", "Decide-cache hits (identical reachability views).").Add(f.DecideCacheHits)
 }

@@ -71,8 +71,8 @@ func (s recordingSigner) AppendSign(dst, msg []byte) []byte {
 // TestScratchVerifyMatchesVerifyChain: over a chain's wire bytes the scratch
 // reaches VerifyChain's verdict through the same Verify calls — hop i
 // against chainInput(payload, chain[:i]) for a binding scheme, against nil
-// for one that is not — on chains of 0 to 12 hops, tampered or not, and
-// with a scratch that is reused throughout.
+// for one that is not — on chains of 0 to 12 hops, tampered or not, from
+// every starting hop, and with a scratch that is reused throughout.
 func TestScratchVerifyMatchesVerifyChain(t *testing.T) {
 	payload := []byte("edge{p0,p4}")
 	var cs ChainScratch
@@ -93,17 +93,26 @@ func TestScratchVerifyMatchesVerifyChain(t *testing.T) {
 			}
 			for name, chain := range cases {
 				for _, pl := range [][]byte{payload, []byte("edge{p0,p5}")} {
-					var want, got [][]byte
-					wantOK := VerifyChain(recordingVerifier{v, &want}, pl, chain)
-					gotOK := cs.VerifyRawChain(recordingVerifier{v, &got}, pl, rawChain(chain, sigSize))
-					if gotOK != wantOK {
-						t.Fatalf("%s, %d hops, %s: raw verdict %v, VerifyChain %v", s.Name(), hops, name, gotOK, wantOK)
-					}
-					if !v.BindsMessage() {
-						want = make([][]byte, len(want)) // nothing is built: every call sees nil
-					}
-					if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-						t.Fatalf("%s, %d hops, %s: Verify was handed other inputs than VerifyChain hands it", s.Name(), hops, name)
+					// Skipping `from` hops is VerifyChain's walk started there.
+					for from := 0; from <= len(chain); from++ {
+						var want, got [][]byte
+						wantOK := true
+						if from == 0 {
+							wantOK = VerifyChain(recordingVerifier{v, &want}, pl, chain)
+						}
+						for i := from; from > 0 && i < len(chain) && wantOK; i++ {
+							wantOK = recordingVerifier{v, &want}.Verify(chain[i].Signer, chainInput(pl, chain[:i]), chain[i].Sig)
+						}
+						gotOK := cs.VerifyRawChain(recordingVerifier{v, &got}, pl, rawChain(chain, sigSize), from)
+						if gotOK != wantOK {
+							t.Fatalf("%s, %d hops from %d, %s: raw verdict %v, VerifyChain %v", s.Name(), hops, from, name, gotOK, wantOK)
+						}
+						if !v.BindsMessage() {
+							want = make([][]byte, len(want)) // nothing is built: every call sees nil
+						}
+						if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+							t.Fatalf("%s, %d hops from %d, %s: Verify was handed other inputs than VerifyChain hands it", s.Name(), hops, from, name)
+						}
 					}
 				}
 			}
@@ -149,9 +158,9 @@ func TestRawChainIsAllocationFree(t *testing.T) {
 	signer := s.SignerFor(15).(AppendSigner)
 	slot := make([]byte, 0, Ed25519SigSize)
 	for name, v := range map[string]Verifier{"binding": bindingInsecure{s.Verifier()}, "unbound": s.Verifier()} {
-		cs.VerifyRawChain(v, payload, raw) // sizes the buffer
+		cs.VerifyRawChain(v, payload, raw, 0) // sizes the buffer
 		if allocs := testing.AllocsPerRun(100, func() {
-			if !cs.VerifyRawChain(v, payload, raw) {
+			if !cs.VerifyRawChain(v, payload, raw, 0) {
 				t.Fatal("chain rejected")
 			}
 			cs.AppendSignRawChain(slot, signer, v, payload, raw)

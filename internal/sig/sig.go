@@ -25,10 +25,9 @@
 // cannot produce signatures on behalf of others (for Ed25519,
 // cryptographically; for HMAC, by interface discipline).
 //
-// VerifyCache memoizes verdicts across the nodes of a run (DESIGN.md §9):
-// lock-sharded, with hit/miss counts that are a pure function of the
-// lookups made, and skipped by Cached for schemes that do not bind the
-// message.
+// VerifyCache memoizes checked chains across the nodes of a run (DESIGN.md
+// §9): lock-sharded, with hit/miss counts that are a pure function of the
+// lookups made.
 package sig
 
 import (
@@ -61,7 +60,7 @@ type Verifier interface {
 	// signs, i.e. whether Verify's verdict depends on msg. It is a property
 	// of the scheme: true for Ed25519 and HMAC, false for the insecure and
 	// slim ablations, whose one constant tag per signer verifies for any
-	// message. Cached reads it to decide whether memoizing can pay.
+	// message. A NECTAR node reads it to decide whether memoizing can pay.
 	BindsMessage() bool
 }
 

@@ -9,46 +9,37 @@ import (
 	"github.com/nectar-repro/nectar/internal/ids"
 )
 
-// maxCachedSigSize is the longest signature the memo stores. Every
-// provided scheme fits (Ed25519 and HMAC tags are 64 bytes); longer
-// signatures simply bypass the cache.
-const maxCachedSigSize = 64
-
-// verifyKey indexes the memo by signer and the head of the signature —
-// eight pseudorandom bytes for any real scheme, so honest entries almost
-// never share a key. Neither the rest of the signature nor the signed
-// message is part of the key: both are compared byte-for-byte against the
-// stored entries on lookup, which keeps map slots small and makes the
-// memo immune to collisions an adversary might engineer.
-type verifyKey struct {
-	signer ids.NodeID
-	sigLen uint8
-	head   [8]byte
-}
+// verifyKey indexes the memo by a record's outermost signature: the
+// signature's head — eight pseudorandom bytes for any real scheme — mixed
+// with its signer, so honest records almost never share a key. Nothing
+// else is part of the key: the record's bytes are compared in full on
+// lookup, which keeps map slots small, lets the map take its one-word key
+// path, and makes the memo immune to collisions an adversary might
+// engineer.
+type verifyKey uint64
 
 func keyOf(signer ids.NodeID, sg []byte) verifyKey {
-	k := verifyKey{signer: signer, sigLen: uint8(len(sg))}
-	copy(k.head[:], sg)
-	return k
+	var head [8]byte
+	copy(head[:], sg)
+	return verifyKey(binary.LittleEndian.Uint64(head[:]) ^ uint64(signer)*0x9E3779B97F4A7C15)
 }
 
-// verifyEntry records one memoized verification: the exact signature and
-// message checked (rec = sig‖msg, split at the key's sigLen) and the
-// verifier's verdict. The first entry under a key lives inline in the map
-// value; next links further ones — a signature an adversary replayed over
-// other bytes, or forged to share a head — and is allocated only when
-// such a second entry actually shows up, so honest traffic never pays a
-// heap object per entry.
+// verifyEntry is one record: its exact bytes, rec = head‖hops, and its
+// verdict. The first entry under a key lives inline in the map value; next
+// links further ones — a signature an adversary replayed over other bytes,
+// or forged to share a head — and is allocated only when such a second
+// entry actually shows up, so honest traffic never pays a heap object per
+// entry.
 type verifyEntry struct {
-	rec  []byte
-	ok   bool
-	next *verifyEntry
+	rec     []byte
+	verdict uint8
+	next    *verifyEntry
 }
 
-// matches reports whether e records exactly (sg, msg).
-func (e *verifyEntry) matches(sg, msg []byte) bool {
-	return len(e.rec) == len(sg)+len(msg) &&
-		bytes.Equal(e.rec[:len(sg)], sg) && bytes.Equal(e.rec[len(sg):], msg)
+// matches reports whether e records exactly head‖hops.
+func (e *verifyEntry) matches(head, hops []byte) bool {
+	return len(e.rec) == len(head)+len(hops) &&
+		bytes.Equal(e.rec[:len(head)], head) && bytes.Equal(e.rec[len(head):], hops)
 }
 
 // verifyShardCount is the number of independently locked shards, a power
@@ -59,7 +50,7 @@ const (
 	verifyShardCount = 1 << verifyShardBits
 )
 
-// Stored sig‖msg records are copied into per-shard chunks that start at
+// Stored records are copied into per-shard chunks that start at
 // minVerifyChunk bytes and double up to maxVerifyChunk: one allocation
 // per chunk instead of one per miss, without charging short trials for
 // arena they never fill.
@@ -88,20 +79,19 @@ type verifyShard struct {
 	misses int64
 }
 
-// VerifyCache memoizes signature verifications. Verification is a pure
-// function of (signer, message, signature) for every deterministic scheme,
-// so returning a recorded verdict is semantics-preserving — flooding
-// protocols re-verify the same hop signatures at every recipient, and the
-// memo collapses that Θ(n·deg) repetition to one real verification per
-// distinct signature (DESIGN.md §9).
+// VerifyCache memoizes checked signature chains (DESIGN.md §9). A record is
+// the exact bytes head‖hops of a chain — whatever the hops are chained to,
+// then raw hops (scratch.go) — with a verdict: 0 when every signature in it
+// verified, else the caller's label for the check that failed. It is keyed
+// by its outermost signature, and a hit requires byte equality. Verification
+// is a pure function of its inputs for every deterministic scheme, and no
+// hop's input reaches past it, so a chain whose prefix is recorded valid
+// needs only its later hops verified.
 //
 // VerifyCache is safe for concurrent use; share one per simulated trial.
-// Its accounting is a pure function of the multiset of lookups, never of
-// their interleaving: every distinct (signer, sig, msg) triple counts
-// exactly one miss and every other lookup of it a hit, so Stats reads the
-// same at any worker count. Soundness does not depend on hashing: a hit
-// requires the stored signature and message to equal the queried ones
-// exactly.
+// Only counted lookups and stores reach Stats: every distinct record counts
+// one miss and every other counted lookup of it a hit, whatever the
+// interleaving, so Stats reads the same at any worker count.
 type VerifyCache struct {
 	shards [verifyShardCount]verifyShard
 }
@@ -158,34 +148,33 @@ func (c *VerifyCache) Release() {
 
 // shard picks k's shard (forged all-zero tags still spread by signer).
 func (c *VerifyCache) shard(k verifyKey) *verifyShard {
-	h := (uint32(k.signer) ^ binary.LittleEndian.Uint32(k.head[:])) * 0x9E3779B1
-	return &c.shards[h>>(32-verifyShardBits)]
+	return &c.shards[uint64(k)*0x9E3779B97F4A7C15>>(64-verifyShardBits)]
 }
 
-// lookup returns the verdict recorded for (k, sg, msg). Callers hold
+// lookup returns the verdict recorded for head‖hops under k. Callers hold
 // sh.mu.
-func (sh *verifyShard) lookup(k verifyKey, sg, msg []byte) (ok, found bool) {
+func (sh *verifyShard) lookup(k verifyKey, head, hops []byte) (verdict uint8, found bool) {
 	e, present := sh.m[k]
 	if !present {
-		return false, false
+		return 0, false
 	}
 	for p := &e; p != nil; p = p.next {
-		if p.matches(sg, msg) {
-			return p.ok, true
+		if p.matches(head, hops) {
+			return p.verdict, true
 		}
 	}
-	return false, false
+	return 0, false
 }
 
-// insert records the verdict for (k, sg, msg), which must not be present.
-// The bytes are copied — verification inputs are built in reusable
-// buffers (VerifyChain extends one in place) — into the shard's chunked
-// arena; filled chunks stay alive through the entries that point into
-// them, and through chunks, which is how Release finds them again. A
-// recycled store arrives with its chunks empty and cur at 0, so the walk
-// below fills them in order before it allocates. Callers hold sh.mu.
-func (sh *verifyShard) insert(k verifyKey, sg, msg []byte, ok bool) {
-	need := len(sg) + len(msg)
+// insert records the verdict for head‖hops under k, which must not be
+// present. The bytes are copied — they alias a delivered buffer — into the
+// shard's chunked arena; filled chunks stay alive through the entries that
+// point into them, and through chunks, which is how Release finds them
+// again. A recycled store arrives with its chunks empty and cur at 0, so
+// the walk below fills them in order before it allocates. Callers hold
+// sh.mu.
+func (sh *verifyShard) insert(k verifyKey, head, hops []byte, verdict uint8) {
+	need := len(head) + len(hops)
 	for sh.cur < len(sh.chunks) && need > cap(sh.chunks[sh.cur])-len(sh.chunks[sh.cur]) {
 		sh.cur++
 	}
@@ -196,7 +185,7 @@ func (sh *verifyShard) insert(k verifyKey, sg, msg []byte, ok bool) {
 		}
 		sh.chunks = append(sh.chunks, make([]byte, 0, max(size, need)))
 	}
-	chunk := append(append(sh.chunks[sh.cur], sg...), msg...)
+	chunk := append(append(sh.chunks[sh.cur], head...), hops...)
 	rec := chunk[len(sh.chunks[sh.cur]):len(chunk):len(chunk)]
 	sh.chunks[sh.cur] = chunk
 	if sh.m == nil {
@@ -204,46 +193,49 @@ func (sh *verifyShard) insert(k verifyKey, sg, msg []byte, ok bool) {
 	}
 	first, present := sh.m[k]
 	if !present {
-		sh.m[k] = verifyEntry{rec: rec, ok: ok}
+		sh.m[k] = verifyEntry{rec: rec, verdict: verdict}
 		return
 	}
-	first.next = &verifyEntry{rec: rec, ok: ok, next: first.next}
+	first.next = &verifyEntry{rec: rec, verdict: verdict, next: first.next}
 	sh.m[k] = first
 }
 
-// Verify checks sg over msg by signer, consulting the memo first. It
-// reports the verdict and whether the lookup counted as a hit. A nil
-// receiver always delegates to v, so call sites can plumb an optional
-// cache without branching.
-//
-// The real verification runs outside the shard lock. Two callers that
-// miss the same triple concurrently both verify, but the second to come
-// back finds the first's entry and counts a hit — the counts are those of
-// some sequential order of the same lookups, whatever the schedule.
-func (c *VerifyCache) Verify(v Verifier, signer ids.NodeID, msg, sg []byte) (ok, hit bool) {
-	if c == nil || len(sg) > maxCachedSigSize {
-		return v.Verify(signer, msg, sg), false
-	}
+// Lookup returns the verdict of the record head‖hops, whose outermost
+// signature sg was made by signer, and whether it is stored. A counted
+// lookup that finds it counts a hit; one that does not counts nothing, and
+// its caller, having checked the chain, ends the lookup with a counted
+// Store.
+func (c *VerifyCache) Lookup(signer ids.NodeID, sg, head, hops []byte, counted bool) (verdict uint8, found bool) {
 	k := keyOf(signer, sg)
 	sh := c.shard(k)
 	sh.mu.Lock()
-	if ok, hit = sh.lookup(k, sg, msg); hit {
+	verdict, found = sh.lookup(k, head, hops)
+	if found && counted {
 		sh.hits++
 	}
 	sh.mu.Unlock()
-	if hit {
-		return ok, true
-	}
-	ok = v.Verify(signer, msg, sg)
+	return verdict, found
+}
+
+// Store records verdict for head‖hops unless the record is there already.
+// A counted store counts a miss when it inserts and a hit when it does not:
+// checks run outside the shard lock, so two callers that miss one record
+// concurrently both check it, and the second to come back finds the first's
+// record — the counts are those of some sequential order of the same
+// lookups, whatever the schedule.
+func (c *VerifyCache) Store(signer ids.NodeID, sg, head, hops []byte, verdict uint8, counted bool) {
+	k := keyOf(signer, sg)
+	sh := c.shard(k)
 	sh.mu.Lock()
-	if _, hit = sh.lookup(k, sg, msg); hit {
+	if _, found := sh.lookup(k, head, hops); !found {
+		sh.insert(k, head, hops, verdict)
+		if counted {
+			sh.misses++
+		}
+	} else if counted {
 		sh.hits++
-	} else {
-		sh.misses++
-		sh.insert(k, sg, msg, ok)
 	}
 	sh.mu.Unlock()
-	return ok, hit
 }
 
 // Stats returns the cumulative hit and miss counts.
@@ -259,34 +251,4 @@ func (c *VerifyCache) Stats() (hits, misses int64) {
 		sh.mu.Unlock()
 	}
 	return hits, misses
-}
-
-// Len returns the number of memoized verdicts.
-func (c *VerifyCache) Len() int {
-	_, misses := c.Stats()
-	return int(misses)
-}
-
-// cachedVerifier decorates a Verifier with a VerifyCache.
-type cachedVerifier struct {
-	Verifier
-	c *VerifyCache
-}
-
-func (cv cachedVerifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
-	ok, _ := cv.c.Verify(cv.Verifier, signer, msg, sg)
-	return ok
-}
-
-// Cached returns a Verifier that consults c before delegating to v. It
-// returns v unchanged when c is nil, and when v's signatures do not bind
-// the message (Verifier.BindsMessage): such a scheme stamps one constant
-// tag per signer, so every lookup would land on one (signer, sig) slot,
-// compare the message, miss, and pay the nanosecond verifier anyway — the
-// memo can only cost (DESIGN.md §9).
-func Cached(v Verifier, c *VerifyCache) Verifier {
-	if c == nil || !v.BindsMessage() {
-		return v
-	}
-	return cachedVerifier{Verifier: v, c: c}
 }

@@ -132,16 +132,19 @@ func BuildNodes(g *Graph, t int, scheme Scheme, roundsOverride int, opts ...Buil
 	return inectar.BuildNodes(g, t, scheme, roundsOverride, opts...)
 }
 
-// VerifyCache memoizes signature verifications across the nodes of a run
-// (DESIGN.md §9). Verification is deterministic for every provided
-// scheme, so sharing verdicts is semantics-preserving; Simulate and the
-// experiment harness create one per trial by default.
+// VerifyCache is the message-check memo shared by the nodes of a run
+// (DESIGN.md §9): it stores the verdicts of whole checked messages.
+// Verification is deterministic for every provided scheme, so sharing
+// verdicts is semantics-preserving; Simulate and the experiment harness
+// create one per trial by default. Build one with NewVerifyCache, hand it
+// to WithVerifyCache and read it with Stats; Lookup and Store are the
+// internal record API that nectar.Node calls.
 type VerifyCache = sig.VerifyCache
 
-// NewVerifyCache returns an empty verification memo.
+// NewVerifyCache returns an empty message-check memo.
 func NewVerifyCache() *VerifyCache { return sig.NewVerifyCache() }
 
-// WithVerifyCache shares a verification memo across every node built.
+// WithVerifyCache shares a message-check memo across every node built.
 func WithVerifyCache(c *VerifyCache) BuildOption { return inectar.WithVerifyCache(c) }
 
 // DecideCache memoizes the decision phase's connectivity predicate across

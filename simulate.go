@@ -99,7 +99,7 @@ type SimulationConfig struct {
 	// (DESIGN.md §12). Tracing never changes results; nil is free.
 	Tracer obs.Tracer
 
-	// noVerifyCache runs without the run-wide signature-verification memo
+	// noVerifyCache runs without the run-wide message-check memo
 	// (DESIGN.md §9), and paranoidVerify applies the literal Alg. 1 check
 	// order (verification before the duplicate discard; see
 	// Config.ParanoidVerify): the references the equivalence tests compare

@@ -1,0 +1,108 @@
+package nectar
+
+import (
+	"math/rand"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"github.com/nectar-repro/nectar/internal/harness"
+	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/rounds"
+	"github.com/nectar-repro/nectar/internal/sig"
+)
+
+// countingScheme counts the real Verify calls made under a scheme; its
+// signers and BindsMessage are the wrapped scheme's.
+type countingScheme struct {
+	sig.Scheme
+	calls *atomic.Int64
+}
+
+func (s countingScheme) Verifier() sig.Verifier {
+	return countingVerifier{s.Scheme.Verifier(), s.calls}
+}
+
+type countingVerifier struct {
+	sig.Verifier
+	calls *atomic.Int64
+}
+
+func (v countingVerifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
+	v.calls.Add(1)
+	return v.Verifier.Verify(signer, msg, sg)
+}
+
+// TestVerifyCountPinned: the verification memo may only ever save real
+// signature verifications. Each row is an hmac Simulate run at one worker —
+// assembled here as Simulate assembles it, over a scheme that counts Verify,
+// and checked against Simulate's own result — and its count may not exceed
+// the one recorded for the per-signature memo the record memo replaced
+// (DESIGN.md §9). A row over its ceiling means the memo cost a verification.
+func TestVerifyCountPinned(t *testing.T) {
+	const seed = 3
+	harary, err := Harary(4, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge, err := BridgeScenario(35, 2, 6, 1.8, 2)(rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []struct {
+		name string
+		g    *Graph
+		byz  []NodeID
+	}{
+		{"harary", harary, []NodeID{0, 6}},
+		{"bridge", bridge.Graph, bridge.Byz.Sorted()},
+	}
+	ceiling := map[string]int64{ // real Verify calls under the per-signature memo
+		"harary/honest": 208, "harary/fakeedges": 206, "harary/equivocate": 200,
+		"bridge/honest": 2146, "bridge/fakeedges": 2153, "bridge/equivocate": 2235,
+	}
+	for _, topo := range topos {
+		for _, beh := range []Behavior{"", BehaviorFakeEdges, BehaviorEquivocate} {
+			name := topo.name + "/honest"
+			cfg := SimulationConfig{Graph: topo.g, T: 2, Seed: seed, SchemeName: "hmac", Workers: 1}
+			if beh != "" {
+				name = topo.name + "/" + string(beh)
+				cfg.Byzantine = make(map[NodeID]Behavior)
+				for _, b := range topo.byz {
+					cfg.Byzantine[b] = beh
+				}
+			}
+			want, err := Simulate(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var calls atomic.Int64
+			attacks, _, err := checkByzantine(topo.g.N(), cfg.T, cfg.Byzantine, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := harness.BuildNectar(harness.NectarConfig{
+				Graph: topo.g, T: cfg.T, Seed: seed, Byzantine: attacks,
+				Scheme: countingScheme{sig.ByName("hmac", topo.g.N(), seed), &calls},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			m, err := rounds.Run(rounds.Config{Graph: topo.g, Rounds: topo.g.N() - 1, Seed: seed, Workers: 1}, run.Protos)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			outs, fastPath := run.Finish(NewDecideCache(), nil, 0)
+			got := &SimulationResult{BytesSent: m.BytesSent, BytesBroadcast: m.BytesBroadcast, ActiveRounds: m.ActiveRounds, FastPath: fastPath}
+			got.Outcomes, got.Agreement, got.Decision, got.Confirmed = tally(outs)
+			assertSimEquivalent(t, name, want, got)
+			if !reflect.DeepEqual(got.FastPath, want.FastPath) {
+				t.Errorf("%s: fast-path counters %+v, Simulate's %+v", name, got.FastPath, want.FastPath)
+			}
+			t.Logf("%s: %d real verifications (ceiling %d)", name, calls.Load(), ceiling[name])
+			if calls.Load() > ceiling[name] {
+				t.Errorf("%s: %d real verifications, more than the %d recorded", name, calls.Load(), ceiling[name])
+			}
+		}
+	}
+}
