@@ -40,8 +40,8 @@ type topoCostCell struct {
 func (c topoCostCell) key() string { return fmt.Sprintf("%s/k=%d/n=%d", c.fam.name, c.k, c.n) }
 
 // topoCostCells enumerates the grid, including the small-hub wheel
-// variant (the wheel hub size is the paper's main unreported parameter,
-// see EXPERIMENTS.md).
+// variant (the wheel hub size is the paper's main unreported parameter;
+// results/topo-cost.csv has both hub sizes side by side).
 func topoCostCells(opts Options) []topoCostCell {
 	type cell struct{ k, n int }
 	grid := []cell{{10, 60}, {18, 60}, {10, 100}, {18, 100}}
@@ -156,7 +156,7 @@ func (c byzTopoCell) key() string {
 // exists ("cut") or uniformly at random ("random"). Family
 // parameterizations chosen so that cuts of realistic size exist: the
 // low-connectivity families break at t >= 2, k-diamond at k=4 resists
-// until t >= 4 (see EXPERIMENTS.md).
+// until t >= 4 (see results/byz-topo.csv).
 func byzTopoCells(opts Options) []byzTopoCell {
 	trials := opts.trials(30, 6)
 	n := 30

@@ -10,9 +10,9 @@
 //     magnitude, see DESIGN.md §4). Used by default in tests, examples and
 //     the TCP deployment.
 //   - HMAC — a keyed simulation scheme with identical signature sizes,
-//     used for the large benchmark sweeps: two domain-separated
-//     HMAC-SHA256 tags per signature, computed from per-key SHA-256
-//     midstates so a tag costs the hashing and nothing else.
+//     used for the large benchmark sweeps: one HMAC-SHA256 tag per
+//     signature, zero-filled to Ed25519's width and computed from per-key
+//     SHA-256 midstates so it costs the hashing and nothing else.
 //     Unforgeability holds *within the simulation* by capability
 //     discipline: protocol code (including adversaries) signs only through
 //     the Signer handle bound to its own identity.
@@ -177,18 +177,21 @@ func (v ed25519Verifier) BindsMessage() bool { return true }
 
 // ---- HMAC simulation scheme ----
 
-// hmacSigSize is the HMAC scheme's signature width: two SHA-256 tags.
-const hmacSigSize = 2 * sha256.Size
+// hmacSigSize is the HMAC scheme's signature width: Ed25519's, a SHA-256
+// tag and as many zero bytes again.
+const hmacSigSize = Ed25519SigSize
 
-// hmacDomains separates the two 32-byte halves of a signature.
-var hmacDomains = [2]byte{0x01, 0x02}
+// hmacFiller pads a tag to hmacSigSize.
+var hmacFiller [hmacSigSize - sha256.Size]byte
 
 // HMAC is the fast simulation Scheme: a signature over msg by node i is
 //
-//	HMAC-SHA256(keyᵢ, 0x01‖msg) ‖ HMAC-SHA256(keyᵢ, 0x02‖msg)
+//	HMAC-SHA256(keyᵢ, 0x01‖msg) ‖ 0³²
 //
 // under per-node keys derived from a master seed — the same 64-byte wire
-// size as Ed25519, so cost measurements are unchanged.
+// size as Ed25519, so cost measurements are unchanged. Verify requires the
+// filler to be zero, so any altered signature is rejected, as under
+// Ed25519.
 //
 // HMAC(k, m) = H(k⊕opad ‖ H(k⊕ipad ‖ m)), and both pad blocks depend on
 // the key alone. NewHMAC therefore hashes them once per node and keeps the
@@ -199,9 +202,9 @@ var hmacDomains = [2]byte{0x01, 0x02}
 // concurrent use.
 type HMAC struct {
 	n int
-	// states holds, per node, three marshaled SHA-256 states of stride
-	// bytes each: the inner hash after key⊕ipad‖0x01, after key⊕ipad‖0x02,
-	// and the outer hash after key⊕opad.
+	// states holds, per node, two marshaled SHA-256 states of stride bytes
+	// each: the inner hash after key⊕ipad‖0x01 and the outer hash after
+	// key⊕opad.
 	states  []byte
 	stride  int
 	pool    sync.Pool // of *hmacScratch
@@ -244,7 +247,7 @@ func NewHMAC(n int, seed int64) *HMAC {
 		}
 		if s.states == nil { // every state has the first one's size
 			s.stride = len(st)
-			s.states = make([]byte, 0, n*3*s.stride)
+			s.states = make([]byte, 0, n*2*s.stride)
 		}
 		s.states = append(s.states, st...)
 	}
@@ -259,12 +262,10 @@ func NewHMAC(n int, seed int64) *HMAC {
 			ipad[j] ^= b
 			opad[j] ^= b
 		}
-		for _, domain := range hmacDomains {
-			d.Reset()
-			d.Write(ipad[:])
-			d.Write([]byte{domain})
-			snapshot()
-		}
+		d.Reset()
+		d.Write(ipad[:])
+		d.Write([]byte{0x01}) // the domain byte
+		snapshot()
 		d.Reset()
 		d.Write(opad[:])
 		snapshot()
@@ -285,19 +286,15 @@ func (sc *hmacScratch) restore(state []byte) {
 	}
 }
 
-// appendTag appends id's signature over msg to out.
+// appendTag appends id's signature over msg to out: the tag, then the filler.
 func (s *HMAC) appendTag(sc *hmacScratch, id ids.NodeID, msg, out []byte) []byte {
-	st := s.states[int(id)*3*s.stride:][:3*s.stride]
-	outer := st[2*s.stride:]
-	for k := range hmacDomains {
-		sc.restore(st[k*s.stride:][:s.stride])
-		sc.d.Write(msg)
-		inner := sc.d.Sum(sc.inner[:0])
-		sc.restore(outer)
-		sc.d.Write(inner)
-		out = sc.d.Sum(out)
-	}
-	return out
+	st := s.states[int(id)*2*s.stride:][:2*s.stride]
+	sc.restore(st[:s.stride])
+	sc.d.Write(msg)
+	inner := sc.d.Sum(sc.inner[:0])
+	sc.restore(st[s.stride:])
+	sc.d.Write(inner)
+	return append(sc.d.Sum(out), hmacFiller[:]...)
 }
 
 // SignerFor implements Scheme.
@@ -309,8 +306,8 @@ func (h *hmacSigner) Sign(msg []byte) []byte {
 	return h.AppendSign(make([]byte, 0, hmacSigSize), msg)
 }
 
-// AppendSign implements AppendSigner: both tags go from the pooled scratch
-// digest straight to dst.
+// AppendSign implements AppendSigner: the tag goes from the pooled scratch
+// digest straight to dst, the filler behind it.
 func (h *hmacSigner) AppendSign(dst, msg []byte) []byte {
 	sc := h.s.pool.Get().(*hmacScratch)
 	dst = h.s.appendTag(sc, h.id, msg, dst)
@@ -323,6 +320,8 @@ func (s *HMAC) Verifier() Verifier { return hmacVerifier{s} }
 
 type hmacVerifier struct{ s *HMAC }
 
+// Verify compares sg with the whole expected signature in constant time, so
+// a non-zero filler fails like a wrong tag.
 func (v hmacVerifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
 	if int(signer) >= v.s.n || len(sg) != hmacSigSize {
 		return false

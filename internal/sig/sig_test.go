@@ -156,23 +156,19 @@ func BenchmarkVerifyHMAC(b *testing.B) {
 }
 
 // referenceHMACTag is the construction the scheme documents, built with
-// the standard library: HMAC-SHA256(key, 0x01‖msg) ‖ HMAC-SHA256(key,
-// 0x02‖msg) under the node's derived key. It stays in the test file; the
-// scheme itself never calls crypto/hmac.New.
+// the standard library: HMAC-SHA256(key, 0x01‖msg) under the node's derived
+// key, followed by 32 zero bytes. It stays in the test file; the scheme
+// itself never calls crypto/hmac.New.
 func referenceHMACTag(seed int64, id ids.NodeID, msg []byte) []byte {
 	key := deriveSeed(seed, uint32(id), "hmac-key")
-	var out []byte
-	for _, domain := range []byte{0x01, 0x02} {
-		mac := hmac.New(sha256.New, key[:])
-		mac.Write([]byte{domain})
-		mac.Write(msg)
-		out = mac.Sum(out)
-	}
-	return out
+	mac := hmac.New(sha256.New, key[:])
+	mac.Write([]byte{0x01})
+	mac.Write(msg)
+	return append(mac.Sum(nil), make([]byte, 32)...)
 }
 
-// TestHMACMatchesReference: the keyed-midstate tags are bit-identical to
-// the crypto/hmac construction, for several keys and for message lengths
+// TestHMACMatchesReference: the keyed-midstate signatures are bit-identical
+// to the crypto/hmac construction, for several keys and for message lengths
 // on both sides of every SHA-256 padding boundary (the inner hash has
 // already absorbed 65 bytes, so 54/55/56 and 63/64/65 straddle the block
 // and length-field edges).
@@ -198,6 +194,63 @@ func TestHMACMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHMACRejectsAlteredSignature: Verify accepts Sign's output and nothing
+// else — not a single flipped bit in the tag or in the zero filler, not the
+// signature cut short or extended, not the right bytes under another signer.
+func TestHMACRejectsAlteredSignature(t *testing.T) {
+	s := NewHMAC(3, 5)
+	v := s.Verifier()
+	msg := []byte("altered")
+	sg := s.SignerFor(1).Sign(msg)
+	if !v.Verify(1, msg, sg) {
+		t.Fatal("valid signature rejected")
+	}
+	for i := range sg {
+		for _, mask := range []byte{0x01, 0x80, 0xFF} {
+			bad := bytes.Clone(sg)
+			bad[i] ^= mask
+			if v.Verify(1, msg, bad) {
+				t.Errorf("byte %d ^ %#02x accepted", i, mask)
+			}
+		}
+	}
+	for _, bad := range [][]byte{nil, sg[:len(sg)-1], sg[:sha256.Size], append(bytes.Clone(sg), 0)} {
+		if v.Verify(1, msg, bad) {
+			t.Errorf("%d-byte signature accepted", len(bad))
+		}
+	}
+	for _, other := range []ids.NodeID{0, 2} {
+		if v.Verify(other, msg, sg) {
+			t.Errorf("p1's signature accepted as %v's", other)
+		}
+	}
+}
+
+// FuzzHMACVerify: for any (signer, msg, sig), Verify holds exactly when sig
+// is what the signer's Sign returns for msg, and never panics — whatever
+// the signer index, the message or the signature's length and bytes.
+func FuzzHMACVerify(f *testing.F) {
+	const n = 4
+	s := NewHMAC(n, 2)
+	v := s.Verifier()
+	msg := []byte("fuzzed")
+	good := s.SignerFor(3).Sign(msg)
+	filler := bytes.Clone(good)
+	filler[len(filler)-1] = 1
+	f.Add(uint32(3), msg, good)
+	f.Add(uint32(3), msg, filler)
+	f.Add(uint32(2), msg, good)
+	f.Add(uint32(n), msg, good)
+	f.Add(uint32(3), msg, good[:sha256.Size])
+	f.Add(uint32(0), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, signer uint32, msg, sg []byte) {
+		want := signer < n && bytes.Equal(sg, s.SignerFor(ids.NodeID(signer)).Sign(msg))
+		if got := v.Verify(ids.NodeID(signer), msg, sg); got != want {
+			t.Fatalf("Verify(%d, %x, %x) = %v, want %v", signer, msg, sg, got, want)
+		}
+	})
 }
 
 // TestHMACAllocs pins the hot path: Verify allocates nothing, Sign only

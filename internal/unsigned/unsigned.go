@@ -34,7 +34,7 @@
 //
 // The cost is dramatic — every claim travels once per path rather than
 // once per edge — which BenchmarkUnsignedCost quantifies against signed
-// NECTAR (see EXPERIMENTS.md).
+// NECTAR.
 package unsigned
 
 import (
