@@ -177,13 +177,6 @@ func forEachPivotPair(g *Graph, v0 ids.NodeID, consider func(a, b ids.NodeID)) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ---- Dinic max-flow on the vertex-split digraph, CSR arc storage ----
 
 func inNode(v ids.NodeID) int  { return 2 * int(v) }

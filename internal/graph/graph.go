@@ -11,8 +11,6 @@
 package graph
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -95,6 +93,7 @@ type Graph struct {
 	dense  []uint64       // the n×stride bit matrix; nil until the first edge
 	bits   [][]uint64     // lazy per-vertex rows (stride == 0); nil table / nil rows = absent
 	m      int            // number of edges
+	sum    uint64         // EdgeSum
 }
 
 // New returns an empty graph over n vertices.
@@ -196,6 +195,7 @@ func (g *Graph) AddEdge(u, v ids.NodeID) {
 	g.setBit(u, v)
 	g.setBit(v, u)
 	g.m++
+	g.sum += edgeMix(u, v)
 }
 
 // setBit records v in u's bit row. It allocates the matrix on a small
@@ -240,6 +240,7 @@ func (g *Graph) RemoveEdge(u, v ids.NodeID) {
 		*w &^= 1 << (u & 63)
 	}
 	g.m--
+	g.sum -= edgeMix(u, v)
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -306,7 +307,7 @@ func (g *Graph) Clone() *Graph {
 			}
 		}
 	}
-	c.m = g.m
+	c.m, c.sum = g.m, g.sum
 	return c
 }
 
@@ -329,40 +330,41 @@ func (g *Graph) Equal(h *Graph) bool {
 	return true
 }
 
-// Fingerprint returns a canonical digest of the graph: two graphs have
-// equal fingerprints iff they have the same vertex count and edge set
-// (up to SHA-256 collisions). NECTAR's decision memoization keys the
-// expensive connectivity predicate by view fingerprint (DESIGN.md §9);
-// a collision-resistant hash is required there because Byzantine nodes
-// influence the views being compared. The digest hashes the sorted edge
-// list (O(n+m)) rather than the n²/2 adjacency triangle, so fingerprinting
-// stays viable at n=10⁴ where the triangle alone would be 6MB per view.
-//
-// The hashed stream is n then every edge, 8 bytes each; it reaches the hash
-// in chunks of a stack buffer, since a Write per edge cost more than the
-// hashing.
-func (g *Graph) Fingerprint() [32]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(g.n))
-	fill := 8
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.nbr[u] {
-			if ids.NodeID(u) < v {
-				if fill == len(buf) {
-					h.Write(buf[:])
-					fill = 0
-				}
-				binary.BigEndian.PutUint32(buf[fill:], uint32(u))
-				binary.BigEndian.PutUint32(buf[fill+4:], uint32(v))
-				fill += 8
+// EdgeSum returns a 64-bit key of the edge set, kept current by AddEdge and
+// RemoveEdge: the wrapping sum of a mix of every edge, equal for equal edge
+// sets. It has no collision resistance, so a match found by it is confirmed
+// with SameEdges (DESIGN.md §9).
+func (g *Graph) EdgeSum() uint64 { return g.sum }
+
+// edgeMix is edge {u, v}'s term of EdgeSum: splitmix64's finalizer.
+func edgeMix(u, v ids.NodeID) uint64 {
+	z := uint64(min(u, v))<<32 | uint64(max(u, v))
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// SameEdges reports whether es, edges of g's vertices in Edges() order, is
+// exactly g's edge set. Of equal sizes, the sets are equal when g has every
+// edge of es, so only the lists of vertices owning one are read.
+func (g *Graph) SameEdges(es []Edge) bool {
+	if len(es) != g.m {
+		return false
+	}
+	for i := 0; i < len(es); {
+		u := es[i].U
+		l, j := g.nbr[u], 0
+		for ; i < len(es) && es[i].U == u; i++ {
+			for j < len(l) && l[j] < es[i].V {
+				j++
 			}
+			if j == len(l) || l[j] != es[i].V {
+				return false
+			}
+			j++
 		}
 	}
-	h.Write(buf[:fill])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return true
 }
 
 // RemoveVertices returns a copy of g in which every vertex in drop has all

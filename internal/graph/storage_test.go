@@ -23,13 +23,14 @@ type edgeModel struct {
 }
 
 // listOnly builds a Graph with the model's edges and no bit storage at
-// all, whatever its size: HasEdge, Fingerprint and Connectivity on it run
-// on the sorted lists alone.
+// all, whatever its size: HasEdge, Edges and Connectivity on it run on the
+// sorted lists alone, and its EdgeSum is summed from the definition.
 func (m *edgeModel) listOnly() *Graph {
 	ref := &Graph{n: m.n, nbr: make([][]ids.NodeID, m.n), m: len(m.edges)}
 	for e := range m.edges {
 		ref.nbr[e.U] = append(ref.nbr[e.U], e.V)
 		ref.nbr[e.V] = append(ref.nbr[e.V], e.U)
+		ref.sum += edgeMix(e.U, e.V)
 	}
 	for _, l := range ref.nbr {
 		slices.Sort(l)
@@ -70,8 +71,11 @@ func checkAgainst(t *testing.T, where string, g *Graph, m *edgeModel) {
 	if !g.Equal(ref) || !ref.Equal(g) {
 		t.Fatalf("%s: not Equal to the list-only reference", where)
 	}
-	if g.Fingerprint() != ref.Fingerprint() {
-		t.Fatalf("%s: Fingerprint differs from the list-only reference", where)
+	if !slices.Equal(g.Edges(), ref.Edges()) || !g.SameEdges(ref.Edges()) {
+		t.Fatalf("%s: Edges differ from the list-only reference", where)
+	}
+	if g.EdgeSum() != ref.EdgeSum() {
+		t.Fatalf("%s: EdgeSum %#x, the edges sum to %#x", where, g.EdgeSum(), ref.EdgeSum())
 	}
 	if got, want := g.Connectivity(), ref.Connectivity(); got != want {
 		t.Fatalf("%s: Connectivity = %d, list-only reference gives %d", where, got, want)
@@ -228,7 +232,7 @@ func TestResetMatchesNew(t *testing.T) {
 		checkAgainst(t, where+", edited", g, m)
 		fresh, fm := New(n), &edgeModel{n: n, edges: map[Edge]bool{}}
 		randomEdits(rand.New(rand.NewSource(seed)), fresh, fm, 10*n)
-		if !g.Equal(fresh) || g.Fingerprint() != fresh.Fingerprint() || g.Connectivity() != fresh.Connectivity() {
+		if !g.Equal(fresh) || !slices.Equal(g.Edges(), fresh.Edges()) || g.Connectivity() != fresh.Connectivity() {
 			t.Fatalf("%s: differs from New(%d) after the same edits", where, n)
 		}
 		if n > 192 && g.bits == nil {
@@ -251,6 +255,127 @@ func TestResetKeepsCapacity(t *testing.T) {
 		build()
 		if allocs := testing.AllocsPerRun(10, func() { g.Reset(n); build() }); allocs != 0 {
 			t.Errorf("n=%d: rebuilding on a reset graph allocates %.0f objects, want 0", n, allocs)
+		}
+	}
+}
+
+// The TestFingerprint tests hold the decision memo's view key: EdgeSum finds
+// an entry and SameEdges confirms it exactly (DESIGN.md §9).
+
+// matches reports whether g and h pass as one view both ways.
+func matches(g, h *Graph) bool {
+	return g.EdgeSum() == h.EdgeSum() && g.SameEdges(h.Edges()) && h.SameEdges(g.Edges())
+}
+
+func TestFingerprintEqualGraphsMatch(t *testing.T) {
+	g, h := New(9), New(9)
+	edges := [][2]ids.NodeID{{0, 1}, {1, 2}, {3, 7}, {2, 8}, {4, 5}}
+	for _, e := range edges {
+		g.AddEdge(e[0], e[1])
+	}
+	// Same edge set inserted in a different order.
+	for i := len(edges) - 1; i >= 0; i-- {
+		h.AddEdge(edges[i][1], edges[i][0])
+	}
+	if !matches(g, h) {
+		t.Error("the same edges added in another order do not match")
+	}
+	if !g.Equal(h) {
+		t.Fatal("test fixture broken: graphs differ")
+	}
+	if !New(20).SameEdges(nil) || New(20).EdgeSum() != 0 {
+		t.Error("an edgeless graph does not match the empty list")
+	}
+}
+
+func TestFingerprintDistinguishes(t *testing.T) {
+	base := New(9)
+	base.AddEdge(0, 1)
+	oneMore := base.Clone()
+	oneMore.AddEdge(5, 6)
+	if matches(base, oneMore) || oneMore.EdgeSum() == base.EdgeSum() {
+		t.Error("extra edge not told apart")
+	}
+	otherEdge := New(9)
+	otherEdge.AddEdge(0, 2)
+	if matches(base, otherEdge) || otherEdge.EdgeSum() == base.EdgeSum() {
+		t.Error("different edge not told apart")
+	}
+	// Edges that land in adjacent bit positions of one row.
+	a, b := New(20), New(20)
+	a.AddEdge(0, 18)
+	b.AddEdge(0, 19)
+	if matches(a, b) || a.EdgeSum() == b.EdgeSum() {
+		t.Error("adjacent bit positions collide")
+	}
+	// No list that differs by one edge — fewer, more, or a neighbouring one
+	// in its place — passes the exact comparison.
+	g := New(20)
+	for _, p := range [][2]ids.NodeID{{0, 1}, {1, 2}, {3, 7}, {2, 8}, {4, 5}, {0, 18}} {
+		g.AddEdge(p[0], p[1])
+	}
+	es := g.Edges() // {0,1} {0,18} {1,2} {2,8} {3,7} {4,5}
+	for _, other := range [][]Edge{
+		es[1:],
+		append(slices.Clone(es), NewEdge(9, 19)),
+		slices.Replace(slices.Clone(es), 1, 2, NewEdge(0, 19)),
+		nil,
+	} {
+		if g.SameEdges(other) {
+			t.Errorf("%v matches %v", g, other)
+		}
+	}
+}
+
+func TestFingerprintMutationTracksState(t *testing.T) {
+	g := New(6)
+	g.AddEdge(1, 4)
+	before := g.Clone()
+	g.AddEdge(2, 3)
+	if matches(g, before) {
+		t.Error("an added edge is not reflected")
+	}
+	g.RemoveEdge(3, 2)
+	if !matches(g, before) {
+		t.Error("add+remove did not restore the view key")
+	}
+}
+
+// TestFingerprintMatchesPerEdgeReference: the incrementally kept EdgeSum is
+// the sum of edgeMix over Edges(), and SameEdges accepts a graph's own edge
+// list, on random graphs on every side of the storage boundaries (64, 192).
+func TestFingerprintMatchesPerEdgeReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, n := range []int{1, 2, 63, 64, 65, 192, 193, 500} {
+		var pairs []Edge
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, Edge{U: ids.NodeID(u), V: ids.NodeID(v)})
+			}
+		}
+		for _, m := range []int{0, 1, n - 1, len(pairs) / 3, len(pairs), 511, 512, 1024} {
+			if m > len(pairs) || m < 0 {
+				continue
+			}
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			g := New(n)
+			for _, e := range pairs[:m] {
+				g.AddEdge(e.V, e.U)
+			}
+			var sum uint64
+			es := g.Edges()
+			for _, e := range es {
+				sum += edgeMix(e.U, e.V)
+			}
+			if g.EdgeSum() != sum {
+				t.Errorf("n=%d, m=%d: EdgeSum %#x, the edges sum to %#x", n, m, g.EdgeSum(), sum)
+			}
+			if !g.SameEdges(es) {
+				t.Errorf("n=%d, m=%d: SameEdges rejects the graph's own edges", n, m)
+			}
+			if m > 0 && g.SameEdges(es[1:]) {
+				t.Errorf("n=%d, m=%d: SameEdges accepts a list one edge short", n, m)
+			}
 		}
 	}
 }

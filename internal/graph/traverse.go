@@ -1,6 +1,10 @@
 package graph
 
-import "github.com/nectar-repro/nectar/internal/ids"
+import (
+	"slices"
+
+	"github.com/nectar-repro/nectar/internal/ids"
+)
 
 // Reachable returns, for every vertex, whether it is reachable from src
 // (src is reachable from itself).
@@ -75,7 +79,7 @@ func (g *Graph) Components() [][]ids.NodeID {
 				}
 			}
 		}
-		sortIDs(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -129,12 +133,4 @@ func (g *Graph) Diameter() (int, bool) {
 		}
 	}
 	return d, true
-}
-
-func sortIDs(s []ids.NodeID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }

@@ -142,8 +142,8 @@ type Node struct {
 	// The propagation phase's buffers and the view they fill, borrowed from
 	// the package free list by NewNode and handed back by Release — at the
 	// latest implicitly, at the first Decide. box is the free-list entry
-	// they came from, nil once returned; from then on snapshot, the edge
-	// list Release took of the view, is the node's result (see gi).
+	// they came from, nil once returned; from then on snapshot, the view's
+	// edge list (a decision memo's, shared read-only), is the result (see gi).
 	nodeScratch
 	box      *nodeScratch
 	snapshot []graph.Edge
@@ -172,6 +172,9 @@ type nodeScratch struct {
 	// sub-slices on the old backing array, intact.
 	enc     wire.Writer
 	sendBuf []rounds.Send
+	// queueUsed and sendUsed are the most slots queue and sendBuf have held
+	// since the borrow: all Release zeroes, as no slot beyond holds anything.
+	queueUsed, sendUsed int
 	// Deliver-side allocation reuse (DESIGN.md §14): the verification
 	// scratch (statement writer + chain signing-input buffer), and the
 	// accept arena that owns the queued messages' wire bytes. The scratch
@@ -201,23 +204,32 @@ var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 // scratch: it stays on the node together with the arena its items point
 // into.
 func (nd *Node) Release() {
+	if nd.box != nil {
+		nd.release(nd.view.Edges())
+	}
+}
+
+// release is Release keeping snapshot as the node's result. The node only
+// reads it, so a decision memo hands one edge list to every node of a view.
+func (nd *Node) release(snapshot []graph.Edge) {
 	s := nd.box
 	if s == nil {
 		return
 	}
 	nd.box = nil
-	nd.snapshot = nd.view.Edges()
+	nd.snapshot = snapshot
 	*s, nd.nodeScratch = nd.nodeScratch, nodeScratch{}
 	nd.scr.memo, s.scr.memo = s.scr.memo, nil // the node keeps its memo; the free list holds none
 	if len(s.queue) > 0 {
 		nd.queue, nd.arenaRaw = s.queue, s.arenaRaw
-		s.queue, s.arenaRaw = nil, nil
+		s.queue, s.arenaRaw, s.queueUsed = nil, nil, 0
 	}
-	clear(s.queue[:cap(s.queue)])
+	clear(s.queue[:s.queueUsed])
 	s.queue = s.queue[:0]
 	s.enc.Reset()
-	clear(s.sendBuf[:cap(s.sendBuf)])
+	clear(s.sendBuf[:s.sendUsed])
 	s.sendBuf = s.sendBuf[:0]
+	s.queueUsed, s.sendUsed = 0, 0
 	s.scr.stmt.Reset()
 	s.scr.cs.Reset()
 	s.arenaRaw = s.arenaRaw[:0]
@@ -355,7 +367,7 @@ func (nd *Node) Emit(round int) []rounds.Send {
 				out = append(out, rounds.Send{To: dest, Data: data})
 			}
 		}
-		nd.sendBuf = out
+		nd.sendBuf, nd.sendUsed = out, max(nd.sendUsed, len(out))
 		return out
 	}
 	ps := proofWireSize(sigSize)
@@ -369,9 +381,9 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	}
 	// The queue is drained, so nothing references the accept arena any
 	// more: recycle it for the deliveries of this round.
-	nd.queue = nd.queue[:0]
+	nd.queue, nd.queueUsed = nd.queue[:0], max(nd.queueUsed, len(nd.queue))
 	nd.arenaRaw = nd.arenaRaw[:0]
-	nd.sendBuf = out
+	nd.sendBuf, nd.sendUsed = out, max(nd.sendUsed, len(out))
 	return out
 }
 
@@ -558,28 +570,32 @@ func (nd *Node) Quiescent() bool { return nd.started && len(nd.queue) == 0 }
 // is unreachable.
 func (nd *Node) Decide() Outcome { return nd.DecideShared(nil) }
 
-// DecideShared is Decide with the connectivity predicate memoized through
-// c (nil runs it directly). By Lemma 2 correct nodes converge to identical
-// views, so the expensive κ(Gi) > t max-flow — identical for identical
-// views — runs once per distinct view per trial instead of once per node
-// (DESIGN.md §9). The per-node reachability BFS (which depends on the
-// local identity) is always computed directly; outcomes are bit-identical
-// with and without a cache.
+// DecideShared is Decide through the decision memo c (nil decides directly,
+// the reference path). By Lemma 2 correct nodes converge to identical views,
+// so the κ(Gi) > t max-flow, the reachable counts and the kept edge list are
+// computed once per distinct view, not per node (DESIGN.md §9); outcomes are
+// bit-identical either way.
 //
 // Deciding marks the end of the propagation phase, so the first call also
 // Releases the node's scratch — once it has decided, on the pooled view.
 func (nd *Node) DecideShared(c *DecideCache) Outcome {
-	r := nd.gi().CountReachable(nd.cfg.Me)
-	kOverT := c.connectivityAtLeast(nd.gi(), nd.cfg.T+1)
-	nd.Release()
-	out := Outcome{Reachable: r, ConnectivityOverT: kOverT}
-	if kOverT && r == nd.cfg.N {
+	var out Outcome
+	if c == nil {
+		out.Reachable = nd.gi().CountReachable(nd.cfg.Me)
+		out.ConnectivityOverT = nd.gi().ConnectivityAtLeast(nd.cfg.T + 1)
+		nd.Release()
+	} else {
+		g := nd.gi()
+		e, over := c.decide(viewKey{n: g.N(), m: g.M(), sum: g.EdgeSum()}, g, nd.cfg.T+1)
+		out.Reachable, out.ConnectivityOverT = int(e.reach[nd.cfg.Me]), over
+		nd.release(e.edges)
+	}
+	if out.ConnectivityOverT && out.Reachable == nd.cfg.N {
 		out.Decision = NotPartitionable
-		out.Confirmed = false
 		return out
 	}
 	out.Decision = Partitionable
-	out.Confirmed = r != nd.cfg.N
+	out.Confirmed = out.Reachable != nd.cfg.N
 	return out
 }
 

@@ -108,7 +108,7 @@ type clusterRun struct {
 	Tapes    [][]byte
 	Stats    []Stats
 	Outcomes []Outcome
-	Views    [][32]byte
+	Views    [][]graph.Edge
 	Metrics  *rounds.Metrics
 	Hits     int64
 	Misses   int64
@@ -138,7 +138,7 @@ func runTaped(t *testing.T, g *graph.Graph, scheme sig.Scheme, horizon int, opts
 	for i, nd := range nodes {
 		run.Outcomes = append(run.Outcomes, nd.Decide())
 		run.Stats = append(run.Stats, nd.Stats())
-		run.Views = append(run.Views, nd.View().Fingerprint())
+		run.Views = append(run.Views, nd.View().Edges())
 		run.Tapes = append(run.Tapes, tapes[i].Bytes())
 	}
 	run.Hits, run.Misses = vc.Stats()
@@ -230,7 +230,7 @@ func TestNodeUsableAfterRelease(t *testing.T) {
 		if i%2 == 0 {
 			// Half the nodes rebuild their view here, the other half on the
 			// next delivery.
-			if !nd.View().Equal(before) || nd.View().Fingerprint() != before.Fingerprint() {
+			if !nd.View().Equal(before) || !reflect.DeepEqual(nd.View().Edges(), before.Edges()) {
 				t.Errorf("node %v: View after Decide differs from View before it", nd.ID())
 			}
 		}

@@ -86,7 +86,8 @@ func (s *StreamSink) Err() error {
 // ReadJSONL decodes a JSONL event stream as written by
 // Recorder.WriteJSONL or StreamSink — the load half of the offline trace
 // tooling (internal/traceview). Blank lines are skipped; a malformed
-// line fails with its 1-based line number.
+// line fails with its 1-based line number. An empty attrs list loads as
+// none, the way it is written.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	// Engine events are small, but a soak trace may carry wide attr lists;
@@ -103,6 +104,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		var ev Event
 		if err := json.Unmarshal(b, &ev); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+		}
+		if len(ev.Attrs) == 0 {
+			ev.Attrs = nil
 		}
 		out = append(out, ev)
 	}

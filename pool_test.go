@@ -224,19 +224,22 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 
 // TestWarmRunAllocatesAFraction pins the point of the free lists on two of
 // the benchmark's shapes: once one run has filled them, an identical run
-// allocates at most a quarter of the bytes. On drone-hmac's shape, where
-// nearly every delivery is a duplicate, it is an eighth against a run in a
-// fresh process and a fifth when an earlier test left a hot staging warm
-// and the cold run only grows scratch and memo; the warm run also stays
-// under 40 objects per node (25–29 measured: keys, proofs, the memo's
-// records): every relay used to allocate the signature Sign returned, 630
+// allocates at most a quarter of the bytes. A collection during a warm run
+// can still drop pooled scratch — up to 150 KB a node more on the drone
+// shape — so the lighter of two warm runs is the one measured. On
+// drone-hmac's shape, where nearly every delivery is a duplicate, that is
+// 1–2 % of a cold run, and it stays under 40 objects per node (19–29
+// measured: keys, proofs, the memo's records): every relay used to allocate the signature Sign returned, 630
 // objects per node on this graph, and now signs into its hop slot, and every
 // proof signed or checked built its statement in a writer of its own, about
 // 26 more. On
 // tree-slim's — unique paths, every delivery first-seen, the per-node views
 // the bulk of a cold run — the ceiling is a hundred objects per node: each
 // node used to grow a view of its own, some 540 objects on the 500-node
-// tree, and now resets a recycled one.
+// tree, and now resets a recycled one. Its byte ceiling is what deciding
+// costs: each node used to copy its view's edge list (≈ 1.6 KB on the
+// 200-node tree) and allocate a BFS scratch (≈ 0.8 KB) — 4.4 KB a node in
+// all — and now shares one entry of the decision memo per view (1.7 KB).
 func TestWarmRunAllocatesAFraction(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation and thins sync.Pool")
@@ -253,9 +256,10 @@ func TestWarmRunAllocatesAFraction(t *testing.T) {
 		name           string
 		cfg            SimulationConfig
 		objectsPerNode uint64 // ceiling on a warm run's allocations per node
+		bytesPerNode   uint64 // and on its bytes per node; 0 = none
 	}{
-		{"drone/hmac", SimulationConfig{Graph: drone, T: 2, Seed: 3, SchemeName: "hmac"}, 40},
-		{"tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: 3, SchemeName: "slim"}, 100},
+		{"drone/hmac", SimulationConfig{Graph: drone, T: 2, Seed: 3, SchemeName: "hmac"}, 40, 0},
+		{"tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: 3, SchemeName: "slim"}, 100, 3000},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats
@@ -269,9 +273,15 @@ func TestWarmRunAllocatesAFraction(t *testing.T) {
 		coldPools()
 		cold, _ := run()
 		warm, objects := run()
+		if w, o := run(); w < warm {
+			warm, objects = w, o
+		}
 		n := uint64(tc.cfg.Graph.N())
-		t.Logf("%s: cold %.1f MB, warm %.1f MB (%.0f%%), %d objects per node", tc.name,
-			float64(cold)/1e6, float64(warm)/1e6, 100*float64(warm)/float64(cold), objects/n)
+		t.Logf("%s: cold %.1f MB, warm %.1f MB (%.0f%%), %d bytes and %d objects per node", tc.name,
+			float64(cold)/1e6, float64(warm)/1e6, 100*float64(warm)/float64(cold), warm/n, objects/n)
+		if tc.bytesPerNode > 0 && warm >= tc.bytesPerNode*n {
+			t.Errorf("%s: warm run allocated %d bytes, %d or more per node", tc.name, warm, tc.bytesPerNode)
+		}
 		if warm > cold/4 {
 			t.Errorf("%s: warm run allocated %d bytes, more than a quarter of the cold run's %d", tc.name, warm, cold)
 		}
