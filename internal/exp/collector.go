@@ -2,8 +2,10 @@ package exp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -46,27 +48,24 @@ type Collector struct {
 
 // OpenCollector opens (or creates) the JSONL checkpoint at path. With
 // resume=true, existing records are loaded and appended to; otherwise the
-// file is truncated and the sweep starts clean. Unparseable lines (a
-// write cut short by the crash being resumed from) are skipped.
+// file is truncated and the sweep starts clean. Unparseable lines are
+// skipped, and a last line without its newline — a write cut short by the
+// crash being resumed from — is cut off, so the first record appended
+// starts a line of its own rather than extending the torn one.
 func OpenCollector(path string, resume bool) (*Collector, error) {
 	c := &Collector{seen: make(map[resumeKey]json.RawMessage)}
 	flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 	if resume {
 		flags = os.O_CREATE | os.O_RDWR
-		if data, err := os.ReadFile(path); err == nil {
-			c.load(data)
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("exp: resume %s: %w", path, err)
-		}
 	}
 	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("exp: open %s: %w", path, err)
 	}
 	if resume {
-		if _, err := f.Seek(0, 2); err != nil {
+		if err := c.resume(f); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("exp: seek %s: %w", path, err)
+			return nil, fmt.Errorf("exp: resume %s: %w", path, err)
 		}
 	}
 	c.f = f
@@ -74,27 +73,40 @@ func OpenCollector(path string, resume bool) (*Collector, error) {
 	return c, nil
 }
 
-// load indexes the checkpoint's parseable lines.
+// resume loads the checkpoint's whole lines, truncates f after the last
+// of them and leaves the offset there.
+func (c *Collector) resume(f *os.File) error {
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return err
+	}
+	whole := bytes.LastIndexByte(data, '\n') + 1
+	c.load(data[:whole])
+	if whole < len(data) {
+		if err := f.Truncate(int64(whole)); err != nil {
+			return err
+		}
+	}
+	_, err = f.Seek(int64(whole), io.SeekStart)
+	return err
+}
+
+// load indexes the parseable lines of data, which ends in a newline.
 func (c *Collector) load(data []byte) {
-	start := 0
-	for i := 0; i <= len(data); i++ {
-		if i != len(data) && data[i] != '\n' {
-			continue
-		}
-		line := data[start:i]
-		start = i + 1
-		if len(line) == 0 {
-			continue
-		}
+	for len(data) > 0 {
+		end := bytes.IndexByte(data, '\n')
+		line := data[:end]
+		data = data[end+1:]
 		var rec recordLine
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Data == nil {
-			continue // torn tail write from the interrupted run
+			continue // a line the interrupted run left damaged
 		}
 		c.seen[resumeKey{rec.Key, rec.FP, rec.Unit, rec.Seed}] = rec.Data
 	}
 }
 
-// Resumed counts the checkpointed records loaded at open.
+// Resumed counts the checkpointed records loaded at open: the distinct
+// units among the file's whole lines that parse.
 func (c *Collector) Resumed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -38,7 +38,9 @@ func benchFlooders(g *graph.Graph, payloads, size int) ([]Protocol, int) {
 // aim 1): ns per routed message and allocations per run with protocols
 // that do nothing. harary6-35 is the paper-scale dense case (inboxes of
 // 24, every one shuffled); tree3-500 the sparse one (two thirds of the
-// nodes are leaves whose inbox is a single message).
+// nodes are leaves whose inbox is a single message); complete33-640 has
+// inboxes of 640, past the 607-word register, so the shuffle fills and
+// steps it instead of deriving its words statelessly.
 func BenchmarkEngineSelf(b *testing.B) {
 	harary, err := topology.Harary(6, 35)
 	if err != nil {
@@ -48,6 +50,7 @@ func BenchmarkEngineSelf(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	complete := topology.Complete(33)
 	const rounds = 10
 	for _, bc := range []struct {
 		name           string
@@ -56,6 +59,7 @@ func BenchmarkEngineSelf(b *testing.B) {
 	}{
 		{"harary6-35", harary, 4, 256},
 		{"tree3-500", tree, 1, 64},
+		{"complete33-640", complete, 20, 64},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			nodes, perRound := benchFlooders(bc.g, bc.payloads, bc.size)

@@ -1,24 +1,24 @@
 package rounds
 
-import (
-	"math/rand"
-
-	"github.com/nectar-repro/nectar/internal/freelist"
-)
+import "github.com/nectar-repro/nectar/internal/freelist"
 
 // Run-lifetime recycling (DESIGN.md §9). A sweep or a dynamic run drives
 // the engine once per trial or epoch, and every run used to grow the same
-// staging — per-recipient inboxes, the dedup maps, the shuffle RNGs —
-// from nil by append-doubling and then drop it. The staging of a finished
-// run is kept on a free list instead, so the next run starts at the
-// capacity the last one reached.
+// staging — per-recipient inboxes, the dedup sets — from nil by
+// append-doubling and then drop it. The staging of a finished run is kept
+// on a free list instead, so the next run starts at the capacity the last
+// one reached.
 //
 // The free list only ever supplies capacity. release truncates every
-// buffer to length zero, clears every map, and zeroes every slot that held
-// a payload slice up to its capacity, so nothing a finished run
-// referenced stays reachable and nothing it staged can be observed by the
-// next run: results cannot depend on whether, or from which run, a staging
-// was recycled.
+// buffer to length zero, empties every dedup set, and zeroes every slot
+// that held a payload slice, so nothing a finished run referenced stays
+// reachable and nothing it staged can be observed by the next run: results
+// cannot depend on whether, or from which run, a staging was recycled.
+// The slots a run filled are those below its recipients' high-water marks
+// (or a buffer's length, where a failed run left one staged); every slot
+// above was zero when the run began — fresh from append, or scrubbed by
+// the run that used it — so release zeroes only as far as the run got,
+// not a capacity that the largest run ever served has grown.
 
 // staging is the scratch one engine run owns from acquire to release.
 type staging struct {
@@ -30,9 +30,11 @@ type staging struct {
 
 	outboxes [][]Send
 	inboxes  [][]delivery // per-recipient merged+shuffled inbox
-	shards   []*routeShard
-	meters   []*meter     // per-worker metering state
-	rngs     []*rand.Rand // per-worker shuffle RNGs, reseeded per recipient
+	// marks[i] is the longest inbox recipient i has had this run: no
+	// staged or merged buffer of i's has been filled beyond it.
+	marks  []int
+	shards []*routeShard
+	meters []*meter // per-worker metering state
 }
 
 // stagingFree is the free list (hot slots over a sync.Pool: a bare pool
@@ -47,6 +49,7 @@ func acquireStaging(n, workers int) *staging {
 	st.workers = workers
 	st.outboxes = resize(st.outboxes, n)
 	st.inboxes = resize(st.inboxes, n)
+	st.marks = resize(st.marks, n)
 	st.shards = resize(st.shards, max(workers, len(st.shards)))
 	for w, sh := range st.shards[:workers] {
 		if sh == nil {
@@ -58,17 +61,7 @@ func acquireStaging(n, workers int) *staging {
 	st.meters = resize(st.meters, max(workers, len(st.meters)))
 	for w, mt := range st.meters[:workers] {
 		if mt == nil {
-			st.meters[w] = &meter{seen: make(map[uint64]bool)}
-		}
-	}
-	// One reusable shuffle RNG per worker: delivery reseeds it per
-	// recipient, which reproduces the stream of a fresh
-	// rand.New(rand.NewSource(seed)) exactly (shufflesource.go), so a
-	// recycled RNG's history is unobservable.
-	st.rngs = resize(st.rngs, max(workers, len(st.rngs)))
-	for w, rng := range st.rngs[:workers] {
-		if rng == nil {
-			st.rngs[w] = newShuffleRand()
+			st.meters[w] = new(meter)
 		}
 	}
 	return st
@@ -77,10 +70,13 @@ func acquireStaging(n, workers int) *staging {
 // release scrubs what the run used down to bare capacity and returns the
 // staging to the free list. The caller must not touch st afterwards.
 func (st *staging) release() {
-	scrubAll(st.outboxes)
-	scrubAll(st.inboxes)
-	for _, sh := range st.shards[:st.workers] {
-		scrubAll(sh.inbox)
+	clear(st.outboxes) // route drops each outbox it routes; a panic may not
+	for i, mark := range st.marks {
+		scrub(st.inboxes, i, mark)
+		for _, sh := range st.shards[:st.workers] {
+			scrub(sh.inbox, i, mark)
+		}
+		st.marks[i] = 0
 	}
 	for _, mt := range st.meters[:st.workers] {
 		mt.resetDedup()
@@ -97,11 +93,10 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// scrubAll zeroes every inner slice of s up to its capacity and leaves it
-// at length zero.
-func scrubAll[T any](s [][]T) {
-	for i := range s {
-		clear(s[i][:cap(s[i])])
-		s[i] = s[i][:0]
-	}
+// scrub zeroes boxes[i] up to its length or mark, whichever reaches
+// further, and leaves it at length zero.
+func scrub(boxes [][]delivery, i, mark int) {
+	b := boxes[i]
+	clear(b[:min(cap(b), max(len(b), mark))])
+	boxes[i] = b[:0]
 }

@@ -2,6 +2,7 @@ package rounds
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -40,13 +41,13 @@ func poisonedStaging() *staging {
 		}
 		return d[:0]
 	}
-	usedMap := func() map[uint64]bool {
-		m := make(map[uint64]bool)
+	usedSet := func() hashSet {
+		var set hashSet
+		set.reset()
 		for i := uint64(0); i < 100; i++ {
-			m[i] = true
+			set.add(i * 0x9e3779b97f4a7c15)
 		}
-		clear(m)
-		return m
+		return set
 	}
 	st := new(staging)
 	for i := 0; i < 5; i++ {
@@ -56,8 +57,9 @@ func poisonedStaging() *staging {
 		}
 		st.outboxes = append(st.outboxes, sends[:0])
 		st.inboxes = append(st.inboxes, deliveries())
+		st.marks = append(st.marks, 1000) // beyond every buffer's capacity
 	}
-	st.outboxes, st.inboxes = st.outboxes[:0], st.inboxes[:0]
+	st.outboxes, st.inboxes, st.marks = st.outboxes[:0], st.inboxes[:0], st.marks[:0]
 	for w := 0; w < 3; w++ {
 		sh := new(routeShard)
 		for i := 0; i < 5; i++ {
@@ -66,11 +68,7 @@ func poisonedStaging() *staging {
 		sh.inbox = sh.inbox[:0]
 		st.shards = append(st.shards, sh)
 
-		st.meters = append(st.meters, &meter{seen: usedMap(), last: junk})
-		rng := newShuffleRand()
-		rng.Seed(int64(w) + 99)
-		rng.Int63() // mid-stream, as a recycled RNG would be
-		st.rngs = append(st.rngs, rng)
+		st.meters = append(st.meters, &meter{seen: usedSet(), last: junk})
 	}
 	return st
 }
@@ -118,18 +116,30 @@ func TestPoisonedStagingChangesNothing(t *testing.T) {
 	}
 }
 
-// TestReleaseScrubsStaging drives a flood through a staging and checks
-// what Run put back on the free list: nothing but capacity — no payload
-// slice reachable from any slot, every buffer empty.
+// TestReleaseScrubsStaging drives floods through a staging and checks what
+// Run put back on the free list: nothing but capacity — no payload slice
+// reachable from any slot, every buffer empty. The second flood on the
+// same staging has shorter inboxes than the first, so its release zeroes
+// less than the capacity the first one grew; the one-worker runs swap
+// their staged and merged buffers every round.
 func TestReleaseScrubsStaging(t *testing.T) {
-	g := topology.Complete(6)
-	var st *staging // the one staging the run below borrows
-	withStagingPool(t, func() *staging { st = new(staging); return st })
-	runFlood(t, g, Config{Rounds: 3, Seed: 1, Workers: 2})
-	if st == nil || cap(st.inboxes) == 0 {
-		t.Fatal("the run did not go through the free list")
+	for _, workers := range []int{1, 2} {
+		var st *staging // the one staging the runs below borrow
+		withStagingPool(t, func() *staging { st = new(staging); return st })
+		for _, g := range []*graph.Graph{topology.Complete(6), topology.Ring(6)} {
+			runFlood(t, g, Config{Rounds: 3, Seed: 1, Workers: workers})
+			if st == nil || cap(st.inboxes) == 0 {
+				t.Fatal("the run did not go through the free list")
+			}
+			checkScrubbed(t, st, workers)
+		}
 	}
+}
 
+// checkScrubbed fails the test unless st, as released by a run at the
+// given worker count, holds nothing but capacity.
+func checkScrubbed(t *testing.T, st *staging, workers int) {
+	t.Helper()
 	checkDeliveries := func(where string, boxes [][]delivery) {
 		for i, box := range boxes[:cap(boxes)] {
 			if len(box) != 0 {
@@ -150,8 +160,13 @@ func TestReleaseScrubsStaging(t *testing.T) {
 			}
 		}
 	}
-	if len(st.shards) != 2 {
-		t.Errorf("%d shards for a 2-worker run", len(st.shards))
+	for i, mark := range st.marks[:cap(st.marks)] {
+		if mark != 0 {
+			t.Errorf("marks[%d] = %d after release", i, mark)
+		}
+	}
+	if len(st.shards) != workers {
+		t.Errorf("%d shards for a %d-worker run", len(st.shards), workers)
 	}
 	for w, sh := range st.shards {
 		if cap(sh.inbox) == 0 {
@@ -159,11 +174,11 @@ func TestReleaseScrubsStaging(t *testing.T) {
 		}
 		checkDeliveries(fmt.Sprintf("shard %d inbox", w), sh.inbox)
 	}
-	if len(st.meters) != 2 {
-		t.Errorf("%d meters for a 2-worker run", len(st.meters))
+	if len(st.meters) != workers {
+		t.Errorf("%d meters for a %d-worker run", len(st.meters), workers)
 	}
 	for w, mt := range st.meters {
-		if len(mt.seen) != 0 || mt.last != nil {
+		if mt.seen.count != 0 || mt.last != nil {
 			t.Errorf("meter %d: dedup state not cleared", w)
 		}
 	}
@@ -205,8 +220,26 @@ func TestRepeatedRunsShareStaging(t *testing.T) {
 	}
 }
 
-// TestFailedRunLeavesNoTrace: every error return of Run precedes the
-// acquire, so a failed call cannot leave anything behind for the next run.
+// failingNet is a Transport that runs node `remote` elsewhere and fails
+// the exchange of round failAt; before that it carries nothing.
+type failingNet struct {
+	remote ids.NodeID
+	failAt int
+}
+
+func (f failingNet) Remote(id ids.NodeID) bool { return id == f.remote }
+
+func (f failingNet) Exchange(round int, _ []Envelope) ([]Envelope, error) {
+	if round == f.failAt {
+		return nil, errors.New("link down")
+	}
+	return nil, nil
+}
+
+// TestFailedRunLeavesNoTrace: a failed call cannot leave anything behind
+// for the next run. A config error returns before the staging is
+// acquired; a transport error returns mid-run, after route has staged the
+// round's deliveries, and the release on the way out must scrub those too.
 func TestFailedRunLeavesNoTrace(t *testing.T) {
 	g := topology.Ring(6)
 	cfg := Config{Rounds: 6, Seed: 3}
@@ -232,5 +265,25 @@ func TestFailedRunLeavesNoTrace(t *testing.T) {
 	gotM, gotT := transcript(t, g, cfg)
 	if !reflect.DeepEqual(gotM, wantM) || !reflect.DeepEqual(gotT, wantT) {
 		t.Error("run after failed runs differs from the reference")
+	}
+
+	for _, workers := range []int{1, 2} {
+		var st *staging
+		withStagingPool(t, func() *staging { st = new(staging); return st })
+		protos := make([]Protocol, g.N())
+		for i := range protos {
+			protos[i] = newFloodNode(ids.NodeID(i), g, fmt.Sprintf("origin-%d", i))
+		}
+		protos[5] = &silentNode{}
+		net := failingNet{remote: 5, failAt: 2}
+		if _, err := Run(Config{Graph: g, Rounds: 6, Seed: 3, Workers: workers, Transport: net}, protos); err == nil {
+			t.Fatal("a failing transport did not fail the run")
+		}
+		checkScrubbed(t, st, workers)
+
+		gotM, gotT := transcript(t, g, Config{Rounds: 6, Seed: 3, Workers: workers})
+		if !reflect.DeepEqual(gotM, wantM) || !reflect.DeepEqual(gotT, wantT) {
+			t.Errorf("workers=%d: run after a failed run differs from the reference", workers)
+		}
 	}
 }

@@ -328,16 +328,77 @@ type routeShard struct {
 type meter struct {
 	// seen holds the hashes of the payloads the current sender has been
 	// charged for in BytesBroadcast this round.
-	seen map[uint64]bool
+	seen hashSet
 	// last is the previous payload admitted from the current sender.
 	// Fan-out sends share one encoded buffer per payload, so consecutive
 	// sends over the same slice skip the hash: same pointer and length
 	// imply same content, never a behaviour change. seen still catches
 	// non-consecutive or re-encoded repeats by content.
-	last           []byte
-	bytesThisRound int64
-	droppedNonEdge int64
-	droppedLoss    int64
+	last []byte
+	// sent, msgs and bcast are the current sender's BytesSent, MsgsSent
+	// and BytesBroadcast, added to its metric rows once it is routed.
+	sent, msgs, bcast int64
+	bytesThisRound    int64
+	droppedNonEdge    int64
+	droppedLoss       int64
+}
+
+// hashSet is a set of 64-bit payload hashes that empties in O(1): an
+// open-addressing table, linear probing at load ≤ ½, whose slot belongs to
+// the set iff its stamp equals gen. reset bumps gen; only when the 32-bit
+// counter wraps are the stamps wiped. Hashes are finalised (payloadHash),
+// so their low bits index the table directly.
+type hashSet struct {
+	slots []hashSlot // power-of-two length, or nil before the first add
+	gen   uint32     // never 0 once reset: zeroed slots must read as empty
+	count int
+}
+
+type hashSlot struct {
+	key uint64
+	gen uint32
+}
+
+// reset empties the set.
+func (s *hashSet) reset() {
+	s.count = 0
+	s.gen++
+	if s.gen == 0 {
+		clear(s.slots)
+		s.gen = 1
+	}
+}
+
+// add inserts h and reports whether it was absent. The set must have been
+// reset since it was made.
+func (s *hashSet) add(h uint64) bool {
+	if 2*(s.count+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			sl.key, sl.gen = h, s.gen
+			s.count++
+			return true
+		}
+		if sl.key == h {
+			return false
+		}
+	}
+}
+
+// grow doubles the table and re-files the current members.
+func (s *hashSet) grow() {
+	old := s.slots
+	s.slots = make([]hashSlot, max(16, 2*len(old)))
+	s.count = 0
+	for _, sl := range old {
+		if sl.gen == s.gen {
+			s.add(sl.key)
+		}
+	}
 }
 
 // engine holds one run's state. The embedded staging — buffers and worker
@@ -522,9 +583,9 @@ func (e *engine) run() error {
 		// yet runs stay reproducible. Recipients are claimed in blocks like
 		// emitters: the merge reads every shard whoever runs it, and the
 		// shuffle is seeded per recipient, so nothing depends on the claim.
-		parallelBlocks(e.n, e.workers, func(w, lo, hi int) {
+		parallelBlocks(e.n, e.workers, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e.deliver(w, i, r)
+				e.deliver(i, r)
 			}
 		})
 
@@ -581,8 +642,8 @@ func (e *engine) run() error {
 func (e *engine) route(sh *routeShard, mt *meter, round, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if len(e.outboxes[i]) == 0 {
-			// Quiescent sender: skip the map clear (most nodes are silent
-			// on most rounds once discovery finishes).
+			// Quiescent sender: skip the dedup reset (most nodes are
+			// silent on most rounds once discovery finishes).
 			e.outboxes[i] = nil
 			continue
 		}
@@ -593,6 +654,11 @@ func (e *engine) route(sh *routeShard, mt *meter, round, lo, hi int) {
 			}
 		}
 		e.outboxes[i] = nil
+		e.m.BytesSent[i] += mt.sent
+		e.m.MsgsSent[i] += mt.msgs
+		e.m.BytesBroadcast[i] += mt.bcast
+		mt.bytesThisRound += mt.sent
+		mt.sent, mt.msgs, mt.bcast = 0, 0, 0
 	}
 }
 
@@ -609,6 +675,7 @@ func (e *engine) exchange(round int) error {
 			for _, d := range sh.inbox[j] {
 				out = append(out, Envelope{From: d.from, To: ids.NodeID(j), Data: d.data})
 			}
+			e.marks[j] = max(e.marks[j], len(sh.inbox[j]))
 			sh.inbox[j] = sh.inbox[j][:0]
 		}
 	}
@@ -625,7 +692,7 @@ func (e *engine) exchange(round int) error {
 
 // resetDedup forgets the payloads of the previous sender.
 func (mt *meter) resetDedup() {
-	clear(mt.seen)
+	mt.seen.reset()
 	mt.last = nil
 }
 
@@ -641,13 +708,11 @@ func (e *engine) admit(mt *meter, round, i, k int, s Send) bool {
 		return false
 	}
 	size := int64(len(s.Data) + e.overhead)
-	e.m.BytesSent[i] += size
-	mt.bytesThisRound += size
-	e.m.MsgsSent[i]++
+	mt.sent += size
+	mt.msgs++
 	if len(s.Data) == 0 || len(mt.last) != len(s.Data) || &mt.last[0] != &s.Data[0] {
-		if h := payloadHash(s.Data); !mt.seen[h] {
-			mt.seen[h] = true
-			e.m.BytesBroadcast[i] += size
+		if mt.seen.add(payloadHash(s.Data)) {
+			mt.bcast += size
 		}
 		mt.last = s.Data
 	}
@@ -659,13 +724,29 @@ func (e *engine) admit(mt *meter, round, i, k int, s Send) bool {
 }
 
 // deliver merges recipient i's staged messages, shuffles, and delivers.
-// Only this call touches shard entry i, so truncating it here is safe.
-// w selects the calling worker's reusable shuffle RNG.
-func (e *engine) deliver(w, i, round int) {
-	inbox := e.inboxes[i][:0]
-	for _, sh := range e.shards[:e.workers] {
-		inbox = append(inbox, sh.inbox[i]...)
-		sh.inbox[i] = sh.inbox[i][:0]
+// Only this call touches shard entry i and mark i, so truncating and
+// raising them here is safe. With one shard the merge is a swap: the
+// shard's buffer becomes the inbox and the last inbox's buffer takes the
+// next round's staging. If that buffer is too small for this inbox it is
+// replaced by one of the shard buffer's capacity, so the pair that trades
+// places grows together, in one step, rather than each by doubling in
+// the shard's role.
+func (e *engine) deliver(i, round int) {
+	var inbox []delivery
+	if e.workers == 1 {
+		sh := e.shards[0]
+		inbox = sh.inbox[i]
+		next := e.inboxes[i][:0]
+		if cap(next) < len(inbox) {
+			next = make([]delivery, 0, cap(inbox))
+		}
+		sh.inbox[i] = next
+	} else {
+		inbox = e.inboxes[i][:0]
+		for _, sh := range e.shards[:e.workers] {
+			inbox = append(inbox, sh.inbox[i]...)
+			sh.inbox[i] = sh.inbox[i][:0]
+		}
 	}
 	if e.remote != nil { // stable: each sender's own order stays
 		slices.SortStableFunc(inbox, func(a, b delivery) int { return cmp.Compare(a.from, b.from) })
@@ -674,12 +755,9 @@ func (e *engine) deliver(w, i, round int) {
 	if len(inbox) == 0 {
 		return
 	}
+	e.marks[i] = max(e.marks[i], len(inbox))
 	if len(inbox) > 1 { // shuffling one message draws nothing
-		rng := e.rngs[w]
-		rng.Seed(e.cfg.Seed ^ int64(round)<<20 ^ int64(i))
-		rng.Shuffle(len(inbox), func(a, b int) {
-			inbox[a], inbox[b] = inbox[b], inbox[a]
-		})
+		shuffleInbox(e.cfg.Seed^int64(round)<<20^int64(i), inbox)
 	}
 	e.m.MsgsDelivered[i] += int64(len(inbox))
 	if e.traceDelivered != nil {

@@ -2,6 +2,7 @@ package rounds
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -323,6 +324,44 @@ type scriptedNode struct{ sends []Send }
 
 func (s *scriptedNode) Emit(int) []Send                 { return s.sends }
 func (s *scriptedNode) Deliver(int, ids.NodeID, []byte) {}
+
+// TestDedupSetResetsAndWraps: the broadcast-dedup set reports each key
+// new once per reset, keeps its members across growth, and empties on
+// reset — also when the generation counter wraps, where slots stamped with
+// an old generation would otherwise read as current.
+func TestDedupSetResetsAndWraps(t *testing.T) {
+	const keys = 1000
+	key := func(i int) uint64 { return payloadHash([]byte(fmt.Sprint(i))) }
+	fill := func(s *hashSet) {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			if !s.add(key(i)) {
+				t.Fatalf("gen %d: key %d reported present before it was added", s.gen, i)
+			}
+		}
+		for i := 0; i < keys; i++ {
+			if s.add(key(i)) {
+				t.Fatalf("gen %d: key %d reported new twice", s.gen, i)
+			}
+		}
+		if s.count != keys {
+			t.Fatalf("gen %d: count %d, want %d", s.gen, s.count, keys)
+		}
+	}
+	var s hashSet
+	s.reset()
+	fill(&s) // stamps the members' slots with generation 1
+	s.gen = math.MaxUint32
+	s.reset()
+	if s.gen == 0 {
+		t.Fatal("generation 0 after a wrap: zeroed slots would read as members")
+	}
+	fill(&s)
+	for r := 0; r < 3; r++ {
+		s.reset()
+		fill(&s)
+	}
+}
 
 // TestBroadcastAccountingIsByContent pins what BytesBroadcast treats as
 // "the same payload": equal bytes, whatever buffer they sit in and
