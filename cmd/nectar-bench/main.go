@@ -16,13 +16,6 @@
 //	nectar-bench -jobs 8 -stream results/trials.jsonl all
 //	nectar-bench -jobs 8 -stream results/trials.jsonl -resume all
 //
-// Distributed sweeps (DESIGN.md §15): start workers, then point a
-// coordinator at them. Each worker uses its OWN -jobs budget; results
-// are bit-identical to a local run.
-//
-//	nectar-bench -worker :7001 -jobs 8            # on each worker host
-//	nectar-bench -workers host1:7001,host2:7001 -quick all
-//
 // Experiments: fig3 fig4 fig5 fig6 fig7 fig8 fig8-n20 fig8-n50
 // topo-cost byz-topo loss churn redteam all
 package main
@@ -30,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,7 +32,6 @@ import (
 
 	"github.com/nectar-repro/nectar/internal/cliutil"
 	"github.com/nectar-repro/nectar/internal/exp"
-	"github.com/nectar-repro/nectar/internal/exp/dist"
 	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/report"
 	"github.com/nectar-repro/nectar/internal/sig"
@@ -69,12 +60,6 @@ func run(args []string) error {
 		"write a scheduler event trace (unit start/done): *.jsonl streams events to disk as they happen (bounded memory), anything else buffers in memory and writes Chrome trace JSON")
 	metricsOut := fs.String("metrics-out", "",
 		"write scheduler metrics (unit counts, latency histogram) in Prometheus text format to this file")
-	worker := fs.String("worker", "",
-		"run as a distributed worker serving trial units on this listen address (host:port or :port); -jobs is this worker's own budget")
-	workers := fs.String("workers", "",
-		"run as a distributed coordinator sharding the plan across these worker addresses (host1:port,host2:port,...)")
-	lease := fs.Duration("lease", 0,
-		"coordinator: how long a dispatched unit may stay in flight before it is requeued elsewhere (0 = 60s)")
 	list := fs.Bool("list", false, "print valid experiments and schemes and exit")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the runs) to this file")
@@ -113,12 +98,6 @@ func run(args []string) error {
 	}
 	if *resume && *stream == "" {
 		return fmt.Errorf("-resume needs -stream (the checkpoint to resume from)")
-	}
-	if *worker != "" && *workers != "" {
-		return fmt.Errorf("-worker and -workers are mutually exclusive (serve units or dispatch them, not both)")
-	}
-	if *worker != "" {
-		return runWorker(*worker, *jobs)
 	}
 	targets := fs.Args()
 	if len(targets) == 0 {
@@ -179,27 +158,6 @@ func run(args []string) error {
 				fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (%v)\n",
 					ev.Done, ev.Total, ev.Key, ev.Unit, ev.Elapsed.Round(time.Millisecond))
 			}
-		}
-	}
-
-	if *workers != "" {
-		addrs, err := cliutil.ParseAddrList(*workers)
-		if err != nil {
-			return err
-		}
-		blob, err := report.EncodePlanRequest(expanded, opts)
-		if err != nil {
-			return err
-		}
-		cfg.Backend = &dist.Coordinator{
-			Workers:  addrs,
-			Blob:     blob,
-			Lease:    *lease,
-			Registry: reg,
-			Tracer:   cfg.Tracer,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "nectar-bench: "+format+"\n", args...)
-			},
 		}
 	}
 
@@ -268,25 +226,6 @@ func run(args []string) error {
 		rep.Wall.Round(time.Millisecond), rep.UnitTime.Round(time.Millisecond),
 		speedup, rep.Jobs, rep.UnitsRun, rep.UnitsResumed, time.Since(start).Round(time.Millisecond))
 	return runErr
-}
-
-// runWorker serves trial units to a coordinator until killed. The
-// worker rebuilds each session's plan from the coordinator's plan
-// request with the same deterministic Declare phase, so the handshake's
-// fingerprint check only passes between matching binaries and
-// registries.
-func runWorker(addr string, jobs int) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "nectar-bench: worker listening on %s (jobs=%d)\n", ln.Addr(), jobs)
-	return dist.Serve(ln, report.BuildPlanFromBlob, dist.WorkerConfig{
-		Jobs: jobs,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "nectar-bench: "+format+"\n", args...)
-		},
-	})
 }
 
 // allExperiments lists what "all" expands to.

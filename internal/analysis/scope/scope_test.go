@@ -5,10 +5,7 @@ import "testing"
 // TestDeterministicCoverage pins which packages the deterministic-core
 // invariants gate. internal/traceview renders golden-pinned reports
 // from traces, so it must stay enrolled; the real-world edges must
-// stay out. internal/exp/dist stays IN scope even though it speaks
-// TCP: its lease timers and latency metrics are the only sanctioned
-// wall-clock reads, each carrying a justified //nectar:allow-wallclock
-// — everything result-shaped must stay deterministic.
+// stay out.
 func TestDeterministicCoverage(t *testing.T) {
 	for _, rel := range []string{
 		"",
@@ -18,7 +15,6 @@ func TestDeterministicCoverage(t *testing.T) {
 		"internal/traceview",
 		"internal/dynamic",
 		"internal/exp",
-		"internal/exp/dist",
 	} {
 		if !Deterministic(rel) {
 			t.Errorf("Deterministic rejects %q, want accepted", rel)

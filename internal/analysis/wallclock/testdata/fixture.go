@@ -31,12 +31,11 @@ func bareDirective() {
 	_ = time.Now() // want `without a justification`
 }
 
-// leaseLoop mirrors the shape of internal/exp/dist's coordinator,
-// which is deliberately inside deterministic scope: lease tickers and
-// dispatch-deadline reads are transport policy (they never shape
-// results), so each wall-clock touch carries its justification in
-// place. This pins that the timer-heavy idiom keeps passing the gate
-// with directives — and keeps firing without them (below).
+// leaseLoop is a lease loop inside deterministic scope: its ticker and
+// deadline read are transport policy (they never shape results), so
+// each wall-clock touch carries its justification in place. This pins
+// that the timer-heavy idiom keeps passing the gate with directives —
+// and keeps firing without them (below).
 func leaseLoop(stop chan struct{}) {
 	tick := time.NewTicker(time.Second) //nectar:allow-wallclock fixture: lease expiry is transport policy, not part of any result
 	defer tick.Stop()

@@ -11,10 +11,9 @@ import (
 // TestFixture proves the analyzer fires on clock reads, ignores pure
 // time arithmetic, suppresses only justified directives, and reports
 // bare ones — so both the analyzer and the suppression machinery break
-// loudly. The fixture's leaseLoop mirrors internal/exp/dist's
-// coordinator (lease ticker + deadline reads under justified
-// directives): the timer-heavy dist idiom must stay clean with
-// justifications and must still fire without them.
+// loudly. The fixture's leaseLoop is a timer-heavy idiom (a lease
+// ticker + deadline reads under justified directives): it must stay
+// clean with justifications and must still fire without them.
 func TestFixture(t *testing.T) {
 	diags := nvettest.Run(t, wallclock.Analyzer, "testdata")
 	if len(diags) == 0 {
@@ -27,6 +26,6 @@ func TestFixture(t *testing.T) {
 		}
 	}
 	if !ticker {
-		t.Error("no diagnostic for the unjustified lease ticker — the dist lease idiom would go ungated")
+		t.Error("no diagnostic for the unjustified lease ticker — a ticker in deterministic scope would go ungated")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"strconv"
 	"strings"
 
@@ -89,24 +88,6 @@ func (t *TopologyFlags) Build(rng *rand.Rand) (*graph.Graph, error) {
 		return topology.TreeOfCliques(t.N/t.C, t.C, t.B, t.K)
 	}
 	return nil, fmt.Errorf("unknown topology %q (valid: %s)", t.Kind, strings.Join(TopologyKinds(), ", "))
-}
-
-// ParseAddrList parses "host1:7000,host2:7000" into worker addresses,
-// validating each is a host:port pair.
-func ParseAddrList(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty address list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		addr := strings.TrimSpace(p)
-		if _, _, err := net.SplitHostPort(addr); err != nil {
-			return nil, fmt.Errorf("bad worker address %q: %w", p, err)
-		}
-		out = append(out, addr)
-	}
-	return out, nil
 }
 
 // ParseNodeList parses "1,4,7" into node IDs.

@@ -91,40 +91,20 @@ func (p *Plan) Add(key string, r TrialRunner) error {
 	return nil
 }
 
-// TotalUnits sums the units of every spec.
-func (p *Plan) TotalUnits() int {
-	total := 0
-	for _, s := range p.Specs {
-		total += s.Runner.Units()
-	}
-	return total
-}
-
-// FingerprintHash folds a runner fingerprint into the short stable hash
-// stored in checkpoint records. Distributed workers (internal/exp/dist)
-// compute it over their reconstructed plan during the handshake, so a
-// worker whose spec grid drifted from the coordinator's is rejected
-// before any unit runs.
-func FingerprintHash(fp string) string {
+// fingerprintHash folds a runner fingerprint into the short stable hash
+// stored in checkpoint records, so a resume reuses a record only for an
+// unchanged spec.
+func fingerprintHash(fp string) string {
 	sum := sha256.Sum256([]byte(fp))
 	return hex.EncodeToString(sum[:8])
 }
 
-// SplitBudget divides one process's parallelism budget between
+// SplitBudget divides a run's parallelism budget between
 // unit-level workers and each unit's engine workers: units win while
 // there are enough of them to fill the budget (trial-level parallelism
 // has no synchronization barriers), and leftover budget goes to the
 // engine (large single topologies with few trials). jobs ≤ 0 is treated
-// as 1.
-//
-// The budget is strictly per-process. In a distributed run the
-// coordinator's -jobs never travels to workers: each nectar-bench
-// -worker splits its own -jobs budget with this same rule (the
-// engine-worker share adapts to how many units the coordinator has in
-// flight there — see internal/exp/dist), so a coordinator cannot
-// oversubscribe or starve a remote machine whose core count it knows
-// nothing about. Execute enforces this: combining Options.Backend with
-// the UnitWorkers/EngineWorkers override is rejected.
+// as 1. Execute applies it to the units left after a resume.
 func SplitBudget(jobs, units int) (unitWorkers, engineWorkers int) {
 	if jobs < 1 {
 		jobs = 1

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -208,6 +209,62 @@ func TestExecuteFailFastStillFinalizesCompletedSpecs(t *testing.T) {
 	}
 	if sr := res.Get("bad"); sr == nil || sr.Err == nil {
 		t.Error("failing spec has no error")
+	}
+}
+
+// TestExecuteResumeAfterUnitFailure: a run that stops on a failed unit
+// leaves every unit it committed in the checkpoint, and a resume serves
+// exactly those, runs the rest, and adds one line per unit it ran.
+func TestExecuteResumeAfterUnitFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "failed.jsonl")
+	a, b := newFakeRunner("a", 31, 8), newFakeRunner("b", 32, 6)
+	const total = 14
+	ref, err := Execute(mustPlan(t, newFakeRunner("a", 31, 8), newFakeRunner("b", 32, 6)), Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b.failAt = 3
+	col, err := OpenCollector(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Execute(mustPlan(t, a, b), Options{Jobs: 1, Collector: col})
+	col.Close()
+	if err == nil || !strings.Contains(err.Error(), "injected unit failure") {
+		t.Fatalf("want the injected failure, got %v", err)
+	}
+
+	b.failAt = -1
+	col, err = OpenCollector(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := col.Resumed()
+	if committed == 0 || committed >= total {
+		t.Fatalf("failed run checkpointed %d of %d units, want a strict part", committed, total)
+	}
+	before := a.runs.Load() + b.runs.Load()
+	res, err := Execute(mustPlan(t, a, b), Options{Jobs: 2, Collector: col})
+	col.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnitsResumed != committed || res.UnitsRun != total-committed {
+		t.Errorf("resumed %d, run %d; want %d and %d", res.UnitsResumed, res.UnitsRun, committed, total-committed)
+	}
+	if ran := int(a.runs.Load() + b.runs.Load() - before); ran != total-committed {
+		t.Errorf("resume ran %d units, want %d", ran, total-committed)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != total {
+		t.Errorf("checkpoint has %d lines, want %d (one per unit)", lines, total)
+	}
+	if got, want := aggregates(t, res), aggregates(t, ref); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed aggregates differ: got %v want %v", got, want)
 	}
 }
 

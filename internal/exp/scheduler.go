@@ -16,61 +16,24 @@ import (
 // can be resumed.
 var ErrInterrupted = errors.New("exp: interrupted")
 
-// UnitRef identifies one schedulable unit of a plan: Spec indexes
+// unitRef identifies one schedulable unit of a plan: Spec indexes
 // plan.Specs, Unit the unit within that spec.
-type UnitRef struct {
+type unitRef struct {
 	Spec int
 	Unit int
-}
-
-// UnitOutcome is one executed unit delivered by a Backend: the
-// executor-marshalled JSON record (nil when Err is set) and the remote
-// execution time.
-type UnitOutcome struct {
-	Ref     UnitRef
-	Data    json.RawMessage
-	Elapsed time.Duration
-	Err     error
-}
-
-// Backend executes the pending units of a plan outside the local worker
-// pool — internal/exp/dist fans them out to a fleet of worker processes
-// over TCP. Run must call emit at least once per pending unit; emitting
-// the same unit more than once is legal (work stealing, a reassigned
-// lease racing a slow worker) and deduplicated by the scheduler, which
-// commits only the first outcome per unit — later copies touch neither
-// records nor the checkpoint. emit is safe for concurrent use; it
-// returns true when dispatch should stop (first unit failure, an
-// interrupt observed by the scheduler), after which Run should wind
-// down and return.
-//
-// Engine-level parallelism is the executor's own concern: each remote
-// worker splits its own budget with SplitBudget — the coordinator's
-// budget never travels (see the SplitBudget contract).
-type Backend interface {
-	Run(plan *Plan, pending []UnitRef, interrupt <-chan struct{}, emit func(UnitOutcome) bool) error
 }
 
 // Options parameterize one Execute call.
 type Options struct {
 	// Jobs is the total parallelism budget, split between unit-level
 	// workers and each unit's engine workers by SplitBudget
-	// (0 = GOMAXPROCS, negative is invalid). With a Backend, Jobs is
-	// ignored: remote workers own their own budgets.
+	// (0 = GOMAXPROCS, negative is invalid).
 	Jobs int
 	// UnitWorkers / EngineWorkers, when both positive, override the
 	// SplitBudget rule (the harness uses this to honor the legacy
 	// EngineParallel knob: all budget to the engine). Worker counts never
-	// change results, only wall-clock. Incompatible with Backend: the
-	// budget split is per-process, and a remote worker's split comes from
-	// that worker's own budget.
+	// change results, only wall-clock.
 	UnitWorkers, EngineWorkers int
-	// Backend, when non-nil, executes the pending units instead of the
-	// local pool (distributed dispatch, internal/exp/dist). Resume,
-	// checkpointing, dedupe, and aggregation are unchanged: every
-	// outcome flows through the same commit path as a local unit, so
-	// aggregates stay bit-identical to a local run.
-	Backend Backend
 	// Collector, when non-nil, streams completed units to its JSONL
 	// checkpoint and serves previously completed units back (resume).
 	Collector *Collector
@@ -85,9 +48,7 @@ type Options struct {
 	// (serialized under the scheduler lock, like OnUnit). Units
 	// themselves are not traced — trial-internal engine events would
 	// interleave nondeterministically across workers; per-engine tracing
-	// belongs to single runs (nectar-sim -trace). Under a Backend the
-	// scheduler emits no unit events: the coordinator's dispatch ledger
-	// (unit_dispatch / unit_result / worker_down) is the trace of record.
+	// belongs to single runs (nectar-sim -trace).
 	Tracer obs.Tracer
 	// Registry, when non-nil, receives the scheduler's own telemetry:
 	// nectar_exp_units_run_total / _resumed_total / _failed_total
@@ -140,8 +101,6 @@ type Results struct {
 	// UnitsRun / UnitsResumed count executed vs checkpoint-served units.
 	UnitsRun, UnitsResumed int
 	// Jobs, UnitWorkers, EngineWorkers echo the resolved budget split.
-	// Under a Backend both worker counts are 0: the split happened on
-	// the remote workers, from their own budgets.
 	Jobs, UnitWorkers, EngineWorkers int
 
 	byKey map[string]*SpecResult
@@ -163,7 +122,7 @@ type specState struct {
 }
 
 // execRun is the mutable state of one Execute call, shared between the
-// dispatch loop (local pool or Backend) and the commit path.
+// dispatch loop and the pool's workers.
 type execRun struct {
 	plan   *Plan
 	opts   Options
@@ -191,40 +150,21 @@ func (e *execRun) emitEvent(ev UnitEvent) {
 }
 
 // commit records one executed unit's outcome: decode (the JSON
-// normalization every record passes through), dedupe, checkpoint,
-// bookkeeping, progress. It returns true when dispatch should stop
-// (a unit failed). local marks outcomes from the in-process pool, which
-// additionally emits the scheduler's unit_done trace event.
-func (e *execRun) commit(u UnitRef, data json.RawMessage, elapsed time.Duration, runErr error, local bool) bool {
-	if u.Spec < 0 || u.Spec >= len(e.plan.Specs) {
-		return e.fail(fmt.Errorf("exp: outcome for unknown spec index %d", u.Spec))
-	}
+// normalization every record passes through), checkpoint, bookkeeping,
+// progress and the unit_done trace event.
+func (e *execRun) commit(u unitRef, data json.RawMessage, elapsed time.Duration, runErr error) {
 	sp := e.plan.Specs[u.Spec]
 	st := e.states[u.Spec]
-	if u.Unit < 0 || u.Unit >= len(st.done) {
-		return e.fail(fmt.Errorf("exp: outcome for unknown unit %s/%d", sp.Key, u.Unit))
-	}
 	var decoded any
 	err := runErr
 	if err == nil {
 		// Normalize through JSON: the aggregate must not depend on
-		// whether a record came from memory, from a remote worker, or
-		// from a checkpoint.
+		// whether a record came from memory or from a checkpoint.
 		decoded, err = sp.Runner.Decode(data)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if st.done[u.Unit] {
-		// Duplicate outcome: a stolen or lease-reassigned unit finishing
-		// more than once. The first commit won; drop this copy without
-		// touching records, checkpoint, or counters — the dedupe
-		// invariant behind bit-identical distributed aggregates.
-		return e.firstErr != nil
-	}
 	if err == nil && e.opts.Collector != nil {
-		// Append under e.mu, after the dedupe check: exactly one
-		// checkpoint line per (key, fp, unit, seed) even when duplicate
-		// outcomes arrive concurrently.
 		err = e.opts.Collector.Append(sp.Key, st.fp, u.Unit, sp.Runner.UnitSeed(u.Unit), data)
 	}
 	st.unitDur += elapsed
@@ -252,46 +192,29 @@ func (e *execRun) commit(u UnitRef, data json.RawMessage, elapsed time.Duration,
 	}
 	e.done++
 	e.emitEvent(UnitEvent{Key: sp.Key, Unit: u.Unit, Done: e.done, Total: e.total, Elapsed: elapsed, Err: err})
-	if local && e.opts.Tracer != nil {
+	if e.opts.Tracer != nil {
 		ev := obs.Event{Type: obs.EvUnitDone, Key: sp.Key, Unit: u.Unit, N: elapsed.Microseconds()}
 		if err != nil {
 			ev.Attrs = []obs.Attr{{K: "failed", V: 1}}
 		}
 		e.opts.Tracer.Emit(ev)
 	}
-	return e.firstErr != nil
 }
 
-// fail records a dispatch-level error (first one wins) and reports that
-// dispatch should stop.
-func (e *execRun) fail(err error) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.firstErr == nil {
-		e.firstErr = err
-	}
-	return true
-}
-
-// Execute runs every unit of the plan — through one bounded local worker
-// pool, or through Options.Backend's remote fleet — and finalizes each
-// spec's aggregate from its records in unit order. The first unit error
-// stops dispatch (in-flight units drain and checkpoint); fully completed
-// specs still finalize, so callers can flush what succeeded. Results are
-// bit-identical for any Jobs value, any backend worker fleet, any
-// interleaving, and any resume point: units are pure functions of
-// (spec, index), every record — fresh, remote, or resumed — is
-// normalized through one JSON round trip before aggregation, and
-// duplicate outcomes are deduplicated before they can touch a record.
+// Execute runs every unit of the plan through one bounded worker pool
+// and finalizes each spec's aggregate from its records in unit order.
+// The first unit error stops dispatch (in-flight units drain and
+// checkpoint); fully completed specs still finalize, so callers can
+// flush what succeeded. Results are bit-identical for any Jobs value,
+// any interleaving, and any resume point: units are pure functions of
+// (spec, index), and every record — fresh or resumed — is normalized
+// through one JSON round trip before aggregation.
 func Execute(plan *Plan, opts Options) (*Results, error) {
 	if plan == nil || len(plan.Specs) == 0 {
 		return nil, fmt.Errorf("exp: empty plan")
 	}
 	if opts.Jobs < 0 {
 		return nil, fmt.Errorf("exp: negative Jobs %d", opts.Jobs)
-	}
-	if opts.Backend != nil && (opts.UnitWorkers > 0 || opts.EngineWorkers > 0) {
-		return nil, fmt.Errorf("exp: UnitWorkers/EngineWorkers are per-process knobs; a Backend's workers split their own budgets (SplitBudget)")
 	}
 	jobs := opts.Jobs
 	if jobs == 0 {
@@ -304,7 +227,7 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 	// sizing the pool: the budget split should reflect the units actually
 	// left to run.
 	states := make([]*specState, len(plan.Specs))
-	var pending []UnitRef
+	var pending []unitRef
 	total := 0
 	for si, sp := range plan.Specs {
 		n := sp.Runner.Units()
@@ -312,7 +235,7 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 			return nil, fmt.Errorf("exp: spec %q has %d units", sp.Key, n)
 		}
 		st := &specState{
-			fp:      FingerprintHash(sp.Runner.Fingerprint()),
+			fp:      fingerprintHash(sp.Runner.Fingerprint()),
 			records: make([]any, n),
 			done:    make([]bool, n),
 		}
@@ -331,16 +254,12 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 					// re-run the unit rather than poisoning the aggregate.
 				}
 			}
-			pending = append(pending, UnitRef{Spec: si, Unit: i})
+			pending = append(pending, unitRef{Spec: si, Unit: i})
 		}
 	}
 	unitWorkers, engineWorkers := SplitBudget(jobs, len(pending))
 	if opts.UnitWorkers > 0 && opts.EngineWorkers > 0 {
 		unitWorkers, engineWorkers = opts.UnitWorkers, opts.EngineWorkers
-	}
-	if opts.Backend != nil {
-		// The split happens on each remote worker, from its own budget.
-		unitWorkers, engineWorkers = 0, 0
 	}
 
 	e := &execRun{
@@ -384,11 +303,7 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 		e.mUnitsResumed.Add(int64(e.res.UnitsResumed))
 	}
 
-	if opts.Backend != nil {
-		e.runBackend(pending)
-	} else {
-		e.runPool(pending, unitWorkers, engineWorkers)
-	}
+	e.runPool(pending, unitWorkers, engineWorkers)
 	//nectar:allow-wallclock wall/parallelism telemetry in Result.Wall; never feeds trial records or aggregates
 	e.res.Wall = time.Since(start)
 
@@ -420,9 +335,9 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 	return e.res, firstErr
 }
 
-// runPool executes pending units on the local bounded worker pool.
-func (e *execRun) runPool(pending []UnitRef, unitWorkers, engineWorkers int) {
-	work := make(chan UnitRef)
+// runPool executes pending units on the bounded worker pool.
+func (e *execRun) runPool(pending []unitRef, unitWorkers, engineWorkers int) {
+	work := make(chan unitRef)
 	var wg sync.WaitGroup
 	wg.Add(unitWorkers)
 	for w := 0; w < unitWorkers; w++ {
@@ -454,7 +369,7 @@ func (e *execRun) runPool(pending []UnitRef, unitWorkers, engineWorkers int) {
 				if err == nil {
 					data, err = json.Marshal(rec)
 				}
-				e.commit(u, data, elapsed, err, true)
+				e.commit(u, data, elapsed, err)
 			}
 		}()
 	}
@@ -470,7 +385,11 @@ dispatch:
 		if e.opts.Interrupt != nil {
 			select {
 			case <-e.opts.Interrupt:
-				e.fail(ErrInterrupted)
+				e.mu.Lock()
+				if e.firstErr == nil {
+					e.firstErr = ErrInterrupted
+				}
+				e.mu.Unlock()
 				break dispatch
 			case work <- u:
 			}
@@ -480,20 +399,6 @@ dispatch:
 	}
 	close(work)
 	wg.Wait()
-}
-
-// runBackend hands the pending units to the distributed backend; every
-// outcome flows through the same commit path as a local unit.
-func (e *execRun) runBackend(pending []UnitRef) {
-	if len(pending) == 0 {
-		return
-	}
-	err := e.opts.Backend.Run(e.plan, pending, e.opts.Interrupt, func(o UnitOutcome) bool {
-		return e.commit(o.Ref, o.Data, o.Elapsed, o.Err, false)
-	})
-	if err != nil {
-		e.fail(err)
-	}
 }
 
 func allDone(done []bool) bool {

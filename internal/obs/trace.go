@@ -36,13 +36,6 @@ const (
 	// Experiment-scheduler events (internal/exp).
 	EvUnitStart = "unit_start" // Key = spec key, Unit = unit index
 	EvUnitDone  = "unit_done"  // Key, Unit, N = elapsed microseconds (wall; 0 when resumed), Attrs
-
-	// Distributed-dispatch events (internal/exp/dist): the coordinator's
-	// ledger of which worker ran what — the trace of record for a
-	// distributed sweep, where per-unit scheduler events are off.
-	EvUnitDispatch = "unit_dispatch" // Key = spec key, Unit, Attrs = worker index / retry / steal
-	EvUnitResult   = "unit_result"   // Key, Unit, N = elapsed microseconds, Attrs = worker index / dup / failed
-	EvWorkerDown   = "worker_down"   // Key = worker address, N = solely-held units returned to the queue
 )
 
 // Attr is one ordered key/value annotation of an Event. A slice of

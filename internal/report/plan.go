@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -145,14 +144,8 @@ type Experiment struct {
 // RunConfig parameterizes a scheduled multi-experiment run.
 type RunConfig struct {
 	// Jobs is the global parallelism budget shared by every declared
-	// spec (0 = GOMAXPROCS). Ignored with a Backend: remote workers own
-	// their own budgets.
+	// spec (0 = GOMAXPROCS).
 	Jobs int
-	// Backend, when non-nil, executes trial units on a worker fleet
-	// (internal/exp/dist) instead of the local pool. Checkpointing,
-	// resume, and aggregation are unchanged — results stay bit-identical
-	// to a local run.
-	Backend exp.Backend
 	// Stream, when non-empty, is the JSONL checkpoint path trial records
 	// stream to; Resume loads it first and skips completed units.
 	Stream string
@@ -223,9 +216,8 @@ func resolveExperiments(ids []string) ([]Experiment, error) {
 
 // declarePlan runs the Declare phase of already-resolved experiments
 // into one plan. Declare is deterministic in opts, so identical
-// (experiment IDs, opts) produce identical plans in every process —
-// the property distributed workers rely on to rebuild the
-// coordinator's plan from a PlanRequest blob.
+// (experiment IDs, opts) produce identical plans and a resumed run
+// finds its checkpointed units under the same keys.
 func declarePlan(exps []Experiment, opts Options) (*exp.Plan, error) {
 	plan := &exp.Plan{}
 	for _, e := range exps {
@@ -238,56 +230,6 @@ func declarePlan(exps []Experiment, opts Options) (*exp.Plan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// BuildPlan resolves and declares the requested experiments without
-// running anything — the plan construction both distributed ends share.
-func BuildPlan(ids []string, opts Options) (*exp.Plan, error) {
-	exps, err := resolveExperiments(ids)
-	if err != nil {
-		return nil, err
-	}
-	return declarePlan(exps, opts)
-}
-
-// PlanRequest is the opaque plan blob a distributed coordinator sends
-// in its handshake: the experiment IDs plus every Options field that
-// shapes the declared grid. Progress callbacks are process-local and
-// never travel. Both ends run the same deterministic Declare over this
-// request; the dist handshake's fingerprint comparison verifies they
-// agreed.
-type PlanRequest struct {
-	Experiments []string `json:"experiments"`
-	Trials      int      `json:"trials,omitempty"`
-	Seed        int64    `json:"seed"`
-	Quick       bool     `json:"quick,omitempty"`
-	Scheme      string   `json:"scheme,omitempty"`
-}
-
-// Options converts the request back to report options.
-func (pr PlanRequest) Options() Options {
-	return Options{Trials: pr.Trials, Seed: pr.Seed, Quick: pr.Quick, Scheme: pr.Scheme}
-}
-
-// EncodePlanRequest builds the coordinator-side blob.
-func EncodePlanRequest(ids []string, opts Options) ([]byte, error) {
-	return json.Marshal(PlanRequest{
-		Experiments: ids,
-		Trials:      opts.Trials,
-		Seed:        opts.Seed,
-		Quick:       opts.Quick,
-		Scheme:      opts.Scheme,
-	})
-}
-
-// BuildPlanFromBlob reconstructs a plan from a PlanRequest blob — the
-// dist.BuildFunc nectar-bench workers serve with.
-func BuildPlanFromBlob(blob []byte) (*exp.Plan, error) {
-	var pr PlanRequest
-	if err := json.Unmarshal(blob, &pr); err != nil {
-		return nil, fmt.Errorf("report: plan request: %w", err)
-	}
-	return BuildPlan(pr.Experiments, pr.Options())
 }
 
 // runExperimentSet is RunExperiments over already-resolved experiments
@@ -309,7 +251,6 @@ func runExperimentSet(exps []Experiment, opts Options, cfg RunConfig) (*RunRepor
 	}
 	res, execErr := exp.Execute(plan, exp.Options{
 		Jobs:      cfg.Jobs,
-		Backend:   cfg.Backend,
 		Collector: collector,
 		OnUnit:    cfg.OnUnit,
 		Interrupt: cfg.Interrupt,

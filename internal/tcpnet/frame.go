@@ -8,30 +8,13 @@ import (
 	"time"
 )
 
-// DialPeer dials addr with cfg-style retry semantics: attempts are
-// retried on the retry backoff (≤ 0 means the 50ms default) until one
-// succeeds or deadline passes, and the last dial error is returned on
-// timeout. It is the dial loop node processes use to reach neighbors
-// before StartAt, exported for the distributed experiment plane
-// (internal/exp/dist), whose workers reconnect to a coordinator the
-// same way.
-func DialPeer(addr string, retry time.Duration, deadline time.Time) (net.Conn, error) {
-	if retry <= 0 {
-		retry = 50 * time.Millisecond
-	}
-	return dialRetry(addr, nil, retry, deadline, nil)
-}
-
-// dialRetry is that loop: it dials addr and writes hello (if any), retrying
-// every retry until both succeed, deadline passes (zero: never) or stop
-// closes.
+// dialRetry is the dial loop node processes use to reach neighbors
+// before StartAt: it dials addr and writes hello, retrying every retry
+// until both succeed, deadline passes (zero: never) or stop closes.
 func dialRetry(addr string, hello []byte, retry time.Duration, deadline time.Time, stop <-chan struct{}) (net.Conn, error) {
 	for {
 		c, err := net.DialTimeout("tcp", addr, retry*4)
 		if err == nil {
-			if len(hello) == 0 {
-				return c, nil
-			}
 			if _, err = c.Write(hello); err == nil {
 				return c, nil
 			}
@@ -49,10 +32,9 @@ func dialRetry(addr string, hello []byte, retry time.Duration, deadline time.Tim
 }
 
 // WriteFrame sends one [len:4][payload] frame — the generic framing
-// under every nectar TCP protocol (the node plane prefixes it with a
-// sender ID; the experiment plane uses it bare, with the sender implied
-// by the connection). The write is a single Write call, so concurrent
-// writers need external serialization.
+// under the node plane, which prefixes the payload with a sender ID. The
+// write is a single Write call, so concurrent writers need external
+// serialization.
 func WriteFrame(c net.Conn, payload []byte) error {
 	buf := make([]byte, 4, 4+len(payload))
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
