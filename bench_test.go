@@ -18,18 +18,17 @@ import (
 
 // runCostBench executes a one-trial cost experiment per iteration and
 // reports KB/node in both accounting modes.
-func runCostBench(b *testing.B, proto ProtocolKind, scen ScenarioFn, engineParallel bool) {
+func runCostBench(b *testing.B, proto ProtocolKind, scen ScenarioFn) {
 	b.Helper()
 	var last *ExperimentResult
 	for i := 0; i < b.N; i++ {
 		res, err := RunExperiment(ExperimentSpec{
-			Protocol:       proto,
-			Attack:         AttackNone,
-			Scenario:       scen,
-			T:              1,
-			Trials:         1,
-			Seed:           int64(i + 1),
-			EngineParallel: engineParallel,
+			Protocol: proto,
+			Attack:   AttackNone,
+			Scenario: scen,
+			T:        1,
+			Trials:   1,
+			Seed:     int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -59,7 +58,7 @@ func BenchmarkFig3KRegularCost(b *testing.B) {
 		{2, 20}, {2, 60}, {10, 20}, {10, 60}, {18, 60},
 	} {
 		b.Run(fmt.Sprintf("k=%d/n=%d", tc.k, tc.n), func(b *testing.B) {
-			runCostBench(b, ProtoNectar, hararyScenario(b, tc.k, tc.n), tc.n >= 60)
+			runCostBench(b, ProtoNectar, hararyScenario(b, tc.k, tc.n))
 		})
 	}
 }
@@ -69,11 +68,11 @@ func BenchmarkFig3KRegularCost(b *testing.B) {
 func BenchmarkFig4DroneCost(b *testing.B) {
 	for _, d := range []float64{0, 3, 6} {
 		b.Run(fmt.Sprintf("radius=1.8/d=%v", d), func(b *testing.B) {
-			runCostBench(b, ProtoNectar, droneScenario(20, d, 1.8), false)
+			runCostBench(b, ProtoNectar, droneScenario(20, d, 1.8))
 		})
 	}
 	b.Run("mtg-reference", func(b *testing.B) {
-		runCostBench(b, ProtoMtG, droneScenario(20, 3, 1.8), false)
+		runCostBench(b, ProtoMtG, droneScenario(20, 3, 1.8))
 	})
 }
 
@@ -81,7 +80,7 @@ func BenchmarkFig4DroneCost(b *testing.B) {
 func BenchmarkFig5MtGv2Cost(b *testing.B) {
 	for _, d := range []float64{0, 3, 6} {
 		b.Run(fmt.Sprintf("radius=1.8/d=%v", d), func(b *testing.B) {
-			runCostBench(b, ProtoMtGv2, droneScenario(20, d, 1.8), false)
+			runCostBench(b, ProtoMtGv2, droneScenario(20, d, 1.8))
 		})
 	}
 }
@@ -96,7 +95,7 @@ func BenchmarkFig6DroneScale(b *testing.B) {
 		{10, 0}, {30, 0}, {30, 2.5}, {30, 5},
 	} {
 		b.Run(fmt.Sprintf("n=%d/d=%v", tc.n, tc.d), func(b *testing.B) {
-			runCostBench(b, ProtoNectar, droneScenario(tc.n, tc.d, 1.2), false)
+			runCostBench(b, ProtoNectar, droneScenario(tc.n, tc.d, 1.2))
 		})
 	}
 }
@@ -110,7 +109,7 @@ func BenchmarkFig7MtGv2Scale(b *testing.B) {
 		{10, 0}, {30, 0}, {30, 5},
 	} {
 		b.Run(fmt.Sprintf("n=%d/d=%v", tc.n, tc.d), func(b *testing.B) {
-			runCostBench(b, ProtoMtGv2, droneScenario(tc.n, tc.d, 1.2), false)
+			runCostBench(b, ProtoMtGv2, droneScenario(tc.n, tc.d, 1.2))
 		})
 	}
 }
@@ -170,7 +169,7 @@ func BenchmarkTopoCostTable(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runCostBench(b, ProtoNectar, FixedGraphScenario(g), true)
+			runCostBench(b, ProtoNectar, FixedGraphScenario(g))
 		})
 	}
 }

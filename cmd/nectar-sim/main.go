@@ -56,8 +56,6 @@ func run(args []string) error {
 		"per-round link down probability (flap) or node leave probability (nodes)")
 	drift := fs.Float64("drift", 0.5, "barycenter separation added per epoch (mobility)")
 	workers := fs.Int("workers", 0, "parallelism budget (0 = GOMAXPROCS): engine workers, and under -churn epochs in flight first; never changes results")
-	kappaMode := fs.String("kappa", "exact",
-		"with -churn: ground-truth κ evaluation: exact|incremental|approx")
 	tracePath := fs.String("trace", "",
 		"write an engine event trace: *.jsonl streams events to disk as they happen (bounded memory, analyze with nectar-trace), anything else buffers in memory and writes Chrome trace JSON (chrome://tracing)")
 	metricsOut := fs.String("metrics-out", "",
@@ -66,6 +64,14 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "print valid behaviors, schemes, topologies, churn workloads and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Checked before any schedule is built: a negative -rounds would
+	// otherwise surface as a schedule horizon error that names no flag.
+	if *rounds < 0 {
+		return fmt.Errorf("-rounds must be >= 0, got %d", *rounds)
+	}
+	if *epochs < 0 {
+		return fmt.Errorf("-epochs must be >= 0, got %d", *epochs)
 	}
 	if *list {
 		behaviors := make([]string, 0, 9)
@@ -115,11 +121,6 @@ func run(args []string) error {
 		}
 	}
 
-	kmode, err := parseKappaMode(*kappaMode)
-	if err != nil {
-		return err
-	}
-
 	if *churn != "" {
 		// Resolve the default once: buildSchedule (workload horizon) and
 		// the detection run must agree on the epoch count.
@@ -131,14 +132,11 @@ func run(args []string) error {
 			epochRounds: *rounds, epochs: *epochs, rate: *churnRate,
 			drift: *drift, byzantine: byzantine, blocked: blockedMap,
 			workers: *workers, asJSON: *asJSON, tracePath: *tracePath,
-			metricsOut: *metricsOut, kappa: kmode,
+			metricsOut: *metricsOut,
 		})
 	}
 	if *metricsOut != "" {
 		return fmt.Errorf("-metrics-out only applies to -churn runs")
-	}
-	if kmode != nectar.KappaExact {
-		return fmt.Errorf("-kappa only applies to -churn runs")
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -215,18 +213,6 @@ func run(args []string) error {
 	return nil
 }
 
-func parseKappaMode(mode string) (nectar.KappaMode, error) {
-	switch mode {
-	case "exact":
-		return nectar.KappaExact, nil
-	case "incremental":
-		return nectar.KappaIncremental, nil
-	case "approx":
-		return nectar.KappaApprox, nil
-	}
-	return nectar.KappaExact, fmt.Errorf("unknown -kappa %q (valid: exact, incremental, approx)", mode)
-}
-
 // dynFlags carries the -churn run's parameters.
 type dynFlags struct {
 	kind        string
@@ -243,7 +229,6 @@ type dynFlags struct {
 	asJSON      bool
 	tracePath   string
 	metricsOut  string
-	kappa       nectar.KappaMode
 }
 
 // buildSchedule compiles the selected dynamic workload over the chosen
@@ -309,7 +294,6 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 		Byzantine:   f.byzantine,
 		Blocked:     f.blocked,
 		Workers:     f.workers,
-		Kappa:       nectar.KappaConfig{Mode: f.kappa},
 	}
 	var sink *cliutil.TraceSink
 	if f.tracePath != "" {
@@ -348,7 +332,6 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 		type epochJSON struct {
 			Epoch        int    `json:"epoch"`
 			Kappa        int    `json:"kappa"`
-			KappaIsExact bool   `json:"kappa_is_exact"`
 			Truth        bool   `json:"truth_partitionable"`
 			Decision     string `json:"decision"`
 			Agreement    bool   `json:"agreement"`
@@ -359,7 +342,7 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 		eps := make([]epochJSON, len(res.Epochs))
 		for i, ep := range res.Epochs {
 			eps[i] = epochJSON{
-				Epoch: ep.Epoch, Kappa: ep.Kappa, KappaIsExact: ep.KappaIsExact,
+				Epoch: ep.Epoch, Kappa: ep.Kappa,
 				Truth:    ep.TruthPartitionable,
 				Decision: ep.Decision.String(), Agreement: ep.Agreement,
 				Confirmed: ep.Confirmed, Absent: len(ep.Absent),
@@ -367,7 +350,6 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 			}
 		}
 		return json.NewEncoder(os.Stdout).Encode(map[string]any{
-			"kappa_stats":         res.KappaStats,
 			"workload":            f.kind,
 			"topology":            topo.Kind,
 			"n":                   sched.Base.N(),
@@ -390,21 +372,9 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 		if ep.TruthPartitionable {
 			truth = "PART"
 		}
-		// Certified bounds and sampled estimates carry a ~ so the table
-		// never passes an inexact κ off as the exact value.
-		kappa := fmt.Sprintf("%d", ep.Kappa)
-		if !ep.KappaIsExact {
-			kappa = "~" + kappa
-		}
-		fmt.Printf("%-6d %-4s %-8s %-20v %-10v %-7d %d/%d\n",
-			ep.Epoch, kappa, truth, ep.Decision, ep.Agreement,
+		fmt.Printf("%-6d %-4d %-8s %-20v %-10v %-7d %d/%d\n",
+			ep.Epoch, ep.Kappa, truth, ep.Decision, ep.Agreement,
 			len(ep.Absent), ep.ActiveRounds, ep.Rounds)
-	}
-	if f.kappa != nectar.KappaExact {
-		ks := res.KappaStats
-		fmt.Printf("κ eval        %d exact, %d tracker-served (%d skips, %d witness hits), %d sampled, %d fallbacks\n",
-			ks.ExactEvals, ks.Tracker.Skips+ks.Tracker.WitnessHits,
-			ks.Tracker.Skips, ks.Tracker.WitnessHits, ks.ApproxAccepts, ks.ApproxFallbacks)
 	}
 	if len(res.Flips) == 0 {
 		fmt.Println("flips         none (ground truth never changed)")

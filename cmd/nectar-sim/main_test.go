@@ -53,19 +53,30 @@ func TestRunChurnWorkloads(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	cases := [][]string{
-		{"-topo", "nosuch"},
-		{"-topo", "harary", "-k", "10", "-n", "5"},
-		{"-byz", "zzz"},
-		{"-blocked", "1,bad"},
-		{"-topo", "ring", "-n", "6", "-t", "1", "-byz", "1,2"}, // 2 byz > t
-		{"-topo", "ring", "-n", "6", "-scheme", "nosuch"},
-		{"-topo", "ring", "-n", "6", "-byz", "1", "-behavior", "nosuch"},
-		{"-topo", "ring", "-n", "6", "-churn", "nosuch"},
+	cases := []struct {
+		args []string
+		want string // a substring of the error ("" = any error)
+	}{
+		{[]string{"-topo", "nosuch"}, ""},
+		{[]string{"-topo", "harary", "-k", "10", "-n", "5"}, ""},
+		{[]string{"-byz", "zzz"}, ""},
+		{[]string{"-blocked", "1,bad"}, ""},
+		{[]string{"-topo", "ring", "-n", "6", "-t", "1", "-byz", "1,2"}, ""}, // 2 byz > t
+		{[]string{"-topo", "ring", "-n", "6", "-scheme", "nosuch"}, ""},
+		{[]string{"-topo", "ring", "-n", "6", "-byz", "1", "-behavior", "nosuch"}, ""},
+		{[]string{"-topo", "ring", "-n", "6", "-churn", "nosuch"}, ""},
+		{[]string{"-topo", "ring", "-n", "6", "-t", "-1", "-scheme", "hmac"}, "nectar: negative T -1"},
+		{[]string{"-topo", "ring", "-n", "6", "-t", "-1", "-scheme", "hmac", "-churn", "flap"}, "nectar: negative T -1"},
+		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-rounds", "-3"}, "-rounds must be >= 0, got -3"},
+		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-epochs", "-2"}, "-epochs must be >= 0, got -2"},
+		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-kappa", "incremental"}, "flag provided but not defined: -kappa"},
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) should fail", args)
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Errorf("run(%v) should fail", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %q, want an error containing %q", c.args, err, c.want)
 		}
 	}
 }

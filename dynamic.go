@@ -23,13 +23,6 @@ type (
 	ScheduleEventKind = dynamic.EventKind
 	// MobilityConfig parameterizes DroneMobilitySchedule.
 	MobilityConfig = dynamic.MobilityConfig
-	// KappaConfig parameterizes the per-epoch ground-truth κ evaluation
-	// (DESIGN.md §14): exact (default), incremental, or sampled.
-	KappaConfig = dynamic.KappaConfig
-	// KappaMode selects the ground-truth κ evaluation strategy.
-	KappaMode = dynamic.KappaMode
-	// KappaEvalStats reports how a dynamic run's κ evaluations were served.
-	KappaEvalStats = dynamic.KappaStats
 )
 
 // Schedule event kinds.
@@ -38,18 +31,6 @@ const (
 	EdgeDown  = dynamic.EdgeDown
 	NodeLeave = dynamic.NodeLeave
 	NodeJoin  = dynamic.NodeJoin
-)
-
-// Ground-truth κ evaluation modes (see KappaConfig).
-const (
-	// KappaExact recomputes κ from scratch each epoch (the default).
-	KappaExact = dynamic.KappaExact
-	// KappaIncremental reuses the previous epoch's κ through certified
-	// drift bounds; verdicts are identical to exact mode.
-	KappaIncremental = dynamic.KappaIncremental
-	// KappaApprox evaluates a sampled upper bound with an exact fallback
-	// near the threshold.
-	KappaApprox = dynamic.KappaApprox
 )
 
 // StaticSchedule returns the schedule that never changes base.
@@ -128,12 +109,6 @@ type DynamicConfig struct {
 	// metrics — per-epoch κ-margin and detection-latency histograms under
 	// the nectar_dynamic_* names (DESIGN.md §13). Nil is free.
 	Registry *MetricsRegistry
-	// Kappa parameterizes the per-epoch ground-truth κ evaluation
-	// (DESIGN.md §14). The zero value recomputes exactly each epoch;
-	// KappaIncremental yields identical verdicts at a fraction of the cost
-	// under low churn; KappaApprox samples an upper bound with an exact
-	// fallback near the threshold.
-	Kappa KappaConfig
 }
 
 // EpochResult reports one epoch of a dynamic run.
@@ -144,11 +119,7 @@ type EpochResult struct {
 	// Kappa is the ground-truth vertex connectivity of the present
 	// nodes' subgraph at the epoch's first round, and TruthPartitionable
 	// is Kappa <= T (Corollary 1) — what a correct detector should say.
-	// Under KappaIncremental / KappaApprox evaluation, Kappa may be a
-	// certified bound rather than the exact value; KappaIsExact
-	// distinguishes the two (always true in the default exact mode).
 	Kappa              int
-	KappaIsExact       bool
 	TruthPartitionable bool
 	// Absent lists nodes churned out at the epoch's first round (they run
 	// no protocol and have no Outcome).
@@ -186,9 +157,6 @@ type DynamicResult struct {
 	// Flips lists every ground-truth transition with detection latency
 	// (the initial truth is not a flip).
 	Flips []DetectionFlip
-	// KappaStats reports how the run's per-epoch ground-truth κ
-	// evaluations were served (DESIGN.md §14).
-	KappaStats KappaEvalStats
 }
 
 // DetectionLatency summarizes Flips: mean latency in epochs over the
@@ -241,19 +209,17 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		Workers:     cfg.Workers,
 		Tracer:      cfg.Tracer,
 		Registry:    cfg.Registry,
-		Kappa:       cfg.Kappa,
 	}, build)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &DynamicResult{EpochRounds: inner.EpochRounds, Flips: inner.Flips, KappaStats: inner.KappaStats}
+	res := &DynamicResult{EpochRounds: inner.EpochRounds, Flips: inner.Flips}
 	for e, rep := range inner.Epochs {
 		er := EpochResult{
 			Epoch:              rep.Epoch,
 			StartRound:         rep.StartRound,
 			Kappa:              rep.Kappa,
-			KappaIsExact:       rep.KappaIsExact,
 			TruthPartitionable: rep.TruthPartitionable,
 			Absent:             rep.Absent,
 			BytesSent:          rep.Metrics.BytesSent,

@@ -275,4 +275,7 @@ func TestSimulateDynamicValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("2 Byzantine nodes with T=1 accepted")
 	}
+	if _, err := SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(g), T: -1}); err == nil || err.Error() != "nectar: negative T -1" {
+		t.Errorf("negative T: err = %v, want nectar: negative T -1", err)
+	}
 }

@@ -12,10 +12,10 @@ import (
 // parallelism budgets (DESIGN.md §7): DynamicConfig.Workers decides how
 // many epochs are in flight and how many workers each engine gets, and
 // nothing else. Every result — per-epoch outcomes, traffic, round
-// accounting and ground truth, the flips, the κ evaluator's statistics —
-// must equal the budget-1 run's, and a traced run's JSONL must equal the
-// budget-1 trace byte for byte (tracing keeps one epoch in flight; the
-// budget then only moves engine workers).
+// accounting and ground truth, the flips — must equal the budget-1 run's,
+// and a traced run's JSONL must equal the budget-1 trace byte for byte
+// (tracing keeps one epoch in flight; the budget then only moves engine
+// workers).
 func TestDynamicWorkersEquivalenceProperty(t *testing.T) {
 	const n, tByz, epochs = 10, 2, 5
 	const horizon = epochs * (n - 1)
@@ -49,11 +49,6 @@ func TestDynamicWorkersEquivalenceProperty(t *testing.T) {
 		{"equivocate", map[NodeID]Behavior{3: BehaviorEquivocate}},
 		{"adaptive", map[NodeID]Behavior{1: BehaviorAdaptive, 6: BehaviorAdaptive}},
 	}
-	modes := []struct {
-		name string
-		mode KappaMode
-	}{{"exact", KappaExact}, {"incremental", KappaIncremental}}
-
 	run := func(cfg DynamicConfig, traced bool) (*DynamicResult, []byte) {
 		t.Helper()
 		var rec *TraceRecorder
@@ -78,37 +73,35 @@ func TestDynamicWorkersEquivalenceProperty(t *testing.T) {
 	sawAbsent := false
 	for _, sc := range schedules {
 		for _, at := range attacks {
-			for _, km := range modes {
-				name := fmt.Sprintf("%s/%s/%s", sc.name, at.name, km.name)
-				cfg := DynamicConfig{
-					Schedule: sc.sched, T: tByz, Seed: 7, SchemeName: "hmac", Epochs: epochs,
-					Byzantine: at.byz, Kappa: KappaConfig{Mode: km.mode}, Workers: 1,
+			name := fmt.Sprintf("%s/%s", sc.name, at.name)
+			cfg := DynamicConfig{
+				Schedule: sc.sched, T: tByz, Seed: 7, SchemeName: "hmac", Epochs: epochs,
+				Byzantine: at.byz, Workers: 1,
+			}
+			want, _ := run(cfg, false)
+			wantTraced, wantJSONL := run(cfg, true)
+			if !reflect.DeepEqual(wantTraced, want) {
+				t.Errorf("%s: budget-1 result moves under tracing", name)
+			}
+			for _, ep := range want.Epochs {
+				sawAbsent = sawAbsent || (sc.name == "churn" && len(ep.Absent) > 0)
+			}
+			for _, workers := range []int{2, 3, 8, 64} { // 64 > epochs: every epoch in flight and parallel engines on top
+				cfg.Workers = workers
+				got, _ := run(cfg, false)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Workers=%d result differs from Workers=1:%s", name, workers, dynamicDiff(got, want))
 				}
-				want, _ := run(cfg, false)
-				wantTraced, wantJSONL := run(cfg, true)
-				if !reflect.DeepEqual(wantTraced, want) {
-					t.Errorf("%s: budget-1 result moves under tracing", name)
+				if workers != 2 && workers != 64 {
+					continue // traced runs keep one epoch in flight: the ends of the engine-worker range suffice
 				}
-				for _, ep := range want.Epochs {
-					sawAbsent = sawAbsent || (sc.name == "churn" && len(ep.Absent) > 0)
+				gotTraced, gotJSONL := run(cfg, true)
+				if !reflect.DeepEqual(gotTraced, want) {
+					t.Errorf("%s: traced Workers=%d result differs from Workers=1", name, workers)
 				}
-				for _, workers := range []int{2, 3, 8, 64} { // 64 > epochs: every epoch in flight and parallel engines on top
-					cfg.Workers = workers
-					got, _ := run(cfg, false)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: Workers=%d result differs from Workers=1:%s", name, workers, dynamicDiff(got, want))
-					}
-					if workers != 2 && workers != 64 {
-						continue // traced runs keep one epoch in flight: the ends of the engine-worker range suffice
-					}
-					gotTraced, gotJSONL := run(cfg, true)
-					if !reflect.DeepEqual(gotTraced, want) {
-						t.Errorf("%s: traced Workers=%d result differs from Workers=1", name, workers)
-					}
-					if !bytes.Equal(gotJSONL, wantJSONL) {
-						t.Errorf("%s: Workers=%d trace (%d bytes) differs from the Workers=1 trace (%d bytes)",
-							name, workers, len(gotJSONL), len(wantJSONL))
-					}
+				if !bytes.Equal(gotJSONL, wantJSONL) {
+					t.Errorf("%s: Workers=%d trace (%d bytes) differs from the Workers=1 trace (%d bytes)",
+						name, workers, len(gotJSONL), len(wantJSONL))
 				}
 			}
 		}
@@ -131,5 +124,5 @@ func dynamicDiff(got, want *DynamicResult) string {
 	if !reflect.DeepEqual(got.Flips, want.Flips) {
 		return fmt.Sprintf(" flips %+v, want %+v", got.Flips, want.Flips)
 	}
-	return fmt.Sprintf(" KappaStats %+v, want %+v", got.KappaStats, want.KappaStats)
+	return fmt.Sprintf(" EpochRounds %d, want %d", got.EpochRounds, want.EpochRounds)
 }

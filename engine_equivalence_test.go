@@ -299,7 +299,7 @@ func TestEngineV2EarlyExitFires(t *testing.T) {
 
 // TestExperimentEquivalence: harness-level runs (all three protocols) must
 // produce identical accuracy and traffic with and without early exit, and
-// with sequential versus parallel engine stepping.
+// with one versus two engine workers per trial.
 func TestExperimentEquivalence(t *testing.T) {
 	for _, proto := range []ProtocolKind{ProtoNectar, ProtoMtG, ProtoMtGv2} {
 		base := ExperimentSpec{
@@ -319,7 +319,7 @@ func TestExperimentEquivalence(t *testing.T) {
 			mut  func(*ExperimentSpec)
 		}{
 			{"full-horizon", func(s *ExperimentSpec) { s.FullHorizon = true }},
-			{"engine-parallel", func(s *ExperimentSpec) { s.EngineParallel = true }},
+			{"jobs-8", func(s *ExperimentSpec) { s.Jobs = 8 }}, // 4 trials × 2 engine workers
 		} {
 			spec := base
 			variant.mut(&spec)

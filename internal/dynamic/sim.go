@@ -80,12 +80,6 @@ type Config struct {
 	// nectar_dynamic_* names. Nil by default; publishing never changes
 	// results.
 	Registry *obs.Registry
-	// Kappa parameterizes the ground-truth κ evaluation (DESIGN.md §14).
-	// The zero value recomputes exactly each epoch; incremental mode
-	// produces identical verdicts with certified bounds instead of exact
-	// values on skipped epochs; approx mode is probabilistic away from the
-	// threshold.
-	Kappa KappaConfig
 }
 
 // EpochReport scores one epoch.
@@ -95,14 +89,8 @@ type EpochReport struct {
 	StartRound int
 	// Kappa is the ground-truth vertex connectivity of the subgraph
 	// induced by present nodes at the epoch's first round; mid-epoch
-	// changes are attributed to the next epoch's truth. In incremental or
-	// approximate evaluation modes it may be a certified bound rather than
-	// the exact value — KappaIsExact distinguishes the two, and the bound
-	// always certifies TruthPartitionable's side of the threshold.
+	// changes are attributed to the next epoch's truth.
 	Kappa int
-	// KappaIsExact reports whether Kappa is the exact connectivity (always
-	// true in the default exact mode).
-	KappaIsExact bool
 	// TruthPartitionable is Kappa <= T (Corollary 1).
 	TruthPartitionable bool
 	// Absent lists the nodes churned out at the epoch's first round.
@@ -156,9 +144,14 @@ type Result struct {
 	// Flips lists every ground-truth transition with its detection
 	// latency. The initial truth is not a flip.
 	Flips []Flip
-	// KappaStats reports how the per-epoch ground-truth κ evaluations
-	// were served (DESIGN.md §14).
+	// KappaStats counts the run's ground-truth κ computations.
 	KappaStats KappaStats
+}
+
+// KappaStats counts a run's ground-truth κ computations.
+type KappaStats struct {
+	// ExactEvals counts from-scratch κ computations: one per epoch.
+	ExactEvals int
 }
 
 // DetectionLatency summarizes Flips: the mean latency over detected
@@ -246,7 +239,6 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 	window, engineWorkers := exp.SplitBudget(budget, concurrent)
 
 	res := &Result{EpochRounds: epochRounds}
-	ke := newKappaEval(cfg.Kappa, cfg.T, cfg.Seed)
 
 	// start wires epoch e and launches its engine.
 	start := func(e int) (*flight, error) {
@@ -257,15 +249,16 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 		}
 		gStart := w.GraphFor(1).Clone()
 		absent := w.p.Absent().Clone()
+		// Ground truth is a pure function of the epoch's start state, so
+		// it is computed up front (before build takes gStart) and
+		// announced on the epoch_start event.
+		kappa := presentKappa(gStart, absent)
+		res.KappaStats.ExactEvals++
 		seed := cfg.Seed + int64(e)*epochSeedStride
 		stack, err := build(e, gStart, absent, seed)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: epoch %d: %w", e, err)
 		}
-		// Ground truth is a pure function of the epoch's start state, so
-		// it can be computed up front and announced on the epoch_start
-		// event (in epoch order: the incremental evaluator is stateful).
-		kappa, kappaExact, truthPart := ke.eval(e, gStart, absent)
 		if cfg.Tracer != nil {
 			cfg.Tracer.Emit(obs.Event{Type: obs.EvEpochStart, Epoch: e, Round: offset + 1, N: int64(kappa)})
 		}
@@ -274,8 +267,7 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 				Epoch:              e,
 				StartRound:         offset + 1,
 				Kappa:              kappa,
-				KappaIsExact:       kappaExact,
-				TruthPartitionable: truthPart,
+				TruthPartitionable: kappa <= cfg.T,
 				Absent:             absent.Sorted(),
 				Agreement:          true,
 			},
@@ -383,7 +375,6 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 			}
 		}
 	}
-	res.KappaStats = ke.stats
 	res.publish(cfg.Registry, cfg.T)
 	return res, nil
 }
@@ -440,24 +431,6 @@ func presentKappa(g *graph.Graph, absent ids.Set) int {
 	if absent.Len() == 0 {
 		return g.Connectivity()
 	}
-	sub := presentSubgraph(g, absent)
-	if sub == nil {
-		return 0
-	}
-	return sub.Connectivity()
-}
-
-// presentSubgraph returns the compacted subgraph induced by the present
-// vertices, or nil when ≤ 1 vertex is present. With nobody absent it
-// returns a clone, so callers (the incremental κ evaluator) may retain the
-// result across epochs.
-func presentSubgraph(g *graph.Graph, absent ids.Set) *graph.Graph {
-	if g.N() <= 1 {
-		return nil
-	}
-	if absent.Len() == 0 {
-		return g.Clone()
-	}
 	compact := make([]ids.NodeID, 0, g.N()-absent.Len())
 	index := make(map[ids.NodeID]ids.NodeID, g.N())
 	for v := 0; v < g.N(); v++ {
@@ -467,7 +440,7 @@ func presentSubgraph(g *graph.Graph, absent ids.Set) *graph.Graph {
 		}
 	}
 	if len(compact) <= 1 {
-		return nil
+		return 0
 	}
 	sub := graph.New(len(compact))
 	for _, v := range compact {
@@ -477,7 +450,7 @@ func presentSubgraph(g *graph.Graph, absent ids.Set) *graph.Graph {
 			}
 		}
 	}
-	return sub
+	return sub.Connectivity()
 }
 
 // b2i renders a bool as a trace attr value.

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -109,10 +110,12 @@ func TestGroundTruthFlipsAndZeroLatencyDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Schedule: s, T: 1, Seed: 1}, buildOracle(1, 0))
+	build, kappas := recordKappa(buildOracle(1, 0))
+	res, err := Run(Config{Schedule: s, T: 1, Seed: 1}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkKappa(t, res, 1, *kappas)
 	wantTruth := []bool{false, false, true, true, false}
 	for e, rep := range res.Epochs {
 		if rep.TruthPartitionable != wantTruth[e] {
@@ -133,6 +136,60 @@ func TestGroundTruthFlipsAndZeroLatencyDetection(t *testing.T) {
 	mean, detected, undetected := res.DetectionLatency()
 	if mean != 0 || detected != 2 || undetected != 0 {
 		t.Errorf("DetectionLatency() = (%v, %d, %d), want (0, 2, 0)", mean, detected, undetected)
+	}
+}
+
+// TestGroundTruthUnderNodeChurn holds every epoch's κ to the present
+// subgraph's connectivity when nodes are absent at epoch starts.
+func TestGroundTruthUnderNodeChurn(t *testing.T) {
+	base, err := topology.Harary(4, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := PoissonChurn(base, 0.05, 11, 8*11, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, kappas := recordKappa(buildOracle(2, 0))
+	res, err := Run(Config{Schedule: s, T: 2, Seed: 1, Epochs: 8}, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKappa(t, res, 2, *kappas)
+	sawAbsent := false
+	for _, rep := range res.Epochs {
+		sawAbsent = sawAbsent || len(rep.Absent) > 0
+	}
+	if !sawAbsent {
+		t.Error("no node was absent at an epoch start; pick another seed")
+	}
+}
+
+// recordKappa wraps build to record presentKappa of each epoch's start
+// graph and absent set, in epoch order.
+func recordKappa(build BuildFn) (BuildFn, *[]int) {
+	var kappas []int
+	return func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*Stack, error) {
+		kappas = append(kappas, presentKappa(g, absent))
+		return build(epoch, g, absent, seed)
+	}, &kappas
+}
+
+// checkKappa requires each epoch's reported κ and truth to be the exact
+// κ ≤ T test on its start state, and one exact evaluation per epoch.
+func checkKappa(t *testing.T, res *Result, tByz int, want []int) {
+	t.Helper()
+	if len(want) != len(res.Epochs) {
+		t.Fatalf("%d builds for %d epochs", len(want), len(res.Epochs))
+	}
+	for e, rep := range res.Epochs {
+		if rep.Kappa != want[e] || rep.TruthPartitionable != (want[e] <= tByz) {
+			t.Errorf("epoch %d: Kappa = %d, truth %v; want presentKappa = %d against T = %d",
+				e, rep.Kappa, rep.TruthPartitionable, want[e], tByz)
+		}
+	}
+	if res.KappaStats.ExactEvals != len(res.Epochs) {
+		t.Errorf("ExactEvals = %d, want one per epoch (%d)", res.KappaStats.ExactEvals, len(res.Epochs))
 	}
 }
 

@@ -29,11 +29,6 @@ type Options struct {
 	// workers and each unit's engine workers by SplitBudget
 	// (0 = GOMAXPROCS, negative is invalid).
 	Jobs int
-	// UnitWorkers / EngineWorkers, when both positive, override the
-	// SplitBudget rule (the harness uses this to honor the legacy
-	// EngineParallel knob: all budget to the engine). Worker counts never
-	// change results, only wall-clock.
-	UnitWorkers, EngineWorkers int
 	// Collector, when non-nil, streams completed units to its JSONL
 	// checkpoint and serves previously completed units back (resume).
 	Collector *Collector
@@ -258,9 +253,6 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 		}
 	}
 	unitWorkers, engineWorkers := SplitBudget(jobs, len(pending))
-	if opts.UnitWorkers > 0 && opts.EngineWorkers > 0 {
-		unitWorkers, engineWorkers = opts.UnitWorkers, opts.EngineWorkers
-	}
 
 	e := &execRun{
 		plan:   plan,

@@ -158,8 +158,7 @@ func (g *Graph) minDegreeVertex() ids.NodeID {
 }
 
 // forEachPivotPair enumerates the candidate pair family for pivot v0 —
-// v0 × its non-neighbors, then non-adjacent pairs of its neighbors — in
-// the canonical order shared by exact and sampled κ.
+// v0 × its non-neighbors, then non-adjacent pairs of its neighbors.
 func forEachPivotPair(g *Graph, v0 ids.NodeID, consider func(a, b ids.NodeID)) {
 	for v := 0; v < g.n; v++ {
 		w := ids.NodeID(v)

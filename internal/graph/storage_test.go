@@ -379,3 +379,75 @@ func TestFingerprintMatchesPerEdgeReference(t *testing.T) {
 		}
 	}
 }
+
+func TestBitsetRowsStayConsistentAcrossThreshold(t *testing.T) {
+	// Drive a vertex's degree well past bitsetDegreeThreshold, then back
+	// down, checking HasEdge/Degree against a naive map at every step. n is
+	// large enough that rows are per-vertex and lazy, not one whole matrix.
+	n := bitsetDegreeThreshold * 4
+	g := New(n)
+	naive := map[[2]ids.NodeID]bool{}
+	has := func(u, v ids.NodeID) bool {
+		if u > v {
+			u, v = v, u
+		}
+		return naive[[2]ids.NodeID{u, v}]
+	}
+	rng := rand.New(rand.NewSource(11))
+	for step := 0; step < 6000; step++ {
+		// Bias edges onto hub vertex 0 so its row crosses the threshold.
+		u := ids.NodeID(0)
+		if step%3 == 0 {
+			u = ids.NodeID(rng.Intn(n))
+		}
+		v := ids.NodeID(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		a, b := u, v
+		if a > b {
+			a, b = b, a
+		}
+		if has(u, v) {
+			g.RemoveEdge(u, v)
+			delete(naive, [2]ids.NodeID{a, b})
+		} else {
+			g.AddEdge(u, v)
+			naive[[2]ids.NodeID{a, b}] = true
+		}
+		if g.M() != len(naive) {
+			t.Fatalf("step %d: m=%d want %d", step, g.M(), len(naive))
+		}
+	}
+	for u := 0; u < n; u++ {
+		deg := 0
+		for v := 0; v < n; v++ {
+			if u == v {
+				continue
+			}
+			uu, vv := ids.NodeID(u), ids.NodeID(v)
+			if g.HasEdge(uu, vv) != has(uu, vv) {
+				t.Fatalf("HasEdge(%d,%d)=%v disagrees with naive", u, v, g.HasEdge(uu, vv))
+			}
+			if has(uu, vv) {
+				deg++
+			}
+		}
+		if g.Degree(ids.NodeID(u)) != deg {
+			t.Fatalf("Degree(%d)=%d want %d", u, g.Degree(ids.NodeID(u)), deg)
+		}
+	}
+	// Clone of a graph with materialized rows stays independent and equal.
+	c := g.Clone()
+	if !g.Equal(c) {
+		t.Fatal("clone not equal")
+	}
+	e := c.Edges()[0]
+	c.RemoveEdge(e.U, e.V)
+	if !g.HasEdge(e.U, e.V) || c.HasEdge(e.U, e.V) {
+		t.Fatal("clone shares bitset storage with original")
+	}
+	if g.Equal(c) || g.SameEdges(c.Edges()) {
+		t.Fatal("comparison ignored removed edge")
+	}
+}

@@ -46,12 +46,6 @@ type Spec struct {
 	// negative is invalid. The budget never changes results, only
 	// wall-clock.
 	Jobs int
-	// EngineParallel hands the entire Jobs budget to the engine inside
-	// each trial (trials then run one at a time). Use for single very
-	// large topologies where per-trial latency matters more than sweep
-	// throughput; ignored when the spec runs inside a multi-spec plan,
-	// whose global scheduler subsumes it.
-	EngineParallel bool
 	// LossRate injects independent message loss (violating the paper's
 	// reliable-channel assumption) — for baseline robustness studies and
 	// NECTAR degradation analysis. See rounds.Config.LossRate.

@@ -347,28 +347,6 @@ func TestCutPlacementFallsBackToRandom(t *testing.T) {
 	}
 }
 
-func TestEngineParallelMatchesSequentialTrials(t *testing.T) {
-	base := Spec{
-		Protocol: ProtoNectar, Attack: AttackSplitBrain,
-		T: 2, Trials: 2, Seed: 8,
-		Scenario: Bridge(14, 2, 6, 1.2, 2),
-	}
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.EngineParallel = true
-	got, err := Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Accuracy.Mean != got.Accuracy.Mean || seq.BytesPerNode.Mean != got.BytesPerNode.Mean {
-		t.Errorf("parallel engine changed results: %v/%v vs %v/%v",
-			seq.Accuracy.Mean, seq.BytesPerNode.Mean, got.Accuracy.Mean, got.BytesPerNode.Mean)
-	}
-}
-
 // TestVerifyCacheMatchesUncachedTrials: the per-trial verification memo is
 // a pure wall-clock optimization — every protocol's trials must score and
 // meter identically against the uncached reference run.

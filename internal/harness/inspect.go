@@ -40,15 +40,11 @@ func runEngine(spec *Spec, sc *Scenario, protos []rounds.Protocol) error {
 	if r == 0 {
 		r = sc.Graph.N() - 1
 	}
-	workers := 1
-	if spec.EngineParallel {
-		workers = 0 // GOMAXPROCS
-	}
 	_, err := rounds.Run(rounds.Config{
 		Graph:   sc.Graph,
 		Rounds:  r,
 		Seed:    spec.Seed,
-		Workers: workers,
+		Workers: 1,
 	}, protos)
 	return err
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 
 	"github.com/nectar-repro/nectar/internal/exp"
 	"github.com/nectar-repro/nectar/internal/redteam"
@@ -31,7 +30,7 @@ type specRunner struct{ spec Spec }
 
 func (r *specRunner) Fingerprint() string {
 	s := &r.spec
-	// Execution knobs (Jobs, EngineParallel) are excluded: they never
+	// The execution knob Jobs is excluded: it never
 	// change results, so a checkpoint stays valid across them. Scenario
 	// is a function and cannot be fingerprinted — the plan key owns
 	// scenario identity (DESIGN.md §10).
@@ -223,21 +222,13 @@ func planKey(name string) string {
 // Run executes the experiment and aggregates its metrics. It is a
 // one-spec plan over the shared pipeline: the Jobs budget (0 =
 // GOMAXPROCS) is split between trial workers and each trial's engine
-// workers, or handed entirely to the engine under EngineParallel.
+// workers (a single trial gets the whole budget for its engine).
 func Run(spec Spec) (*Result, error) {
 	runner, err := NewRunner(spec)
 	if err != nil {
 		return nil, err
 	}
-	opts := exp.Options{Jobs: spec.Jobs}
-	if spec.EngineParallel {
-		jobs := spec.Jobs
-		if jobs == 0 {
-			jobs = runtime.GOMAXPROCS(0)
-		}
-		opts.UnitWorkers, opts.EngineWorkers = 1, jobs
-	}
-	agg, err := runOne(planKey(spec.Name), runner, opts)
+	agg, err := runOne(planKey(spec.Name), runner, exp.Options{Jobs: spec.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -262,21 +253,14 @@ func RunDynamic(spec DynamicSpec) (*DynamicResult, error) {
 }
 
 // RunRedTeam executes the search described by spec (one unit — searches
-// are sequential — with the Jobs budget flowing into each candidate's
+// are sequential — so the whole Jobs budget flows into each candidate's
 // evaluation trials).
 func RunRedTeam(spec RedTeamSpec) (*RedTeamResult, error) {
 	runner, err := NewRedTeamRunner(spec)
 	if err != nil {
 		return nil, err
 	}
-	jobs := spec.Jobs
-	if jobs == 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	// One sequential search unit: give the whole budget to evaluations.
-	agg, err := runOne(planKey(spec.Name), runner, exp.Options{
-		Jobs: jobs, UnitWorkers: 1, EngineWorkers: jobs,
-	})
+	agg, err := runOne(planKey(spec.Name), runner, exp.Options{Jobs: spec.Jobs})
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func legacyRunDynamic(t *testing.T, spec DynamicSpec) *DynamicResult {
 
 // pipelineMatrix is a representative spec matrix: every protocol, a
 // Byzantine attack each, randomized and deterministic scenarios, both
-// schemes, loss, and an engine-parallel spec.
+// schemes, and loss.
 func pipelineMatrix() []Spec {
 	harary := func(k, n int) ScenarioFn {
 		return Plain(func(*rand.Rand) (*graph.Graph, error) { return topology.Harary(k, n) })
@@ -90,8 +90,6 @@ func pipelineMatrix() []Spec {
 			Scenario: drone(12, 6), T: 2, Trials: 4, Seed: 11},
 		{Name: "mtgv2-crash-loss", Protocol: ProtoMtGv2, Attack: AttackCrash,
 			Scenario: harary(4, 12), T: 1, Trials: 4, Seed: 3, LossRate: 0.2},
-		{Name: "nectar-engine-parallel", Protocol: ProtoNectar, Attack: AttackNone,
-			Scenario: harary(4, 16), T: 1, Trials: 2, Seed: 9, EngineParallel: true},
 	}
 }
 

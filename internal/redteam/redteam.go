@@ -10,7 +10,7 @@
 // configuration, and how far is the detector's empirical worst case from
 // its proven bound? This package supplies the search half of that
 // question; internal/harness supplies the evaluation half (RunRedTeam)
-// and internal/report the frontier comparison (FrontierTable).
+// and internal/report the frontier comparison (the "redteam" experiment).
 //
 // The package deliberately knows nothing about protocols: an Evaluator
 // callback maps a candidate Placement to its damage score, and optimizers

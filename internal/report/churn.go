@@ -150,6 +150,3 @@ func churnExperiment() Experiment {
 		},
 	}
 }
-
-// ChurnTable regenerates the churn sweep through the pipeline.
-func ChurnTable(opts Options) (*Table, error) { return singleTable("churn", opts) }

@@ -6,10 +6,11 @@ import (
 )
 
 func TestChurnTableQuick(t *testing.T) {
-	tbl, err := ChurnTable(Options{Quick: true, Trials: 2, Seed: 5})
+	out, err := runSingle("churn", Options{Quick: true, Trials: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := out.Table
 	if len(tbl.Rows) == 0 {
 		t.Fatal("empty churn table")
 	}

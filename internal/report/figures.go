@@ -245,22 +245,6 @@ func lazyCostExperiment(id string, def func(Options) *costFigure) Experiment {
 	}
 }
 
-// Fig3 regenerates Fig. 3 through the pipeline (single-figure plan).
-func Fig3(opts Options) (*Figure, error) { return singleFigure("fig3", opts) }
-
-// Fig4 regenerates Fig. 4: NECTAR drone cost vs d (n = 20), with the MtG
-// reference line.
-func Fig4(opts Options) (*Figure, error) { return singleFigure("fig4", opts) }
-
-// Fig5 regenerates Fig. 5: MtGv2 drone cost vs d (n = 20).
-func Fig5(opts Options) (*Figure, error) { return singleFigure("fig5", opts) }
-
-// Fig6 regenerates Fig. 6: NECTAR drone cost vs n (radius = 1.2).
-func Fig6(opts Options) (*Figure, error) { return singleFigure("fig6", opts) }
-
-// Fig7 regenerates Fig. 7: MtGv2 drone cost vs n (radius = 1.2).
-func Fig7(opts Options) (*Figure, error) { return singleFigure("fig7", opts) }
-
 // fig8Cell is one (protocol, t) cell of the Fig. 8 resilience figure.
 type fig8Cell struct {
 	series  string
@@ -359,18 +343,4 @@ func fig8Experiment(id string, n int) Experiment {
 			return &Output{Figure: fig}, nil
 		},
 	}
-}
-
-// Fig8 regenerates Fig. 8: decision success rate vs the number of
-// Byzantine nodes in the drone bridge scenario (n = 35).
-func Fig8(opts Options) (*Figure, error) { return singleFigure("fig8", opts) }
-
-// Fig8N regenerates the Fig. 8 experiment at another system size (the
-// paper reports the same tendencies for 20 and 50 nodes).
-func Fig8N(n int, opts Options) (*Figure, error) {
-	out, err := runSingleExperiment(fig8Experiment(fmt.Sprintf("fig8-n%d", n), n), opts)
-	if err != nil {
-		return nil, err
-	}
-	return out.Figure, nil
 }

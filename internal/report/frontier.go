@@ -155,6 +155,3 @@ func frontierExperiment() Experiment {
 		},
 	}
 }
-
-// FrontierTable regenerates the red-team frontier through the pipeline.
-func FrontierTable(opts Options) (*Table, error) { return singleTable("redteam", opts) }

@@ -12,10 +12,11 @@ import (
 // the bound column marks exactly the guaranteed (κ ≥ 2t) misclassify
 // rows, whose searched damage must then be 0.
 func TestFrontierTableQuick(t *testing.T) {
-	tbl, err := FrontierTable(Options{Quick: true, Seed: 7})
+	out, err := runSingle("redteam", Options{Quick: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := out.Table
 	if len(tbl.Rows) != 2*2*len(redteam.OptimizerNames()) {
 		t.Fatalf("quick frontier has %d rows", len(tbl.Rows))
 	}

@@ -108,6 +108,3 @@ func lossExperiment() Experiment {
 		},
 	}
 }
-
-// LossTable regenerates the loss-robustness table through the pipeline.
-func LossTable(opts Options) (*Table, error) { return singleTable("loss", opts) }

@@ -232,8 +232,7 @@ func declarePlan(exps []Experiment, opts Options) (*exp.Plan, error) {
 	return plan, nil
 }
 
-// runExperimentSet is RunExperiments over already-resolved experiments
-// (Fig8N builds one on the fly for arbitrary n).
+// runExperimentSet is RunExperiments over already-resolved experiments.
 func runExperimentSet(exps []Experiment, opts Options, cfg RunConfig) (*RunReport, error) {
 	plan, err := declarePlan(exps, opts)
 	if err != nil {
@@ -302,41 +301,6 @@ func runExperimentSet(exps []Experiment, opts Options, cfg RunConfig) (*RunRepor
 
 func hasPrefix(s, prefix string) bool {
 	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}
-
-// runSingle executes one registered experiment through the pipeline with
-// default scheduling — the legacy Fig3/TopoCost-style entry points.
-func runSingle(id string, opts Options) (*Output, error) {
-	rep, err := RunExperiments([]string{id}, opts, RunConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Experiments[0].Output, nil
-}
-
-// runSingleExperiment executes an ad-hoc experiment the same way.
-func runSingleExperiment(e Experiment, opts Options) (*Output, error) {
-	rep, err := runExperimentSet([]Experiment{e}, opts, RunConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Experiments[0].Output, nil
-}
-
-func singleFigure(id string, opts Options) (*Figure, error) {
-	out, err := runSingle(id, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out.Figure, nil
-}
-
-func singleTable(id string, opts Options) (*Table, error) {
-	out, err := runSingle(id, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out.Table, nil
 }
 
 // ExperimentIDs lists every runnable experiment in canonical order.

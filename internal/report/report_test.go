@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,10 +13,11 @@ func TestFig8ReproducesThePaperShape(t *testing.T) {
 	// t; MtG is fooled on one side by a single poisoner and on both sides
 	// by two; MtGv2 splits the network's beliefs (≈ 0.5, broken
 	// agreement).
-	fig, err := Fig8N(20, Options{Quick: true, Trials: 4, Seed: 3})
+	out, err := runSingle("fig8-n20", Options{Quick: true, Trials: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := out.Figure
 	series := map[string][]Point{}
 	for _, s := range fig.Series {
 		series[s.Name] = s.Points
@@ -170,4 +172,23 @@ func TestOptionsTrialsPrecedence(t *testing.T) {
 	if got := (Options{}).trials(50, 5); got != 50 {
 		t.Errorf("full default wrong: %d", got)
 	}
+}
+
+// runSingle executes one registered experiment through the pipeline with
+// default scheduling.
+func runSingle(id string, opts Options) (*Output, error) {
+	e, ok := ExperimentByID(id)
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment %q", id)
+	}
+	return runSingleExperiment(e, opts)
+}
+
+// runSingleExperiment executes an ad-hoc experiment the same way.
+func runSingleExperiment(e Experiment, opts Options) (*Output, error) {
+	rep, err := runExperimentSet([]Experiment{e}, opts, RunConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Experiments[0].Output, nil
 }

@@ -134,9 +134,6 @@ func topoCostExperiment() Experiment {
 	}
 }
 
-// TopoCost regenerates the §V-C comparison through the pipeline.
-func TopoCost(opts Options) (*Table, error) { return singleTable("topo-cost", opts) }
-
 // byzTopoCell is one (family, placement, t, protocol) cell of §V-D.
 type byzTopoCell struct {
 	famName   string
@@ -276,6 +273,3 @@ func byzTopoExperiment() Experiment {
 		},
 	}
 }
-
-// ByzTopo regenerates the §V-D resilience table through the pipeline.
-func ByzTopo(opts Options) (*Table, error) { return singleTable("byz-topo", opts) }

@@ -155,8 +155,8 @@ func TestVerifyCacheNilAndOversized(t *testing.T) {
 	}
 }
 
-// TestVerifyCacheConcurrent exercises the cache from many goroutines (the
-// engine-parallel configuration); run under -race in CI.
+// TestVerifyCacheConcurrent exercises the cache from many goroutines (a
+// multi-worker engine); run under -race in CI.
 func TestVerifyCacheConcurrent(t *testing.T) {
 	scheme := NewHMAC(8, 1)
 	v := scheme.Verifier()

@@ -116,6 +116,9 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: 1, SchemeName: "rsa"}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: -1}); err == nil || err.Error() != "nectar: negative T -1" {
+		t.Errorf("negative T: err = %v, want nectar: negative T -1", err)
+	}
 }
 
 func TestRunExperimentThroughFacade(t *testing.T) {

@@ -5,17 +5,12 @@ package nectar
 // sparse families the regime targets (ring, k-ary tree, geometric
 // scatter) with the slim scheme, so the numbers measure the engine —
 // staging, dedup, decision phase — not signature arithmetic.
-// BenchmarkKappaIncremental isolates the epoch ground-truth κ evaluation
-// that dominates low-churn dynamic runs: from-scratch Dinic each epoch
-// versus the KappaTracker's certified reuse (a ≥5× gap).
 
 import (
 	"fmt"
 	"math/rand"
 	"os"
 	"testing"
-
-	"github.com/nectar-repro/nectar/internal/graph"
 )
 
 // scaleFull reports whether the heavy n=10⁴ cases should run. They take
@@ -94,55 +89,4 @@ func BenchmarkLargeN(b *testing.B) {
 			b.ReportMetric(float64(g.M()), "edges")
 		})
 	}
-}
-
-// BenchmarkKappaIncremental: per-epoch ground-truth κ under a low-churn
-// edge-toggle sequence on H_{6,400} (κ = 6, t = 2 — comfortably above
-// threshold, the regime where the tracker's certified interval keeps
-// skipping). from-scratch recomputes Dinic κ every epoch; incremental
-// serves the same verdicts through the KappaTracker.
-func BenchmarkKappaIncremental(b *testing.B) {
-	const n, t, epochs = 400, 2, 32
-	base, err := Harary(6, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Precompute a deterministic low-churn schedule: one extra edge
-	// toggled per epoch, so successive graphs differ by one toggle.
-	rng := rand.New(rand.NewSource(7))
-	gs := make([]*graph.Graph, epochs)
-	cur := base.Clone()
-	for e := range gs {
-		u := NodeID(rng.Intn(n))
-		v := NodeID((int(u) + 2 + rng.Intn(n-3)) % n)
-		if cur.HasEdge(u, v) {
-			cur.RemoveEdge(u, v)
-		} else {
-			cur.AddEdge(u, v)
-		}
-		gs[e] = cur.Clone()
-	}
-
-	b.Run("from-scratch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, g := range gs {
-				if k := g.Connectivity(); k <= t {
-					b.Fatalf("κ=%d dropped to threshold", k)
-				}
-			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr := graph.NewKappaTracker(t, 1)
-			prev := base
-			for _, g := range gs {
-				adds, dels := graph.EdgeDiff(prev, g)
-				if bd := tr.Eval(g, adds, dels); bd.Partitionable {
-					b.Fatal("verdict flipped under incremental tracking")
-				}
-				prev = g
-			}
-		}
-	})
 }

@@ -234,12 +234,15 @@ func resolveSchemeName(name string) (string, error) {
 }
 
 // checkByzantine validates a Byzantine assignment for an n-node system
-// with bound t — known behaviours, in-range IDs, count within t, and
+// with bound t — t ≥ 0, known behaviours, in-range IDs, count within t, and
 // Blocked entries only for split-brain nodes (anything else is a
 // misconfigured attack scenario that would otherwise silently no-op) — and
 // converts it for harness.BuildNectar. A split-brain node with no Blocked
 // targets gets no set, which BuildNectar rejects once it wraps the node.
 func checkByzantine(n, t int, byzantine map[NodeID]Behavior, blocked map[NodeID][]NodeID) (map[NodeID]harness.AttackKind, map[NodeID]ids.Set, error) {
+	if t < 0 {
+		return nil, nil, fmt.Errorf("nectar: negative T %d", t)
+	}
 	attacks := make(map[NodeID]harness.AttackKind, len(byzantine))
 	for b, beh := range byzantine {
 		if int(b) >= n {
