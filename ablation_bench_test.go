@@ -2,10 +2,11 @@ package nectar
 
 // Ablation benchmarks for the design choices called out in DESIGN.md:
 //
-//   - duplicate-discard-before-verification (Config.ParanoidVerify off)
-//     versus the literal Alg.-1 order — identical decisions, very
-//     different CPU cost;
-//   - the R = n-1 default round horizon versus an R = diameter+1
+//   - duplicate-discard-before-verification (the default) versus the
+//     literal Alg.-1 order (the test-only inectar.WithParanoidVerify) —
+//     identical decisions, very different CPU cost;
+//   - the R = n-1 default round horizon, with quiescence early exit or
+//     run in full (rounds.Config.FullHorizon), versus an R = diameter+1
 //     override — identical traffic (nodes go silent once everything is
 //     discovered, §IV-E), fewer engine rounds;
 //   - signature schemes: HMAC simulation vs real Ed25519 vs the
@@ -14,6 +15,7 @@ package nectar
 import (
 	"testing"
 
+	inectar "github.com/nectar-repro/nectar/internal/nectar"
 	"github.com/nectar-repro/nectar/internal/rounds"
 )
 
@@ -64,7 +66,7 @@ func BenchmarkAblationDuplicateDiscard(b *testing.B) {
 	})
 	b.Run("paranoid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runClusterBench(b, g, scheme, 0, WithParanoidVerify())
+			runClusterBench(b, g, scheme, 0, inectar.WithParanoidVerify())
 		}
 	})
 }

@@ -257,7 +257,7 @@ func BenchmarkSimulateEngineV2(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Simulate(SimulationConfig{
 					Graph: g, T: 3, Seed: int64(i + 1), SchemeName: "hmac",
-					FullHorizon: mode.full,
+					fullHorizon: mode.full,
 				})
 				if err != nil {
 					b.Fatal(err)

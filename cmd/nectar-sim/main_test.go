@@ -70,6 +70,8 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-rounds", "-3"}, "-rounds must be >= 0, got -3"},
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-epochs", "-2"}, "-epochs must be >= 0, got -2"},
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-kappa", "incremental"}, "flag provided but not defined: -kappa"},
+		{[]string{"-topo", "ring", "-n", "8", "-churn", "flap", "-churn-rate", "NaN", "-epochs", "2"}, "Flapping probabilities must be in [0,1]"},
+		{[]string{"-topo", "ring", "-n", "8", "-churn", "nodes", "-churn-rate", "NaN", "-epochs", "2"}, "PoissonChurn leaveRate must be in [0,1]"},
 	}
 	for _, c := range cases {
 		err := run(c.args)

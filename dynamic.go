@@ -93,8 +93,6 @@ type DynamicConfig struct {
 	// Blocked lists, per split-brain Byzantine node, the stonewalled
 	// destinations (see SimulationConfig.Blocked).
 	Blocked map[NodeID][]NodeID
-	// FullHorizon disables the engine's quiescence early exit.
-	FullHorizon bool
 	// Workers is the run's parallelism budget (0 = GOMAXPROCS): epochs
 	// are independent detection instances, so up to Workers of them run
 	// their engines side by side, and budget beyond the epoch count goes
@@ -205,7 +203,6 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		Seed:        cfg.Seed,
 		EpochRounds: cfg.EpochRounds,
 		Epochs:      cfg.Epochs,
-		FullHorizon: cfg.FullHorizon,
 		Workers:     cfg.Workers,
 		Tracer:      cfg.Tracer,
 		Registry:    cfg.Registry,

@@ -1,17 +1,18 @@
 package nectar
 
-// Engine v2 equivalence properties: quiescence early exit and parallel
-// routing are pure wall-clock optimizations — for every seeded scenario
-// the decisions, outcomes, and per-node byte counts must be byte-identical
-// to a full-horizon sequential run. The matrix covers the four scenario
-// shapes of the evaluation (ring, drone scatter, hierarchical tree of
-// cliques, Byzantine bridge), every Byzantine behaviour Simulate
-// supports, and several seeds.
+// Equivalence properties: quiescence early exit, the verification memo, the
+// duplicate-first check order and parallel routing are pure wall-clock
+// optimizations — for every seeded scenario the decisions, outcomes, and
+// per-node byte counts must be byte-identical to the references they
+// replace. The matrix covers the four scenario shapes of the evaluation
+// (ring, drone scatter, hierarchical tree of cliques, Byzantine bridge),
+// every Byzantine behaviour Simulate supports, and several seeds.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -91,48 +92,6 @@ func equivalenceCases(t *testing.T, seed int64) []simCase {
 	return cases
 }
 
-// TestEngineV2EquivalenceProperty: early-exit runs must be byte-identical
-// to full-horizon runs across the whole scenario matrix.
-func TestEngineV2EquivalenceProperty(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		for _, tc := range equivalenceCases(t, seed) {
-			fast, err := Simulate(tc.cfg)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
-			}
-			full := tc.cfg
-			full.FullHorizon = true
-			ref, err := Simulate(full)
-			if err != nil {
-				t.Fatalf("seed %d %s (full horizon): %v", seed, tc.name, err)
-			}
-			if !reflect.DeepEqual(fast.Outcomes, ref.Outcomes) {
-				t.Errorf("seed %d %s: outcomes diverge:\nfast: %+v\nfull: %+v",
-					seed, tc.name, fast.Outcomes, ref.Outcomes)
-			}
-			if fast.Decision != ref.Decision || fast.Agreement != ref.Agreement || fast.Confirmed != ref.Confirmed {
-				t.Errorf("seed %d %s: decision diverges: fast=%v/%v/%v full=%v/%v/%v",
-					seed, tc.name, fast.Decision, fast.Agreement, fast.Confirmed,
-					ref.Decision, ref.Agreement, ref.Confirmed)
-			}
-			if !reflect.DeepEqual(fast.BytesSent, ref.BytesSent) {
-				t.Errorf("seed %d %s: BytesSent diverge", seed, tc.name)
-			}
-			if !reflect.DeepEqual(fast.BytesBroadcast, ref.BytesBroadcast) {
-				t.Errorf("seed %d %s: BytesBroadcast diverge", seed, tc.name)
-			}
-			if fast.ActiveRounds > fast.Rounds {
-				t.Errorf("seed %d %s: ActiveRounds %d > horizon %d",
-					seed, tc.name, fast.ActiveRounds, fast.Rounds)
-			}
-			if ref.ActiveRounds != ref.Rounds {
-				t.Errorf("seed %d %s: full-horizon run exited early (%d/%d)",
-					seed, tc.name, ref.ActiveRounds, ref.Rounds)
-			}
-		}
-	}
-}
-
 // assertSimEquivalent fails the test unless two SimulationResults are
 // byte-identical in every output the evaluation consumes.
 func assertSimEquivalent(t *testing.T, label string, ref, got *SimulationResult) {
@@ -156,57 +115,110 @@ func assertSimEquivalent(t *testing.T, label string, ref, got *SimulationResult)
 	}
 }
 
-// TestVerifyCacheEquivalenceProperty: the signature-verification memo and
-// the lazy header-first decode are pure wall-clock optimizations — for
-// every scenario of the matrix, runs with the cache on and off, in both
-// the default and the literal-Alg.-1 (paranoid) check order, must produce
-// byte-identical results (DESIGN.md §9). The cached+default configuration
-// is Simulate's production fast path; uncached+paranoid is the slowest,
-// most literal reference.
+// referenceRow is one reference the default run is held to on every
+// scenario of equivalenceCases.
+type referenceRow struct {
+	name  string
+	mut   func(*SimulationConfig)
+	seeds []int64
+	// fullHorizon: the row runs every round of the horizon (DESIGN.md §6),
+	// so its ActiveRounds is held to Rounds instead of to the default's.
+	fullHorizon bool
+	// fastPath: the fast-path counters must match too — only the rows
+	// that change nothing but the schedule keep them.
+	fastPath bool
+	// wantHits: the row's memo must actually fire, not silently no-op.
+	wantHits bool
+}
+
+// equivalenceRows are the references of the root matrix. The default is
+// Simulate's production path: quiescence early exit, the verification memo,
+// duplicates discarded before any signature work, GOMAXPROCS engine
+// workers. Every row must match it in all assertSimEquivalent compares.
+var equivalenceRows = []referenceRow{
+	{name: "full-horizon", mut: func(c *SimulationConfig) { c.fullHorizon = true },
+		seeds: []int64{1, 7, 42}, fullHorizon: true, wantHits: true},
+	// The literal Alg. 1 check order and the memo-less reference (§2, §9);
+	// uncached+paranoid is the slowest, most literal run.
+	{name: "paranoid", mut: func(c *SimulationConfig) { c.paranoidVerify = true },
+		seeds: []int64{1, 7}, wantHits: true},
+	{name: "uncached", mut: func(c *SimulationConfig) { c.noVerifyCache = true },
+		seeds: []int64{1, 7}},
+	{name: "uncached+paranoid", mut: func(c *SimulationConfig) { c.noVerifyCache = true; c.paranoidVerify = true },
+		seeds: []int64{1, 7}},
+	// The memo's accounting is a function of the run, not of the schedule.
+	{name: "workers-1", mut: func(c *SimulationConfig) { c.Workers = 1 },
+		seeds: []int64{1, 7}, fastPath: true, wantHits: true},
+	{name: "workers-2", mut: func(c *SimulationConfig) { c.Workers = 2 },
+		seeds: []int64{1, 7}, fastPath: true, wantHits: true},
+	{name: "workers-4", mut: func(c *SimulationConfig) { c.Workers = 4 },
+		seeds: []int64{1, 7}, fastPath: true, wantHits: true},
+}
+
+// TestEngineV2EquivalenceProperty: quiescence early exit is a pure
+// wall-clock optimization — the default run is byte-identical to the
+// full-horizon row of equivalenceRows across the whole scenario matrix.
+func TestEngineV2EquivalenceProperty(t *testing.T) {
+	checkReferences(t, true)
+}
+
+// TestVerifyCacheEquivalenceProperty: the verification memo, the lazy
+// header-first decode, the duplicate-first check order and parallel routing
+// are pure wall-clock optimizations — the default run is byte-identical to
+// every other row of equivalenceRows across the whole scenario matrix.
 func TestVerifyCacheEquivalenceProperty(t *testing.T) {
-	variants := []struct {
-		name     string
-		mut      func(*SimulationConfig)
-		wantHits bool // the memo must actually fire, not silently no-op
-	}{
-		{"cached/paranoid", func(c *SimulationConfig) { c.paranoidVerify = true }, true},
-		{"uncached/default", func(c *SimulationConfig) { c.noVerifyCache = true }, false},
-		{"uncached/paranoid", func(c *SimulationConfig) { c.noVerifyCache = true; c.paranoidVerify = true }, false},
+	checkReferences(t, false)
+}
+
+// checkReferences holds the default run to the rows of equivalenceRows
+// whose fullHorizon flag equals fullHorizon.
+func checkReferences(t *testing.T, fullHorizon bool) {
+	var rows []referenceRow
+	for _, row := range equivalenceRows {
+		if row.fullHorizon == fullHorizon {
+			rows = append(rows, row)
+		}
 	}
-	for _, seed := range []int64{1, 7} {
+	for _, seed := range []int64{1, 7, 42} {
+		if !slices.ContainsFunc(rows, func(r referenceRow) bool { return slices.Contains(r.seeds, seed) }) {
+			continue
+		}
 		for _, tc := range equivalenceCases(t, seed) {
-			ref, err := Simulate(tc.cfg) // cached + default order: the fast path
+			got, err := Simulate(tc.cfg)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
 			}
-			if ref.VerifyCacheHits == 0 {
+			if got.VerifyCacheHits == 0 {
 				t.Errorf("seed %d %s: verify cache never hit", seed, tc.name)
 			}
-			for _, v := range variants {
-				cfg := tc.cfg
-				v.mut(&cfg)
-				got, err := Simulate(cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s: %v", seed, tc.name, v.name, err)
-				}
-				assertSimEquivalent(t, fmt.Sprintf("seed %d %s/%s", seed, tc.name, v.name), ref, got)
-				if hit := got.VerifyCacheHits > 0; hit != v.wantHits {
-					t.Errorf("seed %d %s/%s: VerifyCacheHits=%d, want hits=%v",
-						seed, tc.name, v.name, got.VerifyCacheHits, v.wantHits)
-				}
+			if got.ActiveRounds > got.Rounds {
+				t.Errorf("seed %d %s: ActiveRounds %d > horizon %d", seed, tc.name, got.ActiveRounds, got.Rounds)
 			}
-			// The memo's accounting is a function of the run, not of the
-			// schedule: every fast-path counter repeats at any worker count.
-			for _, workers := range []int{1, 2, 4} {
-				cfg := tc.cfg
-				cfg.Workers = workers
-				got, err := Simulate(cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s/workers=%d: %v", seed, tc.name, workers, err)
+			for _, row := range rows {
+				if !slices.Contains(row.seeds, seed) {
+					continue
 				}
-				if got.FastPath != ref.FastPath {
-					t.Errorf("seed %d %s/workers=%d: fast-path counters diverge: got %+v, ref %+v",
-						seed, tc.name, workers, got.FastPath, ref.FastPath)
+				label := fmt.Sprintf("seed %d %s/%s", seed, tc.name, row.name)
+				cfg := tc.cfg
+				row.mut(&cfg)
+				ref, err := Simulate(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if row.fullHorizon {
+					if ref.ActiveRounds != ref.Rounds {
+						t.Errorf("%s: exited early (%d/%d)", label, ref.ActiveRounds, ref.Rounds)
+					}
+					early := *ref
+					early.ActiveRounds = got.ActiveRounds
+					ref = &early
+				}
+				assertSimEquivalent(t, label, ref, got)
+				if row.fastPath && ref.FastPath != got.FastPath {
+					t.Errorf("%s: fast-path counters diverge: got %+v, ref %+v", label, got.FastPath, ref.FastPath)
+				}
+				if hit := ref.VerifyCacheHits > 0; hit != row.wantHits {
+					t.Errorf("%s: VerifyCacheHits=%d, want hits=%v", label, ref.VerifyCacheHits, row.wantHits)
 				}
 			}
 		}
@@ -298,8 +310,9 @@ func TestEngineV2EarlyExitFires(t *testing.T) {
 }
 
 // TestExperimentEquivalence: harness-level runs (all three protocols) must
-// produce identical accuracy and traffic with and without early exit, and
-// with one versus two engine workers per trial.
+// produce identical accuracy and traffic with one versus two engine workers
+// per trial. The full-horizon reference of the same specs runs in
+// internal/harness (TestEarlyExitMatchesFullHorizonTrials).
 func TestExperimentEquivalence(t *testing.T) {
 	for _, proto := range []ProtocolKind{ProtoNectar, ProtoMtG, ProtoMtGv2} {
 		base := ExperimentSpec{
@@ -314,27 +327,18 @@ func TestExperimentEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		for _, variant := range []struct {
-			name string
-			mut  func(*ExperimentSpec)
-		}{
-			{"full-horizon", func(s *ExperimentSpec) { s.FullHorizon = true }},
-			{"jobs-8", func(s *ExperimentSpec) { s.Jobs = 8 }}, // 4 trials × 2 engine workers
-		} {
-			spec := base
-			variant.mut(&spec)
-			got, err := RunExperiment(spec)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", proto, variant.name, err)
-			}
-			for i := range ref.Trials {
-				r, g := ref.Trials[i], got.Trials[i]
-				if r.Accuracy != g.Accuracy || r.Agreement != g.Agreement ||
-					r.MeanBytesPerNode != g.MeanBytesPerNode || r.MaxBytesPerNode != g.MaxBytesPerNode ||
-					r.MeanBroadcastBytes != g.MeanBroadcastBytes {
-					t.Errorf("%s/%s trial %d diverges:\nref: %+v\ngot: %+v",
-						proto, variant.name, i, r, g)
-				}
+		jobs := base
+		jobs.Jobs = 8 // 4 trials × 2 engine workers
+		got, err := RunExperiment(jobs)
+		if err != nil {
+			t.Fatalf("%s/jobs-8: %v", proto, err)
+		}
+		for i := range ref.Trials {
+			r, g := ref.Trials[i], got.Trials[i]
+			if r.Accuracy != g.Accuracy || r.Agreement != g.Agreement ||
+				r.MeanBytesPerNode != g.MeanBytesPerNode || r.MaxBytesPerNode != g.MaxBytesPerNode ||
+				r.MeanBroadcastBytes != g.MeanBroadcastBytes {
+				t.Errorf("%s/jobs-8 trial %d diverges:\nref: %+v\ngot: %+v", proto, i, r, g)
 			}
 		}
 		// MtG gossips forever, so only it must pay the full horizon.

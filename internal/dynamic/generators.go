@@ -24,7 +24,7 @@ func Flapping(base *graph.Graph, downProb, upProb float64, horizon int, rng *ran
 	if base == nil || base.N() == 0 {
 		return nil, fmt.Errorf("dynamic: Flapping requires a non-empty base graph")
 	}
-	if downProb < 0 || downProb > 1 || upProb < 0 || upProb > 1 {
+	if !(downProb >= 0 && downProb <= 1 && upProb >= 0 && upProb <= 1) { // NaN fails too
 		return nil, fmt.Errorf("dynamic: Flapping probabilities must be in [0,1], got down=%v up=%v", downProb, upProb)
 	}
 	if horizon < 1 {
@@ -56,10 +56,10 @@ func PoissonChurn(base *graph.Graph, leaveRate, meanDowntime float64, horizon in
 	if base == nil || base.N() == 0 {
 		return nil, fmt.Errorf("dynamic: PoissonChurn requires a non-empty base graph")
 	}
-	if leaveRate < 0 || leaveRate > 1 {
+	if !(leaveRate >= 0 && leaveRate <= 1) { // NaN fails too
 		return nil, fmt.Errorf("dynamic: PoissonChurn leaveRate must be in [0,1], got %v", leaveRate)
 	}
-	if meanDowntime < 1 {
+	if !(meanDowntime >= 1) { // NaN fails too
 		return nil, fmt.Errorf("dynamic: PoissonChurn meanDowntime must be >= 1 round, got %v", meanDowntime)
 	}
 	if horizon < 1 {

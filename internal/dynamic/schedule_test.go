@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -215,10 +216,20 @@ func TestFlappingIsDeterministicAndBounded(t *testing.T) {
 			}
 		}
 	}
+	for _, p := range [][2]float64{{-0.1, 0.5}, {0.2, 1.1}, {math.NaN(), 0.5}, {0.2, math.NaN()}} {
+		if _, err := Flapping(base, p[0], p[1], 40, rand.New(rand.NewSource(11))); err == nil {
+			t.Errorf("Flapping(down=%v, up=%v) accepted", p[0], p[1])
+		}
+	}
 }
 
 func TestPoissonChurnKeepsLeaveJoinAlternating(t *testing.T) {
 	base := topology.Complete(10)
+	for _, p := range [][2]float64{{-0.1, 5}, {1.1, 5}, {math.NaN(), 5}, {0.05, 0.5}, {0.05, math.NaN()}} {
+		if _, err := PoissonChurn(base, p[0], p[1], 60, rand.New(rand.NewSource(3))); err == nil {
+			t.Errorf("PoissonChurn(leave=%v, downtime=%v) accepted", p[0], p[1])
+		}
+	}
 	s, err := PoissonChurn(base, 0.05, 5, 60, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)

@@ -59,8 +59,6 @@ type Config struct {
 	// epoch starts at or after the schedule's final event, so the final
 	// topology's ground truth is always scored).
 	Epochs int
-	// FullHorizon disables the engine's quiescence early exit.
-	FullHorizon bool
 	// Workers is the run's parallelism budget (0 = GOMAXPROCS), split by
 	// exp.SplitBudget between epochs in flight and each epoch's engine
 	// workers: epochs are independent agreement instances with no barrier
@@ -277,12 +275,11 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 		go func() {
 			var err error
 			f.rep.Metrics, err = rounds.Run(rounds.Config{
-				Topology:    w,
-				Rounds:      epochRounds,
-				Seed:        seed,
-				FullHorizon: cfg.FullHorizon,
-				Workers:     engineWorkers,
-				Tracer:      cfg.Tracer,
+				Topology: w,
+				Rounds:   epochRounds,
+				Seed:     seed,
+				Workers:  engineWorkers,
+				Tracer:   cfg.Tracer,
 			}, stack.Protos)
 			f.done <- err
 		}()

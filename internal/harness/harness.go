@@ -50,15 +50,12 @@ type Spec struct {
 	// reliable-channel assumption) — for baseline robustness studies and
 	// NECTAR degradation analysis. See rounds.Config.LossRate.
 	LossRate float64
-	// FullHorizon disables the engine's quiescence early exit, forcing
-	// every trial through all rounds. Results are identical either way;
-	// used by equivalence tests and round-complexity ablations.
-	FullHorizon bool
 
-	// noVerifyCache runs NECTAR trials without the per-trial
-	// message-check memo (DESIGN.md §9): the uncached reference
-	// this package's tests compare the default against.
-	noVerifyCache bool
+	// fullHorizon runs every trial through all rounds instead of exiting
+	// once the nodes go quiescent (DESIGN.md §6), and noVerifyCache runs
+	// NECTAR trials without the per-trial message-check memo (§9): the
+	// references this package's tests compare the default against.
+	fullHorizon, noVerifyCache bool
 }
 
 // Truth is the scenario's ground truth, computed from the generated graph
@@ -202,7 +199,7 @@ func runTrial(spec *Spec, trial, engineWorkers int) (Trial, error) {
 		Rounds:      r,
 		Seed:        trialSeed,
 		Workers:     engineWorkers,
-		FullHorizon: spec.FullHorizon,
+		FullHorizon: spec.fullHorizon,
 		LossRate:    spec.LossRate,
 	}, protos)
 	if err != nil {

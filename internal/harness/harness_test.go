@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,6 +48,11 @@ func TestRunValidation(t *testing.T) {
 	bad.Attack = AttackPoison // not defined for NECTAR
 	if _, err := Run(bad); err == nil {
 		t.Error("poison attack on NECTAR accepted")
+	}
+	bad = ok
+	bad.LossRate = math.NaN()
+	if _, err := Run(bad); err == nil {
+		t.Error("NaN loss rate accepted")
 	}
 }
 
@@ -351,28 +357,42 @@ func TestCutPlacementFallsBackToRandom(t *testing.T) {
 // a pure wall-clock optimization — every protocol's trials must score and
 // meter identically against the uncached reference run.
 func TestVerifyCacheMatchesUncachedTrials(t *testing.T) {
+	assertTrialsMatchReference(t, "uncached", func(s *Spec) { s.noVerifyCache = true })
+}
+
+// TestEarlyExitMatchesFullHorizonTrials: quiescence early exit is a pure
+// wall-clock optimization — every protocol's trials must score and meter
+// identically against the run through all rounds (DESIGN.md §6).
+func TestEarlyExitMatchesFullHorizonTrials(t *testing.T) {
+	assertTrialsMatchReference(t, "full-horizon", func(s *Spec) { s.fullHorizon = true })
+}
+
+// assertTrialsMatchReference runs a Byzantine-bridge spec for each protocol
+// as is and with mut applied, and fails unless every trial scores and
+// meters the same.
+func assertTrialsMatchReference(t *testing.T, name string, mut func(*Spec)) {
+	t.Helper()
 	for _, proto := range []ProtocolKind{ProtoNectar, ProtoMtG, ProtoMtGv2} {
 		base := Spec{
 			Protocol: proto, Attack: AttackSplitBrain,
 			T: 2, Trials: 4, Seed: 11,
 			Scenario: Bridge(14, 2, 6, 1.8, 2),
 		}
-		ref, err := Run(base)
+		got, err := Run(base)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		uncached := base
-		uncached.noVerifyCache = true
-		got, err := Run(uncached)
+		mut(&base)
+		ref, err := Run(base)
 		if err != nil {
-			t.Fatalf("%s/uncached: %v", proto, err)
+			t.Fatalf("%s/%s: %v", proto, name, err)
 		}
 		for i := range ref.Trials {
 			r, g := ref.Trials[i], got.Trials[i]
 			if r.Accuracy != g.Accuracy || r.Agreement != g.Agreement ||
 				r.MeanBytesPerNode != g.MeanBytesPerNode || r.MaxBytesPerNode != g.MaxBytesPerNode ||
 				r.MeanBroadcastBytes != g.MeanBroadcastBytes {
-				t.Errorf("%s trial %d diverges without the verify cache:\nref: %+v\ngot: %+v", proto, i, r, g)
+				t.Errorf("%s trial %d diverges from the %s reference:\nref: %+v\ngot: %+v", proto, i, name, r, g)
 			}
 		}
 	}

@@ -30,13 +30,13 @@ type specRunner struct{ spec Spec }
 
 func (r *specRunner) Fingerprint() string {
 	s := &r.spec
-	// The execution knob Jobs is excluded: it never
-	// change results, so a checkpoint stays valid across them. Scenario
-	// is a function and cannot be fingerprinted — the plan key owns
-	// scenario identity (DESIGN.md §10).
-	return fmt.Sprintf("static|%s|%s|%s|t=%d|trials=%d|seed=%d|scheme=%s|rounds=%d|fanout=%d|loss=%g|full=%t",
+	// The execution knob Jobs and the test-only references are excluded:
+	// they never change results, so a checkpoint stays valid across them.
+	// Scenario is a function and cannot be fingerprinted — the plan key
+	// owns scenario identity (DESIGN.md §10).
+	return fmt.Sprintf("static|%s|%s|%s|t=%d|trials=%d|seed=%d|scheme=%s|rounds=%d|fanout=%d|loss=%g",
 		s.Name, s.Protocol, s.Attack, s.T, s.Trials, s.Seed, s.SchemeName,
-		s.Rounds, s.Fanout, s.LossRate, s.FullHorizon)
+		s.Rounds, s.Fanout, s.LossRate)
 }
 
 func (r *specRunner) Units() int           { return r.spec.Trials }

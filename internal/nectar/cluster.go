@@ -12,10 +12,11 @@ import (
 type BuildOption func(*Config)
 
 // WithParanoidVerify enables the literal Alg.-1 check order (signature
-// verification before the duplicate check) on every node — an ablation
-// knob, see Config.ParanoidVerify.
+// verification before the duplicate check) on every node: the reference
+// the equivalence tests and the ablation benchmark compare the default
+// order against (see Config.paranoidVerify).
 func WithParanoidVerify() BuildOption {
-	return func(c *Config) { c.ParanoidVerify = true }
+	return func(c *Config) { c.paranoidVerify = true }
 }
 
 // WithVerifyCache shares a message-check memo across every node

@@ -84,7 +84,7 @@ func FuzzNodeDeliver(f *testing.F) {
 			Proofs:         NeighborProofs(proofs, g, me),
 			Signer:         scheme.SignerFor(me),
 			Verifier:       v,
-			ParanoidVerify: paranoid,
+			paranoidVerify: paranoid,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -81,13 +81,6 @@ type Config struct {
 	// default n-1 (the safe lower bound when the topology is unknown,
 	// §IV-B). Values below the correct-subgraph diameter lose liveness.
 	Rounds int
-	// ParanoidVerify verifies signatures even for already-known edges,
-	// matching the literal check order of Alg. 1 l. 14. The default
-	// (false) discards duplicates before any signature work — safe, since
-	// duplicates cause no state change — cutting verification cost from
-	// O(m·deg) to O(m) chains per node (DESIGN.md §2). Exposed as an
-	// ablation knob; decisions are identical either way.
-	ParanoidVerify bool
 	// VerifyCache, when non-nil, memoizes message checks by their exact
 	// bytes. Verification is deterministic for every provided scheme, so the
 	// memo is semantics-preserving; share one cache across the nodes of a
@@ -95,6 +88,14 @@ type Config struct {
 	// costs its last hop (DESIGN.md §9). Nil disables memoization, and a
 	// Verifier whose signatures do not bind the message never consults it.
 	VerifyCache *sig.VerifyCache
+
+	// paranoidVerify verifies signatures even for already-known edges,
+	// matching the literal check order of Alg. 1 l. 14. The default
+	// (false) discards duplicates before any signature work — safe, since
+	// duplicates cause no state change — cutting verification cost from
+	// O(m·deg) to O(m) chains per node (DESIGN.md §2). A test-only
+	// reference with identical decisions, set by WithParanoidVerify.
+	paranoidVerify bool
 }
 
 // Stats counts a node's message-handling outcomes; useful to tests and
@@ -425,7 +426,7 @@ func (nd *Node) encodeRelay(item relayItem, v sig.Verifier, ps, sigSize int) []b
 // Paranoid mode is the literal Alg. 1 order: the full check first, then
 // the duplicate check.
 func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
-	if !nd.cfg.ParanoidVerify {
+	if !nd.cfg.paranoidVerify {
 		e, err := DecodeEdgeHeader(data, nd.cfg.N)
 		if err != nil {
 			nd.stats.Rejected++
@@ -444,7 +445,7 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 		nd.traceReject(round, from, hops, err)
 		return
 	}
-	if nd.cfg.ParanoidVerify && nd.gi().HasEdge(e.U, e.V) {
+	if nd.cfg.paranoidVerify && nd.gi().HasEdge(e.U, e.V) {
 		nd.stats.Duplicates++
 		return
 	}

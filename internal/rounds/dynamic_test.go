@@ -143,19 +143,22 @@ func TestTopologyChangeReArmsQuiescenceAndWakesNodes(t *testing.T) {
 	// round 10 and the wake announcements would never happen.
 	g1 := graph.FromEdges(4, []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(2, 3)})
 	g2 := graph.FromEdges(4, []graph.Edge{graph.NewEdge(0, 2), graph.NewEdge(1, 3)})
-	provider := &phasedTopology{phases: map[int]*graph.Graph{1: g1, 10: g2}}
-
-	nodes := make([]*wakingNode, 4)
-	protos := make([]Protocol, 4)
-	for i := range nodes {
-		nodes[i] = &wakingNode{id: ids.NodeID(i)}
-		nodes[i].nbrs = append(nodes[i].nbrs, g1.Neighbors(ids.NodeID(i))...)
-		protos[i] = nodes[i]
+	run := func(fullHorizon bool) ([]*wakingNode, *Metrics) {
+		provider := &phasedTopology{phases: map[int]*graph.Graph{1: g1, 10: g2}}
+		nodes := make([]*wakingNode, 4)
+		protos := make([]Protocol, 4)
+		for i := range nodes {
+			nodes[i] = &wakingNode{id: ids.NodeID(i)}
+			nodes[i].nbrs = append(nodes[i].nbrs, g1.Neighbors(ids.NodeID(i))...)
+			protos[i] = nodes[i]
+		}
+		m, err := Run(Config{Topology: provider, Rounds: 30, Seed: 1, FullHorizon: fullHorizon}, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nodes, m
 	}
-	m, err := Run(Config{Topology: provider, Rounds: 30, Seed: 1}, protos)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes, m := run(false)
 	// Executed rounds: 1 (announce + drain, all quiescent -> jump to the
 	// round-10 change) and 10 (wake announce + drain, quiescent again, no
 	// further change -> exit). Everything else is fast-forwarded.
@@ -169,6 +172,31 @@ func TestTopologyChangeReArmsQuiescenceAndWakesNodes(t *testing.T) {
 		want := []int{1, 10}
 		if !reflect.DeepEqual(nd.got, want) {
 			t.Errorf("node %d delivered at rounds %v, want %v", i, nd.got, want)
+		}
+	}
+
+	// The fast-forward is a pure wall-clock optimization: running all 30
+	// rounds delivers and meters exactly the same.
+	refNodes, ref := run(true)
+	if ref.ActiveRounds != 30 {
+		t.Errorf("full horizon: ActiveRounds = %d, want 30", ref.ActiveRounds)
+	}
+	for i := range nodes {
+		if !reflect.DeepEqual(nodes[i].got, refNodes[i].got) {
+			t.Errorf("node %d delivered at rounds %v, full horizon %v", i, nodes[i].got, refNodes[i].got)
+		}
+	}
+	for _, f := range []struct {
+		name      string
+		got, want []int64
+	}{
+		{"BytesSent", m.BytesSent, ref.BytesSent},
+		{"BytesByRound", m.BytesByRound, ref.BytesByRound},
+		{"MsgsSent", m.MsgsSent, ref.MsgsSent},
+		{"MsgsDelivered", m.MsgsDelivered, ref.MsgsDelivered},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("%s = %v, full horizon %v", f.name, f.got, f.want)
 		}
 	}
 }

@@ -447,7 +447,7 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 	if cfg.Rounds < 0 {
 		return nil, fmt.Errorf("rounds: negative round count %d", cfg.Rounds)
 	}
-	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
+	if !(cfg.LossRate >= 0 && cfg.LossRate < 1) { // NaN fails too
 		return nil, fmt.Errorf("rounds: LossRate must be in [0,1), got %v", cfg.LossRate)
 	}
 	if cfg.Workers < 0 {

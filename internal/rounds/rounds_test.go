@@ -449,6 +449,9 @@ func TestLossRateValidation(t *testing.T) {
 	if _, err := Run(Config{Graph: g, Rounds: 1, LossRate: 1.0}, protos); err == nil {
 		t.Error("loss rate 1.0 accepted")
 	}
+	if _, err := Run(Config{Graph: g, Rounds: 1, LossRate: math.NaN()}, protos); err == nil {
+		t.Error("NaN loss rate accepted")
+	}
 }
 
 // quiescentFlood is floodNode plus the Quiescer attestation: nothing

@@ -120,11 +120,6 @@ func NeighborProofs(all map[Edge]Proof, g *Graph, me NodeID) map[NodeID]Proof {
 // BuildOption customizes BuildNodes' per-node Config.
 type BuildOption = inectar.BuildOption
 
-// WithParanoidVerify enables the literal Alg.-1 check order (verify
-// before duplicate discard) — an ablation knob with identical decisions
-// and strictly higher CPU cost.
-func WithParanoidVerify() BuildOption { return inectar.WithParanoidVerify() }
-
 // BuildNodes constructs one correct NECTAR node per vertex of g
 // (simulation convenience; real deployments build Nodes from local
 // Configs).

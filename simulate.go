@@ -87,10 +87,6 @@ type SimulationConfig struct {
 	// stonewalls. Every key must be a node assigned BehaviorSplitBrain —
 	// entries for any other node are a configuration error.
 	Blocked map[NodeID][]NodeID
-	// FullHorizon disables the engine's quiescence early exit, forcing
-	// all rounds to execute. Results are identical either way; the knob
-	// exists for equivalence testing and round-complexity ablations.
-	FullHorizon bool
 	// Workers caps the engine's intra-run parallelism (0 = GOMAXPROCS).
 	// Results are identical for any worker count (DESIGN.md §6, §10);
 	// bound it when sharing a machine with other runs.
@@ -99,12 +95,13 @@ type SimulationConfig struct {
 	// (DESIGN.md §12). Tracing never changes results; nil is free.
 	Tracer obs.Tracer
 
-	// noVerifyCache runs without the run-wide message-check memo
-	// (DESIGN.md §9), and paranoidVerify applies the literal Alg. 1 check
-	// order (verification before the duplicate discard; see
-	// Config.ParanoidVerify): the references the equivalence tests compare
-	// the default against. Settable from in-package tests only.
-	noVerifyCache, paranoidVerify bool
+	// fullHorizon runs every round of the horizon instead of exiting once
+	// the nodes go quiescent (DESIGN.md §6), noVerifyCache runs without the
+	// run-wide message-check memo (§9), and paranoidVerify applies the
+	// literal Alg. 1 check order (verification before the duplicate
+	// discard, §2): the references the equivalence tests compare the
+	// default against. Settable from in-package tests only.
+	fullHorizon, noVerifyCache, paranoidVerify bool
 }
 
 // SimulationResult reports the decisions and traffic of one execution.
@@ -175,7 +172,7 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 		Graph:       cfg.Graph,
 		Rounds:      r,
 		Seed:        cfg.Seed,
-		FullHorizon: cfg.FullHorizon,
+		FullHorizon: cfg.fullHorizon,
 		Workers:     cfg.Workers,
 		Tracer:      cfg.Tracer,
 	}, run.Protos)
