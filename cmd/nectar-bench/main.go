@@ -49,7 +49,7 @@ func run(args []string) error {
 	trials := fs.Int("trials", 0, "trial count override (0 = per-experiment defaults)")
 	seed := fs.Int64("seed", 42, "experiment seed")
 	quick := fs.Bool("quick", false, "shrink grids and trial counts for a fast pass")
-	scheme := fs.String("scheme", "hmac", "signature scheme: hmac|ed25519|insecure")
+	scheme := fs.String("scheme", "hmac", "signature scheme: "+strings.Join(sig.Names(), "|"))
 	out := fs.String("out", "results", "output directory for CSV files")
 	jobs := fs.Int("jobs", 0, "parallelism budget shared by all experiments (0 = GOMAXPROCS)")
 	stream := fs.String("stream", "", "stream per-trial records to this JSONL checkpoint file")

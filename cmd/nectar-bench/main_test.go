@@ -40,6 +40,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-out", t.TempDir(), "nosuch-experiment"}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	if err := run([]string{"-quick", "-scheme", "insecure", "-out", t.TempDir(), "fig3"}); err == nil {
+		t.Error("unknown scheme accepted")
+	}
 }
 
 func TestListMode(t *testing.T) {

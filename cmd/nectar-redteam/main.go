@@ -45,7 +45,7 @@ func run(args []string, out *os.File) error {
 	baseline := fs.Int("baseline", 16, "random placements scored for the baseline")
 	trials := fs.Int("trials", 3, "engine trials per candidate evaluation")
 	seed := fs.Int64("seed", 1, "random seed (the whole run reproduces from it)")
-	scheme := fs.String("scheme", "hmac", "signature scheme: hmac|ed25519|insecure")
+	scheme := fs.String("scheme", "hmac", "signature scheme: "+strings.Join(sig.Names(), "|"))
 	rounds := fs.Int("rounds", 0, "engine horizon override (0 = n-1)")
 	jobs := fs.Int("jobs", 0, "parallelism budget for candidate evaluations (0 = GOMAXPROCS; never changes results)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text")

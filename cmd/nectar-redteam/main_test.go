@@ -89,6 +89,7 @@ func TestRedTeamCLIErrors(t *testing.T) {
 		{"-topo", "ring", "-n", "8", "-t", "2", "-objective", "nosuch"},
 		{"-topo", "ring", "-n", "8", "-t", "2", "-optimizer", "nosuch"},
 		{"-topo", "ring", "-n", "8", "-t", "2", "-attack", "nosuch"},
+		{"-topo", "ring", "-n", "8", "-t", "2", "-scheme", "insecure"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, args); err == nil {

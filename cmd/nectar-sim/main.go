@@ -43,7 +43,7 @@ func run(args []string) error {
 	topo.Register(fs)
 	t := fs.Int("t", 1, "assumed Byzantine bound")
 	seed := fs.Int64("seed", 1, "random seed")
-	scheme := fs.String("scheme", "ed25519", "signature scheme: ed25519|hmac|insecure|slim")
+	scheme := fs.String("scheme", "ed25519", "signature scheme: "+strings.Join(sig.Names(), "|"))
 	rounds := fs.Int("rounds", 0, "round override (0 = n-1); the per-epoch horizon under -churn")
 	byzList := fs.String("byz", "", "comma-separated Byzantine node IDs")
 	behavior := fs.String("behavior", "crash",

@@ -63,6 +63,7 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-blocked", "1,bad"}, ""},
 		{[]string{"-topo", "ring", "-n", "6", "-t", "1", "-byz", "1,2"}, ""}, // 2 byz > t
 		{[]string{"-topo", "ring", "-n", "6", "-scheme", "nosuch"}, ""},
+		{[]string{"-topo", "ring", "-n", "6", "-scheme", "insecure"}, `unknown scheme "insecure" (valid: ed25519, hmac, slim)`},
 		{[]string{"-topo", "ring", "-n", "6", "-byz", "1", "-behavior", "nosuch"}, ""},
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "nosuch"}, ""},
 		{[]string{"-topo", "ring", "-n", "6", "-t", "-1", "-scheme", "hmac"}, "nectar: negative T -1"},

@@ -227,10 +227,10 @@ func checkReferences(t *testing.T, fullHorizon bool) {
 
 // TestVerifyCacheFollowsTheScheme: the memo is consulted only when the
 // scheme's signatures bind the message (DESIGN.md §9) — decided from the
-// scheme, not from a knob. Unbound ablation schemes make zero lookups and
-// match their uncached run byte for byte; the real schemes still hit.
+// scheme, not from a knob. The unbound slim scheme makes zero lookups and
+// matches its uncached run byte for byte; the real schemes still hit.
 func TestVerifyCacheFollowsTheScheme(t *testing.T) {
-	for _, scheme := range []string{"ed25519", "hmac", "insecure", "slim"} {
+	for _, scheme := range []string{"ed25519", "hmac", "slim"} {
 		cfg := equivalenceCases(t, 1)[0].cfg // ring, all correct
 		cfg.SchemeName = scheme
 		got, err := Simulate(cfg)
@@ -239,7 +239,7 @@ func TestVerifyCacheFollowsTheScheme(t *testing.T) {
 		}
 		lookups := got.VerifyCacheHits + got.VerifyCacheMisses
 		switch scheme {
-		case "insecure", "slim":
+		case "slim":
 			if lookups != 0 {
 				t.Errorf("%s: %d memo lookups, want 0", scheme, lookups)
 			}

@@ -32,6 +32,5 @@ var Protocols = nvet.ScopeUnder(
 	"internal/nectar",
 	"internal/adversary",
 	"internal/mtg",
-	"internal/unsigned",
 	"internal/rounds",
 )

@@ -60,7 +60,7 @@ func (s DynamicSpec) validate() (DynamicSpec, error) {
 	if s.SchemeName == "" {
 		s.SchemeName = "hmac"
 	}
-	return s, nil
+	return s, checkScheme(s.SchemeName)
 }
 
 // DynamicTrial is the scored outcome of one dynamic run.
@@ -132,12 +132,12 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 // NectarEpochs returns the dynamic.BuildFn of a NECTAR run over an evolving
 // topology — SimulateDynamic's and RunDynamic's — and the release its caller
 // defers. Each epoch is a fresh BuildNectar of cfg on the epoch's graph,
-// absent set and seed, under a scheme named schemeName keyed by that seed: a
-// verification memo must never outlive its key set. Finish decides through
-// one decision memo for the whole run (the predicate is scheme-independent),
-// with kappa_eval events to tr, and hands the outcomes to decided when it is
-// non-nil. release frees what a failed run leaves built but unfinished —
-// the epochs dynamic.Run never finishes.
+// absent set and seed, under the scheme schemeName (which the caller has
+// checked) keyed by that seed: a verification memo must never outlive its
+// key set. Finish decides through one decision memo for the whole run (the
+// predicate is scheme-independent), with kappa_eval events to tr, and hands
+// the outcomes to decided when it is non-nil. release frees what a failed
+// run leaves built but unfinished — the epochs dynamic.Run never finishes.
 func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided func([]nectar.Outcome)) (build dynamic.BuildFn, release func()) {
 	dc := nectar.NewDecideCache()
 	// The runs built and not yet finished, oldest first: dynamic.Run builds
@@ -145,9 +145,6 @@ func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided fu
 	var unfinished []*NectarRun
 	build = func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*dynamic.Stack, error) {
 		scheme := sig.ByName(schemeName, g.N(), seed)
-		if scheme == nil {
-			return nil, fmt.Errorf("unknown scheme %q", schemeName)
-		}
 		c := cfg
 		c.Graph, c.Scheme, c.Seed, c.Absent = g, scheme, seed, absent
 		run, err := BuildNectar(c)

@@ -157,13 +157,22 @@ func (s Spec) validate() (Spec, error) {
 	if s.SchemeName == "" {
 		s.SchemeName = "hmac"
 	}
-	if !slices.Contains(sig.Names(), s.SchemeName) {
-		return s, fmt.Errorf("harness: unknown scheme %q (valid: %v)", s.SchemeName, sig.Names())
+	if err := checkScheme(s.SchemeName); err != nil {
+		return s, err
 	}
 	if !attackSupported(s.Protocol, s.Attack) {
 		return s, fmt.Errorf("harness: attack %q not defined for protocol %q", s.Attack, s.Protocol)
 	}
 	return s, nil
+}
+
+// checkScheme rejects a scheme name sig.ByName does not know, naming the
+// valid ones, before any unit runs.
+func checkScheme(name string) error {
+	if slices.Contains(sig.Names(), name) {
+		return nil
+	}
+	return fmt.Errorf("harness: unknown scheme %q (valid: %v)", name, sig.Names())
 }
 
 // trialSeedStride spaces per-trial seeds; the dynamic driver and the

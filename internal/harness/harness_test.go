@@ -56,9 +56,22 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestUnknownSchemeRejectedUpFront: a scheme typo fails validation, naming
-// the valid schemes, before any trial generates a scenario.
+// TestUnknownSchemeRejectedUpFront: a scheme typo fails the runner's
+// constructor, naming the valid schemes, before any trial generates a
+// scenario — for static, dynamic and red-team specs alike.
 func TestUnknownSchemeRejectedUpFront(t *testing.T) {
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: unknown scheme accepted", name)
+			return
+		}
+		for _, scheme := range sig.Names() {
+			if !strings.Contains(err.Error(), scheme) {
+				t.Errorf("%s: error %q does not name scheme %q", name, err, scheme)
+			}
+		}
+	}
 	for _, p := range Protocols() {
 		generated := 0
 		_, err := NewRunner(Spec{
@@ -68,18 +81,19 @@ func TestUnknownSchemeRejectedUpFront(t *testing.T) {
 				return Plain(hararyGen(2, 6))(rng)
 			},
 		})
-		if err == nil {
-			t.Fatalf("%s: unknown scheme accepted", p)
-		}
-		for _, name := range sig.Names() {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("%s: error %q does not name scheme %q", p, err, name)
-			}
-		}
+		check(string(p), err)
 		if generated != 0 {
 			t.Errorf("%s: %d scenarios generated before the scheme was rejected", p, generated)
 		}
 	}
+	d := dynamicSpecForTest()
+	d.SchemeName = "nosuch"
+	_, err := NewDynamicRunner(d)
+	check("dynamic", err)
+	r := redTeamSpecForTest()
+	r.SchemeName = "nosuch"
+	_, err = NewRedTeamRunner(r)
+	check("redteam", err)
 }
 
 func TestNectarCostRunDeterministic(t *testing.T) {

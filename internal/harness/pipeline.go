@@ -118,6 +118,9 @@ func NewRedTeamRunner(spec RedTeamSpec) (exp.TrialRunner, error) {
 	if spec.Jobs < 0 {
 		return nil, fmt.Errorf("harness: Jobs must be non-negative, got %d", spec.Jobs)
 	}
+	if err := checkScheme(spec.SchemeName); err != nil {
+		return nil, err
+	}
 	if !spec.Objective.Valid() {
 		return nil, fmt.Errorf("harness: unknown objective %q (valid: %v)",
 			spec.Objective, redteam.Objectives())

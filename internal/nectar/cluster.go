@@ -13,8 +13,8 @@ type BuildOption func(*Config)
 
 // WithParanoidVerify enables the literal Alg.-1 check order (signature
 // verification before the duplicate check) on every node: the reference
-// the equivalence tests and the ablation benchmark compare the default
-// order against (see Config.paranoidVerify).
+// the equivalence tests and FuzzNodeDeliver compare the default order
+// against (see Config.paranoidVerify).
 func WithParanoidVerify() BuildOption {
 	return func(c *Config) { c.paranoidVerify = true }
 }

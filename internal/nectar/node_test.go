@@ -228,31 +228,56 @@ func TestDuplicatesAreDiscardedCheaply(t *testing.T) {
 }
 
 func TestRoundsOverrideDiameterSuffices(t *testing.T) {
-	// §IV-B: any R ≥ diameter discovers the same graph. A ring of 10 has
-	// diameter 5; running 6 rounds must already converge. (One extra round
+	// §IV-B: any R ≥ diameter discovers the same graph. One extra round
 	// lets the last received chains relay nowhere, matching R >= d+1 for
-	// edge dissemination from both endpoints.)
-	g := topology.Ring(10)
-	nodes, err := BuildNodes(g, 1, sig.NewHMAC(10, 1), 6)
+	// edge dissemination from both endpoints. Nodes fall silent once
+	// everything is discovered (§IV-E), so R = diameter+1, the n−1 horizon
+	// with the engine's early exit, and the n−1 horizon run in full must
+	// send the same bytes.
+	h, err := topology.Harary(4, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	protos := make([]rounds.Protocol, len(nodes))
-	for i, nd := range nodes {
-		protos[i] = nd
-	}
-	if nodes[0].Rounds() != 6 {
-		t.Fatalf("Rounds() = %d, want 6", nodes[0].Rounds())
-	}
-	if _, err := rounds.Run(rounds.Config{Graph: g, Rounds: 6, Seed: 3}, protos); err != nil {
-		t.Fatal(err)
-	}
-	for i, nd := range nodes {
-		if !nd.View().Equal(g) {
-			t.Errorf("node %d did not converge with R=diameter+1", i)
+	for _, g := range []*graph.Graph{topology.Ring(10), h} {
+		diam, ok := g.Diameter()
+		if !ok {
+			t.Fatal("disconnected")
 		}
-		if o := nd.Decide(); o.Decision != NotPartitionable {
-			t.Errorf("node %d decided %v", i, o.Decision)
+		scheme := sig.NewHMAC(g.N(), 1)
+		run := func(name string, roundsOverride int, fullHorizon bool) int64 {
+			nodes, err := BuildNodes(g, 1, scheme, roundsOverride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if roundsOverride > 0 && nodes[0].Rounds() != roundsOverride {
+				t.Fatalf("n=%d %s: Rounds() = %d, want %d", g.N(), name, nodes[0].Rounds(), roundsOverride)
+			}
+			protos := make([]rounds.Protocol, len(nodes))
+			for i, nd := range nodes {
+				protos[i] = nd
+			}
+			m, err := rounds.Run(rounds.Config{
+				Graph: g, Rounds: nodes[0].Rounds(), Seed: 3, FullHorizon: fullHorizon,
+			}, protos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, nd := range nodes {
+				if !nd.View().Equal(g) {
+					t.Errorf("n=%d %s: node %d did not converge", g.N(), name, i)
+				}
+				if o := nd.Decide(); o.Decision != NotPartitionable {
+					t.Errorf("n=%d %s: node %d decided %v", g.N(), name, i, o.Decision)
+				}
+			}
+			return m.TotalBytes()
+		}
+		short := run("R=diameter+1", diam+1, false)
+		early := run("R=n-1 early exit", 0, false)
+		full := run("R=n-1 full horizon", 0, true)
+		if short != early || short != full {
+			t.Errorf("n=%d: bytes differ across horizons: diameter+1=%d early=%d full=%d",
+				g.N(), short, early, full)
 		}
 	}
 }

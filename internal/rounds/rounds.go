@@ -188,7 +188,7 @@ type Config struct {
 	// FullHorizon disables quiescence early exit: all Rounds rounds run
 	// even when every node is quiescent. Results are identical either
 	// way (the skipped rounds are provably silent); the knob exists for
-	// equivalence tests and ablations.
+	// the equivalence tests.
 	FullHorizon bool
 	// LossRate drops each routed message independently with the given
 	// probability (0 = reliable channels, the paper's model). Message

@@ -16,9 +16,9 @@
 //     Unforgeability holds *within the simulation* by capability
 //     discipline: protocol code (including adversaries) signs only through
 //     the Signer handle bound to its own identity.
-//   - Insecure and its 4-byte variant Slim — no crypto at all, for cost
-//     and scale ablations. Their signatures do not bind the message
-//     (Verifier.BindsMessage reports false).
+//   - Slim, the 4-byte Insecure scheme — no crypto at all, for cost and
+//     scale runs (tests build wider ones with NewInsecure). Its signatures
+//     do not bind the message (Verifier.BindsMessage reports false).
 //
 // Signers are distributed as capabilities: a node — correct or Byzantine —
 // receives only SignerFor(its own ID) plus the shared Verifier, which
@@ -58,8 +58,8 @@ type Verifier interface {
 	SigSize() int
 	// BindsMessage reports whether a signature commits to the message it
 	// signs, i.e. whether Verify's verdict depends on msg. It is a property
-	// of the scheme: true for Ed25519 and HMAC, false for the insecure and
-	// slim ablations, whose one constant tag per signer verifies for any
+	// of the scheme: true for Ed25519 and HMAC, false for slim (any
+	// Insecure width), whose one constant tag per signer verifies for any
 	// message. A NECTAR node reads it to decide whether memoizing can pay.
 	BindsMessage() bool
 }
@@ -67,7 +67,7 @@ type Verifier interface {
 // Scheme is a signature scheme instantiated for a fixed population of n
 // nodes with pre-distributed keys (the PKI-at-setup assumption of §II).
 type Scheme interface {
-	// Name identifies the scheme ("ed25519", "hmac", "insecure").
+	// Name identifies the scheme ("ed25519", "hmac", "slim", "insecure").
 	Name() string
 	// N returns the population size the scheme was built for.
 	N() int
@@ -338,10 +338,10 @@ func (v hmacVerifier) BindsMessage() bool { return true }
 
 // ---- Insecure ablation scheme ----
 
-// Insecure is a no-crypto Scheme for cost-only ablations: signatures are
+// Insecure is a no-crypto Scheme for cost-only runs: signatures are
 // constant-content byte strings of the configured size and verification
 // only checks size and signer range. Never use where Byzantine behaviour
-// matters.
+// matters. ByName offers it only as "slim".
 type Insecure struct {
 	n       int
 	sigSize int
@@ -362,9 +362,7 @@ const SlimSigSize = 4
 
 // NewSlim builds the large-n scaling scheme (DESIGN.md §14): the
 // Insecure verifier with SlimSigSize-byte pseudo-signatures, so hop
-// chains shrink ~8× versus "insecure"'s Ed25519-width padding. Use it
-// when measuring engine wall clock at n=10⁴; use "insecure" when the
-// byte costs must stay faithful to real signatures.
+// chains shrink ~8× (8 bytes a hop instead of 68).
 func NewSlim(n int) *Insecure {
 	return &Insecure{n: n, sigSize: SlimSigSize, name: "slim"}
 }
@@ -415,18 +413,16 @@ func (v insecureVerifier) BindsMessage() bool { return false }
 
 // Names lists the scheme names ByName accepts, for error messages and
 // flag validation.
-func Names() []string { return []string{"ed25519", "hmac", "insecure", "slim"} }
+func Names() []string { return []string{"ed25519", "hmac", "slim"} }
 
-// ByName constructs a scheme by name: "ed25519", "hmac", "insecure" or
-// "slim". Unknown names return nil.
+// ByName constructs a scheme by name: "ed25519", "hmac" or "slim". Unknown
+// names return nil.
 func ByName(name string, n int, seed int64) Scheme {
 	switch name {
 	case "ed25519":
 		return NewEd25519(n, seed)
 	case "hmac":
 		return NewHMAC(n, seed)
-	case "insecure":
-		return NewInsecure(n, Ed25519SigSize)
 	case "slim":
 		return NewSlim(n)
 	}

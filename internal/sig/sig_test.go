@@ -98,14 +98,16 @@ func TestSignerIsBoundToID(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"ed25519", "hmac", "insecure"} {
+	for _, name := range Names() {
 		s := ByName(name, 3, 1)
 		if s == nil || s.Name() != name || s.N() != 3 {
 			t.Errorf("ByName(%q) = %v", name, s)
 		}
 	}
-	if ByName("rsa", 3, 1) != nil {
-		t.Error("unknown scheme should return nil")
+	for _, name := range []string{"rsa", "insecure"} {
+		if ByName(name, 3, 1) != nil {
+			t.Errorf("ByName(%q) should return nil", name)
+		}
 	}
 }
 
@@ -361,7 +363,7 @@ func TestHMACConcurrent(t *testing.T) {
 }
 
 func TestBindsMessage(t *testing.T) {
-	want := map[string]bool{"ed25519": true, "hmac": true, "insecure": false, "slim": false}
+	want := map[string]bool{"ed25519": true, "hmac": true, "slim": false}
 	for _, name := range Names() {
 		if got := ByName(name, 2, 1).Verifier().BindsMessage(); got != want[name] {
 			t.Errorf("%s: BindsMessage() = %v, want %v", name, got, want[name])

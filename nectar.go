@@ -99,8 +99,7 @@ func NewEd25519Scheme(n int, seed int64) Scheme { return sig.NewEd25519(n, seed)
 // signature sizes, ~50x faster; see DESIGN.md §4).
 func NewHMACScheme(n int, seed int64) Scheme { return sig.NewHMAC(n, seed) }
 
-// SchemeByName returns "ed25519", "hmac" or "insecure" schemes, nil for
-// unknown names.
+// SchemeByName returns the "ed25519", "hmac" or "slim" scheme, nil otherwise.
 func SchemeByName(name string, n int, seed int64) Scheme { return sig.ByName(name, n, seed) }
 
 // MakeProof builds the proof of neighborhood between two signers.

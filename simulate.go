@@ -2,6 +2,7 @@ package nectar
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/nectar-repro/nectar/internal/harness"
@@ -221,10 +222,8 @@ func resolveSchemeName(name string) (string, error) {
 	if name == "" {
 		return "ed25519", nil
 	}
-	for _, s := range sig.Names() {
-		if name == s {
-			return name, nil
-		}
+	if slices.Contains(sig.Names(), name) {
+		return name, nil
 	}
 	return "", fmt.Errorf("nectar: unknown scheme %q (valid: %s)",
 		name, strings.Join(sig.Names(), ", "))
