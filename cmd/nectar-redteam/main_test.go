@@ -82,18 +82,33 @@ func TestRedTeamCLIList(t *testing.T) {
 	}
 }
 
+// TestRedTeamCLIErrors: every bad flag is refused by an error that names
+// what is wrong, and all but the topology's — which the search's unit
+// samples — before the search runs.
 func TestRedTeamCLIErrors(t *testing.T) {
-	cases := [][]string{
-		{"-topo", "nosuch"},
-		{"-topo", "ring", "-n", "8", "-t", "0"},
-		{"-topo", "ring", "-n", "8", "-t", "2", "-objective", "nosuch"},
-		{"-topo", "ring", "-n", "8", "-t", "2", "-optimizer", "nosuch"},
-		{"-topo", "ring", "-n", "8", "-t", "2", "-attack", "nosuch"},
-		{"-topo", "ring", "-n", "8", "-t", "2", "-scheme", "insecure"},
+	if _, err := capture(t, []string{"-topo", "nosuch"}); err == nil || !strings.Contains(err.Error(), "unknown topology") {
+		t.Errorf("-topo nosuch: err = %v", err)
 	}
-	for _, args := range cases {
-		if _, err := capture(t, args); err == nil {
-			t.Errorf("run(%v) should fail", args)
+	ring := []string{"-topo", "ring", "-n", "8"}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{append(ring, "-t", "0"), "T must be positive"},
+		{append(ring, "-t", "-1"), "T must be positive"},
+		{append(ring, "-t", "2", "-objective", "nosuch"), "objective"},
+		{append(ring, "-t", "2", "-optimizer", "nosuch"), "optimizer"},
+		{append(ring, "-t", "2", "-attack", "nosuch"), "attack"},
+		{append(ring, "-t", "2", "-scheme", "insecure"), "scheme"},
+		{append(ring, "-t", "2", "-baseline", "-2"), "BaselineSamples"},
+		{append(ring, "-t", "2", "-budget", "-1"), "Budget"},
+		{append(ring, "-t", "2", "-trials", "-1"), "Trials"},
+		{append(ring, "-t", "2", "-rounds", "-5"), "Rounds"},
+	}
+	for _, tc := range cases {
+		_, err := capture(t, tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "unit ") {
+			t.Errorf("run(%v) = %v, want an up-front error naming %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -73,6 +73,11 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-kappa", "incremental"}, "flag provided but not defined: -kappa"},
 		{[]string{"-topo", "ring", "-n", "8", "-churn", "flap", "-churn-rate", "NaN", "-epochs", "2"}, "Flapping probabilities must be in [0,1]"},
 		{[]string{"-topo", "ring", "-n", "8", "-churn", "nodes", "-churn-rate", "NaN", "-epochs", "2"}, "PoissonChurn leaveRate must be in [0,1]"},
+		{[]string{"-topo", "drone", "-n", "8", "-radius", "NaN"}, "Drone requires d >= 0 and radius > 0"},
+		{[]string{"-topo", "drone", "-n", "8", "-d", "NaN"}, "Drone requires d >= 0 and radius > 0"},
+		{[]string{"-topo", "drone", "-n", "8", "-churn", "mobility", "-drift", "NaN", "-epochs", "2"}, "DroneMobility Distance(0) = NaN must be >= 0"},
+		{[]string{"-topo", "er", "-n", "8", "-p", "NaN"}, "ErdosRenyi requires p in [0,1]"},
+		{[]string{"-topo", "er", "-n", "8", "-p", "7"}, "ErdosRenyi requires p in [0,1]"},
 	}
 	for _, c := range cases {
 		err := run(c.args)

@@ -63,7 +63,7 @@ func (t *TopologyFlags) Build(rng *rand.Rand) (*graph.Graph, error) {
 	case "complete":
 		return topology.Complete(t.N), nil
 	case "er":
-		return topology.ErdosRenyi(t.N, t.P, rng), nil
+		return topology.ErdosRenyi(t.N, t.P, rng)
 	case "harary":
 		return topology.Harary(t.K, t.N)
 	case "randomregular":

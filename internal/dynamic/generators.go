@@ -141,8 +141,11 @@ func DroneMobility(cfg MobilityConfig, rng *rand.Rand) (*EdgeSchedule, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("dynamic: DroneMobility requires N >= 1, got %d", cfg.N)
 	}
-	if cfg.Radius <= 0 {
+	if !(cfg.Radius > 0) { // NaN fails too
 		return nil, fmt.Errorf("dynamic: DroneMobility requires Radius > 0, got %v", cfg.Radius)
+	}
+	if !(cfg.Jitter >= 0) {
+		return nil, fmt.Errorf("dynamic: DroneMobility requires Jitter >= 0, got %v", cfg.Jitter)
 	}
 	if cfg.StepRounds < 1 || cfg.Steps < 0 {
 		return nil, fmt.Errorf("dynamic: DroneMobility requires StepRounds >= 1 and Steps >= 0, got %d and %d", cfg.StepRounds, cfg.Steps)
@@ -150,7 +153,7 @@ func DroneMobility(cfg MobilityConfig, rng *rand.Rand) (*EdgeSchedule, error) {
 	if cfg.Distance == nil {
 		return nil, fmt.Errorf("dynamic: DroneMobility requires a Distance trajectory")
 	}
-	if d := cfg.Distance(0); d < 0 {
+	if d := cfg.Distance(0); !(d >= 0) {
 		return nil, fmt.Errorf("dynamic: DroneMobility Distance(0) = %v must be >= 0", d)
 	}
 	base, pts, err := topology.Drone(cfg.N, cfg.Distance(0), cfg.Radius, rng)
@@ -170,7 +173,7 @@ func DroneMobility(cfg MobilityConfig, rng *rand.Rand) (*EdgeSchedule, error) {
 	prev := base
 	for step := 1; step <= cfg.Steps; step++ {
 		d := cfg.Distance(step)
-		if d < 0 {
+		if !(d >= 0) {
 			return nil, fmt.Errorf("dynamic: DroneMobility Distance(%d) = %v must be >= 0", step, d)
 		}
 		cur := make([]topology.Point, cfg.N)

@@ -264,6 +264,39 @@ func (p *Player) apply(ev Event) {
 	}
 }
 
+// window advances p to global round offset+1 and returns the provider for
+// the epoch that starts there, over a snapshot of p, so that one cursor
+// serves every epoch of a run: it moves on to the next epoch's start while
+// this one's engine reads its own copy. The snapshot's graphs are the base
+// graph's clones edited to p's, as a replay from round 0 leaves them — with
+// the base's list capacity, so that an edge the epoch restores costs no
+// allocation — in O(n+m) rather than O(events).
+func (p *Player) window(offset int) *Window {
+	p.AdvanceTo(offset + 1)
+	snap := *p
+	snap.desired, snap.live, snap.absent = matching(p.sched.Base, p.desired), matching(p.sched.Base, p.live), p.absent.Clone()
+	return &Window{p: &snap, offset: offset}
+}
+
+// matching returns a clone of base edited to have exactly g's edges.
+func matching(base, g *graph.Graph) *graph.Graph {
+	c := base.Clone()
+	for u := 0; u < base.N(); u++ {
+		uu := ids.NodeID(u)
+		for _, v := range base.Neighbors(uu) {
+			if uu < v && !g.HasEdge(uu, v) {
+				c.RemoveEdge(uu, v)
+			}
+		}
+		for _, v := range g.Neighbors(uu) {
+			if uu < v && !base.HasEdge(uu, v) {
+				c.AddEdge(uu, v)
+			}
+		}
+	}
+	return c
+}
+
 // Window adapts a player to one epoch's local round numbering: the engine
 // sees local rounds 1..R mapped onto global rounds offset+1..offset+R.
 // It implements rounds.TopologyProvider.

@@ -306,6 +306,27 @@ func TestDroneMobilityDiffsConsecutiveGeometricGraphs(t *testing.T) {
 	if last.IsConnected() {
 		t.Error("fleet still connected after drifting 6.5 apart with radius 1.8")
 	}
+	// A bad radius, jitter or separation at any step is refused.
+	for name, bad := range map[string]func(*MobilityConfig){
+		"radius NaN":      func(c *MobilityConfig) { c.Radius = math.NaN() },
+		"jitter NaN":      func(c *MobilityConfig) { c.Jitter = math.NaN() },
+		"jitter negative": func(c *MobilityConfig) { c.Jitter = -0.1 },
+		"distance(0) NaN": func(c *MobilityConfig) { c.Distance = LinearDrift(math.NaN(), 1) },
+		"distance(3) NaN": func(c *MobilityConfig) {
+			c.Distance = func(step int) float64 {
+				if step == 3 {
+					return math.NaN()
+				}
+				return 1
+			}
+		},
+	} {
+		c := cfg
+		bad(&c)
+		if _, err := DroneMobility(c, rand.New(rand.NewSource(7))); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 	// Determinism under a fixed seed.
 	s2, err := DroneMobility(cfg, rand.New(rand.NewSource(7)))
 	if err != nil {

@@ -237,14 +237,16 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 	window, engineWorkers := exp.SplitBudget(budget, concurrent)
 
 	res := &Result{EpochRounds: epochRounds}
+	// One cursor walks the schedule once; each epoch gets a snapshot of it.
+	cursor, err := NewPlayer(cfg.Schedule)
+	if err != nil {
+		return nil, err
+	}
 
 	// start wires epoch e and launches its engine.
 	start := func(e int) (*flight, error) {
 		offset := e * epochRounds
-		w, err := WindowAt(cfg.Schedule, offset)
-		if err != nil {
-			return nil, err
-		}
+		w := cursor.window(offset)
 		gStart := w.GraphFor(1).Clone()
 		absent := w.p.Absent().Clone()
 		// Ground truth is a pure function of the epoch's start state, so

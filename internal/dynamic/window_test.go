@@ -3,6 +3,8 @@ package dynamic
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -187,6 +189,62 @@ func TestWindowErrorsLeaveNothingRunning(t *testing.T) {
 				}
 				if atReturn[e] != want {
 					t.Errorf("%s: epoch %d had made %d of %d protocol calls when Run returned", name, e, atReturn[e], want)
+				}
+			}
+		}
+	}
+}
+
+// TestCursorWindowsMatchWindowAt: the windows Run cuts from its one cursor
+// — all of them cut first, so the cursor is past every epoch before any
+// window is read — show, at every local round, the graph, the absent set
+// and the next change a fresh WindowAt replaying the schedule from round 0
+// shows: on a long flapping schedule, on node churn, and on squads that
+// close in and part again, whose graphs gain edges the base never had.
+func TestCursorWindowsMatchWindowAt(t *testing.T) {
+	const epochs, epochRounds = 40, 7
+	base, err := topology.Harary(4, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flap, err := Flapping(base, 0.1, 0.3, epochs*epochRounds, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn, err := PoissonChurn(base, 0.05, 4, epochs*epochRounds, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mobility, err := DroneMobility(MobilityConfig{
+		N: 20, Radius: 1.8, StepRounds: epochRounds, Steps: epochs, Jitter: 0.1,
+		Distance: func(step int) float64 { return math.Abs(4 - 0.25*float64(step)) },
+	}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*EdgeSchedule{"flapping": flap, "churn": churn, "mobility": mobility} {
+		if len(s.Events) < epochs {
+			t.Fatalf("%s: fixture broken, %d events", name, len(s.Events))
+		}
+		cursor, err := NewPlayer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := make([]*Window, epochs)
+		for e := range windows {
+			windows[e] = cursor.window(e * epochRounds)
+		}
+		for e, w := range windows {
+			fresh, err := WindowAt(s, e*epochRounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 1; r <= epochRounds; r++ {
+				if !w.GraphFor(r).Equal(fresh.GraphFor(r)) || !reflect.DeepEqual(w.p.Absent().Sorted(), fresh.p.Absent().Sorted()) {
+					t.Fatalf("%s: epoch %d, round %d: the cursor's window differs from WindowAt's", name, e, r)
+				}
+				if a, b := w.NextChange(r), fresh.NextChange(r); a != b {
+					t.Fatalf("%s: epoch %d, round %d: next change %d, WindowAt says %d", name, e, r, a, b)
 				}
 			}
 		}

@@ -60,7 +60,6 @@ const denseMaxWords = 3
 // bitsetDegreeThreshold is the degree at which a vertex of a graph too
 // large for a whole bit matrix graduates from a binary-searched neighbor
 // list to a dense bitset row of its own. A row costs ⌈n/64⌉ words per
-// vertex per graph, which n views of n vertices cannot afford for every
 // vertex; a binary search over fewer than 64 IDs is at most six probes of
 // one or two cache lines, and above that HasEdge must be O(1) for the
 // router's per-delivery edge checks.
@@ -73,17 +72,16 @@ const bitsetDegreeThreshold = 64
 //
 // Sorted neighbor lists are always maintained and are the source of truth
 // (O(n+m) per graph). Bit rows sit beside them purely to make HasEdge —
-// the router's edge check, a node's duplicate probe — a shift and a mask,
-// in one of two regimes chosen by n (DESIGN.md §14):
+// the router's edge check — a shift and a mask, in one of two regimes
+// chosen by n (DESIGN.md §14):
 //
-//   - n ≤ 192 (every graph and view at the paper's scale): the whole
-//     matrix, one allocation made by the first AddEdge, so an edgeless
-//     graph costs nothing and HasEdge never searches a list.
-//   - larger n: a protocol run holds one discovered view per node, so
-//     quadratic-in-n bits per view are unaffordable; a row is attached
-//     lazily to each vertex whose degree crosses bitsetDegreeThreshold,
-//     and the table of rows is itself allocated on first use, so sparse
-//     views (trees, rings, bounded-degree scatters) never pay for it.
+//   - n ≤ 192 (every graph at the paper's scale): the whole matrix, one
+//     allocation made by the first AddEdge, so an edgeless graph costs
+//     nothing and HasEdge never searches a list.
+//   - larger n: a row is attached lazily to each vertex whose degree
+//     crosses bitsetDegreeThreshold, and the table of rows is itself
+//     allocated on first use, so sparse graphs (trees, rings,
+//     bounded-degree scatters) never pay for it.
 //
 // Graph is not safe for concurrent mutation; concurrent reads are safe.
 type Graph struct {
@@ -92,8 +90,8 @@ type Graph struct {
 	stride int            // words per row of dense; 0 when n is too large for it
 	dense  []uint64       // the n×stride bit matrix; nil until the first edge
 	bits   [][]uint64     // lazy per-vertex rows (stride == 0); nil table / nil rows = absent
+	flat   []ids.NodeID   // Load's backing array for the lists, and its scratch
 	m      int            // number of edges
-	sum    uint64         // EdgeSum
 }
 
 // New returns an empty graph over n vertices.
@@ -105,9 +103,9 @@ func New(n int) *Graph {
 
 // Reset makes g the empty graph over n vertices while keeping what it has
 // allocated: the table of lists, every list's capacity, and the bit matrix
-// (zeroed) when the new n still fits it. A graph rebuilt run after run — a
-// node's pooled view, DESIGN.md §9 — stops allocating once it has seen its
-// working size. Lazy bit rows go: their width is tied to the old n.
+// (zeroed) when the new n still fits it. A graph rebuilt run after run — the
+// decision memo's pooled graph, through Load — stops allocating once it has
+// seen its working size. Lazy bit rows go: their width is tied to the old n.
 func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic("graph: negative vertex count")
@@ -123,7 +121,7 @@ func (g *Graph) Reset(n int) {
 		g.nbr = grown
 	}
 	dense := g.dense
-	*g = Graph{n: n, nbr: g.nbr[:n]}
+	*g = Graph{n: n, nbr: g.nbr[:n], flat: g.flat}
 	if w := (n + 63) / 64; w <= denseMaxWords {
 		g.stride = w
 		if size := n * w; 0 < size && size <= cap(dense) {
@@ -195,7 +193,6 @@ func (g *Graph) AddEdge(u, v ids.NodeID) {
 	g.setBit(u, v)
 	g.setBit(v, u)
 	g.m++
-	g.sum += edgeMix(u, v)
 }
 
 // setBit records v in u's bit row. It allocates the matrix on a small
@@ -240,7 +237,6 @@ func (g *Graph) RemoveEdge(u, v ids.NodeID) {
 		*w &^= 1 << (u & 63)
 	}
 	g.m--
-	g.sum -= edgeMix(u, v)
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -307,7 +303,7 @@ func (g *Graph) Clone() *Graph {
 			}
 		}
 	}
-	c.m, c.sum = g.m, g.sum
+	c.m = g.m
 	return c
 }
 
@@ -325,43 +321,6 @@ func (g *Graph) Equal(h *Graph) bool {
 			if a[i] != b[i] {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// EdgeSum returns a 64-bit key of the edge set, kept current by AddEdge and
-// RemoveEdge: the wrapping sum of a mix of every edge, equal for equal edge
-// sets. It has no collision resistance, so a match found by it is confirmed
-// with SameEdges (DESIGN.md §9).
-func (g *Graph) EdgeSum() uint64 { return g.sum }
-
-// edgeMix is edge {u, v}'s term of EdgeSum: splitmix64's finalizer.
-func edgeMix(u, v ids.NodeID) uint64 {
-	z := uint64(min(u, v))<<32 | uint64(max(u, v))
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return z ^ z>>31
-}
-
-// SameEdges reports whether es, edges of g's vertices in Edges() order, is
-// exactly g's edge set. Of equal sizes, the sets are equal when g has every
-// edge of es, so only the lists of vertices owning one are read.
-func (g *Graph) SameEdges(es []Edge) bool {
-	if len(es) != g.m {
-		return false
-	}
-	for i := 0; i < len(es); {
-		u := es[i].U
-		l, j := g.nbr[u], 0
-		for ; i < len(es) && es[i].U == u; i++ {
-			for j < len(l) && l[j] < es[i].V {
-				j++
-			}
-			if j == len(l) || l[j] != es[i].V {
-				return false
-			}
-			j++
 		}
 	}
 	return true
@@ -452,11 +411,9 @@ func insertSorted(s []ids.NodeID, v ids.NodeID) []ids.NodeID {
 	i, _ := slices.BinarySearch(s, v)
 	if len(s) == cap(s) {
 		// Grow straight to a small round capacity instead of letting append
-		// walk 1→2→4: with n views of n lists each, those doubling steps
-		// were the dominant allocation count of a whole detection run. Four
-		// entries, not more — degree-1 leaves dominate the sparse large-n
-		// families, and n² of their lists exist at once, so per-list slack
-		// is paid in gigabytes at n=10⁴.
+		// walk 1→2→4, which costs a graph built edge by edge two more
+		// allocations a list. Four entries, not more: degree-1 leaves
+		// dominate the sparse large-n families, so slack per list adds up.
 		c := 2 * cap(s)
 		if c < 4 {
 			c = 4

@@ -85,6 +85,35 @@ func (g *Graph) Components() [][]ids.NodeID {
 	return comps
 }
 
+// ComponentSizes returns, for every vertex, the size of its connected
+// component: what Components tells a decision, in one slice and one
+// scratch rather than a list per component — a view with many
+// unreachable vertices has as many components.
+func (g *Graph) ComponentSizes() []int32 {
+	sizes := make([]int32, g.n) // 0 = not reached yet, -1 = queued
+	queue := make([]ids.NodeID, 0, g.n)
+	for s := range sizes {
+		if sizes[s] != 0 {
+			continue
+		}
+		start := len(queue)
+		queue = append(queue, ids.NodeID(s))
+		sizes[s] = -1
+		for head := start; head < len(queue); head++ {
+			for _, v := range g.nbr[queue[head]] {
+				if sizes[v] == 0 {
+					sizes[v] = -1
+					queue = append(queue, v) // never grows: a vertex enters once
+				}
+			}
+		}
+		for _, v := range queue[start:] {
+			sizes[v] = int32(len(queue) - start)
+		}
+	}
+	return sizes
+}
+
 // IsPartitioned reports whether the graph satisfies Definition 1 of the
 // paper: it can be split into k ≥ 2 non-empty parts with no crossing
 // edges, i.e. it has at least two connected components. Graphs with fewer

@@ -139,8 +139,9 @@ func TestDiameter(t *testing.T) {
 }
 
 func TestComponentsPartitionProperty(t *testing.T) {
-	// Components must partition the vertex set, and there must be no edges
-	// between distinct components.
+	// Components must partition the vertex set, there must be no edges
+	// between distinct components, and ComponentSizes must give every
+	// vertex the size of its own.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(14)
@@ -159,6 +160,12 @@ func TestComponentsPartitionProperty(t *testing.T) {
 		}
 		if total != n {
 			t.Fatalf("components cover %d of %d vertices", total, n)
+		}
+		sizes := g.ComponentSizes()
+		for v, ci := range owner {
+			if int(sizes[v]) != len(comps[ci]) {
+				t.Fatalf("ComponentSizes gives %v %d, its component has %d", v, sizes[v], len(comps[ci]))
+			}
 		}
 		for _, e := range g.Edges() {
 			if owner[e.U] != owner[e.V] {

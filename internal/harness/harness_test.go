@@ -96,6 +96,36 @@ func TestUnknownSchemeRejectedUpFront(t *testing.T) {
 	check("redteam", err)
 }
 
+// TestRedTeamCountsRejectedUpFront: a red-team spec's counts are checked by
+// its constructor, before the search samples a topology or runs a unit —
+// where a negative baseline used to panic on a worker goroutine.
+func TestRedTeamCountsRejectedUpFront(t *testing.T) {
+	for field, set := range map[string]func(*RedTeamSpec){
+		"T":               func(s *RedTeamSpec) { s.T = -1 },
+		"Budget":          func(s *RedTeamSpec) { s.Budget = -1 },
+		"BaselineSamples": func(s *RedTeamSpec) { s.BaselineSamples = -2 },
+		"Trials":          func(s *RedTeamSpec) { s.Trials = -1 },
+		"Rounds":          func(s *RedTeamSpec) { s.Rounds = -5 },
+		"Jobs":            func(s *RedTeamSpec) { s.Jobs = -1 },
+	} {
+		r := redTeamSpecForTest()
+		sampled := 0
+		topo := r.Topology
+		r.Topology = func(rng *rand.Rand) (*graph.Graph, error) {
+			sampled++
+			return topo(rng)
+		}
+		set(&r)
+		_, err := NewRedTeamRunner(r)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: error %v does not name the field", field, err)
+		}
+		if sampled != 0 {
+			t.Errorf("%s: topology sampled before the spec was rejected", field)
+		}
+	}
+}
+
 func TestNectarCostRunDeterministic(t *testing.T) {
 	spec := Spec{
 		Name: "cost", Protocol: ProtoNectar, Attack: AttackNone,

@@ -115,8 +115,18 @@ func NewRedTeamRunner(spec RedTeamSpec) (exp.TrialRunner, error) {
 	if spec.Topology == nil {
 		return nil, fmt.Errorf("harness: RedTeamSpec.Topology is required")
 	}
-	if spec.Jobs < 0 {
-		return nil, fmt.Errorf("harness: Jobs must be non-negative, got %d", spec.Jobs)
+	// Every count is checked here, before the search's unit runs: T against
+	// n only once the topology is sampled, the rest in full.
+	if spec.T <= 0 {
+		return nil, fmt.Errorf("harness: RedTeamSpec.T must be positive, got %d", spec.T)
+	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"Budget", spec.Budget}, {"BaselineSamples", spec.BaselineSamples}, {"Trials", spec.Trials}, {"Rounds", spec.Rounds}, {"Jobs", spec.Jobs}} {
+		if c.v < 0 {
+			return nil, fmt.Errorf("harness: RedTeamSpec.%s must be non-negative, got %d", c.name, c.v)
+		}
 	}
 	if err := checkScheme(spec.SchemeName); err != nil {
 		return nil, err

@@ -43,7 +43,7 @@ func TestDefinition3PropertiesRandomized(t *testing.T) {
 			p := 0.2 + 0.6*rng.Float64()
 			genSeed := rng.Int63()
 			gen := func(r *rand.Rand) (*graph.Graph, error) {
-				return topology.ErdosRenyi(n, p, rand.New(rand.NewSource(genSeed))), nil
+				return topology.ErdosRenyi(n, p, rand.New(rand.NewSource(genSeed)))
 			}
 			placement := CutPlacement(gen, tByz)
 			if rep%2 == 1 {

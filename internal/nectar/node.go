@@ -143,27 +143,31 @@ type Node struct {
 	// The propagation phase's buffers and the view they fill, borrowed from
 	// the package free list by NewNode and handed back by Release — at the
 	// latest implicitly, at the first Decide. box is the free-list entry
-	// they came from, nil once returned; from then on snapshot, the view's
-	// edge list (a decision memo's, shared read-only), is the result (see gi).
+	// they came from, nil once returned; from then on snapshot, a copy of
+	// the view (a decision memo's, shared read-only), is the result (see
+	// edges).
 	nodeScratch
 	box      *nodeScratch
-	snapshot []graph.Edge
+	snapshot *graph.EdgeSet
 	// Evidence tracing (DESIGN.md §13): off by default and enabled only by
 	// the engine's TraceEvidence call when a run has a Tracer, so the
 	// untraced hot path buffers nothing. evbuf fills during Deliver (one
 	// goroutine per node) and is drained by the engine's scheduler
-	// goroutine between rounds; lastReach tracks the reachable-set size so
-	// growth events fire only when an accepted edge actually extends it.
+	// goroutine between rounds; traced is the view as a graph, grown by
+	// every accept, and lastReach tracks its reachable-set size so growth
+	// events fire only when an accepted edge actually extends it.
 	tracing   bool
 	evbuf     []obs.Event
+	traced    *graph.Graph
 	lastReach int
 }
 
 // nodeScratch is a node's propagation-phase scratch (DESIGN.md §9, §14).
 type nodeScratch struct {
-	// view is Gi, the discovered adjacency; a recycled one keeps its table,
-	// its lists' capacity and its bit matrix (graph.Reset).
-	view  *graph.Graph
+	// view is Gi's edge set, all the propagation phase asks of Gi; a
+	// recycled one keeps its log, its table and its bit matrix
+	// (graph.EdgeSet.Reset).
+	view  *graph.EdgeSet
 	queue []relayItem // filled in Deliver(r), drained by Emit(r+1)
 	// Emit-side allocation reuse (DESIGN.md §9): every message of a round
 	// is encoded into one scratch arena and the send headers into one
@@ -199,20 +203,20 @@ var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 // driver only calls Release for the nodes it never decides — the inner
 // nodes of Byzantine wrappers, nodes churned out of an epoch — and on its
 // error paths. It is idempotent, and optional: the node stays as usable as
-// before (from here on it works on zero-value scratch and, via gi, on a
+// before (from here on it works on zero-value scratch and, via edges, on a
 // view of its own), and one that is never released merely recycles
 // nothing. A relay queue cut short by the horizon is live state, not
 // scratch: it stays on the node together with the arena its items point
 // into.
 func (nd *Node) Release() {
 	if nd.box != nil {
-		nd.release(nd.view.Edges())
+		nd.release(nd.view.Clone())
 	}
 }
 
 // release is Release keeping snapshot as the node's result. The node only
-// reads it, so a decision memo hands one edge list to every node of a view.
-func (nd *Node) release(snapshot []graph.Edge) {
+// reads it, so a decision memo hands one set to every node of a view.
+func (nd *Node) release(snapshot *graph.EdgeSet) {
 	s := nd.box
 	if s == nil {
 		return
@@ -237,14 +241,27 @@ func (nd *Node) release(snapshot []graph.Edge) {
 	scratchPool.Put(s)
 }
 
-// gi returns the view. A released node rebuilds one of its own from the
-// snapshot first — on View, a second Decide, or a delivery after the first —
-// which the drivers never do, so a run pays for no graph it does not pool.
-func (nd *Node) gi() *graph.Graph {
+// edges returns the view's edge set. A released node rebuilds one of its
+// own from the snapshot first — on a second Decide or a delivery after the
+// first — which the drivers never do, so a run pays for no set it does not
+// pool.
+func (nd *Node) edges() *graph.EdgeSet {
 	if nd.view == nil {
-		nd.view, nd.snapshot = graph.FromEdges(nd.cfg.N, nd.snapshot), nil
+		nd.view, nd.snapshot = nd.snapshot.Clone(), nil
 	}
 	return nd.view
+}
+
+// viewGraph builds Gi as a graph of its own: for View, the reference Decide
+// and tracing, never on a driver's untraced path.
+func (nd *Node) viewGraph() *graph.Graph {
+	s := nd.view
+	if s == nil {
+		s = nd.snapshot
+	}
+	g := new(graph.Graph)
+	g.Load(s)
+	return g
 }
 
 var _ rounds.Protocol = (*Node)(nil)
@@ -300,14 +317,14 @@ func NewNode(cfg Config) (*Node, error) {
 		nd.scr.memo = cfg.VerifyCache
 	}
 	if nd.view == nil {
-		nd.view = new(graph.Graph)
+		nd.view = new(graph.EdgeSet)
 	}
 	nd.view.Reset(cfg.N)
 	// Proofs are checked in wire form (in the emit arena, which Emit resets)
 	// as bare records, which the edge's round-1 messages then extend.
 	sigSize := cfg.Verifier.SigSize()
 	for _, nb := range cfg.Neighbors {
-		nd.view.AddEdge(cfg.Me, nb)
+		nd.view.Add(cfg.Me, nb)
 		p := cfg.Proofs[nb]
 		nd.enc.Reset()
 		p.encode(&nd.enc, sigSize) // a signature of another width is invalid, not to be cut to size
@@ -319,11 +336,12 @@ func NewNode(cfg Config) (*Node, error) {
 	return nd, nil
 }
 
-// CheckRounds validates a round horizon for an n-node system (0 = the
+// CheckRounds validates an n-node system and its round horizon (0 = the
 // default n-1). A chain's hop count travels as a uint16 (sig.EncodeHops)
 // and grows by one per round: past 65 535 it would wrap and every peer
-// discard the relay on chain length, a silent liveness loss. Drivers call
-// it before generating any key.
+// discard the relay on chain length, a silent liveness loss. A view packs
+// an edge's endpoints into 16 bits each, so n itself stops at 65 536, where
+// the default horizon does. Drivers call it before generating any key.
 func CheckRounds(n, rounds int) error {
 	if rounds < 0 {
 		return fmt.Errorf("nectar: negative Rounds %d", rounds)
@@ -333,6 +351,9 @@ func CheckRounds(n, rounds int) error {
 	}
 	if rounds > math.MaxUint16 {
 		return fmt.Errorf("nectar: %d rounds exceed the %d hops a chain's wire encoding can count", rounds, math.MaxUint16)
+	}
+	if n > graph.MaxSetVertices {
+		return fmt.Errorf("nectar: n = %d exceeds the %d nodes a view's packed edge keys can name", n, graph.MaxSetVertices)
 	}
 	return nil
 }
@@ -433,7 +454,7 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 			nd.traceReject(round, from, 0, err)
 			return
 		}
-		if nd.gi().HasEdge(e.U, e.V) {
+		if nd.edges().Has(e.U, e.V) {
 			nd.stats.Duplicates++
 			nd.stats.LazyDiscards++
 			return
@@ -445,7 +466,7 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 		nd.traceReject(round, from, hops, err)
 		return
 	}
-	if nd.cfg.paranoidVerify && nd.gi().HasEdge(e.U, e.V) {
+	if nd.cfg.paranoidVerify && nd.edges().Has(e.U, e.V) {
 		nd.stats.Duplicates++
 		return
 	}
@@ -465,7 +486,7 @@ func (nd *Node) accept(round int, e graph.Edge, hops int, from ids.NodeID, data 
 		edge: e,
 		from: from,
 	})
-	nd.gi().AddEdge(e.U, e.V)
+	nd.edges().Add(e.U, e.V)
 	nd.stats.Accepted++
 	if nd.tracing {
 		nd.evbuf = append(nd.evbuf, obs.Event{
@@ -477,11 +498,12 @@ func (nd *Node) accept(round int, e graph.Edge, hops int, from ids.NodeID, data 
 				{K: "from", V: int64(from)},
 			},
 		})
-		// Reachable-set growth: a read-only BFS over the updated view,
-		// paid only under tracing. Most accepted edges close triangles and
-		// grow nothing; the ones that do are exactly the evidence behind
-		// DetectReachableNode's final count.
-		if r := nd.gi().CountReachable(nd.cfg.Me); r > nd.lastReach {
+		// Reachable-set growth: a BFS over the view's graph, kept beside
+		// the set only under tracing. Most accepted edges close triangles
+		// and grow nothing; the ones that do are exactly the evidence
+		// behind DetectReachableNode's final count.
+		nd.traced.AddEdge(e.U, e.V)
+		if r := nd.traced.CountReachable(nd.cfg.Me); r > nd.lastReach {
 			nd.evbuf = append(nd.evbuf, obs.Event{
 				Type: obs.EvReachGrow, Round: round, Node: int(nd.cfg.Me),
 				N:     int64(r),
@@ -541,13 +563,14 @@ func rejectReason(err error) string {
 }
 
 // TraceEvidence implements rounds.EvidenceSource: the engine enables
-// buffering before round 1 of a traced run. Enabling (re)baselines the
-// reachable-set tracker to the current view so growth events measure
-// discovery from here on.
+// buffering before round 1 of a traced run. Enabling builds the view's
+// graph and (re)baselines the reachable-set tracker to it, so growth
+// events measure discovery from here on.
 func (nd *Node) TraceEvidence(on bool) {
-	nd.tracing = on
+	nd.tracing, nd.traced = on, nil
 	if on {
-		nd.lastReach = nd.gi().CountReachable(nd.cfg.Me)
+		nd.traced = nd.viewGraph()
+		nd.lastReach = nd.traced.CountReachable(nd.cfg.Me)
 	}
 }
 
@@ -582,14 +605,15 @@ func (nd *Node) Decide() Outcome { return nd.DecideShared(nil) }
 func (nd *Node) DecideShared(c *DecideCache) Outcome {
 	var out Outcome
 	if c == nil {
-		out.Reachable = nd.gi().CountReachable(nd.cfg.Me)
-		out.ConnectivityOverT = nd.gi().ConnectivityAtLeast(nd.cfg.T + 1)
+		g := nd.viewGraph()
+		out.Reachable = g.CountReachable(nd.cfg.Me)
+		out.ConnectivityOverT = g.ConnectivityAtLeast(nd.cfg.T + 1)
 		nd.Release()
 	} else {
-		g := nd.gi()
-		e, over := c.decide(viewKey{n: g.N(), m: g.M(), sum: g.EdgeSum()}, g, nd.cfg.T+1)
+		s := nd.edges()
+		e, over := c.decide(viewKey{n: s.N(), m: s.M(), sum: s.Sum()}, s, nd.cfg.T+1)
 		out.Reachable, out.ConnectivityOverT = int(e.reach[nd.cfg.Me]), over
-		nd.release(e.edges)
+		nd.release(e.set)
 	}
 	if out.ConnectivityOverT && out.Reachable == nd.cfg.N {
 		out.Decision = NotPartitionable
@@ -633,7 +657,7 @@ func b2i(b bool) int64 {
 }
 
 // View returns a copy of Gi, the node's discovered graph.
-func (nd *Node) View() *graph.Graph { return nd.gi().Clone() }
+func (nd *Node) View() *graph.Graph { return nd.viewGraph() }
 
 // Stats returns the node's message-handling counters.
 func (nd *Node) Stats() Stats { return nd.stats }

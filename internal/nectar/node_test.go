@@ -44,7 +44,7 @@ func TestAllCorrectNodesDiscoverFullGraph(t *testing.T) {
 		{"line7", topology.Line(7)},
 		{"star9", topology.Star(9)},
 		{"complete6", topology.Complete(6)},
-		{"petersen-ish", topology.ErdosRenyi(10, 0.5, rng)},
+		{"petersen-ish", mustER(t, 10, 0.5, rng)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes, _ := runCluster(t, tc.g, 1, scheme)
@@ -101,6 +101,15 @@ func mustHarary(t *testing.T, k, n int) *graph.Graph {
 	return g
 }
 
+func mustER(t *testing.T, n int, p float64, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	g, err := topology.ErdosRenyi(n, p, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestPartitionedGraphIsConfirmed(t *testing.T) {
 	// Two disjoint rings: every node must decide PARTITIONABLE with
 	// confirmed = true (an actual partition: r != n).
@@ -127,7 +136,7 @@ func TestAgreementOnRandomGraphsNoByz(t *testing.T) {
 	scheme := sig.NewHMAC(12, 1)
 	for trial := 0; trial < 25; trial++ {
 		n := 4 + rng.Intn(8)
-		g := topology.ErdosRenyi(n, 0.15+0.5*rng.Float64(), rng)
+		g := mustER(t, n, 0.15+0.5*rng.Float64(), rng)
 		tByz := rng.Intn(3)
 		_, outs := runCluster(t, g, tByz, scheme)
 		for i := 1; i < len(outs); i++ {

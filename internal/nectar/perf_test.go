@@ -171,6 +171,8 @@ func BenchmarkDeliver(b *testing.B) {
 // high-diameter flood (a tree, a ring), where every delivery is first-seen
 // and chains are long. rewind undoes the acceptances so the same messages
 // are first-seen again, on buffers that have reached their size.
+// newFirstSeenFixture's n is 2·count+hops+4: up to 192 the view is a bit
+// matrix, above it a table.
 type firstSeenFixture struct {
 	node *Node
 	hops int
@@ -220,34 +222,40 @@ func (fx *firstSeenFixture) deliverAll(tb testing.TB) {
 	}
 }
 
+// rewind returns the view to the node's own neighborhood, as NewNode left
+// it, on the storage it has grown.
 func (fx *firstSeenFixture) rewind() {
-	for i := range fx.msgs {
-		fx.node.view.RemoveEdge(ids.NodeID(2+2*i), ids.NodeID(3+2*i))
+	nd := fx.node
+	nd.view.Reset(nd.cfg.N)
+	for _, nb := range nd.cfg.Neighbors {
+		nd.view.Add(nd.cfg.Me, nb)
 	}
-	fx.node.queue, fx.node.arenaRaw = fx.node.queue[:0], fx.node.arenaRaw[:0]
+	nd.queue, nd.arenaRaw = nd.queue[:0], nd.arenaRaw[:0]
 }
 
 // TestFirstSeenPathIsAllocationFree pins the accept path and the relay path
 // on warm buffers for a scheme whose Sign does not allocate: checking a
-// 12-hop chain over its wire bytes, recording the edge in the pooled view,
-// queueing the message, then signing and encoding its relay — no object at
-// any step (DESIGN.md §9).
+// 12-hop chain over its wire bytes, recording the edge in the pooled view —
+// its bit matrix at n = 32, its table at n = 208 — queueing the message,
+// then signing and encoding its relay: no object at any step (DESIGN.md §9).
 func TestFirstSeenPathIsAllocationFree(t *testing.T) {
-	fx := newFirstSeenFixture(t, "slim", 12, 8)
-	if allocs := testing.AllocsPerRun(50, func() {
-		fx.deliverAll(t)
-		fx.rewind()
-	}); allocs != 0 {
-		t.Errorf("%d first-seen deliveries allocate %.1f objects, want 0", len(fx.msgs), allocs)
-	}
-	fx.deliverAll(t)
-	if allocs := testing.AllocsPerRun(50, func() {
-		fx.node.queue = fx.node.queue[:len(fx.msgs)] // resurrect the drained items
-		if sends := fx.node.Emit(fx.hops + 1); len(sends) != 2*len(fx.msgs) {
-			t.Fatalf("relay emitted %d sends, want %d", len(sends), 2*len(fx.msgs))
+	for _, count := range []int{8, 96} {
+		fx := newFirstSeenFixture(t, "slim", 12, count)
+		if allocs := testing.AllocsPerRun(50, func() {
+			fx.deliverAll(t)
+			fx.rewind()
+		}); allocs != 0 {
+			t.Errorf("n=%d: %d first-seen deliveries allocate %.1f objects, want 0", fx.node.cfg.N, len(fx.msgs), allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("%d relays allocate %.1f objects, want 0", len(fx.msgs), allocs)
+		fx.deliverAll(t)
+		if allocs := testing.AllocsPerRun(50, func() {
+			fx.node.queue = fx.node.queue[:len(fx.msgs)] // resurrect the drained items
+			if sends := fx.node.Emit(fx.hops + 1); len(sends) != 2*len(fx.msgs) {
+				t.Fatalf("relay emitted %d sends, want %d", len(sends), 2*len(fx.msgs))
+			}
+		}); allocs != 0 {
+			t.Errorf("n=%d: %d relays allocate %.1f objects, want 0", fx.node.cfg.N, len(fx.msgs), allocs)
+		}
 	}
 }
 

@@ -31,27 +31,24 @@ func withScratchPool(t *testing.T, fresh func() *nodeScratch) {
 	})
 }
 
-// usedView is a view as some other run left it: n vertices, nearly complete,
-// so every list is long, the bit matrix (n <= 192) is mostly ones and vertex
-// 0 has a lazy bit row (n > 192) — and with garbage beyond the lists'
-// lengths, where removed neighbours used to be.
-func usedView(n int) *graph.Graph {
-	g := graph.New(n)
+// usedView is a view as some other run left it: n vertices, two thirds of
+// all pairs, so the bit matrix (n <= 192) is mostly ones and the table
+// (n > 192) has grown far past what a fixture needs.
+func usedView(n int) *graph.EdgeSet {
+	s := new(graph.EdgeSet)
+	s.Reset(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if u == 0 || (u+v)%3 != 0 {
-				g.AddEdge(ids.NodeID(u), ids.NodeID(v))
+				s.Add(ids.NodeID(u), ids.NodeID(v))
 			}
 		}
 	}
-	for v := 2; v < n; v += 2 {
-		g.RemoveEdge(ids.NodeID(v), ids.NodeID(v-1))
-	}
-	return g
+	return s
 }
 
 // usedViewSizes are the previous sizes poisoned scratches cycle through:
-// below, at and above the fixtures' n, on both sides of the graph's storage
+// below, at and above the fixtures' n, on both sides of the set's storage
 // boundary at 192, and 0 for a scratch that never held a view.
 var usedViewSizes = []int{3, 10, 150, 300, 0}
 
@@ -228,8 +225,8 @@ func TestNodeUsableAfterRelease(t *testing.T) {
 			t.Fatal("scratch or view still borrowed after Decide")
 		}
 		if i%2 == 0 {
-			// Half the nodes rebuild their view here, the other half on the
-			// next delivery.
+			// Half the nodes are viewed here, from the snapshot, before
+			// the next delivery rebuilds their set from it.
 			if !nd.View().Equal(before) || !reflect.DeepEqual(nd.View().Edges(), before.Edges()) {
 				t.Errorf("node %v: View after Decide differs from View before it", nd.ID())
 			}
@@ -245,7 +242,7 @@ func TestNodeUsableAfterRelease(t *testing.T) {
 		t.Error("released nodes put different bytes on the wire than nodes that kept their buffers")
 	}
 	for i := range kept {
-		if released[i].snapshot != nil {
+		if released[i].snapshot != nil && released[i].view != nil {
 			t.Errorf("node %d: still holds the Release snapshot beside the view rebuilt from it", i)
 		}
 		if kept[i].Stats() != released[i].Stats() {
@@ -281,8 +278,12 @@ func TestReleaseScrubsScratch(t *testing.T) {
 		if !reflect.DeepEqual(nd.nodeScratch, nodeScratch{}) {
 			t.Error("node kept scratch after Release")
 		}
-		if !reflect.DeepEqual(nd.snapshot, view.Edges()) || cap(nd.snapshot) != view.M() {
-			t.Error("Release did not keep the view as an exact-size edge list")
+		if nd.snapshot == nil || !nd.snapshot.Equal(viewOf(view)) {
+			t.Error("Release did not keep a copy of the view")
+		}
+		s.view.Reset(3) // the next borrower's; the snapshot shares none of it
+		if !nd.snapshot.Equal(viewOf(view)) {
+			t.Error("the snapshot shares storage with the released view")
 		}
 		if len(s.queue)+len(s.sendBuf)+len(s.arenaRaw)+s.enc.Len()+s.scr.stmt.Len() != 0 {
 			t.Error("released scratch has non-empty buffers")

@@ -38,7 +38,7 @@ func Drone(n int, d, radius float64, rng *rand.Rand) (*graph.Graph, []Point, err
 	if n < 1 {
 		return nil, nil, fmt.Errorf("topology: Drone requires n >= 1, got %d", n)
 	}
-	if d < 0 || radius <= 0 {
+	if !(d >= 0) || !(radius > 0) { // NaN fails too
 		return nil, nil, fmt.Errorf("topology: Drone requires d >= 0 and radius > 0, got d=%v radius=%v", d, radius)
 	}
 	pts := make([]Point, n)

@@ -66,8 +66,11 @@ func Complete(n int) *graph.Graph {
 }
 
 // ErdosRenyi returns G(n, p): every pair is an edge independently with
-// probability p.
-func ErdosRenyi(n int, p float64, rng *rand.Rand) *graph.Graph {
+// probability p, which must be in [0, 1].
+func ErdosRenyi(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
+	if !(p >= 0 && p <= 1) { // NaN fails too
+		return nil, fmt.Errorf("topology: ErdosRenyi requires p in [0,1], got %v", p)
+	}
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -76,7 +79,7 @@ func ErdosRenyi(n int, p float64, rng *rand.Rand) *graph.Graph {
 			}
 		}
 	}
-	return g
+	return g, nil
 }
 
 // Harary returns the Harary graph H_{k,n}: a k-connected graph over n

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -301,14 +302,19 @@ func TestDronePositionsInsideScatters(t *testing.T) {
 
 func TestDroneErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := Drone(0, 1, 1, rng); err == nil {
-		t.Error("n=0 should fail")
-	}
-	if _, _, err := Drone(5, -1, 1, rng); err == nil {
-		t.Error("negative d should fail")
-	}
-	if _, _, err := Drone(5, 1, 0, rng); err == nil {
-		t.Error("zero radius should fail")
+	for _, c := range []struct {
+		n         int
+		d, radius float64
+	}{
+		{0, 1, 1},
+		{5, -1, 1},
+		{5, 1, 0},
+		{5, math.NaN(), 1},
+		{5, 1, math.NaN()},
+	} {
+		if _, _, err := Drone(c.n, c.d, c.radius, rng); err == nil {
+			t.Errorf("Drone(n=%d, d=%v, radius=%v) accepted", c.n, c.d, c.radius)
+		}
 	}
 }
 
@@ -322,11 +328,16 @@ func TestGeometricGraphThreshold(t *testing.T) {
 
 func TestErdosRenyiExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	if g := ErdosRenyi(8, 0, rng); g.M() != 0 {
+	if g, err := ErdosRenyi(8, 0, rng); err != nil || g.M() != 0 {
 		t.Error("p=0 should produce no edges")
 	}
-	if g := ErdosRenyi(8, 1, rng); !g.IsComplete() {
+	if g, err := ErdosRenyi(8, 1, rng); err != nil || !g.IsComplete() {
 		t.Error("p=1 should produce K_n")
+	}
+	for _, p := range []float64{-0.1, 1.1, 7, math.NaN()} {
+		if _, err := ErdosRenyi(8, p, rng); err == nil {
+			t.Errorf("p=%v accepted", p)
+		}
 	}
 }
 

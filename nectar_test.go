@@ -191,25 +191,28 @@ func TestFacadeNodeConstruction(t *testing.T) {
 
 // TestRoundsBeyondTheWireLimit: a chain's hop count travels as a uint16 and
 // grows by one per round, so a horizon past 65 535 rounds — given, or the
-// default n-1 — would wrap it and lose liveness silently. NewNode refuses
-// such a horizon, and so do Simulate and SimulateDynamic, with the same
-// error and before they generate a key (the large-n rows would otherwise
-// spend seconds on Ed25519 key pairs first).
+// default n-1 — would wrap it and lose liveness silently; and a view packs
+// each endpoint of an edge into 16 bits, so n stops at 65 536 even under a
+// short horizon. NewNode refuses either, and so do Simulate and
+// SimulateDynamic, with the same error and before they generate a key (the
+// large-n rows would otherwise spend seconds on Ed25519 key pairs first).
 func TestRoundsBeyondTheWireLimit(t *testing.T) {
 	const limit = 1<<16 - 1
 	scheme := NewHMACScheme(2, 1)
 	for _, tc := range []struct {
 		n, rounds int
 		ok        bool
+		names     string // the limit a refusal names
 	}{
-		{4, 0, true},
-		{4, limit, true},
-		{4, limit + 1, false},
-		{4, -1, false},
-		{limit + 1, 0, true},
-		{limit + 2, 0, false},
-		{limit + 2, 7, true},
-		{200000, 0, false},
+		{4, 0, true, ""},
+		{4, limit, true, ""},
+		{4, limit + 1, false, "65535"},
+		{4, -1, false, "-1"},
+		{limit + 1, 0, true, ""},
+		{limit + 1, 7, true, ""},
+		{limit + 2, 0, false, "65535"},
+		{limit + 2, 7, false, "65536"},
+		{200000, 0, false, "65535"},
 	} {
 		_, err := NewNode(Config{
 			N: tc.n, T: 1, Me: 0, Rounds: tc.rounds,
@@ -225,7 +228,7 @@ func TestRoundsBeyondTheWireLimit(t *testing.T) {
 			continue // a whole system of that size is not a unit test
 		}
 		want := fmt.Sprint(err)
-		if tc.rounds >= 0 && !tc.ok && !strings.Contains(want, "65535") {
+		if !tc.ok && !strings.Contains(want, tc.names) {
 			t.Errorf("NewNode(N=%d, Rounds=%d): error %q does not name the limit", tc.n, tc.rounds, want)
 		}
 		g := NewGraph(tc.n)

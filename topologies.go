@@ -23,8 +23,8 @@ func Star(n int) *Graph { return topology.Star(n) }
 // Complete returns K_n (κ = n-1).
 func Complete(n int) *Graph { return topology.Complete(n) }
 
-// ErdosRenyi returns G(n, p).
-func ErdosRenyi(n int, p float64, rng *rand.Rand) *Graph {
+// ErdosRenyi returns G(n, p), p in [0, 1].
+func ErdosRenyi(n int, p float64, rng *rand.Rand) (*Graph, error) {
 	return topology.ErdosRenyi(n, p, rng)
 }
 
