@@ -4,9 +4,10 @@ package nectar
 // duplicate-first check order and parallel routing are pure wall-clock
 // optimizations — for every seeded scenario the decisions, outcomes, and
 // per-node byte counts must be byte-identical to the references they
-// replace. The matrix covers the four scenario shapes of the evaluation
-// (ring, drone scatter, hierarchical tree of cliques, Byzantine bridge),
-// every Byzantine behaviour Simulate supports, and several seeds.
+// replace. The matrix covers the scenario shapes of the evaluation (ring,
+// drone scatter, hierarchical tree of cliques, Byzantine bridge) and a k-ary
+// tree, whose leaves accept without relaying, under every Byzantine
+// behaviour Simulate supports and several seeds.
 
 import (
 	"fmt"
@@ -50,11 +51,17 @@ func equivalenceCases(t *testing.T, seed int64) []simCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Nine of its thirteen nodes are leaves, which accept every edge from
+	// their one neighbor and relay none; b0 is the root, b1 = 6 a leaf.
+	kary, err := KaryTree(3, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, topo := range []struct {
 		name string
 		g    *Graph
-	}{{"ring", ring}, {"scatter", scatter}, {"tree", tree}} {
+	}{{"ring", ring}, {"scatter", scatter}, {"tree", tree}, {"karytree", kary}} {
 		n := topo.g.N()
 		b0, b1 := NodeID(0), NodeID(n/2)
 		// One side of the network for the split-brain behaviour.

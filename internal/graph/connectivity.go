@@ -23,7 +23,7 @@ import (
 //
 // Corollary 1 of the paper states that G is t-Byzantine partitionable iff
 // κ(G) ≤ t, and NECTAR's decision phase needs exactly the predicate
-// κ(G) > t, so ConnectivityAtLeast supports early termination.
+// κ(G) > t, so ConnectivityUpTo and ConnectivityAtLeast terminate early.
 
 // LocalConnectivity returns κ(s, t): the maximum number of internally
 // vertex-disjoint s-t paths, equal by Menger's theorem to the size of a
@@ -49,32 +49,34 @@ func (g *Graph) IsComplete() bool {
 // smallest vertex subset whose removal disconnects the graph (or leaves a
 // single vertex). By convention κ(K_n) = n-1, κ of a disconnected graph is
 // 0, and κ of graphs with fewer than two vertices is 0.
-func (g *Graph) Connectivity() int {
+func (g *Graph) Connectivity() int { return g.ConnectivityUpTo(g.n) }
+
+// ConnectivityUpTo returns min(κ(G), limit). The max-flow search stops as
+// soon as κ is known to reach limit, so a small limit is considerably
+// cheaper than Connectivity; limit 1 is one traversal, and a graph with a
+// cut vertex never reaches max-flow. One call answers every threshold up
+// to limit: a trial's ground truth reads κ ≤ t and κ ≥ 2t from one.
+func (g *Graph) ConnectivityUpTo(limit int) int {
+	if limit <= 0 {
+		return limit
+	}
+	if limit == 1 {
+		if g.n >= 2 && g.IsConnected() {
+			return 1
+		}
+		return 0
+	}
 	if g.kappaIsOne() {
 		return 1
 	}
-	k, _, _ := g.connectivity(g.n)
+	k, _, _ := g.connectivity(limit)
 	return k
 }
 
-// ConnectivityAtLeast reports whether κ(G) ≥ k. It terminates early and is
-// therefore considerably cheaper than Connectivity for small k; NECTAR
-// nodes use it with k = t+1 (Alg. 1 l. 18).
+// ConnectivityAtLeast reports whether κ(G) ≥ k; NECTAR nodes use it with
+// k = t+1 (Alg. 1 l. 18). κ ≤ n-1, so k ≥ n is false without a search.
 func (g *Graph) ConnectivityAtLeast(k int) bool {
-	if k <= 0 {
-		return true
-	}
-	if k > g.n-1 {
-		return false
-	}
-	if k == 1 {
-		return g.IsConnected()
-	}
-	if g.kappaIsOne() {
-		return false
-	}
-	got, _, _ := g.connectivity(k)
-	return got >= k
+	return k <= 0 || k < g.n && g.ConnectivityUpTo(k) >= k
 }
 
 // kappaIsOne reports κ(G) == 1 in O(n+m) via articulation points: a

@@ -41,6 +41,25 @@ func TestQuickConnectivityBounds(t *testing.T) {
 	}
 }
 
+// TestQuickConnectivityUpToIsCappedKappa: the bounded search is the exact
+// κ capped at the limit, for every limit from 0 to n, and
+// ConnectivityAtLeast agrees with it at every threshold.
+func TestQuickConnectivityUpToIsCappedKappa(t *testing.T) {
+	f := func(data []byte) bool {
+		g := quickGraph(data)
+		k := g.Connectivity()
+		for l := 0; l <= g.N(); l++ {
+			if g.ConnectivityUpTo(l) != min(k, l) || g.ConnectivityAtLeast(l) != (k >= l) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickAddingEdgesNeverDecreasesConnectivity(t *testing.T) {
 	f := func(data []byte, extraU, extraV uint8) bool {
 		g := quickGraph(data)

@@ -238,11 +238,13 @@ func trialScheme(spec *Spec, n int, trialSeed int64) sig.Scheme {
 
 // score computes the trial metrics over correct nodes.
 func score(spec *Spec, sc *Scenario, decisions []nodeDecision, pc obs.FastPath, m *rounds.Metrics) Trial {
+	// One bounded κ answers both thresholds: κ ≤ t (Corollary 1) and κ ≥ 2t.
+	kappa := sc.Graph.ConnectivityUpTo(max(spec.T+1, 2*spec.T))
 	truth := Truth{
 		GraphPartitioned:   sc.Graph.IsPartitioned(),
 		CorrectPartitioned: !sc.Graph.InducedSubgraphConnected(sc.Byz),
-		TByzPartitionable:  sc.Graph.IsTByzPartitionable(spec.T),
-		TwoTConnected:      spec.T > 0 && sc.Graph.ConnectivityAtLeast(2*spec.T),
+		TByzPartitionable:  kappa <= spec.T,
+		TwoTConnected:      spec.T > 0 && kappa >= 2*spec.T,
 	}
 	for b := range sc.Byz {
 		enclave := true

@@ -101,7 +101,8 @@ type Config struct {
 // Stats counts a node's message-handling outcomes; useful to tests and
 // robustness experiments.
 type Stats struct {
-	// Accepted counts first-reception edges stored and scheduled for relay.
+	// Accepted counts first-reception edges stored in the view — scheduled
+	// for relay when a neighbor other than the sender exists to receive it.
 	Accepted int
 	// Duplicates counts messages discarded because the edge was already
 	// known (no verification spent, see DESIGN.md §2). In the default
@@ -119,10 +120,11 @@ type Stats struct {
 
 // relayItem is a first-received edge message queued for relay in the next
 // round, remembering the neighbor it came from (Alg. 1 l. 11: relay to
-// Γ(i) \ {k}). The message is retained as its canonical wire bytes (owned
-// by the accept arena), not as a decoded EdgeMsg: a flood queues Θ(m)
-// messages per node at the wave peak, and hop structs cost ~4× the wire
-// bytes plus a pointer per signature for the GC to chase (DESIGN.md §14).
+// Γ(i) \ {k}); a message for which that set is empty is never queued. The
+// message is retained as its canonical wire bytes (owned by the accept
+// arena), not as a decoded EdgeMsg: a flood queues Θ(m) messages per node
+// at the wave peak, and hop structs cost ~4× the wire bytes plus a pointer
+// per signature for the GC to chase (DESIGN.md §14).
 type relayItem struct {
 	raw  []byte     // canonical encoding: proof ‖ hop count ‖ hops
 	edge graph.Edge // the proof's edge, for the relay statement
@@ -139,9 +141,13 @@ type Node struct {
 	nRounds int
 	signer  sig.AppendSigner // cfg.Signer's append form, resolved once (appendSigner)
 	started bool             // round-1 neighborhood announcement has been emitted
-	stats   Stats
+	// undrained: an edge was accepted since the last relay round drained the
+	// queue. Quiescent reads it, not the queue, so an accept with no one to
+	// relay to still keeps the node active for the round its relay would take.
+	undrained bool
+	stats     Stats
 	// The propagation phase's buffers and the view they fill, borrowed from
-	// the package free list by NewNode and handed back by Release — at the
+	// a package free list by NewNode and handed back by Release — at the
 	// latest implicitly, at the first Decide. box is the free-list entry
 	// they came from, nil once returned; from then on snapshot, a copy of
 	// the view (a decision memo's, shared read-only), is the result (see
@@ -189,14 +195,27 @@ type nodeScratch struct {
 	arenaRaw []byte
 }
 
-// scratchPool recycles nodeScratch values across the nodes of successive
+// scratchPools recycle nodeScratch values across the nodes of successive
 // runs (DESIGN.md §9): a sweep or a dynamic run rebuilds every node per
 // trial or epoch, and each used to grow these buffers from nil. The free
-// list only supplies capacity — Release truncates every buffer and zeroes
+// lists only supply capacity — Release truncates every buffer and zeroes
 // every slot that holds a slice, and NewNode resets the view to its own n —
 // so a recycled scratch is indistinguishable from the zero value except in
-// what it need not allocate.
-var scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+// what it need not allocate. They are split by degree: a node of degree at
+// most one relays nothing a correct neighbor sends it, so its queue, accept
+// arena and send headers stay near empty, and one shared list would hand
+// those small scratches to relaying nodes to regrow.
+var scratchPools = [2]sync.Pool{{New: newScratch}, {New: newScratch}}
+
+func newScratch() any { return new(nodeScratch) }
+
+// scratchPool is the free list of a node with deg neighbors.
+func scratchPool(deg int) *sync.Pool {
+	if deg <= 1 {
+		return &scratchPools[0]
+	}
+	return &scratchPools[1]
+}
 
 // Release hands the node's propagation scratch back to the free list once
 // the propagation phase is over. The first Decide does it implicitly, so a
@@ -238,7 +257,7 @@ func (nd *Node) release(snapshot *graph.EdgeSet) {
 	s.scr.stmt.Reset()
 	s.scr.cs.Reset()
 	s.arenaRaw = s.arenaRaw[:0]
-	scratchPool.Put(s)
+	scratchPool(len(nd.cfg.Neighbors)).Put(s)
 }
 
 // edges returns the view's edge set. A released node rebuilds one of its
@@ -311,7 +330,7 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 	}
 	// Borrowed once the configuration is sound; a failing proof returns it.
-	nd.box = scratchPool.Get().(*nodeScratch)
+	nd.box = scratchPool(len(cfg.Neighbors)).Get().(*nodeScratch)
 	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
 	if cfg.Verifier.BindsMessage() { // an unbound scheme's constant tags could only collide
 		nd.scr.memo = cfg.VerifyCache
@@ -366,7 +385,8 @@ func (nd *Node) Rounds() int { return nd.nRounds }
 // neighborhood to every neighbor (Alg. 1 ll. 6-8); in later rounds it
 // relays — with its own signature appended — every edge first received in
 // the previous round, to all neighbors except the one it came from
-// (ll. 9-12).
+// (ll. 9-12). An edge that came from the only neighbor was never queued
+// (accept): nothing is encoded or signed for a relay nobody receives.
 func (nd *Node) Emit(round int) []rounds.Send {
 	nd.started = true
 	// Reset the per-round scratch: the previous round's sends have been
@@ -405,6 +425,7 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	// more: recycle it for the deliveries of this round.
 	nd.queue, nd.queueUsed = nd.queue[:0], max(nd.queueUsed, len(nd.queue))
 	nd.arenaRaw = nd.arenaRaw[:0]
+	nd.undrained = false
 	nd.sendBuf, nd.sendUsed = out, max(nd.sendUsed, len(out))
 	return out
 }
@@ -435,8 +456,8 @@ func (nd *Node) encodeRelay(item relayItem, v sig.Verifier, ps, sigSize int) []b
 
 // Deliver implements rounds.Protocol (Alg. 1 ll. 13-15). Invalid messages
 // are ignored; an edge already in Gi is discarded before any signature
-// work; a first-seen valid edge is recorded and queued for relay in the
-// next round.
+// work; a first-seen valid edge is recorded and, if some neighbor other
+// than from can receive it, queued for relay in the next round.
 //
 // The default mode reads the header first (DESIGN.md §9): the edge
 // endpoints live in the first 8 bytes, and duplicates — the dominant case
@@ -474,18 +495,23 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 }
 
 // accept records a first-seen valid edge e (carried by a message whose
-// validated chain has hops links) and queues the message for relay.
-// data aliases the delivered buffer, whose lifetime ends with the round,
-// so the message — the check has made sure data is its canonical encoding
-// and nothing more — is copied into the accept arena here: one contiguous
-// copy per distinct edge, the only copy on the deliver path, with no
-// per-hop structures retained (DESIGN.md §14).
+// validated chain has hops links) and queues the message for relay when
+// Γ(i) \ {from} is not empty (Alg. 1 l. 11). data aliases the delivered
+// buffer, whose lifetime ends with the round, so a queued message — the
+// check has made sure data is its canonical encoding and nothing more — is
+// copied into the accept arena here: one contiguous copy per relayed edge,
+// the only copy on the deliver path, with no per-hop structures retained
+// (DESIGN.md §14). At a leaf, whose one neighbor sent everything it learns,
+// acceptance is the view insert alone.
 func (nd *Node) accept(round int, e graph.Edge, hops int, from ids.NodeID, data []byte) {
-	nd.queue = append(nd.queue, relayItem{
-		raw:  nd.copyToArena(data),
-		edge: e,
-		from: from,
-	})
+	if nb := nd.cfg.Neighbors; len(nb) > 1 || len(nb) == 1 && nb[0] != from {
+		nd.queue = append(nd.queue, relayItem{
+			raw:  nd.copyToArena(data),
+			edge: e,
+			from: from,
+		})
+	}
+	nd.undrained = true
 	nd.edges().Add(e.U, e.V)
 	nd.stats.Accepted++
 	if nd.tracing {
@@ -584,9 +610,13 @@ func (nd *Node) DrainEvidence(emit func(obs.Event)) {
 }
 
 // Quiescent implements rounds.Quiescer: once the initial announcement is
-// out and the relay queue is empty, the node sends nothing more until
-// another first-seen edge arrives (§IV-E silence after discovery).
-func (nd *Node) Quiescent() bool { return nd.started && len(nd.queue) == 0 }
+// out and every accepted edge has had its relay round, the node sends
+// nothing more until another first-seen edge arrives (§IV-E silence after
+// discovery). An accept with no recipient holds the node active for its
+// relay round as well, though that round sends nothing for it: reporting
+// quiescence a round early would end some runs a silent round sooner and
+// change their ActiveRounds.
+func (nd *Node) Quiescent() bool { return nd.started && !nd.undrained }
 
 // Decide runs the decision phase (Alg. 1 ll. 16-24) on the discovered
 // graph: NOT_PARTITIONABLE iff κ(Gi) > t and all n nodes are reachable;

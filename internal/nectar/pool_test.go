@@ -20,14 +20,18 @@ import (
 // require runs identical, byte for emitted byte, to ones on zero-value
 // scratch.
 
-// withScratchPool swaps the package free list for one whose every miss is
-// served by fresh, and restores a clean one afterwards. A just-assigned
-// pool is empty, so the next NewNode is certain to call fresh.
+// withScratchPool swaps the package free lists for ones whose every miss is
+// served by fresh, and restores clean ones afterwards. A just-assigned pool
+// is empty, so the next NewNode is certain to call fresh.
 func withScratchPool(t *testing.T, fresh func() *nodeScratch) {
 	t.Helper()
-	scratchPool = sync.Pool{New: func() any { return fresh() }}
+	for i := range scratchPools {
+		scratchPools[i] = sync.Pool{New: func() any { return fresh() }}
+	}
 	t.Cleanup(func() {
-		scratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+		for i := range scratchPools {
+			scratchPools[i] = sync.Pool{New: newScratch}
+		}
 	})
 }
 
