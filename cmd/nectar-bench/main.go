@@ -121,6 +121,9 @@ func run(args []string) error {
 			ts = allExperiments()
 		}
 		for _, t := range ts {
+			if _, ok := report.ExperimentByID(t); !ok {
+				return fmt.Errorf("unknown experiment %q (valid: %s)", t, strings.Join(experiments(), " "))
+			}
 			if !seen[t] {
 				seen[t] = true
 				expanded = append(expanded, t)
@@ -128,7 +131,17 @@ func run(args []string) error {
 		}
 	}
 
-	cfg := report.RunConfig{Jobs: *jobs, Stream: *stream, Resume: *resume}
+	cfg := exp.Options{Jobs: *jobs}
+	if *stream != "" {
+		// Opened once every target is known to exist: without -resume it
+		// truncates the checkpoint.
+		c, err := exp.OpenCollector(*stream, *resume)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		cfg.Collector = c
+	}
 	var sink *cliutil.TraceSink
 	if *tracePath != "" {
 		// Edge binary: wall-clock timestamps are in scope here, and they

@@ -108,6 +108,23 @@ func TestMultiExperimentPlanWithStreamAndResume(t *testing.T) {
 	}
 }
 
+// TestUnknownExperimentKeepsCheckpoint: a mistyped target fails before
+// the -stream checkpoint is opened, so a fresh run's truncation never
+// costs a checkpoint a typo was going to refuse anyway.
+func TestUnknownExperimentKeepsCheckpoint(t *testing.T) {
+	stream := filepath.Join(t.TempDir(), "trials.jsonl")
+	const line = "{\"spec\":\"kept\"}\n"
+	if err := os.WriteFile(stream, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-stream", stream, "-out", t.TempDir(), "fig8", "nosuch"}); err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	if data, err := os.ReadFile(stream); err != nil || string(data) != line {
+		t.Errorf("checkpoint now holds %q (%v), want it untouched", data, err)
+	}
+}
+
 func TestResumeRequiresStream(t *testing.T) {
 	if err := run([]string{"-resume", "-out", t.TempDir(), "fig3"}); err == nil {
 		t.Error("-resume without -stream accepted")

@@ -27,8 +27,8 @@ import (
 	"fmt"
 )
 
-// TrialRunner adapts one spec's trials to the pipeline. Implementations
-// (harness static / dynamic / red-team specs) must make every unit a pure
+// TrialRunner adapts one spec's trials to the pipeline; NewRunner builds
+// one from a spec kind's functions. Every unit must be a pure
 // function of the spec and the unit index: no shared mutable state, no
 // dependence on execution order. The scheduler may call Run for distinct
 // units concurrently.
@@ -55,6 +55,50 @@ type TrialRunner interface {
 	// Finalize folds the records of all units — in unit order, each one
 	// normalized through a JSON round trip — into the spec's aggregate.
 	Finalize(records []any) (any, error)
+}
+
+// NewRunner returns the TrialRunner of a spec whose units return records
+// of type R and fold into an aggregate of type A: fingerprint and units
+// describe the spec, seed gives UnitSeed, run executes a unit, and fold
+// receives every unit's record in unit order. Decode unmarshals into R,
+// and Finalize checks each record is an R before it calls fold.
+func NewRunner[R, A any](fingerprint string, units int, seed func(unit int) int64,
+	run func(unit, engineWorkers int) (R, error), fold func([]R) A) TrialRunner {
+	return &runner[R, A]{fingerprint, units, seed, run, fold}
+}
+
+// runner is the one TrialRunner implementation; R and A stay hidden
+// behind the interface, which is what lets a Plan mix spec kinds.
+type runner[R, A any] struct {
+	fingerprint string
+	units       int
+	seed        func(int) int64
+	run         func(int, int) (R, error)
+	fold        func([]R) A
+}
+
+func (r *runner[R, A]) Fingerprint() string  { return r.fingerprint }
+func (r *runner[R, A]) Units() int           { return r.units }
+func (r *runner[R, A]) UnitSeed(i int) int64 { return r.seed(i) }
+func (r *runner[R, A]) Run(i, engineWorkers int) (any, error) {
+	return r.run(i, engineWorkers)
+}
+
+func (r *runner[R, A]) Decode(data json.RawMessage) (any, error) {
+	var rec R
+	err := json.Unmarshal(data, &rec)
+	return rec, err
+}
+
+func (r *runner[R, A]) Finalize(records []any) (any, error) {
+	recs := make([]R, len(records))
+	for i, rec := range records {
+		var ok bool
+		if recs[i], ok = rec.(R); !ok {
+			return nil, fmt.Errorf("exp: record %d has type %T, want %T", i, rec, recs[i])
+		}
+	}
+	return r.fold(recs), nil
 }
 
 // SpecPlan is one spec of a Plan.

@@ -19,49 +19,60 @@ type fakeRecord struct {
 	Value float64 `json:"value"`
 }
 
-// fakeRunner derives each unit's record purely from (seed base, index);
-// failAt injects an error at one unit index (-1 = never).
+// fakeRunner is a NewRunner whose unit records derive purely from (seed
+// base, index); failAt injects an error at one unit index (-1 = never).
 type fakeRunner struct {
+	TrialRunner
 	name   string
-	seed   int64
-	units  int
 	failAt int
 	runs   *atomic.Int64 // counts actual Run invocations across executes
 }
 
 func newFakeRunner(name string, seed int64, units int) *fakeRunner {
-	return &fakeRunner{name: name, seed: seed, units: units, failAt: -1, runs: &atomic.Int64{}}
+	r := &fakeRunner{name: name, failAt: -1, runs: &atomic.Int64{}}
+	unitSeed := func(i int) int64 { return seed + int64(i)*0x9E3779B9 }
+	r.TrialRunner = NewRunner(fmt.Sprintf("fake|%s|%d", name, seed), units, unitSeed,
+		func(i, engineWorkers int) (fakeRecord, error) {
+			r.runs.Add(1)
+			if i == r.failAt {
+				return fakeRecord{}, errors.New("injected unit failure")
+			}
+			if engineWorkers < 1 {
+				return fakeRecord{}, fmt.Errorf("engineWorkers=%d", engineWorkers)
+			}
+			s := unitSeed(i)
+			return fakeRecord{Seed: s, Value: float64(s%1000) / 7}, nil
+		},
+		// Order-sensitive fold: a scheduler delivering records out of unit
+		// order produces a different aggregate.
+		func(recs []fakeRecord) float64 {
+			var sum float64
+			for i, rec := range recs {
+				sum += float64(i+1) * rec.Value
+			}
+			return sum
+		})
+	return r
 }
 
-func (r *fakeRunner) Fingerprint() string { return "fake|" + r.name + fmt.Sprintf("|%d", r.seed) }
-func (r *fakeRunner) Units() int          { return r.units }
-func (r *fakeRunner) UnitSeed(i int) int64 {
-	return r.seed + int64(i)*0x9E3779B9
-}
-func (r *fakeRunner) Run(i, engineWorkers int) (any, error) {
-	r.runs.Add(1)
-	if i == r.failAt {
-		return nil, errors.New("injected unit failure")
+// TestRunnerChecksRecordTypes: Decode fills the runner's record type and
+// refuses bytes that do not unmarshal into it; Finalize refuses a record of
+// any other type instead of folding it.
+func TestRunnerChecksRecordTypes(t *testing.T) {
+	r := newFakeRunner("r", 1, 2)
+	rec, err := r.Decode(json.RawMessage(`{"seed":7,"value":0.5}`))
+	if err != nil || rec != (fakeRecord{Seed: 7, Value: 0.5}) {
+		t.Errorf("Decode = %#v, %v", rec, err)
 	}
-	if engineWorkers < 1 {
-		return nil, fmt.Errorf("engineWorkers=%d", engineWorkers)
+	if _, err := r.Decode(json.RawMessage(`{"seed":"x"}`)); err == nil {
+		t.Error("Decode accepted a record of the wrong shape")
 	}
-	s := r.UnitSeed(i)
-	return fakeRecord{Seed: s, Value: float64(s%1000) / 7}, nil
-}
-func (r *fakeRunner) Decode(data json.RawMessage) (any, error) {
-	var rec fakeRecord
-	err := json.Unmarshal(data, &rec)
-	return rec, err
-}
-func (r *fakeRunner) Finalize(records []any) (any, error) {
-	// Order-sensitive fold: a scheduler delivering records out of unit
-	// order produces a different aggregate.
-	var sum float64
-	for i, rec := range records {
-		sum += float64(i+1) * rec.(fakeRecord).Value
+	if _, err := r.Finalize([]any{fakeRecord{}, "stray"}); err == nil || !strings.Contains(err.Error(), "record 1 has type string") {
+		t.Errorf("Finalize with a foreign record: %v", err)
 	}
-	return sum, nil
+	if agg, err := r.Finalize([]any{fakeRecord{Value: 1}, fakeRecord{Value: 2}}); err != nil || agg != 5.0 {
+		t.Errorf("Finalize = %v, %v, want 5", agg, err)
+	}
 }
 
 func mustPlan(t *testing.T, runners ...*fakeRunner) *Plan {

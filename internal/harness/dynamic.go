@@ -48,19 +48,14 @@ type DynamicSpec struct {
 
 // validate checks the spec and returns a copy with defaults resolved.
 func (s DynamicSpec) validate() (DynamicSpec, error) {
-	if s.Trials <= 0 {
-		return s, fmt.Errorf("harness: Trials must be positive, got %d", s.Trials)
-	}
 	if s.Schedule == nil {
 		return s, fmt.Errorf("harness: Schedule generator is required")
-	}
-	if s.Jobs < 0 {
-		return s, fmt.Errorf("harness: Jobs must be non-negative, got %d", s.Jobs)
 	}
 	if s.SchemeName == "" {
 		s.SchemeName = "hmac"
 	}
-	return s, checkScheme(s.SchemeName)
+	return s, checkCounts(s.SchemeName, count{"Trials", s.Trials, true}, count{"Jobs", s.Jobs, false},
+		count{"T", s.T, false}, count{"EpochRounds", s.EpochRounds, false}, count{"Epochs", s.Epochs, false})
 }
 
 // DynamicTrial is the scored outcome of one dynamic run.

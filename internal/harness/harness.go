@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/obs"
@@ -145,20 +144,18 @@ func (r *Result) KBPerNodeBroadcast() float64 { return r.BroadcastBytes.Mean / 1
 
 // validate checks the spec and returns a copy with defaults resolved.
 func (s Spec) validate() (Spec, error) {
-	if s.Trials <= 0 {
-		return s, fmt.Errorf("harness: Trials must be positive, got %d", s.Trials)
-	}
 	if s.Scenario == nil {
 		return s, fmt.Errorf("harness: Scenario generator is required")
-	}
-	if s.Jobs < 0 {
-		return s, fmt.Errorf("harness: Jobs must be non-negative, got %d", s.Jobs)
 	}
 	if s.SchemeName == "" {
 		s.SchemeName = "hmac"
 	}
-	if err := checkScheme(s.SchemeName); err != nil {
+	if err := checkCounts(s.SchemeName, count{"Trials", s.Trials, true}, count{"Jobs", s.Jobs, false},
+		count{"T", s.T, false}, count{"Rounds", s.Rounds, false}); err != nil {
 		return s, err
+	}
+	if !(s.LossRate >= 0 && s.LossRate < 1) { // NaN fails too
+		return s, fmt.Errorf("harness: LossRate must be in [0,1), got %v", s.LossRate)
 	}
 	if !attackSupported(s.Protocol, s.Attack) {
 		return s, fmt.Errorf("harness: attack %q not defined for protocol %q", s.Attack, s.Protocol)
@@ -166,13 +163,29 @@ func (s Spec) validate() (Spec, error) {
 	return s, nil
 }
 
-// checkScheme rejects a scheme name sig.ByName does not know, naming the
-// valid ones, before any unit runs.
-func checkScheme(name string) error {
-	if slices.Contains(sig.Names(), name) {
-		return nil
+// count is one integer spec field, which must be non-negative, or
+// positive when positive is set.
+type count struct {
+	name     string
+	v        int
+	positive bool
+}
+
+// checkCounts is the check every spec kind's constructor makes before any
+// unit runs: each count in range, and a scheme name sig.ByName knows.
+func checkCounts(scheme string, counts ...count) error {
+	for _, c := range counts {
+		switch {
+		case c.positive && c.v <= 0:
+			return fmt.Errorf("harness: %s must be positive, got %d", c.name, c.v)
+		case c.v < 0:
+			return fmt.Errorf("harness: %s must be non-negative, got %d", c.name, c.v)
+		}
 	}
-	return fmt.Errorf("harness: unknown scheme %q (valid: %v)", name, sig.Names())
+	if err := sig.CheckName(scheme); err != nil {
+		return fmt.Errorf("harness: %w", err)
+	}
+	return nil
 }
 
 // trialSeedStride spaces per-trial seeds; the dynamic driver and the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nectar-repro/nectar/internal/dynamic"
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/sig"
@@ -94,6 +95,59 @@ func TestUnknownSchemeRejectedUpFront(t *testing.T) {
 	r.SchemeName = "nosuch"
 	_, err = NewRedTeamRunner(r)
 	check("redteam", err)
+}
+
+// TestSpecCountsRejectedUpFront: a static or dynamic spec's bound,
+// horizon and loss rate are checked by its constructor, before a trial
+// generates a scenario or a schedule — where each used to fail only once
+// unit 0 ran, and an MtG trial with a negative T ran to completion.
+func TestSpecCountsRejectedUpFront(t *testing.T) {
+	generated := 0
+	static := func(set func(*Spec)) error {
+		s := Spec{
+			Protocol: ProtoNectar, T: 1, Trials: 1, Seed: 1,
+			Scenario: func(rng *rand.Rand) (*Scenario, error) {
+				generated++
+				return Plain(hararyGen(2, 6))(rng)
+			},
+		}
+		set(&s)
+		_, err := NewRunner(s)
+		return err
+	}
+	dyn := func(set func(*DynamicSpec)) error {
+		d := dynamicSpecForTest()
+		sched := d.Schedule
+		d.Schedule = func(rng *rand.Rand) (*dynamic.EdgeSchedule, error) {
+			generated++
+			return sched(rng)
+		}
+		set(&d)
+		_, err := NewDynamicRunner(d)
+		return err
+	}
+	for _, c := range []struct {
+		name, field string
+		err         error
+	}{
+		{"nectar T", "T", static(func(s *Spec) { s.T = -1 })},
+		{"mtg T", "T", static(func(s *Spec) { s.Protocol, s.T = ProtoMtG, -1 })},
+		{"mtgv2 T", "T", static(func(s *Spec) { s.Protocol, s.T = ProtoMtGv2, -1 })},
+		{"Rounds", "Rounds", static(func(s *Spec) { s.Rounds = -3 })},
+		{"LossRate NaN", "LossRate", static(func(s *Spec) { s.LossRate = math.NaN() })},
+		{"LossRate 1", "LossRate", static(func(s *Spec) { s.LossRate = 1 })},
+		{"LossRate negative", "LossRate", static(func(s *Spec) { s.LossRate = -0.1 })},
+		{"dynamic T", "T", dyn(func(d *DynamicSpec) { d.T = -1 })},
+		{"EpochRounds", "EpochRounds", dyn(func(d *DynamicSpec) { d.EpochRounds = -1 })},
+		{"Epochs", "Epochs", dyn(func(d *DynamicSpec) { d.Epochs = -2 })},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.field) {
+			t.Errorf("%s: error %v does not name %s", c.name, c.err, c.field)
+		}
+	}
+	if generated != 0 {
+		t.Errorf("%d scenarios or schedules generated before a spec was rejected", generated)
+	}
 }
 
 // TestRedTeamCountsRejectedUpFront: a red-team spec's counts are checked by

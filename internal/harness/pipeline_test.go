@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -11,6 +14,7 @@ import (
 	"github.com/nectar-repro/nectar/internal/dynamic"
 	"github.com/nectar-repro/nectar/internal/exp"
 	"github.com/nectar-repro/nectar/internal/graph"
+	"github.com/nectar-repro/nectar/internal/redteam"
 	"github.com/nectar-repro/nectar/internal/topology"
 )
 
@@ -157,11 +161,16 @@ func redTeamSpecForTest() RedTeamSpec {
 // TestRedTeamPipelineMatchesSearchBitForBit pins that the pipeline's JSON
 // normalization and budget threading change nothing about a search.
 func TestRedTeamPipelineMatchesSearchBitForBit(t *testing.T) {
-	direct, err := runRedTeamSearch(redTeamSpecForTest(), 1)
+	spec := redTeamSpecForTest().withDefaults()
+	opt, err := redteam.ByName(spec.Optimizer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := stripRedTeam(direct)
+	direct, err := runRedTeamSearch(&spec, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stripRedTeam(&direct)
 	for _, jobs := range []int{1, 4} {
 		s := redTeamSpecForTest()
 		s.Jobs = jobs
@@ -280,6 +289,101 @@ func TestPlanAggregatesInvariantAcrossJobsAndResume(t *testing.T) {
 	}
 	if got := planAggregates(t, resumed); !reflect.DeepEqual(got, want) {
 		t.Error("resumed aggregates differ from clean run")
+	}
+}
+
+// recordPlan is the plan behind testdata/records.jsonl: one single-unit
+// spec of each kind, under the keys the file was written with.
+func recordPlan(t *testing.T) *exp.Plan {
+	t.Helper()
+	static := pipelineMatrix()[0]
+	static.Name, static.Trials = "static", 1
+	dyn := dynamicSpecForTest()
+	dyn.Trials = 1
+	sr, err := NewRunner(static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr, err := NewDynamicRunner(dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := NewRedTeamRunner(redTeamSpecForTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &exp.Plan{}
+	for _, s := range []exp.SpecPlan{{Key: "static", Runner: sr}, {Key: "dynamic", Runner: dr}, {Key: "redteam", Runner: rr}} {
+		if err := plan.Add(s.Key, s.Runner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return plan
+}
+
+// TestCheckpointRecordsPinned holds the checkpoint format to
+// testdata/records.jsonl, one -stream record per spec kind (a static
+// Trial, a DynamicTrial, a red-team search) written by the per-kind
+// adapters exp.NewRunner replaced: each record decodes through its runner
+// and re-encodes to the same bytes, and a resume from the file runs no
+// unit and reattaches the red-team spec.
+func TestCheckpointRecordsPinned(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := recordPlan(t)
+	runners := make(map[string]exp.TrialRunner)
+	for _, sp := range plan.Specs {
+		runners[sp.Key] = sp.Runner
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n")) {
+		var rec struct {
+			Key  string          `json:"spec"`
+			Data json.RawMessage `json:"data"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		r, ok := runners[rec.Key]
+		if !ok {
+			t.Fatalf("record for unknown spec %q", rec.Key)
+		}
+		v, err := r.Decode(rec.Data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", rec.Key, err)
+		}
+		again, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, rec.Data) {
+			t.Errorf("%s: record re-encodes as\n%s\nwant\n%s", rec.Key, again, rec.Data)
+		}
+		delete(runners, rec.Key)
+	}
+	if len(runners) != 0 {
+		t.Errorf("no record for %v", runners)
+	}
+
+	path := filepath.Join(t.TempDir(), "records.jsonl")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := exp.OpenCollector(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := exp.Execute(plan, exp.Options{Jobs: 1, Collector: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnitsRun != 0 || res.UnitsResumed != 3 {
+		t.Errorf("resume ran %d units and served %d, want 0 and 3", res.UnitsRun, res.UnitsResumed)
+	}
+	if rt := res.Get("redteam").Aggregate.(*RedTeamResult); rt.Spec.Name != "rt" || rt.Spec.Topology == nil {
+		t.Errorf("resumed red-team result carries spec %+v", rt.Spec)
 	}
 }
 

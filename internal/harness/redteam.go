@@ -90,8 +90,10 @@ func (s RedTeamSpec) withDefaults() RedTeamSpec {
 // RedTeamResult reports the searched worst case next to the random
 // baseline and the paper's guarantee for the sampled topology.
 type RedTeamResult struct {
-	// Spec echoes the (defaults-resolved) input.
-	Spec RedTeamSpec
+	// Spec echoes the (defaults-resolved) input. It is left out of the
+	// checkpoint record (Topology is a function) and attached again when
+	// the search's runner folds that record.
+	Spec RedTeamSpec `json:"-"`
 	// N, Edges, Kappa describe the sampled topology.
 	N, Edges, Kappa int
 	// TruthPartitionable is the ground truth κ ≤ t (Corollary 1).
@@ -118,38 +120,22 @@ type RedTeamResult struct {
 // how much the optimizer's adversary outperforms aleatory placement.
 func (r *RedTeamResult) Gain() float64 { return r.Best.Damage - r.Baseline.Mean }
 
-// runRedTeamSearch executes the search described by spec (already
-// defaults-resolved and validated by NewRedTeamRunner; re-validated here
-// for internal callers). engineWorkers is the per-candidate evaluation
-// budget handed down by the scheduler.
-func runRedTeamSearch(spec RedTeamSpec, engineWorkers int) (*RedTeamResult, error) {
-	spec = spec.withDefaults()
-	if spec.Topology == nil {
-		return nil, fmt.Errorf("harness: RedTeamSpec.Topology is required")
-	}
-	if !spec.Objective.Valid() {
-		return nil, fmt.Errorf("harness: unknown objective %q (valid: %v)",
-			spec.Objective, redteam.Objectives())
-	}
-	if !attackSupported(spec.Protocol, spec.Attack) {
-		return nil, fmt.Errorf("harness: attack %q not defined for protocol %q", spec.Attack, spec.Protocol)
-	}
-	opt, err := redteam.ByName(spec.Optimizer)
-	if err != nil {
-		return nil, err
-	}
-
+// runRedTeamSearch executes the search described by spec with opt, both
+// validated by NewRedTeamRunner, and returns its outcome without the spec,
+// which the runner's fold attaches. engineWorkers is the per-candidate
+// evaluation budget handed down by the scheduler.
+func runRedTeamSearch(spec *RedTeamSpec, opt redteam.Optimizer, engineWorkers int) (RedTeamResult, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	g, err := spec.Topology(rng)
 	if err != nil {
-		return nil, err
+		return RedTeamResult{}, err
 	}
 	n := g.N()
-	if spec.T <= 0 || spec.T >= n {
-		return nil, fmt.Errorf("harness: RunRedTeam needs 0 < T < n, got T=%d n=%d", spec.T, n)
+	if spec.T >= n {
+		return RedTeamResult{}, fmt.Errorf("harness: RunRedTeam needs 0 < T < n, got T=%d n=%d", spec.T, n)
 	}
 
-	res := &RedTeamResult{Spec: spec, N: n, Edges: g.M(), Kappa: g.Connectivity()}
+	res := RedTeamResult{N: n, Edges: g.M(), Kappa: g.Connectivity()}
 	res.TruthPartitionable = res.Kappa <= spec.T
 	res.GuaranteeHolds = spec.T > 0 && res.Kappa >= 2*spec.T
 	switch {
@@ -173,7 +159,7 @@ func runRedTeamSearch(spec RedTeamSpec, engineWorkers int) (*RedTeamResult, erro
 		if m, ok := metricsCache[key]; ok {
 			return m, nil
 		}
-		m, err := redTeamMetrics(&spec, g, p, engineWorkers)
+		m, err := redTeamMetrics(spec, g, p, engineWorkers)
 		if err == nil {
 			metricsCache[key] = m
 		}
@@ -195,13 +181,13 @@ func runRedTeamSearch(spec RedTeamSpec, engineWorkers int) (*RedTeamResult, erro
 		OnStep: func(s redteam.Step) { res.Trace = append(res.Trace, s) },
 	})
 	if err != nil {
-		return nil, err
+		return RedTeamResult{}, err
 	}
 	res.Best = out
 	if m, err := metricsFor(out.Placement); err == nil {
 		res.BestMetrics = m
 	} else {
-		return nil, err
+		return RedTeamResult{}, err
 	}
 
 	// Random baseline: aleatory placement with the same evaluation
@@ -212,7 +198,7 @@ func runRedTeamSearch(spec RedTeamSpec, engineWorkers int) (*RedTeamResult, erro
 	for i := 0; i < spec.BaselineSamples; i++ {
 		d, err := eval(redteam.RandomPlacement(n, spec.T, baseRng))
 		if err != nil {
-			return nil, err
+			return RedTeamResult{}, err
 		}
 		damages = append(damages, d)
 		if d > res.BaselineBest {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/nectar-repro/nectar/internal/exp"
 	"github.com/nectar-repro/nectar/internal/harness"
-	"github.com/nectar-repro/nectar/internal/obs"
 )
 
 // The report layer is declarative (DESIGN.md §10): every experiment
@@ -63,42 +62,32 @@ type Results struct {
 	res    *exp.Results
 }
 
-func (r *Results) get(key string) (any, error) {
+// lookup returns the aggregate, of type A, of the spec declared under key.
+func lookup[A any](r *Results, key string) (A, error) {
+	var agg A
 	sr := r.res.Get(r.prefix + key)
 	if sr == nil {
-		return nil, fmt.Errorf("report: no result for %s%s (not declared)", r.prefix, key)
+		return agg, fmt.Errorf("report: no result for %s%s (not declared)", r.prefix, key)
 	}
 	if sr.Err != nil {
-		return nil, sr.Err
+		return agg, sr.Err
 	}
-	return sr.Aggregate, nil
+	return sr.Aggregate.(A), nil
 }
 
 // Static returns the aggregate of a static spec.
 func (r *Results) Static(key string) (*harness.Result, error) {
-	agg, err := r.get(key)
-	if err != nil {
-		return nil, err
-	}
-	return agg.(*harness.Result), nil
+	return lookup[*harness.Result](r, key)
 }
 
 // Dynamic returns the aggregate of a dynamic spec.
 func (r *Results) Dynamic(key string) (*harness.DynamicResult, error) {
-	agg, err := r.get(key)
-	if err != nil {
-		return nil, err
-	}
-	return agg.(*harness.DynamicResult), nil
+	return lookup[*harness.DynamicResult](r, key)
 }
 
 // RedTeam returns the outcome of a red-team search.
 func (r *Results) RedTeam(key string) (*harness.RedTeamResult, error) {
-	agg, err := r.get(key)
-	if err != nil {
-		return nil, err
-	}
-	return agg.(*harness.RedTeamResult), nil
+	return lookup[*harness.RedTeamResult](r, key)
 }
 
 // Output is one rendered experiment: a figure or a table.
@@ -141,27 +130,6 @@ type Experiment struct {
 	Render  func(opts Options, r *Results) (*Output, error)
 }
 
-// RunConfig parameterizes a scheduled multi-experiment run.
-type RunConfig struct {
-	// Jobs is the global parallelism budget shared by every declared
-	// spec (0 = GOMAXPROCS).
-	Jobs int
-	// Stream, when non-empty, is the JSONL checkpoint path trial records
-	// stream to; Resume loads it first and skips completed units.
-	Stream string
-	Resume bool
-	// OnUnit, when non-nil, receives live per-unit progress.
-	OnUnit func(exp.UnitEvent)
-	// Interrupt, when non-nil and closed, stops dispatch gracefully
-	// (completed units stay checkpointed).
-	Interrupt <-chan struct{}
-	// Tracer, when non-nil, receives unit_start/unit_done scheduler
-	// events; Registry, when non-nil, collects scheduler telemetry
-	// (DESIGN.md §12). Both are pass-throughs to exp.Options.
-	Tracer   obs.Tracer
-	Registry *obs.Registry
-}
-
 // ExperimentRun is one experiment's outcome within a RunReport.
 type ExperimentRun struct {
 	ID string
@@ -192,13 +160,15 @@ type RunReport struct {
 // pool, so cross-spec (and cross-experiment) parallelism replaces the
 // old one-figure-at-a-time serial sweep. The first failure stops
 // dispatch, but experiments whose specs all completed still render, so
-// callers can flush finished outputs before reporting the error.
-func RunExperiments(ids []string, opts Options, cfg RunConfig) (*RunReport, error) {
+// callers can flush finished outputs before reporting the error. xo
+// carries the budget, checkpoint collector, progress, interrupt and
+// telemetry to exp.Execute unchanged.
+func RunExperiments(ids []string, opts Options, xo exp.Options) (*RunReport, error) {
 	exps, err := resolveExperiments(ids)
 	if err != nil {
 		return nil, err
 	}
-	return runExperimentSet(exps, opts, cfg)
+	return runExperimentSet(exps, opts, xo)
 }
 
 // resolveExperiments maps requested IDs to registered experiments.
@@ -233,29 +203,12 @@ func declarePlan(exps []Experiment, opts Options) (*exp.Plan, error) {
 }
 
 // runExperimentSet is RunExperiments over already-resolved experiments.
-func runExperimentSet(exps []Experiment, opts Options, cfg RunConfig) (*RunReport, error) {
+func runExperimentSet(exps []Experiment, opts Options, xo exp.Options) (*RunReport, error) {
 	plan, err := declarePlan(exps, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	var collector *exp.Collector
-	if cfg.Stream != "" {
-		var err error
-		collector, err = exp.OpenCollector(cfg.Stream, cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer collector.Close()
-	}
-	res, execErr := exp.Execute(plan, exp.Options{
-		Jobs:      cfg.Jobs,
-		Collector: collector,
-		OnUnit:    cfg.OnUnit,
-		Interrupt: cfg.Interrupt,
-		Tracer:    cfg.Tracer,
-		Registry:  cfg.Registry,
-	})
+	res, execErr := exp.Execute(plan, xo)
 	if res == nil {
 		return nil, execErr
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nectar-repro/nectar/internal/exp"
 	"github.com/nectar-repro/nectar/internal/harness"
 )
 
@@ -186,7 +187,7 @@ func runSingle(id string, opts Options) (*Output, error) {
 
 // runSingleExperiment executes an ad-hoc experiment the same way.
 func runSingleExperiment(e Experiment, opts Options) (*Output, error) {
-	rep, err := runExperimentSet([]Experiment{e}, opts, RunConfig{})
+	rep, err := runExperimentSet([]Experiment{e}, opts, exp.Options{})
 	if err != nil {
 		return nil, err
 	}

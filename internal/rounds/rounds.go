@@ -172,10 +172,6 @@ type Config struct {
 	// Seed drives the per-recipient delivery-order shuffle, making runs
 	// reproducible while avoiding sender-ID-ordered delivery artifacts.
 	Seed int64
-	// MsgOverhead is the per-message accounting overhead in bytes; 0
-	// means DefaultMsgOverhead, any negative value means a true
-	// zero-overhead configuration (payload bytes only).
-	MsgOverhead int
 	// Workers caps the engine's intra-run parallelism (emit and deliver
 	// blocks, route stripes): 0 means GOMAXPROCS, 1 runs every phase inline
 	// on the caller's goroutine, negative is invalid. Worker count never
@@ -209,17 +205,6 @@ type Config struct {
 	// run delivers and meters what one engine would. Nil (the default) is
 	// the single in-memory engine.
 	Transport Transport
-}
-
-// overhead resolves the MsgOverhead sentinel: 0 = default, negative = none.
-func (cfg *Config) overhead() int {
-	switch {
-	case cfg.MsgOverhead < 0:
-		return 0
-	case cfg.MsgOverhead == 0:
-		return DefaultMsgOverhead
-	}
-	return cfg.MsgOverhead
 }
 
 // Metrics records per-node traffic for one run.
@@ -409,7 +394,6 @@ type engine struct {
 	cfg       Config
 	g         *graph.Graph
 	n         int
-	overhead  int
 	nodes     []Protocol
 	quiescers []Quiescer // non-nil only when every node implements Quiescer
 	m         *Metrics
@@ -467,12 +451,11 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 	st := acquireStaging(n, workers)
 	defer st.release()
 	e := &engine{
-		staging:  st,
-		cfg:      cfg,
-		g:        g,
-		n:        n,
-		overhead: cfg.overhead(),
-		nodes:    nodes,
+		staging: st,
+		cfg:     cfg,
+		g:       g,
+		n:       n,
+		nodes:   nodes,
 		m: &Metrics{
 			BytesSent:      make([]int64, n),
 			BytesBroadcast: make([]int64, n),
@@ -707,7 +690,7 @@ func (e *engine) admit(mt *meter, round, i, k int, s Send) bool {
 		mt.droppedNonEdge++
 		return false
 	}
-	size := int64(len(s.Data) + e.overhead)
+	size := int64(len(s.Data) + DefaultMsgOverhead)
 	mt.sent += size
 	mt.msgs++
 	if len(s.Data) == 0 || len(mt.last) != len(s.Data) || &mt.last[0] != &s.Data[0] {

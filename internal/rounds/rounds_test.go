@@ -140,8 +140,8 @@ func TestMeteringCountsPayloadPlusOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPer := int64(1 + DefaultMsgOverhead)
-	if m.BytesSent[0] != 3*wantPer {
-		t.Errorf("BytesSent[0] = %d, want %d", m.BytesSent[0], 3*wantPer)
+	if m.BytesSent[0] != 3*wantPer || m.BytesBroadcast[0] != 3*wantPer {
+		t.Errorf("BytesSent[0] = %d, BytesBroadcast[0] = %d, want %d", m.BytesSent[0], m.BytesBroadcast[0], 3*wantPer)
 	}
 	if m.MsgsSent[0] != 3 || m.MsgsDelivered[1] != 3 {
 		t.Errorf("MsgsSent=%v MsgsDelivered=%v", m.MsgsSent, m.MsgsDelivered)
@@ -154,16 +154,18 @@ func TestMeteringCountsPayloadPlusOverhead(t *testing.T) {
 	}
 }
 
+// TestCustomOverhead pins the one overhead every transport shares: a single
+// 1-byte message costs its payload plus DefaultMsgOverhead, no more.
 func TestCustomOverhead(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	m, err := Run(Config{Graph: g, Rounds: 1, Seed: 0, MsgOverhead: 100},
+	m, err := Run(Config{Graph: g, Rounds: 1, Seed: 0},
 		[]Protocol{&rogueNode{target: 1}, &silentNode{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.BytesSent[0] != 101 {
-		t.Errorf("BytesSent[0] = %d, want 101", m.BytesSent[0])
+	if want := int64(1 + DefaultMsgOverhead); m.BytesSent[0] != want {
+		t.Errorf("BytesSent[0] = %d, want %d", m.BytesSent[0], want)
 	}
 }
 
@@ -524,19 +526,6 @@ func TestOpaqueProtocolForcesFullHorizon(t *testing.T) {
 	_, m := runFlood(t, g, Config{Rounds: 12, Seed: 1})
 	if m.ActiveRounds != 12 {
 		t.Errorf("ActiveRounds = %d, want full horizon 12 for non-Quiescer protocols", m.ActiveRounds)
-	}
-}
-
-func TestZeroOverheadSentinel(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1)
-	m, err := Run(Config{Graph: g, Rounds: 2, Seed: 0, MsgOverhead: -1},
-		[]Protocol{&rogueNode{target: 1}, &silentNode{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.BytesSent[0] != 2 { // two 1-byte payloads, zero overhead
-		t.Errorf("BytesSent[0] = %d, want 2 with MsgOverhead sentinel -1", m.BytesSent[0])
 	}
 }
 

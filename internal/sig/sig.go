@@ -36,7 +36,10 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
+	"fmt"
 	"hash"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -414,6 +417,16 @@ func (v insecureVerifier) BindsMessage() bool { return false }
 // Names lists the scheme names ByName accepts, for error messages and
 // flag validation.
 func Names() []string { return []string{"ed25519", "hmac", "slim"} }
+
+// CheckName rejects a name ByName does not know, naming the valid ones, so
+// a misconfigured scheme fails before any key is generated. Callers prefix
+// the error with their own package and resolve "" to their own default.
+func CheckName(name string) error {
+	if slices.Contains(Names(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown scheme %q (valid: %s)", name, strings.Join(Names(), ", "))
+}
 
 // ByName constructs a scheme by name: "ed25519", "hmac" or "slim". Unknown
 // names return nil.

@@ -2,8 +2,6 @@ package nectar
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 
 	"github.com/nectar-repro/nectar/internal/harness"
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -222,11 +220,10 @@ func resolveSchemeName(name string) (string, error) {
 	if name == "" {
 		return "ed25519", nil
 	}
-	if slices.Contains(sig.Names(), name) {
-		return name, nil
+	if err := sig.CheckName(name); err != nil {
+		return "", fmt.Errorf("nectar: %w", err)
 	}
-	return "", fmt.Errorf("nectar: unknown scheme %q (valid: %s)",
-		name, strings.Join(sig.Names(), ", "))
+	return name, nil
 }
 
 // checkByzantine validates a Byzantine assignment for an n-node system
