@@ -171,7 +171,7 @@ var sigsErr = [...]error{sigsValid: nil, sigsBadProof: errProofSig, sigsBadChain
 
 // statement returns the proof statement for e, or nil when v's scheme does
 // not bind the message: no signature under it depends on what was signed,
-// so the hot path builds no signing input at all (sig.ChainScratch).
+// so a relay builds no signing input at all (sig.ChainScratch).
 func (sc *msgScratch) statement(v sig.Verifier, e graph.Edge) []byte {
 	if !v.BindsMessage() {
 		return nil
@@ -181,44 +181,65 @@ func (sc *msgScratch) statement(v sig.Verifier, e graph.Edge) []byte {
 
 // checkRaw is DecodeEdgeMsg followed by checkMsg in one pass over the wire
 // bytes: the same checks in the same order with the same verdict — and,
-// without a memo, the same Verify calls — but every field is read in place
+// without a memo, the same Verify calls under a scheme that binds the
+// message, none under one that does not — but every field is read in place
 // at its fixed offset: nothing is decoded into an EdgeMsg, no []sig.Hop
 // exists, and a rejection allocates no error. It returns the carried edge
 // and the hop count the reference would have decoded when it failed: 0
 // until the framing is known to be sound.
 func (sc *msgScratch) checkRaw(v sig.Verifier, data []byte, n int, from ids.NodeID, round int) (graph.Edge, int, error) {
-	sigSize := v.SigSize()
-	ps, hop := proofWireSize(sigSize), sig.HopWireSize(sigSize)
-	if len(data) < ps {
+	if len(data) < proofWireSize(v.SigSize()) { // the reference reads the whole proof before its endpoints
 		return graph.Edge{}, 0, wire.ErrTruncated
 	}
 	e, err := DecodeEdgeHeader(data, n)
 	if err != nil {
 		return e, 0, err
 	}
+	hops, err := sc.checkBody(v, e, data, n, from, round)
+	return e, hops, err
+}
+
+// checkBody is checkRaw past the edge header, for a caller that has decoded
+// it already: e is DecodeEdgeHeader(data, n). Under a scheme that does not
+// bind the message it makes no Verify call: such a Verify accepts exactly a
+// signer below the scheme's n with a signature of its width
+// (sig.Verifier.BindsMessage), the framing fixes every width, the header
+// bounds both proof endpoints, and the signer walk bounds the chain's — to
+// the node's n, so a signer no node of the system has is chain_sig even
+// under a scheme built for more.
+func (sc *msgScratch) checkBody(v sig.Verifier, e graph.Edge, data []byte, n int, from ids.NodeID, round int) (int, error) {
+	sigSize := v.SigSize()
+	ps, hop := proofWireSize(sigSize), sig.HopWireSize(sigSize)
 	if len(data) < ps+2 {
-		return e, 0, wire.ErrTruncated
+		return 0, wire.ErrTruncated
 	}
 	count, rawHops := int(binary.BigEndian.Uint16(data[ps:])), data[ps+2:]
 	if len(rawHops) < count*hop {
-		return e, 0, wire.ErrTruncated
+		return 0, wire.ErrTruncated
 	}
 	if len(rawHops) > count*hop {
-		return e, 0, wire.ErrTrailing
+		return 0, wire.ErrTrailing
 	}
 	if count != round {
-		return e, count, errChainLength
+		return count, errChainLength
 	}
-	if !sig.DistinctRawSigners(rawHops, sigSize) {
-		return e, count, errChainSigners
+	distinct, inRange := sig.DistinctRawSigners(rawHops, sigSize, n)
+	if !distinct {
+		return count, errChainSigners
 	}
 	if init := ids.NodeID(binary.BigEndian.Uint32(rawHops)); init != e.U && init != e.V {
-		return e, count, errChainInitiator
+		return count, errChainInitiator
 	}
 	if last := ids.NodeID(binary.BigEndian.Uint32(rawHops[len(rawHops)-hop:])); last != from {
-		return e, count, errChainSender
+		return count, errChainSender
 	}
-	return e, count, sc.checkSigs(v, e, data[:ps], rawHops)
+	if v.BindsMessage() {
+		return count, sc.checkSigs(v, e, data[:ps], rawHops)
+	}
+	if !inRange {
+		return count, errChainSig
+	}
+	return count, nil
 }
 
 // checkSigs runs checkMsg's signature checks — the proof's two, then the
@@ -226,7 +247,8 @@ func (sc *msgScratch) checkRaw(v sig.Verifier, data []byte, n int, from ids.Node
 // memo if the node has one (DESIGN.md §9): one counted lookup of the whole
 // message; on a miss, the longest stored prefix — normally all but the last
 // hop, stored when the sender accepted it — vouches for its signatures, and
-// only the rest are verified.
+// only the rest are verified. Deliver enters it only under a scheme that
+// binds the message (checkBody); NewNode checks every scheme's proofs here.
 func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []byte) error {
 	sigSize := v.SigSize()
 	hop, known := sig.HopWireSize(sigSize), -1 // known: hops a stored prefix vouches for; -1, not the proof either
@@ -249,7 +271,7 @@ func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []b
 			}
 		}
 	}
-	stmt, verdict := sc.statement(v, e), sigsValid
+	stmt, verdict := proofStatementInto(&sc.stmt, e), sigsValid
 	if known < 0 && (!v.Verify(e.U, stmt, proof[8:8+sigSize]) || !v.Verify(e.V, stmt, proof[8+sigSize:])) {
 		verdict = sigsBadProof
 	} else if !sc.cs.VerifyRawChain(v, stmt, rawHops, max(known, 0)) {

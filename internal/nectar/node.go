@@ -462,26 +462,25 @@ func (nd *Node) encodeRelay(item relayItem, v sig.Verifier, ps, sigSize int) []b
 // The default mode reads the header first (DESIGN.md §9): the edge
 // endpoints live in the first 8 bytes, and duplicates — the dominant case
 // in a flood — are discarded from them alone, before the chain is looked
-// at. Messages that survive the duplicate check get the one-pass check
-// over their wire bytes (checkRaw), which aliases data and retains none of
-// it; only accepted messages are copied into owned memory for relay.
-// Paranoid mode is the literal Alg. 1 order: the full check first, then
-// the duplicate check.
+// at. Messages that survive the duplicate check get the rest of the
+// one-pass check over their wire bytes (checkBody, handed the decoded
+// edge), which aliases data and retains none of it; only accepted messages
+// are copied into owned memory for relay. Paranoid mode is the literal
+// Alg. 1 order: the full check (checkRaw) first, then the duplicate check.
 func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
-	if !nd.cfg.paranoidVerify {
-		e, err := DecodeEdgeHeader(data, nd.cfg.N)
-		if err != nil {
-			nd.stats.Rejected++
-			nd.traceReject(round, from, 0, err)
-			return
-		}
+	var e graph.Edge
+	var hops int
+	var err error
+	if nd.cfg.paranoidVerify {
+		e, hops, err = nd.scr.checkRaw(nd.cfg.Verifier, data, nd.cfg.N, from, round)
+	} else if e, err = DecodeEdgeHeader(data, nd.cfg.N); err == nil {
 		if nd.edges().Has(e.U, e.V) {
 			nd.stats.Duplicates++
 			nd.stats.LazyDiscards++
 			return
 		}
+		hops, err = nd.scr.checkBody(nd.cfg.Verifier, e, data, nd.cfg.N, from, round)
 	}
-	e, hops, err := nd.scr.checkRaw(nd.cfg.Verifier, data, nd.cfg.N, from, round)
 	if err != nil {
 		nd.stats.Rejected++
 		nd.traceReject(round, from, hops, err)

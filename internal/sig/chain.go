@@ -123,24 +123,34 @@ func distinct(n int, signer func(int) ids.NodeID) bool {
 const distinctScanMax = 32
 
 // DistinctRawSigners is DistinctSigners over a raw chain (scratch.go) of
-// sigSize-byte signatures. The scan gathers the signers from their hop
-// stride into an array first, so its quadratic part compares registers.
-func DistinctRawSigners(rawHops []byte, sigSize int) bool {
+// sigSize-byte signatures, and in the same walk it reports whether every
+// signer is below n — a node of the n-node system. That is all an unbound
+// scheme's Verify checks of a well-framed hop (Verifier.BindsMessage), so
+// a caller holding such a scheme checks the chain's signatures with it.
+// The second result is meaningful only when the first is true. The scan
+// gathers the signers from their hop stride into an array first, so its
+// quadratic part compares registers.
+func DistinctRawSigners(rawHops []byte, sigSize, n int) (bool, bool) {
 	hop := HopWireSize(sigSize)
-	n := len(rawHops) / hop
-	if n > distinctScanMax {
-		return distinct(n, func(i int) ids.NodeID { return ids.NodeID(binary.BigEndian.Uint32(rawHops[i*hop:])) })
+	count := len(rawHops) / hop
+	var hi uint32 // the largest signer
+	if count > distinctScanMax {
+		for i := range count {
+			hi = max(hi, binary.BigEndian.Uint32(rawHops[i*hop:]))
+		}
+		return distinct(count, func(i int) ids.NodeID { return ids.NodeID(binary.BigEndian.Uint32(rawHops[i*hop:])) }), hi < uint32(n)
 	}
 	var signers [distinctScanMax]uint32
-	for i := range signers[:n] {
+	for i := range signers[:count] {
 		signers[i] = binary.BigEndian.Uint32(rawHops[i*hop:])
 		for _, s := range signers[:i] {
 			if s == signers[i] {
-				return false
+				return false, false
 			}
 		}
+		hi = max(hi, signers[i])
 	}
-	return true
+	return true, count == 0 || hi < uint32(n)
 }
 
 // EncodeHops appends the chain to w: a uint16 hop count followed by

@@ -91,21 +91,20 @@ func (cs *ChainScratch) AppendSignRawChain(dst []byte, s AppendSigner, v Verifie
 
 // VerifyRawChain is VerifyChain over a raw chain: the same verdict from the
 // same Verify calls in the same order, hop #i against
-// chainInput(payload, hops[:i]) — or against nil when v's scheme does not
-// bind the message and the input could not change the verdict. The first
-// `from` hops are skipped: a caller that knows them valid (a memoized
-// prefix, VerifyCache) verifies the rest; 0 verifies the whole chain.
+// chainInput(payload, hops[:i]). The first `from` hops are skipped: a
+// caller that knows them valid (a memoized prefix, VerifyCache) verifies
+// the rest; 0 verifies the whole chain. A scheme that does not bind the
+// message needs no call at all (Verifier.BindsMessage, DistinctRawSigners).
 func (cs *ChainScratch) VerifyRawChain(v Verifier, payload, rawHops []byte, from int) bool {
 	sigSize := v.SigSize()
 	hop := HopWireSize(sigSize)
-	var input []byte
-	size, step := 0, 0
-	if v.BindsMessage() && len(rawHops) >= hop {
-		// The last hop signs the others and is signed by none.
-		input = cs.rawInput(payload, rawHops[:len(rawHops)-hop], sigSize)
-		size, step = chainInputSize(payload, nil), hop+4
+	if len(rawHops) < hop {
+		return true
 	}
-	size += from * step
+	// The last hop signs the others and is signed by none.
+	input := cs.rawInput(payload, rawHops[:len(rawHops)-hop], sigSize)
+	step := hop + 4
+	size := chainInputSize(payload, nil) + from*step
 	for rawHops = rawHops[from*hop:]; len(rawHops) >= hop; rawHops, size = rawHops[hop:], size+step {
 		if !v.Verify(ids.NodeID(binary.BigEndian.Uint32(rawHops)), input[:size], rawHops[4:hop]) {
 			return false

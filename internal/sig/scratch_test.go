@@ -70,13 +70,15 @@ func (s recordingSigner) AppendSign(dst, msg []byte) []byte {
 
 // TestScratchVerifyMatchesVerifyChain: over a chain's wire bytes the scratch
 // reaches VerifyChain's verdict through the same Verify calls — hop i
-// against chainInput(payload, chain[:i]) for a binding scheme, against nil
-// for one that is not — on chains of 0 to 12 hops, tampered or not, from
-// every starting hop, and with a scratch that is reused throughout.
+// against chainInput(payload, chain[:i]) — on chains of 0 to 12 hops,
+// tampered or not, from every starting hop, and with a scratch that is
+// reused throughout. The schemes are the ones that bind the message: an
+// unbound chain is checked in the signer walk, under the contract
+// TestUnboundVerifyIsRangeAndWidth pins.
 func TestScratchVerifyMatchesVerifyChain(t *testing.T) {
 	payload := []byte("edge{p0,p4}")
 	var cs ChainScratch
-	for _, s := range []Scheme{NewEd25519(16, 2), NewHMAC(16, 2), NewInsecure(16, Ed25519SigSize), NewSlim(16)} {
+	for _, s := range []Scheme{NewEd25519(16, 2), NewHMAC(16, 2)} {
 		v := s.Verifier()
 		sigSize := v.SigSize()
 		for _, hops := range []int{0, 1, 2, 3, 12} {
@@ -106,9 +108,6 @@ func TestScratchVerifyMatchesVerifyChain(t *testing.T) {
 						gotOK := cs.VerifyRawChain(recordingVerifier{v, &got}, pl, rawChain(chain, sigSize), from)
 						if gotOK != wantOK {
 							t.Fatalf("%s, %d hops from %d, %s: raw verdict %v, VerifyChain %v", s.Name(), hops, from, name, gotOK, wantOK)
-						}
-						if !v.BindsMessage() {
-							want = make([][]byte, len(want)) // nothing is built: every call sees nil
 						}
 						if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 							t.Fatalf("%s, %d hops from %d, %s: Verify was handed other inputs than VerifyChain hands it", s.Name(), hops, from, name)
@@ -176,6 +175,9 @@ type bindingInsecure struct{ Verifier }
 
 func (bindingInsecure) BindsMessage() bool { return true }
 
+// TestDistinctRawSignersMatchesDistinctSigners: the raw walk finds the
+// repeats DistinctSigners finds, on both sides of the scan limit, and
+// reports the chain in range of n exactly when its largest signer is below.
 func TestDistinctRawSignersMatchesDistinctSigners(t *testing.T) {
 	for _, sigSize := range []int{0, 4, 64} {
 		for _, n := range []int{0, 1, 2, distinctScanMax, distinctScanMax + 1, distinctScanMax + 8} {
@@ -183,8 +185,15 @@ func TestDistinctRawSignersMatchesDistinctSigners(t *testing.T) {
 			for i := range chain {
 				chain[i] = Hop{Signer: ids.NodeID(3 * i), Sig: make([]byte, sigSize)}
 			}
-			if !DistinctRawSigners(rawChain(chain, sigSize), sigSize) {
-				t.Fatalf("sigSize %d: distinct %d-hop chain rejected", sigSize, n)
+			top := 3 * max(n-1, 0) // the largest signer
+			for _, bound := range []int{top + 1, top + 100, top} {
+				distinct, inRange := DistinctRawSigners(rawChain(chain, sigSize), sigSize, bound)
+				if !distinct {
+					t.Fatalf("sigSize %d: distinct %d-hop chain rejected", sigSize, n)
+				}
+				if want := n == 0 || top < bound; inRange != want {
+					t.Fatalf("sigSize %d, %d hops up to signer %d: in range of %d = %v, want %v", sigSize, n, top, bound, inRange, want)
+				}
 			}
 			for _, pair := range [][2]int{{0, n - 1}, {n / 2, n - 1}, {0, 1}} {
 				if n < 2 || pair[0] == pair[1] {
@@ -192,7 +201,7 @@ func TestDistinctRawSignersMatchesDistinctSigners(t *testing.T) {
 				}
 				dup := append([]Hop(nil), chain...)
 				dup[pair[1]].Signer = dup[pair[0]].Signer
-				if DistinctSigners(dup) || DistinctRawSigners(rawChain(dup, sigSize), sigSize) {
+				if distinct, _ := DistinctRawSigners(rawChain(dup, sigSize), sigSize, top+1); DistinctSigners(dup) || distinct {
 					t.Fatalf("sigSize %d, %d hops: signer %d repeated at %d accepted", sigSize, n, pair[0], pair[1])
 				}
 			}

@@ -63,7 +63,11 @@ type Verifier interface {
 	// signs, i.e. whether Verify's verdict depends on msg. It is a property
 	// of the scheme: true for Ed25519 and HMAC, false for slim (any
 	// Insecure width), whose one constant tag per signer verifies for any
-	// message. A NECTAR node reads it to decide whether memoizing can pay.
+	// message. False is a contract: Verify(s, msg, sg) is then exactly
+	// s < n && len(sg) == SigSize() for the scheme's n, so a caller may run
+	// that test instead of the call. A NECTAR node reads it to check an
+	// unbound chain in its signer walk (sig.DistinctRawSigners) and to
+	// decide whether memoizing can pay.
 	BindsMessage() bool
 }
 

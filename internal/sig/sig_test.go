@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -367,6 +369,57 @@ func TestBindsMessage(t *testing.T) {
 	for _, name := range Names() {
 		if got := ByName(name, 2, 1).Verifier().BindsMessage(); got != want[name] {
 			t.Errorf("%s: BindsMessage() = %v, want %v", name, got, want[name])
+		}
+	}
+}
+
+// TestUnboundVerifyIsRangeAndWidth pins the contract BindsMessage() ==
+// false makes, which NECTAR's signer walk runs in place of Verify: the
+// verdict is exactly signer < n && len(sig) == SigSize(), whatever the
+// message and the signature's bytes. Signers, messages and signature bytes
+// are random, signers and widths clustered around the two boundaries.
+func TestUnboundVerifyIsRangeAndWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 48
+	for _, s := range []Scheme{NewInsecure(n, Ed25519SigSize), NewSlim(n)} {
+		v := s.Verifier()
+		if v.BindsMessage() {
+			t.Fatalf("%s binds the message", s.Name())
+		}
+		size := v.SigSize()
+		accepted := 0
+		for i := 0; i < 20000; i++ {
+			var signer ids.NodeID
+			switch rng.Intn(4) {
+			case 0:
+				signer = ids.NodeID(rng.Intn(n))
+			case 1:
+				signer = ids.NodeID(n - 2 + rng.Intn(4))
+			case 2:
+				signer = ids.NodeID(math.MaxUint32 - rng.Intn(2))
+			default:
+				signer = ids.NodeID(rng.Uint32())
+			}
+			width := size
+			if rng.Intn(2) == 0 {
+				width = max(0, size-2+rng.Intn(5))
+			}
+			msg, sg := make([]byte, rng.Intn(100)), make([]byte, width)
+			rng.Read(msg)
+			rng.Read(sg)
+			if rng.Intn(4) == 0 && int(signer) < n { // the signer's own tag
+				sg = s.SignerFor(signer).Sign(msg)
+			}
+			want := int(signer) < n && len(sg) == size
+			if got := v.Verify(signer, msg, sg); got != want {
+				t.Fatalf("%s: Verify(%d, %d-byte msg, %d-byte sig) = %v, want %v", s.Name(), signer, len(msg), len(sg), got, want)
+			}
+			if want {
+				accepted++
+			}
+		}
+		if accepted == 0 {
+			t.Fatalf("%s: no draw was accepted", s.Name())
 		}
 	}
 }

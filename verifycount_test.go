@@ -33,12 +33,51 @@ func (v countingVerifier) Verify(signer ids.NodeID, msg, sg []byte) bool {
 	return v.Verifier.Verify(signer, msg, sg)
 }
 
+// countedRun runs cfg as Simulate assembles it — at one worker, over
+// cfg.SchemeName wrapped in a scheme that counts Verify — checks the result
+// against Simulate's own, and returns the Verify calls made building the
+// nodes and running the flood.
+func countedRun(t *testing.T, name string, cfg SimulationConfig) (build, run int64) {
+	t.Helper()
+	want, err := Simulate(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var calls atomic.Int64
+	attacks, _, err := checkByzantine(cfg.Graph.N(), cfg.T, cfg.Byzantine, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := harness.BuildNectar(harness.NectarConfig{
+		Graph: cfg.Graph, T: cfg.T, Seed: cfg.Seed, Byzantine: attacks,
+		Scheme: countingScheme{sig.ByName(cfg.SchemeName, cfg.Graph.N(), cfg.Seed), &calls},
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	build = calls.Load()
+	m, err := rounds.Run(rounds.Config{Graph: cfg.Graph, Rounds: cfg.Graph.N() - 1, Seed: cfg.Seed, Workers: 1}, built.Protos)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	outs, fastPath := built.Finish(NewDecideCache(), nil, 0)
+	got := &SimulationResult{BytesSent: m.BytesSent, BytesBroadcast: m.BytesBroadcast, ActiveRounds: m.ActiveRounds, FastPath: fastPath}
+	got.Outcomes, got.Agreement, got.Decision, got.Confirmed = tally(outs)
+	assertSimEquivalent(t, name, want, got)
+	if !reflect.DeepEqual(got.FastPath, want.FastPath) {
+		t.Errorf("%s: fast-path counters %+v, Simulate's %+v", name, got.FastPath, want.FastPath)
+	}
+	return build, calls.Load() - build
+}
+
 // TestVerifyCountPinned: the verification memo may only ever save real
-// signature verifications. Each row is an hmac Simulate run at one worker —
-// assembled here as Simulate assembles it, over a scheme that counts Verify,
-// and checked against Simulate's own result — and its count may not exceed
-// the one recorded for the per-signature memo the record memo replaced
-// (DESIGN.md §9). A row over its ceiling means the memo cost a verification.
+// signature verifications. Each hmac row is a counted Simulate run, and its
+// count may not exceed the one recorded for the per-signature memo the
+// record memo replaced (DESIGN.md §9). A row over its ceiling means the memo
+// cost a verification. The slim row pins the unbound scheme's count
+// exactly: its chains are checked in the signer walk, so the flood makes no
+// Verify call, and only NewNode's proof checks remain — two per incident
+// edge.
 func TestVerifyCountPinned(t *testing.T) {
 	const seed = 3
 	harary, err := Harary(4, 12)
@@ -72,37 +111,22 @@ func TestVerifyCountPinned(t *testing.T) {
 					cfg.Byzantine[b] = beh
 				}
 			}
-			want, err := Simulate(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			var calls atomic.Int64
-			attacks, _, err := checkByzantine(topo.g.N(), cfg.T, cfg.Byzantine, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run, err := harness.BuildNectar(harness.NectarConfig{
-				Graph: topo.g, T: cfg.T, Seed: seed, Byzantine: attacks,
-				Scheme: countingScheme{sig.ByName("hmac", topo.g.N(), seed), &calls},
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			m, err := rounds.Run(rounds.Config{Graph: topo.g, Rounds: topo.g.N() - 1, Seed: seed, Workers: 1}, run.Protos)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			outs, fastPath := run.Finish(NewDecideCache(), nil, 0)
-			got := &SimulationResult{BytesSent: m.BytesSent, BytesBroadcast: m.BytesBroadcast, ActiveRounds: m.ActiveRounds, FastPath: fastPath}
-			got.Outcomes, got.Agreement, got.Decision, got.Confirmed = tally(outs)
-			assertSimEquivalent(t, name, want, got)
-			if !reflect.DeepEqual(got.FastPath, want.FastPath) {
-				t.Errorf("%s: fast-path counters %+v, Simulate's %+v", name, got.FastPath, want.FastPath)
-			}
-			t.Logf("%s: %d real verifications (ceiling %d)", name, calls.Load(), ceiling[name])
-			if calls.Load() > ceiling[name] {
-				t.Errorf("%s: %d real verifications, more than the %d recorded", name, calls.Load(), ceiling[name])
+			build, run := countedRun(t, name, cfg)
+			calls := build + run
+			t.Logf("%s: %d real verifications (ceiling %d)", name, calls, ceiling[name])
+			if calls > ceiling[name] {
+				t.Errorf("%s: %d real verifications, more than the %d recorded", name, calls, ceiling[name])
 			}
 		}
+	}
+
+	tree, err := KaryTree(3, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, run := countedRun(t, "tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: seed, SchemeName: "slim", Workers: 1})
+	t.Logf("tree/slim: %d Verify calls building, %d flooding", build, run)
+	if want := int64(4 * tree.M()); build != want || run != 0 {
+		t.Errorf("tree/slim: %d Verify calls building and %d flooding, want %d (two per incident edge) and 0", build, run, want)
 	}
 }
