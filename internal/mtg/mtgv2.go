@@ -180,12 +180,15 @@ func (n *NodeV2) held() int { return len(n.creds) / n.entry }
 // Emit implements rounds.Protocol: send to each gossip partner every
 // credential not yet sent to it (at most once per neighbor per epoch —
 // the paper's cost containment for MtGv2). Each batch is byte for byte
-// EncodeBatch of those credentials.
+// EncodeBatch of those credentials. Partners owed the same credentials
+// share one batch, sent to them in a row at the first one's place in pick
+// order: the engine meters it as one multicast (rounds.Protocol).
 func (n *NodeV2) Emit(round int) []rounds.Send {
 	n.enc.Reset()
 	out := n.sendBuf[:0]
 	held := n.held()
-	for _, k := range n.partners.pick() {
+	picks := n.partners.pick()
+	for i, k := range picks {
 		from := n.sent[k]
 		if from >= held {
 			continue
@@ -193,8 +196,13 @@ func (n *NodeV2) Emit(round int) []rounds.Send {
 		start := n.enc.Len()
 		n.enc.U16(uint16(held - from))
 		n.enc.Raw(n.creds[from*n.entry:])
-		n.sent[k] = held
-		out = append(out, rounds.Send{To: n.cfg.Neighbors[k], Data: n.enc.Bytes()[start:]})
+		batch := n.enc.Bytes()[start:]
+		for _, j := range picks[i:] {
+			if n.sent[j] == from {
+				n.sent[j] = held
+				out = append(out, rounds.Send{To: n.cfg.Neighbors[j], Data: batch})
+			}
+		}
 	}
 	n.sendBuf = out
 	return out

@@ -7,6 +7,7 @@ import (
 
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/rounds"
 	"github.com/nectar-repro/nectar/internal/sig"
 	"github.com/nectar-repro/nectar/internal/topology"
@@ -68,8 +69,9 @@ func deliverOp(from ids.NodeID, round int, data []byte) []byte {
 // must be an initial neighbor edge or one carried by a delivery that passes
 // checkMsg on its own, and each node must have rejected exactly the
 // deliveries the allocating reference (DecodeEdgeMsg + checkMsg) rejects in
-// that node's order of checks. Rounds are drawn from 1..n, the range the
-// engine calls Deliver with.
+// that node's order of checks — a reject the default node makes with the
+// twin's trace label and hop count. Rounds are drawn from 1..n, the range
+// the engine calls Deliver with.
 func FuzzNodeDeliver(f *testing.F) {
 	const n, me = 6, ids.NodeID(2) // ring: node 2 hears from 1 and 3
 	g := topology.Ring(n)
@@ -114,6 +116,9 @@ func FuzzNodeDeliver(f *testing.F) {
 	f.Add(slices.Concat(valid, deliverOp(1, 1, r1), deliverOp(1, 2, r1), deliverOp(3, 2, r2), deliverOp(1, 1, mangled)))
 	f.Add(valid[:len(valid)-7]) // stream cut inside the last op
 	f.Add([]byte{})
+	// Shorter than a proof, with endpoints out of order: the reference
+	// rejects it as truncated before it reads them.
+	f.Add(deliverOp(1, 1, append([]byte{0, 0, 0, 7, 0, 0, 0, 4}, make([]byte, 12)...)))
 
 	// run delivers the sequence to both twins, checks the invariants, and
 	// returns how many messages were accepted.
@@ -121,6 +126,8 @@ func FuzzNodeDeliver(f *testing.F) {
 		def, par := newTwin(t, false), newTwin(t, true)
 		defer def.Release()
 		defer par.Release()
+		def.TraceEvidence(true)
+		par.TraceEvidence(true)
 		justified := graph.New(n) // the edges the view may hold
 		for _, nb := range g.Neighbors(me) {
 			justified.AddEdge(me, nb)
@@ -144,6 +151,9 @@ func FuzzNodeDeliver(f *testing.F) {
 			}
 			def.Deliver(round, from, data)
 			par.Deliver(round, from, data)
+			if d, p := lastReject(def), lastReject(par); d != nil && (p == nil || d.Key != p.Key || d.N != p.N) {
+				t.Fatalf("default rejected a delivery as %s (%d hops), paranoid as %+v", d.Key, d.N, p)
+			}
 		}
 		if d, p := def.Stats().Rejected, par.Stats().Rejected; d != defRejects || p != parRejects {
 			t.Fatalf("default rejected %d and paranoid %d, the reference %d and %d", d, p, defRejects, parRejects)
@@ -170,4 +180,16 @@ func FuzzNodeDeliver(f *testing.F) {
 		f.Fatalf("the valid seed flood had %d of its 4 messages accepted", got)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) { run(t, in) })
+}
+
+// lastReject drains nd's buffered evidence and returns the last
+// chain_reject event in it, or nil.
+func lastReject(nd *Node) *obs.Event {
+	var rej *obs.Event
+	nd.DrainEvidence(func(ev obs.Event) {
+		if ev.Type == obs.EvChainReject {
+			rej = &ev
+		}
+	})
+	return rej
 }

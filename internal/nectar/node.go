@@ -473,7 +473,12 @@ func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 	var err error
 	if nd.cfg.paranoidVerify {
 		e, hops, err = nd.scr.checkRaw(nd.cfg.Verifier, data, nd.cfg.N, from, round)
-	} else if e, err = DecodeEdgeHeader(data, nd.cfg.N); err == nil {
+	} else if e, err = DecodeEdgeHeader(data, nd.cfg.N); err != nil {
+		// A bad header is a reject either way; checkRaw labels it as the
+		// reference does, which finds a message shorter than its proof
+		// truncated before it reads the endpoints.
+		e, hops, err = nd.scr.checkRaw(nd.cfg.Verifier, data, nd.cfg.N, from, round)
+	} else {
 		if nd.edges().Has(e.U, e.V) {
 			nd.stats.Duplicates++
 			nd.stats.LazyDiscards++

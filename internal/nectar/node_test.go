@@ -2,6 +2,7 @@ package nectar
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -253,7 +254,7 @@ func TestRoundsOverrideDiameterSuffices(t *testing.T) {
 			t.Fatal("disconnected")
 		}
 		scheme := sig.NewHMAC(g.N(), 1)
-		run := func(name string, roundsOverride int, fullHorizon bool) int64 {
+		run := func(name string, roundsOverride int, fullHorizon bool) []int64 {
 			nodes, err := BuildNodes(g, 1, scheme, roundsOverride)
 			if err != nil {
 				t.Fatal(err)
@@ -279,12 +280,12 @@ func TestRoundsOverrideDiameterSuffices(t *testing.T) {
 					t.Errorf("n=%d %s: node %d decided %v", g.N(), name, i, o.Decision)
 				}
 			}
-			return m.TotalBytes()
+			return m.BytesSent
 		}
 		short := run("R=diameter+1", diam+1, false)
 		early := run("R=n-1 early exit", 0, false)
 		full := run("R=n-1 full horizon", 0, true)
-		if short != early || short != full {
+		if !slices.Equal(short, early) || !slices.Equal(short, full) {
 			t.Errorf("n=%d: bytes differ across horizons: diameter+1=%d early=%d full=%d",
 				g.N(), short, early, full)
 		}

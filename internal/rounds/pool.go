@@ -4,16 +4,16 @@ import "github.com/nectar-repro/nectar/internal/freelist"
 
 // Run-lifetime recycling (DESIGN.md §9). A sweep or a dynamic run drives
 // the engine once per trial or epoch, and every run used to grow the same
-// staging — per-recipient inboxes, the dedup sets — from nil by
+// staging — per-recipient inboxes and their shards — from nil by
 // append-doubling and then drop it. The staging of a finished run is kept
 // on a free list instead, so the next run starts at the capacity the last
 // one reached.
 //
 // The free list only ever supplies capacity. release truncates every
-// buffer to length zero, empties every dedup set, and zeroes every slot
-// that held a payload slice, so nothing a finished run referenced stays
-// reachable and nothing it staged can be observed by the next run: results
-// cannot depend on whether, or from which run, a staging was recycled.
+// buffer to length zero and zeroes every slot that held a payload slice,
+// so nothing a finished run referenced stays reachable and nothing it
+// staged can be observed by the next run: results cannot depend on
+// whether, or from which run, a staging was recycled.
 // The slots a run filled are those below its recipients' high-water marks
 // (or a buffer's length, where a failed run left one staged); every slot
 // above was zero when the run began — fresh from append, or scrubbed by
@@ -79,7 +79,7 @@ func (st *staging) release() {
 		st.marks[i] = 0
 	}
 	for _, mt := range st.meters[:st.workers] {
-		mt.resetDedup()
+		mt.last = nil
 	}
 	stagingFree.Release(st)
 }

@@ -26,9 +26,7 @@ package rounds
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -59,6 +57,11 @@ type Send struct {
 // the data handed to Deliver is only valid for the duration of the call;
 // a protocol (or wrapper) that retains messages across rounds — to relay,
 // delay, or replay them — must copy them.
+//
+// Multicast (DESIGN.md §5): consecutive sends of one outbox that share one
+// Data slice are one multicast, charged to BytesBroadcast once. Anything
+// else is charged per send: equal bytes in another buffer, a buffer sent
+// again after another one, an empty payload.
 type Protocol interface {
 	// Emit returns the messages the node sends in round r.
 	Emit(round int) []Send
@@ -212,9 +215,9 @@ type Metrics struct {
 	// BytesSent[i] is the total bytes sent by node i (payload + overhead),
 	// counted once per destination (true unicast bytes on the wire).
 	BytesSent []int64
-	// BytesBroadcast[i] counts each distinct payload a node emits in a
-	// round once, regardless of how many neighbors receive it — the
-	// multicast accounting of the paper's salticidae-based prototype,
+	// BytesBroadcast[i] charges each multicast of node i once — consecutive
+	// sends of one buffer (Protocol) — however many neighbors receive it:
+	// the multicast accounting of the paper's salticidae-based prototype,
 	// which its "data sent per node" figures reflect (see DESIGN.md §5).
 	BytesBroadcast []int64
 	// MsgsSent[i] is the number of messages sent by node i.
@@ -243,56 +246,6 @@ type Metrics struct {
 	ActiveRounds int
 }
 
-// TotalBytes returns the sum of bytes sent by all nodes.
-func (m *Metrics) TotalBytes() int64 {
-	var sum int64
-	for _, b := range m.BytesSent {
-		sum += b
-	}
-	return sum
-}
-
-// MeanBytesPerNode returns the average bytes sent per node.
-func (m *Metrics) MeanBytesPerNode() float64 {
-	if len(m.BytesSent) == 0 {
-		return 0
-	}
-	return float64(m.TotalBytes()) / float64(len(m.BytesSent))
-}
-
-// MaxBytesPerNode returns the largest per-node byte count.
-func (m *Metrics) MaxBytesPerNode() int64 {
-	var max int64
-	for _, b := range m.BytesSent {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}
-
-// Publish accumulates the run's aggregate metrics into reg under the
-// nectar_engine_* names (registration is idempotent, so successive runs
-// add up). Per-node and per-round series stay on Metrics / the trace;
-// the scrape surface carries totals only.
-func (m *Metrics) Publish(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("nectar_engine_rounds_total", "Configured round horizons, summed across runs.").Add(int64(m.Rounds))
-	reg.Counter("nectar_engine_active_rounds_total", "Rounds actually executed (quiescence skips the rest).").Add(int64(m.ActiveRounds))
-	reg.Counter("nectar_engine_bytes_sent_total", "Unicast bytes on the wire, payload plus overhead.").Add(m.TotalBytes())
-	var msgsSent, msgsDelivered int64
-	for i := range m.MsgsSent {
-		msgsSent += m.MsgsSent[i]
-		msgsDelivered += m.MsgsDelivered[i]
-	}
-	reg.Counter("nectar_engine_msgs_sent_total", "Messages handed to the engine for routing.").Add(msgsSent)
-	reg.Counter("nectar_engine_msgs_delivered_total", "Messages delivered to recipients.").Add(msgsDelivered)
-	reg.Counter("nectar_engine_dropped_nonedge_total", "Sends discarded for lack of a channel (Byzantine self/non-neighbor sends).").Add(m.DroppedNonEdge)
-	reg.Counter("nectar_engine_dropped_loss_total", "Messages lost to Config.LossRate.").Add(m.DroppedLoss)
-}
-
 // delivery is a queued message awaiting Deliver.
 type delivery struct {
 	from ids.NodeID
@@ -307,18 +260,13 @@ type routeShard struct {
 	inbox [][]delivery // per-recipient staged messages, sender-major
 }
 
-// meter is one worker's private metering state: the per-sender broadcast
-// dedup and the scalar counters that would otherwise contend. Per-sender
-// metric arrays need no shard — sender stripes are disjoint.
+// meter is one worker's private metering state: the current sender's
+// multicast run and the scalar counters that would otherwise contend.
+// Per-sender metric arrays need no shard — sender stripes are disjoint.
 type meter struct {
-	// seen holds the hashes of the payloads the current sender has been
-	// charged for in BytesBroadcast this round.
-	seen hashSet
-	// last is the previous payload admitted from the current sender.
-	// Fan-out sends share one encoded buffer per payload, so consecutive
-	// sends over the same slice skip the hash: same pointer and length
-	// imply same content, never a behaviour change. seen still catches
-	// non-consecutive or re-encoded repeats by content.
+	// last is the payload of the current sender's previous metered send
+	// this round: a send of the same buffer continues its multicast and is
+	// not charged to BytesBroadcast again (Protocol).
 	last []byte
 	// sent, msgs and bcast are the current sender's BytesSent, MsgsSent
 	// and BytesBroadcast, added to its metric rows once it is routed.
@@ -326,64 +274,6 @@ type meter struct {
 	bytesThisRound    int64
 	droppedNonEdge    int64
 	droppedLoss       int64
-}
-
-// hashSet is a set of 64-bit payload hashes that empties in O(1): an
-// open-addressing table, linear probing at load ≤ ½, whose slot belongs to
-// the set iff its stamp equals gen. reset bumps gen; only when the 32-bit
-// counter wraps are the stamps wiped. Hashes are finalised (payloadHash),
-// so their low bits index the table directly.
-type hashSet struct {
-	slots []hashSlot // power-of-two length, or nil before the first add
-	gen   uint32     // never 0 once reset: zeroed slots must read as empty
-	count int
-}
-
-type hashSlot struct {
-	key uint64
-	gen uint32
-}
-
-// reset empties the set.
-func (s *hashSet) reset() {
-	s.count = 0
-	s.gen++
-	if s.gen == 0 {
-		clear(s.slots)
-		s.gen = 1
-	}
-}
-
-// add inserts h and reports whether it was absent. The set must have been
-// reset since it was made.
-func (s *hashSet) add(h uint64) bool {
-	if 2*(s.count+1) > len(s.slots) {
-		s.grow()
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if sl.gen != s.gen {
-			sl.key, sl.gen = h, s.gen
-			s.count++
-			return true
-		}
-		if sl.key == h {
-			return false
-		}
-	}
-}
-
-// grow doubles the table and re-files the current members.
-func (s *hashSet) grow() {
-	old := s.slots
-	s.slots = make([]hashSlot, max(16, 2*len(old)))
-	s.count = 0
-	for _, sl := range old {
-		if sl.gen == s.gen {
-			s.add(sl.key)
-		}
-	}
 }
 
 // engine holds one run's state. The embedded staging — buffers and worker
@@ -625,12 +515,12 @@ func (e *engine) run() error {
 func (e *engine) route(sh *routeShard, mt *meter, round, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if len(e.outboxes[i]) == 0 {
-			// Quiescent sender: skip the dedup reset (most nodes are
-			// silent on most rounds once discovery finishes).
+			// Quiescent sender (most nodes are silent on most rounds once
+			// discovery finishes).
 			e.outboxes[i] = nil
 			continue
 		}
-		mt.resetDedup()
+		mt.last = nil
 		for k, s := range e.outboxes[i] {
 			if e.admit(mt, round, i, k, s) {
 				sh.inbox[s.To] = append(sh.inbox[s.To], delivery{from: ids.NodeID(i), data: s.Data})
@@ -673,12 +563,6 @@ func (e *engine) exchange(round int) error {
 	return nil
 }
 
-// resetDedup forgets the payloads of the previous sender.
-func (mt *meter) resetDedup() {
-	mt.seen.reset()
-	mt.last = nil
-}
-
 // admit applies the network's rules and the sender-side accounting to send
 // k of sender i's round outbox, and reports whether the message is to be
 // staged for delivery: not when no channel exists (self-send, unknown or
@@ -693,10 +577,11 @@ func (e *engine) admit(mt *meter, round, i, k int, s Send) bool {
 	size := int64(len(s.Data) + DefaultMsgOverhead)
 	mt.sent += size
 	mt.msgs++
+	// A send of the previous metered send's buffer — the same length and
+	// first byte address — continues its multicast (Protocol); an empty
+	// payload never does.
 	if len(s.Data) == 0 || len(mt.last) != len(s.Data) || &mt.last[0] != &s.Data[0] {
-		if mt.seen.add(payloadHash(s.Data)) {
-			mt.bcast += size
-		}
+		mt.bcast += size
 		mt.last = s.Data
 	}
 	if e.cfg.LossRate > 0 && lossDraw(e.cfg.Seed, round, i, k) < e.cfg.LossRate {
@@ -782,39 +667,6 @@ func splitmix64(h uint64) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// payloadHash hashes a payload for per-round broadcast deduplication. The
-// length seeds the state; each step folds sixteen bytes in with one
-// 64×64→128-bit multiply whose halves are XORed together; a remaining whole
-// word and the last 1–7 bytes take a step each; the SplitMix64 finalizer
-// closes. It is a fixed function of the bytes — no per-process seed — so
-// BytesBroadcast is reproducible. A 64-bit collision would merely
-// undercount BytesBroadcast by one message, negligible for metering.
-func payloadHash(data []byte) uint64 {
-	const k = 0x9e3779b97f4a7c15 // 2⁶⁴/φ
-	h := uint64(len(data)) * k
-	for ; len(data) >= 16; data = data[16:] {
-		h = mulMix(binary.LittleEndian.Uint64(data)^k, binary.LittleEndian.Uint64(data[8:])^h)
-	}
-	if len(data) >= 8 {
-		h = mulMix(binary.LittleEndian.Uint64(data)^k, h)
-		data = data[8:]
-	}
-	if len(data) > 0 {
-		var tail uint64
-		for _, b := range data {
-			tail = tail<<8 | uint64(b)
-		}
-		h = mulMix(tail^k, h)
-	}
-	return splitmix64(h)
-}
-
-// mulMix multiplies a and b to 128 bits and folds the halves together.
-func mulMix(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return hi ^ lo
 }
 
 // parallelBlocks covers [0, n) with fn(worker, lo, hi) calls over disjoint

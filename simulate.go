@@ -116,8 +116,9 @@ type SimulationResult struct {
 	// Confirmed reports whether any correct node confirmed an actual
 	// partition (unreachable nodes).
 	Confirmed bool
-	// BytesSent / BytesBroadcast meter every node's traffic (unicast and
-	// multicast-accounted, see DESIGN.md §5).
+	// BytesSent / BytesBroadcast meter every node's traffic: once per
+	// destination, and once per multicast — consecutive sends of one
+	// buffer (DESIGN.md §5).
 	BytesSent      []int64
 	BytesBroadcast []int64
 	// Rounds is the configured round horizon (n-1 unless overridden).
