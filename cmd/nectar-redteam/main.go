@@ -38,9 +38,9 @@ func run(args []string, out *os.File) error {
 	var topo cliutil.TopologyFlags
 	topo.Register(fs)
 	t := fs.Int("t", 2, "Byzantine bound: slots to place and bound handed to the detector")
-	attack := fs.String("attack", "splitbrain", "attack behaviour evaluated at each placement")
-	objective := fs.String("objective", "misclassify", "damage objective: misclassify|disagree|traffic")
-	optimizer := fs.String("optimizer", "anneal", "search strategy: random|greedy|anneal")
+	attack := fs.String("attack", string(nectar.AttackSplitBrain), "attack behaviour evaluated at each placement: "+strings.Join(names(nectar.SupportedAttacks(nectar.ProtoNectar)), "|"))
+	objective := fs.String("objective", string(nectar.ObjectiveMisclassify), "damage objective: "+strings.Join(names(nectar.AttackObjectives()), "|"))
+	optimizer := fs.String("optimizer", "anneal", "search strategy: "+strings.Join(nectar.AttackOptimizers(), "|"))
 	budget := fs.Int("budget", 48, "candidate evaluation budget")
 	baseline := fs.Int("baseline", 16, "random placements scored for the baseline")
 	trials := fs.Int("trials", 3, "engine trials per candidate evaluation")
@@ -142,17 +142,18 @@ func run(args []string, out *os.File) error {
 // printLists prints the valid values of every enumerated flag, reusing
 // the canonical lists instead of burying them in error text.
 func printLists(out *os.File) {
-	attacks := make([]string, 0, 8)
-	for _, a := range nectar.SupportedAttacks(nectar.ProtoNectar) {
-		attacks = append(attacks, string(a))
-	}
-	objectives := make([]string, 0, 3)
-	for _, o := range nectar.AttackObjectives() {
-		objectives = append(objectives, string(o))
-	}
-	fmt.Fprintf(out, "attacks:     %s\n", strings.Join(attacks, " "))
-	fmt.Fprintf(out, "objectives:  %s\n", strings.Join(objectives, " "))
+	fmt.Fprintf(out, "attacks:     %s\n", strings.Join(names(nectar.SupportedAttacks(nectar.ProtoNectar)), " "))
+	fmt.Fprintf(out, "objectives:  %s\n", strings.Join(names(nectar.AttackObjectives()), " "))
 	fmt.Fprintf(out, "optimizers:  %s\n", strings.Join(nectar.AttackOptimizers(), " "))
 	fmt.Fprintf(out, "topologies:  %s\n", strings.Join(cliutil.TopologyKinds(), " "))
 	fmt.Fprintf(out, "schemes:     %s\n", strings.Join(sig.Names(), " "))
+}
+
+// names lists the string values of xs.
+func names[T ~string](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = string(x)
+	}
+	return out
 }

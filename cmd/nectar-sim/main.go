@@ -20,12 +20,25 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 
 	nectar "github.com/nectar-repro/nectar"
 	"github.com/nectar-repro/nectar/internal/cliutil"
 	"github.com/nectar-repro/nectar/internal/sig"
 )
+
+// behaviors lists the -behavior values: the NECTAR attacks of the
+// catalogue but none, which Simulate refuses.
+func behaviors() []string {
+	var out []string
+	for _, a := range nectar.SupportedAttacks(nectar.ProtoNectar) {
+		if a != nectar.AttackNone {
+			out = append(out, string(a))
+		}
+	}
+	return out
+}
 
 // knownChurn lists the -churn workloads buildSchedule accepts.
 func knownChurn() []string { return []string{"flap", "nodes", "partition", "mobility"} }
@@ -46,8 +59,8 @@ func run(args []string) error {
 	scheme := fs.String("scheme", "ed25519", "signature scheme: "+strings.Join(sig.Names(), "|"))
 	rounds := fs.Int("rounds", 0, "round override (0 = n-1); the per-epoch horizon under -churn")
 	byzList := fs.String("byz", "", "comma-separated Byzantine node IDs")
-	behavior := fs.String("behavior", "crash",
-		"Byzantine behavior: crash|splitbrain|fakeedges|garbage|stale|equivocate|omitown|adaptive|phased (see -list)")
+	behavior := fs.String("behavior", string(nectar.AttackCrash),
+		"Byzantine behavior: "+strings.Join(behaviors(), "|"))
 	blockedList := fs.String("blocked", "", "nodes split-brain Byzantine nodes stonewall")
 	churn := fs.String("churn", "",
 		"dynamic-network workload: flap|nodes|partition|mobility (empty = static single run)")
@@ -74,11 +87,7 @@ func run(args []string) error {
 		return fmt.Errorf("-epochs must be >= 0, got %d", *epochs)
 	}
 	if *list {
-		behaviors := make([]string, 0, 9)
-		for _, b := range nectar.KnownBehaviors() {
-			behaviors = append(behaviors, string(b))
-		}
-		fmt.Printf("behaviors:   %s\n", strings.Join(behaviors, " "))
+		fmt.Printf("behaviors:   %s\n", strings.Join(behaviors(), " "))
 		fmt.Printf("schemes:     %s\n", strings.Join(sig.Names(), " "))
 		fmt.Printf("topologies:  %s\n", strings.Join(cliutil.TopologyKinds(), " "))
 		fmt.Printf("churn:       %s\n", strings.Join(knownChurn(), " "))
@@ -95,29 +104,24 @@ func run(args []string) error {
 	}
 	// Fail fast on a typo'd behavior, naming the valid ones, before any
 	// topology or crypto setup runs.
-	if len(byz) > 0 && !nectar.Behavior(*behavior).Valid() {
-		return fmt.Errorf("unknown -behavior %q (valid: %v)", *behavior, nectar.KnownBehaviors())
+	attack := nectar.AttackKind(*behavior)
+	if len(byz) > 0 && !slices.Contains(behaviors(), *behavior) {
+		return fmt.Errorf("unknown -behavior %q (valid: %s)", *behavior, strings.Join(behaviors(), ", "))
 	}
-	if len(blocked) > 0 && nectar.Behavior(*behavior) != nectar.BehaviorSplitBrain {
-		return fmt.Errorf("-blocked only applies to -behavior %s (got %q)", nectar.BehaviorSplitBrain, *behavior)
+	if len(blocked) > 0 && attack != nectar.AttackSplitBrain {
+		return fmt.Errorf("-blocked only applies to -behavior %s (got %q)", nectar.AttackSplitBrain, *behavior)
 	}
 	if len(blocked) > 0 && len(byz) == 0 {
 		return fmt.Errorf("-blocked requires -byz to name the split-brain node(s)")
 	}
-	var byzantine map[nectar.NodeID]nectar.Behavior
-	var blockedMap map[nectar.NodeID][]nectar.NodeID
-	if len(byz) > 0 {
-		byzantine = make(map[nectar.NodeID]nectar.Behavior, len(byz))
-		for _, b := range byz {
-			byzantine[b] = nectar.Behavior(*behavior)
-		}
-		// Blocked only applies to split-brain nodes; Simulate rejects
-		// entries for any other behaviour.
-		if nectar.Behavior(*behavior) == nectar.BehaviorSplitBrain {
-			blockedMap = make(map[nectar.NodeID][]nectar.NodeID, len(byz))
-			for _, b := range byz {
-				blockedMap[b] = blocked
-			}
+	// Blocked only applies to split-brain nodes; Simulate rejects entries
+	// for any other behaviour.
+	byzantine := make(map[nectar.NodeID]nectar.AttackKind, len(byz))
+	blockedMap := make(map[nectar.NodeID][]nectar.NodeID)
+	for _, b := range byz {
+		byzantine[b] = attack
+		if attack == nectar.AttackSplitBrain {
+			blockedMap[b] = blocked
 		}
 	}
 
@@ -224,7 +228,7 @@ type dynFlags struct {
 	rate        float64
 	drift       float64
 	workers     int
-	byzantine   map[nectar.NodeID]nectar.Behavior
+	byzantine   map[nectar.NodeID]nectar.AttackKind
 	blocked     map[nectar.NodeID][]nectar.NodeID
 	asJSON      bool
 	tracePath   string

@@ -15,7 +15,7 @@ import (
 // writeTrace simulates a small traced run and persists it as JSONL,
 // returning the file path. Seeded, so the trace is identical across
 // runs — the CLI outputs below are deterministic.
-func writeTrace(t *testing.T, dir string, byz map[nectar.NodeID]nectar.Behavior) string {
+func writeTrace(t *testing.T, dir string, byz map[nectar.NodeID]nectar.AttackKind) string {
 	t.Helper()
 	g, err := nectar.Harary(4, 10)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestLintCLIExitCodes(t *testing.T) {
 	// A garbage flooder's random bytes fail proof verification at every
 	// receiver: lint must surface the chain_reject volume and exit 1.
 	byzDir := t.TempDir()
-	noisy := writeTrace(t, byzDir, map[nectar.NodeID]nectar.Behavior{9: nectar.BehaviorGarbage})
+	noisy := writeTrace(t, byzDir, map[nectar.NodeID]nectar.AttackKind{9: nectar.AttackGarbage})
 	code, out := runCLI(t, "lint", noisy)
 	if code != 1 {
 		t.Fatalf("byzantine trace: exit %d, want 1\n%s", code, out)
@@ -116,7 +116,7 @@ func TestDiffCLI(t *testing.T) {
 	if code, out := runCLI(t, "diff", a, a); code != 0 || !strings.Contains(out, "traces identical") {
 		t.Fatalf("self-diff: exit %d, out %q", code, out)
 	}
-	b := writeTrace(t, t.TempDir(), map[nectar.NodeID]nectar.Behavior{9: nectar.BehaviorCrash})
+	b := writeTrace(t, t.TempDir(), map[nectar.NodeID]nectar.AttackKind{9: nectar.AttackCrash})
 	code, out := runCLI(t, "diff", a, b)
 	if code != 1 || !strings.Contains(out, "traces diverge at event") {
 		t.Fatalf("diff of different traces: exit %d, out %q", code, out)

@@ -22,13 +22,13 @@ var decideCacheHits = map[int64][]int64{
 func builtRun(t *testing.T, cfg SimulationConfig) *harness.NectarRun {
 	t.Helper()
 	n := cfg.Graph.N()
-	attacks, blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
+	blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run, err := harness.BuildNectar(harness.NectarConfig{
 		Graph: cfg.Graph, T: cfg.T, Scheme: sig.ByName(cfg.SchemeName, n, cfg.Seed),
-		Seed: cfg.Seed, Byzantine: attacks, Blocked: blocked,
+		Seed: cfg.Seed, Byzantine: cfg.Byzantine, Blocked: blocked,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
-	"github.com/nectar-repro/nectar/internal/harness"
 	"github.com/nectar-repro/nectar/internal/ids"
 )
 
@@ -48,14 +46,14 @@ func TestSimulateMatchesExperimentTrial(t *testing.T) {
 			sc.Blocked[b] = ids.NewSet(side...)
 		}
 		for _, scheme := range []string{"hmac", "ed25519", "slim"} {
-			for _, beh := range KnownBehaviors() {
+			for _, beh := range byzantineAttacks() {
 				label := fmt.Sprintf("%s/%s/%s", topo.name, scheme, beh)
 				cfg := SimulationConfig{Graph: topo.g, T: len(byz), Seed: seed, SchemeName: scheme,
-					Byzantine: map[NodeID]Behavior{}, Workers: 1}
+					Byzantine: map[NodeID]AttackKind{}, Workers: 1}
 				for _, b := range byz {
 					cfg.Byzantine[b] = beh
 				}
-				if beh == BehaviorSplitBrain {
+				if beh == AttackSplitBrain {
 					cfg.Blocked = map[NodeID][]NodeID{byz[0]: side, byz[1]: side}
 				}
 				sim, err := Simulate(cfg)
@@ -63,7 +61,7 @@ func TestSimulateMatchesExperimentTrial(t *testing.T) {
 					t.Fatalf("%s: Simulate: %v", label, err)
 				}
 				exp, err := RunExperiment(ExperimentSpec{
-					Protocol: ProtoNectar, Attack: beh.attack(),
+					Protocol: ProtoNectar, Attack: beh,
 					Scenario: func(*rand.Rand) (*Scenario, error) { return sc, nil },
 					T:        len(byz), Trials: 1, Seed: seed, SchemeName: scheme, Jobs: 1,
 				})
@@ -107,23 +105,4 @@ func simTrial(res *SimulationResult, n int) ExperimentTrial {
 	tr.ConfirmRate = float64(confirmed) / correct
 	tr.MeanBytesPerNode = float64(bytes) / correct
 	return tr
-}
-
-// TestBehaviorsAreTheNectarAttacks pins the string mapping Behavior.attack
-// relies on: the behaviours are exactly the harness's NECTAR attacks other
-// than none.
-func TestBehaviorsAreTheNectarAttacks(t *testing.T) {
-	var behaviors, attacks []string
-	for _, b := range KnownBehaviors() {
-		behaviors = append(behaviors, string(b))
-	}
-	for _, a := range harness.SupportedAttacks(ProtoNectar) {
-		if a != AttackNone {
-			attacks = append(attacks, string(a))
-		}
-	}
-	sort.Strings(behaviors)
-	if !reflect.DeepEqual(behaviors, attacks) {
-		t.Errorf("behaviours %v, NECTAR attacks other than none %v", behaviors, attacks)
-	}
 }

@@ -86,10 +86,10 @@ type DynamicConfig struct {
 	// Epochs is the number of detection epochs (0 = enough to cover the
 	// schedule plus one fresh epoch on the final topology).
 	Epochs int
-	// Byzantine assigns behaviours to Byzantine nodes for every epoch
+	// Byzantine assigns attacks to Byzantine nodes for every epoch
 	// (the same nodes stay compromised throughout the run). A Byzantine
 	// node that is churned out behaves as crashed while absent.
-	Byzantine map[NodeID]Behavior
+	Byzantine map[NodeID]AttackKind
 	// Blocked lists, per split-brain Byzantine node, the stonewalled
 	// destinations (see SimulationConfig.Blocked).
 	Blocked map[NodeID][]NodeID
@@ -185,7 +185,7 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	if err := inectar.CheckRounds(n, cfg.EpochRounds); err != nil {
 		return nil, err
 	}
-	attacks, blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
+	blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	// order, on this goroutine).
 	var decided [][]Outcome
 	build, release := harness.NectarEpochs(harness.NectarConfig{
-		T: cfg.T, Rounds: cfg.EpochRounds, Byzantine: attacks, Blocked: blocked,
+		T: cfg.T, Rounds: cfg.EpochRounds, Byzantine: cfg.Byzantine, Blocked: blocked,
 	}, schemeName, cfg.Tracer, func(outs []Outcome) { decided = append(decided, outs) })
 	defer release()
 

@@ -28,15 +28,15 @@ func TestStaticScheduleReproducesSimulate(t *testing.T) {
 		name string
 		g    *Graph
 		t    int
-		byz  map[NodeID]Behavior
+		byz  map[NodeID]AttackKind
 		blk  map[NodeID][]NodeID
 	}{
 		{"harary-clean", hararyG, 2, nil, nil},
 		{"drone-clean", droneG, 1, nil, nil},
-		{"harary-crash", hararyG, 2, map[NodeID]Behavior{3: BehaviorCrash, 7: BehaviorCrash}, nil},
-		{"harary-splitbrain", hararyG, 1, map[NodeID]Behavior{2: BehaviorSplitBrain},
+		{"harary-crash", hararyG, 2, map[NodeID]AttackKind{3: AttackCrash, 7: AttackCrash}, nil},
+		{"harary-splitbrain", hararyG, 1, map[NodeID]AttackKind{2: AttackSplitBrain},
 			map[NodeID][]NodeID{2: {8, 9, 10, 11}}},
-		{"drone-fakeedges", droneG, 2, map[NodeID]Behavior{0: BehaviorFakeEdges, 5: BehaviorFakeEdges}, nil},
+		{"drone-fakeedges", droneG, 2, map[NodeID]AttackKind{0: AttackFakeEdges, 5: AttackFakeEdges}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,7 +227,7 @@ func TestSimulateDynamicAdaptiveByzantineSurvivesChurn(t *testing.T) {
 		T:          2,
 		Seed:       11,
 		SchemeName: "hmac",
-		Byzantine:  map[NodeID]Behavior{3: BehaviorAdaptive, 7: BehaviorPhased},
+		Byzantine:  map[NodeID]AttackKind{3: AttackAdaptive, 7: AttackPhased},
 	}
 	a, err := SimulateDynamic(cfg)
 	if err != nil {
@@ -265,13 +265,13 @@ func TestSimulateDynamicValidation(t *testing.T) {
 	}
 	if _, err := SimulateDynamic(DynamicConfig{
 		Schedule: StaticSchedule(g), T: 1,
-		Byzantine: map[NodeID]Behavior{2: "mystery"},
+		Byzantine: map[NodeID]AttackKind{2: "mystery"},
 	}); err == nil {
 		t.Error("unknown behavior accepted")
 	}
 	if _, err := SimulateDynamic(DynamicConfig{
 		Schedule: StaticSchedule(g), T: 1,
-		Byzantine: map[NodeID]Behavior{2: BehaviorCrash, 4: BehaviorCrash},
+		Byzantine: map[NodeID]AttackKind{2: AttackCrash, 4: AttackCrash},
 	}); err == nil {
 		t.Error("2 Byzantine nodes with T=1 accepted")
 	}

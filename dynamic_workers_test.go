@@ -43,11 +43,11 @@ func TestDynamicWorkersEquivalenceProperty(t *testing.T) {
 	}
 	attacks := []struct {
 		name string
-		byz  map[NodeID]Behavior
+		byz  map[NodeID]AttackKind
 	}{
 		{"clean", nil},
-		{"equivocate", map[NodeID]Behavior{3: BehaviorEquivocate}},
-		{"adaptive", map[NodeID]Behavior{1: BehaviorAdaptive, 6: BehaviorAdaptive}},
+		{"equivocate", map[NodeID]AttackKind{3: AttackEquivocate}},
+		{"adaptive", map[NodeID]AttackKind{1: AttackAdaptive, 6: AttackAdaptive}},
 	}
 	run := func(cfg DynamicConfig, traced bool) (*DynamicResult, []byte) {
 		t.Helper()

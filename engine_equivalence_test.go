@@ -29,7 +29,7 @@ func equivalenceCases(t *testing.T, seed int64) []simCase {
 	rng := rand.New(rand.NewSource(seed))
 
 	var cases []simCase
-	add := func(name string, g *Graph, byz map[NodeID]Behavior, blocked map[NodeID][]NodeID) {
+	add := func(name string, g *Graph, byz map[NodeID]AttackKind, blocked map[NodeID][]NodeID) {
 		cases = append(cases, simCase{name: name, cfg: SimulationConfig{
 			Graph:      g,
 			T:          2,
@@ -70,17 +70,17 @@ func equivalenceCases(t *testing.T, seed int64) []simCase {
 			half = append(half, NodeID(v))
 		}
 		add(topo.name+"/correct", topo.g, nil, nil)
-		add(topo.name+"/crash", topo.g, map[NodeID]Behavior{b0: BehaviorCrash, b1: BehaviorCrash}, nil)
+		add(topo.name+"/crash", topo.g, map[NodeID]AttackKind{b0: AttackCrash, b1: AttackCrash}, nil)
 		add(topo.name+"/splitbrain", topo.g,
-			map[NodeID]Behavior{b0: BehaviorSplitBrain},
+			map[NodeID]AttackKind{b0: AttackSplitBrain},
 			map[NodeID][]NodeID{b0: half})
-		add(topo.name+"/fakeedges", topo.g, map[NodeID]Behavior{b0: BehaviorFakeEdges, b1: BehaviorFakeEdges}, nil)
-		add(topo.name+"/garbage", topo.g, map[NodeID]Behavior{b0: BehaviorGarbage}, nil)
-		add(topo.name+"/stale", topo.g, map[NodeID]Behavior{b0: BehaviorStale}, nil)
-		add(topo.name+"/equivocate", topo.g, map[NodeID]Behavior{b0: BehaviorEquivocate}, nil)
-		add(topo.name+"/omitown", topo.g, map[NodeID]Behavior{b0: BehaviorOmitOwn, b1: BehaviorOmitOwn}, nil)
-		add(topo.name+"/adaptive", topo.g, map[NodeID]Behavior{b0: BehaviorAdaptive, b1: BehaviorAdaptive}, nil)
-		add(topo.name+"/phased", topo.g, map[NodeID]Behavior{b0: BehaviorPhased, b1: BehaviorPhased}, nil)
+		add(topo.name+"/fakeedges", topo.g, map[NodeID]AttackKind{b0: AttackFakeEdges, b1: AttackFakeEdges}, nil)
+		add(topo.name+"/garbage", topo.g, map[NodeID]AttackKind{b0: AttackGarbage}, nil)
+		add(topo.name+"/stale", topo.g, map[NodeID]AttackKind{b0: AttackStale}, nil)
+		add(topo.name+"/equivocate", topo.g, map[NodeID]AttackKind{b0: AttackEquivocate}, nil)
+		add(topo.name+"/omitown", topo.g, map[NodeID]AttackKind{b0: AttackOmitOwn, b1: AttackOmitOwn}, nil)
+		add(topo.name+"/adaptive", topo.g, map[NodeID]AttackKind{b0: AttackAdaptive, b1: AttackAdaptive}, nil)
+		add(topo.name+"/phased", topo.g, map[NodeID]AttackKind{b0: AttackPhased, b1: AttackPhased}, nil)
 	}
 
 	// The §V-D bridge attack: all correct-part communication crosses
@@ -89,10 +89,10 @@ func equivalenceCases(t *testing.T, seed int64) []simCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byz := make(map[NodeID]Behavior, sc.Byz.Len())
+	byz := make(map[NodeID]AttackKind, sc.Byz.Len())
 	blocked := make(map[NodeID][]NodeID, sc.Byz.Len())
 	for _, b := range sc.Byz.Sorted() {
-		byz[b] = BehaviorSplitBrain
+		byz[b] = AttackSplitBrain
 		blocked[b] = sc.Blocked[b].Sorted()
 	}
 	add("bridge/splitbrain", sc.Graph, byz, blocked)
@@ -306,7 +306,7 @@ func TestEngineV2EarlyExitFires(t *testing.T) {
 	// full horizon.
 	res, err = Simulate(SimulationConfig{
 		Graph: Ring(16), T: 1, Seed: 3, SchemeName: "hmac",
-		Byzantine: map[NodeID]Behavior{0: BehaviorGarbage},
+		Byzantine: map[NodeID]AttackKind{0: AttackGarbage},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,12 +361,12 @@ func TestSimulateRejectsMisconfiguredBlocked(t *testing.T) {
 	g := Ring(8)
 	cases := []SimulationConfig{
 		// Blocked for a crash node.
-		{Graph: g, T: 1, Byzantine: map[NodeID]Behavior{0: BehaviorCrash},
+		{Graph: g, T: 1, Byzantine: map[NodeID]AttackKind{0: AttackCrash},
 			Blocked: map[NodeID][]NodeID{0: {1}}},
 		// Blocked for a node that is not Byzantine at all.
 		{Graph: g, T: 1, Blocked: map[NodeID][]NodeID{3: {1}}},
 		// Blocked target out of range.
-		{Graph: g, T: 1, Byzantine: map[NodeID]Behavior{0: BehaviorSplitBrain},
+		{Graph: g, T: 1, Byzantine: map[NodeID]AttackKind{0: AttackSplitBrain},
 			Blocked: map[NodeID][]NodeID{0: {99}}},
 	}
 	for i, cfg := range cases {

@@ -31,8 +31,8 @@ func ExampleSimulate_byzantine() {
 		Graph: g,
 		T:     1,
 		Seed:  3,
-		Byzantine: map[nectar.NodeID]nectar.Behavior{
-			0: nectar.BehaviorSplitBrain,
+		Byzantine: map[nectar.NodeID]nectar.AttackKind{
+			0: nectar.AttackSplitBrain,
 		},
 		Blocked: map[nectar.NodeID][]nectar.NodeID{
 			0: {4, 5, 6},

@@ -80,9 +80,9 @@ func main() {
 		Graph: g,
 		T:     t,
 		Seed:  seed,
-		Byzantine: map[nectar.NodeID]nectar.Behavior{
-			0: nectar.BehaviorPhased,
-			1: nectar.BehaviorPhased,
+		Byzantine: map[nectar.NodeID]nectar.AttackKind{
+			0: nectar.AttackPhased,
+			1: nectar.AttackPhased,
 		},
 	})
 	if err != nil {

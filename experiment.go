@@ -35,17 +35,22 @@ const (
 	ProtoMtGv2  = harness.ProtoMtGv2
 )
 
-// Attacks (see harness documentation for protocol compatibility).
+// Attacks: the behaviours of Byzantine nodes, for Simulate,
+// SimulateDynamic, RunExperiment and RunRedTeam. SupportedAttacks lists
+// the ones each protocol defines; Simulate takes every NECTAR attack but
+// AttackNone.
 const (
-	AttackNone       = harness.AttackNone
-	AttackCrash      = harness.AttackCrash
-	AttackSplitBrain = harness.AttackSplitBrain
-	AttackPoison     = harness.AttackPoison
-	AttackFakeEdges  = harness.AttackFakeEdges
-	AttackGarbage    = harness.AttackGarbage
-	AttackStale      = harness.AttackStale
-	AttackEquivocate = harness.AttackEquivocate
-	AttackOmitOwn    = harness.AttackOmitOwn
+	AttackNone       = harness.AttackNone       // Byzantine slots behave correctly (t is only assumed)
+	AttackCrash      = harness.AttackCrash      // stays silent
+	AttackSplitBrain = harness.AttackSplitBrain // correct towards one side, crashed towards the Blocked nodes
+	AttackPoison     = harness.AttackPoison     // MtG's all-ones Bloom filters
+	AttackFakeEdges  = harness.AttackFakeEdges  // announces fictitious edges to all other Byzantine nodes (colluding pairs forge joint proofs)
+	AttackGarbage    = harness.AttackGarbage    // floods neighbors with random bytes
+	AttackStale      = harness.AttackStale      // delays every message one round (stale chains)
+	AttackEquivocate = harness.AttackEquivocate // announces its neighborhood only to even-ID neighbors
+	AttackOmitOwn    = harness.AttackOmitOwn    // hides its edges to other Byzantine nodes
+	AttackAdaptive   = harness.AttackAdaptive   // coordinated: stonewalls, per round, the correct neighbors the coalition heard least from (DESIGN.md §8)
+	AttackPhased     = harness.AttackPhased     // coordinated: stale replay for the first third of the horizon, then adaptive equivocation
 )
 
 // RunExperiment executes the spec's trials and aggregates accuracy,

@@ -16,12 +16,12 @@ import (
 // identical runs produce identical attacks bit for bit.
 //
 // Determinism under the parallel engine: Emit is called concurrently
-// across nodes, so shared state is advanced exactly once per round, under
-// a mutex, by whichever member's Emit arrives first. The merge reads only
-// observation buffers written during earlier rounds' Deliver phase (the
-// engine's phase barriers order those writes before any Emit of the next
-// round) and iterates members in sorted-ID order, so the merged result is
-// independent of which goroutine happened to trigger it.
+// across nodes, so shared state is advanced at most once per round, under
+// a mutex, by whichever equivocating member's Emit arrives first. The
+// merge reads only observation buffers written during earlier rounds'
+// Deliver phase (the engine's phase barriers order those writes before any
+// Emit of the next round) and iterates members in sorted-ID order, so the
+// merged result is independent of which goroutine happened to trigger it.
 
 // Action is one per-round primitive of an adaptive schedule.
 type Action int
@@ -114,8 +114,10 @@ func (c *Coordinator) Join(inner rounds.Protocol, me ids.NodeID, neighbors []ids
 	return a
 }
 
-// advance recomputes the victim set for round r. The first member Emit of
-// the round triggers the computation; later calls see it done.
+// advance recomputes the victim set for round r. The first equivocating
+// member Emit of the round triggers the computation; later calls see it
+// done. Victims depend only on observations, not on earlier victim sets, so
+// rounds no member equivocates in are skipped.
 func (c *Coordinator) advance(r int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -187,7 +189,6 @@ func (a *Adaptive) flush() []rounds.Send {
 
 // Emit implements rounds.Protocol.
 func (a *Adaptive) Emit(round int) []rounds.Send {
-	a.coord.advance(round)
 	out := a.inner.Emit(round)
 	switch a.sched(round) {
 	case ActSilent:
@@ -202,6 +203,7 @@ func (a *Adaptive) Emit(round int) []rounds.Send {
 		a.held = copySends(out)
 		return prev
 	case ActEquivocate:
+		a.coord.advance(round) // only an equivocating round needs victims
 		all := append(a.flush(), out...)
 		kept := all[:0]
 		for _, s := range all {

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/bloom"
@@ -163,6 +164,12 @@ func TestFakeEdgesAreAcceptedFromColludingPair(t *testing.T) {
 	}
 }
 
+// alwaysStale is the stale attack: a member of a coordinator of its own on
+// an always-ActStale schedule.
+func alwaysStale(inner rounds.Protocol, me ids.NodeID, nbrs []ids.NodeID) rounds.Protocol {
+	return NewCoordinator().Join(inner, me, nbrs, func(int) Action { return ActStale })
+}
+
 func TestStaleReplayIsRejected(t *testing.T) {
 	g := topology.Ring(6)
 	scheme := sig.NewHMAC(6, 1)
@@ -174,7 +181,7 @@ func TestStaleReplayIsRejected(t *testing.T) {
 	for i, nd := range nodes {
 		protos[i] = nd
 	}
-	protos[0] = NewNectarStaleReplay(nodes[0])
+	protos[0] = alwaysStale(nodes[0], 0, g.Neighbors(0))
 	if _, err := rounds.Run(rounds.Config{Graph: g, Rounds: 5, Seed: 5}, protos); err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +197,109 @@ func TestStaleReplayIsRejected(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		if !nodes[i].View().Equal(g) {
 			t.Errorf("node %d view corrupted by stale chains", i)
+		}
+	}
+}
+
+// delayByOne is the reference stale node: it sends in round r exactly what
+// its inner node emitted in round r-1.
+type delayByOne struct {
+	inner *nectar.Node
+	prev  []rounds.Send
+}
+
+func (d *delayByOne) Emit(round int) []rounds.Send {
+	out := d.prev
+	d.prev = copySends(d.inner.Emit(round))
+	return out
+}
+
+func (d *delayByOne) Deliver(round int, from ids.NodeID, data []byte) {
+	d.inner.Deliver(round, from, data)
+}
+
+func (d *delayByOne) Quiescent() bool { return len(d.prev) == 0 && d.inner.Quiescent() }
+
+// emitLog records every round's sends of the protocol it wraps.
+type emitLog struct {
+	rounds.Protocol
+	log [][]rounds.Send
+}
+
+func (e *emitLog) Emit(round int) []rounds.Send {
+	out := e.Protocol.Emit(round)
+	e.log = append(e.log, copySends(out))
+	return out
+}
+
+func (e *emitLog) Quiescent() bool { return e.Protocol.(rounds.Quiescer).Quiescent() }
+
+// TestAlwaysStaleIsDelayByOne holds the stale attack to the reference
+// delay: alongside an adaptive coalition, a run with node 0 always-stale
+// sends what the reference sends, round by round, and ends with the same
+// metrics, per-node stats and views — the private coordinator leaves the
+// coalition's victims where they were.
+func TestAlwaysStaleIsDelayByOne(t *testing.T) {
+	h416, err := topology.Harary(4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h630, err := topology.Harary(6, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		m     *rounds.Metrics
+		stats []nectar.Stats
+		views []int
+		sent  [][]rounds.Send
+	}
+	run := func(g *graph.Graph, stale func(*nectar.Node) rounds.Protocol) result {
+		n := g.N()
+		nodes, err := nectar.BuildNodes(g, 3, sig.NewHMAC(n, 1), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		protos := make([]rounds.Protocol, n)
+		for i, nd := range nodes {
+			protos[i] = nd
+		}
+		coalition := NewCoordinator()
+		// Node 2 shares neighbor 1 with the stale node 0.
+		for _, b := range []ids.NodeID{2, ids.NodeID(n / 2)} {
+			protos[b] = coalition.Join(nodes[b], b, g.Neighbors(b), AlwaysEquivocate())
+		}
+		logged := &emitLog{Protocol: stale(nodes[0])}
+		protos[0] = logged
+		m, err := rounds.Run(rounds.Config{Graph: g, Rounds: n - 1, Seed: 3, Workers: 1}, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := result{m: m, sent: logged.log}
+		for _, nd := range nodes {
+			r.stats = append(r.stats, nd.Stats())
+			r.views = append(r.views, nd.View().M())
+		}
+		return r
+	}
+	for name, g := range map[string]*graph.Graph{"ring-9": topology.Ring(9), "harary-4-16": h416, "harary-6-30": h630} {
+		want := run(g, func(nd *nectar.Node) rounds.Protocol { return &delayByOne{inner: nd} })
+		got := run(g, func(nd *nectar.Node) rounds.Protocol { return alwaysStale(nd, 0, g.Neighbors(0)) })
+		if !reflect.DeepEqual(got.sent, want.sent) {
+			t.Errorf("%s: the stale node's sends differ from the delay-by-one reference", name)
+		}
+		if !reflect.DeepEqual(got.m, want.m) {
+			t.Errorf("%s: metrics differ:\ngot  %+v\nwant %+v", name, got.m, want.m)
+		}
+		if !reflect.DeepEqual(got.stats, want.stats) || !reflect.DeepEqual(got.views, want.views) {
+			t.Errorf("%s: per-node stats or view sizes differ", name)
+		}
+		var rejected int
+		for _, st := range want.stats {
+			rejected += st.Rejected
+		}
+		if rejected == 0 {
+			t.Errorf("%s: no stale chain rejected; the comparison shows nothing", name)
 		}
 	}
 }

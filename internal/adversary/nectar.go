@@ -17,7 +17,7 @@ import (
 // their own neighborhood" deviation: hidden Byzantine-Byzantine edges may
 // push the perceived connectivity below t, turning NOT_PARTITIONABLE into
 // a (safe) PARTITIONABLE.
-func NectarOmitOwn(inner *nectar.Node, sigSize int, hide map[graph.Edge]bool) rounds.Protocol {
+func NectarOmitOwn(inner rounds.Protocol, sigSize int, hide map[graph.Edge]bool) rounds.Protocol {
 	return &OutFilter{
 		Inner: inner,
 		Keep: func(round int, s rounds.Send) bool {
@@ -36,7 +36,7 @@ func NectarOmitOwn(inner *nectar.Node, sigSize int, hide map[graph.Edge]bool) ro
 // NectarEquivocate announces each of its own edges to only half of its
 // neighbors (those with even IDs), creating knowledge disparities that the
 // relay phase of correct nodes must iron out.
-func NectarEquivocate(inner *nectar.Node) rounds.Protocol {
+func NectarEquivocate(inner rounds.Protocol) rounds.Protocol {
 	return &OutFilter{
 		Inner: inner,
 		Keep: func(round int, s rounds.Send) bool {
@@ -51,7 +51,7 @@ func NectarEquivocate(inner *nectar.Node) rounds.Protocol {
 // forging proofs between Byzantine processes); correct nodes accept and
 // propagate these non-existent edges.
 type NectarFakeEdges struct {
-	inner    *nectar.Node
+	inner    rounds.Protocol
 	self     sig.Signer
 	partners []sig.Signer
 	sigSize  int
@@ -63,7 +63,7 @@ var _ rounds.Protocol = (*NectarFakeEdges)(nil)
 // NewNectarFakeEdges builds the colluding announcer. partners are the
 // signing capabilities of fellow Byzantine nodes (collusion); nbrs is the
 // local neighborhood the announcements are sent to.
-func NewNectarFakeEdges(inner *nectar.Node, self sig.Signer, partners []sig.Signer, sigSize int, nbrs []ids.NodeID) *NectarFakeEdges {
+func NewNectarFakeEdges(inner rounds.Protocol, self sig.Signer, partners []sig.Signer, sigSize int, nbrs []ids.NodeID) *NectarFakeEdges {
 	return &NectarFakeEdges{
 		inner:    inner,
 		self:     self,
@@ -98,45 +98,9 @@ func (a *NectarFakeEdges) Deliver(round int, from ids.NodeID, data []byte) {
 }
 
 // Quiescent implements rounds.Quiescer: the forged announcements ride on
-// round 1 only, so quiescence reduces to the inner node's (which is never
-// quiescent before its round-1 emission).
-func (a *NectarFakeEdges) Quiescent() bool { return a.inner.Quiescent() }
-
-// NectarStaleReplay delays every protocol message by one round, so each
-// chain it sends has length r-1 in round r — violating the
-// lengthSign(msg) = R rule. Correct nodes must reject every such stale
-// message for an edge they do not already know (Alg. 1 l. 14 prevents
-// Byzantine nodes from transmitting late messages); already-known edges
-// are discarded as duplicates.
-type NectarStaleReplay struct {
-	inner *nectar.Node
-	prev  []rounds.Send
-}
-
-var _ rounds.Protocol = (*NectarStaleReplay)(nil)
-
-// NewNectarStaleReplay wraps inner with the delay-by-one-round behaviour.
-func NewNectarStaleReplay(inner *nectar.Node) *NectarStaleReplay {
-	return &NectarStaleReplay{inner: inner}
-}
-
-// Emit implements rounds.Protocol.
-func (a *NectarStaleReplay) Emit(round int) []rounds.Send {
-	out := a.prev
-	// Held across a round boundary: copy, since the inner node's encode
-	// arena is reused at its next Emit (rounds.Protocol buffer contract).
-	a.prev = copySends(a.inner.Emit(round))
-	return out
-}
-
-// Deliver implements rounds.Protocol.
-func (a *NectarStaleReplay) Deliver(round int, from ids.NodeID, data []byte) {
-	a.inner.Deliver(round, from, data)
-}
-
-// Quiescent implements rounds.Quiescer: the delay buffer is in-flight
-// output — the wrapper is quiescent only once the inner node has nothing
-// queued AND the held-back batch has been flushed.
-func (a *NectarStaleReplay) Quiescent() bool {
-	return len(a.prev) == 0 && a.inner.Quiescent()
+// round 1 only, so quiescence reduces to the inner node's (a NECTAR node is
+// never quiescent before its round-1 emission).
+func (a *NectarFakeEdges) Quiescent() bool {
+	q, ok := a.inner.(rounds.Quiescer)
+	return ok && q.Quiescent()
 }

@@ -53,6 +53,9 @@ func (t *TopologyFlags) Register(fs *flag.FlagSet) {
 
 // Build generates the selected topology.
 func (t *TopologyFlags) Build(rng *rand.Rand) (*graph.Graph, error) {
+	if t.N < 0 {
+		return nil, fmt.Errorf("-n must be >= 0, got %d", t.N)
+	}
 	switch t.Kind {
 	case "ring":
 		return topology.Ring(t.N), nil

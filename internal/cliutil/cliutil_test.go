@@ -4,6 +4,7 @@ import (
 	"flag"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -75,6 +76,13 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := buildKind(t, "-topo", "cliquetree", "-n", "13", "-c", "4", "-b", "2", "-k", "2"); err == nil {
 		t.Error("cliquetree with n not a multiple of c accepted")
+	}
+	// A negative -n is refused by name for every kind (the ring, line, star,
+	// complete and er generators would panic on it).
+	for _, kind := range TopologyKinds() {
+		if _, err := buildKind(t, "-topo", kind, "-n", "-3"); err == nil || !strings.Contains(err.Error(), "-n") {
+			t.Errorf("-topo %s -n -3: err = %v, want an error naming -n", kind, err)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 const baselinesDigest = "b8cf6b93dccfeb66a070dd738c381ddcdfe728ee40e364430a8f695af3f6e757"
 
 // baselinePins lists the pinned baseline runs: MtG and MtGv2 under every
-// attack supportedAttacks defines for each, on Harary(4,12) with a random
+// attack the catalogue defines for each, on Harary(4,12) with a random
 // placement and on the Fig. 8 bridge scenario, at seeds 1 and 2, plus a
 // lossy and a fanout-2 run of each protocol. MtG's traffic does not depend
 // on whom it gossips to, and at the n-1 horizon every node has heard from

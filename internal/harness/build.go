@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"github.com/nectar-repro/nectar/internal/adversary"
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -25,81 +23,9 @@ const (
 	ProtoMtGv2  ProtocolKind = "mtgv2"
 )
 
-// AttackKind selects the behaviour of Byzantine nodes.
-type AttackKind string
-
-// Attack catalogue (§V-D plus robustness probes).
-const (
-	// AttackNone: Byzantine slots behave correctly (t is only assumed).
-	AttackNone AttackKind = "none"
-	// AttackCrash: Byzantine nodes stay silent.
-	AttackCrash AttackKind = "crash"
-	// AttackSplitBrain: correct towards one side, crashed towards the
-	// Blocked side (the bridge attack).
-	AttackSplitBrain AttackKind = "splitbrain"
-	// AttackPoison: MtG-only all-ones Bloom filters.
-	AttackPoison AttackKind = "poison"
-	// AttackFakeEdges: NECTAR-only fictitious Byzantine-pair edges.
-	AttackFakeEdges AttackKind = "fakeedges"
-	// AttackGarbage: random byte flooding.
-	AttackGarbage AttackKind = "garbage"
-	// AttackStale: NECTAR-only one-round message delay (stale chains).
-	AttackStale AttackKind = "stale"
-	// AttackEquivocate: NECTAR-only selective neighborhood announcement.
-	AttackEquivocate AttackKind = "equivocate"
-	// AttackOmitOwn: NECTAR-only concealment of Byzantine-Byzantine edges.
-	AttackOmitOwn AttackKind = "omitown"
-	// AttackAdaptive: NECTAR-only coordinated adaptive equivocation — the
-	// Byzantine coalition shares observations and stonewalls, per round,
-	// the correct neighbors it heard the least from (DESIGN.md §8).
-	AttackAdaptive AttackKind = "adaptive"
-	// AttackPhased: NECTAR-only composed schedule — stale replay for the
-	// first third of the horizon, then coordinated equivocation.
-	AttackPhased AttackKind = "phased"
-)
-
-// supportedAttacks lists which attacks are defined for each protocol
-// (validated up front by Run, enforced again by the build switches).
-var supportedAttacks = map[ProtocolKind]map[AttackKind]bool{
-	ProtoNectar: {
-		AttackNone: true, AttackCrash: true, AttackSplitBrain: true,
-		AttackFakeEdges: true, AttackGarbage: true, AttackStale: true,
-		AttackEquivocate: true, AttackOmitOwn: true,
-		AttackAdaptive: true, AttackPhased: true,
-	},
-	ProtoMtG: {
-		AttackNone: true, AttackCrash: true, AttackSplitBrain: true,
-		AttackPoison: true, AttackGarbage: true,
-	},
-	ProtoMtGv2: {
-		AttackNone: true, AttackCrash: true, AttackSplitBrain: true,
-		AttackGarbage: true,
-	},
-}
-
-// attackSupported reports whether the protocol defines the attack. The
-// empty attack means AttackNone.
-func attackSupported(p ProtocolKind, a AttackKind) bool {
-	if a == "" {
-		a = AttackNone
-	}
-	return supportedAttacks[p][a]
-}
-
 // Protocols lists the protocols under test.
 func Protocols() []ProtocolKind {
 	return []ProtocolKind{ProtoNectar, ProtoMtG, ProtoMtGv2}
-}
-
-// SupportedAttacks lists the attacks defined for protocol p, sorted, for
-// CLI listings and exhaustive tests.
-func SupportedAttacks(p ProtocolKind) []AttackKind {
-	out := make([]AttackKind, 0, len(supportedAttacks[p]))
-	for a := range supportedAttacks[p] {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // nodeDecision is one correct node's scored decision.
@@ -152,14 +78,10 @@ func buildNectar(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, 
 // nectarTrial builds a static trial's NECTAR run: every Byzantine node of
 // the scenario runs the spec's attack.
 func nectarTrial(spec *Spec, sc *Scenario, trialSeed int64) (*NectarRun, error) {
-	attacks := make(map[ids.NodeID]AttackKind, sc.Byz.Len())
-	for b := range sc.Byz {
-		attacks[b] = spec.Attack
-	}
 	return BuildNectar(NectarConfig{
 		Graph: sc.Graph, T: spec.T, Scheme: trialScheme(spec, sc.Graph.N(), trialSeed),
 		Rounds: spec.Rounds, Seed: trialSeed,
-		Byzantine: attacks, Blocked: sc.Blocked, NoVerifyCache: spec.noVerifyCache,
+		Byzantine: sc.attacks(spec.Attack), Blocked: sc.Blocked, NoVerifyCache: spec.noVerifyCache,
 	})
 }
 
@@ -227,7 +149,8 @@ func BuildNectar(cfg NectarConfig) (*NectarRun, error) {
 	for i, nd := range nodes {
 		r.Protos[i] = nd
 	}
-	if err := r.wrapAttacks(&cfg); err != nil {
+	c := &wrapCtx{g: cfg.Graph, blocked: cfg.Blocked, seed: cfg.Seed, scheme: cfg.Scheme, rounds: cfg.Rounds}
+	if err := c.wrap(ProtoNectar, r.Protos, cfg.Byzantine, cfg.Absent); err != nil {
 		r.Release()
 		return nil, err
 	}
@@ -235,75 +158,6 @@ func BuildNectar(cfg NectarConfig) (*NectarRun, error) {
 		r.Protos[a] = adversary.Silent{}
 	}
 	return r, nil
-}
-
-// wrapAttacks is the NECTAR behaviour switch: it wraps every present
-// Byzantine node, in ID order, with its attack. The coordinated attacks
-// (adaptive, phased) of a run share one controller.
-func (r *NectarRun) wrapAttacks(cfg *NectarConfig) error {
-	g, scheme := cfg.Graph, cfg.Scheme
-	byz := make([]ids.NodeID, 0, len(cfg.Byzantine))
-	for b := range cfg.Byzantine {
-		byz = append(byz, b)
-	}
-	slices.Sort(byz)
-	horizon := cfg.Rounds
-	if horizon == 0 {
-		horizon = g.N() - 1
-	}
-	sigSize := scheme.Verifier().SigSize()
-	var coord *adversary.Coordinator
-	for _, b := range byz {
-		if cfg.Absent.Has(b) {
-			continue // Silent, and must not steer a coalition's victim choice
-		}
-		inner, nbrs := r.Nodes[b], g.Neighbors(b)
-		switch attack := cfg.Byzantine[b]; attack {
-		case AttackNone:
-		case AttackCrash:
-			r.Protos[b] = adversary.Silent{}
-		case AttackSplitBrain:
-			blocked := cfg.Blocked[b]
-			if blocked == nil {
-				return fmt.Errorf("harness: split-brain node %v has no Blocked set", b)
-			}
-			r.Protos[b] = adversary.SplitBrain(inner, blocked)
-		case AttackFakeEdges:
-			var partners []sig.Signer
-			for _, other := range byz {
-				if other != b {
-					partners = append(partners, scheme.SignerFor(other))
-				}
-			}
-			r.Protos[b] = adversary.NewNectarFakeEdges(inner, scheme.SignerFor(b), partners, sigSize, nbrs)
-		case AttackGarbage:
-			r.Protos[b] = adversary.NewGarbage(nbrs, cfg.Seed^int64(b), 200)
-		case AttackStale:
-			r.Protos[b] = adversary.NewNectarStaleReplay(inner)
-		case AttackEquivocate:
-			r.Protos[b] = adversary.NectarEquivocate(inner)
-		case AttackOmitOwn:
-			hide := make(map[graph.Edge]bool)
-			for _, other := range byz {
-				if other != b && g.HasEdge(b, other) {
-					hide[graph.NewEdge(b, other)] = true
-				}
-			}
-			r.Protos[b] = adversary.NectarOmitOwn(inner, sigSize, hide)
-		case AttackAdaptive, AttackPhased:
-			if coord == nil {
-				coord = adversary.NewCoordinator()
-			}
-			sched := adversary.AlwaysEquivocate()
-			if attack == AttackPhased {
-				sched = adversary.StaleThenEquivocate(adversary.PhasedSwitchRound(horizon))
-			}
-			r.Protos[b] = coord.Join(inner, b, nbrs, sched)
-		default:
-			return fmt.Errorf("harness: attack %q not defined for NECTAR", attack)
-		}
-	}
-	return nil
 }
 
 // Finish runs the decision phase once the engine has stopped: the present
@@ -340,62 +194,29 @@ func (r *NectarRun) Release() {
 	}
 }
 
+// baselineNode is an MtG or MtGv2 node.
+type baselineNode interface {
+	rounds.Protocol
+	Decide() mtg.Outcome
+}
+
 func buildMtG(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
 	g := sc.Graph
-	protos := make([]rounds.Protocol, g.N())
-	nodes := make([]*mtg.Node, g.N())
-	for i := range protos {
-		me := ids.NodeID(i)
-		nd, err := mtg.NewNode(mtg.Config{
+	return buildBaseline(spec, sc, trialSeed, nil, func(me ids.NodeID) (baselineNode, error) {
+		return mtg.NewNode(mtg.Config{
 			N: g.N(), Me: me,
 			Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
 			Fanout:    spec.Fanout,
 			Seed:      trialSeed,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		nodes[i] = nd
-		protos[i] = nd
-	}
-	for b := range sc.Byz {
-		nbrs := g.Neighbors(b)
-		switch spec.Attack {
-		case AttackNone:
-		case AttackCrash:
-			protos[b] = adversary.Silent{}
-		case AttackSplitBrain:
-			protos[b] = adversary.SplitBrain(nodes[b], sc.Blocked[b])
-		case AttackPoison:
-			protos[b] = adversary.NewBloomPoison(nbrs, mtg.DefaultFilterBits, mtg.DefaultFilterHashes)
-		case AttackGarbage:
-			protos[b] = adversary.NewGarbage(nbrs, trialSeed^int64(b), mtg.DefaultFilterBits/8)
-		default:
-			return nil, nil, fmt.Errorf("harness: attack %q not defined for MtG", spec.Attack)
-		}
-	}
-	finish := func() ([]nodeDecision, obs.FastPath) {
-		out := make([]nodeDecision, g.N())
-		for i, nd := range nodes {
-			if sc.Byz.Has(ids.NodeID(i)) {
-				continue
-			}
-			o := nd.Decide()
-			out[i] = nodeDecision{detected: o.Partitioned, key: fmt.Sprintf("partitioned=%v", o.Partitioned)}
-		}
-		return out, obs.FastPath{}
-	}
-	return protos, finish, nil
+	})
 }
 
 func buildMtGv2(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
 	g := sc.Graph
 	scheme := trialScheme(spec, g.N(), trialSeed)
-	protos := make([]rounds.Protocol, g.N())
-	nodes := make([]*mtg.NodeV2, g.N())
-	for i := range protos {
-		me := ids.NodeID(i)
-		nd, err := mtg.NewNodeV2(mtg.ConfigV2{
+	return buildBaseline(spec, sc, trialSeed, scheme, func(me ids.NodeID) (baselineNode, error) {
+		return mtg.NewNodeV2(mtg.ConfigV2{
 			N: g.N(), Me: me,
 			Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
 			Signer:    scheme.SignerFor(me),
@@ -403,24 +224,25 @@ func buildMtGv2(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, f
 			Fanout:    spec.Fanout,
 			Seed:      trialSeed,
 		})
+	})
+}
+
+// buildBaseline wires a baseline trial: newNode builds each vertex's node,
+// then every Byzantine node goes behind the spec's attack.
+func buildBaseline(spec *Spec, sc *Scenario, trialSeed int64, scheme sig.Scheme, newNode func(ids.NodeID) (baselineNode, error)) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
+	g := sc.Graph
+	protos := make([]rounds.Protocol, g.N())
+	nodes := make([]baselineNode, g.N())
+	for i := range protos {
+		nd, err := newNode(ids.NodeID(i))
 		if err != nil {
 			return nil, nil, err
 		}
-		nodes[i] = nd
-		protos[i] = nd
+		nodes[i], protos[i] = nd, nd
 	}
-	for b := range sc.Byz {
-		switch spec.Attack {
-		case AttackNone:
-		case AttackCrash:
-			protos[b] = adversary.Silent{}
-		case AttackSplitBrain:
-			protos[b] = adversary.SplitBrain(nodes[b], sc.Blocked[b])
-		case AttackGarbage:
-			protos[b] = adversary.NewGarbage(g.Neighbors(b), trialSeed^int64(b), 128)
-		default:
-			return nil, nil, fmt.Errorf("harness: attack %q not defined for MtGv2", spec.Attack)
-		}
+	c := &wrapCtx{g: g, blocked: sc.Blocked, seed: trialSeed, scheme: scheme, rounds: spec.Rounds}
+	if err := c.wrap(spec.Protocol, protos, sc.attacks(spec.Attack), nil); err != nil {
+		return nil, nil, err
 	}
 	finish := func() ([]nodeDecision, obs.FastPath) {
 		out := make([]nodeDecision, g.N())

@@ -18,7 +18,7 @@ type Spec struct {
 	Name string
 	// Protocol selects the protocol under test.
 	Protocol ProtocolKind
-	// Attack selects the Byzantine behaviour (AttackNone for cost runs).
+	// Attack selects the Byzantine behaviour; empty means AttackNone.
 	Attack AttackKind
 	// Scenario generates the per-trial topology and Byzantine placement.
 	Scenario ScenarioFn
@@ -157,7 +157,7 @@ func (s Spec) validate() (Spec, error) {
 	if !(s.LossRate >= 0 && s.LossRate < 1) { // NaN fails too
 		return s, fmt.Errorf("harness: LossRate must be in [0,1), got %v", s.LossRate)
 	}
-	if !attackSupported(s.Protocol, s.Attack) {
+	if row(s.Protocol, s.Attack) == nil {
 		return s, fmt.Errorf("harness: attack %q not defined for protocol %q", s.Attack, s.Protocol)
 	}
 	return s, nil

@@ -71,7 +71,7 @@ func NewRedTeamRunner(spec RedTeamSpec) (exp.TrialRunner, error) {
 		return nil, fmt.Errorf("harness: unknown objective %q (valid: %v)",
 			spec.Objective, redteam.Objectives())
 	}
-	if !attackSupported(spec.Protocol, spec.Attack) {
+	if row(spec.Protocol, spec.Attack) == nil {
 		return nil, fmt.Errorf("harness: attack %q not defined for protocol %q", spec.Attack, spec.Protocol)
 	}
 	opt, err := redteam.ByName(spec.Optimizer)

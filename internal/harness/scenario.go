@@ -27,6 +27,15 @@ type Scenario struct {
 	Blocked map[ids.NodeID]ids.Set
 }
 
+// attacks assigns attack a to every Byzantine node of the scenario.
+func (sc *Scenario) attacks(a AttackKind) map[ids.NodeID]AttackKind {
+	out := make(map[ids.NodeID]AttackKind, sc.Byz.Len())
+	for b := range sc.Byz {
+		out[b] = a
+	}
+	return out
+}
+
 // ScenarioFn generates a fresh scenario per trial from the trial's RNG.
 type ScenarioFn func(rng *rand.Rand) (*Scenario, error)
 

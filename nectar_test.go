@@ -53,7 +53,7 @@ func TestSimulateWithSplitBrainByzantine(t *testing.T) {
 	}
 	res, err := Simulate(SimulationConfig{
 		Graph: g, T: 1, Seed: 3,
-		Byzantine: map[NodeID]Behavior{0: BehaviorSplitBrain},
+		Byzantine: map[NodeID]AttackKind{0: AttackSplitBrain},
 		Blocked:   map[NodeID][]NodeID{0: {4, 5, 6}},
 	})
 	if err != nil {
@@ -73,13 +73,13 @@ func TestSimulateWithSplitBrainByzantine(t *testing.T) {
 func TestSimulateAllBehaviorsRun(t *testing.T) {
 	g := Ring(8)
 	g.AddEdge(0, 4) // a chord so t=2 keeps some margin
-	for _, b := range []Behavior{
-		BehaviorCrash, BehaviorFakeEdges, BehaviorGarbage,
-		BehaviorStale, BehaviorEquivocate, BehaviorOmitOwn,
+	for _, b := range []AttackKind{
+		AttackCrash, AttackFakeEdges, AttackGarbage,
+		AttackStale, AttackEquivocate, AttackOmitOwn,
 	} {
 		res, err := Simulate(SimulationConfig{
 			Graph: g, T: 2, Seed: 4, SchemeName: "hmac",
-			Byzantine: map[NodeID]Behavior{2: b, 6: b},
+			Byzantine: map[NodeID]AttackKind{2: b, 6: b},
 		})
 		if err != nil {
 			t.Fatalf("behavior %s: %v", b, err)
@@ -98,19 +98,22 @@ func TestSimulateValidation(t *testing.T) {
 		t.Error("empty graph accepted")
 	}
 	if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: 0,
-		Byzantine: map[NodeID]Behavior{1: BehaviorCrash}}); err == nil {
+		Byzantine: map[NodeID]AttackKind{1: AttackCrash}}); err == nil {
 		t.Error("byz count above T accepted")
 	}
 	if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: 1,
-		Byzantine: map[NodeID]Behavior{9: BehaviorCrash}}); err == nil {
+		Byzantine: map[NodeID]AttackKind{9: AttackCrash}}); err == nil {
 		t.Error("out-of-range byz accepted")
 	}
-	if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: 1,
-		Byzantine: map[NodeID]Behavior{1: "teleport"}}); err == nil {
-		t.Error("unknown behavior accepted")
+	// An unknown name, MtG's poison and none (a correct node) are refused.
+	for _, a := range []AttackKind{"teleport", AttackPoison, AttackNone, ""} {
+		if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: 1,
+			Byzantine: map[NodeID]AttackKind{1: a}}); err == nil || !strings.Contains(err.Error(), "unknown attack") {
+			t.Errorf("attack %q: err = %v, want it refused", a, err)
+		}
 	}
 	if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: 1,
-		Byzantine: map[NodeID]Behavior{1: BehaviorSplitBrain}}); err == nil {
+		Byzantine: map[NodeID]AttackKind{1: AttackSplitBrain}}); err == nil {
 		t.Error("split-brain without Blocked accepted")
 	}
 	if _, err := Simulate(SimulationConfig{Graph: Ring(4), T: 1, SchemeName: "rsa"}); err == nil {

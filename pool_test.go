@@ -39,8 +39,8 @@ func dirtyPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []SimulationConfig{
-		{Graph: g, T: 3, Seed: 99, SchemeName: "slim", Byzantine: map[NodeID]Behavior{4: BehaviorGarbage}},
-		{Graph: g, T: 3, Seed: 98, SchemeName: "hmac", Byzantine: map[NodeID]Behavior{9: BehaviorStale}},
+		{Graph: g, T: 3, Seed: 99, SchemeName: "slim", Byzantine: map[NodeID]AttackKind{4: AttackGarbage}},
+		{Graph: g, T: 3, Seed: 98, SchemeName: "hmac", Byzantine: map[NodeID]AttackKind{9: AttackStale}},
 		{Graph: Ring(5), T: 1, Seed: 97, SchemeName: "hmac", Rounds: 1}, // cut short: queues loaded at Decide
 	} {
 		if _, err := Simulate(cfg); err != nil {
@@ -95,7 +95,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		}
 		return SimulateDynamic(DynamicConfig{
 			Schedule: sched, T: 1, Seed: 2, SchemeName: "hmac", Epochs: 4,
-			Byzantine: map[NodeID]Behavior{3: BehaviorEquivocate},
+			Byzantine: map[NodeID]AttackKind{3: AttackEquivocate},
 		})
 	}
 	// trials strips the one field DeepEqual cannot compare (Spec.Scenario
@@ -198,7 +198,7 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 	}}
 	good := DynamicConfig{
 		Schedule: sched, T: 1, Seed: 2, SchemeName: "hmac", Epochs: 6, Workers: 4,
-		Byzantine: map[NodeID]Behavior{3: BehaviorSplitBrain},
+		Byzantine: map[NodeID]AttackKind{3: AttackSplitBrain},
 		Blocked:   map[NodeID][]NodeID{3: {0, 1}},
 	}
 	coldPools()

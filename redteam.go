@@ -31,13 +31,6 @@ const (
 	ObjectiveTraffic     = redteam.ObjTraffic
 )
 
-// Coordinated adaptive attacks (see BehaviorAdaptive / BehaviorPhased for
-// the Simulate-level equivalents).
-const (
-	AttackAdaptive = harness.AttackAdaptive
-	AttackPhased   = harness.AttackPhased
-)
-
 // RunRedTeam executes the search: optimizer × objective over seeded
 // candidate evaluations, bit-for-bit reproducible from (Spec, Seed).
 func RunRedTeam(spec RedTeamSpec) (*RedTeamResult, error) {

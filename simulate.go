@@ -2,6 +2,7 @@ package nectar
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/nectar-repro/nectar/internal/harness"
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -10,62 +11,6 @@ import (
 	"github.com/nectar-repro/nectar/internal/rounds"
 	"github.com/nectar-repro/nectar/internal/sig"
 )
-
-// Behavior selects how a Byzantine node deviates in Simulate.
-type Behavior string
-
-// Supported Byzantine behaviours (§IV "Impact of Byzantine deviations",
-// §V-D attacks, plus robustness probes).
-const (
-	// BehaviorCrash: stays silent.
-	BehaviorCrash Behavior = "crash"
-	// BehaviorSplitBrain: correct towards one side, crashed towards the
-	// nodes listed in SimulationConfig.Blocked.
-	BehaviorSplitBrain Behavior = "splitbrain"
-	// BehaviorFakeEdges: announces fictitious edges to all other
-	// Byzantine nodes (colluding pairs forge joint proofs).
-	BehaviorFakeEdges Behavior = "fakeedges"
-	// BehaviorGarbage: floods neighbors with random bytes.
-	BehaviorGarbage Behavior = "garbage"
-	// BehaviorStale: delays every message one round (stale chains).
-	BehaviorStale Behavior = "stale"
-	// BehaviorEquivocate: announces its neighborhood only to even-ID
-	// neighbors.
-	BehaviorEquivocate Behavior = "equivocate"
-	// BehaviorOmitOwn: hides its edges to other Byzantine nodes.
-	BehaviorOmitOwn Behavior = "omitown"
-	// BehaviorAdaptive: coordinated adaptive equivocation — all Byzantine
-	// nodes share observations and stonewall, per round, the correct
-	// neighbors they heard the least from (DESIGN.md §8).
-	BehaviorAdaptive Behavior = "adaptive"
-	// BehaviorPhased: composed schedule — stale replay for the first
-	// third of the horizon, then coordinated adaptive equivocation.
-	BehaviorPhased Behavior = "phased"
-)
-
-// KnownBehaviors lists every supported Byzantine behaviour, for flag
-// validation and error messages.
-func KnownBehaviors() []Behavior {
-	return []Behavior{
-		BehaviorCrash, BehaviorSplitBrain, BehaviorFakeEdges, BehaviorGarbage,
-		BehaviorStale, BehaviorEquivocate, BehaviorOmitOwn,
-		BehaviorAdaptive, BehaviorPhased,
-	}
-}
-
-// Valid reports whether b names a supported behaviour.
-func (b Behavior) Valid() bool {
-	for _, k := range KnownBehaviors() {
-		if b == k {
-			return true
-		}
-	}
-	return false
-}
-
-// attack maps b to the harness attack of the same name: every behaviour is
-// one of the NECTAR attacks other than none (TestBehaviorsAreTheNectarAttacks).
-func (b Behavior) attack() harness.AttackKind { return harness.AttackKind(b) }
 
 // SimulationConfig drives one in-memory NECTAR execution.
 type SimulationConfig struct {
@@ -80,10 +25,11 @@ type SimulationConfig struct {
 	SchemeName string
 	// Rounds overrides the n-1 round horizon (0 = default).
 	Rounds int
-	// Byzantine assigns behaviours to Byzantine nodes (may be empty).
-	Byzantine map[NodeID]Behavior
+	// Byzantine assigns attacks to Byzantine nodes (may be empty): any
+	// NECTAR attack but AttackNone.
+	Byzantine map[NodeID]AttackKind
 	// Blocked lists, per split-brain Byzantine node, the destinations it
-	// stonewalls. Every key must be a node assigned BehaviorSplitBrain —
+	// stonewalls. Every key must be a node assigned AttackSplitBrain —
 	// entries for any other node are a configuration error.
 	Blocked map[NodeID][]NodeID
 	// Workers caps the engine's intra-run parallelism (0 = GOMAXPROCS).
@@ -151,13 +97,13 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	attacks, blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
+	blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
 	if err != nil {
 		return nil, err
 	}
 	run, err := harness.BuildNectar(harness.NectarConfig{
 		Graph: cfg.Graph, T: cfg.T, Scheme: sig.ByName(schemeName, n, cfg.Seed),
-		Rounds: cfg.Rounds, Seed: cfg.Seed, Byzantine: attacks, Blocked: blocked,
+		Rounds: cfg.Rounds, Seed: cfg.Seed, Byzantine: cfg.Byzantine, Blocked: blocked,
 		NoVerifyCache: cfg.noVerifyCache, ParanoidVerify: cfg.paranoidVerify,
 	})
 	if err != nil {
@@ -227,44 +173,46 @@ func resolveSchemeName(name string) (string, error) {
 	return name, nil
 }
 
-// checkByzantine validates a Byzantine assignment for an n-node system
-// with bound t — t ≥ 0, known behaviours, in-range IDs, count within t, and
-// Blocked entries only for split-brain nodes (anything else is a
-// misconfigured attack scenario that would otherwise silently no-op) — and
-// converts it for harness.BuildNectar. A split-brain node with no Blocked
-// targets gets no set, which BuildNectar rejects once it wraps the node.
-func checkByzantine(n, t int, byzantine map[NodeID]Behavior, blocked map[NodeID][]NodeID) (map[NodeID]harness.AttackKind, map[NodeID]ids.Set, error) {
+// byzantineAttacks lists the attacks Simulate accepts: NECTAR's, less
+// AttackNone (a node that follows the protocol is not Byzantine).
+func byzantineAttacks() []AttackKind {
+	return slices.DeleteFunc(SupportedAttacks(ProtoNectar), func(a AttackKind) bool { return a == AttackNone })
+}
+
+// checkByzantine validates a Byzantine assignment for an n-node system with
+// bound t — t ≥ 0, attacks from byzantineAttacks, in-range IDs, count within
+// t, and Blocked entries only for split-brain nodes (anything else would
+// silently no-op) — and converts the Blocked lists to sets. A split-brain
+// node with no Blocked targets gets no set, which BuildNectar rejects.
+func checkByzantine(n, t int, byzantine map[NodeID]AttackKind, blocked map[NodeID][]NodeID) (map[NodeID]ids.Set, error) {
 	if t < 0 {
-		return nil, nil, fmt.Errorf("nectar: negative T %d", t)
+		return nil, fmt.Errorf("nectar: negative T %d", t)
 	}
-	attacks := make(map[NodeID]harness.AttackKind, len(byzantine))
-	for b, beh := range byzantine {
+	for b, a := range byzantine {
 		if int(b) >= n {
-			return nil, nil, fmt.Errorf("nectar: Byzantine node %v out of range", b)
+			return nil, fmt.Errorf("nectar: Byzantine node %v out of range", b)
 		}
-		if !beh.Valid() {
-			return nil, nil, fmt.Errorf("nectar: node %v has unknown behavior %q (valid: %v)",
-				b, beh, KnownBehaviors())
+		if valid := byzantineAttacks(); !slices.Contains(valid, a) {
+			return nil, fmt.Errorf("nectar: node %v has unknown attack %q (valid: %v)", b, a, valid)
 		}
-		attacks[b] = beh.attack()
 	}
-	if len(attacks) > t {
-		return nil, nil, fmt.Errorf("nectar: %d Byzantine nodes exceed T=%d", len(attacks), t)
+	if len(byzantine) > t {
+		return nil, fmt.Errorf("nectar: %d Byzantine nodes exceed T=%d", len(byzantine), t)
 	}
 	sets := make(map[NodeID]ids.Set, len(blocked))
 	for b, targets := range blocked {
-		if byzantine[b] != BehaviorSplitBrain {
-			return nil, nil, fmt.Errorf("nectar: Blocked entry for node %v, which has behavior %q (want %q)",
-				b, byzantine[b], BehaviorSplitBrain)
+		if byzantine[b] != AttackSplitBrain {
+			return nil, fmt.Errorf("nectar: Blocked entry for node %v, which has attack %q (want %q)",
+				b, byzantine[b], AttackSplitBrain)
 		}
 		for _, to := range targets {
 			if int(to) >= n {
-				return nil, nil, fmt.Errorf("nectar: Blocked target %v of node %v out of range", to, b)
+				return nil, fmt.Errorf("nectar: Blocked target %v of node %v out of range", to, b)
 			}
 		}
 		if len(targets) > 0 {
 			sets[b] = ids.NewSet(targets...)
 		}
 	}
-	return attacks, sets, nil
+	return sets, nil
 }

@@ -114,7 +114,7 @@ func TestDynamicTraceEquivalence(t *testing.T) {
 		T:          2,
 		Seed:       11,
 		SchemeName: "hmac",
-		Byzantine:  map[NodeID]Behavior{3: BehaviorAdaptive, 7: BehaviorPhased},
+		Byzantine:  map[NodeID]AttackKind{3: AttackAdaptive, 7: AttackPhased},
 	}
 	ref, err := SimulateDynamic(cfg)
 	if err != nil {

@@ -44,12 +44,11 @@ func countedRun(t *testing.T, name string, cfg SimulationConfig) (build, run int
 		t.Fatalf("%s: %v", name, err)
 	}
 	var calls atomic.Int64
-	attacks, _, err := checkByzantine(cfg.Graph.N(), cfg.T, cfg.Byzantine, nil)
-	if err != nil {
+	if _, err := checkByzantine(cfg.Graph.N(), cfg.T, cfg.Byzantine, nil); err != nil {
 		t.Fatal(err)
 	}
 	built, err := harness.BuildNectar(harness.NectarConfig{
-		Graph: cfg.Graph, T: cfg.T, Seed: cfg.Seed, Byzantine: attacks,
+		Graph: cfg.Graph, T: cfg.T, Seed: cfg.Seed, Byzantine: cfg.Byzantine,
 		Scheme: countingScheme{sig.ByName(cfg.SchemeName, cfg.Graph.N(), cfg.Seed), &calls},
 	})
 	if err != nil {
@@ -101,12 +100,12 @@ func TestVerifyCountPinned(t *testing.T) {
 		"bridge/honest": 2146, "bridge/fakeedges": 2153, "bridge/equivocate": 2235,
 	}
 	for _, topo := range topos {
-		for _, beh := range []Behavior{"", BehaviorFakeEdges, BehaviorEquivocate} {
+		for _, beh := range []AttackKind{"", AttackFakeEdges, AttackEquivocate} {
 			name := topo.name + "/honest"
 			cfg := SimulationConfig{Graph: topo.g, T: 2, Seed: seed, SchemeName: "hmac", Workers: 1}
 			if beh != "" {
 				name = topo.name + "/" + string(beh)
-				cfg.Byzantine = make(map[NodeID]Behavior)
+				cfg.Byzantine = make(map[NodeID]AttackKind)
 				for _, b := range topo.byz {
 					cfg.Byzantine[b] = beh
 				}
