@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -105,7 +106,7 @@ func (c *Coordinator) Join(inner rounds.Protocol, me ids.NodeID, neighbors []ids
 		me:    me,
 		nbrs:  append([]ids.NodeID(nil), neighbors...),
 		sched: sched,
-		recv:  make(map[ids.NodeID]int),
+		recv:  make([]int, len(neighbors)),
 	}
 	sort.Slice(a.nbrs, func(i, j int) bool { return a.nbrs[i] < a.nbrs[j] })
 	c.members = append(c.members, a)
@@ -151,10 +152,15 @@ type Adaptive struct {
 	nbrs  []ids.NodeID
 	sched Schedule
 	held  []rounds.Send
-	// recv counts messages received per sender, cumulatively. Written
+	// ActStale copies each batch it holds into bufs[next] and flips next:
+	// the buffer it writes is never the held one it returns that round,
+	// so it was returned in an earlier round, whose delivery is over.
+	bufs [2]sendArena
+	next int
+	// recv[i] counts messages received from nbrs[i], cumulatively. Written
 	// only by this node's Deliver (engine phases order those writes
 	// before the next round's reads).
-	recv map[ids.NodeID]int
+	recv []int
 }
 
 var _ rounds.Protocol = (*Adaptive)(nil)
@@ -171,13 +177,19 @@ func (a *Adaptive) victimHalf() []ids.NodeID {
 		}
 	}
 	sort.SliceStable(correct, func(i, j int) bool {
-		ci, cj := a.recv[correct[i]], a.recv[correct[j]]
+		ci, cj := a.received(correct[i]), a.received(correct[j])
 		if ci != cj {
 			return ci < cj
 		}
 		return correct[i] < correct[j]
 	})
 	return correct[:len(correct)/2]
+}
+
+// received is how many messages neighbor v has sent this node.
+func (a *Adaptive) received(v ids.NodeID) int {
+	i, _ := slices.BinarySearch(a.nbrs, v)
+	return a.recv[i]
 }
 
 // flush returns and clears the held-back output.
@@ -200,7 +212,8 @@ func (a *Adaptive) Emit(round int) []rounds.Send {
 		// Held across one or more round boundaries (a later ActSilent can
 		// extend the delay): copy, since the inner protocol reuses its
 		// encode arena (rounds.Protocol buffer contract).
-		a.held = copySends(out)
+		a.held = a.bufs[a.next].copySends(out)
+		a.next ^= 1
 		return prev
 	case ActEquivocate:
 		a.coord.advance(round) // only an equivocating round needs victims
@@ -218,7 +231,9 @@ func (a *Adaptive) Emit(round int) []rounds.Send {
 
 // Deliver implements rounds.Protocol.
 func (a *Adaptive) Deliver(round int, from ids.NodeID, data []byte) {
-	a.recv[from]++
+	if i, ok := slices.BinarySearch(a.nbrs, from); ok {
+		a.recv[i]++
+	}
 	a.inner.Deliver(round, from, data)
 }
 

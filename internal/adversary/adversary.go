@@ -36,29 +36,58 @@ func (Silent) Deliver(int, ids.NodeID, []byte) {}
 // Quiescent implements rounds.Quiescer: a crashed node never speaks.
 func (Silent) Quiescent() bool { return true }
 
-// copySends deep-copies a batch of sends. The engine contract bounds
-// Send.Data lifetime to the emitting round (protocols reuse encode
-// arenas), so wrappers that hold a batch back for a later round — the
-// stale-replay family — must own the bytes they retain. Fan-out batches
+// sendArena is reusable storage for one held batch: its send headers and
+// one byte arena for the payloads. The engine contract bounds Send.Data
+// lifetime to the emitting round (protocols reuse encode arenas), so a
+// wrapper that holds a batch back for a later round — the stale-replay
+// family — must own the bytes it retains.
+type sendArena struct {
+	sends []rounds.Send
+	data  []byte
+}
+
+// copySends deep-copies a batch of sends into the arena, whose previous
+// copy must be out of use: the payloads are laid out in one region, grown
+// once to fit, and the headers reuse the arena's slice. Fan-out batches
 // share one buffer across consecutive sends; the copy preserves that
-// sharing (one copy per distinct buffer), which also keeps the router's
-// identity-based broadcast-dedup fast path effective on replay.
-func copySends(in []rounds.Send) []rounds.Send {
+// sharing (one copy per distinct buffer), which keeps a replayed multicast
+// one multicast to the engine's metering.
+func (b *sendArena) copySends(in []rounds.Send) []rounds.Send {
 	if len(in) == 0 {
 		return nil
 	}
-	out := make([]rounds.Send, len(in))
-	var lastSrc, lastCopy []byte
-	for i, s := range in {
-		if len(s.Data) > 0 && len(lastSrc) == len(s.Data) && &lastSrc[0] == &s.Data[0] {
-			out[i] = rounds.Send{To: s.To, Data: lastCopy}
-			continue
+	size := 0
+	var last []byte
+	for _, s := range in {
+		if !sameBuffer(last, s.Data) {
+			last = s.Data
+			size += len(s.Data)
 		}
-		lastSrc = s.Data
-		lastCopy = append([]byte(nil), s.Data...)
-		out[i] = rounds.Send{To: s.To, Data: lastCopy}
 	}
+	if cap(b.data) < size {
+		b.data = make([]byte, 0, size)
+	}
+	data, out := b.data[:0], b.sends[:0]
+	var lastSrc, lastCopy []byte
+	for _, s := range in {
+		if !sameBuffer(lastSrc, s.Data) {
+			lastSrc, lastCopy = s.Data, nil
+			if len(s.Data) > 0 {
+				start := len(data)
+				data = append(data, s.Data...)
+				lastCopy = data[start:len(data):len(data)]
+			}
+		}
+		out = append(out, rounds.Send{To: s.To, Data: lastCopy})
+	}
+	b.sends, b.data = out, data
 	return out
+}
+
+// sameBuffer reports whether b is a, the same non-empty buffer: what
+// copySends shares copies by.
+func sameBuffer(a, b []byte) bool {
+	return len(b) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // OutFilter wraps an inner protocol and drops every outgoing message the

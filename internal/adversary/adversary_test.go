@@ -338,3 +338,23 @@ func TestEquivocateTargetsEvenNeighborsOnly(t *testing.T) {
 		}
 	}
 }
+
+// copySends is sendArena.copySends into fresh memory, every buffer an
+// allocation of its own: the reference the stale member is held to.
+func copySends(in []rounds.Send) []rounds.Send {
+	if len(in) == 0 {
+		return nil
+	}
+	out := make([]rounds.Send, len(in))
+	var lastSrc, lastCopy []byte
+	for i, s := range in {
+		if len(s.Data) > 0 && len(lastSrc) == len(s.Data) && &lastSrc[0] == &s.Data[0] {
+			out[i] = rounds.Send{To: s.To, Data: lastCopy}
+			continue
+		}
+		lastSrc = s.Data
+		lastCopy = append([]byte(nil), s.Data...)
+		out[i] = rounds.Send{To: s.To, Data: lastCopy}
+	}
+	return out
+}

@@ -183,15 +183,15 @@ func (r *NectarRun) Finish(dc *nectar.DecideCache, tr obs.Tracer, epoch int) ([]
 	return outs, pc
 }
 
-// Release hands the memo and the scratch of the nodes that never decided
-// back to their free lists (DESIGN.md §9). Finish calls it; drivers call it
-// on their error paths. It is idempotent.
+// Release hands the scratch of the nodes that never decided and then the
+// memo, whose boards they post on, back to their free lists (DESIGN.md §9).
+// Finish calls it; drivers call it on their error paths. It is idempotent.
 func (r *NectarRun) Release() {
-	r.vcache.Release()
-	r.vcache = nil
 	for _, nd := range r.Nodes {
 		nd.Release()
 	}
+	r.vcache.Release()
+	r.vcache = nil
 }
 
 // baselineNode is an MtG or MtGv2 node.

@@ -18,8 +18,10 @@ import (
 
 // seedMemo makes through sc the checks a run makes before rawCases' valid
 // hops-hop message arrives: NewNode's check of the proof, then each correct
-// relay's acceptance of the shorter prefixes, each in its round.
-func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int) {
+// relay's acceptance of the shorter prefixes, each in its round. With post,
+// each prefix's signer has posted it on its board in that round first, and
+// the last signer the whole message in round hops, as Node.Emit does.
+func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int, post bool) {
 	t.Helper()
 	v := scheme.Verifier()
 	relayers := make([]ids.NodeID, hops-1)
@@ -29,23 +31,47 @@ func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int) {
 	m := chainMsg(scheme, 4, 7, relayers...)
 	var proof wire.Writer
 	m.Proof.encode(&proof, v.SigSize())
-	if err := sc.checkSigs(v, m.Proof.Edge, proof.Bytes(), nil); err != nil {
+	if err := sc.checkSigs(v, m.Proof.Edge, proof.Bytes(), nil, 0); err != nil {
 		t.Fatalf("seeding the proof: %v", err)
 	}
-	for k := 1; k < hops; k++ {
+	for k := 1; k <= hops; k++ {
 		prefix := EdgeMsg{Proof: m.Proof, Chain: m.Chain[:k]}.Encode(v.SigSize())
+		if post {
+			postOn(sc.memo, prefix, k, v.SigSize())
+		}
+		if k == hops {
+			break
+		}
 		if _, _, err := sc.checkRaw(v, prefix, rawCheckN, m.Chain[k-1].Signer, k); err != nil {
 			t.Fatalf("seeding the %d-hop prefix: %v", k, err)
 		}
 	}
 }
 
+// postOn posts data on its last signer's board in memo for round, as
+// Node.Emit does once the signer's self-check has passed.
+func postOn(memo *sig.VerifyCache, data []byte, round, sigSize int) {
+	ps := proofWireSize(sigSize)
+	signer, sg := outermost(data[:ps], data[ps+2:], sigSize)
+	b := memo.Board(signer)
+	b.Retract()
+	b.Post(sg, data[:ps], data[ps+2:])
+	b.Publish(round)
+}
+
 // TestMemoVerdictsMatchReference: after a correct flood of edge {4,7}
-// (4 → 10 → 11) has gone through a shared memo, every delivery below gets
-// the reference's verdict, label and hop count, twice — the second time from
-// the record the first left — and never makes a Verify call the reference
-// would not, nor any on a re-delivery.
+// (4 → 10 → 11) has gone through a shared memo — its signers' boards bare,
+// then holding their posts — every delivery below gets the reference's
+// verdict, label and hop count, twice — the second time from the record the
+// first left — and never makes a Verify call the reference would not, nor
+// any on a re-delivery.
 func TestMemoVerdictsMatchReference(t *testing.T) {
+	for _, post := range []bool{false, true} {
+		memoVerdictsMatchReference(t, post)
+	}
+}
+
+func memoVerdictsMatchReference(t *testing.T, post bool) {
 	scheme := sig.NewHMAC(rawCheckN, 1)
 	v := scheme.Verifier()
 	sigSize := v.SigSize()
@@ -53,7 +79,7 @@ func TestMemoVerdictsMatchReference(t *testing.T) {
 	memo := sig.NewVerifyCache()
 	defer memo.Release()
 	sc := msgScratch{memo: memo}
-	seedMemo(t, &sc, scheme, 3)
+	seedMemo(t, &sc, scheme, 3, post)
 
 	valid := chainMsg(scheme, 4, 7, 10, 11).Encode(sigSize)
 	edit := func(data []byte, f func(m []byte)) []byte {
@@ -62,7 +88,7 @@ func TestMemoVerdictsMatchReference(t *testing.T) {
 		return m
 	}
 	otherEdge := chainMsg(scheme, 4, 8).Encode(sigSize)[:ps] // {4,8}'s proof, NewNode-checked below
-	if err := sc.checkSigs(v, graph.NewEdge(4, 8), otherEdge, nil); err != nil {
+	if err := sc.checkSigs(v, graph.NewEdge(4, 8), otherEdge, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	byzRelay := chainMsg(scheme, 4, 7, 20, 21).Encode(sigSize) // 20's relay reached only 21
@@ -89,10 +115,13 @@ func TestMemoVerdictsMatchReference(t *testing.T) {
 			want := referenceVerdict(tapeVerifier{v, &refCalls}, c.data, rawCheckN, c.from, c.round)
 			got := rawVerdict(&sc, tapeVerifier{v, &memoCalls}, c.data, rawCheckN, c.from, c.round)
 			if got != want {
-				t.Fatalf("%s, delivery %d: memo says %+v, reference %+v", c.name, pass+1, got, want)
+				t.Fatalf("%s, delivery %d, posted %v: memo says %+v, reference %+v", c.name, pass+1, post, got, want)
 			}
 			if len(memoCalls) > len(refCalls) || pass > 0 && len(memoCalls) > 0 {
-				t.Errorf("%s, delivery %d: %d Verify calls through the memo, %d in the reference", c.name, pass+1, len(memoCalls), len(refCalls))
+				t.Errorf("%s, delivery %d, posted %v: %d Verify calls through the memo, %d in the reference", c.name, pass+1, post, len(memoCalls), len(refCalls))
+			}
+			if post && c.name == "valid" && len(memoCalls) > 0 {
+				t.Errorf("valid, delivery %d: %d Verify calls for a message its sender posted", pass+1, len(memoCalls))
 			}
 			reasons[got.Reason]++
 		}
@@ -106,8 +135,9 @@ func TestMemoVerdictsMatchReference(t *testing.T) {
 
 // FuzzCheckRawMemo is TestMemoVerdictsMatchReference on arbitrary bytes,
 // sender and round: each input is checked through a memo that a valid
-// 12-hop flood has seeded, then checked again, and both verdicts must be
-// the reference's. Seeded with the thinned cases of FuzzCheckRaw.
+// 12-hop flood has seeded — every signer's board holding what it posted —
+// then checked again, and both verdicts must be the reference's. Seeded with
+// the thinned cases of FuzzCheckRaw, whose valid messages are posted ones.
 func FuzzCheckRawMemo(f *testing.F) {
 	hmac := sig.NewHMAC(rawCheckN, 1)
 	v := hmac.Verifier()
@@ -120,7 +150,7 @@ func FuzzCheckRawMemo(f *testing.F) {
 		memo := sig.NewVerifyCache()
 		defer memo.Release()
 		sc := msgScratch{memo: memo}
-		seedMemo(t, &sc, hmac, 12)
+		seedMemo(t, &sc, hmac, 12, true)
 		c := rawCase{"fuzz", data, ids.NodeID(from), 1 + int(round)%rawCheckN}
 		want := referenceVerdict(v, c.data, rawCheckN, c.from, c.round)
 		for pass := 0; pass < 2; pass++ {

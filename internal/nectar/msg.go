@@ -234,7 +234,7 @@ func (sc *msgScratch) checkBody(v sig.Verifier, e graph.Edge, data []byte, n int
 		return count, errChainSender
 	}
 	if v.BindsMessage() {
-		return count, sc.checkSigs(v, e, data[:ps], rawHops)
+		return count, sc.checkSigs(v, e, data[:ps], rawHops, round)
 	}
 	if !inRange {
 		return count, errChainSig
@@ -243,13 +243,16 @@ func (sc *msgScratch) checkBody(v sig.Verifier, e graph.Edge, data []byte, n int
 }
 
 // checkSigs runs checkMsg's signature checks — the proof's two, then the
-// chain's in order — on a message's wire bytes proof ‖ hops, through the
-// memo if the node has one (DESIGN.md §9): one counted lookup of the whole
-// message; on a miss, the longest stored prefix — normally all but the last
-// hop, stored when the sender accepted it — vouches for its signatures, and
-// only the rest are verified. Deliver enters it only under a scheme that
-// binds the message (checkBody); NewNode checks every scheme's proofs here.
-func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []byte) error {
+// chain's in order — on a message's wire bytes proof ‖ hops, delivered in
+// round (0 for NewNode's bare proofs), through the memo if the node has one
+// (DESIGN.md §9): one counted lookup of the whole message; on a miss, the
+// board of the outermost signer, whom checkBody has found to be the
+// sender: if it posted these bytes this round, they are valid. Otherwise
+// the longest stored prefix — normally all but the last hop, stored when
+// the sender accepted it — vouches for its signatures, and only the rest
+// are verified. Deliver enters it only under a scheme that binds the
+// message (checkBody); NewNode checks every scheme's proofs here.
+func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []byte, round int) error {
 	sigSize := v.SigSize()
 	hop, known := sig.HopWireSize(sigSize), -1 // known: hops a stored prefix vouches for; -1, not the proof either
 	var signer ids.NodeID
@@ -258,6 +261,10 @@ func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []b
 		signer, sg = outermost(proof, rawHops, sigSize)
 		if verdict, hit := sc.memo.Lookup(signer, sg, proof, rawHops, true); hit {
 			return sigsErr[verdict]
+		}
+		if sc.memo.Vouched(signer, round, sg, proof, rawHops) {
+			sc.memo.Store(signer, sg, proof, rawHops, sigsValid, true)
+			return nil
 		}
 		for known = len(rawHops)/hop - 1; known >= 0; known-- {
 			prefix := rawHops[:known*hop]

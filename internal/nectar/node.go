@@ -85,8 +85,19 @@ type Config struct {
 	// bytes. Verification is deterministic for every provided scheme, so the
 	// memo is semantics-preserving; share one cache across the nodes of a
 	// trial so a message is checked once for all its recipients, and a relay
-	// costs its last hop (DESIGN.md §9). Nil disables memoization, and a
-	// Verifier whose signatures do not bind the message never consults it.
+	// costs its last hop (DESIGN.md §9). A node whose own signature verifies
+	// also posts what it emits on its board in the cache, and a neighbour
+	// that checks a post takes it without a Verify call. Nil disables both,
+	// and a Verifier whose signatures do not bind the message never
+	// consults the cache.
+	//
+	// Lockstep contract: the nodes sharing a cache are built before any of
+	// them runs, and a post vouches only within the round it was emitted
+	// in, which the engine's barrier between a round's Emit and Deliver
+	// phases spans. Nodes driven out of lockstep (one engine each, as over
+	// TCP) stay correct — a delivery the poster has moved past is simply
+	// verified — but save only what the memo saves. Release the cache
+	// last, once every node sharing it is released or done with.
 	VerifyCache *sig.VerifyCache
 
 	// paranoidVerify verifies signatures even for already-known edges,
@@ -141,6 +152,12 @@ type Node struct {
 	nRounds int
 	signer  sig.AppendSigner // cfg.Signer's append form, resolved once (appendSigner)
 	started bool             // round-1 neighborhood announcement has been emitted
+	// board is where Emit posts the round's messages for the neighbours'
+	// checks (sig.Board), nil without a memo, after a failed self-check and
+	// once released; unproven holds until the first post has checked the
+	// node's own signature under cfg.Verifier.
+	board    *sig.Board
+	unproven bool
 	// undrained: an edge was accepted since the last relay round drained the
 	// queue. Quiescent reads it, not the queue, so an accept with no one to
 	// relay to still keeps the node active for the round its relay would take.
@@ -241,6 +258,8 @@ func (nd *Node) release(snapshot *graph.EdgeSet) {
 		return
 	}
 	nd.box = nil
+	nd.board.Retract() // its posts alias the emit arena handed back below
+	nd.board = nil
 	nd.snapshot = snapshot
 	*s, nd.nodeScratch = nd.nodeScratch, nodeScratch{}
 	nd.scr.memo, s.scr.memo = s.scr.memo, nil // the node keeps its memo; the free list holds none
@@ -332,8 +351,9 @@ func NewNode(cfg Config) (*Node, error) {
 	// Borrowed once the configuration is sound; a failing proof returns it.
 	nd.box = scratchPool(len(cfg.Neighbors)).Get().(*nodeScratch)
 	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
-	if cfg.Verifier.BindsMessage() { // an unbound scheme's constant tags could only collide
+	if cfg.Verifier.BindsMessage() && cfg.VerifyCache != nil { // an unbound scheme's constant tags could only collide
 		nd.scr.memo = cfg.VerifyCache
+		nd.board, nd.unproven = cfg.VerifyCache.Board(cfg.Me), true
 	}
 	if nd.view == nil {
 		nd.view = new(graph.EdgeSet)
@@ -347,7 +367,7 @@ func NewNode(cfg Config) (*Node, error) {
 		p := cfg.Proofs[nb]
 		nd.enc.Reset()
 		p.encode(&nd.enc, sigSize) // a signature of another width is invalid, not to be cut to size
-		if len(p.SigU) != sigSize || len(p.SigV) != sigSize || nd.scr.checkSigs(cfg.Verifier, p.Edge, nd.enc.Bytes(), nil) != nil {
+		if len(p.SigU) != sigSize || len(p.SigV) != sigSize || nd.scr.checkSigs(cfg.Verifier, p.Edge, nd.enc.Bytes(), nil, 0) != nil {
 			nd.Release()
 			return nil, fmt.Errorf("nectar: proof for neighbor %v does not verify", nb)
 		}
@@ -392,10 +412,13 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	// Reset the per-round scratch: the previous round's sends have been
 	// delivered (and copied by any retainer), so arena and send headers
 	// are free for reuse — zero steady-state allocation on the emit path.
+	// The board's posts alias the arena, so they are withdrawn first.
+	nd.board.Retract()
 	nd.enc.Reset()
 	out := nd.sendBuf[:0]
 	v := nd.cfg.Verifier
 	sigSize := v.SigSize()
+	ps := proofWireSize(sigSize)
 	if round == 1 {
 		for _, j := range nd.cfg.Neighbors {
 			p := nd.cfg.Proofs[j]
@@ -405,16 +428,18 @@ func (nd *Node) Emit(round int) []rounds.Send {
 				Chain: nd.scr.cs.AppendInto(nd.cfg.Signer, proofStatementInto(&nd.scr.stmt, p.Edge), nil),
 			}.encodeTo(&nd.enc, sigSize)
 			data := nd.enc.Bytes()[start:]
+			nd.post(data, p.Edge, ps, sigSize)
 			for _, dest := range nd.cfg.Neighbors {
 				out = append(out, rounds.Send{To: dest, Data: data})
 			}
 		}
+		nd.board.Publish(round)
 		nd.sendBuf, nd.sendUsed = out, max(nd.sendUsed, len(out))
 		return out
 	}
-	ps := proofWireSize(sigSize)
 	for _, item := range nd.queue {
 		data := nd.encodeRelay(item, v, ps, sigSize)
+		nd.post(data, item.edge, ps, sigSize)
 		for _, dest := range nd.cfg.Neighbors {
 			if dest != item.from {
 				out = append(out, rounds.Send{To: dest, Data: data})
@@ -426,8 +451,32 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	nd.queue, nd.queueUsed = nd.queue[:0], max(nd.queueUsed, len(nd.queue))
 	nd.arenaRaw = nd.arenaRaw[:0]
 	nd.undrained = false
+	nd.board.Publish(round)
 	nd.sendBuf, nd.sendUsed = out, max(nd.sendUsed, len(out))
 	return out
+}
+
+// post puts an emitted message of edge e on the node's board (sig.Board).
+// Everything a correct node emits is valid: a round-1 message extends a
+// proof NewNode checked, a relay a message Deliver accepted, and each adds
+// one signature of the node's own — so the first post checks that
+// signature under cfg.Verifier, once a run, and a node whose signer fails
+// it (a key the Verifier does not hold) never posts.
+func (nd *Node) post(data []byte, e graph.Edge, ps, sigSize int) {
+	if nd.board == nil {
+		return
+	}
+	rawHops := data[ps+2:]
+	if nd.unproven {
+		last := len(rawHops)/sig.HopWireSize(sigSize) - 1
+		if !nd.scr.cs.VerifyRawChain(nd.cfg.Verifier, proofStatementInto(&nd.scr.stmt, e), rawHops, last) {
+			nd.board = nil
+			return
+		}
+		nd.unproven = false
+	}
+	_, sg := outermost(data[:ps], rawHops, sigSize)
+	nd.board.Post(sg, data[:ps], rawHops)
 }
 
 // encodeRelay appends the relay of a retained message to the encode arena:

@@ -94,10 +94,19 @@ type verifyShard struct {
 // interleaving, so Stats reads the same at any worker count.
 type VerifyCache struct {
 	shards [verifyShardCount]verifyShard
+	// boards[s] is signer s's Board, made by the first Board(s) call.
+	// Registration takes boardMu; Vouched reads the slice without it, as
+	// every node registers before its run starts.
+	boardMu sync.Mutex
+	boards  []*Board
 }
 
-// verifyStores is one cache's worth of storage, the unit of recycling.
-type verifyStores [verifyShardCount]verifyStore
+// verifyStores is one cache's worth of storage, the unit of recycling: the
+// shards' stores and the signers' boards.
+type verifyStores struct {
+	shards [verifyShardCount]verifyStore
+	boards []*Board
+}
 
 // verifyStoreFree recycles the storage of released caches (DESIGN.md §9):
 // a sweep builds one memo per trial and a dynamic run one per epoch — up
@@ -116,17 +125,20 @@ func NewVerifyCache() *VerifyCache {
 	c := &VerifyCache{}
 	stores := verifyStoreFree.Acquire()
 	for i := range c.shards {
-		c.shards[i].verifyStore = stores[i]
+		c.shards[i].verifyStore = stores.shards[i]
 	}
+	c.boards = stores.boards
 	return c
 }
 
 // Release empties the cache and hands its storage — the shard maps,
-// cleared, and the record chunks, truncated — to the caches built after
-// it, which then start at the capacity this one reached. Call it once the
-// run the cache served is over and Stats has been read: Release resets the
-// counters too. A released cache is an empty cache and stays usable (it
-// allocates afresh); never releasing merely forgoes the recycling.
+// cleared, the record chunks, truncated, and the boards, retracted — to the
+// caches built after it, which then start at the capacity this one reached.
+// Call it once the run the cache served is over and Stats has been read:
+// Release resets the counters too, and a node still holding one of its
+// boards must post no more. A released cache is an empty cache and stays
+// usable (it allocates afresh); never releasing merely forgoes the
+// recycling.
 func (c *VerifyCache) Release() {
 	if c == nil {
 		return
@@ -139,10 +151,16 @@ func (c *VerifyCache) Release() {
 		for j := range sh.chunks {
 			sh.chunks[j] = sh.chunks[j][:0]
 		}
-		stores[i] = sh.verifyStore
+		stores.shards[i] = sh.verifyStore
 		sh.verifyStore, sh.cur, sh.hits, sh.misses = verifyStore{}, 0, 0, 0
 		sh.mu.Unlock()
 	}
+	c.boardMu.Lock()
+	for _, b := range c.boards {
+		b.Retract()
+	}
+	stores.boards, c.boards = c.boards, nil
+	c.boardMu.Unlock()
 	verifyStoreFree.Release(stores)
 }
 

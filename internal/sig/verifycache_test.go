@@ -302,24 +302,35 @@ func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
 
 	withVerifyStores(t, func() *verifyStores {
 		stores := new(verifyStores)
-		for i := range stores {
+		for i := range stores.shards {
 			m := make(map[verifyKey]verifyEntry)
 			for k := 0; k < 200; k++ {
 				m[verifyKey(k)] = verifyEntry{rec: []byte("stale")}
 			}
 			clear(m)
-			stores[i].m = m
+			stores.shards[i].m = m
 			for _, size := range []int{minVerifyChunk, 7, 2 * minVerifyChunk} {
 				chunk := make([]byte, size)
 				for j := range chunk {
 					chunk[j] = 0xFF
 				}
-				stores[i].chunks = append(stores[i].chunks, chunk[:0])
+				stores.shards[i].chunks = append(stores.shards[i].chunks, chunk[:0])
 			}
+		}
+		for signer := ids.NodeID(0); signer < 3; signer++ {
+			b := &Board{signer: signer, posts: make(map[verifyKey]boardPost)}
+			for k := 0; k < 50; k++ {
+				b.posts[verifyKey(k)] = boardPost{head: []byte("stale")}
+			}
+			clear(b.posts)
+			stores.boards = append(stores.boards, b)
 		}
 		return stores
 	})
 	c := NewVerifyCache()
+	if c.Vouched(1, 1, make([]byte, 8), []byte("stale"), nil) {
+		t.Error("a recycled board vouches before anything is posted")
+	}
 	got, hits, misses := lookupScript(c, scheme)
 	if !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses {
 		t.Errorf("poisoned store: stats %d/%d, want %d/%d; verdicts equal: %v",

@@ -290,3 +290,32 @@ func TestWarmRunAllocatesAFraction(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleMemberAllocatesLittle pins what an always-stale node costs a run
+// in objects: it holds each round's batch back in two buffers it reuses in
+// turn, and counts deliveries in a slice beside its sorted neighbors, so
+// what is left (≈ 42) is the wrapper's set-up and its buffers' growth, not
+// one object per held payload (≈ 110 on this shape).
+func TestStaleMemberAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation and thins sync.Pool")
+	}
+	g, err := Harary(4, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(byz map[NodeID]AttackKind) float64 {
+		cfg := SimulationConfig{Graph: g, T: 1, Seed: 5, SchemeName: "slim", Workers: 1, Byzantine: byz}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Simulate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	clean := allocs(nil)
+	extra := allocs(map[NodeID]AttackKind{0: AttackStale}) - clean
+	t.Logf("one stale node: %.0f objects above a clean run's %.0f", extra, clean)
+	if extra > 60 {
+		t.Errorf("one stale node allocates %.0f objects above a clean run, want at most 60", extra)
+	}
+}

@@ -69,14 +69,17 @@ func countedRun(t *testing.T, name string, cfg SimulationConfig) (build, run int
 	return build, calls.Load() - build
 }
 
-// TestVerifyCountPinned: the verification memo may only ever save real
-// signature verifications. Each hmac row is a counted Simulate run, and its
-// count may not exceed the one recorded for the per-signature memo the
-// record memo replaced (DESIGN.md §9). A row over its ceiling means the memo
-// cost a verification. The slim row pins the unbound scheme's count
-// exactly: its chains are checked in the signer walk, so the flood makes no
-// Verify call, and only NewNode's proof checks remain — two per incident
-// edge.
+// TestVerifyCountPinned: the verification memo and the signers' boards may
+// only ever save real signature verifications (DESIGN.md §9). Each row is a
+// counted Simulate run. An honest run is pinned exactly: building the nodes
+// checks each proof once, two calls per edge, and the flood makes one call
+// per node — the self-check of its first signature — since every message a
+// correct node checks was posted by the correct node that sent it, under
+// hmac and ed25519 alike. A Byzantine row may not exceed its ceiling, the
+// count logged when the boards came in: a row over it means the memo or a
+// board cost a verification. The slim row pins the unbound scheme: its
+// chains are checked in the signer walk, so the flood makes no Verify call,
+// and only NewNode's proof checks remain — two per incident edge.
 func TestVerifyCountPinned(t *testing.T) {
 	const seed = 3
 	harary, err := Harary(4, 12)
@@ -95,9 +98,9 @@ func TestVerifyCountPinned(t *testing.T) {
 		{"harary", harary, []NodeID{0, 6}},
 		{"bridge", bridge.Graph, bridge.Byz.Sorted()},
 	}
-	ceiling := map[string]int64{ // real Verify calls under the per-signature memo
-		"harary/honest": 208, "harary/fakeedges": 206, "harary/equivocate": 200,
-		"bridge/honest": 2146, "bridge/fakeedges": 2153, "bridge/equivocate": 2235,
+	ceiling := map[string]int64{ // real Verify calls, build and flood, with the boards
+		"harary/fakeedges": 64, "harary/equivocate": 60,
+		"bridge/fakeedges": 563, "bridge/equivocate": 559,
 	}
 	for _, topo := range topos {
 		for _, beh := range []AttackKind{"", AttackFakeEdges, AttackEquivocate} {
@@ -111,6 +114,10 @@ func TestVerifyCountPinned(t *testing.T) {
 				}
 			}
 			build, run := countedRun(t, name, cfg)
+			if beh == "" {
+				honestCount(t, name, topo.g, build, run)
+				continue
+			}
 			calls := build + run
 			t.Logf("%s: %d real verifications (ceiling %d)", name, calls, ceiling[name])
 			if calls > ceiling[name] {
@@ -119,13 +126,30 @@ func TestVerifyCountPinned(t *testing.T) {
 		}
 	}
 
+	small, err := Harary(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, run := countedRun(t, "harary8/ed25519", SimulationConfig{Graph: small, T: 1, Seed: seed, SchemeName: "ed25519", Workers: 1})
+	honestCount(t, "harary8/ed25519", small, build, run)
+
 	tree, err := KaryTree(3, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build, run := countedRun(t, "tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: seed, SchemeName: "slim", Workers: 1})
+	build, run = countedRun(t, "tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: seed, SchemeName: "slim", Workers: 1})
 	t.Logf("tree/slim: %d Verify calls building, %d flooding", build, run)
 	if want := int64(4 * tree.M()); build != want || run != 0 {
 		t.Errorf("tree/slim: %d Verify calls building and %d flooding, want %d (two per incident edge) and 0", build, run, want)
+	}
+}
+
+// honestCount checks an honest run's Verify calls under a binding scheme:
+// 2·m building (each proof checked once, through the memo) and n flooding.
+func honestCount(t *testing.T, name string, g *Graph, build, run int64) {
+	t.Helper()
+	t.Logf("%s: %d Verify calls building, %d flooding", name, build, run)
+	if wantBuild, wantRun := int64(2*g.M()), int64(g.N()); build != wantBuild || run != wantRun {
+		t.Errorf("%s: %d Verify calls building and %d flooding, want %d (two per edge) and %d (one per node)", name, build, run, wantBuild, wantRun)
 	}
 }
