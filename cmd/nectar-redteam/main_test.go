@@ -28,14 +28,15 @@ func TestRedTeamCLIText(t *testing.T) {
 	args := []string{
 		"-topo", "harary", "-k", "3", "-n", "12", "-t", "2",
 		"-attack", "omitown", "-objective", "misclassify",
-		"-optimizer", "greedy", "-budget", "10", "-baseline", "4",
+		"-budget", "66", "-baseline", "4",
 		"-trials", "1", "-seed", "7",
 	}
 	out, err := capture(t, args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"topology", "guarantee", "searched", "random", "gain"} {
+	// C(12,2) = 66 fits the budget: the search scores every placement.
+	for _, want := range []string{"topology", "guarantee", "every placement", "after 66 evals", "random", "gain"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -48,7 +49,7 @@ func TestRedTeamCLIReproducesBitForBit(t *testing.T) {
 	args := []string{
 		"-topo", "drone", "-n", "12", "-d", "1.5", "-radius", "1.6", "-t", "2",
 		"-attack", "splitbrain", "-objective", "disagree",
-		"-optimizer", "anneal", "-budget", "8", "-baseline", "4",
+		"-budget", "8", "-baseline", "4",
 		"-trials", "2", "-seed", "42", "-v", "-json",
 	}
 	a, err := capture(t, args)
@@ -72,7 +73,6 @@ func TestRedTeamCLIList(t *testing.T) {
 	for _, want := range []string{
 		"attacks:", "adaptive", "phased",
 		"objectives:", "misclassify", "disagree", "traffic",
-		"optimizers:", "anneal", "greedy",
 		"topologies:", "gwheel",
 		"schemes:", "ed25519",
 	} {
@@ -97,7 +97,6 @@ func TestRedTeamCLIErrors(t *testing.T) {
 		{append(ring, "-t", "0"), "T must be positive"},
 		{append(ring, "-t", "-1"), "T must be positive"},
 		{append(ring, "-t", "2", "-objective", "nosuch"), "objective"},
-		{append(ring, "-t", "2", "-optimizer", "nosuch"), "optimizer"},
 		{append(ring, "-t", "2", "-attack", "nosuch"), "attack"},
 		{append(ring, "-t", "2", "-scheme", "insecure"), "scheme"},
 		{append(ring, "-t", "2", "-baseline", "-2"), "BaselineSamples"},

@@ -127,11 +127,6 @@ type Result struct {
 	// ActiveRounds summarizes per-trial engine rounds actually executed
 	// (quiescence early exit makes this < the horizon on most topologies).
 	ActiveRounds stats.Summary
-	// VerifyCacheHitRate summarizes the per-trial fraction of message
-	// checks answered by the memo (0 when the cache is disabled);
-	// LazyDiscards summarizes per-trial header-only duplicate discards.
-	VerifyCacheHitRate stats.Summary
-	LazyDiscards       stats.Summary
 }
 
 // KBPerNode returns the mean unicast data sent per node in kilobytes.
@@ -347,12 +342,5 @@ func aggregate(spec Spec, trials []Trial) *Result {
 		MaxBytes:       stats.Summarize(pick(func(t Trial) float64 { return t.MaxBytesPerNode })),
 		BroadcastBytes: stats.Summarize(pick(func(t Trial) float64 { return t.MeanBroadcastBytes })),
 		ActiveRounds:   stats.Summarize(pick(func(t Trial) float64 { return float64(t.ActiveRounds) })),
-		VerifyCacheHitRate: stats.Summarize(pick(func(t Trial) float64 {
-			if total := t.VerifyCacheHits + t.VerifyCacheMisses; total > 0 {
-				return float64(t.VerifyCacheHits) / float64(total)
-			}
-			return 0
-		})),
-		LazyDiscards: stats.Summarize(pick(func(t Trial) float64 { return float64(t.LazyDiscards) })),
 	}
 }

@@ -50,8 +50,8 @@ func NewDynamicRunner(spec DynamicSpec) (exp.TrialRunner, error) {
 }
 
 // NewRedTeamRunner validates a red-team spec and adapts it to the
-// pipeline. A search is inherently sequential (each proposal depends on
-// previous scores), so the whole search is one unit; scheduling still
+// pipeline. A search scores one candidate at a time against a shared
+// metrics memo, so the whole search is one unit; scheduling still
 // interleaves it with other specs' units, and the engine worker allowance
 // flows into the per-candidate evaluation trials. Its record is the
 // RedTeamResult without the spec, which the fold attaches again.
@@ -74,16 +74,12 @@ func NewRedTeamRunner(spec RedTeamSpec) (exp.TrialRunner, error) {
 	if row(spec.Protocol, spec.Attack) == nil {
 		return nil, fmt.Errorf("harness: attack %q not defined for protocol %q", spec.Attack, spec.Protocol)
 	}
-	opt, err := redteam.ByName(spec.Optimizer)
-	if err != nil {
-		return nil, err
-	}
 	s := &spec
-	fp := fmt.Sprintf("redteam|%s|%s|%s|%s|%s|t=%d|budget=%d|baseline=%d|trials=%d|seed=%d|scheme=%s|rounds=%d",
-		s.Name, s.Protocol, s.Attack, s.Objective, s.Optimizer, s.T,
+	fp := fmt.Sprintf("redteam|%s|%s|%s|%s|t=%d|budget=%d|baseline=%d|trials=%d|seed=%d|scheme=%s|rounds=%d",
+		s.Name, s.Protocol, s.Attack, s.Objective, s.T,
 		s.Budget, s.BaselineSamples, s.Trials, s.Seed, s.SchemeName, s.Rounds)
 	return exp.NewRunner(fp, 1, func(int) int64 { return s.Seed },
-		func(_, engineWorkers int) (RedTeamResult, error) { return runRedTeamSearch(s, opt, engineWorkers) },
+		func(_, engineWorkers int) (RedTeamResult, error) { return runRedTeamSearch(s, engineWorkers) },
 		func(recs []RedTeamResult) *RedTeamResult {
 			res := &recs[0]
 			res.Spec = spec
@@ -116,9 +112,8 @@ func RunDynamic(spec DynamicSpec) (*DynamicResult, error) {
 	return runOne[*DynamicResult](spec, spec.Name, spec.Jobs, NewDynamicRunner)
 }
 
-// RunRedTeam executes the search described by spec (one unit — searches
-// are sequential — so the whole Jobs budget flows into each candidate's
-// evaluation trials).
+// RunRedTeam executes the search described by spec (one unit, so the
+// whole Jobs budget flows into each candidate's evaluation trials).
 func RunRedTeam(spec RedTeamSpec) (*RedTeamResult, error) {
 	return runOne[*RedTeamResult](spec, spec.Name, spec.Jobs, NewRedTeamRunner)
 }

@@ -14,7 +14,6 @@ import (
 	"github.com/nectar-repro/nectar/internal/dynamic"
 	"github.com/nectar-repro/nectar/internal/exp"
 	"github.com/nectar-repro/nectar/internal/graph"
-	"github.com/nectar-repro/nectar/internal/redteam"
 	"github.com/nectar-repro/nectar/internal/topology"
 )
 
@@ -153,7 +152,7 @@ func redTeamSpecForTest() RedTeamSpec {
 		Topology: func(*rand.Rand) (*graph.Graph, error) {
 			return topology.Harary(3, 12)
 		},
-		T: 2, Attack: AttackOmitOwn, Optimizer: "greedy",
+		T: 2, Attack: AttackOmitOwn,
 		Budget: 8, BaselineSamples: 4, Trials: 2, Seed: 13,
 	}
 }
@@ -162,11 +161,7 @@ func redTeamSpecForTest() RedTeamSpec {
 // normalization and budget threading change nothing about a search.
 func TestRedTeamPipelineMatchesSearchBitForBit(t *testing.T) {
 	spec := redTeamSpecForTest().withDefaults()
-	opt, err := redteam.ByName(spec.Optimizer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := runRedTeamSearch(&spec, opt, 1)
+	direct, err := runRedTeamSearch(&spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,13 @@ import (
 )
 
 // RedTeamSpec describes one worst-case attack search (DESIGN.md §8): a
-// topology is sampled once from the seed, and an optimizer then spends an
+// topology is sampled once from the seed, and the search then spends an
 // evaluation budget looking for the t-node Byzantine placement that
-// maximizes a damage objective under a fixed attack behaviour. The whole
-// run — topology, candidate sequence, per-candidate trials, baseline — is
-// a pure function of the spec: identical specs reproduce identical
-// results bit for bit.
+// maximizes a damage objective under a fixed attack behaviour — over
+// every placement when C(n,t) fits the budget, by an annealing walk when
+// it does not. The whole run — topology, candidate sequence,
+// per-candidate trials, baseline — is a pure function of the spec:
+// identical specs reproduce identical results bit for bit.
 type RedTeamSpec struct {
 	// Name labels the search in reports.
 	Name string
@@ -33,10 +34,9 @@ type RedTeamSpec struct {
 	Attack AttackKind
 	// Objective selects the damage maximized ("" = misclassify).
 	Objective redteam.Objective
-	// Optimizer names the search strategy: random, greedy, or anneal
-	// ("" = anneal).
-	Optimizer string
-	// Budget caps candidate evaluations (0 = 48).
+	// Budget caps candidate evaluations (0 = 128). When C(n,T) ≤ Budget
+	// the search scores every placement, so n = 16, t = 2 is exact by
+	// default.
 	Budget int
 	// BaselineSamples is the number of uniform random placements scored
 	// for the comparison baseline (0 = 16).
@@ -44,17 +44,17 @@ type RedTeamSpec struct {
 	// Trials is the number of engine runs per candidate evaluation
 	// (0 = 3). Damage is scored on the mean over these trials.
 	Trials int
-	// Seed derives all randomness: topology sampling, optimizer
-	// proposals, per-candidate trial seeds.
+	// Seed derives all randomness: topology sampling, the annealing
+	// walk, per-candidate trial seeds.
 	Seed int64
 	// SchemeName selects the signature scheme ("" = "hmac").
 	SchemeName string
 	// Rounds overrides the engine horizon (0 = n-1).
 	Rounds int
 	// Jobs is the parallelism budget for the per-candidate evaluation
-	// trials (0 = GOMAXPROCS). The search itself is sequential — every
-	// proposal depends on previous scores — so the budget flows into
-	// each candidate's trials. Never changes results (see DESIGN.md §10).
+	// trials (0 = GOMAXPROCS). The search scores one candidate at a
+	// time, so the budget flows into each candidate's trials. Never
+	// changes results (see DESIGN.md §10).
 	Jobs int
 }
 
@@ -69,11 +69,8 @@ func (s RedTeamSpec) withDefaults() RedTeamSpec {
 	if s.Objective == "" {
 		s.Objective = redteam.ObjMisclassify
 	}
-	if s.Optimizer == "" {
-		s.Optimizer = "anneal"
-	}
 	if s.Budget == 0 {
-		s.Budget = 48
+		s.Budget = 128
 	}
 	if s.BaselineSamples == 0 {
 		s.BaselineSamples = 16
@@ -112,19 +109,19 @@ type RedTeamResult struct {
 	// placements; BaselineBest is the best of them.
 	Baseline     stats.Summary
 	BaselineBest float64
-	// Trace records every optimizer evaluation in order.
+	// Trace records every search evaluation in order.
 	Trace []redteam.Step
 }
 
 // Gain is the searched damage minus the mean random-placement damage —
-// how much the optimizer's adversary outperforms aleatory placement.
+// how much the searched adversary outperforms aleatory placement.
 func (r *RedTeamResult) Gain() float64 { return r.Best.Damage - r.Baseline.Mean }
 
-// runRedTeamSearch executes the search described by spec with opt, both
-// validated by NewRedTeamRunner, and returns its outcome without the spec,
-// which the runner's fold attaches. engineWorkers is the per-candidate
-// evaluation budget handed down by the scheduler.
-func runRedTeamSearch(spec *RedTeamSpec, opt redteam.Optimizer, engineWorkers int) (RedTeamResult, error) {
+// runRedTeamSearch executes the search described by spec, validated by
+// NewRedTeamRunner, and returns its outcome without the spec, which the
+// runner's fold attaches. engineWorkers is the per-candidate evaluation
+// budget handed down by the scheduler.
+func runRedTeamSearch(spec *RedTeamSpec, engineWorkers int) (RedTeamResult, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	g, err := spec.Topology(rng)
 	if err != nil {
@@ -151,7 +148,7 @@ func runRedTeamSearch(spec *RedTeamSpec, opt redteam.Optimizer, engineWorkers in
 	}
 
 	// Evaluations are pure functions of the placement (per-placement
-	// seeds), so memoize the full metrics: the optimizer, the BestMetrics
+	// seeds), so memoize the full metrics: the search, the BestMetrics
 	// lookup, and the baseline all share one score per placement.
 	metricsCache := make(map[string]redteam.EvalMetrics)
 	metricsFor := func(p redteam.Placement) (redteam.EvalMetrics, error) {
@@ -172,14 +169,14 @@ func runRedTeamSearch(spec *RedTeamSpec, opt redteam.Optimizer, engineWorkers in
 		}
 		return spec.Objective.Damage(m), nil
 	}
-	out, err := opt.Search(redteam.Search{
+	out, err := redteam.Search{
 		Graph:  g,
 		T:      spec.T,
 		Budget: spec.Budget,
 		Eval:   eval,
 		Rand:   rng,
 		OnStep: func(s redteam.Step) { res.Trace = append(res.Trace, s) },
-	})
+	}.Run()
 	if err != nil {
 		return RedTeamResult{}, err
 	}
@@ -192,7 +189,7 @@ func runRedTeamSearch(spec *RedTeamSpec, opt redteam.Optimizer, engineWorkers in
 
 	// Random baseline: aleatory placement with the same evaluation
 	// pipeline, drawn from a seed-derived stream independent of the
-	// optimizer's proposals.
+	// search's draws.
 	baseRng := rand.New(rand.NewSource(spec.Seed ^ 0x5EEDBA5E))
 	damages := make([]float64, 0, spec.BaselineSamples)
 	for i := 0; i < spec.BaselineSamples; i++ {
@@ -214,8 +211,8 @@ func runRedTeamSearch(spec *RedTeamSpec, opt redteam.Optimizer, engineWorkers in
 // into the objective's input metrics.
 func redTeamMetrics(spec *RedTeamSpec, g *graph.Graph, p redteam.Placement, jobs int) (redteam.EvalMetrics, error) {
 	// The per-placement seed decouples trial randomness from the search
-	// path: a placement scores identically whether the optimizer visits
-	// it first or last, and identically across optimizers.
+	// path: a placement scores identically whether the search visits it
+	// first or last, and whether the search is exact or sampled.
 	pSeed := spec.Seed ^ int64(placementHash(p))
 	sc := redTeamScenario(g, p, pSeed)
 	res, err := Run(Spec{

@@ -20,41 +20,85 @@ func hararyTopology(k, n int) func(*rand.Rand) (*graph.Graph, error) {
 // a 3-connected Harary graph with t=2 (κ strictly between t and 2t, so
 // no guarantee applies), the omit-own attack does real damage only when
 // the two Byzantine nodes are adjacent on a critical edge — random
-// placement rarely is, the searched placement always ends up there.
+// placement rarely is, the exact search (the default budget covers all
+// C(16,2) = 120 placements) always ends up there.
 func TestRedTeamSearchBeatsRandomPlacement(t *testing.T) {
-	for _, optimizer := range []string{"greedy", "anneal"} {
-		res, err := RunRedTeam(RedTeamSpec{
-			Name:      "pinned",
-			Topology:  hararyTopology(3, 16),
-			T:         2,
-			Attack:    AttackOmitOwn,
-			Objective: redteam.ObjMisclassify,
-			Optimizer: optimizer,
-			Budget:    48,
-			Trials:    2,
-			Seed:      7,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", optimizer, err)
-		}
-		if res.GuaranteeHolds {
-			t.Fatalf("κ=%d with t=2 should not satisfy 2t-sensitivity", res.Kappa)
-		}
-		if res.Best.Damage < 0.99 {
-			t.Errorf("%s: searched damage %.3f, want ≈1 (placement %v)",
-				optimizer, res.Best.Damage, res.Best.Placement)
-		}
-		if res.Gain() < 0.3 {
-			t.Errorf("%s: gain over random placement %.3f (searched %.3f vs baseline mean %.3f), want ≥ 0.3",
-				optimizer, res.Gain(), res.Best.Damage, res.Baseline.Mean)
-		}
-		// The winning placement must be an adjacent pair: the omit-own
-		// deviation has no edges to hide otherwise.
-		g, _ := topology.Harary(3, 16)
-		if !g.HasEdge(res.Best.Placement[0], res.Best.Placement[1]) {
-			t.Errorf("%s: winning placement %v is not adjacent", optimizer, res.Best.Placement)
+	res, err := RunRedTeam(RedTeamSpec{
+		Name:      "pinned",
+		Topology:  hararyTopology(3, 16),
+		T:         2,
+		Attack:    AttackOmitOwn,
+		Objective: redteam.ObjMisclassify,
+		Trials:    2,
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GuaranteeHolds {
+		t.Fatalf("κ=%d with t=2 should not satisfy 2t-sensitivity", res.Kappa)
+	}
+	if !res.Best.Exact || res.Best.Evals != 120 {
+		t.Errorf("search exact=%v over %d evals, want every one of 120 placements", res.Best.Exact, res.Best.Evals)
+	}
+	if res.Best.Damage < 0.99 {
+		t.Errorf("searched damage %.3f, want ≈1 (placement %v)", res.Best.Damage, res.Best.Placement)
+	}
+	if res.Gain() < 0.3 {
+		t.Errorf("gain over random placement %.3f (searched %.3f vs baseline mean %.3f), want ≥ 0.3",
+			res.Gain(), res.Best.Damage, res.Baseline.Mean)
+	}
+	// The winning placement must be an adjacent pair: the omit-own
+	// deviation has no edges to hide otherwise.
+	g, _ := topology.Harary(3, 16)
+	if !g.HasEdge(res.Best.Placement[0], res.Best.Placement[1]) {
+		t.Errorf("winning placement %v is not adjacent", res.Best.Placement)
+	}
+}
+
+// exactOracle runs the exact search and checks that it scored all
+// C(16,2) = 120 placements and that every one of them did zero damage.
+func exactOracle(t *testing.T, spec RedTeamSpec) *RedTeamResult {
+	t.Helper()
+	res, err := RunRedTeam(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Best.Exact || res.Best.Evals != 120 || len(res.Trace) != 120 {
+		t.Fatalf("exact=%v evals=%d trace=%d, want all 120 placements scored",
+			res.Best.Exact, res.Best.Evals, len(res.Trace))
+	}
+	for _, s := range res.Trace {
+		if s.Damage != 0 {
+			t.Errorf("placement [%s]: %s damage %v, want 0", s.Placement.Key(), spec.Objective, s.Damage)
 		}
 	}
+	return res
+}
+
+// TestExactSearchConfirmsTwoTSensitivity: on GeneralizedWheel(2,16)
+// κ = 4 = 2t at t = 2, so 2t-Sensitivity forbids any misclassification;
+// the omit-own attack must do none at any of the 120 placements.
+func TestExactSearchConfirmsTwoTSensitivity(t *testing.T) {
+	res := exactOracle(t, RedTeamSpec{
+		Topology: func(*rand.Rand) (*graph.Graph, error) { return topology.GeneralizedWheel(2, 16) },
+		T:        2, Attack: AttackOmitOwn, Objective: redteam.ObjMisclassify,
+		Trials: 1, Seed: 7,
+	})
+	if !res.GuaranteeHolds {
+		t.Errorf("κ=%d with t=2 should satisfy 2t-sensitivity", res.Kappa)
+	}
+}
+
+// TestExactSearchConfirmsAgreement: Agreement holds for any placement,
+// so the split-brain attack on Harary(3,16) at t = 2 must split the
+// correct nodes' decisions at none of the 120 placements.
+func TestExactSearchConfirmsAgreement(t *testing.T) {
+	exactOracle(t, RedTeamSpec{
+		Topology: hararyTopology(3, 16),
+		T:        2, Attack: AttackSplitBrain, Objective: redteam.ObjDisagree,
+		Trials: 1, Seed: 7,
+	})
 }
 
 // TestRedTeamReproducesBitForBit: identical specs must produce identical
@@ -65,7 +109,6 @@ func TestRedTeamReproducesBitForBit(t *testing.T) {
 		T:         2,
 		Attack:    AttackSplitBrain,
 		Objective: redteam.ObjDisagree,
-		Optimizer: "anneal",
 		Budget:    12,
 		Trials:    2,
 		Seed:      42,
@@ -86,7 +129,7 @@ func TestRedTeamReproducesBitForBit(t *testing.T) {
 }
 
 // TestRedTeamEvaluationIsSearchPathIndependent: a placement's score must
-// not depend on when (or by which optimizer) it is evaluated — it is a
+// not depend on when (or by which search) it is evaluated — it is a
 // pure function of the normalized placement.
 func TestRedTeamEvaluationIsSearchPathIndependent(t *testing.T) {
 	spec := RedTeamSpec{
@@ -124,7 +167,6 @@ func TestRedTeamAdaptiveAttackRuns(t *testing.T) {
 			T:               2,
 			Attack:          attack,
 			Objective:       redteam.ObjDisagree,
-			Optimizer:       "random",
 			Budget:          6,
 			BaselineSamples: 4,
 			Trials:          2,
@@ -153,7 +195,6 @@ func TestRedTeamValidation(t *testing.T) {
 		{"t zero", func(s *RedTeamSpec) { s.T = 0 }},
 		{"t = n", func(s *RedTeamSpec) { s.T = 10 }},
 		{"bad objective", func(s *RedTeamSpec) { s.Objective = "nosuch" }},
-		{"bad optimizer", func(s *RedTeamSpec) { s.Optimizer = "nosuch" }},
 		{"unsupported attack", func(s *RedTeamSpec) { s.Protocol = ProtoMtG; s.Attack = AttackOmitOwn }},
 	}
 	for _, c := range cases {
@@ -178,7 +219,7 @@ func TestGuaranteeClassification(t *testing.T) {
 	for _, c := range cases {
 		res, err := RunRedTeam(RedTeamSpec{
 			Topology: hararyTopology(c.k, c.n), T: c.t,
-			Optimizer: "random", Budget: 2, BaselineSamples: 2, Trials: 1, Seed: 5,
+			Budget: 2, BaselineSamples: 2, Trials: 1, Seed: 5,
 		})
 		if err != nil {
 			t.Fatalf("k=%d t=%d: %v", c.k, c.t, err)

@@ -1,7 +1,8 @@
 // Package redteam implements worst-case attack search: given a fixed
-// topology and a Byzantine budget t, its optimizers look for the t-node
-// placement that hurts the detector the most under a chosen damage
-// objective (DESIGN.md §8).
+// topology and a Byzantine budget t, it looks for the t-node placement
+// that hurts the detector the most under a chosen damage objective
+// (DESIGN.md §8) — exactly, over every placement, when the space fits the
+// evaluation budget, and by an annealing walk when it does not.
 //
 // NECTAR's guarantees (Agreement, Validity, 2t-Sensitivity) are worst-case
 // over Byzantine strategies, but a scripted evaluation only exercises the
@@ -13,8 +14,8 @@
 // and internal/report the frontier comparison (the "redteam" experiment).
 //
 // The package deliberately knows nothing about protocols: an Evaluator
-// callback maps a candidate Placement to its damage score, and optimizers
-// only decide which candidates to spend the evaluation budget on. All
+// callback maps a candidate Placement to its damage score, and the search
+// only decides which candidates to spend the evaluation budget on. All
 // randomness flows through an explicit *rand.Rand (the §3 reproducibility
 // discipline): identical (graph, t, budget, seed) inputs explore the
 // identical candidate sequence bit for bit.
@@ -116,7 +117,7 @@ type EvalMetrics struct {
 	KBPerNode float64
 }
 
-// Damage folds metrics into the scalar the optimizers maximize.
+// Damage folds metrics into the scalar the search maximizes.
 func (o Objective) Damage(m EvalMetrics) float64 {
 	switch o {
 	case ObjDisagree:
@@ -144,7 +145,7 @@ type Step struct {
 	Best float64
 }
 
-// Outcome is the result of one optimizer run.
+// Outcome is the result of one search.
 type Outcome struct {
 	// Placement is the best candidate found.
 	Placement Placement
@@ -152,6 +153,9 @@ type Outcome struct {
 	Damage float64
 	// Evals is the number of evaluator calls spent (≤ budget).
 	Evals int
+	// Exact reports that every placement was scored, so Damage is the
+	// true optimum.
+	Exact bool
 }
 
 // errBudget signals internally that the evaluation budget is exhausted.

@@ -1,8 +1,12 @@
 package redteam
 
 import (
+	"hash/fnv"
+	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -51,21 +55,6 @@ func TestObjectiveDamage(t *testing.T) {
 	}
 }
 
-func TestByNameResolvesEveryOptimizer(t *testing.T) {
-	for _, name := range OptimizerNames() {
-		o, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if o.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, o.Name())
-		}
-	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Error("bogus optimizer name accepted")
-	}
-}
-
 // adjacencyDamage scores 1 for placements containing an adjacent pair and
 // 0 otherwise — the shape of the omit-own attack landscape, flat almost
 // everywhere.
@@ -82,39 +71,21 @@ func adjacencyDamage(g *graph.Graph) Evaluator {
 	}
 }
 
-func TestGreedyFindsAdjacentPairFromCutSeed(t *testing.T) {
-	g, err := topology.Harary(3, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := GreedyCut{}.Search(Search{
-		Graph: g, T: 2, Budget: 64, Eval: adjacencyDamage(g),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Damage != 1 {
-		t.Fatalf("greedy damage = %v, want 1 (placement %v)", out.Damage, out.Placement)
-	}
-	if !g.HasEdge(out.Placement[0], out.Placement[1]) {
-		t.Errorf("winning placement %v is not adjacent", out.Placement)
-	}
-}
-
 func TestAnnealEscapesFlatLandscape(t *testing.T) {
 	g, err := topology.Harary(3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Anneal{}.Search(Search{
-		Graph: g, T: 2, Budget: 128, Eval: adjacencyDamage(g),
+	// 64 < C(16,2) = 120: the annealing walk, not the exact search.
+	out, err := Search{
+		Graph: g, T: 2, Budget: 64, Eval: adjacencyDamage(g),
 		Rand: rand.New(rand.NewSource(11)),
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Damage != 1 {
-		t.Fatalf("anneal damage = %v, want 1 (placement %v)", out.Damage, out.Placement)
+	if out.Exact || out.Damage != 1 {
+		t.Fatalf("anneal exact=%v damage=%v, want a sampled damage 1 (placement %v)", out.Exact, out.Damage, out.Placement)
 	}
 }
 
@@ -124,7 +95,8 @@ func TestSearchDeterministicPerSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Damage depends only on the placement, so reruns with the same seed
-	// must retrace the identical candidate sequence.
+	// must retrace the identical candidate sequence — sampled (C(14,3) =
+	// 364 > 40) and exact alike.
 	eval := func(p Placement) (float64, error) {
 		var sum float64
 		for _, v := range p {
@@ -132,27 +104,30 @@ func TestSearchDeterministicPerSeed(t *testing.T) {
 		}
 		return sum, nil
 	}
-	for _, opt := range Optimizers() {
+	for _, budget := range []int{40, 364} {
 		var traces [2][]Step
 		var outs [2]Outcome
 		for run := 0; run < 2; run++ {
 			run := run
-			out, err := opt.Search(Search{
-				Graph: g, T: 3, Budget: 40, Eval: eval,
+			out, err := Search{
+				Graph: g, T: 3, Budget: budget, Eval: eval,
 				Rand:   rand.New(rand.NewSource(99)),
 				OnStep: func(s Step) { traces[run] = append(traces[run], s) },
-			})
+			}.Run()
 			if err != nil {
-				t.Fatalf("%s: %v", opt.Name(), err)
+				t.Fatalf("budget %d: %v", budget, err)
 			}
 			outs[run] = out
 		}
 		if !reflect.DeepEqual(outs[0], outs[1]) {
-			t.Errorf("%s outcomes differ across identical runs: %+v vs %+v",
-				opt.Name(), outs[0], outs[1])
+			t.Errorf("budget %d: outcomes differ across identical runs: %+v vs %+v",
+				budget, outs[0], outs[1])
 		}
 		if !reflect.DeepEqual(traces[0], traces[1]) {
-			t.Errorf("%s traces differ across identical runs", opt.Name())
+			t.Errorf("budget %d: traces differ across identical runs", budget)
+		}
+		if outs[0].Exact != (budget == 364) {
+			t.Errorf("budget %d: Exact = %v", budget, outs[0].Exact)
 		}
 	}
 }
@@ -162,12 +137,12 @@ func TestBudgetIsRespectedAndCacheHitsAreFree(t *testing.T) {
 	calls := 0
 	eval := func(p Placement) (float64, error) {
 		calls++
-		return 0, nil // flat: anneal random-walks, revisiting candidates
+		return 0, nil // flat: the annealing walk revisits candidates
 	}
-	out, err := Anneal{}.Search(Search{
+	out, err := Search{
 		Graph: g, T: 2, Budget: 15, Eval: eval,
 		Rand: rand.New(rand.NewSource(5)),
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +151,127 @@ func TestBudgetIsRespectedAndCacheHitsAreFree(t *testing.T) {
 	}
 	if out.Evals != calls {
 		t.Errorf("Evals = %d, want %d", out.Evals, calls)
+	}
+}
+
+// lexSubsets is the oracle's enumeration, independent of the search's:
+// every t-bit mask of n bits as a member list, sorted lexicographically.
+func lexSubsets(n, t int) []string {
+	var subsets [][]int
+	for mask := 0; mask < 1<<n; mask++ {
+		if bits.OnesCount(uint(mask)) != t {
+			continue
+		}
+		var s []int
+		for v := 0; v < n; v++ {
+			if mask&(1<<v) != 0 {
+				s = append(s, v)
+			}
+		}
+		subsets = append(subsets, s)
+	}
+	sort.Slice(subsets, func(i, j int) bool {
+		a, b := subsets[i], subsets[j]
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return false
+	})
+	keys := make([]string, len(subsets))
+	for i, s := range subsets {
+		members := make([]ids.NodeID, len(s))
+		for k, v := range s {
+			members[k] = ids.NodeID(v)
+		}
+		keys[i] = NewPlacement(members...).Key()
+	}
+	return keys
+}
+
+// TestExactSearchVisitsEverySubsetOnceInOrder: whenever C(n,t) fits the
+// budget, the search scores each t-subset exactly once, in lexicographic
+// order, and returns the brute-force maximum (its first occurrence).
+func TestExactSearchVisitsEverySubsetOnceInOrder(t *testing.T) {
+	// A synthetic landscape with ties, so "first maximum" matters.
+	damage := func(key string) float64 {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		return float64(h.Sum32() % 7)
+	}
+	for n := 2; n <= 9; n++ {
+		for k := 1; k <= 3 && k < n; k++ {
+			want := lexSubsets(n, k)
+			bestKey, bestD := "", -1.0
+			for _, key := range want {
+				if d := damage(key); d > bestD {
+					bestKey, bestD = key, d
+				}
+			}
+			var visited []string
+			out, err := Search{
+				Graph: graph.New(n), T: k, Budget: len(want),
+				Eval: func(p Placement) (float64, error) {
+					visited = append(visited, p.Key())
+					return damage(p.Key()), nil
+				},
+			}.Run()
+			if err != nil {
+				t.Fatalf("n=%d t=%d: %v", n, k, err)
+			}
+			if !reflect.DeepEqual(visited, want) {
+				t.Fatalf("n=%d t=%d: visited %v, want %v", n, k, visited, want)
+			}
+			if out.Evals != spaceSize(n, k) || out.Evals != len(want) || !out.Exact {
+				t.Errorf("n=%d t=%d: Evals=%d Exact=%v, want %d exact", n, k, out.Evals, out.Exact, len(want))
+			}
+			if out.Damage != bestD || out.Placement.Key() != bestKey {
+				t.Errorf("n=%d t=%d: best %v at [%s], want %v at [%s]",
+					n, k, out.Damage, out.Placement.Key(), bestD, bestKey)
+			}
+			// One placement short of the space, the search samples.
+			if len(want) > 1 {
+				out, err := Search{
+					Graph: graph.New(n), T: k, Budget: len(want) - 1,
+					Eval: func(p Placement) (float64, error) { return damage(p.Key()), nil },
+					Rand: rand.New(rand.NewSource(int64(n*10 + k))),
+				}.Run()
+				if err != nil || out.Exact || out.Evals > len(want)-1 {
+					t.Errorf("n=%d t=%d budget %d: Exact=%v Evals=%d err=%v, want a sampled search",
+						n, k, len(want)-1, out.Exact, out.Evals, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSpaceSizeSaturates: C(n,t) is exact while it fits an int and
+// saturates, never wraps, beyond; a saturated space takes the sampled
+// path.
+func TestSpaceSizeSaturates(t *testing.T) {
+	cases := []struct{ n, t, want int }{
+		{16, 2, 120}, {24, 3, 2024}, {24, 21, 2024}, {9, 0, 1}, {9, 9, 1}, {3, 4, 0},
+		{66, 33, 7219428434016265740}, // the last central C(2m,m) below 2⁶³
+		{67, 33, math.MaxInt},
+		{10000, 50, math.MaxInt},
+	}
+	for _, c := range cases {
+		if got := spaceSize(c.n, c.t); got != c.want {
+			t.Errorf("spaceSize(%d,%d) = %d, want %d", c.n, c.t, got, c.want)
+		}
+	}
+	out, err := Search{
+		Graph: graph.New(10000), T: 50, Budget: 5,
+		Eval: func(Placement) (float64, error) { return 0, nil },
+		Rand: rand.New(rand.NewSource(1)),
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Exact || out.Evals != 5 || len(out.Placement) != 50 {
+		t.Errorf("n=10000 t=50: Exact=%v Evals=%d |placement|=%d, want 5 sampled evals of 50 slots",
+			out.Exact, out.Evals, len(out.Placement))
 	}
 }
 
@@ -190,13 +286,13 @@ func TestCutSeedPrefersTheCut(t *testing.T) {
 	} {
 		g.AddEdge(e[0], e[1])
 	}
-	seed := CutSeed(g, 1)
+	seed := cutSeed(g, 1)
 	if len(seed) != 1 || (seed[0] != 3 && seed[0] != 4) {
-		t.Errorf("CutSeed = %v, want a bridge endpoint (3 or 4)", seed)
+		t.Errorf("cutSeed = %v, want a bridge endpoint (3 or 4)", seed)
 	}
 	// Padding beyond the cut keeps the placement sized t.
-	if got := CutSeed(g, 3); len(got) != 3 {
-		t.Errorf("CutSeed t=3 returned %v", got)
+	if got := cutSeed(g, 3); len(got) != 3 {
+		t.Errorf("cutSeed t=3 returned %v", got)
 	}
 }
 
@@ -210,11 +306,15 @@ func TestSearchValidation(t *testing.T) {
 		{Graph: g, T: 6, Budget: 1, Eval: eval, Rand: rng},    // t = n
 		{Graph: g, T: 1, Budget: 0, Eval: eval, Rand: rng},    // no budget
 		{Graph: g, T: 1, Budget: 1, Rand: rng},                // no evaluator
-		{Graph: g, T: 1, Budget: 1, Eval: eval /* no rand */}, // random needs rng
+		{Graph: g, T: 1, Budget: 1, Eval: eval /* no rand */}, // sampling needs rng
 	}
 	for i, s := range bad {
-		if _, err := (Random{}).Search(s); err == nil {
+		if _, err := s.Run(); err == nil {
 			t.Errorf("case %d: invalid search accepted", i)
 		}
+	}
+	// The exact search draws nothing, so it needs no Rand.
+	if _, err := (Search{Graph: g, T: 1, Budget: 6, Eval: eval}).Run(); err != nil {
+		t.Errorf("exact search without Rand: %v", err)
 	}
 }

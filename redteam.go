@@ -6,9 +6,10 @@ import (
 )
 
 // Red-team re-exports: worst-case attack search (DESIGN.md §8). The
-// optimizers hunt for the Byzantine placement that maximizes a damage
-// objective; RunRedTeam reports the searched worst case next to a random
-// baseline and the paper's guarantee.
+// search hunts for the Byzantine placement that maximizes a damage
+// objective — over every placement when C(n,t) fits the budget, by an
+// annealing walk otherwise; RunRedTeam reports the searched worst case
+// next to a random baseline and the paper's guarantee.
 
 type (
 	// RedTeamSpec configures one attack search.
@@ -31,17 +32,14 @@ const (
 	ObjectiveTraffic     = redteam.ObjTraffic
 )
 
-// RunRedTeam executes the search: optimizer × objective over seeded
-// candidate evaluations, bit-for-bit reproducible from (Spec, Seed).
+// RunRedTeam executes the search over seeded candidate evaluations,
+// bit-for-bit reproducible from (Spec, Seed).
 func RunRedTeam(spec RedTeamSpec) (*RedTeamResult, error) {
 	return harness.RunRedTeam(spec)
 }
 
 // AttackObjectives lists the supported damage objectives.
 func AttackObjectives() []AttackObjective { return redteam.Objectives() }
-
-// AttackOptimizers lists the supported optimizer names.
-func AttackOptimizers() []string { return redteam.OptimizerNames() }
 
 // SupportedAttacks lists the attacks defined for a protocol.
 func SupportedAttacks(p ProtocolKind) []AttackKind { return harness.SupportedAttacks(p) }
