@@ -157,6 +157,8 @@ type Adaptive struct {
 	// so it was returned in an earlier round, whose delivery is over.
 	bufs [2]sendArena
 	next int
+	// lists holds the recipient lists an equivocating round filters.
+	lists listFilter
 	// recv[i] counts messages received from nbrs[i], cumulatively. Written
 	// only by this node's Deliver (engine phases order those writes
 	// before the next round's reads).
@@ -217,14 +219,7 @@ func (a *Adaptive) Emit(round int) []rounds.Send {
 		return prev
 	case ActEquivocate:
 		a.coord.advance(round) // only an equivocating round needs victims
-		all := append(a.flush(), out...)
-		kept := all[:0]
-		for _, s := range all {
-			if !a.coord.isVictim(s.To) {
-				kept = append(kept, s)
-			}
-		}
-		return kept
+		return a.lists.apply(append(a.flush(), out...), func(to ids.NodeID) bool { return !a.coord.isVictim(to) })
 	}
 	return append(a.flush(), out...) // ActCorrect
 }

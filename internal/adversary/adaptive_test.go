@@ -21,7 +21,7 @@ func (p *scriptedProto) Quiescent() bool                 { return p.quiet }
 func sends(tos ...ids.NodeID) []rounds.Send {
 	out := make([]rounds.Send, len(tos))
 	for i, to := range tos {
-		out[i] = rounds.Send{To: to, Data: []byte{byte(to)}}
+		out[i] = rounds.Send{To: []ids.NodeID{to}, Data: []byte{byte(to)}}
 	}
 	return out
 }
@@ -29,7 +29,7 @@ func sends(tos ...ids.NodeID) []rounds.Send {
 func tos(batch []rounds.Send) []ids.NodeID {
 	out := []ids.NodeID{}
 	for _, s := range batch {
-		out = append(out, s.To)
+		out = s.Recipients(out)
 	}
 	return out
 }

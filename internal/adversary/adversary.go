@@ -14,6 +14,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 
 	"github.com/nectar-repro/nectar/internal/bloom"
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -36,81 +37,129 @@ func (Silent) Deliver(int, ids.NodeID, []byte) {}
 // Quiescent implements rounds.Quiescer: a crashed node never speaks.
 func (Silent) Quiescent() bool { return true }
 
-// sendArena is reusable storage for one held batch: its send headers and
-// one byte arena for the payloads. The engine contract bounds Send.Data
-// lifetime to the emitting round (protocols reuse encode arenas), so a
-// wrapper that holds a batch back for a later round — the stale-replay
-// family — must own the bytes it retains.
+// sendArena is reusable storage for one held batch: its send headers, one
+// byte arena for the payloads and one for the recipient lists. The engine
+// contract bounds a Send's Data and To to the emitting round (protocols
+// reuse encode arenas, filters their list scratch), so a wrapper that
+// holds a batch back for a later round — the stale-replay family — must
+// own everything it retains.
 type sendArena struct {
 	sends []rounds.Send
 	data  []byte
+	to    []ids.NodeID
 }
 
 // copySends deep-copies a batch of sends into the arena, whose previous
-// copy must be out of use: the payloads are laid out in one region, grown
-// once to fit, and the headers reuse the arena's slice. Fan-out batches
-// share one buffer across consecutive sends; the copy preserves that
-// sharing (one copy per distinct buffer), which keeps a replayed multicast
-// one multicast to the engine's metering.
+// copy must be out of use: payloads and lists are laid out in one region
+// each, grown once to fit, and the headers reuse the arena's slice.
+// Consecutive sends to one list — a node's relays to its neighbours —
+// share one copy of it.
 func (b *sendArena) copySends(in []rounds.Send) []rounds.Send {
 	if len(in) == 0 {
 		return nil
 	}
-	size := 0
-	var last []byte
+	size, listed := 0, 0
 	for _, s := range in {
-		if !sameBuffer(last, s.Data) {
-			last = s.Data
-			size += len(s.Data)
-		}
+		size, listed = size+len(s.Data), listed+len(s.To)
 	}
 	if cap(b.data) < size {
 		b.data = make([]byte, 0, size)
 	}
-	data, out := b.data[:0], b.sends[:0]
-	var lastSrc, lastCopy []byte
-	for _, s := range in {
-		if !sameBuffer(lastSrc, s.Data) {
-			lastSrc, lastCopy = s.Data, nil
-			if len(s.Data) > 0 {
-				start := len(data)
-				data = append(data, s.Data...)
-				lastCopy = data[start:len(data):len(data)]
-			}
-		}
-		out = append(out, rounds.Send{To: s.To, Data: lastCopy})
+	if cap(b.to) < listed {
+		b.to = make([]ids.NodeID, 0, listed)
 	}
-	b.sends, b.data = out, data
+	data, to, out := b.data[:0], b.to[:0], b.sends[:0]
+	var lastSrc, lastCopy []ids.NodeID
+	for _, s := range in {
+		if !sameList(lastSrc, s.To) {
+			start := len(to)
+			to = append(to, s.To...)
+			lastSrc, lastCopy = s.To, to[start:len(to):len(to)]
+		}
+		start := len(data)
+		data = append(data, s.Data...)
+		out = append(out, rounds.Send{To: lastCopy, Skip: s.Skip, Data: data[start:len(data):len(data)]})
+	}
+	b.sends, b.data, b.to = out, data, to
 	return out
 }
 
-// sameBuffer reports whether b is a, the same non-empty buffer: what
-// copySends shares copies by.
-func sameBuffer(a, b []byte) bool {
-	return len(b) > 0 && len(a) == len(b) && &a[0] == &b[0]
+// sameList reports whether a and b are one list: the same length and, when
+// not empty, the same first element.
+func sameList(a, b []ids.NodeID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// OutFilter wraps an inner protocol and drops every outgoing message the
-// Keep predicate rejects. Incoming traffic reaches the inner protocol
-// unchanged. It is the building block for "behaves correctly except
-// towards ..." behaviours.
+// listFilter removes recipients from a batch of sends in place. Its lists
+// are scratch for one batch: the next filter call reuses them.
+type listFilter struct {
+	ids []ids.NodeID // the kept lists, back to back
+	pos []int        // pos[p]: where listing p of the last input list is kept, or -1
+}
+
+// apply keeps, of every send in batch, the listings keep accepts, and
+// returns the batch compacted in place. A send keeping all its listings
+// passes unchanged; one keeping none is dropped; the others get the kept
+// listings as their list — written once per distinct input list, so sends
+// that shared one still share one — and their Skip moved along with the
+// skipped listing. keep must depend on the recipient alone.
+func (f *listFilter) apply(batch []rounds.Send, keep func(ids.NodeID) bool) []rounds.Send {
+	f.ids = f.ids[:0]
+	var in, kept []ids.NodeID
+	out := batch[:0]
+	for _, s := range batch {
+		if !sameList(in, s.To) {
+			in, f.pos = s.To, f.pos[:0]
+			start := len(f.ids)
+			for _, to := range in {
+				p := -1
+				if keep(to) {
+					p = len(f.ids) - start
+					f.ids = append(f.ids, to)
+				}
+				f.pos = append(f.pos, p)
+			}
+			kept = f.ids[start:len(f.ids):len(f.ids)]
+		}
+		if len(kept) < len(in) {
+			skip := 0
+			if k := s.Skip - 1; k >= 0 && k < len(in) {
+				skip = f.pos[k] + 1
+			}
+			s.To, s.Skip = kept, skip
+		}
+		if len(s.To) > 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// OutFilter wraps an inner protocol and removes outgoing messages: every
+// send Drop reports, and every recipient Keep rejects (either may be nil).
+// Incoming traffic reaches the inner protocol unchanged. It is the
+// building block for "behaves correctly except towards ..." behaviours.
 type OutFilter struct {
 	Inner rounds.Protocol
-	Keep  func(round int, s rounds.Send) bool
+	// Drop reports whether a send of the round's is dropped whole.
+	Drop func(round int, data []byte) bool
+	// Keep reports whether a recipient still gets the round's sends.
+	Keep  func(round int, to ids.NodeID) bool
+	lists listFilter
 }
 
 var _ rounds.Protocol = (*OutFilter)(nil)
 
 // Emit implements rounds.Protocol.
 func (f *OutFilter) Emit(round int) []rounds.Send {
-	all := f.Inner.Emit(round)
-	kept := all[:0]
-	for _, s := range all {
-		if f.Keep(round, s) {
-			kept = append(kept, s)
-		}
+	out := f.Inner.Emit(round)
+	if f.Drop != nil {
+		out = slices.DeleteFunc(out, func(s rounds.Send) bool { return f.Drop(round, s.Data) })
 	}
-	return kept
+	if f.Keep != nil {
+		out = f.lists.apply(out, func(to ids.NodeID) bool { return f.Keep(round, to) })
+	}
+	return out
 }
 
 // Deliver implements rounds.Protocol.
@@ -134,7 +183,7 @@ func (f *OutFilter) Quiescent() bool {
 func SplitBrain(inner rounds.Protocol, blocked ids.Set) rounds.Protocol {
 	return &OutFilter{
 		Inner: inner,
-		Keep:  func(_ int, s rounds.Send) bool { return !blocked.Has(s.To) },
+		Keep:  func(_ int, to ids.NodeID) bool { return !blocked.Has(to) },
 	}
 }
 
@@ -162,12 +211,8 @@ func NewBloomPoison(neighbors []ids.NodeID, filterBits, filterHashes int) *Bloom
 
 // Emit implements rounds.Protocol.
 func (b *BloomPoison) Emit(int) []rounds.Send {
-	out := b.sendBuf[:0]
-	for _, to := range b.neighbors {
-		out = append(out, rounds.Send{To: to, Data: b.payload})
-	}
-	b.sendBuf = out
-	return out
+	b.sendBuf = append(b.sendBuf[:0], rounds.Send{To: b.neighbors, Data: b.payload})
+	return b.sendBuf
 }
 
 // Deliver implements rounds.Protocol.
@@ -199,10 +244,10 @@ func NewGarbage(neighbors []ids.NodeID, seed int64, size int) *Garbage {
 // Emit implements rounds.Protocol.
 func (g *Garbage) Emit(int) []rounds.Send {
 	out := make([]rounds.Send, 0, len(g.neighbors))
-	for _, to := range g.neighbors {
+	for k := range g.neighbors {
 		data := make([]byte, g.size)
 		g.rng.Read(data)
-		out = append(out, rounds.Send{To: to, Data: data})
+		out = append(out, rounds.Send{To: g.neighbors[k : k+1], Data: data})
 	}
 	return out
 }

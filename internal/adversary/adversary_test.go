@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/bloom"
@@ -30,30 +31,68 @@ func TestSplitBrainDropsOnlyBlockedSide(t *testing.T) {
 	}
 	blocked := ids.NewSet(3, 4)
 	byz := SplitBrain(nodes[0], blocked)
-	for _, s := range byz.Emit(1) {
-		if blocked.Has(s.To) {
-			t.Errorf("split-brain sent to blocked node %v", s.To)
+	// The unblocked side still receives the full neighborhood: 4 edges × 2
+	// unblocked destinations, in one Send per edge sharing one list. A
+	// second Emit(1) re-announces (round-1 logic is stateless in the inner
+	// node) and must stay filtered too.
+	for pass := 0; pass < 2; pass++ {
+		out := byz.Emit(1)
+		var to []ids.NodeID
+		for _, s := range out {
+			to = s.Recipients(to)
+		}
+		if !reflect.DeepEqual(to, []ids.NodeID{1, 2, 1, 2, 1, 2, 1, 2}) {
+			t.Errorf("pass %d: split-brain sent to %v, want {1,2} per edge", pass, to)
+		}
+		if len(out) != 4 || &out[0].To[0] != &out[3].To[0] {
+			t.Errorf("pass %d: the filtered Sends do not share one list", pass)
 		}
 	}
-	// Unblocked side still receives the full neighborhood: 4 edges × 2
-	// unblocked destinations.
-	if got := len(byz.Emit(1)); got != 0 {
-		// Second Emit(1) re-announces (round-1 logic is stateless in the
-		// inner node), so just sanity check it stays filtered.
-		for _, s := range byz.Emit(1) {
-			if blocked.Has(s.To) {
-				t.Fatal("filter leaked")
+}
+
+// TestListFilterMovesTheSkip: filtering a list keeps each Send's skipped
+// recipient skipped, wherever the removals put it, and drops a Send left
+// with no listing.
+func TestListFilterMovesTheSkip(t *testing.T) {
+	list := []ids.NodeID{1, 2, 3, 4, 5}
+	in := []rounds.Send{
+		{To: list, Skip: 4, Data: []byte("a")}, // skips 4
+		{To: list, Skip: 2, Data: []byte("b")}, // skips 2, which is removed
+		{To: list, Data: []byte("c")},
+		{To: list[1:2], Data: []byte("d")}, // only 2: dropped
+		{To: list[3:4], Skip: 1, Data: []byte("e")},
+	}
+	var want [][]ids.NodeID
+	for _, s := range in {
+		var kept []ids.NodeID
+		for _, to := range s.Recipients(nil) {
+			if to != 2 {
+				kept = append(kept, to)
 			}
 		}
-		_ = got
+		want = append(want, kept)
+	}
+	var f listFilter
+	out := f.apply(slices.Clone(in), func(to ids.NodeID) bool { return to != 2 })
+	if len(out) != 4 {
+		t.Fatalf("%d Sends kept, want 4", len(out))
+	}
+	for k, s := range out {
+		w := want[k]
+		if k >= 3 {
+			w = want[k+1]
+		}
+		if got := s.Recipients(nil); !reflect.DeepEqual(got, w) {
+			t.Errorf("Send %q: recipients %v, want %v", s.Data, got, w)
+		}
 	}
 }
 
 func TestBloomPoisonPayloadIsAllOnes(t *testing.T) {
 	byz := NewBloomPoison([]ids.NodeID{1, 2}, 256, 3)
 	sends := byz.Emit(1)
-	if len(sends) != 2 {
-		t.Fatalf("poison sent %d messages, want 2", len(sends))
+	if len(sends) != 1 || len(sends[0].Recipients(nil)) != 2 {
+		t.Fatalf("poison sent %+v, want one multicast to 2 neighbors", sends)
 	}
 	f := bloom.New(256, 3)
 	if err := f.UnmarshalInto(sends[0].Data); err != nil {
@@ -333,28 +372,24 @@ func TestEquivocateTargetsEvenNeighborsOnly(t *testing.T) {
 	}
 	byz := NectarEquivocate(nodes[0])
 	for _, s := range byz.Emit(1) {
-		if s.To%2 != 0 {
-			t.Errorf("equivocator announced to odd neighbor %v", s.To)
+		for _, to := range s.Recipients(nil) {
+			if to%2 != 0 {
+				t.Errorf("equivocator announced to odd neighbor %v", to)
+			}
 		}
 	}
 }
 
-// copySends is sendArena.copySends into fresh memory, every buffer an
-// allocation of its own: the reference the stale member is held to.
+// copySends is sendArena.copySends into fresh memory, every list and
+// payload an allocation of its own: the reference the stale member is
+// held to.
 func copySends(in []rounds.Send) []rounds.Send {
 	if len(in) == 0 {
 		return nil
 	}
 	out := make([]rounds.Send, len(in))
-	var lastSrc, lastCopy []byte
 	for i, s := range in {
-		if len(s.Data) > 0 && len(lastSrc) == len(s.Data) && &lastSrc[0] == &s.Data[0] {
-			out[i] = rounds.Send{To: s.To, Data: lastCopy}
-			continue
-		}
-		lastSrc = s.Data
-		lastCopy = append([]byte(nil), s.Data...)
-		out[i] = rounds.Send{To: s.To, Data: lastCopy}
+		out[i] = rounds.Send{To: slices.Clone(s.To), Skip: s.Skip, Data: slices.Clone(s.Data)}
 	}
 	return out
 }

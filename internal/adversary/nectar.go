@@ -20,15 +20,12 @@ import (
 func NectarOmitOwn(inner rounds.Protocol, sigSize int, hide map[graph.Edge]bool) rounds.Protocol {
 	return &OutFilter{
 		Inner: inner,
-		Keep: func(round int, s rounds.Send) bool {
+		Drop: func(round int, data []byte) bool {
 			if round != 1 {
-				return true
+				return false
 			}
-			m, err := nectar.DecodeEdgeMsg(s.Data, sigSize, int(^uint32(0)>>1))
-			if err != nil {
-				return true
-			}
-			return !hide[m.Proof.Edge]
+			m, err := nectar.DecodeEdgeMsg(data, sigSize, int(^uint32(0)>>1))
+			return err == nil && hide[m.Proof.Edge]
 		},
 	}
 }
@@ -39,8 +36,8 @@ func NectarOmitOwn(inner rounds.Protocol, sigSize int, hide map[graph.Edge]bool)
 func NectarEquivocate(inner rounds.Protocol) rounds.Protocol {
 	return &OutFilter{
 		Inner: inner,
-		Keep: func(round int, s rounds.Send) bool {
-			return round != 1 || s.To%2 == 0
+		Keep: func(round int, to ids.NodeID) bool {
+			return round != 1 || to%2 == 0
 		},
 	}
 }
@@ -84,10 +81,7 @@ func (a *NectarFakeEdges) Emit(round int) []rounds.Send {
 			continue
 		}
 		msg := nectar.ForgeEdgeMsg(a.self, partner)
-		data := msg.Encode(a.sigSize)
-		for _, to := range a.nbrs {
-			out = append(out, rounds.Send{To: to, Data: data})
-		}
+		out = append(out, rounds.Send{To: a.nbrs, Data: msg.Encode(a.sigSize)})
 	}
 	return out
 }

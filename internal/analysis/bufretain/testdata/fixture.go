@@ -56,6 +56,33 @@ func (w *wrapper) Emit(round int) []rounds.Send {
 	return nil
 }
 
+// A Send's recipient list is borrowed like its payload: a filter's kept
+// lists are scratch its next Emit rewrites, so holding one for a replay
+// needs a copy too.
+type replayer struct {
+	inner rounds.Protocol
+	lists [][]ids.NodeID
+	held  rounds.Send
+}
+
+func (r *replayer) Emit(round int) []rounds.Send {
+	out := r.inner.Emit(round)
+	for _, s := range out {
+		kept := s.To[:0]
+		for _, to := range s.To {
+			if to%2 == 0 {
+				kept = append(kept, to)
+			}
+		}
+		r.lists = append(r.lists, kept)                                      // want `field lists`
+		r.lists = append(r.lists, append([]ids.NodeID(nil), kept...))        // fresh backing: fine
+		r.held = rounds.Send{To: kept, Data: append([]byte(nil), s.Data...)} // want `field held`
+	}
+	return out
+}
+
+func (r *replayer) Deliver(round int, from ids.NodeID, data []byte) {}
+
 func (w *wrapper) OnTopology(round int, neighbors []ids.NodeID) {
 	w.nbrs = neighbors                               // want `field nbrs`
 	w.nbrs = append([]ids.NodeID(nil), neighbors...) // fresh backing: fine
@@ -93,6 +120,7 @@ func (recycler) Emit(round int) []rounds.Send { return nil }
 func copySends(in []rounds.Send) []rounds.Send {
 	out := make([]rounds.Send, len(in))
 	for i, s := range in {
+		s.To = append([]ids.NodeID(nil), s.To...)
 		s.Data = append([]byte(nil), s.Data...)
 		out[i] = s
 	}

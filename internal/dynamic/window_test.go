@@ -75,9 +75,7 @@ func (s *script) build(epoch int, g *graph.Graph, _ ids.Set, _ int64) (*Stack, e
 	protos := make([]rounds.Protocol, g.N())
 	for i := range protos {
 		c := &chatty{steps: &s.steps[epoch]}
-		for _, nb := range g.Neighbors(ids.NodeID(i)) {
-			c.out = append(c.out, rounds.Send{To: nb, Data: []byte{byte(epoch)}})
-		}
+		c.out = append(c.out, rounds.Send{To: g.Neighbors(ids.NodeID(i)), Data: []byte{byte(epoch)}})
 		protos[i] = c
 	}
 	if epoch == s.failAt {

@@ -62,7 +62,7 @@ const denseMaxWords = 3
 // list to a dense bitset row of its own. A row costs ⌈n/64⌉ words per
 // vertex; a binary search over fewer than 64 IDs is at most six probes of
 // one or two cache lines, and above that HasEdge must be O(1) for the
-// router's per-delivery edge checks.
+// engine's per-message edge checks.
 const bitsetDegreeThreshold = 64
 
 // Graph is a simple undirected graph over the fixed vertex set [0, n).
@@ -72,7 +72,7 @@ const bitsetDegreeThreshold = 64
 //
 // Sorted neighbor lists are always maintained and are the source of truth
 // (O(n+m) per graph). Bit rows sit beside them purely to make HasEdge —
-// the router's edge check — a shift and a mask, in one of two regimes
+// the engine's edge check — a shift and a mask, in one of two regimes
 // chosen by n (DESIGN.md §14):
 //
 //   - n ≤ 192 (every graph at the paper's scale): the whole matrix, one

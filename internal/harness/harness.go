@@ -97,7 +97,7 @@ type Trial struct {
 	// nodes (bytes counted once per destination).
 	MeanBytesPerNode float64
 	MaxBytesPerNode  float64
-	// MeanBroadcastBytes counts consecutive sends of one buffer once — the
+	// MeanBroadcastBytes counts each multicast (one rounds.Send) once — the
 	// salticidae-style multicast accounting of the paper's cost figures.
 	MeanBroadcastBytes float64
 	// Rounds is the configured horizon; ActiveRounds is how many rounds

@@ -10,7 +10,7 @@ import (
 
 // contentMeter wraps a node and charges each distinct payload it sends in a
 // round once, by content: the multicast accounting of DESIGN.md §5 worked
-// out from the bytes, as the engine did before it metered by buffer.
+// out from the bytes, as the engine did before it metered by Send.
 type contentMeter struct {
 	rounds.Protocol
 	bytes int64
@@ -33,13 +33,13 @@ func (c *contentMeter) Quiescent() bool {
 	return ok && q.Quiescent()
 }
 
-// TestBroadcastBytesAreDistinctContent holds the engine's buffer rule
+// TestBroadcastBytesAreDistinctContent holds the engine's multicast rule
 // (rounds.Protocol) to content accounting on every correct node the
 // harness builds: NECTAR, MtG and MtGv2 under every attack each supports,
 // on two scenarios, and MtGv2 at fanouts 2 and 3, whose partners are
-// often owed the same credentials. A correct node sends each payload from
-// one buffer to consecutive recipients, so its BytesBroadcast is the cost
-// of its distinct (round, content) sends.
+// often owed the same credentials. A correct node sends each payload as
+// one Send to all its recipients, so its BytesBroadcast is the cost of its
+// distinct (round, content) sends.
 func TestBroadcastBytesAreDistinctContent(t *testing.T) {
 	var specs []Spec
 	for _, p := range Protocols() {

@@ -69,6 +69,18 @@ type refV2 struct {
 	sent  map[ids.NodeID]int
 }
 
+// expand returns sends as one single-recipient Send per message, in send
+// order: what the engine delivers.
+func expand(sends []rounds.Send) []rounds.Send {
+	var out []rounds.Send
+	for _, s := range sends {
+		for _, to := range s.Recipients(nil) {
+			out = append(out, rounds.Send{To: []ids.NodeID{to}, Data: s.Data})
+		}
+	}
+	return out
+}
+
 func newRefV2(cfg ConfigV2) *refV2 {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = 1
@@ -94,7 +106,7 @@ func (r *refV2) emit() []rounds.Send {
 			batch = append(batch, SignedID{ID: id, Sig: r.known[id]})
 		}
 		r.sent[to] = len(r.order)
-		out = append(out, rounds.Send{To: to, Data: EncodeBatch(batch, r.cfg.Verifier.SigSize())})
+		out = append(out, rounds.Send{To: []ids.NodeID{to}, Data: EncodeBatch(batch, r.cfg.Verifier.SigSize())})
 	}
 	return out
 }
@@ -176,13 +188,13 @@ func TestNodeV2MatchesReference(t *testing.T) {
 			for r := 1; r < 2*n; r++ {
 				outs := make([][]rounds.Send, n)
 				for i, nd := range nodes {
-					outs[i] = nd.Emit(r)
+					outs[i] = expand(nd.Emit(r))
 					want := refs[i].emit()
 					if len(outs[i]) != len(want) {
 						t.Fatalf("round %d node %d: %d sends, reference %d", r, i, len(outs[i]), len(want))
 					}
 					for j, s := range outs[i] {
-						if s.To != want[j].To || !bytes.Equal(s.Data, want[j].Data) {
+						if s.To[0] != want[j].To[0] || !bytes.Equal(s.Data, want[j].Data) {
 							t.Fatalf("round %d node %d send %d: to %v %x, reference to %v %x",
 								r, i, j, s.To, s.Data, want[j].To, want[j].Data)
 						}
@@ -190,8 +202,8 @@ func TestNodeV2MatchesReference(t *testing.T) {
 				}
 				for i, out := range outs {
 					for _, s := range out {
-						nodes[s.To].Deliver(r, ids.NodeID(i), s.Data)
-						refs[s.To].deliver(s.Data)
+						nodes[s.To[0]].Deliver(r, ids.NodeID(i), s.Data)
+						refs[s.To[0]].deliver(s.Data)
 					}
 				}
 				for i := range nodes {
@@ -257,8 +269,8 @@ func TestWarmBaselinesAllocateNothing(t *testing.T) {
 	}
 	round := func() {
 		clear(x.sent) // resend everything: a full re-encode into warm buffers
-		if len(x.Emit(2)) != 3 {
-			t.Fatal("fixture broken: no batch per partner")
+		if out := x.Emit(2); len(out) != 1 || len(out[0].To) != 3 {
+			t.Fatal("fixture broken: no batch for all three partners")
 		}
 		y.Deliver(2, 0, batch)
 	}

@@ -66,9 +66,11 @@ type Node struct {
 	cfg      Config
 	filter   *bloom.Filter
 	partners partners
-	// payload and sendBuf hold the round's encoded filter and sends; both
-	// are reused every round (the rounds.Protocol buffer contract).
+	// payload, to and sendBuf hold the round's encoded filter, partners
+	// and send; all are reused every round (the rounds.Protocol buffer
+	// contract).
 	payload []byte
+	to      []ids.NodeID
 	sendBuf []rounds.Send
 }
 
@@ -102,19 +104,19 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Emit implements rounds.Protocol: each round the node sends its current
-// filter to Fanout randomly chosen neighbors.
+// filter to Fanout randomly chosen neighbors, as one multicast.
 func (n *Node) Emit(round int) []rounds.Send {
 	picks := n.partners.pick()
 	if len(picks) == 0 {
 		return nil
 	}
 	n.payload = n.filter.AppendBinary(n.payload[:0])
-	out := n.sendBuf[:0]
+	n.to = n.to[:0]
 	for _, k := range picks {
-		out = append(out, rounds.Send{To: n.cfg.Neighbors[k], Data: n.payload})
+		n.to = append(n.to, n.cfg.Neighbors[k])
 	}
-	n.sendBuf = out
-	return out
+	n.sendBuf = append(n.sendBuf[:0], rounds.Send{To: n.to, Data: n.payload})
+	return n.sendBuf
 }
 
 // Quiescent implements rounds.Quiescer: MtG gossips its filter every

@@ -117,8 +117,10 @@ type NodeV2 struct {
 	creds    []byte
 	sent     []int // credentials sent so far, by neighbor position
 	partners partners
-	// Round scratch: the batches, the sends, a checked credential's statement.
+	// Round scratch: the batches, their recipient lists, the sends, a
+	// checked credential's statement.
 	enc     wire.Writer
+	to      []ids.NodeID
 	sendBuf []rounds.Send
 	stmt    []byte
 }
@@ -181,11 +183,11 @@ func (n *NodeV2) held() int { return len(n.creds) / n.entry }
 // credential not yet sent to it (at most once per neighbor per epoch —
 // the paper's cost containment for MtGv2). Each batch is byte for byte
 // EncodeBatch of those credentials. Partners owed the same credentials
-// share one batch, sent to them in a row at the first one's place in pick
-// order: the engine meters it as one multicast (rounds.Protocol).
+// share one batch, one multicast Send to them in pick order at the first
+// one's place (rounds.Protocol).
 func (n *NodeV2) Emit(round int) []rounds.Send {
 	n.enc.Reset()
-	out := n.sendBuf[:0]
+	out, to := n.sendBuf[:0], n.to[:0]
 	held := n.held()
 	picks := n.partners.pick()
 	for i, k := range picks {
@@ -197,14 +199,16 @@ func (n *NodeV2) Emit(round int) []rounds.Send {
 		n.enc.U16(uint16(held - from))
 		n.enc.Raw(n.creds[from*n.entry:])
 		batch := n.enc.Bytes()[start:]
+		first := len(to)
 		for _, j := range picks[i:] {
 			if n.sent[j] == from {
 				n.sent[j] = held
-				out = append(out, rounds.Send{To: n.cfg.Neighbors[j], Data: batch})
+				to = append(to, n.cfg.Neighbors[j])
 			}
 		}
+		out = append(out, rounds.Send{To: to[first:len(to):len(to)], Data: batch})
 	}
-	n.sendBuf = out
+	n.sendBuf, n.to = out, to
 	return out
 }
 

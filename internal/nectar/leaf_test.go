@@ -9,6 +9,7 @@ package nectar
 
 import (
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -74,7 +75,9 @@ func TestLeafSignsNothingAfterRoundOne(t *testing.T) {
 		}
 		for i, out := range outs {
 			for _, s := range out {
-				nodes[s.To].Deliver(r, ids.NodeID(i), s.Data)
+				for _, to := range s.Recipients(nil) {
+					nodes[to].Deliver(r, ids.NodeID(i), s.Data)
+				}
 			}
 		}
 		for i, nd := range nodes {
@@ -164,7 +167,7 @@ func TestDegreeOneNodeRelaysForAStranger(t *testing.T) {
 		t.Fatalf("fixture broken: %+v", st)
 	}
 	sends := nd.Emit(3)
-	if len(sends) != 1 || sends[0].To != 1 {
+	if len(sends) != 1 || !slices.Equal(sends[0].Recipients(nil), []ids.NodeID{1}) {
 		t.Fatalf("emitted %+v, want one relay to neighbor 1", sends)
 	}
 	if calls.Load() != 1 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -139,7 +140,7 @@ type Stats struct {
 type relayItem struct {
 	raw  []byte     // canonical encoding: proof ‖ hop count ‖ hops
 	edge graph.Edge // the proof's edge, for the relay statement
-	from ids.NodeID
+	skip int        // the relay's rounds.Send.Skip: 1 + the sender's index in Neighbors
 }
 
 // Node is a correct NECTAR process. It implements rounds.Protocol: drive
@@ -405,8 +406,10 @@ func (nd *Node) Rounds() int { return nd.nRounds }
 // neighborhood to every neighbor (Alg. 1 ll. 6-8); in later rounds it
 // relays — with its own signature appended — every edge first received in
 // the previous round, to all neighbors except the one it came from
-// (ll. 9-12). An edge that came from the only neighbor was never queued
-// (accept): nothing is encoded or signed for a relay nobody receives.
+// (ll. 9-12). Each announcement and relay is one multicast Send to the
+// node's own neighbor list, a relay skipping its sender's place in it. An
+// edge that came from the only neighbor was never queued (accept): nothing
+// is encoded or signed for a relay nobody receives.
 func (nd *Node) Emit(round int) []rounds.Send {
 	nd.started = true
 	// Reset the per-round scratch: the previous round's sends have been
@@ -429,9 +432,7 @@ func (nd *Node) Emit(round int) []rounds.Send {
 			}.encodeTo(&nd.enc, sigSize)
 			data := nd.enc.Bytes()[start:]
 			nd.post(data, p.Edge, ps, sigSize)
-			for _, dest := range nd.cfg.Neighbors {
-				out = append(out, rounds.Send{To: dest, Data: data})
-			}
+			out = append(out, rounds.Send{To: nd.cfg.Neighbors, Data: data})
 		}
 		nd.board.Publish(round)
 		nd.sendBuf, nd.sendUsed = out, max(nd.sendUsed, len(out))
@@ -440,11 +441,7 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	for _, item := range nd.queue {
 		data := nd.encodeRelay(item, v, ps, sigSize)
 		nd.post(data, item.edge, ps, sigSize)
-		for _, dest := range nd.cfg.Neighbors {
-			if dest != item.from {
-				out = append(out, rounds.Send{To: dest, Data: data})
-			}
-		}
+		out = append(out, rounds.Send{To: nd.cfg.Neighbors, Skip: item.skip, Data: data})
 	}
 	// The queue is drained, so nothing references the accept arena any
 	// more: recycle it for the deliveries of this round.
@@ -561,7 +558,7 @@ func (nd *Node) accept(round int, e graph.Edge, hops int, from ids.NodeID, data 
 		nd.queue = append(nd.queue, relayItem{
 			raw:  nd.copyToArena(data),
 			edge: e,
-			from: from,
+			skip: slices.Index(nb, from) + 1,
 		})
 	}
 	nd.undrained = true

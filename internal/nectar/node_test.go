@@ -177,12 +177,54 @@ func TestEmitRound1SendsNeighborhoodToEveryNeighbor(t *testing.T) {
 		t.Fatal(err)
 	}
 	sends := nodes[0].Emit(1)
-	if len(sends) != 16 { // 4 edges × 4 destinations
-		t.Errorf("center emitted %d messages in round 1, want 16", len(sends))
+	if len(sends) != 4 { // one Send per edge
+		t.Errorf("center emitted %d Sends in round 1, want 4", len(sends))
+	}
+	for _, s := range sends { // each to all 4 neighbors, from one list
+		if !slices.Equal(s.Recipients(nil), []ids.NodeID{1, 2, 3, 4}) || &s.To[0] != &sends[0].To[0] {
+			t.Errorf("announcement to %v, want every neighbor from the node's own list", s.Recipients(nil))
+		}
 	}
 	leaf := nodes[1].Emit(1)
 	if len(leaf) != 1 {
 		t.Errorf("leaf emitted %d messages, want 1", len(leaf))
+	}
+}
+
+// TestEmitIsOneSendPerRelay pins the relay side of the multicast rule: a
+// round's relays are one Send per queued edge, to the node's own neighbor
+// list, skipping the neighbor each edge came from.
+func TestEmitIsOneSendPerRelay(t *testing.T) {
+	g := topology.Complete(5)
+	nodes, err := BuildNodes(g, 1, sig.NewHMAC(5, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range nodes {
+		for _, s := range nd.Emit(1) {
+			for _, to := range s.Recipients(nil) {
+				nodes[to].Deliver(1, ids.NodeID(i), s.Data)
+			}
+		}
+	}
+	nd := nodes[0]
+	queued := make([]relayItem, len(nd.queue))
+	copy(queued, nd.queue)
+	sends := nd.Emit(2)
+	if len(queued) == 0 || len(sends) != len(queued) {
+		t.Fatalf("%d Sends for %d queued relays", len(sends), len(queued))
+	}
+	for k, s := range sends {
+		from := nd.cfg.Neighbors[queued[k].skip-1]
+		var want []ids.NodeID
+		for _, nb := range nd.cfg.Neighbors {
+			if nb != from {
+				want = append(want, nb)
+			}
+		}
+		if &s.To[0] != &nd.cfg.Neighbors[0] || !slices.Equal(s.Recipients(nil), want) {
+			t.Errorf("relay %d goes to %v, want %v (all but its sender %v)", k, s.Recipients(nil), want, from)
+		}
 	}
 }
 
@@ -207,7 +249,7 @@ func TestRelayExcludesTheSender(t *testing.T) {
 	// must target node 3 only.
 	sends := nodes[2].Emit(3)
 	for _, s := range sends {
-		if s.To == 1 {
+		if slices.Contains(s.Recipients(nil), 1) {
 			m, err := DecodeEdgeMsg(s.Data, 64, 4)
 			if err != nil {
 				t.Fatal(err)

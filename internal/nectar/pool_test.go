@@ -66,8 +66,8 @@ func poisonedScratch() *nodeScratch {
 		s.view = usedView(n)
 	}
 	for i := 0; i < 6; i++ {
-		s.queue = append(s.queue, relayItem{raw: junk, edge: graph.NewEdge(1, 2), from: 3})
-		s.sendBuf = append(s.sendBuf, rounds.Send{To: 1 << 20, Data: junk})
+		s.queue = append(s.queue, relayItem{raw: junk, edge: graph.NewEdge(1, 2), skip: 3})
+		s.sendBuf = append(s.sendBuf, rounds.Send{To: []ids.NodeID{1 << 20}, Skip: 7, Data: junk})
 	}
 	s.queue, s.sendBuf = s.queue[:0], s.sendBuf[:0]
 	s.enc.Raw(junk)
@@ -94,12 +94,14 @@ type taped struct {
 func (p taped) Emit(round int) []rounds.Send {
 	out := p.Node.Emit(round)
 	for _, s := range out {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(round))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(s.To))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(s.Data)))
-		p.tape.Write(hdr[:])
-		p.tape.Write(s.Data)
+		for _, to := range s.Recipients(nil) {
+			var hdr [12]byte
+			binary.LittleEndian.PutUint32(hdr[0:], uint32(round))
+			binary.LittleEndian.PutUint32(hdr[4:], uint32(to))
+			binary.LittleEndian.PutUint32(hdr[8:], uint32(len(s.Data)))
+			p.tape.Write(hdr[:])
+			p.tape.Write(s.Data)
+		}
 	}
 	return out
 }
@@ -192,9 +194,11 @@ func lockstep(g *graph.Graph, nodes []*Node, from, to int) []byte {
 		}
 		for i, out := range outs {
 			for _, s := range out {
-				wire.WriteByte(byte(s.To))
-				wire.Write(s.Data)
-				nodes[s.To].Deliver(r, ids.NodeID(i), s.Data)
+				for _, to := range s.Recipients(nil) {
+					wire.WriteByte(byte(to))
+					wire.Write(s.Data)
+					nodes[to].Deliver(r, ids.NodeID(i), s.Data)
+				}
 			}
 		}
 	}

@@ -10,10 +10,10 @@ import (
 
 // benchFlooders returns scriptedNodes that send the same outbox every
 // round and ignore what they receive, so a run over them costs what the
-// engine itself costs: the edge check, metering and staging of route, the
-// inbox merge, and the delivery shuffle. Every node gets `payloads`
-// distinct payloads of `size` bytes, each fanned out to all neighbors from
-// one shared buffer — the shape of a NECTAR node's relay output.
+// engine itself costs: the edge check and metering of each Send, the
+// inbox pull, and the delivery shuffle. Every node gets `payloads`
+// distinct payloads of `size` bytes, each one Send to all neighbors — the
+// shape of a NECTAR node's round-1 output.
 func benchFlooders(g *graph.Graph, payloads, size int) ([]Protocol, int) {
 	nodes := make([]Protocol, g.N())
 	msgs := 0
@@ -24,18 +24,17 @@ func benchFlooders(g *graph.Graph, payloads, size int) ([]Protocol, int) {
 			for k := range data {
 				data[k] = byte(i + 31*p + 7*k)
 			}
-			for _, nb := range g.Neighbors(ids.NodeID(i)) {
-				f.sends = append(f.sends, Send{To: nb, Data: data})
-			}
+			nbrs := g.Neighbors(ids.NodeID(i))
+			f.sends = append(f.sends, Send{To: nbrs, Data: data})
+			msgs += len(nbrs)
 		}
-		msgs += len(f.sends)
 		nodes[i] = f
 	}
 	return nodes, msgs
 }
 
 // BenchmarkEngineSelf is the engine's line in the layer budget (ROADMAP
-// aim 1): ns per routed message and allocations per run with protocols
+// aim 1): ns per delivered message and allocations per run with protocols
 // that do nothing. harary6-35 is the paper-scale dense case (inboxes of
 // 24, every one shuffled); tree3-500 the sparse one (two thirds of the
 // nodes are leaves whose inbox is a single message); complete33-640 has

@@ -39,9 +39,9 @@ func (p *phasedTopology) NextChange(after int) int {
 	return 0
 }
 
-// beaconNode sends one byte to every other node every round; the engine's
-// edge filter decides what arrives, so per-round delivery counts trace the
-// live adjacency.
+// beaconNode sends one byte to every node every round, itself included;
+// the engine's edge filter decides what arrives, so per-round delivery
+// counts trace the live adjacency.
 type beaconNode struct {
 	id      ids.NodeID
 	n       int
@@ -49,13 +49,11 @@ type beaconNode struct {
 }
 
 func (b *beaconNode) Emit(round int) []Send {
-	out := make([]Send, 0, b.n-1)
-	for i := 0; i < b.n; i++ {
-		if ids.NodeID(i) != b.id {
-			out = append(out, Send{To: ids.NodeID(i), Data: []byte{1}})
-		}
+	all := make([]ids.NodeID, b.n)
+	for i := range all {
+		all[i] = ids.NodeID(i)
 	}
-	return out
+	return []Send{{To: all, Skip: int(b.id) + 1, Data: []byte{1}}}
 }
 
 func (b *beaconNode) Deliver(round int, from ids.NodeID, data []byte) {
@@ -118,11 +116,7 @@ func (w *wakingNode) Emit(round int) []Send {
 		return nil
 	}
 	w.queue--
-	out := make([]Send, 0, len(w.nbrs))
-	for _, nb := range w.nbrs {
-		out = append(out, Send{To: nb, Data: []byte("hello")})
-	}
-	return out
+	return []Send{{To: w.nbrs, Data: []byte("hello")}}
 }
 
 func (w *wakingNode) Deliver(round int, from ids.NodeID, data []byte) {
@@ -221,5 +215,28 @@ func TestStaticTopologyProviderMatchesGraphConfig(t *testing.T) {
 	dynamic := run(Config{Topology: &phasedTopology{phases: map[int]*graph.Graph{1: g}}, Rounds: 10, Seed: 3})
 	if !reflect.DeepEqual(static, dynamic) {
 		t.Errorf("metrics diverge:\nstatic  %+v\ndynamic %+v", static, dynamic)
+	}
+}
+
+// TestBadTopologySwapFails: a provider that breaks its contract mid-run —
+// a nil graph, or one over another vertex count — fails the run with an
+// error at the swap round, instead of the pull indexing past its lists.
+func TestBadTopologySwapFails(t *testing.T) {
+	g := graph.FromEdges(3, []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(1, 2)})
+	bigger := graph.FromEdges(4, []graph.Edge{graph.NewEdge(0, 3), graph.NewEdge(1, 2)})
+	smaller := graph.FromEdges(2, []graph.Edge{graph.NewEdge(0, 1)})
+	for name, bad := range map[string]*graph.Graph{"nil": nil, "bigger": bigger, "smaller": smaller} {
+		provider := &phasedTopology{phases: map[int]*graph.Graph{1: g, 3: bad}}
+		protos := make([]Protocol, 3)
+		for i := range protos {
+			protos[i] = &beaconNode{id: ids.NodeID(i), n: 4}
+		}
+		m, err := Run(Config{Topology: provider, Rounds: 5, Seed: 1}, protos)
+		if err == nil || m != nil {
+			t.Errorf("%s: swapping in a bad graph at round 3 gave %+v, %v; want an error", name, m, err)
+		}
+		if got := protos[0].(*beaconNode).byRound; got[3] != 0 || got[2] == 0 {
+			t.Errorf("%s: deliveries by round %v, want rounds 1-2 only", name, got)
+		}
 	}
 }

@@ -20,7 +20,7 @@ type script []rounds.Send
 func (s script) Emit(int) []rounds.Send        { return s }
 func (script) Deliver(int, ids.NodeID, []byte) {}
 
-// tap records a copy of every payload its inner node sends.
+// tap records a copy of every payload its inner node sends, once per Send.
 type tap struct {
 	rounds.Protocol
 	sent [][]byte
@@ -41,14 +41,14 @@ type run struct {
 	rounds int
 }
 
-// TestBroadcastAccountingIsByBuffer pins what BytesBroadcast charges once:
-// consecutive metered sends of one buffer — the same length and first byte
-// — from one sender in one round (rounds.Protocol). Content plays no part.
-func TestBroadcastAccountingIsByBuffer(t *testing.T) {
+// TestBroadcastAccountingIsBySend pins what BytesBroadcast charges once:
+// one Send with at least one listing on a channel (rounds.Protocol).
+// Neither content nor buffer identity plays a part.
+func TestBroadcastAccountingIsBySend(t *testing.T) {
 	cost := func(p []byte) int64 { return int64(len(p) + rounds.DefaultMsgOverhead) }
-	a, b, c := []byte("payload"), []byte("payload"), []byte("other")
+	a, b := []byte("payload"), []byte("payload")
 	empty := make([]byte, 0, 8)
-	to := func(id ids.NodeID, p []byte) rounds.Send { return rounds.Send{To: id, Data: p} }
+	to := func(p []byte, ids ...ids.NodeID) rounds.Send { return rounds.Send{To: ids, Data: p} }
 	// star runs the scripts on a star, centre 0 and leaves 1..3, for two
 	// rounds: every row's charge is made once per round.
 	star := func(scripts ...script) run {
@@ -67,26 +67,26 @@ func TestBroadcastAccountingIsByBuffer(t *testing.T) {
 		run
 		want []int64 // BytesBroadcast per node over the run
 	}{
-		{"a run of one buffer is charged once",
-			star(script{to(1, a), to(2, a), to(3, a)}),
+		{"one Send to three recipients is charged once",
+			star(script{to(a, 1, 2, 3)}),
 			[]int64{2 * cost(a), 0, 0, 0}},
-		{"equal bytes in two buffers are charged twice",
-			star(script{to(1, a), to(2, b)}),
+		{"two Sends of one buffer are charged twice",
+			star(script{to(a, 1, 2), to(a, 3)}),
+			[]int64{2 * 2 * cost(a), 0, 0, 0}},
+		{"equal bytes in two Sends are charged twice",
+			star(script{to(a, 1), to(b, 2)}),
 			[]int64{2 * (cost(a) + cost(b)), 0, 0, 0}},
-		{"a run split by another buffer is charged once per run",
-			star(script{to(1, a), to(2, c), to(3, a)}),
-			[]int64{2 * (2*cost(a) + cost(c)), 0, 0, 0}},
-		{"an empty payload is charged every time",
-			star(script{to(1, empty), to(2, empty), to(3, empty)}),
-			[]int64{2 * 3 * cost(empty), 0, 0, 0}},
-		{"a shorter slice of the buffer is another buffer",
-			star(script{to(1, a), to(2, a[:3])}),
-			[]int64{2 * (cost(a) + cost(a[:3])), 0, 0, 0}},
-		{"a dropped send does not split a run", // the self-send is unmetered
-			star(script{to(1, a), to(0, c), to(2, a)}),
+		{"an empty payload to three recipients is charged once",
+			star(script{to(empty, 1, 2, 3)}),
+			[]int64{2 * cost(empty), 0, 0, 0}},
+		{"a listing without a channel is not charged", // the self-send is unmetered
+			star(script{to(a, 1, 0, 2), to(b, 0)}),
 			[]int64{2 * cost(a), 0, 0, 0}},
-		{"each sender is charged for its own sends of a shared buffer",
-			star(script{to(1, a)}, script{to(0, a)}),
+		{"a Send whose only listing is skipped is not charged",
+			star(script{{To: []ids.NodeID{1}, Skip: 1, Data: a}}),
+			[]int64{0, 0, 0, 0}},
+		{"each sender is charged for its own Sends of a shared buffer",
+			star(script{to(a, 1)}, script{to(a, 0)}),
 			[]int64{2 * cost(a), 2 * cost(a), 0, 0}},
 		{"a fakeedges node re-announcing a real edge is charged twice",
 			fake,
@@ -104,7 +104,7 @@ func TestBroadcastAccountingIsByBuffer(t *testing.T) {
 
 	// The fakeedges row charges a repeat only if it is one: the forged
 	// announcement's bytes equal the inner node's own of the same edge.
-	if sent := fakeTap.sent; len(sent) != 6 || !bytes.Equal(sent[4], sent[0]) {
+	if sent := fakeTap.sent; len(sent) != 3 || !bytes.Equal(sent[2], sent[0]) {
 		t.Errorf("the forged announcement is not a byte-for-byte repeat of the real one")
 	}
 }
@@ -112,7 +112,7 @@ func TestBroadcastAccountingIsByBuffer(t *testing.T) {
 // fakeEdgesOnRealEdge builds a one-round run on a ring of four in which
 // node 0 forges an announcement of its real edge to node 1: it sends its
 // two own announcements to both neighbors, then the forgery — a third
-// buffer with the first one's bytes. It returns the run, the tap on node
+// Send with the first one's bytes. It returns the run, the tap on node
 // 0, and what one round-1 announcement costs.
 func fakeEdgesOnRealEdge(t *testing.T) (run, *tap, int64) {
 	t.Helper()

@@ -30,37 +30,25 @@ func withStagingPool(t *testing.T, fresh func() *staging) {
 }
 
 // poisonedStaging is a staging of awkward shape (sized for 5 nodes and 3
-// workers) with garbage in every slot up to capacity and every buffer at
-// length zero.
+// workers) with garbage in every slot up to capacity, every buffer at
+// length zero and every counter off zero.
 func poisonedStaging() *staging {
 	junk := bytes.Repeat([]byte{0xFF}, 64)
-	deliveries := func() []delivery {
-		d := make([]delivery, 9)
-		for i := range d {
-			d[i] = delivery{from: ids.NodeID(1 << 30), data: junk}
-		}
-		return d[:0]
-	}
 	st := new(staging)
 	for i := 0; i < 5; i++ {
 		sends := make([]Send, 4)
 		for k := range sends {
-			sends[k] = Send{To: 3, Data: junk}
+			sends[k] = Send{To: []ids.NodeID{3, 1 << 30}, Skip: 2, Data: junk}
 		}
 		st.outboxes = append(st.outboxes, sends[:0])
-		st.inboxes = append(st.inboxes, deliveries())
-		st.marks = append(st.marks, 1000) // beyond every buffer's capacity
 	}
-	st.outboxes, st.inboxes, st.marks = st.outboxes[:0], st.inboxes[:0], st.marks[:0]
+	st.outboxes = st.outboxes[:0]
 	for w := 0; w < 3; w++ {
-		sh := new(routeShard)
-		for i := 0; i < 5; i++ {
-			sh.inbox = append(sh.inbox, deliveries())
+		inbox := make([]delivery, 9)
+		for i := range inbox {
+			inbox[i] = delivery{from: ids.NodeID(1 << 30), data: junk}
 		}
-		sh.inbox = sh.inbox[:0]
-		st.shards = append(st.shards, sh)
-
-		st.meters = append(st.meters, &meter{last: junk})
+		st.workers = append(st.workers, &worker{inbox: inbox[:0], at: []int{7, 7, 7}[:0], bytes: 5, nonEdge: 5, lost: 5})
 	}
 	return st
 }
@@ -110,17 +98,14 @@ func TestPoisonedStagingChangesNothing(t *testing.T) {
 
 // TestReleaseScrubsStaging drives floods through a staging and checks what
 // Run put back on the free list: nothing but capacity — no payload slice
-// reachable from any slot, every buffer empty. The second flood on the
-// same staging has shorter inboxes than the first, so its release zeroes
-// less than the capacity the first one grew; the one-worker runs swap
-// their staged and merged buffers every round.
+// reachable from any slot, every buffer empty.
 func TestReleaseScrubsStaging(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		var st *staging // the one staging the runs below borrow
 		withStagingPool(t, func() *staging { st = new(staging); return st })
 		for _, g := range []*graph.Graph{topology.Complete(6), topology.Ring(6)} {
 			runFlood(t, g, Config{Rounds: 3, Seed: 1, Workers: workers})
-			if st == nil || cap(st.inboxes) == 0 {
+			if st == nil || cap(st.outboxes) == 0 {
 				t.Fatal("the run did not go through the free list")
 			}
 			checkScrubbed(t, st, workers)
@@ -132,47 +117,28 @@ func TestReleaseScrubsStaging(t *testing.T) {
 // given worker count, holds nothing but capacity.
 func checkScrubbed(t *testing.T, st *staging, workers int) {
 	t.Helper()
-	checkDeliveries := func(where string, boxes [][]delivery) {
-		for i, box := range boxes[:cap(boxes)] {
-			if len(box) != 0 {
-				t.Errorf("%s[%d]: length %d after release", where, i, len(box))
+	for i, box := range st.outboxes[:cap(st.outboxes)] {
+		if box != nil {
+			t.Fatalf("outboxes[%d]: still holds a batch", i)
+		}
+	}
+	if len(st.workers) != workers || st.used != workers {
+		t.Errorf("%d workers, %d used, for a %d-worker run", len(st.workers), st.used, workers)
+	}
+	used := 0 // which workers claimed a recipient is the scheduler's choice
+	for w, wk := range st.workers {
+		used += cap(wk.inbox)
+		if len(wk.inbox) != 0 {
+			t.Errorf("worker %d: inbox length %d after release", w, len(wk.inbox))
+		}
+		for _, d := range wk.inbox[:cap(wk.inbox)] {
+			if d.data != nil || d.from != 0 {
+				t.Fatalf("worker %d: inbox slot still holds %+v", w, d)
 			}
-			for _, d := range box[:cap(box)] {
-				if d.data != nil || d.from != 0 {
-					t.Fatalf("%s[%d]: slot still holds %+v", where, i, d)
-				}
-			}
 		}
 	}
-	checkDeliveries("inboxes", st.inboxes)
-	for _, box := range st.outboxes[:cap(st.outboxes)] {
-		for _, s := range box[:cap(box)] {
-			if s.Data != nil {
-				t.Fatal("outboxes: slot still holds a payload")
-			}
-		}
-	}
-	for i, mark := range st.marks[:cap(st.marks)] {
-		if mark != 0 {
-			t.Errorf("marks[%d] = %d after release", i, mark)
-		}
-	}
-	if len(st.shards) != workers {
-		t.Errorf("%d shards for a %d-worker run", len(st.shards), workers)
-	}
-	for w, sh := range st.shards {
-		if cap(sh.inbox) == 0 {
-			t.Errorf("shard %d: never used", w)
-		}
-		checkDeliveries(fmt.Sprintf("shard %d inbox", w), sh.inbox)
-	}
-	if len(st.meters) != workers {
-		t.Errorf("%d meters for a %d-worker run", len(st.meters), workers)
-	}
-	for w, mt := range st.meters {
-		if mt.last != nil {
-			t.Errorf("meter %d: still holds a payload", w)
-		}
+	if used == 0 {
+		t.Error("no worker pulled an inbox")
 	}
 }
 
@@ -230,8 +196,9 @@ func (f failingNet) Exchange(round int, _ []Envelope) ([]Envelope, error) {
 
 // TestFailedRunLeavesNoTrace: a failed call cannot leave anything behind
 // for the next run. A config error returns before the staging is
-// acquired; a transport error returns mid-run, after route has staged the
-// round's deliveries, and the release on the way out must scrub those too.
+// acquired; a transport error returns mid-run, after the round's sends to
+// the remote node were pulled and metered, and the release on the way out
+// must scrub those too.
 func TestFailedRunLeavesNoTrace(t *testing.T) {
 	g := topology.Ring(6)
 	cfg := Config{Rounds: 6, Seed: 3}

@@ -14,14 +14,16 @@
 // plus a fixed per-message overhead), producing the "data sent per node"
 // measurements of the paper's evaluation.
 //
-// Engine v2 (DESIGN.md §6) adds quiescence-aware early exit: protocols may
-// implement the optional Quiescer extension, and once every node reports
-// quiescence at a round boundary (all inboxes drained, so nothing is in
-// flight) the engine fast-forwards the remaining horizon — the §IV-E
+// A round has two parallel phases (DESIGN.md §6): every node emits and is
+// metered as a sender, then every recipient pulls its inbox from its
+// neighbours' outboxes — in ascending sender order, each outbox in send
+// order — shuffles it and has it delivered. Nothing is staged per
+// recipient, and no result depends on which worker handles which node.
+// Protocols may implement the optional Quiescer extension: once every node
+// reports quiescence at a round boundary (all inboxes drained, so nothing
+// is in flight) the engine fast-forwards the remaining horizon — the §IV-E
 // observation that NECTAR nodes go silent once every edge is known, turned
-// into wall-clock savings. Routing is parallelized across contiguous
-// sender stripes with per-worker metric shards merged in sender-major
-// order, so results are byte-identical to a sequential run.
+// into wall-clock savings.
 package rounds
 
 import (
@@ -29,6 +31,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,11 +40,26 @@ import (
 	"github.com/nectar-repro/nectar/internal/obs"
 )
 
-// Send is a message a node hands to the engine for delivery in the current
-// round.
+// Send is one payload for a list of recipients: a multicast (DESIGN.md
+// §5). Data goes to every listing of To but the one Skip names — Skip is 1
+// + its index, and 0 (or any value outside 1..len(To)) leaves none out, so
+// the zero value sends nothing. Each listing is one message: a recipient
+// listed twice gets Data twice, metered and delivered like two Sends.
 type Send struct {
-	To   ids.NodeID
+	To   []ids.NodeID
+	Skip int
 	Data []byte
+}
+
+// Recipients appends the recipients of s to dst in send order, one per
+// message, and returns the extended slice: s's per-recipient expansion.
+func (s Send) Recipients(dst []ids.NodeID) []ids.NodeID {
+	for p, to := range s.To {
+		if p != s.Skip-1 {
+			dst = append(dst, to)
+		}
+	}
+	return dst
 }
 
 // Protocol is the per-node state machine driven by the engine. For every
@@ -50,18 +68,18 @@ type Send struct {
 // Implementations need not be safe for concurrent use; the engine never
 // calls a single node concurrently.
 //
-// Buffer ownership (DESIGN.md §9): Send.Data and the slice returned by
-// Emit stay owned by the emitting node and must remain unmodified only
-// until the end of the round's delivery phase — the engine retains
-// neither, so nodes may encode into per-round scratch arenas. Conversely,
-// the data handed to Deliver is only valid for the duration of the call;
-// a protocol (or wrapper) that retains messages across rounds — to relay,
-// delay, or replay them — must copy them.
+// Buffer ownership (DESIGN.md §9): the slice returned by Emit and each
+// Send's To and Data stay owned by the emitting node and must remain
+// unmodified only until the end of the round's delivery phase — the engine
+// retains none of them, so nodes may encode into per-round scratch arenas
+// and send their own neighbour lists. Conversely, the data handed to
+// Deliver is only valid for the duration of the call; a protocol (or
+// wrapper) that retains messages across rounds — to relay, delay, or
+// replay them — must copy them, recipient lists included.
 //
-// Multicast (DESIGN.md §5): consecutive sends of one outbox that share one
-// Data slice are one multicast, charged to BytesBroadcast once. Anything
-// else is charged per send: equal bytes in another buffer, a buffer sent
-// again after another one, an empty payload.
+// Multicast (DESIGN.md §5): a Send is one multicast, charged to
+// BytesBroadcast once if any of its listings has a channel. Two Sends are
+// two multicasts, whatever their bytes.
 type Protocol interface {
 	// Emit returns the messages the node sends in round r.
 	Emit(round int) []Send
@@ -75,7 +93,8 @@ type Protocol interface {
 // goroutine, with non-decreasing round numbers — a provider may therefore
 // mutate and return a single graph instance in place. The vertex count
 // must never change (the system model fixes n; node churn is modelled as
-// edge removal, see internal/dynamic).
+// edge removal, see internal/dynamic): Run fails on a nil graph or one of
+// another size.
 type TopologyProvider interface {
 	// GraphFor returns the graph in effect during round r.
 	GraphFor(round int) *graph.Graph
@@ -140,10 +159,10 @@ type Transport interface {
 	// Remote reports whether node id runs in another engine; asked once
 	// per node before round 1.
 	Remote(id ids.NodeID) bool
-	// Exchange runs between route and deliver. out holds the round's
-	// admitted sends to remote nodes, by recipient and then sender-major;
-	// Exchange returns the round's sends from remote nodes to this
-	// engine's, each sender's in send order. Both need stay valid only
+	// Exchange runs between emit and deliver. out holds the round's
+	// admitted messages to remote nodes, one per recipient, by recipient
+	// and then sender-major; Exchange returns the round's messages from
+	// remote nodes to this engine's, each sender's in send order. Both need stay valid only
 	// until the round's delivery ends. An error ends the run.
 	Exchange(round int, out []Envelope) ([]Envelope, error)
 }
@@ -175,21 +194,22 @@ type Config struct {
 	// Seed drives the per-recipient delivery-order shuffle, making runs
 	// reproducible while avoiding sender-ID-ordered delivery artifacts.
 	Seed int64
-	// Workers caps the engine's intra-run parallelism (emit and deliver
-	// blocks, route stripes): 0 means GOMAXPROCS, 1 runs every phase inline
-	// on the caller's goroutine, negative is invalid. Worker count never
-	// changes results — routing is sender-striped and merged in
-	// sender-major order, emit and deliver touch each node from exactly one
-	// goroutine — so schedulers (internal/exp, internal/dynamic) are free
-	// to split one machine budget between concurrent trials or epochs and
-	// each one's engine.
+	// Workers caps the engine's intra-run parallelism (the blocks of
+	// senders the emit phase meters, and of recipients the deliver phase
+	// pulls inboxes for): 0 means GOMAXPROCS, 1 runs every phase inline on
+	// the caller's goroutine, negative is invalid. Worker count never
+	// changes results — each phase touches each node from exactly one
+	// goroutine, and an inbox is pulled in sender order whoever pulls it —
+	// so schedulers (internal/exp, internal/dynamic) are free to split one
+	// machine budget between concurrent trials or epochs and each one's
+	// engine.
 	Workers int
 	// FullHorizon disables quiescence early exit: all Rounds rounds run
 	// even when every node is quiescent. Results are identical either
 	// way (the skipped rounds are provably silent); the knob exists for
 	// the equivalence tests.
 	FullHorizon bool
-	// LossRate drops each routed message independently with the given
+	// LossRate drops each admitted message independently with the given
 	// probability (0 = reliable channels, the paper's model). Message
 	// loss violates NECTAR's channel assumption and exists to reproduce
 	// the baselines' robustness claims (MindTheGap tolerates 40% loss,
@@ -215,12 +235,13 @@ type Metrics struct {
 	// BytesSent[i] is the total bytes sent by node i (payload + overhead),
 	// counted once per destination (true unicast bytes on the wire).
 	BytesSent []int64
-	// BytesBroadcast[i] charges each multicast of node i once — consecutive
-	// sends of one buffer (Protocol) — however many neighbors receive it:
+	// BytesBroadcast[i] charges each multicast of node i once — one Send
+	// (Protocol) — however many neighbors receive it:
 	// the multicast accounting of the paper's salticidae-based prototype,
 	// which its "data sent per node" figures reflect (see DESIGN.md §5).
 	BytesBroadcast []int64
-	// MsgsSent[i] is the number of messages sent by node i.
+	// MsgsSent[i] is the number of messages sent by node i: one per
+	// admitted listing of each Send.
 	MsgsSent []int64
 	// MsgsDelivered[i] is the number of messages delivered to node i.
 	MsgsDelivered []int64
@@ -246,39 +267,25 @@ type Metrics struct {
 	ActiveRounds int
 }
 
-// delivery is a queued message awaiting Deliver.
+// delivery is a message in a recipient's inbox awaiting Deliver.
 type delivery struct {
 	from ids.NodeID
 	data []byte
 }
 
-// routeShard is one worker's staged deliveries for every recipient.
-// Shards persist across rounds (buffers are truncated, not reallocated) to
-// keep GC pressure flat on large graphs, and across runs as part of the
-// recycled staging (pool.go).
-type routeShard struct {
-	inbox [][]delivery // per-recipient staged messages, sender-major
+// worker is one worker's private state: the counters that would otherwise
+// contend, the inbox it pulls each recipient's messages into, and the
+// positions of that recipient in the sender's current list. Per-sender
+// metric rows need no worker — each sender is metered by one.
+type worker struct {
+	inbox                []delivery
+	at                   []int
+	bytes, nonEdge, lost int64
 }
 
-// meter is one worker's private metering state: the current sender's
-// multicast run and the scalar counters that would otherwise contend.
-// Per-sender metric arrays need no shard — sender stripes are disjoint.
-type meter struct {
-	// last is the payload of the current sender's previous metered send
-	// this round: a send of the same buffer continues its multicast and is
-	// not charged to BytesBroadcast again (Protocol).
-	last []byte
-	// sent, msgs and bcast are the current sender's BytesSent, MsgsSent
-	// and BytesBroadcast, added to its metric rows once it is routed.
-	sent, msgs, bcast int64
-	bytesThisRound    int64
-	droppedNonEdge    int64
-	droppedLoss       int64
-}
-
-// engine holds one run's state. The embedded staging — buffers and worker
-// count — is borrowed from the package free list for the duration of the
-// run (pool.go).
+// engine holds one run's state. The embedded staging — outboxes and
+// workers — is borrowed from the package free list for the duration of
+// the run (pool.go).
 type engine struct {
 	*staging
 	cfg       Config
@@ -298,9 +305,10 @@ type engine struct {
 	// ascending node order. Nil when cfg.Tracer is nil.
 	evidence []EvidenceSource
 	// remote[i] marks the nodes cfg.Transport runs elsewhere; sent is the
-	// round's sends to them. Both nil without a transport.
-	remote []bool
-	sent   []Envelope
+	// round's messages to them, and recv what the transport returned,
+	// sorted by recipient. All nil without a transport.
+	remote     []bool
+	sent, recv []Envelope
 }
 
 // Run drives nodes through cfg.Rounds synchronous rounds and returns the
@@ -332,12 +340,7 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 	if cfg.Workers > 0 {
 		workers = cfg.Workers
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, n))
 	st := acquireStaging(n, workers)
 	defer st.release()
 	e := &engine{
@@ -400,7 +403,11 @@ func (e *engine) run() error {
 	}
 	for r := 1; r <= e.cfg.Rounds; r++ {
 		if nextChange > 0 && r >= nextChange {
-			e.g = e.cfg.Topology.GraphFor(r)
+			// The pull walks the new graph's lists: it must be one over
+			// the run's n vertices.
+			if e.g = e.cfg.Topology.GraphFor(r); e.g == nil || e.g.N() != e.n {
+				return fmt.Errorf("rounds: round %d topology is not a %d-vertex graph", r, e.n)
+			}
 			nextChange = e.cfg.Topology.NextChange(r)
 			if e.cfg.Tracer != nil {
 				e.cfg.Tracer.Emit(obs.Event{Type: obs.EvTopoSwap, Round: r})
@@ -417,50 +424,48 @@ func (e *engine) run() error {
 		if e.cfg.Tracer != nil {
 			e.cfg.Tracer.Emit(obs.Event{Type: obs.EvRoundStart, Round: r})
 		}
-		// Phase 1: every node emits its round-r messages (in parallel —
-		// nodes are independent state machines; workers claim blocks, so a
-		// run of busy relays does not land on one of them).
-		parallelBlocks(e.n, e.workers, func(_, lo, hi int) {
+		// Phase 1: every node emits its round-r messages and is metered
+		// as their sender (in parallel — nodes are independent state
+		// machines and each sender's metric row is its own; workers claim
+		// blocks, so a run of busy relays does not land on one of them).
+		parallelBlocks(e.n, e.used, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//nectar:allow-bufretain the engine is the consuming side of the contract; outboxes are read only until this round's delivery phase ends
 				e.outboxes[i] = e.nodes[i].Emit(r)
+				e.meter(e.workers[w], i)
 			}
 		})
-
-		// Phase 2: route. Each worker owns a contiguous sender stripe, so
-		// per-sender metric rows are contention-free and staged inboxes
-		// concatenate back to sender-major order — the one phase whose
-		// result is defined by who handles which index, so it stays striped.
-		var dropNonEdge, dropLoss int64
-		parallelChunks(e.n, e.workers, func(w, lo, hi int) {
-			e.route(e.shards[w], e.meters[w], r, lo, hi)
-		})
-		for _, mt := range e.meters[:e.workers] {
-			e.m.BytesByRound[r-1] += mt.bytesThisRound
-			dropNonEdge += mt.droppedNonEdge
-			dropLoss += mt.droppedLoss
-			mt.bytesThisRound, mt.droppedNonEdge, mt.droppedLoss = 0, 0, 0
+		var dropNonEdge int64
+		for _, wk := range e.workers[:e.used] {
+			e.m.BytesByRound[r-1] += wk.bytes
+			dropNonEdge += wk.nonEdge
+			wk.bytes, wk.nonEdge = 0, 0
 		}
-		e.m.DroppedNonEdge += dropNonEdge
-		e.m.DroppedLoss += dropLoss
 		if e.remote != nil {
 			if err := e.exchange(r); err != nil {
 				return err
 			}
 		}
 
-		// Phase 3: merge + deliver. Each recipient's inbox is assembled
-		// from the worker shards in stripe order (restoring sender-major
-		// order), then shuffled with a round/recipient-specific seed so
-		// protocols cannot accidentally rely on sender-ordered delivery,
-		// yet runs stay reproducible. Recipients are claimed in blocks like
-		// emitters: the merge reads every shard whoever runs it, and the
-		// shuffle is seeded per recipient, so nothing depends on the claim.
-		parallelBlocks(e.n, e.workers, func(_, lo, hi int) {
+		// Phase 2: pull + deliver. Each recipient's inbox is pulled from
+		// its neighbours' outboxes in sender-major order, then shuffled
+		// with a round/recipient-specific seed so protocols cannot
+		// accidentally rely on sender-ordered delivery, yet runs stay
+		// reproducible. Recipients are claimed in blocks like emitters: the
+		// pull reads only outboxes, and the shuffle is seeded per
+		// recipient, so nothing depends on the claim.
+		parallelBlocks(e.n, e.used, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e.deliver(i, r)
+				e.deliver(e.workers[w], i, r)
 			}
 		})
+		var dropLoss int64
+		for _, wk := range e.workers[:e.used] {
+			dropLoss += wk.lost
+			wk.lost = 0
+		}
+		e.m.DroppedNonEdge += dropNonEdge
+		e.m.DroppedLoss += dropLoss
 
 		// Trace drain, scheduler goroutine only: per-recipient delivery
 		// counts in ascending node order, then discard and round-end
@@ -511,128 +516,167 @@ func (e *engine) run() error {
 	return nil
 }
 
-// route meters and stages the outboxes of senders [lo, hi) into sh.
-func (e *engine) route(sh *routeShard, mt *meter, round, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if len(e.outboxes[i]) == 0 {
-			// Quiescent sender (most nodes are silent on most rounds once
-			// discovery finishes).
-			e.outboxes[i] = nil
-			continue
-		}
-		mt.last = nil
-		for k, s := range e.outboxes[i] {
-			if e.admit(mt, round, i, k, s) {
-				sh.inbox[s.To] = append(sh.inbox[s.To], delivery{from: ids.NodeID(i), data: s.Data})
+// meter charges sender i's outbox to its metric rows: each Send once per
+// listing with a channel to BytesSent and MsgsSent, and once to
+// BytesBroadcast if it has any such listing. A listing without a channel —
+// a self-send, an unknown or non-neighbor recipient — is counted in
+// wk.nonEdge and nowhere else. The channel count is taken once per list:
+// the Sends of one outbox mostly share one.
+func (e *engine) meter(wk *worker, i int) {
+	from := ids.NodeID(i)
+	var list []ids.NodeID
+	admitted := 0
+	for _, s := range e.outboxes[i] {
+		if !sameList(s.To, list) {
+			list, admitted = s.To, 0
+			for _, to := range list {
+				if e.channel(from, to) {
+					admitted++
+				}
 			}
 		}
-		e.outboxes[i] = nil
-		e.m.BytesSent[i] += mt.sent
-		e.m.MsgsSent[i] += mt.msgs
-		e.m.BytesBroadcast[i] += mt.bcast
-		mt.bytesThisRound += mt.sent
-		mt.sent, mt.msgs, mt.bcast = 0, 0, 0
+		listed, a := len(s.To), admitted
+		if k := s.Skip - 1; k >= 0 && k < listed {
+			listed--
+			if e.channel(from, s.To[k]) {
+				a--
+			}
+		}
+		wk.nonEdge += int64(listed - a)
+		if a == 0 {
+			continue
+		}
+		size := int64(len(s.Data) + DefaultMsgOverhead)
+		e.m.BytesSent[i] += int64(a) * size
+		e.m.MsgsSent[i] += int64(a)
+		e.m.BytesBroadcast[i] += size
+		wk.bytes += int64(a) * size
 	}
 }
 
-// exchange moves the staged sends to remote recipients out through the
-// transport and stages what it returns in shard 0, from where deliver
-// sorts it into sender-major order.
+// channel reports whether a message from `from` to `to` has an edge to
+// travel on this round.
+func (e *engine) channel(from, to ids.NodeID) bool {
+	return to != from && int(to) < e.n && e.g.HasEdge(from, to)
+}
+
+// sameList reports whether a and b are one list: the same length and, when
+// not empty, the same first element.
+func sameList(a, b []ids.NodeID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// pull appends to inbox what sender i sends recipient j this round, in
+// send order: every listing of j in each of i's Sends but the one the
+// Send skips, less what Config.LossRate drops. Message k of i's
+// per-recipient expansion draws loss as k, whoever pulls it. The caller
+// has checked that i and j share an edge.
+func (e *engine) pull(inbox []delivery, wk *worker, round, i, j int) []delivery {
+	from, to := ids.NodeID(i), ids.NodeID(j)
+	var list []ids.NodeID
+	at := wk.at[:0]
+	k := 0 // the first listing of the current Send in i's expansion
+	for _, s := range e.outboxes[i] {
+		if !sameList(s.To, list) {
+			list, at = s.To, at[:0]
+			for p, x := range list {
+				if x == to {
+					at = append(at, p)
+				}
+			}
+		}
+		skip := s.Skip - 1
+		for _, p := range at {
+			if p == skip {
+				continue
+			}
+			if e.cfg.LossRate > 0 {
+				kp := k + p
+				if skip >= 0 && p > skip {
+					kp--
+				}
+				if lossDraw(e.cfg.Seed, round, i, kp) < e.cfg.LossRate {
+					wk.lost++
+					continue
+				}
+			}
+			inbox = append(inbox, delivery{from: from, data: s.Data})
+		}
+		k += len(s.To)
+		if skip >= 0 && skip < len(s.To) {
+			k--
+		}
+	}
+	if cap(at) != cap(wk.at) { // grown: keep it (a store per call costs a write barrier)
+		wk.at = at
+	}
+	return inbox
+}
+
+// exchange pulls the round's messages to remote recipients, hands them to
+// the transport, and keeps what it returns in e.recv, sorted by recipient
+// (stably: each sender's own order stays) for deliver.
 func (e *engine) exchange(round int) error {
-	out := e.sent[:0]
+	out, wk := e.sent[:0], e.workers[0]
 	for j, remote := range e.remote {
 		if !remote {
 			continue
 		}
-		for _, sh := range e.shards[:e.workers] {
-			for _, d := range sh.inbox[j] {
-				out = append(out, Envelope{From: d.from, To: ids.NodeID(j), Data: d.data})
-			}
-			e.marks[j] = max(e.marks[j], len(sh.inbox[j]))
-			sh.inbox[j] = sh.inbox[j][:0]
+		buf := wk.inbox[:0]
+		for _, i := range e.g.Neighbors(ids.NodeID(j)) {
+			buf = e.pull(buf, wk, round, int(i), j)
 		}
+		for _, d := range buf {
+			out = append(out, Envelope{From: d.from, To: ids.NodeID(j), Data: d.data})
+		}
+		wk.inbox = buf
 	}
 	e.sent = out
 	in, err := e.cfg.Transport.Exchange(round, out)
 	if err != nil {
 		return err
 	}
-	for _, env := range in {
-		e.shards[0].inbox[env.To] = append(e.shards[0].inbox[env.To], delivery{from: env.From, data: env.Data})
-	}
+	e.recv = append(e.recv[:0], in...)
+	slices.SortStableFunc(e.recv, func(a, b Envelope) int { return cmp.Compare(a.To, b.To) })
 	return nil
 }
 
-// admit applies the network's rules and the sender-side accounting to send
-// k of sender i's round outbox, and reports whether the message is to be
-// staged for delivery: not when no channel exists (self-send, unknown or
-// non-neighbor destination — unmetered), and not when it is lost to
-// Config.LossRate (metered as sent).
-func (e *engine) admit(mt *meter, round, i, k int, s Send) bool {
-	from := ids.NodeID(i)
-	if s.To == from || int(s.To) >= e.n || !e.g.HasEdge(from, s.To) {
-		mt.droppedNonEdge++
-		return false
+// deliver pulls recipient j's inbox into wk's buffer, shuffles it, and
+// delivers it. In a split run the pull skips remote recipients (their
+// inboxes went out in exchange), and a local one's envelopes are merged
+// in by sender, each after the local pull from its sender.
+func (e *engine) deliver(wk *worker, j, round int) {
+	if e.remote != nil && e.remote[j] {
+		return
 	}
-	size := int64(len(s.Data) + DefaultMsgOverhead)
-	mt.sent += size
-	mt.msgs++
-	// A send of the previous metered send's buffer — the same length and
-	// first byte address — continues its multicast (Protocol); an empty
-	// payload never does.
-	if len(s.Data) == 0 || len(mt.last) != len(s.Data) || &mt.last[0] != &s.Data[0] {
-		mt.bcast += size
-		mt.last = s.Data
-	}
-	if e.cfg.LossRate > 0 && lossDraw(e.cfg.Seed, round, i, k) < e.cfg.LossRate {
-		mt.droppedLoss++
-		return false
-	}
-	return true
-}
-
-// deliver merges recipient i's staged messages, shuffles, and delivers.
-// Only this call touches shard entry i and mark i, so truncating and
-// raising them here is safe. With one shard the merge is a swap: the
-// shard's buffer becomes the inbox and the last inbox's buffer takes the
-// next round's staging. If that buffer is too small for this inbox it is
-// replaced by one of the shard buffer's capacity, so the pair that trades
-// places grows together, in one step, rather than each by doubling in
-// the shard's role.
-func (e *engine) deliver(i, round int) {
-	var inbox []delivery
-	if e.workers == 1 {
-		sh := e.shards[0]
-		inbox = sh.inbox[i]
-		next := e.inboxes[i][:0]
-		if cap(next) < len(inbox) {
-			next = make([]delivery, 0, cap(inbox))
-		}
-		sh.inbox[i] = next
-	} else {
-		inbox = e.inboxes[i][:0]
-		for _, sh := range e.shards[:e.workers] {
-			inbox = append(inbox, sh.inbox[i]...)
-			sh.inbox[i] = sh.inbox[i][:0]
+	inbox := wk.inbox[:0]
+	for _, i := range e.g.Neighbors(ids.NodeID(j)) {
+		if len(e.outboxes[i]) > 0 {
+			inbox = e.pull(inbox, wk, round, int(i), j)
 		}
 	}
-	if e.remote != nil { // stable: each sender's own order stays
+	if e.remote != nil {
+		in := e.recv[sort.Search(len(e.recv), func(k int) bool { return e.recv[k].To >= ids.NodeID(j) }):]
+		for k := 0; k < len(in) && in[k].To == ids.NodeID(j); k++ {
+			inbox = append(inbox, delivery{from: in[k].From, data: in[k].Data})
+		}
 		slices.SortStableFunc(inbox, func(a, b delivery) int { return cmp.Compare(a.from, b.from) })
 	}
-	e.inboxes[i] = inbox
+	if cap(inbox) != cap(wk.inbox) {
+		wk.inbox = inbox
+	}
 	if len(inbox) == 0 {
 		return
 	}
-	e.marks[i] = max(e.marks[i], len(inbox))
 	if len(inbox) > 1 { // shuffling one message draws nothing
-		shuffleInbox(e.cfg.Seed^int64(round)<<20^int64(i), inbox)
+		shuffleInbox(e.cfg.Seed^int64(round)<<20^int64(j), inbox)
 	}
-	e.m.MsgsDelivered[i] += int64(len(inbox))
+	e.m.MsgsDelivered[j] += int64(len(inbox))
 	if e.traceDelivered != nil {
-		e.traceDelivered[i] = int64(len(inbox))
+		e.traceDelivered[j] = int64(len(inbox))
 	}
 	for _, d := range inbox {
-		e.nodes[i].Deliver(round, d.from, d.data)
+		e.nodes[j].Deliver(round, d.from, d.data)
 	}
 }
 
@@ -647,8 +691,9 @@ func (e *engine) allQuiescent() bool {
 }
 
 // lossDraw returns a deterministic uniform [0,1) draw for message k of
-// sender `from` in `round`. Hashing instead of a shared RNG stream keeps
-// loss decisions independent of routing parallelism and worker count.
+// sender `from`'s per-recipient expansion in `round`. Hashing instead of a
+// shared RNG stream keeps loss decisions independent of who pulls which
+// inbox and of the worker count.
 // Each input is mixed through the finalizer separately — packing them
 // into bit fields would alias once an outbox exceeds the field width.
 func lossDraw(seed int64, round, from, k int) float64 {
@@ -693,20 +738,6 @@ func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
 			}
 			fn(w, hi-block, min(hi, n))
 		}
-	})
-}
-
-// parallelChunks splits [0, n) into one contiguous chunk per worker and
-// runs fn(worker, lo, hi) concurrently. With one worker it runs inline
-// (no goroutines).
-func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 || n <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	workers = min(workers, n)
-	fanOut(workers, func(w int) {
-		fn(w, w*n/workers, (w+1)*n/workers)
 	})
 }
 

@@ -33,9 +33,7 @@ func newFloodNode(id ids.NodeID, g *graph.Graph, initial string) *floodNode {
 func (n *floodNode) Emit(round int) []Send {
 	var out []Send
 	for _, p := range n.pending {
-		for _, nb := range n.g.Neighbors(n.id) {
-			out = append(out, Send{To: nb, Data: []byte(p)})
-		}
+		out = append(out, Send{To: n.g.Neighbors(n.id), Data: []byte(p)})
 	}
 	n.pending = nil
 	return out
@@ -99,7 +97,7 @@ func TestFloodRespectsPartition(t *testing.T) {
 type rogueNode struct{ target ids.NodeID }
 
 func (r *rogueNode) Emit(round int) []Send {
-	return []Send{{To: r.target, Data: []byte("x")}}
+	return []Send{{To: []ids.NodeID{r.target}, Data: []byte("x")}}
 }
 func (r *rogueNode) Deliver(int, ids.NodeID, []byte) {}
 
@@ -242,11 +240,7 @@ type raceNode struct {
 func (r *raceNode) Emit(round int) []Send {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Send
-	for _, nb := range r.g.Neighbors(r.id) {
-		out = append(out, Send{To: nb, Data: []byte{byte(round)}})
-	}
-	return out
+	return []Send{{To: r.g.Neighbors(r.id), Data: []byte{byte(round)}}}
 }
 
 func (r *raceNode) Deliver(int, ids.NodeID, []byte) {
@@ -284,15 +278,11 @@ type multicastNode struct {
 }
 
 func (m *multicastNode) Emit(round int) []Send {
-	shared := []byte("shared-payload")
-	var out []Send
-	for _, nb := range m.g.Neighbors(m.id) {
-		out = append(out, Send{To: nb, Data: shared})
+	nbs := m.g.Neighbors(m.id)
+	return []Send{
+		{To: nbs, Data: []byte("shared-payload")},
+		{To: nbs[:1], Data: []byte("unique")},
 	}
-	if nbs := m.g.Neighbors(m.id); len(nbs) > 0 {
-		out = append(out, Send{To: nbs[0], Data: []byte("unique")})
-	}
-	return out
 }
 
 func (m *multicastNode) Deliver(int, ids.NodeID, []byte) {}
@@ -528,5 +518,31 @@ func TestParallelBlocksCoverEveryIndexOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRepeatedListingIsTwoMessages pins what a recipient listed twice in
+// one Send gets: two messages, metered as two and delivered twice, while
+// the Send stays one multicast; a Skip leaves out only the listing it
+// names.
+func TestRepeatedListingIsTwoMessages(t *testing.T) {
+	g := topology.Star(3) // centre 0, leaves 1 and 2
+	sinks := []*silentNode{{}, {}}
+	payload := []byte("twice")
+	sender := &scriptedNode{sends: []Send{
+		{To: []ids.NodeID{1, 2, 1}, Data: payload},
+		{To: []ids.NodeID{1, 2, 1}, Skip: 3, Data: payload},
+	}}
+	m, err := Run(Config{Graph: g, Rounds: 1, Seed: 1}, []Protocol{sender, sinks[0], sinks[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(payload) + DefaultMsgOverhead)
+	if sinks[0].got != 3 || sinks[1].got != 2 {
+		t.Errorf("deliveries %d and %d, want 3 and 2", sinks[0].got, sinks[1].got)
+	}
+	if m.MsgsSent[0] != 5 || m.BytesSent[0] != 5*size || m.BytesBroadcast[0] != 2*size {
+		t.Errorf("MsgsSent %d, BytesSent %d, BytesBroadcast %d; want 5, %d, %d",
+			m.MsgsSent[0], m.BytesSent[0], m.BytesBroadcast[0], 5*size, 2*size)
 	}
 }

@@ -90,7 +90,7 @@ type Config struct {
 // engine's rounds.Metrics entries for the local node: a send to a downed
 // neighbor is metered as sent, like a message lost to rounds.Config.LossRate,
 // and a send that is not to a neighbor counts in DroppedNonEdge.
-// BytesBroadcast charges consecutive sends of one buffer once (DESIGN.md §5).
+// BytesBroadcast charges each multicast (one rounds.Send) once (DESIGN.md §5).
 type Stats struct {
 	BytesSent      int64
 	BytesBroadcast int64

@@ -177,7 +177,7 @@ func TestDialFailureSurfacesError(t *testing.T) {
 type chatty struct{ to ids.NodeID }
 
 func (c chatty) Emit(int) []rounds.Send {
-	return []rounds.Send{{To: c.to, Data: []byte("ping")}}
+	return []rounds.Send{{To: []ids.NodeID{c.to}, Data: []byte("ping")}}
 }
 func (chatty) Deliver(int, ids.NodeID, []byte) {}
 

@@ -63,8 +63,8 @@ type SimulationResult struct {
 	// partition (unreachable nodes).
 	Confirmed bool
 	// BytesSent / BytesBroadcast meter every node's traffic: once per
-	// destination, and once per multicast — consecutive sends of one
-	// buffer (DESIGN.md §5).
+	// destination, and once per multicast — one rounds.Send (DESIGN.md
+	// §5).
 	BytesSent      []int64
 	BytesBroadcast []int64
 	// Rounds is the configured round horizon (n-1 unless overridden).
