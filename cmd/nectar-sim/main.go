@@ -96,11 +96,11 @@ func run(args []string) error {
 
 	byz, err := cliutil.ParseNodeList(*byzList)
 	if err != nil {
-		return err
+		return fmt.Errorf("-byz: %w", err)
 	}
 	blocked, err := cliutil.ParseNodeList(*blockedList)
 	if err != nil {
-		return err
+		return fmt.Errorf("-blocked: %w", err)
 	}
 	// Fail fast on a typo'd behavior, naming the valid ones, before any
 	// topology or crypto setup runs.
@@ -205,7 +205,7 @@ func run(args []string) error {
 	fmt.Printf("traffic       %.1f KB total, %.1f KB/node (unicast)\n",
 		float64(total)/1000, float64(total)/1000/float64(g.N()))
 	if checks := res.VerifyCacheHits + res.VerifyCacheMisses; checks > 0 {
-		fmt.Printf("fast path     %.0f%% of message checks from the memo (%d/%d), %d lazy discards, %d shared decisions\n",
+		fmt.Printf("fast path     %.0f%% of signature checks without Verify (%d/%d), %d lazy discards, %d shared decisions\n",
 			100*float64(res.VerifyCacheHits)/float64(checks),
 			res.VerifyCacheHits, checks, res.LazyDiscards, res.DecideCacheHits)
 	}

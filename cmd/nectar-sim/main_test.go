@@ -61,6 +61,8 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-topo", "harary", "-k", "10", "-n", "5"}, ""},
 		{[]string{"-byz", "zzz"}, ""},
 		{[]string{"-blocked", "1,bad"}, ""},
+		{[]string{"-topo", "ring", "-n", "5", "-byz", "1,1", "-t", "2"}, "-byz: node id 1 listed twice"},
+		{[]string{"-topo", "star", "-n", "9", "-byz", "0", "-behavior", "splitbrain", "-blocked", "5,6,5"}, "-blocked: node id 5 listed twice"},
 		{[]string{"-topo", "ring", "-n", "6", "-t", "1", "-byz", "1,2"}, ""}, // 2 byz > t
 		{[]string{"-topo", "ring", "-n", "6", "-scheme", "nosuch"}, ""},
 		{[]string{"-topo", "ring", "-n", "6", "-scheme", "insecure"}, `unknown scheme "insecure" (valid: ed25519, hmac, slim)`},

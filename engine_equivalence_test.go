@@ -1,6 +1,6 @@
 package nectar
 
-// Equivalence properties: quiescence early exit, the verification memo, the
+// Equivalence properties: quiescence early exit, the verification cache, the
 // duplicate-first check order and parallel routing are pure wall-clock
 // optimizations — for every seeded scenario the decisions, outcomes, and
 // per-node byte counts must be byte-identical to the references they
@@ -134,18 +134,18 @@ type referenceRow struct {
 	// fastPath: the fast-path counters must match too — only the rows
 	// that change nothing but the schedule keep them.
 	fastPath bool
-	// wantHits: the row's memo must actually fire, not silently no-op.
+	// wantHits: the row's verification cache must actually fire, not silently no-op.
 	wantHits bool
 }
 
 // equivalenceRows are the references of the root matrix. The default is
-// Simulate's production path: quiescence early exit, the verification memo,
+// Simulate's production path: quiescence early exit, the verification cache,
 // duplicates discarded before any signature work, GOMAXPROCS engine
 // workers. Every row must match it in all assertSimEquivalent compares.
 var equivalenceRows = []referenceRow{
 	{name: "full-horizon", mut: func(c *SimulationConfig) { c.fullHorizon = true },
 		seeds: []int64{1, 7, 42}, fullHorizon: true, wantHits: true},
-	// The literal Alg. 1 check order and the memo-less reference (§2, §9);
+	// The literal Alg. 1 check order and the cache-less reference (§2, §9);
 	// uncached+paranoid is the slowest, most literal run.
 	{name: "paranoid", mut: func(c *SimulationConfig) { c.paranoidVerify = true },
 		seeds: []int64{1, 7}, wantHits: true},
@@ -153,7 +153,7 @@ var equivalenceRows = []referenceRow{
 		seeds: []int64{1, 7}},
 	{name: "uncached+paranoid", mut: func(c *SimulationConfig) { c.noVerifyCache = true; c.paranoidVerify = true },
 		seeds: []int64{1, 7}},
-	// The memo's accounting is a function of the run, not of the schedule.
+	// The cache's accounting is a function of the run, not of the schedule.
 	{name: "workers-1", mut: func(c *SimulationConfig) { c.Workers = 1 },
 		seeds: []int64{1, 7}, fastPath: true, wantHits: true},
 	{name: "workers-2", mut: func(c *SimulationConfig) { c.Workers = 2 },
@@ -169,7 +169,7 @@ func TestEngineV2EquivalenceProperty(t *testing.T) {
 	checkReferences(t, true)
 }
 
-// TestVerifyCacheEquivalenceProperty: the verification memo, the lazy
+// TestVerifyCacheEquivalenceProperty: the verification cache, the lazy
 // header-first decode, the duplicate-first check order and parallel routing
 // are pure wall-clock optimizations — the default run is byte-identical to
 // every other row of equivalenceRows across the whole scenario matrix.
@@ -232,9 +232,9 @@ func checkReferences(t *testing.T, fullHorizon bool) {
 	}
 }
 
-// TestVerifyCacheFollowsTheScheme: the memo is consulted only when the
+// TestVerifyCacheFollowsTheScheme: the cache is consulted only when the
 // scheme's signatures bind the message (DESIGN.md §9) — decided from the
-// scheme, not from a knob. The unbound slim scheme makes zero lookups and
+// scheme, not from a knob. The unbound slim scheme makes zero cache checks and
 // matches its uncached run byte for byte; the real schemes still hit.
 func TestVerifyCacheFollowsTheScheme(t *testing.T) {
 	for _, scheme := range []string{"ed25519", "hmac", "slim"} {
@@ -248,11 +248,11 @@ func TestVerifyCacheFollowsTheScheme(t *testing.T) {
 		switch scheme {
 		case "slim":
 			if lookups != 0 {
-				t.Errorf("%s: %d memo lookups, want 0", scheme, lookups)
+				t.Errorf("%s: %d cache checks, want 0", scheme, lookups)
 			}
 		default:
 			if got.VerifyCacheHits == 0 || got.VerifyCacheMisses == 0 {
-				t.Errorf("%s: memo stats %d/%d, want hits and misses", scheme, got.VerifyCacheHits, got.VerifyCacheMisses)
+				t.Errorf("%s: cache stats %d/%d, want hits and misses", scheme, got.VerifyCacheHits, got.VerifyCacheMisses)
 			}
 		}
 		cfg.noVerifyCache = true

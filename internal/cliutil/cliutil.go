@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -93,7 +94,8 @@ func (t *TopologyFlags) Build(rng *rand.Rand) (*graph.Graph, error) {
 	return nil, fmt.Errorf("unknown topology %q (valid: %s)", t.Kind, strings.Join(TopologyKinds(), ", "))
 }
 
-// ParseNodeList parses "1,4,7" into node IDs.
+// ParseNodeList parses "1,4,7" into node IDs. A repeated ID is an error:
+// a list names a set of nodes, and "1,1" is a typo for two of them.
 func ParseNodeList(s string) ([]ids.NodeID, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -104,6 +106,9 @@ func ParseNodeList(s string) ([]ids.NodeID, error) {
 		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("bad node id %q: %w", p, err)
+		}
+		if slices.Contains(out, ids.NodeID(v)) {
+			return nil, fmt.Errorf("node id %d listed twice", v)
 		}
 		out = append(out, ids.NodeID(v))
 	}

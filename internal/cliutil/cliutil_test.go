@@ -103,4 +103,7 @@ func TestParseNodeList(t *testing.T) {
 	if _, err := ParseNodeList("-3"); err == nil {
 		t.Error("negative accepted")
 	}
+	if _, err := ParseNodeList("2, 5,2"); err == nil || !strings.Contains(err.Error(), "2") {
+		t.Errorf("repeated id: %v, want an error naming 2", err)
+	}
 }

@@ -1,5 +1,5 @@
 // Package freelist is the free list behind the run-lifetime recycling of
-// DESIGN.md §9 (the engine's staging, the verify memo's stores): a few hot
+// DESIGN.md §9 (the engine's staging, the verification cache's stores): a few hot
 // slots over a sync.Pool. A released item parks in the first empty slot,
 // where the next acquire finds it from whichever goroutine and P it runs
 // on; the pool is reached only when more items are idle at once than there

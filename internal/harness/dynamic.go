@@ -128,7 +128,7 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 // topology — SimulateDynamic's and RunDynamic's — and the release its caller
 // defers. Each epoch is a fresh BuildNectar of cfg on the epoch's graph,
 // absent set and seed, under the scheme schemeName (which the caller has
-// checked) keyed by that seed: a verification memo must never outlive its
+// checked) keyed by that seed: a verification cache must never outlive its
 // key set. Finish decides through one decision memo for the whole run (the
 // predicate is scheme-independent), with kappa_eval events to tr, and hands
 // the outcomes to decided when it is non-nil. release frees what a failed

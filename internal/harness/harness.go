@@ -36,8 +36,6 @@ type Spec struct {
 	// Rounds overrides the protocol horizon (0 = n-1 rounds; the epoch
 	// for the baselines).
 	Rounds int
-	// Fanout is the per-round gossip fanout of the baselines (0 = 1).
-	Fanout int
 	// Jobs is the spec's total parallelism budget, split between
 	// trial-level workers and each trial's engine workers (DESIGN.md
 	// §10): trials win while there are enough of them to fill the
@@ -52,7 +50,7 @@ type Spec struct {
 
 	// fullHorizon runs every trial through all rounds instead of exiting
 	// once the nodes go quiescent (DESIGN.md §6), and noVerifyCache runs
-	// NECTAR trials without the per-trial message-check memo (§9): the
+	// NECTAR trials without the per-trial boards and proof ledger (§9): the
 	// references this package's tests compare the default against.
 	fullHorizon, noVerifyCache bool
 }
@@ -105,7 +103,7 @@ type Trial struct {
 	// (equal to Rounds when no early exit happened).
 	Rounds       int
 	ActiveRounds int
-	// FastPath groups the trial's fast-path counters (memo
+	// FastPath groups the trial's fast-path counters (verify-cache
 	// hits/misses, lazy header-only discards, decide-cache hits — NECTAR
 	// only, zero for baselines; see DESIGN.md §9, §12). Embedded, so the
 	// fields promote and the trial's JSON checkpoint encoding stays flat.

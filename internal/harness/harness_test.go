@@ -451,7 +451,7 @@ func TestCutPlacementFallsBackToRandom(t *testing.T) {
 	}
 }
 
-// TestVerifyCacheMatchesUncachedTrials: the per-trial verification memo is
+// TestVerifyCacheMatchesUncachedTrials: the per-trial verification cache is
 // a pure wall-clock optimization — every protocol's trials must score and
 // meter identically against the uncached reference run.
 func TestVerifyCacheMatchesUncachedTrials(t *testing.T) {

@@ -26,9 +26,9 @@ func NewRunner(spec Spec) (exp.TrialRunner, error) {
 	// they never change results, so a checkpoint stays valid across them.
 	// Scenario is a function and cannot be fingerprinted — the plan key
 	// owns scenario identity (DESIGN.md §10).
-	fp := fmt.Sprintf("static|%s|%s|%s|t=%d|trials=%d|seed=%d|scheme=%s|rounds=%d|fanout=%d|loss=%g",
+	fp := fmt.Sprintf("static|%s|%s|%s|t=%d|trials=%d|seed=%d|scheme=%s|rounds=%d|loss=%g",
 		s.Name, s.Protocol, s.Attack, s.T, s.Trials, s.Seed, s.SchemeName,
-		s.Rounds, s.Fanout, s.LossRate)
+		s.Rounds, s.LossRate)
 	return exp.NewRunner(fp, s.Trials, func(i int) int64 { return trialSeedOf(s.Seed, i) },
 		func(i, engineWorkers int) (Trial, error) { return runTrial(s, i, engineWorkers) },
 		func(trials []Trial) *Result { return aggregate(spec, trials) }), nil

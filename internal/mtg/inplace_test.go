@@ -16,44 +16,37 @@ import (
 
 // refPick is gossip-partner selection by a fresh rand.Perm per round: what
 // partners.pick must reproduce draw for draw.
-func refPick(rng *rand.Rand, neighbors []ids.NodeID, fanout int) []ids.NodeID {
-	if fanout >= len(neighbors) {
+func refPick(rng *rand.Rand, neighbors []ids.NodeID) []ids.NodeID {
+	if len(neighbors) <= 1 {
 		return neighbors
 	}
-	perm := rng.Perm(len(neighbors))
-	out := make([]ids.NodeID, fanout)
-	for i := range out {
-		out[i] = neighbors[perm[i]]
-	}
-	return out
+	return []ids.NodeID{neighbors[rng.Perm(len(neighbors))[0]]}
 }
 
-// TestPartnersMatchRandPerm: the in-place draw picks the partners a fresh
+// TestPartnersMatchRandPerm: the in-place draw picks the partner a fresh
 // rand.Perm would, round after round, and leaves the RNG where Perm leaves
 // it.
 func TestPartnersMatchRandPerm(t *testing.T) {
-	for k := 1; k <= 40; k++ {
+	for k := 0; k <= 40; k++ {
 		neighbors := make([]ids.NodeID, k)
 		for i := range neighbors {
 			neighbors[i] = ids.NodeID(3 * i) // positions and IDs differ
 		}
-		for _, fanout := range []int{1, 2, k - 1, k, k + 1} {
-			seed := int64(1000*k + fanout)
-			p := newPartners(seed, 7, k, fanout)
-			ref := rand.New(rand.NewSource(seed ^ 7<<32))
-			for round := 0; round < 3; round++ {
-				want := refPick(ref, neighbors, fanout)
-				got := make([]ids.NodeID, 0, len(want))
-				for _, pos := range p.pick() {
-					got = append(got, neighbors[pos])
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("k=%d fanout=%d round %d: picked %v, rand.Perm picks %v", k, fanout, round, got, want)
-				}
+		seed := int64(1000 * k)
+		p := newPartners(seed, 7, k)
+		ref := rand.New(rand.NewSource(seed ^ 7<<32))
+		for round := 0; round < 3; round++ {
+			want := refPick(ref, neighbors)
+			var got []ids.NodeID
+			if pos := p.pick(); pos >= 0 {
+				got = append(got, neighbors[pos])
 			}
-			if a, b := p.rng.Int63(), ref.Int63(); a != b {
-				t.Fatalf("k=%d fanout=%d: next draw %d, rand.Perm's stream gives %d", k, fanout, a, b)
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d round %d: picked %v, rand.Perm picks %v", k, round, got, want)
 			}
+		}
+		if a, b := p.rng.Int63(), ref.Int63(); a != b {
+			t.Fatalf("k=%d: next draw %d, rand.Perm's stream gives %d", k, a, b)
 		}
 	}
 }
@@ -82,9 +75,6 @@ func expand(sends []rounds.Send) []rounds.Send {
 }
 
 func newRefV2(cfg ConfigV2) *refV2 {
-	if cfg.Fanout == 0 {
-		cfg.Fanout = 1
-	}
 	return &refV2{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Me)<<32)),
@@ -96,7 +86,7 @@ func newRefV2(cfg ConfigV2) *refV2 {
 
 func (r *refV2) emit() []rounds.Send {
 	var out []rounds.Send
-	for _, to := range refPick(r.rng, r.cfg.Neighbors, r.cfg.Fanout) {
+	for _, to := range refPick(r.rng, r.cfg.Neighbors) {
 		from := r.sent[to]
 		if from >= len(r.order) {
 			continue
@@ -164,12 +154,11 @@ func TestNodeV2MatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		g      *graph.Graph
-		fanout int
 		scheme sig.Scheme
 	}{
-		{"ring/hmac", ring, 1, sig.NewHMAC(9, 2)},
-		{"harary/hmac/fanout=2", harary, 2, sig.NewHMAC(12, 2)},
-		{"harary/ed25519/fanout=all", harary, 5, sig.NewEd25519(12, 2)},
+		{"ring/hmac", ring, sig.NewHMAC(9, 2)},
+		{"harary/hmac", harary, sig.NewHMAC(12, 2)},
+		{"harary/ed25519", harary, sig.NewEd25519(12, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.g.N()
@@ -178,7 +167,7 @@ func TestNodeV2MatchesReference(t *testing.T) {
 				cfg := ConfigV2{
 					N: n, Me: ids.NodeID(i), Neighbors: tc.g.Neighbors(ids.NodeID(i)),
 					Signer: tc.scheme.SignerFor(ids.NodeID(i)), Verifier: tc.scheme.Verifier(),
-					Fanout: tc.fanout, Seed: 5,
+					Seed: 5,
 				}
 				if nodes[i], err = NewNodeV2(cfg); err != nil {
 					t.Fatal(err)
@@ -248,7 +237,7 @@ func TestWarmBaselinesAllocateNothing(t *testing.T) {
 	v2 := func(me ids.NodeID, nbrs ...ids.NodeID) *NodeV2 {
 		nd, err := NewNodeV2(ConfigV2{
 			N: 4, Me: me, Neighbors: nbrs, Signer: scheme.SignerFor(me),
-			Verifier: scheme.Verifier(), Fanout: 3, Seed: 1,
+			Verifier: scheme.Verifier(), Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -269,8 +258,8 @@ func TestWarmBaselinesAllocateNothing(t *testing.T) {
 	}
 	round := func() {
 		clear(x.sent) // resend everything: a full re-encode into warm buffers
-		if out := x.Emit(2); len(out) != 1 || len(out[0].To) != 3 {
-			t.Fatal("fixture broken: no batch for all three partners")
+		if out := x.Emit(2); len(out) != 1 || len(out[0].To) != 1 {
+			t.Fatal("fixture broken: no batch for the round's partner")
 		}
 		y.Deliver(2, 0, batch)
 	}

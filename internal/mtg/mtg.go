@@ -53,10 +53,6 @@ type Config struct {
 	// All nodes must agree on the geometry (static configuration).
 	FilterBits   int
 	FilterHashes int
-	// Fanout is the number of gossip partners per round (0 = 1). The
-	// constant per-round fanout is what makes MtG's network cost
-	// independent of topology, d and radius (Fig. 4).
-	Fanout int
 	// Seed drives gossip partner selection.
 	Seed int64
 }
@@ -66,11 +62,9 @@ type Node struct {
 	cfg      Config
 	filter   *bloom.Filter
 	partners partners
-	// payload, to and sendBuf hold the round's encoded filter, partners
-	// and send; all are reused every round (the rounds.Protocol buffer
-	// contract).
+	// payload and sendBuf hold the round's encoded filter and send; both
+	// are reused every round (the rounds.Protocol buffer contract).
 	payload []byte
-	to      []ids.NodeID
 	sendBuf []rounds.Send
 }
 
@@ -87,16 +81,10 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.FilterHashes == 0 {
 		cfg.FilterHashes = DefaultFilterHashes
 	}
-	if cfg.Fanout == 0 {
-		cfg.Fanout = 1
-	}
-	if cfg.Fanout < 0 {
-		return nil, fmt.Errorf("mtg: negative fanout %d", cfg.Fanout)
-	}
 	n := &Node{
 		cfg:      cfg,
 		filter:   bloom.New(cfg.FilterBits, cfg.FilterHashes),
-		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors), cfg.Fanout),
+		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors)),
 	}
 	n.payload = make([]byte, 0, n.filter.ByteSize())
 	n.filter.Add(cfg.Me)
@@ -104,18 +92,16 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Emit implements rounds.Protocol: each round the node sends its current
-// filter to Fanout randomly chosen neighbors, as one multicast.
+// filter to one randomly chosen neighbor. The one partner per round is
+// what makes MtG's network cost independent of topology, d and radius
+// (Fig. 4).
 func (n *Node) Emit(round int) []rounds.Send {
-	picks := n.partners.pick()
-	if len(picks) == 0 {
+	k := n.partners.pick()
+	if k < 0 {
 		return nil
 	}
 	n.payload = n.filter.AppendBinary(n.payload[:0])
-	n.to = n.to[:0]
-	for _, k := range picks {
-		n.to = append(n.to, n.cfg.Neighbors[k])
-	}
-	n.sendBuf = append(n.sendBuf[:0], rounds.Send{To: n.to, Data: n.payload})
+	n.sendBuf = append(n.sendBuf[:0], rounds.Send{To: n.cfg.Neighbors[k : k+1 : k+1], Data: n.payload})
 	return n.sendBuf
 }
 
@@ -165,35 +151,33 @@ func validateBase(n int, me ids.NodeID, neighbors []ids.NodeID) error {
 	return nil
 }
 
-// partners draws a node's gossip partners as positions in its neighbor
-// list, into a scratch reused every round. It makes exactly the Intn draws
-// rand.Perm(degree) makes, so a node's RNG stream — and with it every later
-// pick — is what a fresh permutation per round would give.
+// partners draws a node's gossip partner each round as a position in its
+// neighbor list: the first element of a permutation drawn into a scratch
+// reused every round. It makes exactly the Intn draws rand.Perm(degree)
+// makes, so a node's RNG stream — and with it every later pick — is what a
+// fresh permutation per round would give.
 type partners struct {
-	rng    *rand.Rand
-	fanout int
-	perm   []int
+	rng  *rand.Rand
+	perm []int
 }
 
-func newPartners(seed int64, me ids.NodeID, degree, fanout int) partners {
-	p := partners{rng: rand.New(rand.NewSource(seed ^ int64(me)<<32)), fanout: fanout, perm: make([]int, degree)}
-	for i := range p.perm {
-		p.perm[i] = i // what pick returns when the fanout covers the neighborhood
-	}
-	return p
+func newPartners(seed int64, me ids.NodeID, degree int) partners {
+	return partners{rng: rand.New(rand.NewSource(seed ^ int64(me)<<32)), perm: make([]int, degree)}
 }
 
-// pick returns min(fanout, degree) distinct neighbor positions, valid until
-// the next pick. When the fanout covers the neighborhood that is every
-// position in order, and nothing is drawn.
-func (p *partners) pick() []int {
-	if p.fanout >= len(p.perm) {
-		return p.perm
+// pick returns this round's partner, or -1 for a node without neighbors. A
+// node with one neighbor picks it without a draw.
+func (p *partners) pick() int {
+	switch len(p.perm) {
+	case 0:
+		return -1
+	case 1:
+		return 0
 	}
 	for i := range p.perm { // rand.Perm, in place
 		j := p.rng.Intn(i + 1)
 		p.perm[i] = p.perm[j]
 		p.perm[j] = i
 	}
-	return p.perm[:p.fanout]
+	return p.perm[0]
 }

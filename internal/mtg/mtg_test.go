@@ -12,7 +12,7 @@ import (
 )
 
 // runMtG drives an all-correct MtG epoch over g.
-func runMtG(t *testing.T, g *graph.Graph, epoch int, fanout int) ([]*Node, *rounds.Metrics) {
+func runMtG(t *testing.T, g *graph.Graph, epoch int) ([]*Node, *rounds.Metrics) {
 	t.Helper()
 	nodes := make([]*Node, g.N())
 	protos := make([]rounds.Protocol, g.N())
@@ -20,7 +20,7 @@ func runMtG(t *testing.T, g *graph.Graph, epoch int, fanout int) ([]*Node, *roun
 		nd, err := NewNode(Config{
 			N: g.N(), Me: ids.NodeID(i),
 			Neighbors: append([]ids.NodeID(nil), g.Neighbors(ids.NodeID(i))...),
-			Fanout:    fanout, Seed: 7,
+			Seed:      7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +39,7 @@ func TestMtGConvergesOnConnectedGraph(t *testing.T) {
 	g := topology.Ring(12)
 	// Fanout-1 gossip on a ring needs a generous epoch to mix; 4n is
 	// plenty for n=12.
-	nodes, _ := runMtG(t, g, 48, 1)
+	nodes, _ := runMtG(t, g, 48)
 	for i, nd := range nodes {
 		out := nd.Decide()
 		if out.Partitioned {
@@ -58,7 +58,7 @@ func TestMtGDetectsPartition(t *testing.T) {
 		g.AddEdge(ids.NodeID(i), ids.NodeID(i+1))
 	}
 	g.AddEdge(5, 9)
-	nodes, _ := runMtG(t, g, 40, 1)
+	nodes, _ := runMtG(t, g, 40)
 	for i, nd := range nodes {
 		out := nd.Decide()
 		if !out.Partitioned {
@@ -74,8 +74,8 @@ func TestMtGCostIsTopologyIndependent(t *testing.T) {
 	// The defining property of the MtG baseline in Fig. 4: per-node cost
 	// depends only on epoch length and filter size, not on the graph.
 	epoch := 20
-	sparse, mSparse := runMtG(t, topology.Ring(10), epoch, 1)
-	_, mDense := runMtG(t, topology.Complete(10), epoch, 1)
+	sparse, mSparse := runMtG(t, topology.Ring(10), epoch)
+	_, mDense := runMtG(t, topology.Complete(10), epoch)
 	per := int64(epoch) * int64(sparse[0].Filter().ByteSize()+rounds.DefaultMsgOverhead)
 	for i := range mSparse.BytesSent {
 		if mSparse.BytesSent[i] != per || mDense.BytesSent[i] != per {
@@ -107,7 +107,6 @@ func TestMtGValidation(t *testing.T) {
 		{"self neighbor", func(c Config) Config { c.Neighbors = []ids.NodeID{0}; return c }},
 		{"dup neighbor", func(c Config) Config { c.Neighbors = []ids.NodeID{1, 1}; return c }},
 		{"neighbor out of range", func(c Config) Config { c.Neighbors = []ids.NodeID{8}; return c }},
-		{"negative fanout", func(c Config) Config { c.Fanout = -1; return c }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,7 +119,7 @@ func TestMtGValidation(t *testing.T) {
 
 // ---- MtGv2 ----
 
-func runMtGv2(t *testing.T, g *graph.Graph, epoch, fanout int, scheme sig.Scheme) ([]*NodeV2, *rounds.Metrics) {
+func runMtGv2(t *testing.T, g *graph.Graph, epoch int, scheme sig.Scheme) ([]*NodeV2, *rounds.Metrics) {
 	t.Helper()
 	nodes := make([]*NodeV2, g.N())
 	protos := make([]rounds.Protocol, g.N())
@@ -130,7 +129,7 @@ func runMtGv2(t *testing.T, g *graph.Graph, epoch, fanout int, scheme sig.Scheme
 			Neighbors: append([]ids.NodeID(nil), g.Neighbors(ids.NodeID(i))...),
 			Signer:    scheme.SignerFor(ids.NodeID(i)),
 			Verifier:  scheme.Verifier(),
-			Fanout:    fanout, Seed: 7,
+			Seed:      7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +147,7 @@ func runMtGv2(t *testing.T, g *graph.Graph, epoch, fanout int, scheme sig.Scheme
 func TestMtGv2ConvergesAndDetects(t *testing.T) {
 	scheme := sig.NewHMAC(12, 1)
 	connected := topology.Ring(12)
-	nodes, _ := runMtGv2(t, connected, 48, 1, scheme)
+	nodes, _ := runMtGv2(t, connected, 48, scheme)
 	for i, nd := range nodes {
 		if out := nd.Decide(); out.Partitioned {
 			t.Errorf("node %d flagged connected ring (known=%d)", i, out.Known)
@@ -160,7 +159,7 @@ func TestMtGv2ConvergesAndDetects(t *testing.T) {
 		split.AddEdge(ids.NodeID(i), ids.NodeID((i+1)%6))
 		split.AddEdge(ids.NodeID(6+i), ids.NodeID(6+(i+1)%6))
 	}
-	nodes, _ = runMtGv2(t, split, 48, 1, scheme)
+	nodes, _ = runMtGv2(t, split, 48, scheme)
 	for i, nd := range nodes {
 		out := nd.Decide()
 		if !out.Partitioned || out.Known != 6 {
@@ -198,7 +197,7 @@ func TestMtGv2CredentialsAreUnforgeable(t *testing.T) {
 
 func TestMtGv2SendsEachCredentialOncePerNeighbor(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
-	// Node 0 with one neighbor: fanout always picks it. Two Emits must not
+	// Node 0 with one neighbor: every pick is that neighbor. Two Emits must not
 	// resend the own credential.
 	nd, err := NewNodeV2(ConfigV2{
 		N: 4, Me: 0, Neighbors: []ids.NodeID{1},
@@ -273,11 +272,6 @@ func TestMtGv2Validation(t *testing.T) {
 	bad.Signer = scheme.SignerFor(2)
 	if _, err := NewNodeV2(bad); err == nil {
 		t.Error("signer identity mismatch accepted")
-	}
-	bad = good
-	bad.Fanout = -2
-	if _, err := NewNodeV2(bad); err == nil {
-		t.Error("negative fanout accepted")
 	}
 	// A batch counts its credentials in a u16.
 	bad = good

@@ -100,8 +100,6 @@ type ConfigV2 struct {
 	Signer sig.Signer
 	// Verifier validates received credentials.
 	Verifier sig.Verifier
-	// Fanout is the number of gossip partners per round (0 = 1).
-	Fanout int
 	// Seed drives gossip partner selection.
 	Seed int64
 }
@@ -117,10 +115,9 @@ type NodeV2 struct {
 	creds    []byte
 	sent     []int // credentials sent so far, by neighbor position
 	partners partners
-	// Round scratch: the batches, their recipient lists, the sends, a
-	// checked credential's statement.
+	// Round scratch: the batch, the send, a checked credential's
+	// statement.
 	enc     wire.Writer
-	to      []ids.NodeID
 	sendBuf []rounds.Send
 	stmt    []byte
 }
@@ -144,12 +141,6 @@ func NewNodeV2(cfg ConfigV2) (*NodeV2, error) {
 	if cfg.Signer.ID() != cfg.Me {
 		return nil, fmt.Errorf("mtg: signer bound to %v, node is %v", cfg.Signer.ID(), cfg.Me)
 	}
-	if cfg.Fanout == 0 {
-		cfg.Fanout = 1
-	}
-	if cfg.Fanout < 0 {
-		return nil, fmt.Errorf("mtg: negative fanout %d", cfg.Fanout)
-	}
 	entry := 4 + cfg.Verifier.SigSize()
 	n := &NodeV2{
 		cfg:      cfg,
@@ -157,7 +148,7 @@ func NewNodeV2(cfg ConfigV2) (*NodeV2, error) {
 		known:    make([]bool, cfg.N),
 		creds:    make([]byte, 0, cfg.N*entry),
 		sent:     make([]int, len(cfg.Neighbors)),
-		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors), cfg.Fanout),
+		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors)),
 		// Room for one partner's batch of every credential; more grow it.
 		enc: wire.MakeWriter(BatchWireSize(cfg.N, entry-4)),
 	}
@@ -179,37 +170,21 @@ func (n *NodeV2) accept(id ids.NodeID, sg []byte) {
 // held returns the number of credentials the node holds.
 func (n *NodeV2) held() int { return len(n.creds) / n.entry }
 
-// Emit implements rounds.Protocol: send to each gossip partner every
+// Emit implements rounds.Protocol: send the round's gossip partner every
 // credential not yet sent to it (at most once per neighbor per epoch —
-// the paper's cost containment for MtGv2). Each batch is byte for byte
-// EncodeBatch of those credentials. Partners owed the same credentials
-// share one batch, one multicast Send to them in pick order at the first
-// one's place (rounds.Protocol).
+// the paper's cost containment for MtGv2). The batch is byte for byte
+// EncodeBatch of those credentials.
 func (n *NodeV2) Emit(round int) []rounds.Send {
-	n.enc.Reset()
-	out, to := n.sendBuf[:0], n.to[:0]
-	held := n.held()
-	picks := n.partners.pick()
-	for i, k := range picks {
-		from := n.sent[k]
-		if from >= held {
-			continue
-		}
-		start := n.enc.Len()
-		n.enc.U16(uint16(held - from))
-		n.enc.Raw(n.creds[from*n.entry:])
-		batch := n.enc.Bytes()[start:]
-		first := len(to)
-		for _, j := range picks[i:] {
-			if n.sent[j] == from {
-				n.sent[j] = held
-				to = append(to, n.cfg.Neighbors[j])
-			}
-		}
-		out = append(out, rounds.Send{To: to[first:len(to):len(to)], Data: batch})
+	k, held := n.partners.pick(), n.held()
+	if k < 0 || n.sent[k] >= held {
+		return nil
 	}
-	n.sendBuf, n.to = out, to
-	return out
+	n.enc.Reset()
+	n.enc.U16(uint16(held - n.sent[k]))
+	n.enc.Raw(n.creds[n.sent[k]*n.entry:])
+	n.sent[k] = held
+	n.sendBuf = append(n.sendBuf[:0], rounds.Send{To: n.cfg.Neighbors[k : k+1 : k+1], Data: n.enc.Bytes()})
+	return n.sendBuf
 }
 
 // Quiescent implements rounds.Quiescer: a node with no credential left

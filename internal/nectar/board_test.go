@@ -9,17 +9,17 @@ import (
 	"github.com/nectar-repro/nectar/internal/sig"
 )
 
-// A node posts what it emits on its board in the run's memo, and a
+// A node posts what it emits on its board in the run's cache, and a
 // neighbour's check takes a post without a Verify call (DESIGN.md §9).
 // These tests hold the board to what it may vouch for: the exact bytes a
 // node whose own signature verifies emitted to this round's recipients.
 
-// boardNode builds node me of g under scheme around memo, signing with
+// boardNode builds node me of g under scheme around cache, signing with
 // signer (nil: the scheme's own), and has it emit round 1. It returns the
 // node and its distinct round-1 messages.
-func boardNode(t *testing.T, g *graph.Graph, scheme sig.Scheme, memo *sig.VerifyCache, me ids.NodeID, signer sig.Signer) (*Node, [][]byte) {
+func boardNode(t *testing.T, g *graph.Graph, scheme sig.Scheme, cache *sig.VerifyCache, me ids.NodeID, signer sig.Signer) (*Node, [][]byte) {
 	t.Helper()
-	cfg := NodeConfig(g, 1, scheme, BuildProofs(scheme, g), me, 0, WithVerifyCache(memo))
+	cfg := NodeConfig(g, 1, scheme, BuildProofs(scheme, g), me, 0, WithVerifyCache(cache))
 	if signer != nil {
 		cfg.Signer = signer
 	}
@@ -39,24 +39,24 @@ func boardNode(t *testing.T, g *graph.Graph, scheme sig.Scheme, memo *sig.Verify
 
 // posted reports whether data, delivered from its last signer in round, is
 // on that signer's board.
-func posted(memo *sig.VerifyCache, data []byte, round, sigSize int) bool {
+func posted(cache *sig.VerifyCache, data []byte, round, sigSize int) bool {
 	ps := proofWireSize(sigSize)
-	signer, sg := outermost(data[:ps], data[ps+2:], sigSize)
-	return memo.Vouched(signer, round, sg, data[:ps], data[ps+2:])
+	signer, sg := outermost(data[ps+2:], sigSize)
+	return cache.Vouched(signer, round, sg, data[:ps], data[ps+2:])
 }
 
 // checkAgainstReference checks data from `from` in round through sc and
-// through the memo-less reference, fails on a different verdict, and
+// through the cache-less reference, fails on a different verdict, and
 // returns the verdict and the Verify calls each made.
 func checkAgainstReference(t *testing.T, sc *msgScratch, v sig.Verifier, n int, data []byte, from ids.NodeID, round int) (got verdict, calls, refCalls int) {
 	t.Helper()
-	var memoTape, refTape []verifyCall
+	var cacheTape, refTape []verifyCall
 	want := referenceVerdict(tapeVerifier{v, &refTape}, data, n, from, round)
-	got = rawVerdict(sc, tapeVerifier{v, &memoTape}, data, n, from, round)
+	got = rawVerdict(sc, tapeVerifier{v, &cacheTape}, data, n, from, round)
 	if got != want {
-		t.Fatalf("from %v in round %d: board and memo say %+v, reference %+v", from, round, got, want)
+		t.Fatalf("from %v in round %d: the cache says %+v, reference %+v", from, round, got, want)
 	}
-	return got, len(memoTape), len(refTape)
+	return got, len(cacheTape), len(refTape)
 }
 
 // TestBoardForeignSignerNeverPosts: a node whose signer comes from another
@@ -68,16 +68,16 @@ func TestBoardForeignSignerNeverPosts(t *testing.T) {
 	scheme := sig.NewHMAC(g.N(), 1)
 	v := scheme.Verifier()
 	sigSize := v.SigSize()
-	memo := sig.NewVerifyCache()
-	t.Cleanup(memo.Release) // last: after the nodes' Release
-	sc := msgScratch{memo: memo}
+	cache := sig.NewVerifyCache()
+	t.Cleanup(cache.Release) // last: after the nodes' Release
+	sc := msgScratch{cache: cache}
 
-	foreign, msgs := boardNode(t, g, scheme, memo, 0, sig.NewHMAC(g.N(), 2).SignerFor(0))
+	foreign, msgs := boardNode(t, g, scheme, cache, 0, sig.NewHMAC(g.N(), 2).SignerFor(0))
 	if foreign.board != nil {
 		t.Error("a node whose signature fails the self-check kept its board")
 	}
 	for _, data := range msgs {
-		if posted(memo, data, 1, sigSize) {
+		if posted(cache, data, 1, sigSize) {
 			t.Fatal("a node with a foreign key posted")
 		}
 		got, calls, _ := checkAgainstReference(t, &sc, v, g.N(), data, 0, 1)
@@ -86,9 +86,9 @@ func TestBoardForeignSignerNeverPosts(t *testing.T) {
 		}
 	}
 
-	_, msgs = boardNode(t, g, scheme, memo, 1, nil)
+	_, msgs = boardNode(t, g, scheme, cache, 1, nil)
 	for _, data := range msgs {
-		if !posted(memo, data, 1, sigSize) {
+		if !posted(cache, data, 1, sigSize) {
 			t.Fatal("a correct node did not post")
 		}
 		if got, calls, _ := checkAgainstReference(t, &sc, v, g.N(), data, 1, 1); got.Reason != "" || calls != 0 {
@@ -105,10 +105,10 @@ func TestBoardAlteredByteIsVerified(t *testing.T) {
 	g := mustHarary(t, 4, 8)
 	scheme := sig.NewHMAC(g.N(), 1)
 	v := scheme.Verifier()
-	memo := sig.NewVerifyCache()
-	t.Cleanup(memo.Release) // last: after the nodes' Release
-	sc := msgScratch{memo: memo}
-	_, msgs := boardNode(t, g, scheme, memo, 0, nil)
+	cache := sig.NewVerifyCache()
+	t.Cleanup(cache.Release) // last: after the nodes' Release
+	sc := msgScratch{cache: cache}
+	_, msgs := boardNode(t, g, scheme, cache, 0, nil)
 	data := msgs[0]
 	for i := range data {
 		altered := slices.Clone(data)
@@ -136,10 +136,10 @@ func TestBoardReplayIsRejected(t *testing.T) {
 	scheme := sig.NewHMAC(g.N(), 1)
 	v := scheme.Verifier()
 	sigSize := v.SigSize()
-	memo := sig.NewVerifyCache()
-	t.Cleanup(memo.Release) // last: after the nodes' Release
-	sc := msgScratch{memo: memo}
-	_, msgs := boardNode(t, g, scheme, memo, 0, nil)
+	cache := sig.NewVerifyCache()
+	t.Cleanup(cache.Release) // last: after the nodes' Release
+	sc := msgScratch{cache: cache}
+	_, msgs := boardNode(t, g, scheme, cache, 0, nil)
 	data := msgs[0]
 	byz := g.Neighbors(0)[0]
 

@@ -19,11 +19,11 @@ func WithParanoidVerify() BuildOption {
 	return func(c *Config) { c.paranoidVerify = true }
 }
 
-// WithVerifyCache shares a message-check memo across every node
-// built — the per-trial cache of the fast path (DESIGN.md §9). Outcomes
-// are bit-identical with and without it. The nodes must run in lockstep
-// for their boards to pay, and the memo be released after them; see
-// Config.VerifyCache.
+// WithVerifyCache shares the signers' boards and the proof ledger of cache
+// across every node built — the per-trial cache of the fast path
+// (DESIGN.md §9). Outcomes are bit-identical with and without it. The
+// nodes must run in lockstep for their boards to pay, and the cache be
+// released after them; see Config.VerifyCache.
 func WithVerifyCache(cache *sig.VerifyCache) BuildOption {
 	return func(c *Config) { c.VerifyCache = cache }
 }

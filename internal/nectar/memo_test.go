@@ -10,17 +10,19 @@ import (
 	"github.com/nectar-repro/nectar/internal/wire"
 )
 
-// Through a run's verification memo, checkRaw answers from records of
-// whole validated messages (DESIGN.md §9). These tests hold its verdicts to
-// the memo-less reference, DecodeEdgeMsg + checkMsg, on the deliveries that
-// could fool a memo: bytes that share a record's key or prefix but not its
+// Through a run's cache, checkRaw takes a delivery its sender posted on
+// its board, and NewNode a proof the edge's other endpoint checked, from
+// the proof ledger (DESIGN.md §9). These tests hold its verdicts to the
+// cache-less reference, DecodeEdgeMsg + checkMsg, on the deliveries that
+// could fool a cache: bytes that share a post's key or prefix but not its
 // content.
 
-// seedMemo makes through sc the checks a run makes before rawCases' valid
-// hops-hop message arrives: NewNode's check of the proof, then each correct
-// relay's acceptance of the shorter prefixes, each in its round. With post,
-// each prefix's signer has posted it on its board in that round first, and
-// the last signer the whole message in round hops, as Node.Emit does.
+// seedMemo makes through sc what a run does before rawCases' valid
+// hops-hop message arrives: NewNode's check of the proof, recorded in the
+// ledger, then each correct relay's acceptance of the shorter prefixes,
+// each in its round. With post, each prefix's signer has posted it on its
+// board in that round first, and the last signer the whole message in
+// round hops, as Node.Emit does.
 func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int, post bool) {
 	t.Helper()
 	v := scheme.Verifier()
@@ -37,7 +39,7 @@ func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int, post bo
 	for k := 1; k <= hops; k++ {
 		prefix := EdgeMsg{Proof: m.Proof, Chain: m.Chain[:k]}.Encode(v.SigSize())
 		if post {
-			postOn(sc.memo, prefix, k, v.SigSize())
+			postOn(sc.cache, prefix, k, v.SigSize())
 		}
 		if k == hops {
 			break
@@ -48,23 +50,23 @@ func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int, post bo
 	}
 }
 
-// postOn posts data on its last signer's board in memo for round, as
+// postOn posts data on its last signer's board in cache for round, as
 // Node.Emit does once the signer's self-check has passed.
-func postOn(memo *sig.VerifyCache, data []byte, round, sigSize int) {
+func postOn(cache *sig.VerifyCache, data []byte, round, sigSize int) {
 	ps := proofWireSize(sigSize)
-	signer, sg := outermost(data[:ps], data[ps+2:], sigSize)
-	b := memo.Board(signer)
+	signer, sg := outermost(data[ps+2:], sigSize)
+	b := cache.Board(signer)
 	b.Retract()
 	b.Post(sg, data[:ps], data[ps+2:])
 	b.Publish(round)
 }
 
-// TestMemoVerdictsMatchReference: after a correct flood of edge {4,7}
-// (4 → 10 → 11) has gone through a shared memo — its signers' boards bare,
-// then holding their posts — every delivery below gets the reference's
-// verdict, label and hop count, twice — the second time from the record the
-// first left — and never makes a Verify call the reference would not, nor
-// any on a re-delivery.
+// TestMemoVerdictsMatchReference: after edge {4,7}'s proof has gone into
+// a shared ledger and its flood (4 → 10 → 11) through the signers' boards —
+// bare, then holding their posts — every delivery below gets the
+// reference's verdict, label and hop count, twice, and never makes a
+// Verify call the reference would not; a posted message makes none, and
+// neither does the other endpoint's check of the recorded proof.
 func TestMemoVerdictsMatchReference(t *testing.T) {
 	for _, post := range []bool{false, true} {
 		memoVerdictsMatchReference(t, post)
@@ -76,9 +78,9 @@ func memoVerdictsMatchReference(t *testing.T, post bool) {
 	v := scheme.Verifier()
 	sigSize := v.SigSize()
 	ps, hop := proofWireSize(sigSize), sig.HopWireSize(sigSize)
-	memo := sig.NewVerifyCache()
-	defer memo.Release()
-	sc := msgScratch{memo: memo}
+	cache := sig.NewVerifyCache()
+	defer cache.Release()
+	sc := msgScratch{cache: cache}
 	seedMemo(t, &sc, scheme, 3, post)
 
 	valid := chainMsg(scheme, 4, 7, 10, 11).Encode(sigSize)
@@ -86,6 +88,15 @@ func memoVerdictsMatchReference(t *testing.T, post bool) {
 		m := slices.Clone(data)
 		f(m)
 		return m
+	}
+	var calls []verifyCall
+	if err := sc.checkSigs(tapeVerifier{v, &calls}, graph.NewEdge(4, 7), valid[:ps], nil, 0); err != nil || len(calls) > 0 {
+		t.Errorf("the recorded proof again: %v after %d Verify calls, want accepted after none", err, len(calls))
+	}
+	forgedProof := edit(valid[:ps], func(m []byte) { m[ps-1] ^= 0x01 })
+	calls = nil
+	if err := sc.checkSigs(tapeVerifier{v, &calls}, graph.NewEdge(4, 7), forgedProof, nil, 0); err != errProofSig || len(calls) != 2 {
+		t.Errorf("another proof of the recorded edge: %v after %d Verify calls, want proof_sig after 2", err, len(calls))
 	}
 	otherEdge := chainMsg(scheme, 4, 8).Encode(sigSize)[:ps] // {4,8}'s proof, NewNode-checked below
 	if err := sc.checkSigs(v, graph.NewEdge(4, 8), otherEdge, nil, 0); err != nil {
@@ -111,17 +122,17 @@ func memoVerdictsMatchReference(t *testing.T, post bool) {
 	reasons := map[string]int{}
 	for _, c := range cases {
 		for pass := 0; pass < 2; pass++ {
-			var refCalls, memoCalls []verifyCall
+			var refCalls, cacheCalls []verifyCall
 			want := referenceVerdict(tapeVerifier{v, &refCalls}, c.data, rawCheckN, c.from, c.round)
-			got := rawVerdict(&sc, tapeVerifier{v, &memoCalls}, c.data, rawCheckN, c.from, c.round)
+			got := rawVerdict(&sc, tapeVerifier{v, &cacheCalls}, c.data, rawCheckN, c.from, c.round)
 			if got != want {
-				t.Fatalf("%s, delivery %d, posted %v: memo says %+v, reference %+v", c.name, pass+1, post, got, want)
+				t.Fatalf("%s, delivery %d, posted %v: cache says %+v, reference %+v", c.name, pass+1, post, got, want)
 			}
-			if len(memoCalls) > len(refCalls) || pass > 0 && len(memoCalls) > 0 {
-				t.Errorf("%s, delivery %d, posted %v: %d Verify calls through the memo, %d in the reference", c.name, pass+1, post, len(memoCalls), len(refCalls))
+			if len(cacheCalls) > len(refCalls) {
+				t.Errorf("%s, delivery %d, posted %v: %d Verify calls through the cache, %d in the reference", c.name, pass+1, post, len(cacheCalls), len(refCalls))
 			}
-			if post && c.name == "valid" && len(memoCalls) > 0 {
-				t.Errorf("valid, delivery %d: %d Verify calls for a message its sender posted", pass+1, len(memoCalls))
+			if post && c.name == "valid" && len(cacheCalls) > 0 {
+				t.Errorf("valid, delivery %d: %d Verify calls for a message its sender posted", pass+1, len(cacheCalls))
 			}
 			reasons[got.Reason]++
 		}
@@ -134,10 +145,11 @@ func memoVerdictsMatchReference(t *testing.T, post bool) {
 }
 
 // FuzzCheckRawMemo is TestMemoVerdictsMatchReference on arbitrary bytes,
-// sender and round: each input is checked through a memo that a valid
-// 12-hop flood has seeded — every signer's board holding what it posted —
-// then checked again, and both verdicts must be the reference's. Seeded with
-// the thinned cases of FuzzCheckRaw, whose valid messages are posted ones.
+// sender and round: each input is checked through a cache that a valid
+// 12-hop flood has seeded — the proof in the ledger, every signer's board
+// holding what it posted — then checked again, and both verdicts must be
+// the reference's. Seeded with the thinned cases of FuzzCheckRaw, whose
+// valid messages are posted ones.
 func FuzzCheckRawMemo(f *testing.F) {
 	hmac := sig.NewHMAC(rawCheckN, 1)
 	v := hmac.Verifier()
@@ -147,15 +159,15 @@ func FuzzCheckRawMemo(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, from, round byte) {
-		memo := sig.NewVerifyCache()
-		defer memo.Release()
-		sc := msgScratch{memo: memo}
+		cache := sig.NewVerifyCache()
+		defer cache.Release()
+		sc := msgScratch{cache: cache}
 		seedMemo(t, &sc, hmac, 12, true)
 		c := rawCase{"fuzz", data, ids.NodeID(from), 1 + int(round)%rawCheckN}
 		want := referenceVerdict(v, c.data, rawCheckN, c.from, c.round)
 		for pass := 0; pass < 2; pass++ {
 			if got := rawVerdict(&sc, v, c.data, rawCheckN, c.from, c.round); got != want {
-				t.Fatalf("delivery %d: memo says %+v, reference %+v", pass+1, got, want)
+				t.Fatalf("delivery %d: cache says %+v, reference %+v", pass+1, got, want)
 			}
 		}
 	})

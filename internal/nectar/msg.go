@@ -154,20 +154,13 @@ func checkMsg(v sig.Verifier, m EdgeMsg, from ids.NodeID, round int) error {
 
 // msgScratch carries the reusable buffers of a node's sign and verify
 // paths — the proof-statement writer and the chain signing-input scratch
-// (DESIGN.md §14) — and the run's verification memo, if the scheme binds
-// the message. The zero value is ready; not safe for concurrent use.
+// (DESIGN.md §14) — and the run's boards and proof ledger, if the scheme
+// binds the message. The zero value is ready; not safe for concurrent use.
 type msgScratch struct {
-	stmt wire.Writer
-	cs   sig.ChainScratch
-	memo *sig.VerifyCache
+	stmt  wire.Writer
+	cs    sig.ChainScratch
+	cache *sig.VerifyCache
 }
-
-// Memo verdicts (sig.VerifyCache): which of checkMsg's signature checks a
-// record failed, if any. sigsBadProof is the one bit sigsBadChain leaves
-// clear.
-const sigsValid, sigsBadProof, sigsBadChain uint8 = 0, 1, 2
-
-var sigsErr = [...]error{sigsValid: nil, sigsBadProof: errProofSig, sigsBadChain: errChainSig}
 
 // statement returns the proof statement for e, or nil when v's scheme does
 // not bind the message: no signature under it depends on what was signed,
@@ -181,7 +174,7 @@ func (sc *msgScratch) statement(v sig.Verifier, e graph.Edge) []byte {
 
 // checkRaw is DecodeEdgeMsg followed by checkMsg in one pass over the wire
 // bytes: the same checks in the same order with the same verdict — and,
-// without a memo, the same Verify calls under a scheme that binds the
+// without a cache, the same Verify calls under a scheme that binds the
 // message, none under one that does not — but every field is read in place
 // at its fixed offset: nothing is decoded into an EdgeMsg, no []sig.Hop
 // exists, and a rejection allocates no error. It returns the carried edge
@@ -244,65 +237,44 @@ func (sc *msgScratch) checkBody(v sig.Verifier, e graph.Edge, data []byte, n int
 
 // checkSigs runs checkMsg's signature checks — the proof's two, then the
 // chain's in order — on a message's wire bytes proof ‖ hops, delivered in
-// round (0 for NewNode's bare proofs), through the memo if the node has one
-// (DESIGN.md §9): one counted lookup of the whole message; on a miss, the
-// board of the outermost signer, whom checkBody has found to be the
-// sender: if it posted these bytes this round, they are valid. Otherwise
-// the longest stored prefix — normally all but the last hop, stored when
-// the sender accepted it — vouches for its signatures, and only the rest
-// are verified. Deliver enters it only under a scheme that binds the
-// message (checkBody); NewNode checks every scheme's proofs here.
+// round (0 for NewNode's bare proofs). A node with a cache (DESIGN.md §9)
+// asks it first: a delivery, the board of its outermost signer, whom
+// checkBody has found to be the sender — if it posted these bytes this
+// round, they are valid; a bare proof, the proof ledger, where the edge's
+// other endpoint may have recorded its verdict on these bytes. Otherwise
+// every signature is verified, and a bare proof's verdict recorded.
+// Deliver enters it only under a scheme that binds the message
+// (checkBody); NewNode checks every scheme's proofs here.
 func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []byte, round int) error {
 	sigSize := v.SigSize()
-	hop, known := sig.HopWireSize(sigSize), -1 // known: hops a stored prefix vouches for; -1, not the proof either
-	var signer ids.NodeID
-	var sg []byte
-	if sc.memo != nil {
-		signer, sg = outermost(proof, rawHops, sigSize)
-		if verdict, hit := sc.memo.Lookup(signer, sg, proof, rawHops, true); hit {
-			return sigsErr[verdict]
-		}
-		if sc.memo.Vouched(signer, round, sg, proof, rawHops) {
-			sc.memo.Store(signer, sg, proof, rawHops, sigsValid, true)
+	edge := uint64(e.U)<<32 | uint64(e.V)
+	valid, found := false, false
+	if sc.cache != nil {
+		if len(rawHops) == 0 {
+			valid, found = sc.cache.Proven(edge, proof)
+		} else if signer, sg := outermost(rawHops, sigSize); sc.cache.Vouched(signer, round, sg, proof, rawHops) {
 			return nil
 		}
-		for known = len(rawHops)/hop - 1; known >= 0; known-- {
-			prefix := rawHops[:known*hop]
-			pSigner, pSig := outermost(proof, prefix, sigSize)
-			if verdict, found := sc.memo.Lookup(pSigner, pSig, proof, prefix, false); found {
-				if verdict != sigsValid { // the prefix's rejection is the message's
-					sc.memo.Store(signer, sg, proof, rawHops, verdict, true)
-					return sigsErr[verdict]
-				}
-				break
-			}
+	}
+	stmt := proofStatementInto(&sc.stmt, e)
+	if !found {
+		valid = v.Verify(e.U, stmt, proof[8:8+sigSize]) && v.Verify(e.V, stmt, proof[8+sigSize:])
+		if sc.cache != nil && len(rawHops) == 0 {
+			sc.cache.Prove(edge, proof, valid)
 		}
 	}
-	stmt, verdict := proofStatementInto(&sc.stmt, e), sigsValid
-	if known < 0 && (!v.Verify(e.U, stmt, proof[8:8+sigSize]) || !v.Verify(e.V, stmt, proof[8+sigSize:])) {
-		verdict = sigsBadProof
-	} else if !sc.cs.VerifyRawChain(v, stmt, rawHops, max(known, 0)) {
-		verdict = sigsBadChain
+	if !valid {
+		return errProofSig
 	}
-	if sc.memo != nil {
-		if known < 0 && len(rawHops) > 0 {
-			// Not even the proof was stored: both endpoints are Byzantine and
-			// forged it. Store it too, uncounted, for the other endpoint's
-			// announcement — valid unless it is what failed.
-			pSigner, pSig := outermost(proof, nil, sigSize)
-			sc.memo.Store(pSigner, pSig, proof, nil, verdict&sigsBadProof, false)
-		}
-		sc.memo.Store(signer, sg, proof, rawHops, verdict, true)
+	if !sc.cs.VerifyRawChain(v, stmt, rawHops, 0) {
+		return errChainSig
 	}
-	return sigsErr[verdict]
+	return nil
 }
 
-// outermost returns the signer and signature a memo record proof ‖ hops is
-// keyed by: its last hop's, or the proof's second for a bare proof.
-func outermost(proof, rawHops []byte, sigSize int) (ids.NodeID, []byte) {
-	if len(rawHops) == 0 {
-		return ids.NodeID(binary.BigEndian.Uint32(proof[4:])), proof[8+sigSize:]
-	}
+// outermost returns the signer and signature of a chain's last hop, which
+// a board post of the message is keyed by. rawHops is not empty.
+func outermost(rawHops []byte, sigSize int) (ids.NodeID, []byte) {
 	last := rawHops[len(rawHops)-sig.HopWireSize(sigSize):]
 	return ids.NodeID(binary.BigEndian.Uint32(last)), last[4:]
 }

@@ -82,23 +82,23 @@ type Config struct {
 	// default n-1 (the safe lower bound when the topology is unknown,
 	// §IV-B). Values below the correct-subgraph diameter lose liveness.
 	Rounds int
-	// VerifyCache, when non-nil, memoizes message checks by their exact
-	// bytes. Verification is deterministic for every provided scheme, so the
-	// memo is semantics-preserving; share one cache across the nodes of a
-	// trial so a message is checked once for all its recipients, and a relay
-	// costs its last hop (DESIGN.md §9). A node whose own signature verifies
-	// also posts what it emits on its board in the cache, and a neighbour
-	// that checks a post takes it without a Verify call. Nil disables both,
-	// and a Verifier whose signatures do not bind the message never
-	// consults the cache.
+	// VerifyCache, when non-nil, lets the nodes of a trial skip
+	// verifications they share (DESIGN.md §9). A node whose own signature
+	// verifies posts what it emits on its board in the cache, and a
+	// neighbour that checks a post takes it without a Verify call; the
+	// first endpoint of an edge records its check of the edge's proof, and
+	// the second takes the verdict for the same bytes. Verification is
+	// deterministic for every provided scheme, so decisions are the same
+	// either way. Nil disables both, and a Verifier whose signatures do not
+	// bind the message never consults the cache.
 	//
 	// Lockstep contract: the nodes sharing a cache are built before any of
 	// them runs, and a post vouches only within the round it was emitted
 	// in, which the engine's barrier between a round's Emit and Deliver
 	// phases spans. Nodes driven out of lockstep (one engine each, as over
 	// TCP) stay correct — a delivery the poster has moved past is simply
-	// verified — but save only what the memo saves. Release the cache
-	// last, once every node sharing it is released or done with.
+	// verified. Release the cache last, once every node sharing it is
+	// released or done with.
 	VerifyCache *sig.VerifyCache
 
 	// paranoidVerify verifies signatures even for already-known edges,
@@ -154,7 +154,7 @@ type Node struct {
 	signer  sig.AppendSigner // cfg.Signer's append form, resolved once (appendSigner)
 	started bool             // round-1 neighborhood announcement has been emitted
 	// board is where Emit posts the round's messages for the neighbours'
-	// checks (sig.Board), nil without a memo, after a failed self-check and
+	// checks (sig.Board), nil without a cache, after a failed self-check and
 	// once released; unproven holds until the first post has checked the
 	// node's own signature under cfg.Verifier.
 	board    *sig.Board
@@ -263,7 +263,7 @@ func (nd *Node) release(snapshot *graph.EdgeSet) {
 	nd.board = nil
 	nd.snapshot = snapshot
 	*s, nd.nodeScratch = nd.nodeScratch, nodeScratch{}
-	nd.scr.memo, s.scr.memo = s.scr.memo, nil // the node keeps its memo; the free list holds none
+	nd.scr.cache, s.scr.cache = s.scr.cache, nil // the node keeps its cache; the free list holds none
 	if len(s.queue) > 0 {
 		nd.queue, nd.arenaRaw = s.queue, s.arenaRaw
 		s.queue, s.arenaRaw, s.queueUsed = nil, nil, 0
@@ -352,16 +352,16 @@ func NewNode(cfg Config) (*Node, error) {
 	// Borrowed once the configuration is sound; a failing proof returns it.
 	nd.box = scratchPool(len(cfg.Neighbors)).Get().(*nodeScratch)
 	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
-	if cfg.Verifier.BindsMessage() && cfg.VerifyCache != nil { // an unbound scheme's constant tags could only collide
-		nd.scr.memo = cfg.VerifyCache
+	if cfg.Verifier.BindsMessage() && cfg.VerifyCache != nil { // an unbound scheme's Verify costs less than asking the cache
+		nd.scr.cache = cfg.VerifyCache
 		nd.board, nd.unproven = cfg.VerifyCache.Board(cfg.Me), true
 	}
 	if nd.view == nil {
 		nd.view = new(graph.EdgeSet)
 	}
 	nd.view.Reset(cfg.N)
-	// Proofs are checked in wire form (in the emit arena, which Emit resets)
-	// as bare records, which the edge's round-1 messages then extend.
+	// Proofs are checked in wire form (in the emit arena, which Emit
+	// resets), the form the proof ledger compares.
 	sigSize := cfg.Verifier.SigSize()
 	for _, nb := range cfg.Neighbors {
 		nd.view.Add(cfg.Me, nb)
@@ -472,7 +472,7 @@ func (nd *Node) post(data []byte, e graph.Edge, ps, sigSize int) {
 		}
 		nd.unproven = false
 	}
-	_, sg := outermost(data[:ps], rawHops, sigSize)
+	_, sg := outermost(rawHops, sigSize)
 	nd.board.Post(sg, data[:ps], rawHops)
 }
 

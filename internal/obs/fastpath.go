@@ -1,7 +1,8 @@
 package obs
 
 // FastPath groups the fast-path counters of one simulation run
-// (DESIGN.md §9): message-check memo hits/misses, duplicate
+// (DESIGN.md §9): checks answered by a signer's board or the proof ledger
+// (hits) and checks that called Verify (misses), duplicate
 // discards from the lazy header-first decode, and decide-cache hits.
 // It is embedded by value in nectar.SimulationResult and harness.Trial,
 // so the fields promote (existing accessors keep compiling) and JSON

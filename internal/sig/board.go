@@ -2,6 +2,7 @@ package sig
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -10,13 +11,14 @@ import (
 // Board is where one signer posts the records it made in the current round
 // (DESIGN.md §9): a record head‖hops whose outermost signature is the
 // signer's own, over a prefix the signer had checked valid. A receiver
-// whose memo lookup misses asks the board of the neighbour that delivered
-// the record; if that neighbour posted exactly these bytes this round, no
-// signature in them needs a Verify call.
+// asks the board of the neighbour that delivered the record; if that
+// neighbour posted exactly these bytes this round, no signature in them
+// needs a Verify call.
 //
 // Posts alias the poster's memory, which must stay unmodified until the
-// poster's next Retract; they are keyed like memo records, and a second
-// post under a taken key is dropped (it is merely not vouched for).
+// poster's next Retract; they are keyed by their outermost signature
+// (keyOf), and a second post under a taken key is dropped (it is merely
+// not vouched for).
 // Trust is the poster's business: only a signer whose own signatures
 // verify under the run's Verifier may post, and only records whose prefix
 // it checked. Retract, Post and Publish are called by the board's one
@@ -28,6 +30,19 @@ type Board struct {
 	signer ids.NodeID
 	round  int // the round the posts were published for; 0 while unpublished
 	posts  map[verifyKey]boardPost
+}
+
+// verifyKey indexes a board's posts by a record's outermost signature: the
+// signature's head — eight pseudorandom bytes for any real scheme — mixed
+// with its signer, so honest records almost never share a key. The
+// record's bytes are compared in full on every read, which makes a board
+// immune to collisions an adversary might engineer.
+type verifyKey uint64
+
+func keyOf(signer ids.NodeID, sg []byte) verifyKey {
+	var head [8]byte
+	copy(head[:], sg)
+	return verifyKey(binary.LittleEndian.Uint64(head[:]) ^ uint64(signer)*0x9E3779B97F4A7C15)
 }
 
 // boardPost is one posted record, head and hops as the poster holds them.
@@ -86,18 +101,24 @@ func (b *Board) Publish(round int) {
 
 // Vouched reports whether signer's board holds head‖hops, whose outermost
 // signature sg signer made, published for round (≥ 1). A signer without a
-// board vouches for nothing.
+// board vouches for nothing. It is a delivery check's one question to the
+// cache: a record it vouches for counts a hit, any other a miss, which its
+// caller then verifies.
 func (c *VerifyCache) Vouched(signer ids.NodeID, round int, sg, head, hops []byte) bool {
-	if round < 1 || int(signer) >= len(c.boards) || c.boards[signer] == nil {
-		return false
-	}
-	b := c.boards[signer]
 	ok := false
-	b.mu.RLock()
-	if b.round == round { // only a published board's posts are safe to read
-		p, found := b.posts[keyOf(signer, sg)]
-		ok = found && bytes.Equal(p.head, head) && bytes.Equal(p.hops, hops)
+	if round >= 1 && int(signer) < len(c.boards) && c.boards[signer] != nil {
+		b := c.boards[signer]
+		b.mu.RLock()
+		if b.round == round { // only a published board's posts are safe to read
+			p, found := b.posts[keyOf(signer, sg)]
+			ok = found && bytes.Equal(p.head, head) && bytes.Equal(p.hops, hops)
+		}
+		b.mu.RUnlock()
 	}
-	b.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 	return ok
 }

@@ -3,9 +3,7 @@ package sig
 // Chain-verification micro-benchmarks and allocation pins (DESIGN.md §9).
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -93,61 +91,4 @@ func BenchmarkVerifyChain(b *testing.B) {
 
 func benchName(mode string, hops int) string {
 	return fmt.Sprintf("%s/hops=%d", mode, hops)
-}
-
-// BenchmarkVerifyCacheParallel drives one shared memo from GOMAXPROCS
-// goroutines the way delivery workers do: 90 % of checks repeat a record
-// already memoized, 10 % are first-seen and pay the real HMAC check plus
-// the insert. Run with -cpu 1,2,4: ns/op should fall, not rise, with
-// cores.
-func BenchmarkVerifyCacheParallel(b *testing.B) {
-	const signers, hot, cold = 64, 512, 1 << 14
-	scheme := NewHMAC(signers, 1)
-	v := scheme.Verifier()
-	type triple struct {
-		signer ids.NodeID
-		msg    []byte
-		sg     []byte
-	}
-	// Pre-signed, so the loop times lookups and not Sign.
-	triples := make([]triple, hot+cold)
-	for i := range triples {
-		id := ids.NodeID(i % signers)
-		msg := make([]byte, 200)
-		binary.BigEndian.PutUint64(msg, uint64(i))
-		triples[i] = triple{id, msg, scheme.SignerFor(id).Sign(msg)}
-	}
-	// The first-seen triples run out after `cold` misses; a fresh memo,
-	// warmed with the hot set, then replaces the full one.
-	warm := func() *VerifyCache {
-		c := NewVerifyCache()
-		for _, tr := range triples[:hot] {
-			check(c, v, tr.signer, tr.msg, tr.sg)
-		}
-		return c
-	}
-	var cache atomic.Pointer[VerifyCache]
-	cache.Store(warm())
-	var misses, workers atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Workers walk the hot set from different offsets: delivery workers
-		// share triples, but not in lock-step.
-		off := int(workers.Add(1)) * 97
-		for i := 1; pb.Next(); i++ {
-			tr := triples[(i+off)%hot]
-			if i%10 == 0 {
-				m := int(misses.Add(1))
-				if m%cold == 0 {
-					cache.Store(warm())
-				}
-				tr = triples[hot+m%cold]
-			}
-			if verdict, _ := check(cache.Load(), v, tr.signer, tr.msg, tr.sg); verdict != 0 {
-				b.Error("valid signature rejected")
-				return
-			}
-		}
-	})
 }

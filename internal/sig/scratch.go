@@ -92,8 +92,8 @@ func (cs *ChainScratch) AppendSignRawChain(dst []byte, s AppendSigner, v Verifie
 // VerifyRawChain is VerifyChain over a raw chain: the same verdict from the
 // same Verify calls in the same order, hop #i against
 // chainInput(payload, hops[:i]). The first `from` hops are skipped: a
-// caller that knows them valid (a memoized prefix, VerifyCache) verifies
-// the rest; 0 verifies the whole chain. A scheme that does not bind the
+// caller that knows them valid (a node checking only its own last
+// signature) verifies the rest; 0 verifies the whole chain. A scheme that does not bind the
 // message needs no call at all (Verifier.BindsMessage, DistinctRawSigners).
 func (cs *ChainScratch) VerifyRawChain(v Verifier, payload, rawHops []byte, from int) bool {
 	sigSize := v.SigSize()

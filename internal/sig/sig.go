@@ -25,9 +25,9 @@
 // cannot produce signatures on behalf of others (for Ed25519,
 // cryptographically; for HMAC, by interface discipline).
 //
-// VerifyCache memoizes checked chains across the nodes of a run (DESIGN.md
-// §9): lock-sharded, with hit/miss counts that are a pure function of the
-// lookups made.
+// VerifyCache is what the nodes of a run share to skip verifications
+// (DESIGN.md §9): the signers' boards and the proof ledger, with hit/miss
+// counts that are a pure function of the checks made.
 package sig
 
 import (
@@ -67,7 +67,7 @@ type Verifier interface {
 	// s < n && len(sg) == SigSize() for the scheme's n, so a caller may run
 	// that test instead of the call. A NECTAR node reads it to check an
 	// unbound chain in its signer walk (sig.DistinctRawSigners) and to
-	// decide whether memoizing can pay.
+	// decide whether the boards and the proof ledger can pay.
 	BindsMessage() bool
 }
 

@@ -12,21 +12,22 @@ import (
 	"github.com/nectar-repro/nectar/internal/ids"
 )
 
-// check uses the memo the way a chain check does, on a record msg‖sg keyed
-// by the signature: one counted lookup and, on a miss, the real
-// verification and a counted store. It reports the verdict (1 = invalid)
-// and whether the lookup hit.
-func check(c *VerifyCache, v Verifier, signer ids.NodeID, msg, sg []byte) (verdict uint8, hit bool) {
-	if verdict, hit = c.Lookup(signer, sg, msg, sg, true); hit {
-		return verdict, true
+// check uses the proof ledger the way NewNode's proof check does, on a
+// proof msg‖sg recorded under key: a ledger lookup and, when it finds
+// nothing, the real verification and the record. It reports the verdict
+// and whether the lookup found it.
+func check(c *VerifyCache, v Verifier, key uint64, signer ids.NodeID, msg, sg []byte) (valid, found bool) {
+	proof := append(bytes.Clone(msg), sg...)
+	if valid, found = c.Proven(key, proof); found {
+		return valid, true
 	}
-	if !v.Verify(signer, msg, sg) {
-		verdict = 1
-	}
-	c.Store(signer, sg, msg, sg, verdict, true)
-	return verdict, false
+	valid = v.Verify(signer, msg, sg)
+	c.Prove(key, proof, valid)
+	return valid, false
 }
 
+// TestVerifyCacheMemoizes: the first check of a proof calls Verify and
+// records the verdict; the second, the edge's other endpoint, takes it.
 func TestVerifyCacheMemoizes(t *testing.T) {
 	scheme := NewHMAC(4, 1)
 	v := scheme.Verifier()
@@ -34,56 +35,41 @@ func TestVerifyCacheMemoizes(t *testing.T) {
 	msg := []byte("the payload")
 	sg := scheme.SignerFor(2).Sign(msg)
 
-	verdict, hit := check(c, v, 2, msg, sg)
-	if verdict != 0 || hit {
-		t.Fatalf("first check: verdict=%d hit=%v, want 0/false", verdict, hit)
+	valid, found := check(c, v, 7, 2, msg, sg)
+	if !valid || found {
+		t.Fatalf("first check: valid=%v found=%v, want true/false", valid, found)
 	}
-	verdict, hit = check(c, v, 2, msg, sg)
-	if verdict != 0 || !hit {
-		t.Fatalf("second check: verdict=%d hit=%v, want 0/true", verdict, hit)
+	valid, found = check(c, v, 7, 2, msg, sg)
+	if !valid || !found {
+		t.Fatalf("second check: valid=%v found=%v, want true/true", valid, found)
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d/%d, want 1 hit, 1 miss", hits, misses)
 	}
-	// Uncounted lookups and stores — a chain check's prefix probes — find
-	// and keep records without moving the counts.
-	if verdict, found := c.Lookup(2, sg, msg, sg, false); verdict != 0 || !found {
-		t.Errorf("uncounted lookup: verdict=%d found=%v", verdict, found)
-	}
-	c.Store(2, sg, msg, sg, 0, false)
-	c.Store(3, sg, msg, nil, 0, false)
-	if _, found := c.Lookup(3, sg, msg, nil, false); !found {
-		t.Error("uncounted store kept nothing")
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("after uncounted use: stats = %d/%d, want 1/1", hits, misses)
-	}
 }
 
+// TestVerifyCacheNegativeVerdictsAreCached: a forged proof's verdict is
+// recorded like a valid one's and taken by the second check.
 func TestVerifyCacheNegativeVerdictsAreCached(t *testing.T) {
 	scheme := NewHMAC(4, 1)
 	v := scheme.Verifier()
 	c := NewVerifyCache()
 	bad := make([]byte, 64)
 	for i := 0; i < 2; i++ {
-		if verdict, _ := check(c, v, 1, []byte("m"), bad); verdict != 1 {
+		if valid, _ := check(c, v, 1, 1, []byte("m"), bad); valid {
 			t.Fatal("forged signature verified")
 		}
 	}
-	if hits, _ := c.Stats(); hits != 1 {
-		t.Errorf("negative verdict not served from cache (hits=%d)", hits)
-	}
-	// A verdict is the caller's label, kept as given.
-	c.Store(1, bad, []byte("head"), []byte("hops"), 7, true)
-	if verdict, found := c.Lookup(1, bad, []byte("head"), []byte("hops"), true); verdict != 7 || !found {
-		t.Errorf("stored label 7, read %d (found %v)", verdict, found)
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("negative verdict not taken from the ledger (stats %d/%d)", hits, misses)
 	}
 }
 
-// TestVerifyCacheKeyCollisionIsSound: a (signer, sig) key already bound to
-// one record must not answer for other bytes — the adversarial replay case.
-// The lookup compares the record exactly, so the second query falls through
-// to the real verifier and reports the correct verdict.
+// TestVerifyCacheKeyCollisionIsSound: a key already bound to one proof
+// must not answer for other bytes — a forger's second proof of an edge, or
+// a replayed signature over another statement. The lookup compares the
+// proof exactly, so the second check falls through to the real verifier
+// and reports the correct verdict; the first record keeps the key.
 func TestVerifyCacheKeyCollisionIsSound(t *testing.T) {
 	scheme := NewHMAC(4, 1)
 	v := scheme.Verifier()
@@ -91,52 +77,54 @@ func TestVerifyCacheKeyCollisionIsSound(t *testing.T) {
 	msgA, msgB := []byte("message A"), []byte("message B")
 	sg := scheme.SignerFor(3).Sign(msgA)
 
-	if verdict, _ := check(c, v, 3, msgA, sg); verdict != 0 {
+	if valid, _ := check(c, v, 5, 3, msgA, sg); !valid {
 		t.Fatal("valid signature rejected")
 	}
-	// Same signer+sig, different message: must NOT be served as a hit.
-	verdict, hit := check(c, v, 3, msgB, sg)
-	if verdict == 0 {
+	// Same key and signature, another statement: must NOT be taken.
+	valid, found := check(c, v, 5, 3, msgB, sg)
+	if valid {
 		t.Error("replayed signature accepted for a different message")
 	}
-	if hit {
-		t.Error("mismatched message served from cache")
+	if found {
+		t.Error("mismatched proof taken from the ledger")
 	}
-	// A prefix or an extension of a stored record is another record.
-	for _, other := range [][]byte{msgA[:4], append(bytes.Clone(msgA), 'x')} {
-		if _, found := c.Lookup(3, sg, other, sg, false); found {
-			t.Errorf("record %q answered for %q", msgA, other)
+	// A prefix or an extension of a recorded proof is another proof.
+	proof := append(bytes.Clone(msgA), sg...)
+	for _, other := range [][]byte{proof[:4], append(bytes.Clone(proof), 'x')} {
+		if _, found := c.Proven(5, other); found {
+			t.Errorf("proof %q answered for %q", proof, other)
 		}
 	}
-	// And the original binding must survive (first verdict wins the slot).
-	if verdict, hit := check(c, v, 3, msgA, sg); verdict != 0 || !hit {
-		t.Errorf("original entry clobbered: verdict=%d hit=%v", verdict, hit)
+	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("stats = %d/%d, want 0 hits, 2 misses", hits, misses)
+	}
+	// And the original binding survives (the first verdict keeps the key).
+	if valid, found := check(c, v, 5, 3, msgA, sg); !valid || !found {
+		t.Errorf("original entry clobbered: valid=%v found=%v", valid, found)
 	}
 }
 
-// TestVerifyCacheDoesNotAliasCallerBuffers: records are looked up straight
-// from delivered buffers the engine reuses, so the cache must store a
-// copy, not an alias.
+// TestVerifyCacheDoesNotAliasCallerBuffers: a proof is checked in a buffer
+// its node reuses, so the ledger must record a copy, not an alias.
 func TestVerifyCacheDoesNotAliasCallerBuffers(t *testing.T) {
 	scheme := NewHMAC(4, 1)
 	v := scheme.Verifier()
 	c := NewVerifyCache()
-	buf := []byte("original msg bytes")
-	sg := scheme.SignerFor(0).Sign(buf)
-	if verdict, _ := check(c, v, 0, buf, sg); verdict != 0 {
-		t.Fatal("valid signature rejected")
-	}
+	msg := []byte("original msg bytes")
+	sg := scheme.SignerFor(0).Sign(msg)
+	buf := append(bytes.Clone(msg), sg...)
+	c.Prove(9, buf, v.Verify(0, msg, sg))
 	for i := range buf {
-		buf[i] = 'X' // caller reuses the buffer
+		buf[i] = 'X' // the node reuses the buffer
 	}
-	if verdict, hit := check(c, v, 0, []byte("original msg bytes"), sg); verdict != 0 || !hit {
-		t.Errorf("mutating the caller buffer corrupted the cache: verdict=%d hit=%v", verdict, hit)
+	if valid, found := check(c, v, 9, 0, msg, sg); !valid || !found {
+		t.Errorf("mutating the caller buffer corrupted the ledger: valid=%v found=%v", valid, found)
 	}
 }
 
 // TestVerifyCacheNilAndOversized: a nil cache reports nothing and releases
-// nothing; a record keyed by a signature wider than any built-in scheme's,
-// and longer than a record chunk, is memoized like any other.
+// nothing; a proof whose signature is wider than any built-in scheme's is
+// recorded like any other.
 func TestVerifyCacheNilAndOversized(t *testing.T) {
 	var nilCache *VerifyCache
 	if hits, misses := nilCache.Stats(); hits != 0 || misses != 0 {
@@ -145,18 +133,18 @@ func TestVerifyCacheNilAndOversized(t *testing.T) {
 	nilCache.Release()
 	scheme := NewInsecure(4, 128)
 	v := scheme.Verifier()
-	msg := make([]byte, 3*maxVerifyChunk)
+	msg := make([]byte, 1<<14)
 	sg := scheme.SignerFor(1).Sign(msg)
 	c := NewVerifyCache()
 	for i := 0; i < 2; i++ {
-		if verdict, hit := check(c, v, 1, msg, sg); verdict != 0 || hit != (i == 1) {
-			t.Errorf("oversized record, check %d: verdict=%d hit=%v", i, verdict, hit)
+		if valid, found := check(c, v, 1, 1, msg, sg); !valid || found != (i == 1) {
+			t.Errorf("oversized proof, check %d: valid=%v found=%v", i, valid, found)
 		}
 	}
 }
 
-// TestVerifyCacheConcurrent exercises the cache from many goroutines (a
-// multi-worker engine); run under -race in CI.
+// TestVerifyCacheConcurrent exercises the ledger and a board from many
+// goroutines (a multi-worker engine); run under -race in CI.
 func TestVerifyCacheConcurrent(t *testing.T) {
 	scheme := NewHMAC(8, 1)
 	v := scheme.Verifier()
@@ -167,6 +155,9 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 		msgs[i] = []byte{byte(i), 0xBE, 0xEF}
 		sigs[i] = scheme.SignerFor(ids.NodeID(i)).Sign(msgs[i])
 	}
+	b := c.Board(3)
+	b.Post(sigs[3], msgs[3], sigs[3])
+	b.Publish(1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -174,56 +165,71 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 200; round++ {
 				i := round % len(msgs)
-				if verdict, _ := check(c, v, ids.NodeID(i), msgs[i], sigs[i]); verdict != 0 {
+				if valid, _ := check(c, v, uint64(i), ids.NodeID(i), msgs[i], sigs[i]); !valid {
 					t.Error("valid signature rejected")
+					return
+				}
+				if !c.Vouched(3, 1, sigs[3], msgs[3], sigs[3]) {
+					t.Error("a published post does not vouch")
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if _, misses := c.Stats(); misses != int64(len(msgs)) {
-		t.Errorf("cache holds %d records, want %d", misses, len(msgs))
+	if hits, misses := c.Stats(); misses != int64(len(msgs)) || hits != 2*8*200-misses {
+		t.Errorf("stats = %d/%d, want %d misses (one per proof) and every other check a hit", hits, misses, len(msgs))
 	}
 }
 
 // TestVerifyCacheAccountingIsScheduleIndependent: eight goroutines check an
-// overlapping set of records — including messages replayed under one
-// (signer, sig) and forged signatures sharing an honest one's key, the
-// collision-link paths — in different orders, each also probing and
-// storing uncounted on the way, as a chain check's prefix walk does. Every
-// distinct record must count exactly one miss and every other counted
-// lookup a hit, whatever the interleaving. Run with -race -count=10.
+// overlapping set of proofs — including signatures replayed over other
+// statements and forgeries under a valid proof's key — in different
+// orders, and ask a board about posts and non-posts. Every distinct
+// recorded proof must count exactly one miss, every other proof under a
+// taken key a miss each time, every other check of a recorded proof a hit,
+// and every board question one or the other, whatever the interleaving.
+// Run with -race -count=10.
 func TestVerifyCacheAccountingIsScheduleIndependent(t *testing.T) {
 	scheme := NewHMAC(8, 1)
 	v := scheme.Verifier()
-	type triple struct {
-		signer  ids.NodeID
-		msg     []byte
-		sg      []byte
-		verdict uint8
+	type proof struct {
+		key    uint64
+		signer ids.NodeID
+		msg    []byte
+		sg     []byte
+		valid  bool
 	}
-	var triples []triple
+	var proofs []proof
 	for i := 0; i < 24; i++ {
 		id := ids.NodeID(i % 8)
 		msg := []byte{byte(i), 0xC0, 0xDE}
-		triples = append(triples, triple{id, msg, scheme.SignerFor(id).Sign(msg), 0})
+		proofs = append(proofs, proof{uint64(i), id, msg, scheme.SignerFor(id).Sign(msg), true})
 	}
-	// Replays: triples 0..3's signatures over two other messages each.
+	recorded := len(proofs)
+	// Replays: proofs 0..3's signatures over two other statements each,
+	// under the same keys.
 	for i := 0; i < 4; i++ {
 		for _, other := range [][]byte{[]byte("replay A"), []byte("replay B")} {
-			triples = append(triples, triple{triples[i].signer, other, triples[i].sg, 1})
+			proofs = append(proofs, proof{proofs[i].key, proofs[i].signer, other, proofs[i].sg, false})
 		}
 	}
-	// Forgeries sharing a memo key (signer and signature head) with an
-	// honest signature but differing further in.
+	// Forgeries under a valid proof's key, differing in the signature's tail.
 	for i := 4; i < 8; i++ {
-		forged := append([]byte(nil), triples[i].sg...)
+		forged := bytes.Clone(proofs[i].sg)
 		forged[len(forged)-1] ^= 0xFF
-		triples = append(triples, triple{triples[i].signer, triples[i].msg, forged, 1})
+		proofs = append(proofs, proof{proofs[i].key, proofs[i].signer, proofs[i].msg, forged, false})
 	}
-	const workers, passes = 8, 5
 	c := NewVerifyCache()
+	b := c.Board(2)
+	b.Post(proofs[2].sg, proofs[2].msg, nil)
+	b.Publish(1)
+	const workers, passes = 8, 5
+	// The first pass records the valid proofs before any goroutine starts,
+	// so a forgery never takes a key first.
+	for _, p := range proofs[:recorded] {
+		check(c, v, p.key, p.signer, p.msg, p.sg)
+	}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -232,49 +238,53 @@ func TestVerifyCacheAccountingIsScheduleIndependent(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for p := 0; p < passes; p++ {
-				for i := range triples {
-					tr := triples[(i+5*w+p)%len(triples)] // every worker starts elsewhere
-					c.Lookup(tr.signer, tr.sg, tr.msg, nil, false)
-					c.Store(tr.signer, tr.sg, tr.msg, nil, tr.verdict, false)
-					if verdict, _ := check(c, v, tr.signer, tr.msg, tr.sg); verdict != tr.verdict {
-						t.Errorf("signer %v msg %q: verdict %d, want %d", tr.signer, tr.msg, verdict, tr.verdict)
+				for i := range proofs {
+					pr := proofs[(i+5*w+p)%len(proofs)] // every worker starts elsewhere
+					if valid, _ := check(c, v, pr.key, pr.signer, pr.msg, pr.sg); valid != pr.valid {
+						t.Errorf("signer %v msg %q: valid %v, want %v", pr.signer, pr.msg, valid, pr.valid)
 						return
 					}
+					c.Vouched(pr.signer, 1, pr.sg, pr.msg, nil)
 				}
 			}
 		}(w)
 	}
 	close(start)
 	wg.Wait()
-	lookups, distinct := int64(workers*passes*len(triples)), int64(len(triples))
-	hits, misses := c.Stats()
-	if hits != lookups-distinct || misses != distinct {
-		t.Errorf("stats = %d hits / %d misses, want %d / %d", hits, misses, lookups-distinct, distinct)
+	checks := int64(workers * passes * len(proofs))
+	vouched := int64(workers * passes) // proofs[2], the one post
+	wantHits := checks - int64(workers*passes*(len(proofs)-recorded)) + vouched
+	wantMisses := int64(recorded) + int64(workers*passes*(len(proofs)-recorded)) + checks - vouched
+	if hits, misses := c.Stats(); hits != wantHits || misses != wantMisses {
+		t.Errorf("stats = %d hits / %d misses, want %d / %d", hits, misses, wantHits, wantMisses)
 	}
 }
 
-// lookupScript is a fixed sequence of checks — repeats, forgeries, a
-// replayed signature over other bytes, records long enough to roll the
-// record chunks over — and the (verdict, hit) pair each returned.
-func lookupScript(c *VerifyCache, scheme Scheme) (verdicts [][2]uint8, hits, misses int64) {
+// ledgerScript is a fixed sequence of proof checks and board questions —
+// repeats, forgeries, a replayed signature over other bytes, proofs long
+// enough to grow the ledger several times — and what each returned.
+func ledgerScript(c *VerifyCache, scheme Scheme) (verdicts [][2]bool, hits, misses int64) {
 	v := scheme.Verifier()
-	long := make([]byte, 3*minVerifyChunk)
-	note := func(verdict uint8, hit bool) {
-		h := uint8(0)
-		if hit {
-			h = 1
-		}
-		verdicts = append(verdicts, [2]uint8{verdict, h})
+	long := make([]byte, 3<<10)
+	for s := 0; s < scheme.N(); s++ {
+		b := c.Board(ids.NodeID(s))
+		b.Retract()
+		b.Post(make([]byte, 8), []byte("post"), []byte{byte(s)})
+		b.Publish(1)
 	}
 	for round := 0; round < 3; round++ {
 		for s := 0; s < scheme.N(); s++ {
 			id := ids.NodeID(s)
 			for k := 0; k < 20; k++ {
-				msg := append(long[:(k%4)*minVerifyChunk/2], byte(s), byte(k))
+				msg := append(long[:(k%4)<<9], byte(s), byte(k))
 				sg := scheme.SignerFor(id).Sign(msg)
-				note(check(c, v, id, msg, sg))
-				note(check(c, v, id, append(msg, 'x'), sg))       // replay over other bytes
-				note(check(c, v, id, msg, make([]byte, len(sg)))) // forgery
+				key := uint64(s<<8 | k)
+				for _, p := range [][2][]byte{{msg, sg}, {append(msg, 'x'), sg}, {msg, make([]byte, len(sg))}} {
+					valid, found := check(c, v, key, id, p[0], p[1])
+					verdicts = append(verdicts, [2]bool{valid, found})
+				}
+				vouched := c.Vouched(id, 1, make([]byte, 8), []byte("post"), []byte{byte(s + k%2)})
+				verdicts = append(verdicts, [2]bool{vouched, false})
 			}
 		}
 	}
@@ -291,32 +301,24 @@ func withVerifyStores(t *testing.T, fresh func() *verifyStores) {
 }
 
 // TestVerifyCachePoisonedStoreChangesNothing: the store free list promises
-// capacity, never content. A cache built on stores whose maps were full
-// and whose chunks hold garbage beyond length zero — and then one built on
-// whatever Release gave back, under a different key set — must answer and
-// count exactly like a cache built on nothing.
+// capacity, never content. A cache built on stores whose ledger map was
+// full, whose ledger bytes hold garbage beyond length zero and whose
+// boards held posts — and then one built on whatever Release gave back,
+// under a different key set — must answer and count exactly like a cache
+// built on nothing.
 func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
 	withVerifyStores(t, func() *verifyStores { return new(verifyStores) })
 	scheme := NewHMAC(5, 11)
-	want, wantHits, wantMisses := lookupScript(NewVerifyCache(), scheme)
+	want, wantHits, wantMisses := ledgerScript(NewVerifyCache(), scheme)
 
 	withVerifyStores(t, func() *verifyStores {
 		stores := new(verifyStores)
-		for i := range stores.shards {
-			m := make(map[verifyKey]verifyEntry)
-			for k := 0; k < 200; k++ {
-				m[verifyKey(k)] = verifyEntry{rec: []byte("stale")}
-			}
-			clear(m)
-			stores.shards[i].m = m
-			for _, size := range []int{minVerifyChunk, 7, 2 * minVerifyChunk} {
-				chunk := make([]byte, size)
-				for j := range chunk {
-					chunk[j] = 0xFF
-				}
-				stores.shards[i].chunks = append(stores.shards[i].chunks, chunk[:0])
-			}
+		stores.proofs = make(map[uint64]ledgerEntry)
+		for k := 0; k < 200; k++ {
+			stores.proofs[uint64(k)] = ledgerEntry{end: 5, valid: true}
 		}
+		clear(stores.proofs)
+		stores.recs = bytes.Repeat([]byte{0xFF}, 4<<10)[:0]
 		for signer := ids.NodeID(0); signer < 3; signer++ {
 			b := &Board{signer: signer, posts: make(map[verifyKey]boardPost)}
 			for k := 0; k < 50; k++ {
@@ -331,34 +333,38 @@ func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
 	if c.Vouched(1, 1, make([]byte, 8), []byte("stale"), nil) {
 		t.Error("a recycled board vouches before anything is posted")
 	}
-	got, hits, misses := lookupScript(c, scheme)
-	if !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses {
+	if _, found := c.Proven(0, nil); found {
+		t.Error("a recycled ledger holds a proof before anything is recorded")
+	}
+	got, hits, misses := ledgerScript(c, scheme)
+	if misses--; !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses { // the unvouched probe above is a miss
 		t.Errorf("poisoned store: stats %d/%d, want %d/%d; verdicts equal: %v",
 			hits, misses, wantHits, wantMisses, reflect.DeepEqual(got, want))
 	}
 
 	// Dirty the storage under another key set, release it, and repeat on
 	// whatever comes back: the other scheme's verdicts must not be served.
-	lookupScript(c, NewHMAC(5, 12))
+	ledgerScript(c, NewHMAC(5, 12))
 	c.Release()
 	if h, m := c.Stats(); h != 0 || m != 0 {
 		t.Errorf("released cache reports %d/%d", h, m)
 	}
 	for _, again := range []*VerifyCache{NewVerifyCache(), c} { // recycled storage; the released cache itself
-		got, hits, misses = lookupScript(again, scheme)
+		got, hits, misses = ledgerScript(again, scheme)
 		if !reflect.DeepEqual(got, want) || hits != wantHits || misses != wantMisses {
 			t.Errorf("after release: stats %d/%d, want %d/%d; verdicts equal: %v",
 				hits, misses, wantHits, wantMisses, reflect.DeepEqual(got, want))
 		}
+		again.Release()
 	}
 }
 
 // TestRepeatedRunsShareVerifyStores mirrors the engine's
-// TestRepeatedRunsShareStaging for the memo: the stores one wave of caches
-// releases are the ones the next wave is built on, whatever the collector
-// did and wherever the scheduler put the callers in between. A wave of k
-// concurrent caches — k epochs of a dynamic run in flight — can need k
-// stores, and no number of waves needs more.
+// TestRepeatedRunsShareStaging for the cache: the stores one wave of
+// caches releases are the ones the next wave is built on, whatever the
+// collector did and wherever the scheduler put the callers in between. A
+// wave of k concurrent caches — k epochs of a dynamic run in flight — can
+// need k stores, and no number of waves needs more.
 func TestRepeatedRunsShareVerifyStores(t *testing.T) {
 	scheme := NewHMAC(5, 11)
 	for _, atOnce := range []int{1, 2, freelist.Slots} {
@@ -374,7 +380,7 @@ func TestRepeatedRunsShareVerifyStores(t *testing.T) {
 					c := NewVerifyCache()
 					held.Done()
 					held.Wait() // the whole wave holds its stores at once
-					lookupScript(c, scheme)
+					ledgerScript(c, scheme)
 					c.Release()
 				}()
 			}

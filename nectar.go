@@ -126,26 +126,27 @@ func BuildNodes(g *Graph, t int, scheme Scheme, roundsOverride int, opts ...Buil
 	return inectar.BuildNodes(g, t, scheme, roundsOverride, opts...)
 }
 
-// VerifyCache is the message-check memo shared by the nodes of a run
-// (DESIGN.md §9): it stores the verdicts of whole checked messages.
-// Verification is deterministic for every provided scheme, so sharing
-// verdicts is semantics-preserving; Simulate and the experiment harness
-// create one per trial by default. It also holds each node's board, where
-// the node posts what it emits so that its neighbours take those messages
-// without a Verify call. Build one with NewVerifyCache, hand it to
-// WithVerifyCache and read it with Stats; Lookup, Store, Board and Vouched
-// are the internal API that nectar.Node calls.
+// VerifyCache is the verification state shared by the nodes of a run
+// (DESIGN.md §9): each node's board, where the node posts what it emits so
+// that its neighbours take those messages without a Verify call, and the
+// proof ledger, where an edge's first endpoint records its check of the
+// edge's proof for the second. Verification is deterministic for every
+// provided scheme, so sharing verdicts is semantics-preserving; Simulate
+// and the experiment harness create one per trial by default. Build one
+// with NewVerifyCache, hand it to WithVerifyCache and read it with Stats;
+// Board, Vouched, Proven and Prove are the internal API that nectar.Node
+// calls.
 type VerifyCache = sig.VerifyCache
 
-// NewVerifyCache returns an empty message-check memo.
+// NewVerifyCache returns an empty VerifyCache.
 func NewVerifyCache() *VerifyCache { return sig.NewVerifyCache() }
 
-// WithVerifyCache shares a message-check memo across every node built.
+// WithVerifyCache shares a VerifyCache across every node built.
 // Lockstep contract: the nodes sharing it are built before any of them runs,
 // and a node's posts save its neighbours' Verify calls only while one engine
 // — whose barrier separates each round's Emit and Deliver phases — drives
-// them all; nodes out of lockstep stay correct and verify. Release the memo
-// after the nodes.
+// them all; nodes out of lockstep stay correct and verify. Release the
+// cache after the nodes.
 func WithVerifyCache(c *VerifyCache) BuildOption { return inectar.WithVerifyCache(c) }
 
 // DecideCache memoizes the decision phase's connectivity predicate across

@@ -1,7 +1,7 @@
 package nectar
 
 // Run-lifetime recycling (DESIGN.md §9): the engine's staging, the nodes'
-// propagation scratch and the verification memo's storage survive from one
+// propagation scratch and the verification cache's storage survive from one
 // run to the next on per-package free lists. They may only ever carry
 // capacity. The in-package tests of internal/rounds, internal/nectar and
 // internal/sig feed each free list synthetic garbage; the tests here check
@@ -22,7 +22,7 @@ import (
 // the pools' contents to their victim caches, the second drops those. The
 // buffers it cannot reach are the stagings in the engine's hot slots
 // (internal/rounds/pool.go), which no collection clears: "cold" below is
-// cold in node scratch, memo stores and overflow stagings, and the hot
+// cold in node scratch, verification-cache stores and overflow stagings, and the hot
 // stagings' own garbage-in test is TestPoisonedStagingChangesNothing.
 func coldPools() {
 	runtime.GC()
@@ -156,7 +156,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 }
 
 // TestFailedSimulateLeavesNoTrace: error returns — before the build, and
-// after it with nodes and memo already borrowed — change nothing about a
+// after it with nodes and verification cache already borrowed — change nothing about a
 // later run.
 func TestFailedSimulateLeavesNoTrace(t *testing.T) {
 	good := equivalenceCases(t, 1)[2].cfg
@@ -184,7 +184,7 @@ func TestFailedSimulateLeavesNoTrace(t *testing.T) {
 }
 
 // TestFailedDynamicBuildLeavesNoTrace: a dynamic run whose build fails at a
-// late epoch — memos and nodes of the earlier epochs borrowed, some of them
+// late epoch — verification caches and nodes of the earlier epochs borrowed, some of them
 // still in flight and never finished — changes nothing about a later run.
 func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 	g, err := Harary(4, 12)
@@ -228,8 +228,8 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 // can still drop pooled scratch — up to 150 KB a node more on the drone
 // shape — so the lighter of two warm runs is the one measured. On
 // drone-hmac's shape, where nearly every delivery is a duplicate, that is
-// 1–2 % of a cold run, and it stays under 40 objects per node (19–29
-// measured: keys, proofs, the memo's records): every relay used to allocate the signature Sign returned, 630
+// 1–2 % of a cold run, and it stays under 40 objects per node (18–29
+// measured: keys, proofs): every relay used to allocate the signature Sign returned, 630
 // objects per node on this graph, and now signs into its hop slot, and every
 // proof signed or checked built its statement in a writer of its own, about
 // 26 more. On

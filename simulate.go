@@ -42,7 +42,7 @@ type SimulationConfig struct {
 
 	// fullHorizon runs every round of the horizon instead of exiting once
 	// the nodes go quiescent (DESIGN.md §6), noVerifyCache runs without the
-	// run-wide message-check memo (§9), and paranoidVerify applies the
+	// run-wide boards and proof ledger (§9), and paranoidVerify applies the
 	// literal Alg. 1 check order (verification before the duplicate
 	// discard, §2): the references the equivalence tests compare the
 	// default against. Settable from in-package tests only.

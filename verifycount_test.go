@@ -69,17 +69,19 @@ func countedRun(t *testing.T, name string, cfg SimulationConfig) (build, run int
 	return build, calls.Load() - build
 }
 
-// TestVerifyCountPinned: the verification memo and the signers' boards may
-// only ever save real signature verifications (DESIGN.md §9). Each row is a
+// TestVerifyCountPinned: the signers' boards and the proof ledger may only
+// ever save real signature verifications (DESIGN.md §9). Each row is a
 // counted Simulate run. An honest run is pinned exactly: building the nodes
-// checks each proof once, two calls per edge, and the flood makes one call
-// per node — the self-check of its first signature — since every message a
+// checks each proof once, two calls per edge — the second endpoint takes
+// the first's verdict from the ledger — and the flood makes one call per
+// node — the self-check of its first signature — since every message a
 // correct node checks was posted by the correct node that sent it, under
 // hmac and ed25519 alike. A Byzantine row may not exceed its ceiling, the
-// count logged when the boards came in: a row over it means the memo or a
-// board cost a verification. The slim row pins the unbound scheme: its
-// chains are checked in the signer walk, so the flood makes no Verify call,
-// and only NewNode's proof checks remain — two per incident edge.
+// count measured with the boards and the ledger: a chain a Byzantine node
+// sent is verified by each of its recipients. The slim row pins the unbound
+// scheme: its chains are checked in the signer walk, so the flood makes no
+// Verify call, and only NewNode's proof checks remain — two per incident
+// edge.
 func TestVerifyCountPinned(t *testing.T) {
 	const seed = 3
 	harary, err := Harary(4, 12)
@@ -98,9 +100,9 @@ func TestVerifyCountPinned(t *testing.T) {
 		{"harary", harary, []NodeID{0, 6}},
 		{"bridge", bridge.Graph, bridge.Byz.Sorted()},
 	}
-	ceiling := map[string]int64{ // real Verify calls, build and flood, with the boards
-		"harary/fakeedges": 64, "harary/equivocate": 60,
-		"bridge/fakeedges": 563, "bridge/equivocate": 559,
+	ceiling := map[string]int64{ // real Verify calls, build and flood, with the boards and the ledger
+		"harary/fakeedges": 84, "harary/equivocate": 60,
+		"bridge/fakeedges": 658, "bridge/equivocate": 559,
 	}
 	for _, topo := range topos {
 		for _, beh := range []AttackKind{"", AttackFakeEdges, AttackEquivocate} {
@@ -145,7 +147,7 @@ func TestVerifyCountPinned(t *testing.T) {
 }
 
 // honestCount checks an honest run's Verify calls under a binding scheme:
-// 2·m building (each proof checked once, through the memo) and n flooding.
+// 2·m building (each proof checked once, through the ledger) and n flooding.
 func honestCount(t *testing.T, name string, g *Graph, build, run int64) {
 	t.Helper()
 	t.Logf("%s: %d Verify calls building, %d flooding", name, build, run)
