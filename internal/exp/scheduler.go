@@ -11,11 +11,6 @@ import (
 	"github.com/nectar-repro/nectar/internal/obs"
 )
 
-// ErrInterrupted reports that Execute stopped early because
-// Options.Interrupt fired; completed units are checkpointed and the run
-// can be resumed.
-var ErrInterrupted = errors.New("exp: interrupted")
-
 // unitRef identifies one schedulable unit of a plan: Spec indexes
 // plan.Specs, Unit the unit within that spec.
 type unitRef struct {
@@ -35,10 +30,6 @@ type Options struct {
 	// OnUnit, when non-nil, receives one event per finished unit
 	// (possibly from concurrent workers — the callback is serialized).
 	OnUnit func(UnitEvent)
-	// Interrupt, when non-nil and closed, stops dispatching new units;
-	// in-flight units finish and are checkpointed, then Execute returns
-	// ErrInterrupted. Used for graceful kill-then-resume.
-	Interrupt <-chan struct{}
 	// Tracer, when non-nil, receives unit_start / unit_done events
 	// (serialized under the scheduler lock, like OnUnit). Units
 	// themselves are not traced — trial-internal engine events would
@@ -366,7 +357,6 @@ func (e *execRun) runPool(pending []unitRef, unitWorkers, engineWorkers int) {
 		}()
 	}
 
-dispatch:
 	for _, u := range pending {
 		e.mu.Lock()
 		failed := e.firstErr != nil
@@ -374,20 +364,7 @@ dispatch:
 		if failed {
 			break
 		}
-		if e.opts.Interrupt != nil {
-			select {
-			case <-e.opts.Interrupt:
-				e.mu.Lock()
-				if e.firstErr == nil {
-					e.firstErr = ErrInterrupted
-				}
-				e.mu.Unlock()
-				break dispatch
-			case work <- u:
-			}
-		} else {
-			work <- u
-		}
+		work <- u
 	}
 	close(work)
 	wg.Wait()
@@ -406,5 +383,5 @@ func firstErrOr(err error) error {
 	if err != nil {
 		return err
 	}
-	return ErrInterrupted
+	return errors.New("exp: units left unrun")
 }

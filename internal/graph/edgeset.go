@@ -13,6 +13,11 @@ import (
 // NECTAR horizon, n-1 rounds, a chain's 16-bit hop count can carry.
 const MaxSetVertices = 1 << 16
 
+// denseMaxWords is the largest row width, in 64-bit words, at which a set
+// keeps its whole adjacency matrix as bits: up to n = 192, every view at the
+// paper's scale, where the n×⌈n/64⌉-word matrix is at most 4.5 KB.
+const denseMaxWords = 3
+
 // minTableSize is the first size of an EdgeSet's hash table.
 const minTableSize = 16
 
@@ -22,9 +27,9 @@ const minTableSize = 16
 // probe and an accept one insert; adjacency is left to the decision phase,
 // which loads the set into a Graph (Graph.Load).
 //
-// Membership is the whole bit matrix up to n = 192, as in Graph, one bit
-// per edge; above it, an open-addressed table of packed 32-bit keys, kept
-// at most half full. Beside it run Sum and a log of the members' keys, from
+// Membership is the whole bit matrix up to n = 192, one bit per edge;
+// above it, an open-addressed table of packed 32-bit keys, kept at most
+// half full. Beside it run Sum and a log of the members' keys, from
 // which the table is rehashed and a graph loaded.
 // The zero value is an empty set over zero vertices; Reset sizes it.
 //
@@ -240,8 +245,6 @@ func (g *Graph) Load(s *EdgeSet) {
 		u, v := k>>16, k&0xFFFF
 		g.nbr[u] = append(g.nbr[u], v)
 		g.nbr[v] = append(g.nbr[v], u)
-		g.setBit(u, v)
-		g.setBit(v, u)
 	}
 	g.m = m
 }

@@ -51,47 +51,22 @@ func (e Edge) Other(x ids.NodeID) ids.NodeID {
 // String implements fmt.Stringer.
 func (e Edge) String() string { return fmt.Sprintf("{%v,%v}", e.U, e.V) }
 
-// denseMaxWords is the largest row width, in 64-bit words, at which a graph
-// keeps its whole adjacency matrix as bits: up to n = 192 the n×⌈n/64⌉-word
-// matrix is no larger than the n slice headers (24 bytes each) a table of
-// per-vertex rows would cost before holding a single row.
-const denseMaxWords = 3
-
-// bitsetDegreeThreshold is the degree at which a vertex of a graph too
-// large for a whole bit matrix graduates from a binary-searched neighbor
-// list to a dense bitset row of its own. A row costs ⌈n/64⌉ words per
-// vertex; a binary search over fewer than 64 IDs is at most six probes of
-// one or two cache lines, and above that HasEdge must be O(1) for the
-// engine's per-message edge checks.
-const bitsetDegreeThreshold = 64
-
 // Graph is a simple undirected graph over the fixed vertex set [0, n).
 // Vertices are ids.NodeID values; the vertex count is fixed at creation
 // (the system model assumes all processes know n). The zero value is an
 // empty graph over zero vertices; use New for a usable instance.
 //
-// Sorted neighbor lists are always maintained and are the source of truth
-// (O(n+m) per graph). Bit rows sit beside them purely to make HasEdge —
-// the engine's edge check — a shift and a mask, in one of two regimes
-// chosen by n (DESIGN.md §14):
-//
-//   - n ≤ 192 (every graph at the paper's scale): the whole matrix, one
-//     allocation made by the first AddEdge, so an edgeless graph costs
-//     nothing and HasEdge never searches a list.
-//   - larger n: a row is attached lazily to each vertex whose degree
-//     crosses bitsetDegreeThreshold, and the table of rows is itself
-//     allocated on first use, so sparse graphs (trees, rings,
-//     bounded-degree scatters) never pay for it.
+// A graph is its sorted neighbor lists and nothing else (O(n+m) per
+// graph); HasEdge is a binary search of one list. The topology and the κ
+// computation are its only readers, and no hot path asks it for an edge
+// more than about once per relayed multicast (DESIGN.md §14).
 //
 // Graph is not safe for concurrent mutation; concurrent reads are safe.
 type Graph struct {
-	n      int
-	nbr    [][]ids.NodeID // sorted neighbor lists, the source of truth
-	stride int            // words per row of dense; 0 when n is too large for it
-	dense  []uint64       // the n×stride bit matrix; nil until the first edge
-	bits   [][]uint64     // lazy per-vertex rows (stride == 0); nil table / nil rows = absent
-	flat   []ids.NodeID   // Load's backing array for the lists, and its scratch
-	m      int            // number of edges
+	n    int
+	nbr  [][]ids.NodeID // sorted neighbor lists
+	flat []ids.NodeID   // Load's backing array for the lists, and its scratch
+	m    int            // number of edges
 }
 
 // New returns an empty graph over n vertices.
@@ -102,10 +77,9 @@ func New(n int) *Graph {
 }
 
 // Reset makes g the empty graph over n vertices while keeping what it has
-// allocated: the table of lists, every list's capacity, and the bit matrix
-// (zeroed) when the new n still fits it. A graph rebuilt run after run — the
-// decision memo's pooled graph, through Load — stops allocating once it has
-// seen its working size. Lazy bit rows go: their width is tied to the old n.
+// allocated: the table of lists and every list's capacity. A graph rebuilt
+// run after run — the decision memo's pooled graph, through Load — stops
+// allocating once it has seen its working size.
 func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic("graph: negative vertex count")
@@ -120,15 +94,7 @@ func (g *Graph) Reset(n int) {
 		copy(grown, g.nbr[:cap(g.nbr)])
 		g.nbr = grown
 	}
-	dense := g.dense
 	*g = Graph{n: n, nbr: g.nbr[:n], flat: g.flat}
-	if w := (n + 63) / 64; w <= denseMaxWords {
-		g.stride = w
-		if size := n * w; 0 < size && size <= cap(dense) {
-			g.dense = dense[:size] // else the first edge allocates it
-			clear(g.dense)
-		}
-	}
 }
 
 // FromEdges builds a graph over n vertices with the given edges.
@@ -153,26 +119,8 @@ func (g *Graph) valid(v ids.NodeID) {
 	}
 }
 
-// bitWord returns the word holding v's bit in u's bit row, or nil if u has
-// no row: an edgeless small graph, or a vertex below the dense threshold
-// of a large one.
-func (g *Graph) bitWord(u, v ids.NodeID) *uint64 {
-	if g.dense != nil {
-		return &g.dense[int(u)*g.stride+int(v>>6)]
-	}
-	if g.bits != nil {
-		if r := g.bits[u]; r != nil {
-			return &r[v>>6]
-		}
-	}
-	return nil
-}
-
 // hasNeighbor is the raw membership test behind HasEdge (no validation).
 func (g *Graph) hasNeighbor(u, v ids.NodeID) bool {
-	if w := g.bitWord(u, v); w != nil {
-		return *w&(1<<(v&63)) != 0
-	}
 	_, found := slices.BinarySearch(g.nbr[u], v)
 	return found
 }
@@ -190,35 +138,7 @@ func (g *Graph) AddEdge(u, v ids.NodeID) {
 	}
 	g.nbr[u] = insertSorted(g.nbr[u], v)
 	g.nbr[v] = insertSorted(g.nbr[v], u)
-	g.setBit(u, v)
-	g.setBit(v, u)
 	g.m++
-}
-
-// setBit records v in u's bit row. It allocates the matrix on a small
-// graph's first edge, and on a large graph materializes u's row from its
-// neighbor list when u's degree has just crossed the dense threshold.
-func (g *Graph) setBit(u, v ids.NodeID) {
-	if w := g.bitWord(u, v); w != nil {
-		*w |= 1 << (v & 63)
-		return
-	}
-	if g.stride > 0 {
-		g.dense = make([]uint64, g.n*g.stride)
-		*g.bitWord(u, v) |= 1 << (v & 63)
-		return
-	}
-	if len(g.nbr[u]) < bitsetDegreeThreshold {
-		return
-	}
-	if g.bits == nil {
-		g.bits = make([][]uint64, g.n)
-	}
-	r := make([]uint64, (g.n+63)/64)
-	for _, x := range g.nbr[u] { // includes v: nbr[u] is already updated
-		r[x>>6] |= 1 << (x & 63)
-	}
-	g.bits[u] = r
 }
 
 // RemoveEdge deletes the undirected edge {u, v} if present.
@@ -230,12 +150,6 @@ func (g *Graph) RemoveEdge(u, v ids.NodeID) {
 	}
 	g.nbr[u] = removeSorted(g.nbr[u], v)
 	g.nbr[v] = removeSorted(g.nbr[v], u)
-	if w := g.bitWord(u, v); w != nil {
-		*w &^= 1 << (v & 63)
-	}
-	if w := g.bitWord(v, u); w != nil {
-		*w &^= 1 << (u & 63)
-	}
 	g.m--
 }
 
@@ -291,17 +205,6 @@ func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	for u := 0; u < g.n; u++ {
 		c.nbr[u] = append([]ids.NodeID(nil), g.nbr[u]...)
-	}
-	if g.dense != nil {
-		c.dense = append([]uint64(nil), g.dense...)
-	}
-	if g.bits != nil {
-		c.bits = make([][]uint64, g.n)
-		for u, r := range g.bits {
-			if r != nil {
-				c.bits[u] = append([]uint64(nil), r...)
-			}
-		}
 	}
 	c.m = g.m
 	return c

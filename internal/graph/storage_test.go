@@ -9,12 +9,11 @@ import (
 	"github.com/nectar-repro/nectar/internal/ids"
 )
 
-// The bit rows beside the neighbor lists — the whole matrix up to n = 192,
-// lazy per-vertex rows above — exist only to answer HasEdge faster. These
-// tests drive random mutation sequences at vertex counts on both sides of
-// every boundary of that storage (a row of one, two, three, four words; the
-// last n with a matrix and the first without) and require every observable
-// to match a reference that has the neighbor lists and nothing else.
+// A Graph is its sorted neighbor lists, kept in order by AddEdge and
+// RemoveEdge, copied by Clone and laid out in one array by Load. These tests
+// drive random mutation sequences through all of them and require every
+// observable to match a reference whose lists are built straight from an
+// independent edge model.
 
 // edgeModel is the independent model: a set of normalized edges.
 type edgeModel struct {
@@ -22,9 +21,8 @@ type edgeModel struct {
 	edges map[Edge]bool
 }
 
-// listOnly builds a Graph with the model's edges and no bit storage at
-// all, whatever its size: HasEdge, Edges and Connectivity on it run on the
-// sorted lists alone.
+// listOnly builds a Graph with the model's edges by filling and sorting
+// its lists directly, bypassing AddEdge, RemoveEdge, Clone and Load.
 func (m *edgeModel) listOnly() *Graph {
 	ref := &Graph{n: m.n, nbr: make([][]ids.NodeID, m.n), m: len(m.edges)}
 	for e := range m.edges {
@@ -91,10 +89,9 @@ func TestStorageMatchesListOnlyReference(t *testing.T) {
 			}
 			steps := 12 * n
 			for step := 1; step <= steps; step++ {
-				// Half the endpoints land on a few hub vertices, so that at
-				// n > 192 their degree crosses bitsetDegreeThreshold (rows
-				// appear mid-sequence) while most vertices stay list-only;
-				// vertex n-1 is a hub to exercise the last bit of a row.
+				// Half the endpoints land on a few hub vertices, so that
+				// their lists grow long while most vertices stay short;
+				// vertex n-1 is a hub to exercise the last list slot.
 				u := ids.NodeID(rng.Intn(n))
 				if step%2 == 0 {
 					u = []ids.NodeID{0, ids.NodeID(n / 2), ids.NodeID(n - 1)}[rng.Intn(3)]
@@ -105,7 +102,7 @@ func TestStorageMatchesListOnlyReference(t *testing.T) {
 				}
 				e := NewEdge(u, v)
 				// Removals are a third of the steps, more once the graph
-				// has filled up, so hubs cross the threshold both ways.
+				// has filled up, so hub lists grow and shrink again.
 				if rng.Intn(3) == 0 || (m.edges[e] && rng.Intn(2) == 0) {
 					g.RemoveEdge(u, v)
 					delete(m.edges, e)
@@ -133,9 +130,6 @@ func TestStorageMatchesListOnlyReference(t *testing.T) {
 				}
 			}
 			checkAgainst(t, "final", g, m)
-			if n > 192 && g.bits == nil {
-				t.Fatal("no vertex crossed the dense threshold: the lazy-row path went untested")
-			}
 
 			// Emptying the graph again leaves the storage consistent.
 			for _, e := range m.listOnly().Edges() {
@@ -144,41 +138,6 @@ func TestStorageMatchesListOnlyReference(t *testing.T) {
 			}
 			checkAgainst(t, "emptied", g, m)
 		})
-	}
-}
-
-// TestCloneCopiesBitMatrixOnce: the clone of a small graph gets its own
-// copy of the bit matrix — one allocation, not one per row — and shares no
-// word of it with the original.
-func TestCloneCopiesBitMatrixOnce(t *testing.T) {
-	const n = 100
-	g := New(n)
-	if g.dense != nil {
-		t.Fatal("an edgeless graph allocated its bit matrix")
-	}
-	for v := 1; v < n; v++ {
-		g.AddEdge(0, ids.NodeID(v))
-		g.AddEdge(ids.NodeID(v), ids.NodeID((v%(n-1))+1))
-	}
-	if len(g.dense) != n*2 || g.bits != nil {
-		t.Fatalf("n=%d: matrix of %d words and row table %v, want %d words and no table", n, len(g.dense), g.bits != nil, n*2)
-	}
-	c := g.Clone()
-	if len(c.dense) != len(g.dense) || &c.dense[0] == &g.dense[0] {
-		t.Fatal("clone shares or lacks the bit matrix")
-	}
-	for i := range c.dense {
-		c.dense[i] = 0
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(n-1, 0) {
-		t.Fatal("clearing the clone's matrix changed the original")
-	}
-
-	// n lists + the list table + the Graph + the matrix; a per-row copy
-	// would add n-1 more.
-	allocs := testing.AllocsPerRun(20, func() { _ = g.Clone() })
-	if want := float64(n + 3); allocs != want {
-		t.Fatalf("Clone made %v allocations, want %v", allocs, want)
 	}
 }
 
@@ -198,8 +157,7 @@ func usedGraph(rng *rand.Rand) *Graph {
 
 // randomEdits applies steps random insertions and removals to g and to the
 // model, hub-heavy like TestStorageMatchesListOnlyReference's so that lists
-// grow long, shrink again (leaving garbage beyond their lengths) and, at
-// n > 192, hubs get lazy bit rows.
+// grow long and shrink again, leaving garbage beyond their lengths.
 func randomEdits(rng *rand.Rand, g *Graph, m *edgeModel, steps int) {
 	if m.n < 2 {
 		return
@@ -222,11 +180,11 @@ func randomEdits(rng *rand.Rand, g *Graph, m *edgeModel, steps int) {
 	}
 }
 
-// TestResetMatchesNew: one Graph reset through vertex counts on both sides
-// of every storage boundary — growing, shrinking, through zero, each time
-// from a state full of edges, bit rows and list garbage — is from every
-// Reset on indistinguishable from New(n): empty, and after a random edit
-// script equal in every observable to a fresh graph given the same script.
+// TestResetMatchesNew: one Graph reset through a range of vertex counts —
+// growing, shrinking, through zero, each time from a state full of edges
+// and list garbage — is from every Reset on indistinguishable from New(n):
+// empty, and after a random edit script equal in every observable to a
+// fresh graph given the same script.
 func TestResetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := New(5)
@@ -236,13 +194,6 @@ func TestResetMatchesNew(t *testing.T) {
 		g.Reset(n)
 		m := &edgeModel{n: n, edges: map[Edge]bool{}}
 		checkAgainst(t, where+", empty", g, m)
-		matrix := 0 // words of bit matrix a graph of this size may hold
-		if n <= 192 {
-			matrix = n * ((n + 63) / 64)
-		}
-		if g.bits != nil || (g.dense != nil && len(g.dense) != matrix) {
-			t.Fatalf("%s: kept lazy rows, or a bit matrix of %d words where %d fit", where, len(g.dense), matrix)
-		}
 		seed := rng.Int63()
 		randomEdits(rand.New(rand.NewSource(seed)), g, m, 10*n)
 		checkAgainst(t, where+", edited", g, m)
@@ -251,15 +202,12 @@ func TestResetMatchesNew(t *testing.T) {
 		if !g.Equal(fresh) || !slices.Equal(g.Edges(), fresh.Edges()) || g.Connectivity() != fresh.Connectivity() {
 			t.Fatalf("%s: differs from New(%d) after the same edits", where, n)
 		}
-		if n > 192 && g.bits == nil {
-			t.Fatalf("%s: no hub crossed the dense threshold: lazy rows went untested", where)
-		}
 	}
 }
 
 // TestResetKeepsCapacity pins the point of Reset: rebuilding the same graph
-// on a reset one allocates nothing — not the table, not a list, not the bit
-// matrix — where New pays for each.
+// on a reset one allocates nothing — not the table, not a list — where New
+// pays for each.
 func TestResetKeepsCapacity(t *testing.T) {
 	for _, n := range []int{64, 300} {
 		g := New(n)
@@ -275,11 +223,11 @@ func TestResetKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestBitsetRowsStayConsistentAcrossThreshold(t *testing.T) {
-	// Drive a vertex's degree well past bitsetDegreeThreshold, then back
-	// down, checking HasEdge/Degree against a naive map at every step. n is
-	// large enough that rows are per-vertex and lazy, not one whole matrix.
-	n := bitsetDegreeThreshold * 4
+func TestHubDegreeMatchesNaive(t *testing.T) {
+	// Toggle random edges, two thirds of them at hub vertex 0, so that
+	// its degree hovers near n/2; then check HasEdge and Degree of every
+	// vertex against a naive map.
+	const n = 256
 	g := New(n)
 	naive := map[[2]ids.NodeID]bool{}
 	has := func(u, v ids.NodeID) bool {
@@ -290,7 +238,7 @@ func TestBitsetRowsStayConsistentAcrossThreshold(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	for step := 0; step < 6000; step++ {
-		// Bias edges onto hub vertex 0 so its row crosses the threshold.
+		// Bias edges onto hub vertex 0 so its list grows long.
 		u := ids.NodeID(0)
 		if step%3 == 0 {
 			u = ids.NodeID(rng.Intn(n))
@@ -332,7 +280,7 @@ func TestBitsetRowsStayConsistentAcrossThreshold(t *testing.T) {
 			t.Fatalf("Degree(%d)=%d want %d", u, g.Degree(ids.NodeID(u)), deg)
 		}
 	}
-	// Clone of a graph with materialized rows stays independent and equal.
+	// A clone of the graph stays independent and equal.
 	c := g.Clone()
 	if !g.Equal(c) {
 		t.Fatal("clone not equal")
@@ -340,7 +288,7 @@ func TestBitsetRowsStayConsistentAcrossThreshold(t *testing.T) {
 	e := c.Edges()[0]
 	c.RemoveEdge(e.U, e.V)
 	if !g.HasEdge(e.U, e.V) || c.HasEdge(e.U, e.V) {
-		t.Fatal("clone shares bitset storage with original")
+		t.Fatal("clone shares list storage with original")
 	}
 	if g.Equal(c) {
 		t.Fatal("comparison ignored removed edge")

@@ -185,7 +185,6 @@ func TestTopologyChangeReArmsQuiescenceAndWakesNodes(t *testing.T) {
 		got, want []int64
 	}{
 		{"BytesSent", m.BytesSent, ref.BytesSent},
-		{"BytesByRound", m.BytesByRound, ref.BytesByRound},
 		{"MsgsSent", m.MsgsSent, ref.MsgsSent},
 		{"MsgsDelivered", m.MsgsDelivered, ref.MsgsDelivered},
 	} {

@@ -136,16 +136,12 @@ func runRandomSenders(t *testing.T, n int, cfg Config, graphFor func(int) *graph
 		BytesBroadcast: make([]int64, n),
 		MsgsSent:       make([]int64, n),
 		MsgsDelivered:  make([]int64, n),
-		BytesByRound:   make([]int64, cfg.Rounds),
 		Rounds:         ms[0].Rounds,
 		ActiveRounds:   ms[0].ActiveRounds,
 	}
 	for _, pm := range ms {
 		m.DroppedNonEdge += pm.DroppedNonEdge
 		m.DroppedLoss += pm.DroppedLoss
-		for r, b := range pm.BytesByRound {
-			m.BytesByRound[r] += b
-		}
 	}
 	run := multicastRun{m: m}
 	for i, nd := range nodes {

@@ -251,10 +251,6 @@ type Metrics struct {
 	DroppedNonEdge int64
 	// DroppedLoss counts messages lost to Config.LossRate.
 	DroppedLoss int64
-	// BytesByRound[r-1] is the total bytes sent by all nodes in round r —
-	// the §IV-E effect of nodes going silent once every edge is known
-	// shows up as trailing zeros.
-	BytesByRound []int64
 	// Rounds is the configured horizon R. Rounds beyond ActiveRounds were
 	// fast-forwarded (provably silent), but still count toward the
 	// synchronous-time complexity the horizon models.
@@ -354,7 +350,6 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 			BytesBroadcast: make([]int64, n),
 			MsgsSent:       make([]int64, n),
 			MsgsDelivered:  make([]int64, n),
-			BytesByRound:   make([]int64, cfg.Rounds),
 			Rounds:         cfg.Rounds,
 		},
 	}
@@ -435,9 +430,9 @@ func (e *engine) run() error {
 				e.meter(e.workers[w], i)
 			}
 		})
-		var dropNonEdge int64
+		var roundBytes, dropNonEdge int64
 		for _, wk := range e.workers[:e.used] {
-			e.m.BytesByRound[r-1] += wk.bytes
+			roundBytes += wk.bytes
 			dropNonEdge += wk.nonEdge
 			wk.bytes, wk.nonEdge = 0, 0
 		}
@@ -489,7 +484,7 @@ func (e *engine) run() error {
 				e.cfg.Tracer.Emit(obs.Event{Type: obs.EvMsgDiscard, Round: r, N: dropNonEdge + dropLoss,
 					Attrs: []obs.Attr{{K: "nonedge", V: dropNonEdge}, {K: "loss", V: dropLoss}}})
 			}
-			e.cfg.Tracer.Emit(obs.Event{Type: obs.EvRoundEnd, Round: r, N: e.m.BytesByRound[r-1]})
+			e.cfg.Tracer.Emit(obs.Event{Type: obs.EvRoundEnd, Round: r, N: roundBytes})
 		}
 
 		// Quiescence check: inboxes are drained, so if every node attests

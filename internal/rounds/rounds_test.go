@@ -11,6 +11,7 @@ import (
 
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/topology"
 )
 
@@ -391,9 +392,6 @@ func TestEarlyExitSkipsSilentRounds(t *testing.T) {
 	if m.ActiveRounds >= 20 || m.ActiveRounds < 2 {
 		t.Errorf("ActiveRounds = %d, want early exit in [2,20)", m.ActiveRounds)
 	}
-	if len(m.BytesByRound) != 20 {
-		t.Errorf("BytesByRound keeps the horizon length, got %d", len(m.BytesByRound))
-	}
 	for i, n := range nodes {
 		if len(n.seen) != 8 {
 			t.Errorf("node %d saw %d origins despite early exit", i, len(n.seen))
@@ -412,8 +410,7 @@ func TestEarlyExitMatchesFullHorizon(t *testing.T) {
 			if !reflect.DeepEqual(fast.BytesSent, full.BytesSent) ||
 				!reflect.DeepEqual(fast.BytesBroadcast, full.BytesBroadcast) ||
 				!reflect.DeepEqual(fast.MsgsSent, full.MsgsSent) ||
-				!reflect.DeepEqual(fast.MsgsDelivered, full.MsgsDelivered) ||
-				!reflect.DeepEqual(fast.BytesByRound, full.BytesByRound) {
+				!reflect.DeepEqual(fast.MsgsDelivered, full.MsgsDelivered) {
 				t.Errorf("seed %d: early-exit metrics diverge from full horizon", seed)
 			}
 		}
@@ -455,29 +452,40 @@ func TestLossDeterministicAcrossParallelism(t *testing.T) {
 
 func TestBytesByRoundTrailingSilence(t *testing.T) {
 	// Flooding on a complete graph finishes in ~2 rounds; rounds beyond
-	// the diameter must be silent (the §IV-E observation).
+	// the diameter must be silent (the §IV-E observation). A round's bytes
+	// are the N of its round_end trace event.
 	g := topology.Complete(8)
 	nodes := make([]Protocol, 8)
 	for i := range nodes {
 		nodes[i] = newFloodNode(ids.NodeID(i), g, fmt.Sprintf("o-%d", i))
 	}
-	m, err := Run(Config{Graph: g, Rounds: 7, Seed: 1}, nodes)
+	rec := obs.NewRecorder(nil)
+	m, err := Run(Config{Graph: g, Rounds: 7, Seed: 1, Tracer: rec}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.BytesByRound) != 7 {
-		t.Fatalf("BytesByRound has %d entries", len(m.BytesByRound))
+	var bytesByRound []int64
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.EvRoundEnd {
+			if ev.Round != len(bytesByRound)+1 {
+				t.Fatalf("round_end for round %d after %d rounds", ev.Round, len(bytesByRound))
+			}
+			bytesByRound = append(bytesByRound, ev.N)
+		}
 	}
-	if m.BytesByRound[0] == 0 || m.BytesByRound[1] == 0 {
+	if len(bytesByRound) != 7 {
+		t.Fatalf("%d round_end events, want one per round of 7", len(bytesByRound))
+	}
+	if bytesByRound[0] == 0 || bytesByRound[1] == 0 {
 		t.Error("early rounds should carry traffic")
 	}
 	for r := 2; r < 7; r++ {
-		if m.BytesByRound[r] != 0 {
-			t.Errorf("round %d not silent: %d bytes", r+1, m.BytesByRound[r])
+		if bytesByRound[r] != 0 {
+			t.Errorf("round %d not silent: %d bytes", r+1, bytesByRound[r])
 		}
 	}
 	var byRound, byNode int64
-	for _, b := range m.BytesByRound {
+	for _, b := range bytesByRound {
 		byRound += b
 	}
 	for _, b := range m.BytesSent {
