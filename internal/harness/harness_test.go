@@ -453,9 +453,11 @@ func TestCutPlacementFallsBackToRandom(t *testing.T) {
 
 // TestVerifyCacheMatchesUncachedTrials: the per-trial verification cache is
 // a pure wall-clock optimization — every protocol's trials must score and
-// meter identically against the uncached reference run.
+// meter identically against the uncached reference run, NECTAR's under
+// every attack it defines: with the cache, correct nodes away from the
+// Byzantine ones leave their relays for the first reader to sign.
 func TestVerifyCacheMatchesUncachedTrials(t *testing.T) {
-	assertTrialsMatchReference(t, "uncached", func(s *Spec) { s.noVerifyCache = true })
+	assertTrialsMatchReference(t, "uncached", func(s *Spec) { s.noVerifyCache = true }, SupportedAttacks(ProtoNectar)...)
 }
 
 // TestEarlyExitMatchesFullHorizonTrials: quiescence early exit is a pure
@@ -467,30 +469,42 @@ func TestEarlyExitMatchesFullHorizonTrials(t *testing.T) {
 
 // assertTrialsMatchReference runs a Byzantine-bridge spec for each protocol
 // as is and with mut applied, and fails unless every trial scores and
-// meters the same.
-func assertTrialsMatchReference(t *testing.T, name string, mut func(*Spec)) {
+// meters the same. The Byzantine nodes run split-brain, and NECTAR's each
+// of nectarAttacks instead when it names any.
+func assertTrialsMatchReference(t *testing.T, name string, mut func(*Spec), nectarAttacks ...AttackKind) {
 	t.Helper()
-	for _, proto := range []ProtocolKind{ProtoNectar, ProtoMtG, ProtoMtGv2} {
+	if len(nectarAttacks) == 0 {
+		nectarAttacks = []AttackKind{AttackSplitBrain}
+	}
+	type row struct {
+		proto  ProtocolKind
+		attack AttackKind
+	}
+	rows := []row{{ProtoMtG, AttackSplitBrain}, {ProtoMtGv2, AttackSplitBrain}}
+	for _, a := range nectarAttacks {
+		rows = append(rows, row{ProtoNectar, a})
+	}
+	for _, r := range rows {
 		base := Spec{
-			Protocol: proto, Attack: AttackSplitBrain,
+			Protocol: r.proto, Attack: r.attack,
 			T: 2, Trials: 4, Seed: 11,
 			Scenario: Bridge(14, 2, 6, 1.8, 2),
 		}
 		got, err := Run(base)
 		if err != nil {
-			t.Fatalf("%s: %v", proto, err)
+			t.Fatalf("%s/%s: %v", r.proto, r.attack, err)
 		}
 		mut(&base)
 		ref, err := Run(base)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", proto, name, err)
+			t.Fatalf("%s/%s/%s: %v", r.proto, r.attack, name, err)
 		}
 		for i := range ref.Trials {
-			r, g := ref.Trials[i], got.Trials[i]
-			if r.Accuracy != g.Accuracy || r.Agreement != g.Agreement ||
-				r.MeanBytesPerNode != g.MeanBytesPerNode || r.MaxBytesPerNode != g.MaxBytesPerNode ||
-				r.MeanBroadcastBytes != g.MeanBroadcastBytes {
-				t.Errorf("%s trial %d diverges from the %s reference:\nref: %+v\ngot: %+v", proto, i, name, r, g)
+			rt, g := ref.Trials[i], got.Trials[i]
+			if rt.Accuracy != g.Accuracy || rt.Agreement != g.Agreement ||
+				rt.MeanBytesPerNode != g.MeanBytesPerNode || rt.MaxBytesPerNode != g.MaxBytesPerNode ||
+				rt.MeanBroadcastBytes != g.MeanBroadcastBytes {
+				t.Errorf("%s/%s trial %d diverges from the %s reference:\nref: %+v\ngot: %+v", r.proto, r.attack, i, name, rt, g)
 			}
 		}
 	}

@@ -1,11 +1,14 @@
 package nectar
 
 import (
+	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/rounds"
 	"github.com/nectar-repro/nectar/internal/sig"
 )
 
@@ -41,8 +44,7 @@ func boardNode(t *testing.T, g *graph.Graph, scheme sig.Scheme, cache *sig.Verif
 // on that signer's board.
 func posted(cache *sig.VerifyCache, data []byte, round, sigSize int) bool {
 	ps := proofWireSize(sigSize)
-	signer, sg := outermost(data[ps+2:], sigSize)
-	return cache.Vouched(signer, round, sg, data[:ps], data[ps+2:])
+	return cache.Vouched(lastSigner(data[ps+2:], sigSize), round, data[:ps], data[ps+2:], nil)
 }
 
 // checkAgainstReference checks data from `from` in round through sc and
@@ -166,5 +168,88 @@ func TestBoardReplayIsRejected(t *testing.T) {
 	extended := m.Encode(sigSize)
 	if got, calls, _ := checkAgainstReference(t, &sc, v, g.N(), extended, byz, 2); got.Reason != "" || calls == 0 {
 		t.Errorf("Byzantine extension of a post: %+v after %d Verify calls, want accepted after at least one", got, calls)
+	}
+}
+
+// signOnReadRun is what a run signing its relays on first read shows:
+// every node's counters, view and outcome, the engine's metrics and the
+// signatures made flooding.
+type signOnReadRun struct {
+	Stats    []Stats
+	Views    [][]graph.Edge
+	Outcomes []Outcome
+	Metrics  *rounds.Metrics
+	Signed   int64
+}
+
+// runSignOnRead floods g under hmac at the given engine workers, with a
+// verification cache and every node granted signOnRead unless cacheless.
+func runSignOnRead(t *testing.T, g *graph.Graph, workers int, cacheless bool) signOnReadRun {
+	t.Helper()
+	var calls atomic.Int64
+	scheme := countingScheme{sig.NewHMAC(g.N(), 5), &calls}
+	var opts []BuildOption
+	cache := sig.NewVerifyCache()
+	defer cache.Release()
+	if !cacheless {
+		opts = append(opts, WithVerifyCache(cache), WithSignOnRead(func(ids.NodeID) bool { return true }))
+	}
+	nodes, err := BuildNodes(g, 1, scheme, 0, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := calls.Load()
+	protos := make([]rounds.Protocol, len(nodes))
+	for i, nd := range nodes {
+		protos[i] = nd
+	}
+	m, err := rounds.Run(rounds.Config{Graph: g, Rounds: g.N() - 1, Seed: 9, Workers: workers}, protos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := signOnReadRun{Metrics: m, Signed: calls.Load() - built}
+	for _, nd := range nodes {
+		run.Stats = append(run.Stats, nd.Stats())
+		run.Views = append(run.Views, nd.View().Edges())
+		run.Outcomes = append(run.Outcomes, nd.Decide())
+	}
+	return run
+}
+
+// TestSignOnReadConcurrentReaders: on a wheel with tails, a hub's relay of
+// a tail edge is first-seen by most spokes at once, so with several engine workers
+// readers on different goroutines find one unsigned post together. Exactly
+// one signs it — the count of signatures is the same at any worker count,
+// and below the cache-less run's, which signs every relay — and every run
+// reads, accepts, relays and decides as the cache-less one. Run with -race.
+func TestSignOnReadConcurrentReaders(t *testing.T) {
+	const spokes, tails = 29, 10
+	g := graph.New(1 + spokes + tails)
+	for s := 1; s <= spokes; s++ {
+		g.AddEdge(0, ids.NodeID(s))
+		if s > 1 { // a rim, so that some relays reach only readers that know them
+			g.AddEdge(ids.NodeID(s-1), ids.NodeID(s))
+		}
+	}
+	for k := 1; k <= tails; k++ {
+		g.AddEdge(ids.NodeID(k), ids.NodeID(spokes+k))
+	}
+	want := runSignOnRead(t, g, 1, true)
+	var signed int64
+	for _, workers := range []int{1, 2, 4} {
+		got := runSignOnRead(t, g, workers, false)
+		if workers == 1 {
+			signed = got.Signed
+			t.Logf("%d signatures flooding, %d without a cache", got.Signed, want.Signed)
+			if got.Signed >= want.Signed {
+				t.Errorf("%d signatures flooding, not fewer than the %d of the cache-less run", got.Signed, want.Signed)
+			}
+		} else if got.Signed != signed {
+			t.Errorf("%d workers: %d signatures flooding, %d at one worker", workers, got.Signed, signed)
+		}
+		got.Signed = want.Signed
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: the run differs from the cache-less run", workers)
+		}
 	}
 }

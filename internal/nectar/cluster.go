@@ -28,6 +28,15 @@ func WithVerifyCache(cache *sig.VerifyCache) BuildOption {
 	return func(c *Config) { c.VerifyCache = cache }
 }
 
+// WithSignOnRead has each node built that grant names leave its relays'
+// signatures to the first neighbour that checks them (Config.signOnRead).
+// The caller vouches that every recipient of such a node's relays is a
+// correct node built with the same WithVerifyCache and run in the same
+// engine; without a cache it changes nothing.
+func WithSignOnRead(grant func(ids.NodeID) bool) BuildOption {
+	return func(c *Config) { c.signOnRead = grant(c.Me) }
+}
+
 // BuildNodes constructs one correct NECTAR node per vertex of g, with
 // setup-time proofs of neighborhood built under scheme. t is the assumed
 // Byzantine bound handed to every node; roundsOverride (0 = default n-1)

@@ -54,10 +54,9 @@ func seedMemo(t testing.TB, sc *msgScratch, scheme sig.Scheme, hops int, post bo
 // Node.Emit does once the signer's self-check has passed.
 func postOn(cache *sig.VerifyCache, data []byte, round, sigSize int) {
 	ps := proofWireSize(sigSize)
-	signer, sg := outermost(data[ps+2:], sigSize)
-	b := cache.Board(signer)
+	b := cache.Board(lastSigner(data[ps+2:], sigSize))
 	b.Retract()
-	b.Post(sg, data[:ps], data[ps+2:])
+	b.Post(data[:ps], data[ps+2:])
 	b.Publish(round)
 }
 

@@ -240,8 +240,10 @@ func (sc *msgScratch) checkBody(v sig.Verifier, e graph.Edge, data []byte, n int
 // round (0 for NewNode's bare proofs). A node with a cache (DESIGN.md §9)
 // asks it first: a delivery, the board of its outermost signer, whom
 // checkBody has found to be the sender — if it posted these bytes this
-// round, they are valid; a bare proof, the proof ledger, where the edge's
-// other endpoint may have recorded its verdict on these bytes. Otherwise
+// round, they are valid (a relay the sender left unsigned is signed there
+// first, into the very bytes delivered); a bare proof, the proof ledger,
+// where the edge's other endpoint may have recorded its verdict on these
+// bytes. Otherwise
 // every signature is verified, and a bare proof's verdict recorded.
 // Deliver enters it only under a scheme that binds the message
 // (checkBody); NewNode checks every scheme's proofs here.
@@ -252,7 +254,7 @@ func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []b
 	if sc.cache != nil {
 		if len(rawHops) == 0 {
 			valid, found = sc.cache.Proven(edge, proof)
-		} else if signer, sg := outermost(rawHops, sigSize); sc.cache.Vouched(signer, round, sg, proof, rawHops) {
+		} else if sc.cache.Vouched(lastSigner(rawHops, sigSize), round, proof, rawHops, &sc.cs) {
 			return nil
 		}
 	}
@@ -272,9 +274,8 @@ func (sc *msgScratch) checkSigs(v sig.Verifier, e graph.Edge, proof, rawHops []b
 	return nil
 }
 
-// outermost returns the signer and signature of a chain's last hop, which
-// a board post of the message is keyed by. rawHops is not empty.
-func outermost(rawHops []byte, sigSize int) (ids.NodeID, []byte) {
-	last := rawHops[len(rawHops)-sig.HopWireSize(sigSize):]
-	return ids.NodeID(binary.BigEndian.Uint32(last)), last[4:]
+// lastSigner returns the signer of a chain's last hop, whose board a
+// delivery check asks. rawHops is not empty.
+func lastSigner(rawHops []byte, sigSize int) ids.NodeID {
+	return ids.NodeID(binary.BigEndian.Uint32(rawHops[len(rawHops)-sig.HopWireSize(sigSize):]))
 }

@@ -97,9 +97,21 @@ type Config struct {
 	// in, which the engine's barrier between a round's Emit and Deliver
 	// phases spans. Nodes driven out of lockstep (one engine each, as over
 	// TCP) stay correct — a delivery the poster has moved past is simply
-	// verified. Release the cache last, once every node sharing it is
+	// verified. A node granted signOnRead goes further: it emits its relays
+	// unsigned, and the first neighbour to check one signs it off the
+	// board. That is sound only while every recipient is a correct node of
+	// the same cache that reads the relay in the round it was sent, in the
+	// same engine — so only harness.BuildNectar grants it, to a correct node
+	// whose neighbours are all correct, and a split run (rounds.SplitAware)
+	// takes it back. Release the cache last, once every node sharing it is
 	// released or done with.
 	VerifyCache *sig.VerifyCache
+
+	// signOnRead defers each relay's signature to the first neighbour that
+	// checks the relay (sig.Board.Defer), under the lockstep contract
+	// above; set by WithSignOnRead. Decisions and wire bytes are the same
+	// either way: only the signatures no neighbour reads are never made.
+	signOnRead bool
 
 	// paranoidVerify verifies signatures even for already-known edges,
 	// matching the literal check order of Alg. 1 l. 14. The default
@@ -305,6 +317,7 @@ func (nd *Node) viewGraph() *graph.Graph {
 
 var _ rounds.Protocol = (*Node)(nil)
 var _ rounds.EvidenceSource = (*Node)(nil)
+var _ rounds.SplitAware = (*Node)(nil)
 
 // NewNode validates cfg and initializes Gi with the local neighborhood
 // (Alg. 1 ll. 1-4).
@@ -409,7 +422,8 @@ func (nd *Node) Rounds() int { return nd.nRounds }
 // (ll. 9-12). Each announcement and relay is one multicast Send to the
 // node's own neighbor list, a relay skipping its sender's place in it. An
 // edge that came from the only neighbor was never queued (accept): nothing
-// is encoded or signed for a relay nobody receives.
+// is encoded or signed for a relay nobody receives. Under signOnRead a
+// relay leaves unsigned, and its first reader signs it (sig.Board.Defer).
 func (nd *Node) Emit(round int) []rounds.Send {
 	nd.started = true
 	// Reset the per-round scratch: the previous round's sends have been
@@ -438,9 +452,16 @@ func (nd *Node) Emit(round int) []rounds.Send {
 		nd.sendBuf, nd.sendUsed = out, max(nd.sendUsed, len(out))
 		return out
 	}
+	// A relay's signature waits for its first reader once the node's board
+	// has taken the self-check of round 1.
+	onRead := nd.cfg.signOnRead && nd.board != nil && !nd.unproven
 	for _, item := range nd.queue {
-		data := nd.encodeRelay(item, v, ps, sigSize)
-		nd.post(data, item.edge, ps, sigSize)
+		data := nd.encodeRelay(item, ps, sigSize)
+		stmt, rawHops := nd.scr.statement(v, item.edge), data[ps+2:]
+		if !onRead || !nd.board.Defer(nd.signer, v, stmt, data[:ps], rawHops) {
+			nd.scr.cs.SignLastHop(nd.signer, v, stmt, rawHops)
+			nd.post(data, item.edge, ps, sigSize)
+		}
 		out = append(out, rounds.Send{To: nd.cfg.Neighbors, Skip: item.skip, Data: data})
 	}
 	// The queue is drained, so nothing references the accept arena any
@@ -472,33 +493,34 @@ func (nd *Node) post(data []byte, e graph.Edge, ps, sigSize int) {
 		}
 		nd.unproven = false
 	}
-	_, sg := outermost(rawHops, sigSize)
-	nd.board.Post(sg, data[:ps], rawHops)
+	nd.board.Post(data[:ps], rawHops)
 }
 
-// encodeRelay appends the relay of a retained message to the encode arena:
-// the wire bytes copied verbatim into a region sized for one more hop, the
-// hop count bumped in place, and the node's own hop after it, signed in its
-// slot over the raw hop region (bit-for-bit the input AppendInto would build
-// from decoded hops) — no []Hop and no signature is ever materialized on the
-// relay path. Every retained field is fixed-width, so this is byte-for-byte
-// what re-encoding the decoded message would produce — down to a signature
-// of the wrong width, which is cut or zero-padded to the hop's, mirroring
-// EncodeHops: the slot's capacity ends with the hop, so a longer one is
-// appended into memory of its own, not into the arena behind the slot.
-func (nd *Node) encodeRelay(item relayItem, v sig.Verifier, ps, sigSize int) []byte {
+// encodeRelay appends the relay of a retained message to the encode arena,
+// all but its signature: the wire bytes copied verbatim into a region sized
+// for one more hop, the hop count bumped in place, and the node's own hop
+// after it with its signature slot zeroed — the arena hands back stale
+// bytes. The caller signs the slot (sig.ChainScratch.SignLastHop, over the
+// raw hop region: bit-for-bit the input AppendInto would build from decoded
+// hops) or leaves it to the first reader (sig.Board.Defer) — no []Hop and
+// no signature is ever materialized on the relay path. Every retained
+// field is fixed-width, so the signed relay is byte-for-byte what
+// re-encoding the decoded message would produce, down to a signature of
+// the wrong width, cut or zero-padded to the hop's as EncodeHops does.
+func (nd *Node) encodeRelay(item relayItem, ps, sigSize int) []byte {
 	raw := item.raw
 	out := nd.enc.Extend(len(raw) + sig.HopWireSize(sigSize))
 	hop := out[copy(out, raw):]
 	binary.BigEndian.PutUint16(out[ps:], binary.BigEndian.Uint16(raw[ps:])+1)
 	binary.BigEndian.PutUint32(hop, uint32(nd.cfg.Me))
-	slot := hop[4:len(hop):len(hop)]
-	sg := nd.scr.cs.AppendSignRawChain(slot[:0], nd.signer, v, nd.scr.statement(v, item.edge), raw[ps+2:])
-	if len(sg) != sigSize {
-		clear(slot[copy(slot, sg):])
-	}
+	clear(hop[4:])
 	return out
 }
+
+// SplitRun implements rounds.SplitAware: in a split run a transport copies
+// the node's sends before any reader could sign them, so every relay is
+// signed when it is emitted.
+func (nd *Node) SplitRun() { nd.cfg.signOnRead = false }
 
 // Deliver implements rounds.Protocol (Alg. 1 ll. 13-15). Invalid messages
 // are ignored; an edge already in Gi is discarded before any signature

@@ -131,6 +131,43 @@ func TestRelayEmitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDeferredRelayAllocBudget holds a relay left for its first reader to
+// sign (DESIGN.md §9) to the same budget: the board's posts and statement
+// copies reuse their storage, and the reader signs into the poster's slot
+// with its own scratch.
+func TestDeferredRelayAllocBudget(t *testing.T) {
+	cache := sig.NewVerifyCache()
+	t.Cleanup(cache.Release)
+	fx := newDeliverFixture(t, WithVerifyCache(cache), WithSignOnRead(func(ids.NodeID) bool { return true }))
+	t.Cleanup(fx.node.Release)
+	fx.node.Emit(1) // the self-check
+	fx.node.Deliver(2, fx.from, fx.relay)
+	reader := msgScratch{cache: cache}
+	sigSize := fx.node.cfg.Verifier.SigSize()
+	ps := proofWireSize(sigSize)
+	var data []byte
+	emitAndRead := func() {
+		fx.node.queue = fx.node.queue[:1] // resurrect the drained item
+		data = fx.node.Emit(3)[0].Data
+		for _, b := range data[len(data)-sigSize:] {
+			if b != 0 {
+				t.Fatal("the relay left Emit signed")
+			}
+		}
+		if !cache.Vouched(0, 3, data[:ps], data[ps+2:], &reader.cs) {
+			t.Fatal("the deferred relay is not vouched for")
+		}
+	}
+	emitAndRead() // sizes the arena, the board's posts and its statement copies
+	m, err := DecodeEdgeMsg(data, sigSize, fx.node.cfg.N)
+	if err != nil || !m.Proof.Verify(fx.node.cfg.Verifier) || !sig.VerifyChain(fx.node.cfg.Verifier, proofStatement(m.Proof.Edge), m.Chain) {
+		t.Fatalf("the relay its reader signed does not verify (%v)", err)
+	}
+	if allocs := testing.AllocsPerRun(100, emitAndRead); allocs > relayEmitAllocBudget {
+		t.Errorf("a deferred relay's emit and first read allocate %.1f objects/op, want <= %d", allocs, relayEmitAllocBudget)
+	}
+}
+
 // BenchmarkDeliver measures the deliver path per message for what a node
 // discards: the dominant duplicate case (lazy header discard; paranoid
 // order for scale) and the garbage-reject case. BenchmarkDeliverFirstSeen

@@ -102,6 +102,37 @@ func TestBroadcastAccountingIsBySend(t *testing.T) {
 		}
 	}
 
+	// A skip takes one listing off a list whose channels the engine counted
+	// once for every Send sharing it, as a NECTAR node's relays share its
+	// neighbour list: off a fully admitted list it is one message fewer, off
+	// a partly admitted one a message or a drop, whichever the listing was.
+	full, partly := []ids.NodeID{1, 2, 3}, []ids.NodeID{1, 0, 2}
+	for _, row := range []struct {
+		name    string
+		run     run
+		msgs    []int64 // MsgsSent per node over the run; BytesBroadcast charges each Send once
+		dropped int64
+	}{
+		{"a skip on a fully admitted list",
+			star(script{{To: full, Skip: 2, Data: a}, {To: full, Skip: 3, Data: b}}),
+			[]int64{2 * 4, 0, 0, 0}, 0},
+		{"a skip on a partly admitted list",
+			star(script{{To: partly, Skip: 3, Data: a}, {To: partly, Skip: 2, Data: b}}),
+			[]int64{2 * 3, 0, 0, 0}, 2},
+	} {
+		m, err := rounds.Run(rounds.Config{Graph: row.run.g, Rounds: row.run.rounds, Seed: 1}, row.run.protos)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		each := cost(a) // a and b are the same length
+		wantBytes := []int64{row.msgs[0] * each, 0, 0, 0}
+		if want := []int64{2 * 2 * each, 0, 0, 0}; !slices.Equal(m.BytesBroadcast, want) ||
+			!slices.Equal(m.MsgsSent, row.msgs) || !slices.Equal(m.BytesSent, wantBytes) || m.DroppedNonEdge != row.dropped {
+			t.Errorf("%s: BytesBroadcast %v, MsgsSent %v, BytesSent %v, %d dropped; want %v, %v, %v, %d",
+				row.name, m.BytesBroadcast, m.MsgsSent, m.BytesSent, m.DroppedNonEdge, want, row.msgs, wantBytes, row.dropped)
+		}
+	}
+
 	// The fakeedges row charges a repeat only if it is one: the forged
 	// announcement's bytes equal the inner node's own of the same edge.
 	if sent := fakeTap.sent; len(sent) != 3 || !bytes.Equal(sent[2], sent[0]) {

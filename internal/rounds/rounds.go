@@ -150,6 +150,16 @@ type EvidenceSource interface {
 	DrainEvidence(emit func(obs.Event))
 }
 
+// SplitAware is an optional Protocol extension for split runs: before round
+// 1 of a run with a Transport the engine calls SplitRun on every node that
+// implements it. A split run hands remote recipients copies of a round's
+// Data taken between its emit and deliver phases, so a node that would
+// otherwise complete its sends during delivery — a NECTAR relay signed by
+// its first reader (DESIGN.md §9) — must complete them in Emit.
+type SplitAware interface {
+	SplitRun()
+}
+
 // Transport joins engines that each run a share of one network's nodes —
 // the processes of a TCP deployment (internal/tcpnet), or engines side by
 // side in a test. Each engine holds all n slots, a placeholder that emits
@@ -379,6 +389,9 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 		e.remote = make([]bool, n)
 		for i := range e.remote {
 			e.remote[i] = cfg.Transport.Remote(ids.NodeID(i))
+			if sa, ok := nodes[i].(SplitAware); ok {
+				sa.SplitRun()
+			}
 		}
 	}
 	if err := e.run(); err != nil {
@@ -532,10 +545,10 @@ func (e *engine) meter(wk *worker, i int) {
 		}
 		listed, a := len(s.To), admitted
 		if k := s.Skip - 1; k >= 0 && k < listed {
-			listed--
-			if e.channel(from, s.To[k]) {
+			if admitted == listed || e.channel(from, s.To[k]) { // every listing of a fully admitted list has a channel
 				a--
 			}
+			listed--
 		}
 		wk.nonEdge += int64(listed - a)
 		if a == 0 {

@@ -89,6 +89,20 @@ func (cs *ChainScratch) AppendSignRawChain(dst []byte, s AppendSigner, v Verifie
 	return s.AppendSign(dst, cs.rawInput(payload, rawHops, v.SigSize()))
 }
 
+// SignLastHop fills the signature slot of rawHops' last hop — its final
+// v.SigSize() bytes — with AppendSignRawChain's signature by s extending
+// the hops before it, cut or zero-padded to the slot's width as EncodeHops
+// would. The slot is capped, so a longer signature is appended into memory
+// of its own, never into the bytes behind rawHops.
+func (cs *ChainScratch) SignLastHop(s AppendSigner, v Verifier, payload, rawHops []byte) {
+	sigSize, n := v.SigSize(), len(rawHops)
+	slot := rawHops[n-sigSize : n : n]
+	sg := cs.AppendSignRawChain(slot[:0], s, v, payload, rawHops[:n-HopWireSize(sigSize)])
+	if len(sg) != sigSize {
+		clear(slot[copy(slot, sg):])
+	}
+}
+
 // VerifyRawChain is VerifyChain over a raw chain: the same verdict from the
 // same Verify calls in the same order, hop #i against
 // chainInput(payload, hops[:i]). The first `from` hops are skipped: a

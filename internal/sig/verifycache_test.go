@@ -156,7 +156,7 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 		sigs[i] = scheme.SignerFor(ids.NodeID(i)).Sign(msgs[i])
 	}
 	b := c.Board(3)
-	b.Post(sigs[3], msgs[3], sigs[3])
+	b.Post(msgs[3], sigs[3])
 	b.Publish(1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -169,7 +169,7 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 					t.Error("valid signature rejected")
 					return
 				}
-				if !c.Vouched(3, 1, sigs[3], msgs[3], sigs[3]) {
+				if !c.Vouched(3, 1, msgs[3], sigs[3], nil) {
 					t.Error("a published post does not vouch")
 					return
 				}
@@ -222,7 +222,7 @@ func TestVerifyCacheAccountingIsScheduleIndependent(t *testing.T) {
 	}
 	c := NewVerifyCache()
 	b := c.Board(2)
-	b.Post(proofs[2].sg, proofs[2].msg, nil)
+	b.Post(proofs[2].msg, proofs[2].sg)
 	b.Publish(1)
 	const workers, passes = 8, 5
 	// The first pass records the valid proofs before any goroutine starts,
@@ -244,7 +244,7 @@ func TestVerifyCacheAccountingIsScheduleIndependent(t *testing.T) {
 						t.Errorf("signer %v msg %q: valid %v, want %v", pr.signer, pr.msg, valid, pr.valid)
 						return
 					}
-					c.Vouched(pr.signer, 1, pr.sg, pr.msg, nil)
+					c.Vouched(pr.signer, 1, pr.msg, pr.sg, nil)
 				}
 			}
 		}(w)
@@ -269,7 +269,7 @@ func ledgerScript(c *VerifyCache, scheme Scheme) (verdicts [][2]bool, hits, miss
 	for s := 0; s < scheme.N(); s++ {
 		b := c.Board(ids.NodeID(s))
 		b.Retract()
-		b.Post(make([]byte, 8), []byte("post"), []byte{byte(s)})
+		b.Post([]byte("post"), []byte{byte(s)})
 		b.Publish(1)
 	}
 	for round := 0; round < 3; round++ {
@@ -283,7 +283,7 @@ func ledgerScript(c *VerifyCache, scheme Scheme) (verdicts [][2]bool, hits, miss
 					valid, found := check(c, v, key, id, p[0], p[1])
 					verdicts = append(verdicts, [2]bool{valid, found})
 				}
-				vouched := c.Vouched(id, 1, make([]byte, 8), []byte("post"), []byte{byte(s + k%2)})
+				vouched := c.Vouched(id, 1, []byte("post"), []byte{byte(s + k%2)}, nil)
 				verdicts = append(verdicts, [2]bool{vouched, false})
 			}
 		}
@@ -319,18 +319,20 @@ func TestVerifyCachePoisonedStoreChangesNothing(t *testing.T) {
 		}
 		clear(stores.proofs)
 		stores.recs = bytes.Repeat([]byte{0xFF}, 4<<10)[:0]
-		for signer := ids.NodeID(0); signer < 3; signer++ {
-			b := &Board{signer: signer, posts: make(map[verifyKey]boardPost)}
+		for range 3 {
+			b := &Board{index: make(map[uint64]int), payloads: bytes.Repeat([]byte{0xFF}, 1<<10)[:0]}
 			for k := 0; k < 50; k++ {
-				b.posts[verifyKey(k)] = boardPost{head: []byte("stale")}
+				b.index[uint64(k)] = k
+				b.posts = append(b.posts, boardPost{head: []byte("stale"), unsigned: 1})
 			}
-			clear(b.posts)
+			clear(b.index)
+			b.posts = b.posts[:0]
 			stores.boards = append(stores.boards, b)
 		}
 		return stores
 	})
 	c := NewVerifyCache()
-	if c.Vouched(1, 1, make([]byte, 8), []byte("stale"), nil) {
+	if c.Vouched(1, 1, []byte("stale"), nil, nil) {
 		t.Error("a recycled board vouches before anything is posted")
 	}
 	if _, found := c.Proven(0, nil); found {

@@ -134,8 +134,8 @@ func BuildNodes(g *Graph, t int, scheme Scheme, roundsOverride int, opts ...Buil
 // provided scheme, so sharing verdicts is semantics-preserving; Simulate
 // and the experiment harness create one per trial by default. Build one
 // with NewVerifyCache, hand it to WithVerifyCache and read it with Stats;
-// Board, Vouched, Proven and Prove are the internal API that nectar.Node
-// calls.
+// Board (with its Post and Defer), Vouched, Proven and Prove are the
+// internal API that nectar.Node calls.
 type VerifyCache = sig.VerifyCache
 
 // NewVerifyCache returns an empty VerifyCache.
@@ -145,7 +145,9 @@ func NewVerifyCache() *VerifyCache { return sig.NewVerifyCache() }
 // Lockstep contract: the nodes sharing it are built before any of them runs,
 // and a node's posts save its neighbours' Verify calls only while one engine
 // — whose barrier separates each round's Emit and Deliver phases — drives
-// them all; nodes out of lockstep stay correct and verify. Release the
+// them all; nodes out of lockstep stay correct and verify. Nodes built here
+// sign every relay they emit (only Simulate's and the harness's own builds
+// leave a relay's signature to its first reader, DESIGN.md §9). Release the
 // cache after the nodes.
 func WithVerifyCache(c *VerifyCache) BuildOption { return inectar.WithVerifyCache(c) }
 

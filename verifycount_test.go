@@ -43,19 +43,28 @@ func countedRun(t *testing.T, name string, cfg SimulationConfig) (build, run int
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	return countedRunWith(t, name, cfg, want, 1, func(s sig.Scheme, calls *atomic.Int64) sig.Scheme { return countingScheme{s, calls} })
+}
+
+// countedRunWith is countedRun at an engine of workers workers, under the
+// scheme wrap makes to count calls into its counter, checked against want,
+// Simulate's result for cfg.
+func countedRunWith(t *testing.T, name string, cfg SimulationConfig, want *SimulationResult, workers int, wrap func(sig.Scheme, *atomic.Int64) sig.Scheme) (build, run int64) {
+	t.Helper()
 	var calls atomic.Int64
 	if _, err := checkByzantine(cfg.Graph.N(), cfg.T, cfg.Byzantine, nil); err != nil {
 		t.Fatal(err)
 	}
 	built, err := harness.BuildNectar(harness.NectarConfig{
 		Graph: cfg.Graph, T: cfg.T, Seed: cfg.Seed, Byzantine: cfg.Byzantine,
-		Scheme: countingScheme{sig.ByName(cfg.SchemeName, cfg.Graph.N(), cfg.Seed), &calls},
+		Scheme:        wrap(sig.ByName(cfg.SchemeName, cfg.Graph.N(), cfg.Seed), &calls),
+		NoVerifyCache: cfg.noVerifyCache,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	build = calls.Load()
-	m, err := rounds.Run(rounds.Config{Graph: cfg.Graph, Rounds: cfg.Graph.N() - 1, Seed: cfg.Seed, Workers: 1}, built.Protos)
+	m, err := rounds.Run(rounds.Config{Graph: cfg.Graph, Rounds: cfg.Graph.N() - 1, Seed: cfg.Seed, Workers: workers}, built.Protos)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -153,5 +162,91 @@ func honestCount(t *testing.T, name string, g *Graph, build, run int64) {
 	t.Logf("%s: %d Verify calls building, %d flooding", name, build, run)
 	if wantBuild, wantRun := int64(2*g.M()), int64(g.N()); build != wantBuild || run != wantRun {
 		t.Errorf("%s: %d Verify calls building and %d flooding, want %d (two per edge) and %d (one per node)", name, build, run, wantBuild, wantRun)
+	}
+}
+
+// signingScheme counts the signatures made under a scheme, through either
+// form of its signers.
+type signingScheme struct {
+	sig.Scheme
+	calls *atomic.Int64
+}
+
+func (s signingScheme) SignerFor(id NodeID) sig.Signer {
+	return signCounter{s.Scheme.SignerFor(id), s.calls}
+}
+
+type signCounter struct {
+	sig.Signer
+	calls *atomic.Int64
+}
+
+func (s signCounter) Sign(msg []byte) []byte {
+	s.calls.Add(1)
+	return s.Signer.Sign(msg)
+}
+
+func (s signCounter) AppendSign(dst, msg []byte) []byte {
+	s.calls.Add(1)
+	return s.Signer.(sig.AppendSigner).AppendSign(dst, msg)
+}
+
+// TestSignCountPinned: a correct node whose neighbours are all correct
+// leaves each relay's signature to the first neighbour that checks the
+// relay (DESIGN.md §9), so a relay every recipient discards from its edge
+// header is never signed. Each row is a counted Simulate run. Building the
+// nodes signs each proof, two signatures per edge, and the flood signs
+// each round-1 announcement, one per node and incident edge, plus each
+// relay read — a count pinned per row, the same at 1, 2 and 4 engine
+// workers — where the cache-less reference signs every relay it emits.
+// The slim row's scheme does not bind the message, so it has no boards
+// and nothing is deferred: the two counts are equal.
+func TestSignCountPinned(t *testing.T) {
+	dense, err := Harary(10, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drone, _, err := Drone(60, 2.5, 1.2, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := KaryTree(3, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(s sig.Scheme, calls *atomic.Int64) sig.Scheme { return signingScheme{s, calls} }
+	for _, row := range []struct {
+		name            string
+		g               *Graph
+		scheme          string
+		eager, deferred int64 // relays signed: every one emitted, and those read
+	}{
+		{"harary10-40/ed25519", dense, "ed25519", 7600, 3305},
+		{"drone60/hmac", drone, "hmac", 34452, 10426},
+		{"tree40/slim", tree, "slim", 456, 456},
+	} {
+		cfg := SimulationConfig{Graph: row.g, T: 2, Seed: 1, SchemeName: row.scheme}
+		proofs, announcements := int64(2*row.g.M()), int64(2*row.g.M())
+		ref := cfg
+		ref.noVerifyCache = true
+		want, err := Simulate(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build, run := countedRunWith(t, row.name+"/uncached", ref, want, 1, count)
+		t.Logf("%s: %d signatures building, %d flooding without a cache", row.name, build, run)
+		if build != proofs || run != announcements+row.eager {
+			t.Errorf("%s, no cache: %d signatures building and %d flooding, want %d and %d", row.name, build, run, proofs, announcements+row.eager)
+		}
+		if want, err = Simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			build, run := countedRunWith(t, row.name, cfg, want, workers, count)
+			t.Logf("%s at %d workers: %d signatures building, %d flooding", row.name, workers, build, run)
+			if build != proofs || run != announcements+row.deferred {
+				t.Errorf("%s at %d workers: %d signatures building and %d flooding, want %d and %d", row.name, workers, build, run, proofs, announcements+row.deferred)
+			}
+		}
 	}
 }
