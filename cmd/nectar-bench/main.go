@@ -57,9 +57,9 @@ func run(args []string) error {
 	noASCII := fs.Bool("no-ascii", false, "suppress terminal plots")
 	verbose := fs.Bool("v", false, "print live per-trial progress")
 	tracePath := fs.String("trace", "",
-		"write a scheduler event trace (unit start/done): *.jsonl streams events to disk as they happen (bounded memory), anything else buffers in memory and writes Chrome trace JSON")
+		"stream a scheduler event trace (unit start/done) to this .jsonl file (convert with nectar-trace chrome)")
 	metricsOut := fs.String("metrics-out", "",
-		"write scheduler metrics (unit counts, latency histogram) in Prometheus text format to this file")
+		"write unit counts and the unit latency histogram in Prometheus text format to this file")
 	list := fs.Bool("list", false, "print valid experiments and schemes and exit")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the runs) to this file")
@@ -132,6 +132,19 @@ func run(args []string) error {
 	}
 
 	cfg := exp.Options{Jobs: *jobs}
+	var sink *cliutil.TraceSink
+	if *tracePath != "" {
+		// Edge binary: wall-clock timestamps are in scope here, and they
+		// give the unit lanes real durations.
+		t0 := time.Now()
+		var terr error
+		sink, terr = cliutil.OpenTrace(*tracePath,
+			obs.ClockFunc(func() int64 { return time.Since(t0).Microseconds() }))
+		if terr != nil {
+			return terr
+		}
+		cfg.Tracer = sink
+	}
 	if *stream != "" {
 		// Opened once every target is known to exist: without -resume it
 		// truncates the checkpoint.
@@ -142,35 +155,25 @@ func run(args []string) error {
 		defer c.Close()
 		cfg.Collector = c
 	}
-	var sink *cliutil.TraceSink
-	if *tracePath != "" {
-		// Edge binary: wall-clock timestamps are in scope here, and they
-		// make the Chrome trace's unit lanes show real durations.
-		t0 := time.Now()
-		var terr error
-		sink, terr = cliutil.OpenTrace(*tracePath,
-			obs.ClockFunc(func() int64 { return time.Since(t0).Microseconds() }))
-		if terr != nil {
-			return terr
-		}
-		cfg.Tracer = sink.Tracer
-	}
 	var reg *obs.Registry
+	count := func(exp.UnitEvent) {}
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
-		cfg.Registry = reg
+		count = unitMetrics(reg)
 	}
-	if *verbose {
-		cfg.OnUnit = func(ev exp.UnitEvent) {
-			switch {
-			case ev.Err != nil:
-				fmt.Fprintf(os.Stderr, "  [%d/%d] %s: FAILED: %v\n", ev.Done, ev.Total, ev.Key, ev.Err)
-			case ev.Resumed:
-				fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (resumed)\n", ev.Done, ev.Total, ev.Key, ev.Unit)
-			default:
-				fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (%v)\n",
-					ev.Done, ev.Total, ev.Key, ev.Unit, ev.Elapsed.Round(time.Millisecond))
-			}
+	cfg.OnUnit = func(ev exp.UnitEvent) {
+		count(ev)
+		if !*verbose {
+			return
+		}
+		switch {
+		case ev.Err != nil:
+			fmt.Fprintf(os.Stderr, "  [%d/%d] %s: FAILED: %v\n", ev.Done, ev.Total, ev.Key, ev.Err)
+		case ev.Resumed:
+			fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (resumed)\n", ev.Done, ev.Total, ev.Key, ev.Unit)
+		default:
+			fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (%v)\n",
+				ev.Done, ev.Total, ev.Key, ev.Unit, ev.Elapsed.Round(time.Millisecond))
 		}
 	}
 
@@ -183,11 +186,7 @@ func run(args []string) error {
 		fmt.Printf("wrote %s (%d events)\n", *tracePath, sink.Len())
 	}
 	if reg != nil {
-		var buf strings.Builder
-		if err := reg.WritePrometheus(&buf); err != nil {
-			return err
-		}
-		if err := os.WriteFile(*metricsOut, []byte(buf.String()), 0o644); err != nil {
+		if err := cliutil.WriteMetrics(*metricsOut, reg); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *metricsOut)
@@ -239,6 +238,28 @@ func run(args []string) error {
 		rep.Wall.Round(time.Millisecond), rep.UnitTime.Round(time.Millisecond),
 		speedup, rep.Jobs, rep.UnitsRun, rep.UnitsResumed, time.Since(start).Round(time.Millisecond))
 	return runErr
+}
+
+// unitMetrics returns an exp.Options.OnUnit observer that renders the
+// plan's units into reg (DESIGN.md §12): run, resumed and failed counts
+// and the latency histogram of the units run. A failed unit counts as run
+// and failed.
+func unitMetrics(reg *obs.Registry) func(exp.UnitEvent) {
+	run := reg.Counter("nectar_exp_units_run_total", "Trial units executed (excludes checkpoint-resumed units).")
+	resumed := reg.Counter("nectar_exp_units_resumed_total", "Trial units served from the checkpoint.")
+	failed := reg.Counter("nectar_exp_units_failed_total", "Trial units that returned an error.")
+	seconds := reg.Histogram("nectar_exp_unit_seconds", "Per-unit execution latency.", obs.DefBuckets)
+	return func(ev exp.UnitEvent) {
+		if ev.Resumed {
+			resumed.Inc()
+			return
+		}
+		run.Inc()
+		seconds.Observe(ev.Elapsed.Seconds())
+		if ev.Err != nil {
+			failed.Inc()
+		}
+	}
 }
 
 // allExperiments lists what "all" expands to.

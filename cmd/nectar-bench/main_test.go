@@ -1,9 +1,16 @@
 package main
 
 import (
+	"bufio"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
+
+	"github.com/nectar-repro/nectar/internal/obs"
 )
 
 func TestRunQuickFigure(t *testing.T) {
@@ -128,5 +135,167 @@ func TestUnknownExperimentKeepsCheckpoint(t *testing.T) {
 func TestResumeRequiresStream(t *testing.T) {
 	if err := run([]string{"-resume", "-out", t.TempDir(), "fig3"}); err == nil {
 		t.Error("-resume without -stream accepted")
+	}
+}
+
+// runCaptured calls run with args and returns what it printed to stdout.
+func runCaptured(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	out := string(<-printed)
+	if runErr != nil {
+		t.Fatalf("run(%v): %v\n%s", args, runErr, out)
+	}
+	return out
+}
+
+// summaryCounts reads the units run and resumed off the summary line.
+func summaryCounts(t *testing.T, out string) (run, resumed int64) {
+	t.Helper()
+	m := regexp.MustCompile(`(\d+) run, (\d+) resumed\)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no summary line in:\n%s", out)
+	}
+	run, _ = strconv.ParseInt(m[1], 10, 64)
+	resumed, _ = strconv.ParseInt(m[2], 10, 64)
+	return run, resumed
+}
+
+// readMetrics loads a -metrics-out file's samples by name.
+func readMetrics(t *testing.T, path string) map[string]float64 {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	samples := map[string]float64{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, value, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.HasPrefix(name, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", path, sc.Text(), err)
+		}
+		samples[name] = v
+	}
+	return samples
+}
+
+// checkUnitMetrics holds a -metrics-out file to the summary of a run with
+// no failures: the three unit counters, one latency observation per unit
+// run, no gauges.
+func checkUnitMetrics(t *testing.T, path, out string) {
+	t.Helper()
+	if strings.Contains(out, "FAILED") {
+		t.Fatalf("a unit failed:\n%s", out)
+	}
+	run, resumed := summaryCounts(t, out)
+	m := readMetrics(t, path)
+	for name, want := range map[string]int64{
+		"nectar_exp_units_run_total":     run,
+		"nectar_exp_units_resumed_total": resumed,
+		"nectar_exp_units_failed_total":  0,
+		"nectar_exp_unit_seconds_count":  run,
+	} {
+		if got, ok := m[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), want %d", name, got, ok, want)
+		}
+	}
+	// Three counters and the histogram's buckets, +Inf, _sum and _count.
+	if want := 3 + len(obs.DefBuckets) + 3; len(m) != want {
+		t.Errorf("%d samples, want %d: %v", len(m), want, m)
+	}
+}
+
+// TestTelemetry: nectar-bench's trace and metrics files agree with the
+// run's own summary — one unit_start and one unit_done per unit run, and
+// counters rendered from the same units. A -resume pass over a cut
+// checkpoint fills the resumed counter.
+func TestTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	trace, metrics := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.prom")
+	out := runCaptured(t, "-quick", "-no-ascii", "-out", dir,
+		"-trace", trace, "-metrics-out", metrics, "fig3")
+	checkUnitMetrics(t, metrics, out)
+
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJSONL(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type unit struct {
+		key string
+		i   int
+	}
+	starts, dones := map[unit]int{}, map[unit]int{}
+	for _, ev := range events {
+		switch ev.Type {
+		case obs.EvUnitStart:
+			starts[unit{ev.Key, ev.Unit}]++
+		case obs.EvUnitDone:
+			dones[unit{ev.Key, ev.Unit}]++
+		}
+	}
+	run, _ := summaryCounts(t, out)
+	if int64(len(starts)) != run || len(dones) != len(starts) {
+		t.Errorf("%d units started, %d done, %d run", len(starts), len(dones), run)
+	}
+	for u, n := range starts {
+		if n != 1 || dones[u] != 1 {
+			t.Errorf("unit %v: %d unit_start, %d unit_done", u, n, dones[u])
+		}
+	}
+
+	stream := filepath.Join(dir, "s.jsonl")
+	runCaptured(t, "-quick", "-no-ascii", "-out", dir, "-stream", stream, "fig3")
+	data, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(stream, []byte(strings.Join(lines[:5], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = runCaptured(t, "-quick", "-no-ascii", "-out", dir,
+		"-stream", stream, "-resume", "-metrics-out", metrics, "fig3")
+	if run, resumed := summaryCounts(t, out); run == 0 || resumed != 5 {
+		t.Errorf("resume pass ran %d units and resumed %d, want some and 5", run, resumed)
+	}
+	checkUnitMetrics(t, metrics, out)
+}
+
+// TestTraceMustBeJSONL: -trace has one capture path; any other name
+// fails before a unit runs, naming the converter.
+func TestTraceMustBeJSONL(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.prom")
+	err := run([]string{"-quick", "-out", dir, "-trace", filepath.Join(dir, "t.json"),
+		"-metrics-out", metrics, "fig3"})
+	if err == nil || !strings.Contains(err.Error(), "nectar-trace chrome") {
+		t.Fatalf("run = %v, want an error naming nectar-trace chrome", err)
+	}
+	if _, err := os.Stat(metrics); !os.IsNotExist(err) {
+		t.Error("a run started: the metrics file was written")
 	}
 }

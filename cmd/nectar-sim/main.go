@@ -70,7 +70,7 @@ func run(args []string) error {
 	drift := fs.Float64("drift", 0.5, "barycenter separation added per epoch (mobility)")
 	workers := fs.Int("workers", 0, "parallelism budget (0 = GOMAXPROCS): engine workers, and under -churn epochs in flight first; never changes results")
 	tracePath := fs.String("trace", "",
-		"write an engine event trace: *.jsonl streams events to disk as they happen (bounded memory, analyze with nectar-trace), anything else buffers in memory and writes Chrome trace JSON (chrome://tracing)")
+		"stream an engine event trace to this .jsonl file (analyze with nectar-trace, convert with nectar-trace chrome)")
 	metricsOut := fs.String("metrics-out", "",
 		"with -churn: write detection-quality metrics (kappa-margin and detection-latency histograms) in Prometheus text format to this file")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text")
@@ -164,7 +164,7 @@ func run(args []string) error {
 		if sink, terr = cliutil.OpenTrace(*tracePath, nil); terr != nil {
 			return terr
 		}
-		cfg.Tracer = sink.Tracer
+		cfg.Tracer = sink
 	}
 	res, err := nectar.Simulate(cfg)
 	if err != nil {
@@ -305,12 +305,7 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 		if sink, terr = cliutil.OpenTrace(f.tracePath, nil); terr != nil {
 			return terr
 		}
-		cfg.Tracer = sink.Tracer
-	}
-	var reg *nectar.MetricsRegistry
-	if f.metricsOut != "" {
-		reg = nectar.NewMetricsRegistry()
-		cfg.Registry = reg
+		cfg.Tracer = sink
 	}
 	res, err := nectar.SimulateDynamic(cfg)
 	if err != nil {
@@ -321,13 +316,11 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 			return err
 		}
 	}
-	if reg != nil {
-		var buf strings.Builder
-		if err := reg.WritePrometheus(&buf); err != nil {
+	if f.metricsOut != "" {
+		reg := nectar.NewMetricsRegistry()
+		res.PublishMetrics(reg, f.t)
+		if err := cliutil.WriteMetrics(f.metricsOut, reg); err != nil {
 			return err
-		}
-		if err := os.WriteFile(f.metricsOut, []byte(buf.String()), 0o644); err != nil {
-			return fmt.Errorf("writing metrics %s: %w", f.metricsOut, err)
 		}
 	}
 

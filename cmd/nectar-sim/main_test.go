@@ -2,6 +2,8 @@ package main
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -80,6 +82,8 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-topo", "drone", "-n", "8", "-churn", "mobility", "-drift", "NaN", "-epochs", "2"}, "DroneMobility Distance(0) = NaN must be >= 0"},
 		{[]string{"-topo", "er", "-n", "8", "-p", "NaN"}, "ErdosRenyi requires p in [0,1]"},
 		{[]string{"-topo", "er", "-n", "8", "-p", "7"}, "ErdosRenyi requires p in [0,1]"},
+		{[]string{"-topo", "ring", "-n", "6", "-trace", filepath.Join(t.TempDir(), "t.json")}, "nectar-trace chrome"},
+		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-trace", filepath.Join(t.TempDir(), "t.json")}, "nectar-trace chrome"},
 	}
 	for _, c := range cases {
 		err := run(c.args)
@@ -136,6 +140,35 @@ func TestBehaviorErrorNamesValidBehaviors(t *testing.T) {
 	for _, want := range []string{"sneaky", "crash", "splitbrain", "omitown"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestMetricsOut: -churn partition -metrics-out writes the run's
+// detection-quality metrics — the partition/heal schedule flips ground
+// truth twice, both flips detected, every epoch agreed.
+func TestMetricsOut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.prom")
+	if err := run([]string{"-topo", "harary", "-k", "4", "-n", "10", "-t", "1", "-seed", "3",
+		"-scheme", "hmac", "-churn", "partition", "-rounds", "9", "-epochs", "4",
+		"-metrics-out", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"nectar_dynamic_epochs_total 4",
+		"nectar_dynamic_kappa_margin_count 4",
+		"nectar_dynamic_kappa_margin_bucket{le=\"-1\"}",
+		"nectar_dynamic_detection_latency_epochs_count 2",
+		"nectar_dynamic_flips_detected_total 2",
+		"nectar_dynamic_flips_undetected_total 0",
+		"nectar_dynamic_epochs_agreed_total 4",
+	} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("metrics file missing %q:\n%s", want, data)
 		}
 	}
 }

@@ -138,8 +138,7 @@ func TestChromeCLI(t *testing.T) {
 	if len(doc.TraceEvents) != 257 {
 		t.Fatalf("%d chrome events, want 257", len(doc.TraceEvents))
 	}
-	// The offline conversion must match what Recorder.WriteChromeTrace
-	// would have produced live from the same events.
+	// The subcommand is obs.WriteChromeTraceEvents over the loaded events.
 	events, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatal(err)

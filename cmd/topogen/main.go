@@ -34,16 +34,8 @@ func run(args []string, w io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	t := fs.Int("t", 1, "Byzantine bound for the partitionability report")
 	format := fs.String("format", "text", "output format: text|dot|json")
-	dot := fs.Bool("dot", false, "emit Graphviz DOT (alias for -format dot)")
-	asJSON := fs.Bool("json", false, "emit JSON edge list (alias for -format json)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *dot {
-		*format = "dot"
-	}
-	if *asJSON {
-		*format = "json"
 	}
 	g, err := topo.Build(rand.New(rand.NewSource(*seed)))
 	if err != nil {

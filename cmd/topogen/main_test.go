@@ -24,8 +24,6 @@ func TestRunReports(t *testing.T) {
 
 func TestRunOutputs(t *testing.T) {
 	for _, args := range [][]string{
-		{"-topo", "ring", "-n", "5", "-dot"},
-		{"-topo", "ring", "-n", "5", "-json"},
 		{"-topo", "ring", "-n", "5", "-format", "dot"},
 		{"-topo", "ring", "-n", "5", "-format", "json"},
 		{"-topo", "ring", "-n", "5", "-format", "text"},
@@ -58,14 +56,6 @@ func TestDOTGolden(t *testing.T) {
 	}
 	if buf.String() != golden {
 		t.Errorf("DOT output drifted:\n got:\n%s\nwant:\n%s", buf.String(), golden)
-	}
-	// The -dot alias must produce the identical bytes.
-	var alias bytes.Buffer
-	if err := run([]string{"-topo", "ring", "-n", "5", "-dot"}, &alias); err != nil {
-		t.Fatal(err)
-	}
-	if alias.String() != buf.String() {
-		t.Error("-dot alias diverges from -format dot")
 	}
 }
 

@@ -103,10 +103,6 @@ type DynamicConfig struct {
 	// Tracer, when non-nil, receives epoch and per-round engine trace
 	// events (DESIGN.md §12). Tracing never changes results; nil is free.
 	Tracer Tracer
-	// Registry, when non-nil, receives the run's detection-quality
-	// metrics — per-epoch κ-margin and detection-latency histograms under
-	// the nectar_dynamic_* names (DESIGN.md §13). Nil is free.
-	Registry *MetricsRegistry
 }
 
 // EpochResult reports one epoch of a dynamic run.
@@ -163,6 +159,53 @@ func (r *DynamicResult) DetectionLatency() (mean float64, detected, undetected i
 	return (&dynamic.Result{Flips: r.Flips}).DetectionLatency()
 }
 
+// Bucket ladders of the detection-quality histograms: latency in whole
+// epochs (an undetected flip lands in +Inf via a sentinel), and κ-margin
+// around the κ = t decision boundary (a margin ≤ 0 means the ground truth
+// is partitionable).
+var (
+	latencyBuckets = []float64{0, 1, 2, 3, 5, 8, 13, 21}
+	marginBuckets  = []float64{-4, -3, -2, -1, 0, 1, 2, 3, 4, 6}
+)
+
+// PublishMetrics renders the run's detection-quality metrics into reg
+// under the nectar_dynamic_* names (DESIGN.md §13): the per-epoch κ-margin
+// κ − t and per-flip detection-latency histograms plus epoch and flip
+// counters; t is the run's DynamicConfig.T. Registration is idempotent,
+// so results published into one registry accumulate.
+func (r *DynamicResult) PublishMetrics(reg *MetricsRegistry, t int) {
+	reg.Counter("nectar_dynamic_epochs_total", "Detection epochs scored.").Add(int64(len(r.Epochs)))
+	margin := reg.Histogram("nectar_dynamic_kappa_margin",
+		"Per-epoch ground-truth connectivity margin κ − t (≤ 0 means truly partitionable).", marginBuckets)
+	var agreed int64
+	for _, ep := range r.Epochs {
+		margin.Observe(float64(ep.Kappa - t))
+		// Agreement on the whole output: the decision and the confirmed flag.
+		same := ep.Agreement
+		for _, o := range ep.Outcomes {
+			same = same && o.Confirmed == ep.Confirmed
+		}
+		if same {
+			agreed++
+		}
+	}
+	reg.Counter("nectar_dynamic_epochs_agreed_total", "Epochs in which all correct nodes agreed.").Add(agreed)
+	latency := reg.Histogram("nectar_dynamic_detection_latency_epochs",
+		"Epochs from a ground-truth flip to unanimous detection (undetected flips land in +Inf).", latencyBuckets)
+	var detected, undetected int64
+	for _, f := range r.Flips {
+		if f.Latency >= 0 {
+			detected++
+			latency.Observe(float64(f.Latency))
+		} else {
+			undetected++
+			latency.Observe(latencyBuckets[len(latencyBuckets)-1] + 1)
+		}
+	}
+	reg.Counter("nectar_dynamic_flips_detected_total", "Ground-truth flips the detector followed.").Add(detected)
+	reg.Counter("nectar_dynamic_flips_undetected_total", "Ground-truth flips never unanimously detected.").Add(undetected)
+}
+
 // SimulateDynamic runs NECTAR in successive epochs over a time-varying
 // topology: each epoch rebuilds fresh nodes (and proofs) on the graph in
 // effect at the epoch's first round, drives the rounds engine — which
@@ -205,7 +248,6 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		Epochs:      cfg.Epochs,
 		Workers:     cfg.Workers,
 		Tracer:      cfg.Tracer,
-		Registry:    cfg.Registry,
 	}, build)
 	if err != nil {
 		return nil, err

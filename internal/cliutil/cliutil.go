@@ -1,5 +1,6 @@
 // Package cliutil holds flag plumbing shared by the command-line tools:
-// topology selection and node-list parsing.
+// topology selection, node-list parsing, and the -trace and -metrics-out
+// files.
 package cliutil
 
 import (

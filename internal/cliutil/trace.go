@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -8,79 +9,55 @@ import (
 	"github.com/nectar-repro/nectar/internal/obs"
 )
 
-// TraceSink is the capture side of a -trace flag: a Tracer to hand the
-// run plus a Close that finalizes the file. The extension picks both
-// format and memory strategy:
-//
-//   - ".jsonl": events stream straight to the file through an
-//     obs.StreamSink as they arrive, in arrival order — memory stays
-//     bounded no matter how long the run, so this is the format for
-//     large sweeps and long churn horizons.
-//   - anything else: events buffer in an obs.Recorder and Close converts
-//     them to a single Chrome trace-event JSON document (the format
-//     wraps the whole sequence in one object, so buffering is inherent);
-//     memory grows with event count.
-//
-// Shared by the nectar-sim and nectar-bench -trace flags.
+// TraceSink is the capture side of a -trace flag, shared by nectar-sim
+// and nectar-bench: an obs.StreamSink (pass the TraceSink as the config
+// Tracer) encoding events to a JSONL file as they arrive, so memory stays
+// bounded however long the run, plus a Close that finalizes the file.
+// `nectar-trace chrome` converts the file for a trace viewer.
 type TraceSink struct {
-	// Tracer receives the run's events; pass it as the config Tracer.
-	Tracer obs.Tracer
+	*obs.StreamSink
 
 	path string
 	f    *os.File
-	sink *obs.StreamSink // jsonl mode
-	rec  *obs.Recorder   // chrome mode
 }
 
-// OpenTrace prepares capture to path. A nil clock means the
+// OpenTrace creates the JSONL trace file path. Any other extension is
+// refused before the file is created. A nil clock means the
 // deterministic LogicalClock; edge binaries that want wall-clock lanes
 // pass an obs.ClockFunc.
 func OpenTrace(path string, clock obs.Clock) (*TraceSink, error) {
-	ts := &TraceSink{path: path}
-	if strings.HasSuffix(path, ".jsonl") {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		ts.f = f
-		ts.sink = obs.NewStreamSink(f, clock)
-		ts.Tracer = ts.sink
-		return ts, nil
+	if !strings.HasSuffix(path, ".jsonl") {
+		return nil, fmt.Errorf("-trace %s: traces are written as JSONL; name a .jsonl file and convert it with nectar-trace chrome", path)
 	}
-	ts.rec = obs.NewRecorder(clock)
-	ts.Tracer = ts.rec
-	return ts, nil
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &TraceSink{StreamSink: obs.NewStreamSink(f, clock), path: path, f: f}, nil
 }
 
-// Len returns the number of events captured so far.
-func (ts *TraceSink) Len() int {
-	if ts.sink != nil {
-		return ts.sink.Len()
-	}
-	return ts.rec.Len()
-}
-
-// Close finalizes the trace file: flush for the streaming path, convert
-// and write for the Chrome path.
+// Close flushes the events and closes the file.
 func (ts *TraceSink) Close() error {
-	var err error
-	if ts.sink != nil {
-		err = ts.sink.Close()
-		if cerr := ts.f.Close(); err == nil {
-			err = cerr
-		}
-	} else {
-		var f *os.File
-		f, err = os.Create(ts.path)
-		if err == nil {
-			err = ts.rec.WriteChromeTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
+	err := ts.StreamSink.Close()
+	if cerr := ts.f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return fmt.Errorf("writing trace %s: %w", ts.path, err)
+	}
+	return nil
+}
+
+// WriteMetrics writes reg to path in the Prometheus text exposition
+// format: the -metrics-out file of nectar-sim and nectar-bench.
+func WriteMetrics(path string, reg *obs.Registry) error {
+	var buf bytes.Buffer
+	err := reg.WritePrometheus(&buf)
+	if err == nil {
+		err = os.WriteFile(path, buf.Bytes(), 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("writing metrics %s: %w", path, err)
 	}
 	return nil
 }

@@ -2,9 +2,9 @@ package cliutil
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/obs"
@@ -18,19 +18,16 @@ func sampleEvents() []obs.Event {
 	}
 }
 
-// TestOpenTraceJSONLStreams: the .jsonl path streams — events are on
-// disk (modulo buffering) without any Recorder, and load back equal.
+// TestOpenTraceJSONLStreams: a .jsonl trace streams — events are on disk
+// (modulo buffering) without any Recorder, and load back equal.
 func TestOpenTraceJSONLStreams(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	ts, err := OpenTrace(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ts.Tracer.(*obs.StreamSink); !ok {
-		t.Fatalf("jsonl tracer is %T, want *obs.StreamSink", ts.Tracer)
-	}
 	for _, ev := range sampleEvents() {
-		ts.Tracer.Emit(ev)
+		ts.Emit(ev)
 	}
 	if ts.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", ts.Len())
@@ -56,34 +53,38 @@ func TestOpenTraceJSONLStreams(t *testing.T) {
 	}
 }
 
-// TestOpenTraceChromeBuffers: any other extension buffers in a Recorder
-// and Close writes a Chrome trace-event document.
-func TestOpenTraceChromeBuffers(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	ts, err := OpenTrace(path, nil)
-	if err != nil {
+// TestOpenTraceRefusesOtherExtensions: -trace has one capture path, so
+// any other name fails before a file is created, pointing at the
+// converter.
+func TestOpenTraceRefusesOtherExtensions(t *testing.T) {
+	for _, name := range []string{"trace.json", "trace", "trace.jsonl.gz"} {
+		path := filepath.Join(t.TempDir(), name)
+		_, err := OpenTrace(path, nil)
+		if err == nil || !strings.Contains(err.Error(), "nectar-trace chrome") {
+			t.Errorf("OpenTrace(%s) = %v, want an error naming nectar-trace chrome", name, err)
+		}
+		if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+			t.Errorf("OpenTrace(%s) created the file", name)
+		}
+	}
+}
+
+// TestWriteMetrics: the -metrics-out file is the registry's exposition.
+func TestWriteMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("nectar_test_total", "A test counter.").Add(3)
+	path := filepath.Join(t.TempDir(), "m.prom")
+	if err := WriteMetrics(path, reg); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ts.Tracer.(*obs.Recorder); !ok {
-		t.Fatalf("chrome tracer is %T, want *obs.Recorder", ts.Tracer)
-	}
-	for _, ev := range sampleEvents() {
-		ts.Tracer.Emit(ev)
-	}
-	if err := ts.Close(); err != nil {
+	var want bytes.Buffer
+	if err := reg.WritePrometheus(&want); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("metrics file = %q (%v), want %q", got, err, want.Bytes())
 	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(bytes.TrimSpace(data), &doc); err != nil {
-		t.Fatalf("not a Chrome trace document: %v", err)
-	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("%d chrome events, want 3", len(doc.TraceEvents))
+	if err := WriteMetrics(filepath.Join(path, "sub"), reg); err == nil {
+		t.Error("writing under a file succeeded")
 	}
 }

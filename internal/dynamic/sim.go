@@ -72,12 +72,6 @@ type Config struct {
 	// keeps one epoch in flight and gives its engine the whole budget. Nil
 	// by default; tracing never changes results.
 	Tracer obs.Tracer
-	// Registry, when non-nil, receives the run's detection-quality
-	// metrics (DESIGN.md §13): per-epoch κ-margin (κ − t) and per-flip
-	// detection-latency histograms plus flip counters, under the
-	// nectar_dynamic_* names. Nil by default; publishing never changes
-	// results.
-	Registry *obs.Registry
 }
 
 // EpochReport scores one epoch.
@@ -374,52 +368,7 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 			}
 		}
 	}
-	res.publish(cfg.Registry, cfg.T)
 	return res, nil
-}
-
-// Histogram bucket ladders for the detection-quality metrics: latency in
-// whole epochs (an undetected flip lands in +Inf via a sentinel), and
-// κ-margin around the κ = t decision boundary (negative margin means the
-// ground truth is partitionable).
-var (
-	latencyBuckets = []float64{0, 1, 2, 3, 5, 8, 13, 21}
-	marginBuckets  = []float64{-4, -3, -2, -1, 0, 1, 2, 3, 4, 6}
-)
-
-// publish feeds the run's detection-quality metrics into reg
-// (DESIGN.md §13). Idempotent registration means successive runs — the
-// epochs of a sweep, the trials of a churn experiment — accumulate into
-// one family.
-func (r *Result) publish(reg *obs.Registry, t int) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("nectar_dynamic_epochs_total", "Detection epochs scored.").Add(int64(len(r.Epochs)))
-	margin := reg.Histogram("nectar_dynamic_kappa_margin",
-		"Per-epoch ground-truth connectivity margin κ − t (≤ 0 means truly partitionable).", marginBuckets)
-	var agreed int64
-	for _, ep := range r.Epochs {
-		margin.Observe(float64(ep.Kappa - t))
-		if ep.Agreement {
-			agreed++
-		}
-	}
-	reg.Counter("nectar_dynamic_epochs_agreed_total", "Epochs in which all correct nodes agreed.").Add(agreed)
-	latency := reg.Histogram("nectar_dynamic_detection_latency_epochs",
-		"Epochs from a ground-truth flip to unanimous detection (undetected flips land in +Inf).", latencyBuckets)
-	var detected, undetected int64
-	for _, f := range r.Flips {
-		if f.Latency >= 0 {
-			detected++
-			latency.Observe(float64(f.Latency))
-		} else {
-			undetected++
-			latency.Observe(latencyBuckets[len(latencyBuckets)-1] + 1)
-		}
-	}
-	reg.Counter("nectar_dynamic_flips_detected_total", "Ground-truth flips the detector followed.").Add(detected)
-	reg.Counter("nectar_dynamic_flips_undetected_total", "Ground-truth flips never unanimously detected.").Add(undetected)
 }
 
 // presentKappa returns the vertex connectivity of the subgraph induced by

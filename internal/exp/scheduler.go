@@ -36,11 +36,6 @@ type Options struct {
 	// interleave nondeterministically across workers; per-engine tracing
 	// belongs to single runs (nectar-sim -trace).
 	Tracer obs.Tracer
-	// Registry, when non-nil, receives the scheduler's own telemetry:
-	// nectar_exp_units_run_total / _resumed_total / _failed_total
-	// counters, the nectar_exp_unit_seconds latency histogram, and
-	// nectar_exp_queue_depth / _workers_busy gauges.
-	Registry *obs.Registry
 }
 
 // UnitEvent reports one finished (or resumed) unit to Options.OnUnit.
@@ -119,12 +114,6 @@ type execRun struct {
 	mu       sync.Mutex
 	firstErr error
 	done     int
-
-	// Scheduler self-telemetry (DESIGN.md §12); all nil without a
-	// Registry.
-	mUnitsRun, mUnitsResumed, mUnitsFailed *obs.Counter
-	mUnitSeconds                           *obs.Histogram
-	mQueueDepth, mWorkersBusy              *obs.Gauge
 }
 
 // emitEvent forwards one UnitEvent; the caller must hold e.mu (OnUnit is
@@ -156,11 +145,6 @@ func (e *execRun) commit(u unitRef, data json.RawMessage, elapsed time.Duration,
 	st.unitDur += elapsed
 	e.res.UnitTime += elapsed
 	e.res.UnitsRun++
-	if e.mUnitsRun != nil {
-		e.mUnitsRun.Inc()
-		e.mUnitSeconds.Observe(elapsed.Seconds())
-		e.mQueueDepth.Dec()
-	}
 	if err != nil {
 		err = fmt.Errorf("%s: unit %d: %w", sp.Key, u.Unit, err)
 		if st.err == nil {
@@ -168,9 +152,6 @@ func (e *execRun) commit(u unitRef, data json.RawMessage, elapsed time.Duration,
 		}
 		if e.firstErr == nil {
 			e.firstErr = err
-		}
-		if e.mUnitsFailed != nil {
-			e.mUnitsFailed.Inc()
 		}
 	} else {
 		st.records[u.Unit] = decoded
@@ -259,16 +240,6 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 			byKey: make(map[string]*SpecResult, len(plan.Specs)),
 		},
 	}
-	if opts.Registry != nil {
-		e.mUnitsRun = opts.Registry.Counter("nectar_exp_units_run_total", "Trial units executed (excludes checkpoint-resumed units).")
-		e.mUnitsResumed = opts.Registry.Counter("nectar_exp_units_resumed_total", "Trial units served from the checkpoint.")
-		e.mUnitsFailed = opts.Registry.Counter("nectar_exp_units_failed_total", "Trial units that returned an error.")
-		e.mUnitSeconds = opts.Registry.Histogram("nectar_exp_unit_seconds", "Per-unit execution latency.", obs.DefBuckets)
-		e.mQueueDepth = opts.Registry.Gauge("nectar_exp_queue_depth", "Units still awaiting execution.")
-		e.mWorkersBusy = opts.Registry.Gauge("nectar_exp_workers_busy", "Unit workers currently executing a trial.")
-		e.mQueueDepth.Set(int64(len(pending)))
-	}
-
 	// Report resumed units up front so progress counts are monotone.
 	e.mu.Lock()
 	for si, sp := range plan.Specs {
@@ -282,9 +253,6 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 	}
 	e.res.UnitsResumed = e.done
 	e.mu.Unlock()
-	if e.mUnitsResumed != nil {
-		e.mUnitsResumed.Add(int64(e.res.UnitsResumed))
-	}
 
 	e.runPool(pending, unitWorkers, engineWorkers)
 	//nectar:allow-wallclock wall/parallelism telemetry in Result.Wall; never feeds trial records or aggregates
@@ -337,17 +305,11 @@ func (e *execRun) runPool(pending []unitRef, unitWorkers, engineWorkers int) {
 					e.opts.Tracer.Emit(obs.Event{Type: obs.EvUnitStart, Key: sp.Key, Unit: u.Unit})
 					e.mu.Unlock()
 				}
-				if e.mWorkersBusy != nil {
-					e.mWorkersBusy.Inc()
-				}
 				//nectar:allow-wallclock per-unit timing telemetry for the -v progress line; never feeds trial records or aggregates
 				t0 := time.Now()
 				rec, err := sp.Runner.Run(u.Unit, engineWorkers)
 				//nectar:allow-wallclock per-unit timing telemetry for the -v progress line; never feeds trial records or aggregates
 				elapsed := time.Since(t0)
-				if e.mWorkersBusy != nil {
-					e.mWorkersBusy.Dec()
-				}
 				var data json.RawMessage
 				if err == nil {
 					data, err = json.Marshal(rec)

@@ -1,8 +1,8 @@
 // Package obs is the unified observability substrate (DESIGN.md §12):
 // a metrics registry with Prometheus text exposition and a deterministic
-// snapshot API, plus a structured trace recorder emitting per-round /
-// per-epoch / per-unit engine events as JSONL and Chrome trace-event
-// JSON.
+// snapshot API, plus structured per-round / per-epoch / per-unit engine
+// events, captured in memory (Recorder) or streamed as JSONL
+// (StreamSink) and converted offline to Chrome trace-event JSON.
 //
 // obs sits inside the deterministic core, so it obeys the same
 // invariants nectar-vet enforces on the engine (DESIGN.md §11): nothing

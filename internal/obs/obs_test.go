@@ -198,7 +198,7 @@ func TestRecorderChromeTrace(t *testing.T) {
 	rec.Emit(Event{Type: EvUnitStart, Key: "fig3", Unit: 2})
 	rec.Emit(Event{Type: EvUnitDone, Key: "fig3", Unit: 2, N: 1500})
 	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTraceEvents(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -10,10 +10,9 @@ import (
 
 // StreamSink is a Tracer that encodes events straight to an io.Writer as
 // JSONL, in arrival order, with memory bounded by one encode buffer —
-// the capture path for soak-length and large-n runs, where Recorder's
-// buffer-everything model would hold the whole run in memory
-// (DESIGN.md §13). Writes are buffered; call Close (or Flush) before
-// reading the output.
+// the one capture path of the CLIs' -trace flags, however long the run
+// (DESIGN.md §13). Writes are buffered; call Close before reading the
+// output.
 //
 // Given the same Clock, a StreamSink produces byte-identical output to
 // recording the same events in a Recorder and calling WriteJSONL.
@@ -36,8 +35,8 @@ func NewStreamSink(w io.Writer, clock Clock) *StreamSink {
 	return &StreamSink{clock: clock, bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// Emit implements Tracer. The first encoding error is retained (see Err)
-// and subsequent events are dropped — a tracer has no error channel, and
+// Emit implements Tracer. The first encoding error is retained (Close
+// returns it) and subsequent events are dropped — a tracer has no error channel, and
 // aborting the traced run over a full disk would violate the pure-
 // observer contract.
 func (s *StreamSink) Emit(ev Event) {
@@ -61,25 +60,15 @@ func (s *StreamSink) Len() int {
 	return s.n
 }
 
-// Flush forces buffered bytes to the underlying writer and returns the
-// first error seen (encoding or flushing).
-func (s *StreamSink) Flush() error {
+// Close flushes buffered bytes to the underlying writer and returns the
+// first error seen (encoding or flushing). It does not close the
+// underlying writer (the sink did not open it).
+func (s *StreamSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.bw.Flush(); err != nil && s.err == nil {
 		s.err = err
 	}
-	return s.err
-}
-
-// Close flushes and returns the sink's first error. It does not close
-// the underlying writer (the sink did not open it).
-func (s *StreamSink) Close() error { return s.Flush() }
-
-// Err returns the first error encountered while encoding or flushing.
-func (s *StreamSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.err
 }
 

@@ -71,9 +71,8 @@ type Tracer interface {
 	Emit(Event)
 }
 
-// Recorder is the standard Tracer: it stamps events with its Clock and
-// buffers them in arrival order for later export as JSONL or Chrome
-// trace JSON.
+// Recorder is the in-memory Tracer: it stamps events with its Clock and
+// buffers them in arrival order for inspection or export as JSONL.
 type Recorder struct {
 	mu     sync.Mutex
 	clock  Clock
@@ -149,22 +148,12 @@ type chromeEvent struct {
 	Args map[string]int64 `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the recorded events as a Chrome trace-event
-// JSON document: round/epoch/unit start-end pairs become B/E duration
-// events, everything else an instant event. Load the output in
-// chrome://tracing or https://ui.perfetto.dev. encoding/json sorts map
-// keys, so output bytes are deterministic for a given event sequence.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	r.mu.Lock()
-	events := append([]Event(nil), r.events...)
-	r.mu.Unlock()
-	return WriteChromeTraceEvents(w, events)
-}
-
-// WriteChromeTraceEvents converts an already-captured event sequence to
-// the Chrome trace-event format — the offline path behind `nectar-trace
-// chrome`, sharing one converter with Recorder.WriteChromeTrace so both
-// produce identical bytes for identical events.
+// WriteChromeTraceEvents converts a captured event sequence to a Chrome
+// trace-event JSON document, the converter behind `nectar-trace chrome`:
+// round/epoch/unit start-end pairs become B/E duration events, everything
+// else an instant event. Load the output in chrome://tracing or
+// https://ui.perfetto.dev. encoding/json sorts map keys, so output bytes
+// are deterministic for a given event sequence.
 func WriteChromeTraceEvents(w io.Writer, events []Event) error {
 	out := struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`

@@ -11,7 +11,8 @@ type (
 	Tracer = obs.Tracer
 	// TraceEvent is one structured trace record.
 	TraceEvent = obs.Event
-	// TraceRecorder buffers events for JSONL / Chrome-trace export.
+	// TraceRecorder buffers events in memory for inspection or JSONL
+	// export.
 	TraceRecorder = obs.Recorder
 	// MetricsRegistry holds counters, gauges, and histograms with
 	// Prometheus text exposition.

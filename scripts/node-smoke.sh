@@ -3,7 +3,8 @@
 # (DESIGN.md §12): launch a small nectar-node cluster on localhost, scrape
 # /healthz and /metrics while it runs, and assert the detection counters
 # advance to the expected final state. Also produces a sample trace
-# artifact from nectar-sim for the CI upload.
+# artifact from nectar-sim for the CI upload and checks its Chrome
+# conversion.
 #
 # Usage: scripts/node-smoke.sh [outdir]   (default: smoke-out)
 set -euo pipefail
@@ -102,6 +103,14 @@ echo "detection counters advanced: rounds $before -> $ROUNDS on all $N nodes"
 lines=$(wc -l < "$OUT/sample-trace.jsonl")
 [ "$lines" -gt 0 ] || { echo "FAIL: empty trace artifact"; exit 1; }
 echo "trace artifact: $OUT/sample-trace.jsonl ($lines events)"
+
+# The one trace converter: its Chrome document must parse and hold one
+# traceEvents entry per JSONL event.
+"$OUT/nectar-trace" chrome "$OUT/sample-trace.jsonl" > "$OUT/sample-trace.json"
+chrome=$(python3 -c 'import json, sys; print(len(json.load(open(sys.argv[1]))["traceEvents"]))' \
+  "$OUT/sample-trace.json") || { echo "FAIL: nectar-trace chrome wrote invalid JSON"; exit 1; }
+[ "$chrome" -eq "$lines" ] || { echo "FAIL: $chrome Chrome events for $lines JSONL events"; exit 1; }
+echo "chrome conversion: $chrome events"
 
 # Trace analytics over the artifact: summarize must render (saved as an
 # artifact alongside the trace) and lint must come back clean — it exits
