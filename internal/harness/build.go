@@ -113,35 +113,19 @@ type NectarConfig struct {
 	// no verification cache, and the literal Alg. 1 check order. Results
 	// are identical either way (DESIGN.md §9).
 	NoVerifyCache, ParanoidVerify bool
-	// linksChange marks a run whose links may change while it runs (a
-	// dynamic epoch): Graph is only where it starts.
-	linksChange bool
 }
 
 // signsOnRead reports whether node id may leave each relay's signature to
-// the first neighbour that checks it (DESIGN.md §9): a correct, present node
-// whose neighbours are all correct and present, so that every recipient
-// reads through the run's cache in the run's engine. A Byzantine neighbour
-// could copy a relay before anyone signs it, and an absent one is no node
-// of the cache. A run whose links change can link any node to a Byzantine
-// one, so with Byzantine nodes it grants nothing.
+// the first neighbour that checks it (DESIGN.md §9): a correct, present
+// node, whatever its neighbours. A correct neighbour reads through the
+// run's cache in the run's engine; an absent one drops what it receives,
+// and so does every attack but those that hand a delivery unchanged to
+// their inner node, whose check signs it before anything is kept. So every
+// byte a Byzantine node keeps or sends is signed, though not every byte it
+// receives.
 func (cfg *NectarConfig) signsOnRead(id ids.NodeID) bool {
-	if cfg.linksChange && len(cfg.Byzantine) > 0 {
-		return false
-	}
-	out := func(v ids.NodeID) bool {
-		_, byz := cfg.Byzantine[v]
-		return byz || cfg.Absent.Has(v)
-	}
-	if out(id) {
-		return false
-	}
-	for _, nb := range cfg.Graph.Neighbors(id) {
-		if out(nb) {
-			return false
-		}
-	}
-	return true
+	_, byz := cfg.Byzantine[id]
+	return !byz && !cfg.Absent.Has(id)
 }
 
 // NectarRun is a built run: Protos for the engine, the NECTAR node of every

@@ -141,7 +141,7 @@ func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided fu
 	build = func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*dynamic.Stack, error) {
 		scheme := sig.ByName(schemeName, g.N(), seed)
 		c := cfg
-		c.Graph, c.Scheme, c.Seed, c.Absent, c.linksChange = g, scheme, seed, absent, true
+		c.Graph, c.Scheme, c.Seed, c.Absent = g, scheme, seed, absent
 		run, err := BuildNectar(c)
 		if err != nil {
 			return nil, err

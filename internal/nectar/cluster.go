@@ -30,9 +30,10 @@ func WithVerifyCache(cache *sig.VerifyCache) BuildOption {
 
 // WithSignOnRead has each node built that grant names leave its relays'
 // signatures to the first neighbour that checks them (Config.signOnRead).
-// The caller vouches that every recipient of such a node's relays is a
-// correct node built with the same WithVerifyCache and run in the same
-// engine; without a cache it changes nothing.
+// The caller vouches that every recipient of such a node's relays either
+// is a node built with the same WithVerifyCache and run in the same
+// engine, or keeps and sends nothing it has not handed to one unchanged;
+// without a cache it changes nothing.
 func WithSignOnRead(grant func(ids.NodeID) bool) BuildOption {
 	return func(c *Config) { c.signOnRead = grant(c.Me) }
 }

@@ -99,12 +99,13 @@ type Config struct {
 	// TCP) stay correct — a delivery the poster has moved past is simply
 	// verified. A node granted signOnRead goes further: it emits its relays
 	// unsigned, and the first neighbour to check one signs it off the
-	// board. That is sound only while every recipient is a correct node of
-	// the same cache that reads the relay in the round it was sent, in the
-	// same engine — so only harness.BuildNectar grants it, to a correct node
-	// whose neighbours are all correct, and a split run (rounds.SplitAware)
-	// takes it back. Release the cache last, once every node sharing it is
-	// released or done with.
+	// board. That is sound only while every recipient either reads the
+	// relay through the same cache in the round it was sent, in the same
+	// engine, or keeps and sends nothing of it unchecked — so only
+	// harness.BuildNectar grants it, to every correct, present node, whose
+	// Byzantine neighbours hand what they receive to a node of the cache or
+	// drop it; a split run (rounds.SplitAware) takes it back. Release the
+	// cache last, once every node sharing it is released or done with.
 	VerifyCache *sig.VerifyCache
 
 	// signOnRead defers each relay's signature to the first neighbour that

@@ -19,8 +19,9 @@ import (
 // to ask for the record signs it into the poster's memory, as the poster
 // would have, before anything reads those bytes. Whoever reads the record
 // without asking the board — a copy taken in between, a reader in another
-// engine — would find the slot zero, so only a poster all of whose readers
-// ask within the round may defer.
+// engine — would find the slot zero, so only a poster each of whose readers
+// asks within the round, or keeps and sends nothing it did not ask for, may
+// defer.
 //
 // Posts alias the poster's memory, which must stay unmodified — but for
 // the signatures the board makes — until the poster's next Retract. They

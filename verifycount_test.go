@@ -52,11 +52,12 @@ func countedRun(t *testing.T, name string, cfg SimulationConfig) (build, run int
 func countedRunWith(t *testing.T, name string, cfg SimulationConfig, want *SimulationResult, workers int, wrap func(sig.Scheme, *atomic.Int64) sig.Scheme) (build, run int64) {
 	t.Helper()
 	var calls atomic.Int64
-	if _, err := checkByzantine(cfg.Graph.N(), cfg.T, cfg.Byzantine, nil); err != nil {
+	blocked, err := checkByzantine(cfg.Graph.N(), cfg.T, cfg.Byzantine, cfg.Blocked)
+	if err != nil {
 		t.Fatal(err)
 	}
 	built, err := harness.BuildNectar(harness.NectarConfig{
-		Graph: cfg.Graph, T: cfg.T, Seed: cfg.Seed, Byzantine: cfg.Byzantine,
+		Graph: cfg.Graph, T: cfg.T, Seed: cfg.Seed, Byzantine: cfg.Byzantine, Blocked: blocked,
 		Scheme:        wrap(sig.ByName(cfg.SchemeName, cfg.Graph.N(), cfg.Seed), &calls),
 		NoVerifyCache: cfg.noVerifyCache,
 	})
@@ -191,16 +192,19 @@ func (s signCounter) AppendSign(dst, msg []byte) []byte {
 	return s.Signer.(sig.AppendSigner).AppendSign(dst, msg)
 }
 
-// TestSignCountPinned: a correct node whose neighbours are all correct
-// leaves each relay's signature to the first neighbour that checks the
-// relay (DESIGN.md §9), so a relay every recipient discards from its edge
-// header is never signed. Each row is a counted Simulate run. Building the
-// nodes signs each proof, two signatures per edge, and the flood signs
-// each round-1 announcement, one per node and incident edge, plus each
-// relay read — a count pinned per row, the same at 1, 2 and 4 engine
-// workers — where the cache-less reference signs every relay it emits.
-// The slim row's scheme does not bind the message, so it has no boards
-// and nothing is deferred: the two counts are equal.
+// TestSignCountPinned: every correct, present node leaves each relay's
+// signature to the first neighbour that checks the relay (DESIGN.md §9),
+// so a relay every recipient discards from its edge header is never
+// signed — Byzantine neighbours included, whose attacks sign what they
+// keep when their inner node reads it. Each row is a counted Simulate run.
+// Building the nodes signs each proof, two signatures per edge, and the
+// flood signs each round-1 announcement, one per node and incident edge,
+// plus what the row pins: the relays read, the same at 1, 2 and 4 engine
+// workers, where the cache-less reference signs every relay it emits —
+// and, on the bridge under fakeedges, three signatures per forged edge.
+// The bridge rows run fig8-sweep's three NECTAR attacks on one graph of
+// its family. The slim row's scheme does not bind the message, so it has
+// no boards and nothing is deferred: the two counts are equal.
 func TestSignCountPinned(t *testing.T) {
 	dense, err := Harary(10, 40)
 	if err != nil {
@@ -214,18 +218,38 @@ func TestSignCountPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bridge, err := BridgeScenario(35, 2, 6, 1.8, 2)(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	attack := func(a AttackKind) map[NodeID]AttackKind {
+		byz := make(map[NodeID]AttackKind)
+		for b := range bridge.Byz {
+			byz[b] = a
+		}
+		return byz
+	}
+	blocked := make(map[NodeID][]NodeID)
+	for b, set := range bridge.Blocked {
+		blocked[b] = set.Sorted()
+	}
 	count := func(s sig.Scheme, calls *atomic.Int64) sig.Scheme { return signingScheme{s, calls} }
 	for _, row := range []struct {
 		name            string
 		g               *Graph
 		scheme          string
-		eager, deferred int64 // relays signed: every one emitted, and those read
+		byz             map[NodeID]AttackKind
+		blocked         map[NodeID][]NodeID
+		eager, deferred int64 // flooding signatures past the announcements: every relay emitted, and those read
 	}{
-		{"harary10-40/ed25519", dense, "ed25519", 7600, 3305},
-		{"drone60/hmac", drone, "hmac", 34452, 10426},
-		{"tree40/slim", tree, "slim", 456, 456},
+		{"harary10-40/ed25519", dense, "ed25519", nil, nil, 7600, 3305},
+		{"drone60/hmac", drone, "hmac", nil, nil, 34452, 10426},
+		{"tree40/slim", tree, "slim", nil, nil, 456, 456},
+		{"bridge35/splitbrain", bridge.Graph, "hmac", attack(AttackSplitBrain), blocked, 6195, 996},
+		{"bridge35/fakeedges", bridge.Graph, "hmac", attack(AttackFakeEdges), nil, 8588, 1186},
+		{"bridge35/equivocate", bridge.Graph, "hmac", attack(AttackEquivocate), nil, 8547, 1221},
 	} {
-		cfg := SimulationConfig{Graph: row.g, T: 2, Seed: 1, SchemeName: row.scheme}
+		cfg := SimulationConfig{Graph: row.g, T: 2, Seed: 1, SchemeName: row.scheme, Byzantine: row.byz, Blocked: row.blocked}
 		proofs, announcements := int64(2*row.g.M()), int64(2*row.g.M())
 		ref := cfg
 		ref.noVerifyCache = true
