@@ -38,8 +38,7 @@ func benchFlooders(g *graph.Graph, payloads, size int) ([]Protocol, int) {
 // that do nothing. harary6-35 is the paper-scale dense case (inboxes of
 // 24, every one shuffled); tree3-500 the sparse one (two thirds of the
 // nodes are leaves whose inbox is a single message); complete33-640 has
-// inboxes of 640, past the 607-word register, so the shuffle fills and
-// steps it instead of deriving its words statelessly.
+// inboxes of 640, where the shuffle's draws dominate.
 func BenchmarkEngineSelf(b *testing.B) {
 	harary, err := topology.Harary(6, 35)
 	if err != nil {

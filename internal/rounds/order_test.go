@@ -18,8 +18,7 @@ import (
 // behaviour (DESIGN.md §6): in the dynamic model a node's KB/node depends
 // on which of two same-round messages it sees first, and trace goldens
 // record the order. It is a pure function of (Config.Seed, round,
-// recipient, sender-major inbox) through math/rand's generator, which the
-// engine reproduces with its own source (shufflesource.go).
+// recipient, sender-major inbox) through shuffleInbox.
 
 // recordingNode floods like floodNode and folds every delivery it receives
 // into a running digest, in the order the engine makes the calls.
@@ -86,7 +85,7 @@ type orderCase struct {
 }
 
 // pinnedOrderCases are floods on three graph families with digests
-// captured before the engine's shuffle source replaced math/rand's.
+// captured from shuffleInbox's SplitMix64 order.
 func pinnedOrderCases(t *testing.T) []orderCase {
 	t.Helper()
 	harary, err := topology.Harary(6, 35)
@@ -98,11 +97,11 @@ func pinnedOrderCases(t *testing.T) []orderCase {
 		t.Fatal(err)
 	}
 	return []orderCase{
-		{"ring16", topology.Ring(16), 16, 1, 0, "8b01727b2dd65cd5f0a75fd900dc5f7d1c0686f2c3ce28ffda2dc5aac12acf1f"},
-		{"harary6-35", harary, 10, 42, 0, "7c34837c6d48ac41dce86b8d13578eca2e231b1c71490ebcd1317059775edf7a"},
-		{"harary6-35/negative-seed", harary, 10, -7, 0, "d8474042fd1337af1a1eb4c247c94ab6f40198e15c0659e28131fbbdf68181fc"},
-		{"drone60", drone, 12, 3, 0, "4cdd2c3a317203989d10bde4de2e86da2b152d84e631a639c7e5adfccc1441f0"},
-		{"drone60/lossy", drone, 12, 1 << 40, 0.2, "dda08c6ae914cccfcf61572ed8fe275c88905856a54aa796d44a3c9234f96ad6"},
+		{"ring16", topology.Ring(16), 16, 1, 0, "0eb0cd318a01c69657001a11fda4f36d71e7196f41ff1a9e533cde96d561b17e"},
+		{"harary6-35", harary, 10, 42, 0, "d708cd3dd07c707a54ab2c4bf5bbbff9ef7017fe2bcc37e7420e8ce28482e802"},
+		{"harary6-35/negative-seed", harary, 10, -7, 0, "e287a8f97a82115b5960dbcce80d48bc7f04ea52d24e16c46369dfc171465437"},
+		{"drone60", drone, 12, 3, 0, "83ee6cd7bd335e6d66e655eb9405f41fd971d37cbc78c84e985090951cf2eec7"},
+		{"drone60/lossy", drone, 12, 1 << 40, 0.2, "2b716b6bd3a395e46a545ab6ccfaace038061038f756edef7b23bd34db00f33d"},
 	}
 }
 

@@ -29,6 +29,7 @@ package rounds
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -676,9 +677,7 @@ func (e *engine) deliver(wk *worker, j, round int) {
 	if len(inbox) == 0 {
 		return
 	}
-	if len(inbox) > 1 { // shuffling one message draws nothing
-		shuffleInbox(e.cfg.Seed^int64(round)<<20^int64(j), inbox)
-	}
+	shuffleInbox(e.cfg.Seed^int64(round)<<20^int64(j), inbox)
 	e.m.MsgsDelivered[j] += int64(len(inbox))
 	if e.traceDelivered != nil {
 		e.traceDelivered[j] = int64(len(inbox))
@@ -720,6 +719,26 @@ func splitmix64(h uint64) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
+}
+
+// shuffleInbox permutes d by a Fisher–Yates pass over the SplitMix64
+// stream keyed by key (DESIGN.md §6). Each index is drawn without bias:
+// Lemire's multiply-shift, redrawn while the low half of the product falls
+// below 2⁶⁴ mod n, which is below n, so most draws skip the division. One
+// message draws nothing.
+func shuffleInbox(key int64, d []delivery) {
+	x := uint64(key)
+	for i := len(d) - 1; i > 0; i-- {
+		n := uint64(i + 1)
+		for {
+			x += 0x9e3779b97f4a7c15
+			j, low := bits.Mul64(splitmix64(x), n)
+			if low >= n || low >= -n%n {
+				d[i], d[j] = d[j], d[i]
+				break
+			}
+		}
+	}
 }
 
 // parallelBlocks covers [0, n) with fn(worker, lo, hi) calls over disjoint

@@ -242,12 +242,12 @@ func TestSignCountPinned(t *testing.T) {
 		blocked         map[NodeID][]NodeID
 		eager, deferred int64 // flooding signatures past the announcements: every relay emitted, and those read
 	}{
-		{"harary10-40/ed25519", dense, "ed25519", nil, nil, 7600, 3305},
-		{"drone60/hmac", drone, "hmac", nil, nil, 34452, 10426},
+		{"harary10-40/ed25519", dense, "ed25519", nil, nil, 7600, 3309},
+		{"drone60/hmac", drone, "hmac", nil, nil, 34452, 10407},
 		{"tree40/slim", tree, "slim", nil, nil, 456, 456},
-		{"bridge35/splitbrain", bridge.Graph, "hmac", attack(AttackSplitBrain), blocked, 6195, 996},
-		{"bridge35/fakeedges", bridge.Graph, "hmac", attack(AttackFakeEdges), nil, 8588, 1186},
-		{"bridge35/equivocate", bridge.Graph, "hmac", attack(AttackEquivocate), nil, 8547, 1221},
+		{"bridge35/splitbrain", bridge.Graph, "hmac", attack(AttackSplitBrain), blocked, 6195, 994},
+		{"bridge35/fakeedges", bridge.Graph, "hmac", attack(AttackFakeEdges), nil, 8588, 1192},
+		{"bridge35/equivocate", bridge.Graph, "hmac", attack(AttackEquivocate), nil, 8547, 1222},
 	} {
 		cfg := SimulationConfig{Graph: row.g, T: 2, Seed: 1, SchemeName: row.scheme, Byzantine: row.byz, Blocked: row.blocked}
 		proofs, announcements := int64(2*row.g.M()), int64(2*row.g.M())
