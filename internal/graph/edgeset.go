@@ -21,50 +21,133 @@ const denseMaxWords = 3
 // minTableSize is the first size of an EdgeSet's hash table.
 const minTableSize = 16
 
+// tableSize is the size of a table that holds m keys at most half full.
+func tableSize(m int) int {
+	if m <= minTableSize/2 {
+		return minTableSize
+	}
+	return 1 << bits.Len(uint(2*m-1))
+}
+
+// home is the first slot of key k's probe sequence in a table of
+// 1<<(32-shift) slots.
+func home(k uint32, shift uint) int { return int(k * 0x9E3779B1 >> shift) }
+
+// EdgeIndex numbers the edges of one graph G, 0 to m-1: the shared half of
+// the views over G (EdgeSet.ResetOn). A view keeps each edge of G as the
+// bit of its number, so its membership test is one probe of this table —
+// the same for every view of a run, so it stays in cache — and one bit
+// test. It is built once and never written again: safe for concurrent use.
+type EdgeIndex struct {
+	n, m  int
+	slots []uint64 // key<<32 | number, 0 = empty slot; length a power of two, at most half full
+	shift uint     // 32 - log2(len(slots)), as EdgeSet's
+}
+
+// NewEdgeIndex returns the index of g's edges, or nil where a view over
+// g's vertices keeps the whole bit matrix instead (n ≤ 192; DESIGN.md §14)
+// and where no view can be built (n > MaxSetVertices).
+func NewEdgeIndex(g *Graph) *EdgeIndex {
+	n := g.N()
+	if (n+63)/64 <= denseMaxWords || n > MaxSetVertices {
+		return nil
+	}
+	size := tableSize(g.M())
+	x := &EdgeIndex{n: n, m: g.M(), slots: make([]uint64, size), shift: uint(32 - bits.TrailingZeros(uint(size)))}
+	number := uint64(0)
+	for u, nbr := range g.nbr {
+		for _, v := range nbr {
+			if ids.NodeID(u) > v {
+				continue
+			}
+			k := uint32(u)<<16 | uint32(v)
+			i := home(k, x.shift)
+			for x.slots[i] != 0 {
+				i = (i + 1) & (size - 1)
+			}
+			x.slots[i] = uint64(k)<<32 | number
+			number++
+		}
+	}
+	return x
+}
+
+// number returns the number of the edge packed as k, or -1 when it is not
+// an edge of G.
+func (x *EdgeIndex) number(k uint32) int {
+	for i := home(k, x.shift); ; i = (i + 1) & (len(x.slots) - 1) {
+		switch e := x.slots[i]; uint32(e >> 32) {
+		case k:
+			return int(uint32(e))
+		case 0:
+			return -1
+		}
+	}
+}
+
 // EdgeSet is a set of edges over the vertices [0, n): a NECTAR node's view
 // while it floods (DESIGN.md §9, §14). Propagation asks only whether an
 // edge is known and adds it (Alg. 1 ll. 13-15), so a delivery costs one
 // probe and an accept one insert; adjacency is left to the decision phase,
 // which loads the set into a Graph (Graph.Load).
 //
-// Membership is the whole bit matrix up to n = 192, one bit per edge;
-// above it, an open-addressed table of packed 32-bit keys, kept at most
-// half full. Beside it run Sum and a log of the members' keys, from
-// which the table is rehashed and a graph loaded.
-// The zero value is an empty set over zero vertices; Reset sizes it.
+// Membership takes one of three forms. Up to n = 192 it is the whole bit
+// matrix, one bit per pair. Above, a set reset on the index of a graph G
+// (ResetOn) keeps each edge of G as one bit of ⌈m/64⌉ words, and only the
+// edges outside G — a Byzantine coalition's fake edges — in an
+// open-addressed table of packed 32-bit keys, kept at most half full; a set
+// with no index keeps every member in the table. Beside it run Sum and a
+// log of the members' keys, from which the table is rehashed and a graph
+// loaded. The zero value is an empty set over zero vertices; Reset sizes
+// it.
 //
 // EdgeSet is not safe for concurrent use.
 type EdgeSet struct {
 	n      int
-	stride int      // words per row of dense; 0 when the table holds the set
-	dense  []uint64 // bit v of row u for each member {u < v}; nil until the first Add
-	table  []uint32 // packed keys, 0 = empty slot; length a power of two
-	shift  uint     // 32 - log2(len(table)): a key's hash keeps its top bits
-	log    []uint32 // the members' keys
+	stride int        // words per row of the bit matrix; 0 when the index and the table hold the set
+	index  *EdgeIndex // with stride 0, the edges kept in words; nil when the table holds every member
+	words  []uint64   // the bit matrix (bit v of row u for each member {u < v}), or bit i for the index's edge i
+	table  []uint32   // packed keys of the members words do not hold, 0 = empty slot; length a power of two
+	tabled int        // keys in table
+	shift  uint       // 32 - log2(len(table)): a key's hash keeps its top bits
+	log    []uint32   // the members' keys
 	sum    uint64
 }
 
-// Reset makes s the empty set over n vertices (n ≤ MaxSetVertices) while
-// keeping what it has allocated: the log's capacity, the table (cleared)
-// and the bit matrix (zeroed) when the new n still fits it. A set rebuilt
-// run after run — a node's pooled view — stops allocating once it has seen
-// its working size.
-func (s *EdgeSet) Reset(n int) {
+// Reset makes s the empty set over n vertices (n ≤ MaxSetVertices), with
+// no index, while keeping what it has allocated: the log's capacity, the
+// table (cleared) and the bit words (zeroed) when the new size still fits
+// them. A set rebuilt run after run — a node's pooled view — stops
+// allocating once it has seen its working size.
+func (s *EdgeSet) Reset(n int) { s.ResetOn(n, nil) }
+
+// ResetOn is Reset with the edges that x numbers kept as bits; x is nil or
+// the index of a graph over n vertices, and the set reads it, never writes
+// it, for as long as it is reset on it.
+func (s *EdgeSet) ResetOn(n int, x *EdgeIndex) {
 	if n < 0 || n > MaxSetVertices {
 		panic(fmt.Sprintf("graph: EdgeSet over %d vertices, want [0, %d]", n, MaxSetVertices))
 	}
-	s.n, s.stride, s.log, s.sum = n, 0, s.log[:0], 0
-	if w := (n + 63) / 64; w <= denseMaxWords {
-		s.stride = w
-		if size := n * w; size <= cap(s.dense) {
-			s.dense = s.dense[:size] // else the first Add allocates it
-			clear(s.dense)
-		} else {
-			s.dense = nil
-		}
-		return
+	if x != nil && x.n != n {
+		panic(fmt.Sprintf("graph: EdgeSet over %d vertices on the index of a graph over %d", n, x.n))
 	}
-	clear(s.table)
+	s.n, s.stride, s.index, s.log, s.sum = n, 0, x, s.log[:0], 0
+	words := 0
+	if x != nil {
+		words = (x.m + 63) / 64
+	} else if w := (n + 63) / 64; w <= denseMaxWords {
+		s.stride, words = w, n*w
+	}
+	if words <= cap(s.words) {
+		s.words = s.words[:words]
+		clear(s.words)
+	} else {
+		s.words = make([]uint64, words)
+	}
+	if s.tabled > 0 {
+		clear(s.table)
+		s.tabled = 0
+	}
 }
 
 // N returns the number of vertices.
@@ -81,21 +164,36 @@ func (s *EdgeSet) Sum() uint64 { return s.sum }
 // key validates and packs the edge {u, v}: the smaller endpoint in the high
 // half, the larger in the low. No edge packs to 0, which marks an empty slot.
 func (s *EdgeSet) key(u, v ids.NodeID) uint32 {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop on %v", u))
+	lo, hi := min(u, v), max(u, v)
+	if lo == hi || int(hi) >= s.n {
+		panic(badPair{hi, s.n})
 	}
-	if u > v {
-		u, v = v, u
-	}
-	if int(v) >= s.n {
-		panic(fmt.Sprintf("graph: vertex %v out of range [0,%d)", v, s.n))
-	}
-	return uint32(u)<<16 | uint32(v)
+	return uint32(lo)<<16 | uint32(hi)
 }
 
-// bit returns the word and the mask of key k's bit in the matrix.
-func (s *EdgeSet) bit(k uint32) (int, uint64) {
-	return int(k>>16)*s.stride + int(k&0xFFFF)>>6, 1 << (k & 63)
+// badPair is key's panic: a self-loop on v, or v out of range.
+type badPair struct {
+	v ids.NodeID
+	n int
+}
+
+func (p badPair) Error() string {
+	if int(p.v) < p.n {
+		return fmt.Sprintf("graph: self-loop on %v", p.v)
+	}
+	return fmt.Sprintf("graph: vertex %v out of range [0,%d)", p.v, p.n)
+}
+
+// bit returns the position of key k's bit in words, or -1 when the table
+// holds k instead.
+func (s *EdgeSet) bit(k uint32) int {
+	if s.index != nil {
+		return s.index.number(k)
+	}
+	if s.stride == 0 {
+		return -1
+	}
+	return int(k>>16)*s.stride<<6 + int(k&0xFFFF)
 }
 
 // slot returns the index of k in the table, or of the empty slot that ends
@@ -103,7 +201,7 @@ func (s *EdgeSet) bit(k uint32) (int, uint64) {
 // full, so the sequence ends.
 func (s *EdgeSet) slot(k uint32) (int, bool) {
 	mask := len(s.table) - 1
-	for i := int(k * 0x9E3779B1 >> s.shift); ; i = (i + 1) & mask {
+	for i := home(k, s.shift); ; i = (i + 1) & mask {
 		switch s.table[i] {
 		case k:
 			return i, true
@@ -113,20 +211,21 @@ func (s *EdgeSet) slot(k uint32) (int, bool) {
 	}
 }
 
-// has is Has on a packed key.
-func (s *EdgeSet) has(k uint32) bool {
-	if s.stride > 0 {
-		if s.dense == nil {
-			return false
-		}
-		w, b := s.bit(k)
-		return s.dense[w]&b != 0
-	}
-	if len(s.table) == 0 {
+// tableHas reports whether the table holds k.
+func (s *EdgeSet) tableHas(k uint32) bool {
+	if s.tabled == 0 {
 		return false
 	}
 	_, found := s.slot(k)
 	return found
+}
+
+// has is Has on a packed key.
+func (s *EdgeSet) has(k uint32) bool {
+	if i := s.bit(k); i >= 0 {
+		return s.words[i>>6]&(1<<(i&63)) != 0
+	}
+	return s.tableHas(k)
 }
 
 // Has reports whether {u, v} is in the set. It panics on self-loops or
@@ -137,18 +236,15 @@ func (s *EdgeSet) Has(u, v ids.NodeID) bool { return s.has(s.key(u, v)) }
 // self-loops or out-of-range vertices.
 func (s *EdgeSet) Add(u, v ids.NodeID) bool {
 	k := s.key(u, v)
-	if s.stride > 0 {
-		if s.dense == nil {
-			s.dense = make([]uint64, s.n*s.stride)
-		}
-		w, b := s.bit(k)
-		if s.dense[w]&b != 0 {
+	if i := s.bit(k); i >= 0 {
+		w, b := i>>6, uint64(1)<<(i&63)
+		if s.words[w]&b != 0 {
 			return false
 		}
-		s.dense[w] |= b
+		s.words[w] |= b
 	} else {
-		if 2*(len(s.log)+1) > len(s.table) {
-			if s.has(k) {
+		if 2*(s.tabled+1) > len(s.table) {
+			if s.tableHas(k) {
 				return false
 			}
 			s.grow()
@@ -158,6 +254,7 @@ func (s *EdgeSet) Add(u, v ids.NodeID) bool {
 			return false
 		}
 		s.table[i] = k
+		s.tabled++
 	}
 	s.log = append(s.log, k)
 	s.sum += edgeMix(k)
@@ -168,7 +265,8 @@ func (s *EdgeSet) Add(u, v ids.NodeID) bool {
 func (s *EdgeSet) grow() { s.rehash(max(2*len(s.table), minTableSize)) }
 
 // rehash makes the table size slots, a power of two, within its capacity
-// when it has the room, and inserts the members into it from the log.
+// when it has the room, and inserts the members it holds into it from the
+// log.
 func (s *EdgeSet) rehash(size int) {
 	if size <= cap(s.table) {
 		s.table = s.table[:size]
@@ -178,35 +276,51 @@ func (s *EdgeSet) rehash(size int) {
 	}
 	s.shift = uint(32 - bits.TrailingZeros(uint(size)))
 	for _, k := range s.log {
-		i, _ := s.slot(k)
-		s.table[i] = k
+		if s.bit(k) < 0 {
+			i, _ := s.slot(k)
+			s.table[i] = k
+		}
 	}
 }
 
 // Equal reports whether s and t hold the same edges over the same vertices.
-// Of equal sizes, they do when s has every member of t: Equal reads t's log
-// in order and probes s, so a set that many are matched against — a
-// decision memo's entry — stays in cache while it serves them.
+// Of equal sizes, they do when s has every member of t. Sets whose bits
+// mean the same edges — two bit matrices of n, or two sets on one index —
+// compare their words and then t's table members, few or none; otherwise
+// Equal reads t's log in order and probes s.
 func (s *EdgeSet) Equal(t *EdgeSet) bool {
 	if s.n != t.n || len(s.log) != len(t.log) {
 		return false
 	}
-	for _, k := range t.log {
-		if !s.has(k) {
-			return false
+	if s.index != t.index || s.index == nil && s.stride == 0 {
+		for _, k := range t.log {
+			if !s.has(k) {
+				return false
+			}
+		}
+		return true
+	}
+	if !slices.Equal(s.words, t.words) {
+		return false
+	}
+	// As many members in words, so as many in the tables.
+	if t.tabled > 0 {
+		for _, k := range t.table {
+			if k != 0 && !s.tableHas(k) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// Clone returns a copy of s that shares no storage with it, its table no
-// larger than its members need, however far s's grew before a Reset.
+// Clone returns a copy of s that shares no storage with it but the index,
+// its table no larger than its members need, however far s's grew before a
+// Reset.
 func (s *EdgeSet) Clone() *EdgeSet {
-	c := &EdgeSet{n: s.n, stride: s.stride, log: slices.Clone(s.log), sum: s.sum}
-	if s.stride > 0 {
-		c.dense = slices.Clone(s.dense)
-	} else if m := len(s.log); m > 0 {
-		c.rehash(max(minTableSize, 1<<bits.Len(uint(2*m-1)))) // at most half full
+	c := &EdgeSet{n: s.n, stride: s.stride, index: s.index, words: slices.Clone(s.words), tabled: s.tabled, log: slices.Clone(s.log), sum: s.sum}
+	if s.tabled > 0 {
+		c.rehash(tableSize(s.tabled))
 	}
 	return c
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -16,9 +17,14 @@ import (
 // as a Byzantine coalition's fake edges would be, and repeats, as duplicate
 // deliveries are — at vertex counts on both sides of every storage boundary:
 // matrix rows of one, two and three words, the table above n = 192, and the
-// largest n whose keys still pack into 32 bits.
+// largest n whose keys still pack into 32 bits. Above n = 192 a set may
+// also be reset on the index of a graph, and then takes that graph's edges
+// as well as pairs outside it.
 
 var setSizes = []int{1, 2, 63, 64, 65, 192, 193, 300, MaxSetVertices}
+
+// indexSizes are the vertex counts of the sets reset on an index.
+var indexSizes = []int{193, 300, MaxSetVertices}
 
 // mixRef is an edge's term of Sum, from the definition: splitmix64's
 // finalizer over U in the high half of a word and V in the low.
@@ -86,12 +92,30 @@ func checkSet(t *testing.T, where string, s *EdgeSet, g *Graph, rng *rand.Rand) 
 	if s.Sum() != sum {
 		t.Fatalf("%s: Sum %#x, the edges sum to %#x", where, s.Sum(), sum)
 	}
-	same, c := setOf(n, es), s.Clone()
-	if !s.Equal(same) || !same.Equal(s) || !c.Equal(s) || c.Sum() != s.Sum() {
-		t.Fatalf("%s: the set does not equal the graph's edges, or its clone", where)
+	// The same edges in every form a set takes over n vertices: with no
+	// index, on the index of g (where no member is in the table), and on
+	// s's own index.
+	forms := func(es []Edge) map[string]*EdgeSet {
+		f := map[string]*EdgeSet{"plain": setOf(n, es)}
+		if x := NewEdgeIndex(g); x != nil {
+			f["on the graph's index"] = setOn(x, es)
+		}
+		if s.index != nil {
+			f["on the set's index"] = setOn(s.index, es)
+		}
+		return f
 	}
-	if m := len(es); c.stride == 0 && m >= minTableSize && !(2*m <= len(c.table) && len(c.table) < 4*m) {
-		t.Fatalf("%s: a clone of %d edges has a table of %d slots", where, m, len(c.table))
+	for form, same := range forms(es) {
+		if !s.Equal(same) || !same.Equal(s) || same.Sum() != s.Sum() {
+			t.Fatalf("%s: the set does not equal the graph's edges %s", where, form)
+		}
+	}
+	c := s.Clone()
+	if !c.Equal(s) || !s.Equal(c) || c.Sum() != s.Sum() || c.M() != s.M() || c.index != s.index {
+		t.Fatalf("%s: the set does not equal its clone", where)
+	}
+	if m := c.tabled; c.stride == 0 && m >= minTableSize && !(2*m <= len(c.table) && len(c.table) < 4*m) {
+		t.Fatalf("%s: a clone of %d table members has a table of %d slots", where, m, len(c.table))
 	}
 	if len(es) < n*(n-1)/2 {
 		// The clone shares nothing: what it learns, the set does not.
@@ -117,8 +141,10 @@ func checkSet(t *testing.T, where string, s *EdgeSet, g *Graph, rng *rand.Rand) 
 			append(slices.Clone(es), outside),
 			slices.Replace(slices.Clone(es), i, i+1, outside),
 		} {
-			if off := setOf(n, near); s.Equal(off) || off.Equal(s) {
-				t.Fatalf("%s: the set equals one an edge off it", where)
+			for form, off := range forms(near) {
+				if s.Equal(off) || off.Equal(s) {
+					t.Fatalf("%s: the set equals one an edge off it %s", where, form)
+				}
 			}
 		}
 	}
@@ -150,9 +176,29 @@ func setOf(n int, es []Edge) *EdgeSet {
 	return s
 }
 
+// setOn is the set of the edges es reset on x.
+func setOn(x *EdgeIndex, es []Edge) *EdgeSet {
+	s := new(EdgeSet)
+	s.ResetOn(x.n, x)
+	for _, e := range es {
+		s.Add(e.U, e.V)
+	}
+	return s
+}
+
+// sparseGraph is a graph of m random edges over n vertices.
+func sparseGraph(rng *rand.Rand, n, m int) *Graph {
+	g := New(n)
+	for g.M() < m {
+		g.AddEdge(randomPair(rng, n))
+	}
+	return g
+}
+
 // addBoth adds steps random pairs to s and g, every fifth a repeat of an
-// edge already added, and checks that Add tells new edges from known ones.
-func addBoth(t *testing.T, rng *rand.Rand, s *EdgeSet, g *Graph, steps int) {
+// edge already added and, when pool is not empty, half the others one of
+// its edges, and checks that Add tells new edges from known ones.
+func addBoth(t *testing.T, rng *rand.Rand, s *EdgeSet, g *Graph, steps int, pool ...Edge) {
 	t.Helper()
 	if g.N() < 2 {
 		return
@@ -160,6 +206,10 @@ func addBoth(t *testing.T, rng *rand.Rand, s *EdgeSet, g *Graph, steps int) {
 	var added []Edge
 	for i := 0; i < steps; i++ {
 		u, v := randomPair(rng, g.N())
+		if len(pool) > 0 && rng.Intn(2) == 0 {
+			e := pool[rng.Intn(len(pool))]
+			u, v = e.U, e.V
+		}
 		if i%5 == 4 && len(added) > 0 {
 			e := added[rng.Intn(len(added))]
 			u, v = e.V, e.U
@@ -184,6 +234,51 @@ func TestEdgeSetMatchesGraph(t *testing.T) {
 			for round := 1; round <= 3; round++ {
 				addBoth(t, rng, &s, g, steps/3)
 				checkSet(t, fmt.Sprintf("after %d additions", round*steps/3), &s, g, rng)
+			}
+		})
+	}
+	// On an index: half the additions are edges of the index's graph, kept
+	// as bits, the rest pairs outside it, kept in the table, and repeats of
+	// both. Reset on the same index, on another and on none, the set takes
+	// the same additions again with the same result.
+	for _, n := range indexSizes {
+		t.Run(fmt.Sprintf("n=%d/indexed", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n) + 1))
+			gx := sparseGraph(rng, n, min(3*n, 2000))
+			x, pool := NewEdgeIndex(gx), gx.Edges()
+			if x == nil || x.m != len(pool) {
+				t.Fatalf("no index of %d edges over %d vertices", len(pool), n)
+			}
+			var s EdgeSet
+			s.ResetOn(n, x)
+			g := New(n)
+			checkSet(t, "empty", &s, g, rng)
+			steps := min(6*n, 3000)
+			seed := rng.Int63()
+			replay := rand.New(rand.NewSource(seed))
+			for round := 1; round <= 3; round++ {
+				addBoth(t, replay, &s, g, steps/3, pool...)
+				checkSet(t, fmt.Sprintf("after %d additions", round*steps/3), &s, g, rng)
+			}
+			if s.tabled == 0 || s.tabled == s.M() {
+				t.Fatalf("%d of %d members in the table: the additions missed a side", s.tabled, s.M())
+			}
+			filled := s.Clone()
+			for _, on := range []struct {
+				name string
+				x    *EdgeIndex
+			}{{"the same index", x}, {"another index", NewEdgeIndex(sparseGraph(rng, n, 500))}, {"no index", nil}, {"the same index again", x}} {
+				s.ResetOn(n, on.x)
+				checkSet(t, "reset on "+on.name, &s, New(n), rng)
+				g := New(n)
+				replay := rand.New(rand.NewSource(seed))
+				for round := 1; round <= 3; round++ {
+					addBoth(t, replay, &s, g, steps/3, pool...)
+				}
+				checkSet(t, "refilled on "+on.name, &s, g, rng)
+				if s.Sum() != filled.Sum() || !s.Equal(filled) || !filled.Equal(&s) {
+					t.Fatalf("refilled on %s: differs from the set first filled", on.name)
+				}
 			}
 		})
 	}
@@ -219,23 +314,87 @@ func TestEdgeSetResetMatchesFresh(t *testing.T) {
 // graph that held it before, allocate nothing — in the bit matrix's regime
 // and the table's.
 func TestEdgeSetReuseIsAllocationFree(t *testing.T) {
-	for _, n := range []int{64, 300} {
+	for _, c := range []struct {
+		n       int
+		indexed bool
+	}{{64, false}, {300, false}, {300, true}} {
+		tree := New(c.n)
+		for v := 1; v < c.n; v++ {
+			tree.AddEdge(ids.NodeID(v), ids.NodeID((v-1)/3)) // a 3-ary tree
+		}
+		var x *EdgeIndex
+		if c.indexed {
+			x = NewEdgeIndex(tree)
+		}
 		var s EdgeSet
 		fill := func() {
-			s.Reset(n)
-			for v := 1; v < n; v++ {
-				s.Add(ids.NodeID(v), ids.NodeID((v-1)/3)) // a 3-ary tree
+			s.ResetOn(c.n, x)
+			for v := 1; v < c.n; v++ {
+				s.Add(ids.NodeID(v), ids.NodeID((v-1)/3))
+			}
+			for v := 2; v < c.n/7; v++ { // pairs outside the tree
+				s.Add(1, ids.NodeID(v*7))
 			}
 		}
 		fill()
 		if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
-			t.Errorf("n=%d: refilling a reset set allocates %.0f objects, want 0", n, allocs)
+			t.Errorf("n=%d, indexed %v: refilling a reset set allocates %.0f objects, want 0", c.n, c.indexed, allocs)
 		}
 		g := new(Graph)
 		g.Load(&s)
 		if allocs := testing.AllocsPerRun(10, func() { g.Load(&s) }); allocs != 0 {
-			t.Errorf("n=%d: reloading a graph allocates %.0f objects, want 0", n, allocs)
+			t.Errorf("n=%d, indexed %v: reloading a graph allocates %.0f objects, want 0", c.n, c.indexed, allocs)
 		}
+	}
+}
+
+// TestEdgeIndexSharedByConcurrentSets: one index serves sets filled on
+// several goroutines at once — as every worker of a run reads the run's
+// index — and each set agrees with its own graph; the index is unchanged
+// afterwards. Run it under -race.
+func TestEdgeIndexSharedByConcurrentSets(t *testing.T) {
+	const n, workers = 300, 4
+	rng := rand.New(rand.NewSource(7))
+	gx := sparseGraph(rng, n, 900)
+	x, pool := NewEdgeIndex(gx), gx.Edges()
+	before := slices.Clone(x.slots)
+	sets, graphs := make([]*EdgeSet, workers), make([]*Graph, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			s, g := new(EdgeSet), New(n)
+			for range 3 {
+				s.ResetOn(n, x)
+				g = New(n)
+				for range 1500 { // half of them edges of gx, many repeats
+					u, v := randomPair(rng, n)
+					if rng.Intn(2) == 0 {
+						e := pool[rng.Intn(len(pool))]
+						u, v = e.U, e.V
+					}
+					if got, want := s.Add(u, v), !g.HasEdge(u, v); got != want || !s.Has(v, u) {
+						errs[w] = fmt.Errorf("Add(%d,%d) = %v, want %v", u, v, got, want)
+						return
+					}
+					g.AddEdge(u, v)
+				}
+			}
+			sets[w], graphs[w] = s, g
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		checkSet(t, fmt.Sprintf("worker %d", w), sets[w], graphs[w], rng)
+	}
+	if !slices.Equal(x.slots, before) {
+		t.Fatal("filling sets on the index wrote to it")
 	}
 }
 

@@ -41,7 +41,8 @@ func WithSignOnRead(grant func(ids.NodeID) bool) BuildOption {
 // BuildNodes constructs one correct NECTAR node per vertex of g, with
 // setup-time proofs of neighborhood built under scheme. t is the assumed
 // Byzantine bound handed to every node; roundsOverride (0 = default n-1)
-// is forwarded to each node's Config.
+// is forwarded to each node's Config. Every view is reset on one index of
+// g's edges (graph.NewEdgeIndex), which the nodes share read-only.
 //
 // Simulation setup only: a real deployment constructs its one Node from
 // NodeConfig (see cmd/nectar-node).
@@ -49,11 +50,13 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 	if scheme.N() < g.N() {
 		return nil, fmt.Errorf("nectar: scheme for %d nodes, graph has %d", scheme.N(), g.N())
 	}
-	proofs := BuildProofs(scheme, g)
+	proofs, index := BuildProofs(scheme, g), graph.NewEdgeIndex(g)
 	nodes := make([]*Node, g.N())
 	for i := range nodes {
 		me := ids.NodeID(i)
-		nd, err := NewNode(NodeConfig(g, t, scheme, proofs, me, roundsOverride, opts...))
+		cfg := NodeConfig(g, t, scheme, proofs, me, roundsOverride, opts...)
+		cfg.index = index
+		nd, err := NewNode(cfg)
 		if err != nil {
 			for _, built := range nodes[:i] {
 				built.Release()
@@ -65,9 +68,10 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 	return nodes, nil
 }
 
-// NodeConfig is node me's Config on g — the one BuildNodes hands NewNode:
-// its neighborhood in g, its proofs taken from proofs (as BuildProofs makes
-// them), and its signer and the verifier from scheme.
+// NodeConfig is node me's Config on g — the one BuildNodes hands NewNode,
+// but for the run's edge index: its neighborhood in g, its proofs taken
+// from proofs (as BuildProofs makes them), and its signer and the verifier
+// from scheme.
 func NodeConfig(g *graph.Graph, t int, scheme sig.Scheme, proofs map[graph.Edge]Proof, me ids.NodeID, roundsOverride int, opts ...BuildOption) Config {
 	cfg := Config{
 		N:         g.N(),

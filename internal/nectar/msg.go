@@ -216,7 +216,7 @@ func (sc *msgScratch) checkBody(v sig.Verifier, e graph.Edge, data []byte, n int
 	if count != round {
 		return count, errChainLength
 	}
-	distinct, inRange := sig.DistinctRawSigners(rawHops, sigSize, n)
+	distinct, inRange := sc.cs.DistinctRawSigners(rawHops, sigSize, n)
 	if !distinct {
 		return count, errChainSigners
 	}

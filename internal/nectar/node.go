@@ -108,6 +108,13 @@ type Config struct {
 	// cache last, once every node sharing it is released or done with.
 	VerifyCache *sig.VerifyCache
 
+	// index numbers the edges of the graph the node runs on, shared by every
+	// node BuildNodes makes: its view keeps those edges as bits over it
+	// (graph.EdgeSet.ResetOn). Nil — a node built without the graph, or n ≤
+	// 192, where the view is a bit matrix — keeps every edge in the view's
+	// table. Decisions and wire bytes are the same either way.
+	index *graph.EdgeIndex
+
 	// signOnRead defers each relay's signature to the first neighbour that
 	// checks the relay (sig.Board.Defer), under the lockstep contract
 	// above; set by WithSignOnRead. Decisions and wire bytes are the same
@@ -346,44 +353,44 @@ func NewNode(cfg Config) (*Node, error) {
 		nd.nRounds = cfg.N - 1
 	}
 	nd.signer = appendSigner(cfg.Signer)
-	seen := make(ids.Set, len(cfg.Neighbors))
-	for _, nb := range cfg.Neighbors {
-		if nb == cfg.Me || int(nb) >= cfg.N {
-			return nil, fmt.Errorf("nectar: invalid neighbor %v", nb)
-		}
-		if seen.Has(nb) {
-			return nil, fmt.Errorf("nectar: duplicate neighbor %v", nb)
-		}
-		seen.Add(nb)
-		p, ok := cfg.Proofs[nb]
-		if !ok {
-			return nil, fmt.Errorf("nectar: missing proof for neighbor %v", nb)
-		}
-		if p.Edge != graph.NewEdge(cfg.Me, nb) {
-			return nil, fmt.Errorf("nectar: proof for %v has edge %v", nb, p.Edge)
-		}
-	}
-	// Borrowed once the configuration is sound; a failing proof returns it.
+	// Borrowed before the neighbours are checked, so that the view tells a
+	// repeated one; every error returns it, keeping no snapshot of a node
+	// nobody gets.
 	nd.box = scratchPool(len(cfg.Neighbors)).Get().(*nodeScratch)
 	nd.nodeScratch, *nd.box = *nd.box, nodeScratch{}
+	if nd.view == nil {
+		nd.view = new(graph.EdgeSet)
+	}
+	nd.view.ResetOn(cfg.N, cfg.index)
+	for _, nb := range cfg.Neighbors {
+		var err error
+		if nb == cfg.Me || int(nb) >= cfg.N {
+			err = fmt.Errorf("nectar: invalid neighbor %v", nb)
+		} else if !nd.view.Add(cfg.Me, nb) {
+			err = fmt.Errorf("nectar: duplicate neighbor %v", nb)
+		} else if p, ok := cfg.Proofs[nb]; !ok {
+			err = fmt.Errorf("nectar: missing proof for neighbor %v", nb)
+		} else if p.Edge != graph.NewEdge(cfg.Me, nb) {
+			err = fmt.Errorf("nectar: proof for %v has edge %v", nb, p.Edge)
+		}
+		if err != nil {
+			nd.release(nil)
+			return nil, err
+		}
+	}
 	if cfg.Verifier.BindsMessage() && cfg.VerifyCache != nil { // an unbound scheme's Verify costs less than asking the cache
 		nd.scr.cache = cfg.VerifyCache
 		nd.board, nd.unproven = cfg.VerifyCache.Board(cfg.Me), true
 	}
-	if nd.view == nil {
-		nd.view = new(graph.EdgeSet)
-	}
-	nd.view.Reset(cfg.N)
 	// Proofs are checked in wire form (in the emit arena, which Emit
 	// resets), the form the proof ledger compares.
 	sigSize := cfg.Verifier.SigSize()
 	for _, nb := range cfg.Neighbors {
-		nd.view.Add(cfg.Me, nb)
 		p := cfg.Proofs[nb]
 		nd.enc.Reset()
 		p.encode(&nd.enc, sigSize) // a signature of another width is invalid, not to be cut to size
 		if len(p.SigU) != sigSize || len(p.SigV) != sigSize || nd.scr.checkSigs(cfg.Verifier, p.Edge, nd.enc.Bytes(), nil, 0) != nil {
-			nd.Release()
+			nd.release(nil)
 			return nil, fmt.Errorf("nectar: proof for neighbor %v does not verify", nb)
 		}
 	}

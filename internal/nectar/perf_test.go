@@ -7,6 +7,7 @@ package nectar
 import (
 	"testing"
 
+	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/sig"
 	"github.com/nectar-repro/nectar/internal/topology"
@@ -209,7 +210,8 @@ func BenchmarkDeliver(b *testing.B) {
 // and chains are long. rewind undoes the acceptances so the same messages
 // are first-seen again, on buffers that have reached their size.
 // newFirstSeenFixture's n is 2·count+hops+4: up to 192 the view is a bit
-// matrix, above it a table.
+// matrix, above it bits over the index of the graph of the node's and the
+// messages' edges, as BuildNodes would hand it.
 type firstSeenFixture struct {
 	node *Node
 	hops int
@@ -225,10 +227,16 @@ func newFirstSeenFixture(tb testing.TB, schemeName string, hops, count int, wrap
 	for _, w := range wrap { // the node signs through a wrapper; its proofs are its own
 		cfg.Signer = w(cfg.Signer)
 	}
+	g := graph.New(n)
 	for _, nb := range []ids.NodeID{1, ids.NodeID(n - 2), ids.NodeID(n - 1)} {
 		cfg.Neighbors = append(cfg.Neighbors, nb)
 		cfg.Proofs[nb] = MakeProof(me, scheme.SignerFor(nb))
+		g.AddEdge(0, nb)
 	}
+	for i := 0; i < count; i++ {
+		g.AddEdge(ids.NodeID(2+2*i), ids.NodeID(3+2*i))
+	}
+	cfg.index = graph.NewEdgeIndex(g)
 	nd, err := NewNode(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -263,7 +271,7 @@ func (fx *firstSeenFixture) deliverAll(tb testing.TB) {
 // it, on the storage it has grown.
 func (fx *firstSeenFixture) rewind() {
 	nd := fx.node
-	nd.view.Reset(nd.cfg.N)
+	nd.view.ResetOn(nd.cfg.N, nd.cfg.index)
 	for _, nb := range nd.cfg.Neighbors {
 		nd.view.Add(nd.cfg.Me, nb)
 	}
@@ -273,11 +281,15 @@ func (fx *firstSeenFixture) rewind() {
 // TestFirstSeenPathIsAllocationFree pins the accept path and the relay path
 // on warm buffers for a scheme whose Sign does not allocate: checking a
 // 12-hop chain over its wire bytes, recording the edge in the pooled view —
-// its bit matrix at n = 32, its table at n = 208 — queueing the message,
-// then signing and encoding its relay: no object at any step (DESIGN.md §9).
+// its bit matrix at n = 32, its bits over the index at n = 208 — queueing
+// the message, then signing and encoding its relay: no object at any step
+// (DESIGN.md §9).
 func TestFirstSeenPathIsAllocationFree(t *testing.T) {
 	for _, count := range []int{8, 96} {
 		fx := newFirstSeenFixture(t, "slim", 12, count)
+		if indexed := fx.node.cfg.index != nil; indexed != (fx.node.cfg.N > 192) {
+			t.Fatalf("n=%d: view indexed %v", fx.node.cfg.N, indexed)
+		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			fx.deliverAll(t)
 			fx.rewind()

@@ -96,7 +96,7 @@ type rawCase struct {
 	round int
 }
 
-const rawCheckN = 48 // room for a chain past sig's distinct-scan limit of 32
+const rawCheckN = 64 // room for a 40-hop chain
 
 // rawCases returns, for a valid hops-hop message under scheme, the message
 // and every single mutation of it: cut at each byte (every cutStride-th),
@@ -148,6 +148,16 @@ func rawCases(scheme sig.Scheme, hops, cutStride int) []rawCase {
 		mutate(name("last signer repeats the first"), func(m []byte) { copy(signerAt(m, hops-1), signerAt(m, 0)) })
 		mutate(name("adjacent signers repeat"), func(m []byte) { copy(signerAt(m, hops/2), signerAt(m, hops/2-1)) })
 	}
+	if hops > 2 {
+		mutate(name("signer out of range, then a repeat"), func(m []byte) {
+			binary.BigEndian.PutUint32(signerAt(m, 1), rawCheckN)
+			copy(signerAt(m, hops-1), signerAt(m, 0))
+		})
+		mutate(name("a repeat, then a signer out of range"), func(m []byte) {
+			copy(signerAt(m, 1), signerAt(m, 0))
+			binary.BigEndian.PutUint32(signerAt(m, hops-1), rawCheckN)
+		})
+	}
 	for i, off := range []int{8, 8 + sigSize} {
 		mutate(name("proof sig %d flipped", i), func(m []byte) { m[off+sigSize/2] ^= 0x10 })
 	}
@@ -171,7 +181,7 @@ func TestRawCheckMatchesReference(t *testing.T) {
 		v := row.scheme.Verifier()
 		var sc msgScratch // one scratch throughout, as a node has
 		reasons := map[string]int{}
-		for _, hops := range []int{1, 3, 12, 35} { // 35: the map branch of the distinct check
+		for _, hops := range []int{1, 2, 3, 12, 32, 33, 40} {
 			for _, c := range rawCases(row.scheme, hops, 1) {
 				if row.phantom && strings.HasSuffix(c.name, "/signer out of range") {
 					// The one verdict the reference does not share: where the

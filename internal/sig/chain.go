@@ -100,57 +100,38 @@ func VerifyChain(v Verifier, payload []byte, chain []Hop) bool {
 // Dolev–Strong argument behind Lemma 2 requires relayed chains to carry
 // pairwise-distinct signers; correct nodes discard chains violating this.
 func DistinctSigners(chain []Hop) bool {
-	return distinct(len(chain), func(i int) ids.NodeID { return chain[i].Signer })
-}
-
-// distinct reports whether signer(0..n-1) are pairwise distinct, on a set.
-func distinct(n int, signer func(int) ids.NodeID) bool {
-	seen := make(ids.Set, n)
-	for i := 0; i < n; i++ {
-		if seen.Has(signer(i)) {
+	seen := make(ids.Set, len(chain))
+	for _, h := range chain {
+		if seen.Has(h.Signer) {
 			return false
 		}
-		seen.Add(signer(i))
+		seen.Add(h.Signer)
 	}
 	return true
 }
-
-// distinctScanMax is the chain length up to which DistinctRawSigners uses
-// the allocation-free quadratic scan. Honest chains are bounded by the
-// graph diameter (quiescence, §IV-E), so virtually every checked chain
-// takes the scan path; only adversarially long chains on full-horizon
-// runs pay the set.
-const distinctScanMax = 32
 
 // DistinctRawSigners is DistinctSigners over a raw chain (scratch.go) of
 // sigSize-byte signatures, and in the same walk it reports whether every
 // signer is below n — a node of the n-node system. That is all an unbound
 // scheme's Verify checks of a well-framed hop (Verifier.BindsMessage), so
 // a caller holding such a scheme checks the chain's signatures with it.
-// The second result is meaningful only when the first is true. The scan
-// gathers the signers from their hop stride into an array first, so its
-// quadratic part compares registers.
+// The second result is meaningful only when the first is true; a repeated
+// signer reports false for both. It compares every pair of signers in
+// place: the reference for ChainScratch.DistinctRawSigners, which hot
+// paths call, and its walk for chains that name a signer outside n.
 func DistinctRawSigners(rawHops []byte, sigSize, n int) (bool, bool) {
 	hop := HopWireSize(sigSize)
-	count := len(rawHops) / hop
-	var hi uint32 // the largest signer
-	if count > distinctScanMax {
-		for i := range count {
-			hi = max(hi, binary.BigEndian.Uint32(rawHops[i*hop:]))
-		}
-		return distinct(count, func(i int) ids.NodeID { return ids.NodeID(binary.BigEndian.Uint32(rawHops[i*hop:])) }), hi < uint32(n)
-	}
-	var signers [distinctScanMax]uint32
-	for i := range signers[:count] {
-		signers[i] = binary.BigEndian.Uint32(rawHops[i*hop:])
-		for _, s := range signers[:i] {
-			if s == signers[i] {
+	inRange := true
+	for i := 0; i+hop <= len(rawHops); i += hop {
+		s := binary.BigEndian.Uint32(rawHops[i:])
+		for j := 0; j < i; j += hop {
+			if binary.BigEndian.Uint32(rawHops[j:]) == s {
 				return false, false
 			}
 		}
-		hi = max(hi, signers[i])
+		inRange = inRange && s < uint32(n)
 	}
-	return true, count == 0 || hi < uint32(n)
+	return true, inRange
 }
 
 // EncodeHops appends the chain to w: a uint16 hop count followed by

@@ -27,6 +27,9 @@ type ChainScratch struct {
 	w    wire.Writer
 	hops []Hop
 	sig  []byte
+	// seen has bit s set for each signer s the running DistinctRawSigners
+	// walk has met, and is all zeros between calls.
+	seen []uint64
 }
 
 // Reset empties the scratch but keeps its capacity, zeroing the hop slots
@@ -125,4 +128,47 @@ func (cs *ChainScratch) VerifyRawChain(v Verifier, payload, rawHops []byte, from
 		}
 	}
 	return true
+}
+
+// DistinctRawSigners is the package's DistinctRawSigners in one pass: each
+// signer below n is a bit of a ⌈n/64⌉-word set in the scratch, so a chain of
+// h hops costs h bit tests, not h(h−1)/2 comparisons, and the walk clears
+// what it wrote before it returns — the words of the signers it met, or the
+// whole set where that is fewer words. A signer at or past n, which no
+// correct chain carries, hands the chain to the reference walk, whose
+// verdict it returns; the results are always the reference's.
+func (cs *ChainScratch) DistinctRawSigners(rawHops []byte, sigSize, n int) (bool, bool) {
+	words := (n + 63) / 64
+	if len(cs.seen) < words {
+		cs.seen = make([]uint64, words)
+	}
+	seen, hop := cs.seen[:words], HopWireSize(sigSize)
+	count := len(rawHops) / hop
+	met, outside := 0, false
+	for ; met < count; met++ {
+		s := binary.BigEndian.Uint32(rawHops[met*hop:])
+		if s >= uint32(n) {
+			outside = true
+			break
+		}
+		w, b := seen[s>>6], uint64(1)<<(s&63)
+		if w&b != 0 {
+			break
+		}
+		seen[s>>6] = w | b
+	}
+	if words <= met {
+		clear(seen)
+	} else {
+		for i := range met {
+			seen[binary.BigEndian.Uint32(rawHops[i*hop:])>>6] = 0
+		}
+	}
+	switch {
+	case outside:
+		return DistinctRawSigners(rawHops, sigSize, n)
+	case met < count: // stopped at a repeat
+		return false, false
+	}
+	return true, true
 }

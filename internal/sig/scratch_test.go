@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -175,45 +176,72 @@ type bindingInsecure struct{ Verifier }
 
 func (bindingInsecure) BindsMessage() bool { return true }
 
-// TestDistinctRawSignersMatchesDistinctSigners: the raw walk finds the
-// repeats DistinctSigners finds, on both sides of the scan limit, and
-// reports the chain in range of n exactly when its largest signer is below.
+// TestDistinctRawSignersMatchesDistinctSigners: the reference walk finds
+// the repeats DistinctSigners finds and calls a distinct chain in range of
+// n exactly when its largest signer is below n, and the scratch walk gives
+// the reference's (distinct, inRange) — on chains of 0 to 40 hops, with
+// repeated signers, signers outside n and both, at bounds around every
+// word of its bit set. One scratch serves every call, so a walk that left a
+// bit set would fail a later one.
 func TestDistinctRawSignersMatchesDistinctSigners(t *testing.T) {
+	var cs ChainScratch
+	const outside = 1<<20 + 5 // above every bound below
 	for _, sigSize := range []int{0, 4, 64} {
-		for _, n := range []int{0, 1, 2, distinctScanMax, distinctScanMax + 1, distinctScanMax + 8} {
-			chain := make([]Hop, n)
+		for _, h := range []int{0, 1, 2, 32, 33, 40} {
+			chain := make([]Hop, h)
 			for i := range chain {
 				chain[i] = Hop{Signer: ids.NodeID(3 * i), Sig: make([]byte, sigSize)}
 			}
-			top := 3 * max(n-1, 0) // the largest signer
-			for _, bound := range []int{top + 1, top + 100, top} {
-				distinct, inRange := DistinctRawSigners(rawChain(chain, sigSize), sigSize, bound)
-				if !distinct {
-					t.Fatalf("sigSize %d: distinct %d-hop chain rejected", sigSize, n)
+			variants := map[string][]Hop{"distinct": chain}
+			set := func(name string, at map[int]ids.NodeID) {
+				v := slices.Clone(chain)
+				for i, s := range at {
+					v[i].Signer = s
 				}
-				if want := n == 0 || top < bound; inRange != want {
-					t.Fatalf("sigSize %d, %d hops up to signer %d: in range of %d = %v, want %v", sigSize, n, top, bound, inRange, want)
+				variants[name] = v
+			}
+			for _, pair := range [][2]int{{0, h - 1}, {h / 2, h - 1}, {0, 1}, {h - 2, h - 1}} {
+				if 0 <= pair[0] && pair[0] < pair[1] && pair[1] < h {
+					set(fmt.Sprintf("%d repeats %d", pair[1], pair[0]), map[int]ids.NodeID{pair[1]: chain[pair[0]].Signer})
 				}
 			}
-			for _, pair := range [][2]int{{0, n - 1}, {n / 2, n - 1}, {0, 1}} {
-				if n < 2 || pair[0] == pair[1] {
-					continue
+			for _, i := range []int{0, h / 2, h - 1} {
+				if 0 <= i && i < h {
+					set(fmt.Sprintf("%d outside", i), map[int]ids.NodeID{i: outside})
 				}
-				dup := append([]Hop(nil), chain...)
-				dup[pair[1]].Signer = dup[pair[0]].Signer
-				if distinct, _ := DistinctRawSigners(rawChain(dup, sigSize), sigSize, top+1); DistinctSigners(dup) || distinct {
-					t.Fatalf("sigSize %d, %d hops: signer %d repeated at %d accepted", sigSize, n, pair[0], pair[1])
+			}
+			if h >= 3 {
+				set("outside, then a repeat", map[int]ids.NodeID{1: outside, h - 1: chain[0].Signer})
+				set("a repeat, then outside", map[int]ids.NodeID{1: chain[0].Signer, h - 1: outside})
+				set("outside twice", map[int]ids.NodeID{0: outside, h - 1: outside})
+			}
+			for name, v := range variants {
+				raw, top := rawChain(v, sigSize), ids.NodeID(0)
+				for _, hop := range v {
+					top = max(top, hop.Signer)
+				}
+				for _, bound := range []int{1, 63, 64, 65, 129, int(top), int(top) + 1, int(top) + 100} {
+					d, r := DistinctRawSigners(raw, sigSize, bound)
+					if wd, wr := DistinctSigners(v), DistinctSigners(v) && (h == 0 || int(top) < bound); d != wd || r != wr {
+						t.Fatalf("sigSize %d, %d hops, %s, n = %d: reference says (%v, %v), want (%v, %v)", sigSize, h, name, bound, d, r, wd, wr)
+					}
+					if gd, gr := cs.DistinctRawSigners(raw, sigSize, bound); gd != d || gr != r {
+						t.Fatalf("sigSize %d, %d hops, %s, n = %d: scratch walk says (%v, %v), the reference (%v, %v)", sigSize, h, name, bound, gd, gr, d, r)
+					}
 				}
 			}
 		}
 	}
+	if i := slices.IndexFunc(cs.seen, func(w uint64) bool { return w != 0 }); i >= 0 {
+		t.Fatalf("the walks left word %d of the signer set at %#x", i, cs.seen[i])
+	}
 }
 
+// TestDistinctSignersLongChainUsesMapPath: DistinctSigners, the decoded
+// check's reference, tells a repeat on a 40-hop chain as TestDistinctSigners
+// has it do on short ones.
 func TestDistinctSignersLongChainUsesMapPath(t *testing.T) {
-	// A chain longer than distinctScanMax, where the raw check switches from
-	// its scan to the set DistinctSigners always uses
-	// (TestDistinctRawSignersMatchesDistinctSigners holds the two together).
-	n := distinctScanMax + 8
+	const n = 40
 	chain := make([]Hop, n)
 	for i := range chain {
 		chain[i].Signer = ids.NodeID(i)

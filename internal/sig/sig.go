@@ -66,8 +66,8 @@ type Verifier interface {
 	// message. False is a contract: Verify(s, msg, sg) is then exactly
 	// s < n && len(sg) == SigSize() for the scheme's n, so a caller may run
 	// that test instead of the call. A NECTAR node reads it to check an
-	// unbound chain in its signer walk (sig.DistinctRawSigners) and to
-	// decide whether the boards and the proof ledger can pay.
+	// unbound chain in its signer walk (ChainScratch.DistinctRawSigners)
+	// and to decide whether the boards and the proof ledger can pay.
 	BindsMessage() bool
 }
 

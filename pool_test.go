@@ -228,7 +228,7 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 // can still drop pooled scratch — up to 150 KB a node more on the drone
 // shape — so the lighter of two warm runs is the one measured. On
 // drone-hmac's shape, where nearly every delivery is a duplicate, that is
-// 1–2 % of a cold run, and it stays under 40 objects per node (18–29
+// 1–2 % of a cold run, and it stays under 40 objects per node (15–29
 // measured: keys, proofs): every relay used to allocate the signature Sign returned, 630
 // objects per node on this graph, and now signs into its hop slot, and every
 // proof signed or checked built its statement in a writer of its own, about
@@ -239,7 +239,7 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 // tree, and now resets a recycled one. Its byte ceiling is what deciding
 // costs: each node used to copy its view's edge list (≈ 1.6 KB on the
 // 200-node tree) and allocate a BFS scratch (≈ 0.8 KB) — 4.4 KB a node in
-// all — and now shares one entry of the decision memo per view (1.7 KB).
+// all — and now shares one entry of the decision memo per view (1.8 KB).
 func TestWarmRunAllocatesAFraction(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation and thins sync.Pool")
