@@ -5,16 +5,13 @@
 //
 // All requested experiments run as ONE scheduled plan (DESIGN.md §10):
 // trial units from every figure and table share a single bounded worker
-// pool (-jobs), per-trial records can stream to a JSONL checkpoint
-// (-stream), and an interrupted sweep resumes from it (-resume) — with
-// aggregates bit-identical regardless of parallelism or resume point.
+// pool (-jobs), with aggregates bit-identical regardless of parallelism.
 //
 // Usage:
 //
 //	nectar-bench [flags] <experiment>...
 //	nectar-bench -quick all
-//	nectar-bench -jobs 8 -stream results/trials.jsonl all
-//	nectar-bench -jobs 8 -stream results/trials.jsonl -resume all
+//	nectar-bench -jobs 8 -no-ascii all
 //
 // Experiments: fig3 fig4 fig5 fig6 fig7 fig8 fig8-n20 fig8-n50
 // topo-cost byz-topo loss churn redteam all
@@ -52,8 +49,6 @@ func run(args []string) error {
 	scheme := fs.String("scheme", "hmac", "signature scheme: "+strings.Join(sig.Names(), "|"))
 	out := fs.String("out", "results", "output directory for CSV files")
 	jobs := fs.Int("jobs", 0, "parallelism budget shared by all experiments (0 = GOMAXPROCS)")
-	stream := fs.String("stream", "", "stream per-trial records to this JSONL checkpoint file")
-	resume := fs.Bool("resume", false, "resume from the -stream checkpoint (skip completed trials)")
 	noASCII := fs.Bool("no-ascii", false, "suppress terminal plots")
 	verbose := fs.Bool("v", false, "print live per-trial progress")
 	tracePath := fs.String("trace", "",
@@ -96,8 +91,8 @@ func run(args []string) error {
 		fmt.Printf("schemes:     %s\n", strings.Join(sig.Names(), " "))
 		return nil
 	}
-	if *resume && *stream == "" {
-		return fmt.Errorf("-resume needs -stream (the checkpoint to resume from)")
+	if *trials < 0 {
+		return fmt.Errorf("-trials %d: want ≥ 0 (0 = per-experiment defaults)", *trials)
 	}
 	targets := fs.Args()
 	if len(targets) == 0 {
@@ -145,16 +140,6 @@ func run(args []string) error {
 		}
 		cfg.Tracer = sink
 	}
-	if *stream != "" {
-		// Opened once every target is known to exist: without -resume it
-		// truncates the checkpoint.
-		c, err := exp.OpenCollector(*stream, *resume)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		cfg.Collector = c
-	}
 	var reg *obs.Registry
 	count := func(exp.UnitEvent) {}
 	if *metricsOut != "" {
@@ -166,15 +151,12 @@ func run(args []string) error {
 		if !*verbose {
 			return
 		}
-		switch {
-		case ev.Err != nil:
+		if ev.Err != nil {
 			fmt.Fprintf(os.Stderr, "  [%d/%d] %s: FAILED: %v\n", ev.Done, ev.Total, ev.Key, ev.Err)
-		case ev.Resumed:
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (resumed)\n", ev.Done, ev.Total, ev.Key, ev.Unit)
-		default:
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (%v)\n",
-				ev.Done, ev.Total, ev.Key, ev.Unit, ev.Elapsed.Round(time.Millisecond))
+			return
 		}
+		fmt.Fprintf(os.Stderr, "  [%d/%d] %s #%d (%v)\n",
+			ev.Done, ev.Total, ev.Key, ev.Unit, ev.Elapsed.Round(time.Millisecond))
 	}
 
 	start := time.Now()
@@ -223,37 +205,28 @@ func run(args []string) error {
 		if er.Err != nil {
 			status = "FAILED: " + er.Err.Error()
 		}
-		resumed := ""
-		if er.Resumed > 0 {
-			resumed = fmt.Sprintf(", %d resumed", er.Resumed)
-		}
-		fmt.Printf("%-10s %3d trial units%s, unit-time %v — %s\n",
-			er.ID, er.Units, resumed, er.UnitTime.Round(time.Millisecond), status)
+		fmt.Printf("%-10s %3d trial units, unit-time %v — %s\n",
+			er.ID, er.Units, er.UnitTime.Round(time.Millisecond), status)
 	}
 	speedup := 0.0
 	if rep.Wall > 0 {
 		speedup = float64(rep.UnitTime) / float64(rep.Wall)
 	}
-	fmt.Printf("total: %v wall, %v unit-time (%.1fx parallelism, jobs=%d, %d run, %d resumed) in %v\n",
+	fmt.Printf("total: %v wall, %v unit-time (%.1fx parallelism, jobs=%d, %d run) in %v\n",
 		rep.Wall.Round(time.Millisecond), rep.UnitTime.Round(time.Millisecond),
-		speedup, rep.Jobs, rep.UnitsRun, rep.UnitsResumed, time.Since(start).Round(time.Millisecond))
+		speedup, rep.Jobs, rep.UnitsRun, time.Since(start).Round(time.Millisecond))
 	return runErr
 }
 
 // unitMetrics returns an exp.Options.OnUnit observer that renders the
-// plan's units into reg (DESIGN.md §12): run, resumed and failed counts
-// and the latency histogram of the units run. A failed unit counts as run
-// and failed.
+// plan's units into reg (DESIGN.md §12): run and failed counts and the
+// latency histogram of the units run. A failed unit counts as run and
+// failed.
 func unitMetrics(reg *obs.Registry) func(exp.UnitEvent) {
-	run := reg.Counter("nectar_exp_units_run_total", "Trial units executed (excludes checkpoint-resumed units).")
-	resumed := reg.Counter("nectar_exp_units_resumed_total", "Trial units served from the checkpoint.")
+	run := reg.Counter("nectar_exp_units_run_total", "Trial units executed.")
 	failed := reg.Counter("nectar_exp_units_failed_total", "Trial units that returned an error.")
 	seconds := reg.Histogram("nectar_exp_unit_seconds", "Per-unit execution latency.", obs.DefBuckets)
 	return func(ev exp.UnitEvent) {
-		if ev.Resumed {
-			resumed.Inc()
-			return
-		}
 		run.Inc()
 		seconds.Observe(ev.Elapsed.Seconds())
 		if ev.Err != nil {

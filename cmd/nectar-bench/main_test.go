@@ -50,6 +50,21 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-quick", "-scheme", "insecure", "-out", t.TempDir(), "fig3"}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	if err := run([]string{"-quick", "-trials", "-3", "-out", t.TempDir(), "fig3"}); err == nil || !strings.Contains(err.Error(), "-trials") {
+		t.Errorf("negative -trials: %v, want an error naming -trials", err)
+	}
+	if err := run([]string{"-resume", "-out", t.TempDir(), "fig3"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-resume: %v, want an unknown-flag error", err)
+	}
+	// A mistyped target fails before any unit runs: a valid target beside
+	// it writes nothing.
+	out := t.TempDir()
+	if err := run([]string{"-quick", "-out", out, "fig3", "nosuch"}); err == nil {
+		t.Error("unknown experiment beside a valid one accepted")
+	}
+	if files, err := os.ReadDir(out); err != nil || len(files) != 0 {
+		t.Errorf("output dir holds %v (%v), want nothing", files, err)
+	}
 }
 
 func TestListMode(t *testing.T) {
@@ -69,72 +84,32 @@ func TestRunQuickRedTeam(t *testing.T) {
 	}
 }
 
-// TestMultiExperimentPlanWithStreamAndResume runs two experiments as one
-// scheduled plan with a JSONL stream, then re-runs with -resume: the
-// second pass must serve every trial from the checkpoint and reproduce
-// the CSVs byte for byte.
-func TestMultiExperimentPlanWithStreamAndResume(t *testing.T) {
+// TestMultiExperimentPlan runs two experiments as one scheduled plan on
+// four jobs: each CSV must match the one the experiment writes alone on
+// one job.
+func TestMultiExperimentPlan(t *testing.T) {
 	dir := t.TempDir()
-	stream := filepath.Join(dir, "trials.jsonl")
-	args := []string{"-quick", "-trials", "2", "-no-ascii", "-jobs", "4",
-		"-stream", stream, "-out", dir, "fig8-n20", "topo-cost"}
-	if err := run(args); err != nil {
-		t.Fatalf("first pass: %v", err)
+	if err := run([]string{"-quick", "-trials", "2", "-no-ascii", "-jobs", "4",
+		"-out", dir, "fig8-n20", "topo-cost"}); err != nil {
+		t.Fatalf("plan: %v", err)
 	}
-	fig1, err := os.ReadFile(filepath.Join(dir, "fig8-n20.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl1, err := os.ReadFile(filepath.Join(dir, "topo-cost.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stream); err != nil {
-		t.Fatalf("stream file missing: %v", err)
-	}
-
-	dir2 := t.TempDir()
-	resumeArgs := []string{"-quick", "-trials", "2", "-no-ascii", "-jobs", "2",
-		"-stream", stream, "-resume", "-out", dir2, "fig8-n20", "topo-cost"}
-	if err := run(resumeArgs); err != nil {
-		t.Fatalf("resume pass: %v", err)
-	}
-	fig2, err := os.ReadFile(filepath.Join(dir2, "fig8-n20.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl2, err := os.ReadFile(filepath.Join(dir2, "topo-cost.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fig1) != string(fig2) {
-		t.Error("resumed fig8-n20.csv differs from fresh run")
-	}
-	if string(tbl1) != string(tbl2) {
-		t.Error("resumed topo-cost.csv differs from fresh run")
-	}
-}
-
-// TestUnknownExperimentKeepsCheckpoint: a mistyped target fails before
-// the -stream checkpoint is opened, so a fresh run's truncation never
-// costs a checkpoint a typo was going to refuse anyway.
-func TestUnknownExperimentKeepsCheckpoint(t *testing.T) {
-	stream := filepath.Join(t.TempDir(), "trials.jsonl")
-	const line = "{\"spec\":\"kept\"}\n"
-	if err := os.WriteFile(stream, []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-stream", stream, "-out", t.TempDir(), "fig8", "nosuch"}); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	if data, err := os.ReadFile(stream); err != nil || string(data) != line {
-		t.Errorf("checkpoint now holds %q (%v), want it untouched", data, err)
-	}
-}
-
-func TestResumeRequiresStream(t *testing.T) {
-	if err := run([]string{"-resume", "-out", t.TempDir(), "fig3"}); err == nil {
-		t.Error("-resume without -stream accepted")
+	for _, id := range []string{"fig8-n20", "topo-cost"} {
+		alone := t.TempDir()
+		if err := run([]string{"-quick", "-trials", "2", "-no-ascii", "-jobs", "1",
+			"-out", alone, id}); err != nil {
+			t.Fatalf("%s alone: %v", id, err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, id+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(alone, id+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s.csv from the two-experiment plan differs from its run alone", id)
+		}
 	}
 }
 
@@ -162,16 +137,15 @@ func runCaptured(t *testing.T, args ...string) string {
 	return out
 }
 
-// summaryCounts reads the units run and resumed off the summary line.
-func summaryCounts(t *testing.T, out string) (run, resumed int64) {
+// unitsRun reads the units run off the summary line.
+func unitsRun(t *testing.T, out string) int64 {
 	t.Helper()
-	m := regexp.MustCompile(`(\d+) run, (\d+) resumed\)`).FindStringSubmatch(out)
+	m := regexp.MustCompile(`(\d+) run\)`).FindStringSubmatch(out)
 	if m == nil {
 		t.Fatalf("no summary line in:\n%s", out)
 	}
-	run, _ = strconv.ParseInt(m[1], 10, 64)
-	resumed, _ = strconv.ParseInt(m[2], 10, 64)
-	return run, resumed
+	run, _ := strconv.ParseInt(m[1], 10, 64)
+	return run
 }
 
 // readMetrics loads a -metrics-out file's samples by name.
@@ -199,35 +173,33 @@ func readMetrics(t *testing.T, path string) map[string]float64 {
 }
 
 // checkUnitMetrics holds a -metrics-out file to the summary of a run with
-// no failures: the three unit counters, one latency observation per unit
+// no failures: the two unit counters, one latency observation per unit
 // run, no gauges.
 func checkUnitMetrics(t *testing.T, path, out string) {
 	t.Helper()
 	if strings.Contains(out, "FAILED") {
 		t.Fatalf("a unit failed:\n%s", out)
 	}
-	run, resumed := summaryCounts(t, out)
+	run := unitsRun(t, out)
 	m := readMetrics(t, path)
 	for name, want := range map[string]int64{
-		"nectar_exp_units_run_total":     run,
-		"nectar_exp_units_resumed_total": resumed,
-		"nectar_exp_units_failed_total":  0,
-		"nectar_exp_unit_seconds_count":  run,
+		"nectar_exp_units_run_total":    run,
+		"nectar_exp_units_failed_total": 0,
+		"nectar_exp_unit_seconds_count": run,
 	} {
 		if got, ok := m[name]; !ok || got != float64(want) {
 			t.Errorf("%s = %v (present %v), want %d", name, got, ok, want)
 		}
 	}
-	// Three counters and the histogram's buckets, +Inf, _sum and _count.
-	if want := 3 + len(obs.DefBuckets) + 3; len(m) != want {
+	// Two counters and the histogram's buckets, +Inf, _sum and _count.
+	if want := 2 + len(obs.DefBuckets) + 3; len(m) != want {
 		t.Errorf("%d samples, want %d: %v", len(m), want, m)
 	}
 }
 
 // TestTelemetry: nectar-bench's trace and metrics files agree with the
 // run's own summary — one unit_start and one unit_done per unit run, and
-// counters rendered from the same units. A -resume pass over a cut
-// checkpoint fills the resumed counter.
+// counters rendered from the same units.
 func TestTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	trace, metrics := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.prom")
@@ -257,7 +229,7 @@ func TestTelemetry(t *testing.T) {
 			dones[unit{ev.Key, ev.Unit}]++
 		}
 	}
-	run, _ := summaryCounts(t, out)
+	run := unitsRun(t, out)
 	if int64(len(starts)) != run || len(dones) != len(starts) {
 		t.Errorf("%d units started, %d done, %d run", len(starts), len(dones), run)
 	}
@@ -266,23 +238,6 @@ func TestTelemetry(t *testing.T) {
 			t.Errorf("unit %v: %d unit_start, %d unit_done", u, n, dones[u])
 		}
 	}
-
-	stream := filepath.Join(dir, "s.jsonl")
-	runCaptured(t, "-quick", "-no-ascii", "-out", dir, "-stream", stream, "fig3")
-	data, err := os.ReadFile(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if err := os.WriteFile(stream, []byte(strings.Join(lines[:5], "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out = runCaptured(t, "-quick", "-no-ascii", "-out", dir,
-		"-stream", stream, "-resume", "-metrics-out", metrics, "fig3")
-	if run, resumed := summaryCounts(t, out); run == 0 || resumed != 5 {
-		t.Errorf("resume pass ran %d units and resumed %d, want some and 5", run, resumed)
-	}
-	checkUnitMetrics(t, metrics, out)
 }
 
 // TestTraceMustBeJSONL: -trace has one capture path; any other name

@@ -1,8 +1,7 @@
 // Package exp is the experiment pipeline behind the harness drivers and
-// nectar-bench (DESIGN.md §10): a declarative Plan of trial units, one
+// nectar-bench (DESIGN.md §10): a declarative Plan of trial units and one
 // global bounded scheduler that runs units from all specs in a single
-// pool, and a streaming Collector that checkpoints per-unit records as
-// JSONL and resumes interrupted sweeps.
+// pool.
 //
 // The paper's evaluation (§V) is a wide grid — protocols × attacks ×
 // topology families × sizes × schemes — and every cell decomposes into
@@ -11,21 +10,12 @@
 //
 //   - units from *all* specs interleave freely in one worker pool
 //     (cross-spec parallelism: a slow spec no longer serializes the grid);
-//   - per-unit records stream to disk the moment they complete, so a
-//     sweep that dies at 90% resumes from its checkpoint instead of
-//     restarting from zero;
-//   - aggregates are folded from records in unit order after every unit
-//     of a spec lands, and every record is normalized through one JSON
-//     round trip first — so aggregates are bit-identical regardless of
-//     worker count, interleaving, or resume point.
+//   - aggregates are folded from the records Run returned, in unit order,
+//     after every unit of a spec lands — so aggregates are bit-identical
+//     regardless of worker count or interleaving.
 package exp
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // TrialRunner adapts one spec's trials to the pipeline; NewRunner builds
 // one from a spec kind's functions. Every unit must be a pure
@@ -33,61 +23,42 @@ import (
 // dependence on execution order. The scheduler may call Run for distinct
 // units concurrently.
 type TrialRunner interface {
-	// Fingerprint returns a stable, human-readable description of the
-	// spec's identity. It is hashed into the resume key: a checkpointed
-	// record is only reused when the plan key, fingerprint hash, unit
-	// index, and unit seed all match. Function-valued spec fields
-	// (scenario generators) cannot be fingerprinted — callers own keeping
-	// plan keys stable only while those functions are (see DESIGN.md §10).
-	Fingerprint() string
 	// Units is the number of independent trial units (≥ 1).
 	Units() int
-	// UnitSeed returns the seed that fully determines unit i, recorded in
-	// the checkpoint as part of the resume key.
+	// UnitSeed returns the seed that fully determines unit i.
 	UnitSeed(i int) int64
 	// Run executes unit i. engineWorkers is the unit's share of the
 	// plan's parallelism budget for intra-trial (engine) parallelism; it
 	// must never change the result, only the wall-clock.
 	Run(i, engineWorkers int) (any, error)
-	// Decode reloads one checkpointed record. It must be the inverse of
-	// encoding/json over Run's result type.
-	Decode(data json.RawMessage) (any, error)
-	// Finalize folds the records of all units — in unit order, each one
-	// normalized through a JSON round trip — into the spec's aggregate.
+	// Finalize folds the records Run returned for all units, in unit
+	// order, into the spec's aggregate.
 	Finalize(records []any) (any, error)
 }
 
 // NewRunner returns the TrialRunner of a spec whose units return records
-// of type R and fold into an aggregate of type A: fingerprint and units
-// describe the spec, seed gives UnitSeed, run executes a unit, and fold
-// receives every unit's record in unit order. Decode unmarshals into R,
-// and Finalize checks each record is an R before it calls fold.
-func NewRunner[R, A any](fingerprint string, units int, seed func(unit int) int64,
+// of type R and fold into an aggregate of type A: units counts the spec's
+// units, seed gives UnitSeed, run executes a unit, and fold receives every
+// unit's record in unit order. Finalize checks each record is an R before
+// it calls fold.
+func NewRunner[R, A any](units int, seed func(unit int) int64,
 	run func(unit, engineWorkers int) (R, error), fold func([]R) A) TrialRunner {
-	return &runner[R, A]{fingerprint, units, seed, run, fold}
+	return &runner[R, A]{units, seed, run, fold}
 }
 
 // runner is the one TrialRunner implementation; R and A stay hidden
 // behind the interface, which is what lets a Plan mix spec kinds.
 type runner[R, A any] struct {
-	fingerprint string
-	units       int
-	seed        func(int) int64
-	run         func(int, int) (R, error)
-	fold        func([]R) A
+	units int
+	seed  func(int) int64
+	run   func(int, int) (R, error)
+	fold  func([]R) A
 }
 
-func (r *runner[R, A]) Fingerprint() string  { return r.fingerprint }
 func (r *runner[R, A]) Units() int           { return r.units }
 func (r *runner[R, A]) UnitSeed(i int) int64 { return r.seed(i) }
 func (r *runner[R, A]) Run(i, engineWorkers int) (any, error) {
 	return r.run(i, engineWorkers)
-}
-
-func (r *runner[R, A]) Decode(data json.RawMessage) (any, error) {
-	var rec R
-	err := json.Unmarshal(data, &rec)
-	return rec, err
 }
 
 func (r *runner[R, A]) Finalize(records []any) (any, error) {
@@ -104,7 +75,7 @@ func (r *runner[R, A]) Finalize(records []any) (any, error) {
 // SpecPlan is one spec of a Plan.
 type SpecPlan struct {
 	// Key names the spec uniquely within the plan; it prefixes progress
-	// lines and forms part of the resume key.
+	// lines.
 	Key    string
 	Runner TrialRunner
 }
@@ -135,20 +106,12 @@ func (p *Plan) Add(key string, r TrialRunner) error {
 	return nil
 }
 
-// fingerprintHash folds a runner fingerprint into the short stable hash
-// stored in checkpoint records, so a resume reuses a record only for an
-// unchanged spec.
-func fingerprintHash(fp string) string {
-	sum := sha256.Sum256([]byte(fp))
-	return hex.EncodeToString(sum[:8])
-}
-
 // SplitBudget divides a run's parallelism budget between
 // unit-level workers and each unit's engine workers: units win while
 // there are enough of them to fill the budget (trial-level parallelism
 // has no synchronization barriers), and leftover budget goes to the
 // engine (large single topologies with few trials). jobs ≤ 0 is treated
-// as 1. Execute applies it to the units left after a resume.
+// as 1. Execute applies it to the plan's unit count.
 func SplitBudget(jobs, units int) (unitWorkers, engineWorkers int) {
 	if jobs < 1 {
 		jobs = 1

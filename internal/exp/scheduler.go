@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -24,9 +23,6 @@ type Options struct {
 	// workers and each unit's engine workers by SplitBudget
 	// (0 = GOMAXPROCS, negative is invalid).
 	Jobs int
-	// Collector, when non-nil, streams completed units to its JSONL
-	// checkpoint and serves previously completed units back (resume).
-	Collector *Collector
 	// OnUnit, when non-nil, receives one event per finished unit
 	// (possibly from concurrent workers — the callback is serialized).
 	OnUnit func(UnitEvent)
@@ -38,16 +34,14 @@ type Options struct {
 	Tracer obs.Tracer
 }
 
-// UnitEvent reports one finished (or resumed) unit to Options.OnUnit.
+// UnitEvent reports one finished unit to Options.OnUnit.
 type UnitEvent struct {
 	// Key is the unit's spec plan key; Unit its index within the spec.
 	Key  string
 	Unit int
 	// Done / Total count finished units across the whole plan.
 	Done, Total int
-	// Resumed reports the unit was served from the checkpoint.
-	Resumed bool
-	// Elapsed is the unit's execution time (0 when resumed).
+	// Elapsed is the unit's execution time.
 	Elapsed time.Duration
 	// Err is the unit's failure, if any.
 	Err error
@@ -59,12 +53,10 @@ type SpecResult struct {
 	// Aggregate is the runner's Finalize output (nil when Err is set).
 	Aggregate any
 	// Err is the spec's first unit (or finalize) error, or an
-	// incompleteness marker after an interrupt or a failure elsewhere in
-	// the plan.
+	// incompleteness marker after a failure elsewhere in the plan.
 	Err error
-	// Units is the spec's unit count; Resumed how many were served from
-	// the checkpoint.
-	Units, Resumed int
+	// Units is the spec's unit count.
+	Units int
 	// UnitTime sums the executed units' durations — the spec's cost
 	// independent of how the scheduler interleaved it.
 	UnitTime time.Duration
@@ -79,8 +71,8 @@ type Results struct {
 	// cross-spec parallelism).
 	Wall     time.Duration
 	UnitTime time.Duration
-	// UnitsRun / UnitsResumed count executed vs checkpoint-served units.
-	UnitsRun, UnitsResumed int
+	// UnitsRun counts the units executed.
+	UnitsRun int
 	// Jobs, UnitWorkers, EngineWorkers echo the resolved budget split.
 	Jobs, UnitWorkers, EngineWorkers int
 
@@ -94,11 +86,9 @@ func (r *Results) Get(key string) *SpecResult {
 
 // specState tracks one spec's progress during Execute.
 type specState struct {
-	fp      string // fingerprint hash
-	records []any  // per-unit decoded records
+	records []any // per-unit records, as Run returned them
 	done    []bool
 	err     error
-	resumed int
 	unitDur time.Duration
 }
 
@@ -124,24 +114,13 @@ func (e *execRun) emitEvent(ev UnitEvent) {
 	}
 }
 
-// commit records one executed unit's outcome: decode (the JSON
-// normalization every record passes through), checkpoint, bookkeeping,
-// progress and the unit_done trace event.
-func (e *execRun) commit(u unitRef, data json.RawMessage, elapsed time.Duration, runErr error) {
+// commit records one executed unit's outcome: bookkeeping, progress and
+// the unit_done trace event.
+func (e *execRun) commit(u unitRef, rec any, elapsed time.Duration, err error) {
 	sp := e.plan.Specs[u.Spec]
 	st := e.states[u.Spec]
-	var decoded any
-	err := runErr
-	if err == nil {
-		// Normalize through JSON: the aggregate must not depend on
-		// whether a record came from memory or from a checkpoint.
-		decoded, err = sp.Runner.Decode(data)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err == nil && e.opts.Collector != nil {
-		err = e.opts.Collector.Append(sp.Key, st.fp, u.Unit, sp.Runner.UnitSeed(u.Unit), data)
-	}
 	st.unitDur += elapsed
 	e.res.UnitTime += elapsed
 	e.res.UnitsRun++
@@ -154,7 +133,7 @@ func (e *execRun) commit(u unitRef, data json.RawMessage, elapsed time.Duration,
 			e.firstErr = err
 		}
 	} else {
-		st.records[u.Unit] = decoded
+		st.records[u.Unit] = rec
 		st.done[u.Unit] = true
 	}
 	e.done++
@@ -170,12 +149,11 @@ func (e *execRun) commit(u unitRef, data json.RawMessage, elapsed time.Duration,
 
 // Execute runs every unit of the plan through one bounded worker pool
 // and finalizes each spec's aggregate from its records in unit order.
-// The first unit error stops dispatch (in-flight units drain and
-// checkpoint); fully completed specs still finalize, so callers can
-// flush what succeeded. Results are bit-identical for any Jobs value,
-// any interleaving, and any resume point: units are pure functions of
-// (spec, index), and every record — fresh or resumed — is normalized
-// through one JSON round trip before aggregation.
+// The first unit error stops dispatch (in-flight units drain); fully
+// completed specs still finalize, so callers can flush what succeeded.
+// Results are bit-identical for any Jobs value and any interleaving:
+// units are pure functions of (spec, index), and each spec folds the
+// records Run returned in unit order.
 func Execute(plan *Plan, opts Options) (*Results, error) {
 	if plan == nil || len(plan.Specs) == 0 {
 		return nil, fmt.Errorf("exp: empty plan")
@@ -190,9 +168,6 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 	//nectar:allow-wallclock wall/parallelism telemetry in Result.Wall; never feeds trial records or aggregates
 	start := time.Now()
 
-	// Resolve states and serve resumable units from the checkpoint before
-	// sizing the pool: the budget split should reflect the units actually
-	// left to run.
 	states := make([]*specState, len(plan.Specs))
 	var pending []unitRef
 	total := 0
@@ -201,30 +176,13 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 		if n < 1 {
 			return nil, fmt.Errorf("exp: spec %q has %d units", sp.Key, n)
 		}
-		st := &specState{
-			fp:      fingerprintHash(sp.Runner.Fingerprint()),
-			records: make([]any, n),
-			done:    make([]bool, n),
-		}
-		states[si] = st
+		states[si] = &specState{records: make([]any, n), done: make([]bool, n)}
 		total += n
 		for i := 0; i < n; i++ {
-			if opts.Collector != nil {
-				if data, ok := opts.Collector.Lookup(sp.Key, st.fp, i, sp.Runner.UnitSeed(i)); ok {
-					if rec, err := sp.Runner.Decode(data); err == nil {
-						st.records[i] = rec
-						st.done[i] = true
-						st.resumed++
-						continue
-					}
-					// Undecodable checkpoint record: fall through and
-					// re-run the unit rather than poisoning the aggregate.
-				}
-			}
 			pending = append(pending, unitRef{Spec: si, Unit: i})
 		}
 	}
-	unitWorkers, engineWorkers := SplitBudget(jobs, len(pending))
+	unitWorkers, engineWorkers := SplitBudget(jobs, total)
 
 	e := &execRun{
 		plan:   plan,
@@ -240,20 +198,6 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 			byKey: make(map[string]*SpecResult, len(plan.Specs)),
 		},
 	}
-	// Report resumed units up front so progress counts are monotone.
-	e.mu.Lock()
-	for si, sp := range plan.Specs {
-		st := states[si]
-		for i, ok := range st.done {
-			if ok {
-				e.done++
-				e.emitEvent(UnitEvent{Key: sp.Key, Unit: i, Done: e.done, Total: total, Resumed: true})
-			}
-		}
-	}
-	e.res.UnitsResumed = e.done
-	e.mu.Unlock()
-
 	e.runPool(pending, unitWorkers, engineWorkers)
 	//nectar:allow-wallclock wall/parallelism telemetry in Result.Wall; never feeds trial records or aggregates
 	e.res.Wall = time.Since(start)
@@ -262,7 +206,7 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 	firstErr := e.firstErr
 	for si, sp := range plan.Specs {
 		st := states[si]
-		sr := SpecResult{Key: sp.Key, Units: len(st.done), Resumed: st.resumed, UnitTime: st.unitDur}
+		sr := SpecResult{Key: sp.Key, Units: len(st.done), UnitTime: st.unitDur}
 		switch {
 		case st.err != nil:
 			sr.Err = st.err
@@ -310,11 +254,7 @@ func (e *execRun) runPool(pending []unitRef, unitWorkers, engineWorkers int) {
 				rec, err := sp.Runner.Run(u.Unit, engineWorkers)
 				//nectar:allow-wallclock per-unit timing telemetry for the -v progress line; never feeds trial records or aggregates
 				elapsed := time.Since(t0)
-				var data json.RawMessage
-				if err == nil {
-					data, err = json.Marshal(rec)
-				}
-				e.commit(u, data, elapsed, err)
+				e.commit(u, rec, elapsed, err)
 			}
 		}()
 	}

@@ -36,18 +36,6 @@ func NewEdge(u, v ids.NodeID) Edge {
 	return Edge{U: u, V: v}
 }
 
-// Other returns the endpoint of e that is not x. It panics if x is not an
-// endpoint.
-func (e Edge) Other(x ids.NodeID) ids.NodeID {
-	switch x {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: %v is not an endpoint of %v", x, e))
-}
-
 // String implements fmt.Stringer.
 func (e Edge) String() string { return fmt.Sprintf("{%v,%v}", e.U, e.V) }
 

@@ -106,7 +106,7 @@ type Trial struct {
 	// FastPath groups the trial's fast-path counters (verify-cache
 	// hits/misses, lazy header-only discards, decide-cache hits — NECTAR
 	// only, zero for baselines; see DESIGN.md §9, §12). Embedded, so the
-	// fields promote and the trial's JSON checkpoint encoding stays flat.
+	// fields promote.
 	obs.FastPath
 }
 
@@ -187,8 +187,7 @@ func checkCounts(scheme string, counts ...count) error {
 const trialSeedStride = 0x9E3779B9
 
 // trialSeedOf derives the seed that fully determines trial i of a spec
-// seeded with base; it doubles as the trial's checkpoint resume key
-// (DESIGN.md §10).
+// seeded with base.
 func trialSeedOf(base int64, trial int) int64 {
 	return base + int64(trial)*trialSeedStride
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // The three experiment drivers — static (Run), dynamic (RunDynamic) and
-// red-team (RunRedTeam) — run over one plan/scheduler/collector pipeline
+// red-team (RunRedTeam) — run over one plan/scheduler pipeline
 // (internal/exp, DESIGN.md §10). Each constructor validates its spec and
-// hands exp.NewRunner the spec kind's fingerprint, units, seeds, unit
-// function and fold; the pipeline owns pooling, budget splitting,
-// streaming, and resume.
+// hands exp.NewRunner the spec kind's units, seeds, unit function and
+// fold; the pipeline owns pooling and budget splitting.
 
 // NewRunner validates a static spec and adapts it to the experiment
 // pipeline: one unit per trial, seeded by trialSeedOf.
@@ -22,14 +21,7 @@ func NewRunner(spec Spec) (exp.TrialRunner, error) {
 		return nil, err
 	}
 	s := &spec
-	// The execution knob Jobs and the test-only references are excluded:
-	// they never change results, so a checkpoint stays valid across them.
-	// Scenario is a function and cannot be fingerprinted — the plan key
-	// owns scenario identity (DESIGN.md §10).
-	fp := fmt.Sprintf("static|%s|%s|%s|t=%d|trials=%d|seed=%d|scheme=%s|rounds=%d|loss=%g",
-		s.Name, s.Protocol, s.Attack, s.T, s.Trials, s.Seed, s.SchemeName,
-		s.Rounds, s.LossRate)
-	return exp.NewRunner(fp, s.Trials, func(i int) int64 { return trialSeedOf(s.Seed, i) },
+	return exp.NewRunner(s.Trials, func(i int) int64 { return trialSeedOf(s.Seed, i) },
 		func(i, engineWorkers int) (Trial, error) { return runTrial(s, i, engineWorkers) },
 		func(trials []Trial) *Result { return aggregate(spec, trials) }), nil
 }
@@ -42,9 +34,7 @@ func NewDynamicRunner(spec DynamicSpec) (exp.TrialRunner, error) {
 		return nil, err
 	}
 	s := &spec
-	fp := fmt.Sprintf("dynamic|%s|t=%d|trials=%d|seed=%d|scheme=%s|epochrounds=%d|epochs=%d",
-		s.Name, s.T, s.Trials, s.Seed, s.SchemeName, s.EpochRounds, s.Epochs)
-	return exp.NewRunner(fp, s.Trials, func(i int) int64 { return trialSeedOf(s.Seed, i) },
+	return exp.NewRunner(s.Trials, func(i int) int64 { return trialSeedOf(s.Seed, i) },
 		func(i, engineWorkers int) (DynamicTrial, error) { return runDynamicTrial(s, i, engineWorkers) },
 		func(trials []DynamicTrial) *DynamicResult { return aggregateDynamic(spec, trials) }), nil
 }
@@ -53,8 +43,7 @@ func NewDynamicRunner(spec DynamicSpec) (exp.TrialRunner, error) {
 // pipeline. A search scores one candidate at a time against a shared
 // metrics memo, so the whole search is one unit; scheduling still
 // interleaves it with other specs' units, and the engine worker allowance
-// flows into the per-candidate evaluation trials. Its record is the
-// RedTeamResult without the spec, which the fold attaches again.
+// flows into the per-candidate evaluation trials.
 func NewRedTeamRunner(spec RedTeamSpec) (exp.TrialRunner, error) {
 	spec = spec.withDefaults()
 	if spec.Topology == nil {
@@ -75,16 +64,9 @@ func NewRedTeamRunner(spec RedTeamSpec) (exp.TrialRunner, error) {
 		return nil, fmt.Errorf("harness: attack %q not defined for protocol %q", spec.Attack, spec.Protocol)
 	}
 	s := &spec
-	fp := fmt.Sprintf("redteam|%s|%s|%s|%s|t=%d|budget=%d|baseline=%d|trials=%d|seed=%d|scheme=%s|rounds=%d",
-		s.Name, s.Protocol, s.Attack, s.Objective, s.T,
-		s.Budget, s.BaselineSamples, s.Trials, s.Seed, s.SchemeName, s.Rounds)
-	return exp.NewRunner(fp, 1, func(int) int64 { return s.Seed },
+	return exp.NewRunner(1, func(int) int64 { return s.Seed },
 		func(_, engineWorkers int) (RedTeamResult, error) { return runRedTeamSearch(s, engineWorkers) },
-		func(recs []RedTeamResult) *RedTeamResult {
-			res := &recs[0]
-			res.Spec = spec
-			return res
-		}), nil
+		func(recs []RedTeamResult) *RedTeamResult { return &recs[0] }), nil
 }
 
 // planKey names a spec inside a single-driver plan.

@@ -1,11 +1,7 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -37,8 +33,8 @@ func stripRedTeam(r *RedTeamResult) RedTeamResult {
 }
 
 // legacyRun reproduces the pre-pipeline driver: a plain serial loop over
-// runTrial plus the in-memory aggregation, no scheduler, no JSON
-// normalization. The pipeline must reproduce it bit for bit.
+// runTrial plus the in-memory aggregation, no scheduler. The pipeline
+// must reproduce it bit for bit.
 func legacyRun(t *testing.T, spec Spec) *Result {
 	t.Helper()
 	spec, err := spec.validate()
@@ -95,7 +91,7 @@ func pipelineMatrix() []Spec {
 }
 
 // TestPipelineMatchesLegacyRunBitForBit pins the tentpole equivalence:
-// the plan/scheduler/collector pipeline reproduces the legacy per-spec
+// the plan/scheduler pipeline reproduces the legacy per-spec
 // driver's aggregates bit for bit across a representative matrix,
 // independent of the Jobs budget.
 func TestPipelineMatchesLegacyRunBitForBit(t *testing.T) {
@@ -155,8 +151,8 @@ func redTeamSpecForTest() RedTeamSpec {
 	}
 }
 
-// TestRedTeamPipelineMatchesSearchBitForBit pins that the pipeline's JSON
-// normalization and budget threading change nothing about a search.
+// TestRedTeamPipelineMatchesSearchBitForBit pins that the pipeline's
+// budget threading changes nothing about a search.
 func TestRedTeamPipelineMatchesSearchBitForBit(t *testing.T) {
 	spec := redTeamSpecForTest().withDefaults()
 	direct, err := runRedTeamSearch(&spec, 1)
@@ -229,16 +225,19 @@ func planAggregates(t *testing.T, res *exp.Results) map[string]any {
 	return out
 }
 
-// TestPlanAggregatesInvariantAcrossJobsAndResume is the scheduler
-// determinism property of DESIGN.md §10: one mixed static/dynamic/
-// red-team plan produces byte-identical aggregates at -jobs 1, -jobs N,
-// and across a kill-then-resume boundary.
-func TestPlanAggregatesInvariantAcrossJobsAndResume(t *testing.T) {
+// TestPlanAggregatesInvariantAcrossJobs is the scheduler determinism
+// property of DESIGN.md §10: one mixed static/dynamic/red-team plan
+// produces byte-identical aggregates at -jobs 1 and -jobs N, and the
+// red-team aggregate carries its spec.
+func TestPlanAggregatesInvariantAcrossJobs(t *testing.T) {
 	ref, err := exp.Execute(mixedPlan(t), exp.Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := planAggregates(t, ref)
+	if rt := ref.Get("redteam/rt").Aggregate.(*RedTeamResult); rt.Spec.Name != "rt" || rt.Spec.Topology == nil {
+		t.Errorf("red-team result carries spec %+v", rt.Spec)
+	}
 
 	res, err := exp.Execute(mixedPlan(t), exp.Options{Jobs: 8})
 	if err != nil {
@@ -246,140 +245,6 @@ func TestPlanAggregatesInvariantAcrossJobsAndResume(t *testing.T) {
 	}
 	if got := planAggregates(t, res); !reflect.DeepEqual(got, want) {
 		t.Error("jobs=8 aggregates differ from jobs=1")
-	}
-
-	// Kill mid-run, then resume from the checkpoint: what a kill -9 after
-	// the fourth checkpointed unit leaves on disk is a complete checkpoint
-	// cut to its first four lines.
-	path := filepath.Join(t.TempDir(), "trials.jsonl")
-	c, err := exp.OpenCollector(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.Execute(mixedPlan(t), exp.Options{Jobs: 1, Collector: c}); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) <= 4 {
-		t.Fatalf("checkpoint has %d lines, want more than 4", len(lines))
-	}
-	if err := os.WriteFile(path, bytes.Join(lines[:4], nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := exp.OpenCollector(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	resumed, err := exp.Execute(mixedPlan(t), exp.Options{Jobs: 4, Collector: c2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.UnitsResumed == 0 {
-		t.Error("resume reused no checkpointed units")
-	}
-	if got := planAggregates(t, resumed); !reflect.DeepEqual(got, want) {
-		t.Error("resumed aggregates differ from clean run")
-	}
-}
-
-// recordPlan is the plan behind testdata/records.jsonl: one single-unit
-// spec of each kind, under the keys the file was written with.
-func recordPlan(t *testing.T) *exp.Plan {
-	t.Helper()
-	static := pipelineMatrix()[0]
-	static.Name, static.Trials = "static", 1
-	dyn := dynamicSpecForTest()
-	dyn.Trials = 1
-	sr, err := NewRunner(static)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, err := NewDynamicRunner(dyn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := NewRedTeamRunner(redTeamSpecForTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &exp.Plan{}
-	for _, s := range []exp.SpecPlan{{Key: "static", Runner: sr}, {Key: "dynamic", Runner: dr}, {Key: "redteam", Runner: rr}} {
-		if err := plan.Add(s.Key, s.Runner); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return plan
-}
-
-// TestCheckpointRecordsPinned holds the checkpoint format to
-// testdata/records.jsonl, one -stream record per spec kind (a static
-// Trial, a DynamicTrial, a red-team search) written by the per-kind
-// adapters exp.NewRunner replaced: each record decodes through its runner
-// and re-encodes to the same bytes, and a resume from the file runs no
-// unit and reattaches the red-team spec.
-func TestCheckpointRecordsPinned(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "records.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := recordPlan(t)
-	runners := make(map[string]exp.TrialRunner)
-	for _, sp := range plan.Specs {
-		runners[sp.Key] = sp.Runner
-	}
-	for _, line := range bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n")) {
-		var rec struct {
-			Key  string          `json:"spec"`
-			Data json.RawMessage `json:"data"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		r, ok := runners[rec.Key]
-		if !ok {
-			t.Fatalf("record for unknown spec %q", rec.Key)
-		}
-		v, err := r.Decode(rec.Data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", rec.Key, err)
-		}
-		again, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, rec.Data) {
-			t.Errorf("%s: record re-encodes as\n%s\nwant\n%s", rec.Key, again, rec.Data)
-		}
-		delete(runners, rec.Key)
-	}
-	if len(runners) != 0 {
-		t.Errorf("no record for %v", runners)
-	}
-
-	path := filepath.Join(t.TempDir(), "records.jsonl")
-	if err := os.WriteFile(path, golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := exp.OpenCollector(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := exp.Execute(plan, exp.Options{Jobs: 1, Collector: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UnitsRun != 0 || res.UnitsResumed != 3 {
-		t.Errorf("resume ran %d units and served %d, want 0 and 3", res.UnitsRun, res.UnitsResumed)
-	}
-	if rt := res.Get("redteam").Aggregate.(*RedTeamResult); rt.Spec.Name != "rt" || rt.Spec.Topology == nil {
-		t.Errorf("resumed red-team result carries spec %+v", rt.Spec)
 	}
 }
 

@@ -87,10 +87,8 @@ func (s RedTeamSpec) withDefaults() RedTeamSpec {
 // RedTeamResult reports the searched worst case next to the random
 // baseline and the paper's guarantee for the sampled topology.
 type RedTeamResult struct {
-	// Spec echoes the (defaults-resolved) input. It is left out of the
-	// checkpoint record (Topology is a function) and attached again when
-	// the search's runner folds that record.
-	Spec RedTeamSpec `json:"-"`
+	// Spec echoes the (defaults-resolved) input.
+	Spec RedTeamSpec
 	// N, Edges, Kappa describe the sampled topology.
 	N, Edges, Kappa int
 	// TruthPartitionable is the ground truth κ ≤ t (Corollary 1).
@@ -118,9 +116,8 @@ type RedTeamResult struct {
 func (r *RedTeamResult) Gain() float64 { return r.Best.Damage - r.Baseline.Mean }
 
 // runRedTeamSearch executes the search described by spec, validated by
-// NewRedTeamRunner, and returns its outcome without the spec, which the
-// runner's fold attaches. engineWorkers is the per-candidate evaluation
-// budget handed down by the scheduler.
+// NewRedTeamRunner. engineWorkers is the per-candidate evaluation budget
+// handed down by the scheduler.
 func runRedTeamSearch(spec *RedTeamSpec, engineWorkers int) (RedTeamResult, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	g, err := spec.Topology(rng)
@@ -132,7 +129,7 @@ func runRedTeamSearch(spec *RedTeamSpec, engineWorkers int) (RedTeamResult, erro
 		return RedTeamResult{}, fmt.Errorf("harness: RunRedTeam needs 0 < T < n, got T=%d n=%d", spec.T, n)
 	}
 
-	res := RedTeamResult{N: n, Edges: g.M(), Kappa: g.Connectivity()}
+	res := RedTeamResult{Spec: *spec, N: n, Edges: g.M(), Kappa: g.Connectivity()}
 	res.TruthPartitionable = res.Kappa <= spec.T
 	res.GuaranteeHolds = spec.T > 0 && res.Kappa >= 2*spec.T
 	switch {

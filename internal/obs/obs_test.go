@@ -229,18 +229,9 @@ func TestRecorderChromeTrace(t *testing.T) {
 	}
 }
 
-func TestFastPathAdd(t *testing.T) {
-	var f FastPath
-	f.Add(FastPath{VerifyCacheHits: 3, VerifyCacheMisses: 1, LazyDiscards: 2, DecideCacheHits: 5})
-	f.Add(FastPath{VerifyCacheHits: 1})
-	if want := (FastPath{VerifyCacheHits: 4, VerifyCacheMisses: 1, LazyDiscards: 2, DecideCacheHits: 5}); f != want {
-		t.Fatalf("accumulated = %+v, want %+v", f, want)
-	}
-}
-
 func TestFastPathJSONStaysFlatWhenEmbedded(t *testing.T) {
-	// SimulationResult and Trial embed FastPath; the checkpoint format
-	// depends on the embedded fields staying at the top level.
+	// SimulationResult and Trial embed FastPath; encoding either puts the
+	// counters at the top level, beside the host's own fields.
 	type host struct {
 		Name string
 		FastPath

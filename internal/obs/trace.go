@@ -35,7 +35,7 @@ const (
 
 	// Experiment-scheduler events (internal/exp).
 	EvUnitStart = "unit_start" // Key = spec key, Unit = unit index
-	EvUnitDone  = "unit_done"  // Key, Unit, N = elapsed microseconds (wall; 0 when resumed), Attrs
+	EvUnitDone  = "unit_done"  // Key, Unit, N = elapsed microseconds (wall), Attrs
 )
 
 // Attr is one ordered key/value annotation of an Event. A slice of

@@ -14,7 +14,7 @@ import (
 // separately *renders* the finished results into the output (Render).
 // Between the two phases, one global scheduler runs the units of every
 // declared spec — across all requested experiments — in a single bounded
-// pool, streaming per-trial records to an optional JSONL checkpoint.
+// pool.
 
 // Batch collects the specs one experiment declares. Keys are
 // experiment-local; the runner prefixes them with the experiment ID.
@@ -136,11 +136,10 @@ type ExperimentRun struct {
 	// Output is the rendered figure/table (nil when Err is set).
 	Output *Output
 	Err    error
-	// Units / Resumed count the experiment's trial units and how many
-	// were served from the checkpoint; UnitTime sums its executed units'
+	// Units counts the experiment's trial units; UnitTime sums their
 	// durations (its cost independent of scheduling).
-	Units, Resumed int
-	UnitTime       time.Duration
+	Units    int
+	UnitTime time.Duration
 }
 
 // RunReport is the outcome of RunExperiments.
@@ -150,9 +149,9 @@ type RunReport struct {
 	// Wall is the scheduling wall-clock; UnitTime the summed unit
 	// execution time (UnitTime/Wall ≈ achieved parallelism).
 	Wall, UnitTime time.Duration
-	// Jobs echoes the resolved budget; UnitsRun/UnitsResumed count
-	// executed vs checkpoint-served units across the whole plan.
-	Jobs, UnitsRun, UnitsResumed int
+	// Jobs echoes the resolved budget; UnitsRun counts the units executed
+	// across the whole plan.
+	Jobs, UnitsRun int
 }
 
 // RunExperiments executes the requested experiments as ONE scheduled
@@ -161,8 +160,7 @@ type RunReport struct {
 // old one-figure-at-a-time serial sweep. The first failure stops
 // dispatch, but experiments whose specs all completed still render, so
 // callers can flush finished outputs before reporting the error. xo
-// carries the budget, checkpoint collector, progress, interrupt and
-// telemetry to exp.Execute unchanged.
+// carries the budget, progress and telemetry to exp.Execute unchanged.
 func RunExperiments(ids []string, opts Options, xo exp.Options) (*RunReport, error) {
 	exps, err := resolveExperiments(ids)
 	if err != nil {
@@ -186,8 +184,7 @@ func resolveExperiments(ids []string) ([]Experiment, error) {
 
 // declarePlan runs the Declare phase of already-resolved experiments
 // into one plan. Declare is deterministic in opts, so identical
-// (experiment IDs, opts) produce identical plans and a resumed run
-// finds its checkpointed units under the same keys.
+// (experiment IDs, opts) produce identical plans.
 func declarePlan(exps []Experiment, opts Options) (*exp.Plan, error) {
 	plan := &exp.Plan{}
 	for _, e := range exps {
@@ -214,11 +211,10 @@ func runExperimentSet(exps []Experiment, opts Options, xo exp.Options) (*RunRepo
 	}
 
 	report := &RunReport{
-		Wall:         res.Wall,
-		UnitTime:     res.UnitTime,
-		Jobs:         res.Jobs,
-		UnitsRun:     res.UnitsRun,
-		UnitsResumed: res.UnitsResumed,
+		Wall:     res.Wall,
+		UnitTime: res.UnitTime,
+		Jobs:     res.Jobs,
+		UnitsRun: res.UnitsRun,
 	}
 	firstErr := execErr
 	for _, e := range exps {
@@ -229,7 +225,6 @@ func runExperimentSet(exps []Experiment, opts Options, xo exp.Options) (*RunRepo
 				continue
 			}
 			run.Units += sr.Units
-			run.Resumed += sr.Resumed
 			run.UnitTime += sr.UnitTime
 			if sr.Err != nil && !specErr {
 				run.Err = sr.Err

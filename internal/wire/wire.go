@@ -93,12 +93,6 @@ func (w *Writer) LenBytes(b []byte) {
 	w.Raw(b)
 }
 
-// LenString appends a uint32 length prefix followed by the bytes of s.
-func (w *Writer) LenString(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
 // Reader decodes a message produced by Writer. It is error-sticky: after
 // the first failure every accessor returns zero values and Err reports the
 // failure, so call sites can decode unconditionally and check once.
@@ -221,10 +215,4 @@ func (r *Reader) LenBytes() []byte {
 		return nil
 	}
 	return r.take(int(n))
-}
-
-// LenString reads a uint32-length-prefixed string (one copy, as string
-// construction requires).
-func (r *Reader) LenString() string {
-	return string(r.LenBytes())
 }
