@@ -53,17 +53,34 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-quick", "-trials", "-3", "-out", t.TempDir(), "fig3"}); err == nil || !strings.Contains(err.Error(), "-trials") {
 		t.Errorf("negative -trials: %v, want an error naming -trials", err)
 	}
+}
+
+// TestUnknownExperimentKeepsCheckpoint checks that a mistyped target fails
+// before any unit runs: a valid target beside it writes nothing, and the
+// results already in the output directory are left untouched.
+func TestUnknownExperimentKeepsCheckpoint(t *testing.T) {
+	out := t.TempDir()
+	kept := filepath.Join(out, "fig3.csv")
+	const line = "kept\n"
+	if err := os.WriteFile(kept, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-quick", "-out", out, "fig3", "nosuch"}); err == nil {
+		t.Fatal("unknown experiment beside a valid one accepted")
+	}
+	if data, err := os.ReadFile(kept); err != nil || string(data) != line {
+		t.Errorf("fig3.csv now holds %q (%v), want it untouched", data, err)
+	}
+	if files, err := os.ReadDir(out); err != nil || len(files) != 1 {
+		t.Errorf("output dir holds %v (%v), want only fig3.csv", files, err)
+	}
+}
+
+// TestResumeRequiresStream checks that -resume, deleted with the sweep
+// checkpoint, is refused as an unknown flag rather than ignored.
+func TestResumeRequiresStream(t *testing.T) {
 	if err := run([]string{"-resume", "-out", t.TempDir(), "fig3"}); err == nil || !strings.Contains(err.Error(), "not defined") {
 		t.Errorf("-resume: %v, want an unknown-flag error", err)
-	}
-	// A mistyped target fails before any unit runs: a valid target beside
-	// it writes nothing.
-	out := t.TempDir()
-	if err := run([]string{"-quick", "-out", out, "fig3", "nosuch"}); err == nil {
-		t.Error("unknown experiment beside a valid one accepted")
-	}
-	if files, err := os.ReadDir(out); err != nil || len(files) != 0 {
-		t.Errorf("output dir holds %v (%v), want nothing", files, err)
 	}
 }
 
