@@ -188,11 +188,17 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. Its lists are consecutive
+// windows of one backing array, as Load's are, each capped at its length:
+// an AddEdge on the clone copies the list it grows rather than writing into
+// the next one, so clones edited in place (a churn schedule's) stay apart.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		c.nbr[u] = append([]ids.NodeID(nil), g.nbr[u]...)
+	slab := make([]ids.NodeID, 0, 2*g.m)
+	for u, l := range g.nbr[:g.n] {
+		start := len(slab)
+		slab = append(slab, l...)
+		c.nbr[u] = slab[start:len(slab):len(slab)]
 	}
 	c.m = g.m
 	return c

@@ -75,6 +75,11 @@ func TestFromEdgesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: a clone's lists are windows of one slab, so edits
+// on either side — adds that grow a list past its window included — must
+// leave the other side as it was and the edited side's other lists intact.
+// Vertices 20..23 stay isolated (empty windows) until edited, and a fresh
+// clone prints and compares as its source does.
 func TestCloneIndependence(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
@@ -83,6 +88,40 @@ func TestCloneIndependence(t *testing.T) {
 	c.RemoveEdge(0, 1)
 	if !g.HasEdge(0, 1) || g.HasEdge(1, 2) {
 		t.Error("Clone shares state with original")
+	}
+
+	const n, wired = 24, 20
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		src := FromEdges(n, randomGraph(wired, 0.2, rng).Edges())
+		c := src.Clone()
+		if !c.Equal(src) || !src.Equal(c) || c.String() != src.String() || c.DOT("g") != src.DOT("g") {
+			t.Fatalf("trial %d: clone %v of %v prints or compares differently", trial, c, src)
+		}
+		edited, other := c, src
+		if trial%2 == 1 {
+			edited, other = src, c
+		}
+		want, model := other.String(), FromEdges(n, edited.Edges())
+		for i := 0; i < 60; i++ {
+			u, v := ids.NodeID(rng.Intn(n)), ids.NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				edited.AddEdge(u, v)
+				model.AddEdge(u, v)
+			} else {
+				edited.RemoveEdge(u, v)
+				model.RemoveEdge(u, v)
+			}
+		}
+		if got := other.String(); got != want {
+			t.Fatalf("trial %d: editing one side changed the other:\n got %s\nwant %s", trial, got, want)
+		}
+		if !edited.Equal(model) || edited.String() != model.String() {
+			t.Fatalf("trial %d: edited side %v, want %v", trial, edited, model)
+		}
 	}
 }
 

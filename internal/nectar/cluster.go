@@ -52,11 +52,18 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 	}
 	proofs, index := BuildProofs(scheme, g), graph.NewEdgeIndex(g)
 	nodes := make([]*Node, g.N())
+	// One Config is refilled for every node, and every neighbour list is a
+	// window of one slab, capped at its length: the build allocates these
+	// once per run, where NodeConfig allocates them per node.
+	cfg := new(Config)
+	lists := make([]ids.NodeID, 0, 2*g.M())
 	for i := range nodes {
 		me := ids.NodeID(i)
-		cfg := NodeConfig(g, t, scheme, proofs, me, roundsOverride, opts...)
+		start := len(lists)
+		lists = append(lists, g.Neighbors(me)...)
+		fillConfig(cfg, g, t, scheme, proofs, me, lists[start:len(lists):len(lists)], roundsOverride, opts)
 		cfg.index = index
-		nd, err := NewNode(cfg)
+		nd, err := NewNode(*cfg)
 		if err != nil {
 			for _, built := range nodes[:i] {
 				built.Release()
@@ -73,18 +80,25 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 // from proofs (as BuildProofs makes them), and its signer and the verifier
 // from scheme.
 func NodeConfig(g *graph.Graph, t int, scheme sig.Scheme, proofs map[graph.Edge]Proof, me ids.NodeID, roundsOverride int, opts ...BuildOption) Config {
-	cfg := Config{
+	var cfg Config
+	fillConfig(&cfg, g, t, scheme, proofs, me, append([]ids.NodeID(nil), g.Neighbors(me)...), roundsOverride, opts)
+	return cfg
+}
+
+// fillConfig overwrites cfg with node me's Config on g, its neighbour list
+// neighbors (a copy of g's, which the node keeps), and applies opts.
+func fillConfig(cfg *Config, g *graph.Graph, t int, scheme sig.Scheme, proofs map[graph.Edge]Proof, me ids.NodeID, neighbors []ids.NodeID, roundsOverride int, opts []BuildOption) {
+	*cfg = Config{
 		N:         g.N(),
 		T:         t,
 		Me:        me,
-		Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
+		Neighbors: neighbors,
 		Proofs:    NeighborProofs(proofs, g, me),
 		Signer:    scheme.SignerFor(me),
 		Verifier:  scheme.Verifier(),
 		Rounds:    roundsOverride,
 	}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(cfg)
 	}
-	return cfg
 }

@@ -200,7 +200,11 @@ func declarePlan(exps []Experiment, opts Options) (*exp.Plan, error) {
 }
 
 // runExperimentSet is RunExperiments over already-resolved experiments.
+// A negative Trials fails before any unit runs.
 func runExperimentSet(exps []Experiment, opts Options, xo exp.Options) (*RunReport, error) {
+	if opts.Trials < 0 {
+		return nil, fmt.Errorf("report: Trials %d: want ≥ 0 (0 = per-experiment defaults)", opts.Trials)
+	}
 	plan, err := declarePlan(exps, opts)
 	if err != nil {
 		return nil, err

@@ -54,7 +54,8 @@ type Table struct {
 
 // Options tune the sweeps.
 type Options struct {
-	// Trials overrides the per-experiment default repetition count.
+	// Trials overrides the per-experiment default repetition count; 0
+	// keeps the defaults, and a negative count is an error.
 	Trials int
 	// Seed derives all experiment randomness.
 	Seed int64

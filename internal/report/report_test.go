@@ -173,6 +173,11 @@ func TestOptionsTrialsPrecedence(t *testing.T) {
 	if got := (Options{}).trials(50, 5); got != 50 {
 		t.Errorf("full default wrong: %d", got)
 	}
+	for _, trials := range []int{-1, -3} {
+		if _, err := RunExperiments([]string{"fig3"}, Options{Trials: trials, Quick: true}, exp.Options{}); err == nil || !strings.Contains(err.Error(), "Trials") {
+			t.Errorf("Trials %d: %v, want an error naming Trials", trials, err)
+		}
+	}
 }
 
 // runSingle executes one registered experiment through the pipeline with

@@ -316,6 +316,11 @@ type engine struct {
 	// sorted by recipient. All nil without a transport.
 	remote     []bool
 	sent, recv []Envelope
+	// round is the round the phases below run; emitBlock and deliverBlock
+	// are its emit and pull + deliver phases over one block of nodes,
+	// bound once per run so a round allocates no closure.
+	round                   int
+	emitBlock, deliverBlock func(w, lo, hi int)
 }
 
 // Run drives nodes through cfg.Rounds synchronous rounds and returns the
@@ -410,7 +415,9 @@ func (e *engine) run() error {
 	if e.cfg.Topology != nil {
 		nextChange = e.cfg.Topology.NextChange(1)
 	}
+	e.emitBlock, e.deliverBlock = e.emitPhase, e.deliverPhase
 	for r := 1; r <= e.cfg.Rounds; r++ {
+		e.round = r
 		if nextChange > 0 && r >= nextChange {
 			// The pull walks the new graph's lists: it must be one over
 			// the run's n vertices.
@@ -437,13 +444,7 @@ func (e *engine) run() error {
 		// as their sender (in parallel — nodes are independent state
 		// machines and each sender's metric row is its own; workers claim
 		// blocks, so a run of busy relays does not land on one of them).
-		parallelBlocks(e.n, e.used, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				//nectar:allow-bufretain the engine is the consuming side of the contract; outboxes are read only until this round's delivery phase ends
-				e.outboxes[i] = e.nodes[i].Emit(r)
-				e.meter(e.workers[w], i)
-			}
-		})
+		parallelBlocks(e.n, e.used, e.emitBlock)
 		var roundBytes, dropNonEdge int64
 		for _, wk := range e.workers[:e.used] {
 			roundBytes += wk.bytes
@@ -463,11 +464,7 @@ func (e *engine) run() error {
 		// reproducible. Recipients are claimed in blocks like emitters: the
 		// pull reads only outboxes, and the shuffle is seeded per
 		// recipient, so nothing depends on the claim.
-		parallelBlocks(e.n, e.used, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.deliver(e.workers[w], i, r)
-			}
-		})
+		parallelBlocks(e.n, e.used, e.deliverBlock)
 		var dropLoss int64
 		for _, wk := range e.workers[:e.used] {
 			dropLoss += wk.lost
@@ -523,6 +520,24 @@ func (e *engine) run() error {
 		}
 	}
 	return nil
+}
+
+// emitPhase has nodes lo..hi-1 emit their messages for e.round and meters
+// each as their sender on worker w.
+func (e *engine) emitPhase(w, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		//nectar:allow-bufretain the engine is the consuming side of the contract; outboxes are read only until this round's delivery phase ends
+		e.outboxes[i] = e.nodes[i].Emit(e.round)
+		e.meter(e.workers[w], i)
+	}
+}
+
+// deliverPhase pulls and delivers the inboxes of recipients lo..hi-1 for
+// e.round on worker w.
+func (e *engine) deliverPhase(w, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.deliver(e.workers[w], i, e.round)
+	}
 }
 
 // meter charges sender i's outbox to its metric rows: each Send once per
@@ -748,7 +763,9 @@ func shuffleInbox(key int64, d []delivery) {
 // when the unluckiest stripe does (DESIGN.md §6). Each index goes to
 // exactly one call and every w is below workers, but which worker gets
 // which block is the scheduler's choice: fn's effect must not depend on
-// it. With one worker it runs inline (no goroutines).
+// it. With one worker it runs inline (no goroutines). Otherwise it starts
+// one goroutine a worker, each on the same closure and each taking its w
+// from a counter, so a phase allocates the same whatever the worker count.
 func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 || n <= 1 {
 		fn(0, 0, n)
@@ -756,27 +773,25 @@ func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
 	}
 	workers = min(workers, n)
 	block := max(1, n/(8*workers))
-	var next atomic.Int64
-	fanOut(workers, func(w int) {
+	var claims struct {
+		next    atomic.Int64 // the end of the next block to claim
+		started atomic.Int64 // workers started so far
+		wg      sync.WaitGroup
+	}
+	claims.wg.Add(workers)
+	work := func() {
+		defer claims.wg.Done()
+		w := int(claims.started.Add(1)) - 1
 		for {
-			hi := int(next.Add(int64(block)))
+			hi := int(claims.next.Add(int64(block)))
 			if hi-block >= n {
 				return
 			}
 			fn(w, hi-block, min(hi, n))
 		}
-	})
-}
-
-// fanOut runs fn(0) … fn(workers-1) on a goroutine each and waits for all.
-func fanOut(workers int, fn func(w int)) {
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
 	}
-	wg.Wait()
+	for range workers {
+		go work()
+	}
+	claims.wg.Wait()
 }

@@ -100,15 +100,13 @@ type AppendSigner interface {
 // deriveSeed expands (seed, id, domain) into 32 deterministic bytes, used
 // to generate per-node key material reproducibly.
 func deriveSeed(seed int64, id uint32, domain string) [32]byte {
-	h := sha256.New()
-	var b [12]byte
+	var b [12 + 32]byte // SHA-256(seed ‖ id ‖ domain), hashed off the stack
 	binary.BigEndian.PutUint64(b[:8], uint64(seed))
 	binary.BigEndian.PutUint32(b[8:], id)
-	h.Write(b[:])
-	h.Write([]byte(domain))
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	if len(domain) > len(b)-12 {
+		panic("sig: key domain longer than 32 bytes")
+	}
+	return sha256.Sum256(b[:12+copy(b[12:], domain)])
 }
 
 // ---- Ed25519 ----
@@ -191,6 +189,9 @@ const hmacSigSize = Ed25519SigSize
 // hmacFiller pads a tag to hmacSigSize.
 var hmacFiller [hmacSigSize - sha256.Size]byte
 
+// hmacDomain is the byte every signed message is prefixed with.
+var hmacDomain = [1]byte{0x01}
+
 // HMAC is the fast simulation Scheme: a signature over msg by node i is
 //
 //	HMAC-SHA256(keyᵢ, 0x01‖msg) ‖ 0³²
@@ -258,10 +259,12 @@ func NewHMAC(n int, seed int64) *HMAC {
 		}
 		s.states = append(s.states, st...)
 	}
+	// The pads reach the digest through an interface, so they escape: one
+	// pair for every key, not a pair per key.
+	ipad, opad := new([sha256.BlockSize]byte), new([sha256.BlockSize]byte)
 	for i := 0; i < n; i++ {
 		s.signers[i] = hmacSigner{s: s, id: ids.NodeID(i)}
 		key := deriveSeed(seed, uint32(i), "hmac-key")
-		var ipad, opad [sha256.BlockSize]byte
 		for j := range ipad {
 			ipad[j], opad[j] = 0x36, 0x5c
 		}
@@ -271,7 +274,7 @@ func NewHMAC(n int, seed int64) *HMAC {
 		}
 		d.Reset()
 		d.Write(ipad[:])
-		d.Write([]byte{0x01}) // the domain byte
+		d.Write(hmacDomain[:])
 		snapshot()
 		d.Reset()
 		d.Write(opad[:])
@@ -353,6 +356,7 @@ type Insecure struct {
 	n       int
 	sigSize int
 	name    string
+	signers []insecureSigner // one per node, their tags carved from one slab
 }
 
 var _ Scheme = (*Insecure)(nil)
@@ -360,7 +364,25 @@ var _ Scheme = (*Insecure)(nil)
 // NewInsecure builds the ablation scheme for n nodes with sigSize-byte
 // pseudo-signatures.
 func NewInsecure(n, sigSize int) *Insecure {
-	return &Insecure{n: n, sigSize: sigSize, name: "insecure"}
+	return newInsecure(n, sigSize, "insecure")
+}
+
+// newInsecure builds the scheme's n signers and their tags up front, as
+// NewHMAC does its midstates, so handing a node its signer allocates
+// nothing.
+func newInsecure(n, sigSize int, name string) *Insecure {
+	s := &Insecure{n: n, sigSize: sigSize, name: name, signers: make([]insecureSigner, n)}
+	tags := make([]byte, n*sigSize)
+	for i := range s.signers {
+		// A tag is the signer's ID, big-endian, in its first four bytes
+		// when it has them, zeros elsewhere.
+		tag := tags[i*sigSize:][:sigSize:sigSize]
+		if sigSize >= 4 {
+			binary.BigEndian.PutUint32(tag, uint32(i))
+		}
+		s.signers[i] = insecureSigner{id: ids.NodeID(i), tag: tag}
+	}
+	return s
 }
 
 // SlimSigSize is the "slim" scheme's signature width: just the 4-byte
@@ -371,7 +393,7 @@ const SlimSigSize = 4
 // Insecure verifier with SlimSigSize-byte pseudo-signatures, so hop
 // chains shrink ~8× (8 bytes a hop instead of 68).
 func NewSlim(n int) *Insecure {
-	return &Insecure{n: n, sigSize: SlimSigSize, name: "slim"}
+	return newInsecure(n, SlimSigSize, "slim")
 }
 
 // Name implements Scheme.
@@ -380,14 +402,10 @@ func (s *Insecure) Name() string { return s.name }
 // N implements Scheme.
 func (s *Insecure) N() int { return s.n }
 
-// SignerFor implements Scheme.
-func (s *Insecure) SignerFor(id ids.NodeID) Signer {
-	tag := make([]byte, s.sigSize)
-	if s.sigSize >= 4 {
-		binary.BigEndian.PutUint32(tag, uint32(id))
-	}
-	return &insecureSigner{id: id, tag: tag}
-}
+// SignerFor implements Scheme. It returns the scheme's own signer for id,
+// built with the scheme — the same one on every call, so it allocates
+// nothing. It panics for id ≥ N, as HMAC's and Ed25519's do.
+func (s *Insecure) SignerFor(id ids.NodeID) Signer { return &s.signers[id] }
 
 type insecureSigner struct {
 	id  ids.NodeID

@@ -16,6 +16,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/rounds"
+	"github.com/nectar-repro/nectar/internal/sig"
 )
 
 // coldPools empties every sync.Pool in the process: one collection moves
@@ -228,13 +232,15 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 // can still drop pooled scratch — up to 150 KB a node more on the drone
 // shape — so the lighter of two warm runs is the one measured. On
 // drone-hmac's shape, where nearly every delivery is a duplicate, that is
-// 1–2 % of a cold run, and it stays under 40 objects per node (15–29
-// measured: keys, proofs): every relay used to allocate the signature Sign returned, 630
-// objects per node on this graph, and now signs into its hop slot, and every
-// proof signed or checked built its statement in a writer of its own, about
-// 26 more. On
-// tree-slim's — unique paths, every delivery first-seen, the per-node views
-// the bulk of a cold run — the ceiling is a hundred objects per node: each
+// 1–2 % of a cold run, and it stays under 14 objects per node (8–9
+// measured at 1–32 workers, ≈ 16 before set-up allocated per run: keying
+// took six objects a node and now two, a node's Config two and now none).
+// Every relay used to allocate the signature Sign returned, 630 objects per
+// node on this graph, and now signs into its hop slot, and every proof
+// signed or checked built its statement in a writer of its own, about 26
+// more. On tree-slim's — unique paths, every delivery first-seen, the
+// per-node views the bulk of a cold run — the ceiling is 6 objects per node
+// (3–4 measured, ≈ 12 while slim built each node's signer on demand): each
 // node used to grow a view of its own, some 540 objects on the 500-node
 // tree, and now resets a recycled one. Its byte ceiling is what deciding
 // costs: each node used to copy its view's edge list (≈ 1.6 KB on the
@@ -258,8 +264,8 @@ func TestWarmRunAllocatesAFraction(t *testing.T) {
 		objectsPerNode uint64 // ceiling on a warm run's allocations per node
 		bytesPerNode   uint64 // and on its bytes per node; 0 = none
 	}{
-		{"drone/hmac", SimulationConfig{Graph: drone, T: 2, Seed: 3, SchemeName: "hmac"}, 40, 0},
-		{"tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: 3, SchemeName: "slim"}, 100, 3000},
+		{"drone/hmac", SimulationConfig{Graph: drone, T: 2, Seed: 3, SchemeName: "hmac"}, 14, 0},
+		{"tree/slim", SimulationConfig{Graph: tree, T: 1, Seed: 3, SchemeName: "slim"}, 6, 3000},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats
@@ -317,5 +323,72 @@ func TestStaleMemberAllocatesLittle(t *testing.T) {
 	t.Logf("one stale node: %.0f objects above a clean run's %.0f", extra, clean)
 	if extra > 60 {
 		t.Errorf("one stale node allocates %.0f objects above a clean run, want at most 60", extra)
+	}
+}
+
+// chatter sends one fixed payload to all its neighbours every round and
+// keeps nothing it is handed: a node that allocates nothing, so the engine
+// is all a run of them allocates.
+type chatter struct{ out []rounds.Send }
+
+func (c *chatter) Emit(int) []rounds.Send          { return c.out }
+func (c *chatter) Deliver(int, ids.NodeID, []byte) {}
+
+// TestSetupAllocatesPerRun pins what a run's set-up allocates as a count
+// per run, whatever the nodes and rounds (DESIGN.md §9): keying a scheme
+// allocates per key only HMAC's two marshaled midstates (≈ 6 before, for
+// pads, a domain byte and the seed hash), handing out a signer allocates
+// nothing (slim built its signer and tag on every call), the engine binds
+// its phases once per run (two closures a round before), and a clone is
+// one slab for its lists (one allocation a vertex before).
+func TestSetupAllocatesPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation")
+	}
+	const small, large = 16, 1024
+	for _, tc := range []struct {
+		name   string
+		perKey float64
+	}{{"slim", 0}, {"hmac", 2}} {
+		keying := func(n int) float64 {
+			return testing.AllocsPerRun(5, func() { sig.ByName(tc.name, n, 1) })
+		}
+		if a, b := keying(small), keying(large); b-a != tc.perKey*(large-small) {
+			t.Errorf("%s: keying %d nodes allocates %.0f, %d nodes %.0f: want %.0f more per key", tc.name, small, a, large, b, tc.perKey)
+		}
+		scheme := sig.ByName(tc.name, small, 1)
+		if a := testing.AllocsPerRun(10, func() { scheme.SignerFor(small - 1) }); a != 0 {
+			t.Errorf("%s: SignerFor allocates %.0f, want 0", tc.name, a)
+		}
+	}
+
+	g, err := Harary(4, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]rounds.Protocol, g.N())
+	for i := range nodes {
+		nodes[i] = &chatter{out: []rounds.Send{{To: g.Neighbors(NodeID(i)), Data: []byte("chatter")}}}
+	}
+	run := func(r int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := rounds.Run(rounds.Config{Graph: g, Rounds: r, Seed: 1, Workers: 1}, nodes); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := run(5), run(40); a != b {
+		t.Errorf("rounds.Run allocates %.0f over 5 rounds and %.0f over 40: want the same", a, b)
+	}
+
+	clone := func(n int) float64 {
+		g, err := Harary(4, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() { g.Clone() })
+	}
+	if a, b := clone(small), clone(large); a != b {
+		t.Errorf("Graph.Clone allocates %.0f at n = %d and %.0f at n = %d: want the same", a, small, b, large)
 	}
 }
