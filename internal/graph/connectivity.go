@@ -201,15 +201,23 @@ type flowNet struct {
 func newFlowNet(g *Graph) *flowNet {
 	nn := 2 * g.n
 	arcs := 2*g.n + 4*g.m
+	// Every array, the builder's cursors included, is carved from one
+	// slab, each window capped at its length.
+	slab := make([]int32, (nn+1)+4*arcs+4*nn)
+	carve := func(k int) []int32 {
+		w := slab[:k:k]
+		slab = slab[k:]
+		return w
+	}
 	f := &flowNet{
-		off:     make([]int32, nn+1),
-		arcTo:   make([]int32, arcs),
-		arcPair: make([]int32, arcs),
-		arcCap:  make([]int32, arcs),
-		cap0:    make([]int32, arcs),
-		level:   make([]int32, nn),
-		iter:    make([]int32, nn),
-		queue:   make([]int32, 0, nn),
+		off:     carve(nn + 1),
+		arcTo:   carve(arcs),
+		arcPair: carve(arcs),
+		arcCap:  carve(arcs),
+		cap0:    carve(arcs),
+		level:   carve(nn),
+		iter:    carve(nn),
+		queue:   carve(nn)[:0],
 	}
 	// Both halves of vertex v carry 1 + deg(v) arcs: in(v) has the split
 	// arc plus one reverse stub per incident edge; out(v) has the split
@@ -225,7 +233,7 @@ func newFlowNet(g *Graph) *flowNet {
 	// Fill in the historical builder's chronological order: split arcs for
 	// v = 0..n-1, then both directions of each edge in Edges() order. The
 	// per-node cursor walk makes CSR slot order equal append order.
-	cur := make([]int32, nn)
+	cur := carve(nn)
 	copy(cur, f.off[:nn])
 	addArc := func(from, to, cap int) {
 		i, j := cur[from], cur[to]

@@ -279,3 +279,15 @@ func BenchmarkConnectivityAtLeastDense(b *testing.B) {
 		g.ConnectivityAtLeast(5)
 	}
 }
+
+// TestFlowNetAllocatesTwo pins a flow network's build at two objects, the
+// network and the one slab its arrays and cursors are carved from,
+// whatever the graph: a dynamic run builds one per epoch's κ.
+func TestFlowNetAllocatesTwo(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, g := range []*Graph{New(1), randomGraph(12, 0.5, rng), randomGraph(200, 0.05, rng)} {
+		if a := testing.AllocsPerRun(10, func() { newFlowNet(g) }); a != 2 {
+			t.Errorf("newFlowNet on n=%d m=%d allocates %.0f, want 2", g.N(), g.M(), a)
+		}
+	}
+}

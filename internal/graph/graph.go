@@ -85,12 +85,44 @@ func (g *Graph) Reset(n int) {
 	*g = Graph{n: n, nbr: g.nbr[:n], flat: g.flat}
 }
 
-// FromEdges builds a graph over n vertices with the given edges.
+// FromEdges builds a graph over n vertices with the given edges, as
+// AddEdge would one by one: an edge given twice, in either orientation, is
+// one edge, and a self-loop or an out-of-range vertex panics. Its lists
+// are windows of one array, each capped at its length, as Clone's are.
 func FromEdges(n int, edges []Edge) *Graph {
 	g := New(n)
+	// Count each vertex's entries, duplicates included, into off[v+1]...
+	off := make([]int, n+1)
 	for _, e := range edges {
-		g.AddEdge(e.U, e.V)
+		if e.U == e.V {
+			panic(fmt.Sprintf("graph: self-loop on %v", e.U))
+		}
+		g.valid(e.U)
+		g.valid(e.V)
+		off[e.U+1]++
+		off[e.V+1]++
 	}
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	// ...fill each vertex's window, advancing off[v] to its end...
+	slab := make([]ids.NodeID, off[n])
+	for _, e := range edges {
+		slab[off[e.U]], slab[off[e.V]] = e.V, e.U
+		off[e.U]++
+		off[e.V]++
+	}
+	// ...then sort each window and drop its repeats.
+	start := 0
+	for v := range n {
+		l := slab[start:off[v]]
+		slices.Sort(l)
+		l = slices.Compact(l)
+		g.nbr[v] = l[:len(l):len(l)]
+		g.m += len(l)
+		start = off[v]
+	}
+	g.m /= 2
 	return g
 }
 

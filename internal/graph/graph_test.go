@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,6 +72,81 @@ func TestFromEdgesRoundTrip(t *testing.T) {
 		h := FromEdges(n, g.Edges())
 		if !g.Equal(h) {
 			t.Fatalf("FromEdges(Edges) differs: %v vs %v", g, h)
+		}
+	}
+}
+
+// addEach is the reference FromEdges is held to: one AddEdge per edge.
+func addEach(n int, edges []Edge) *Graph {
+	g := New(n)
+	for _, e := range edges {
+		g.AddEdge(e.U, e.V)
+	}
+	return g
+}
+
+// panicValue runs f and returns what it panicked with, nil if it returned.
+func panicValue(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestFromEdgesMatchesAddEdge: FromEdges builds what one AddEdge per edge
+// builds, on random edge lists with repeats in both orientations and
+// isolated vertices; edits after the build (adds that outgrow a capped
+// window included) go on matching; and a list with a self-loop or an
+// out-of-range vertex panics with AddEdge's message for its first bad edge.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(30)
+		wired := 1 + rng.Intn(n) // vertices wired..n-1 stay isolated
+		var edges []Edge
+		for i, m := 0, rng.Intn(4*n); i < m && wired > 1; i++ {
+			u, v := ids.NodeID(rng.Intn(wired)), ids.NodeID(rng.Intn(wired))
+			if u == v {
+				continue
+			}
+			edges = append(edges, Edge{U: u, V: v}) // either orientation
+			if rng.Intn(4) == 0 {
+				edges = append(edges, edges[rng.Intn(len(edges))])
+			}
+			if rng.Intn(4) == 0 {
+				e := edges[rng.Intn(len(edges))]
+				edges = append(edges, Edge{U: e.V, V: e.U})
+			}
+		}
+		got, want := FromEdges(n, edges), addEach(n, edges)
+		if !got.Equal(want) || got.M() != want.M() || got.String() != want.String() {
+			t.Fatalf("trial %d: FromEdges(%d, %v) = %v, want %v", trial, n, edges, got, want)
+		}
+		for i := 0; i < 20 && n > 1; i++ {
+			u, v := ids.NodeID(rng.Intn(n)), ids.NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				got.RemoveEdge(u, v)
+				want.RemoveEdge(u, v)
+			} else {
+				got.AddEdge(u, v)
+				want.AddEdge(u, v)
+			}
+		}
+		if !got.Equal(want) || got.String() != want.String() {
+			t.Fatalf("trial %d: after edits %v, want %v", trial, got, want)
+		}
+
+		bad := slices.Clone(edges)
+		w := ids.NodeID(rng.Intn(n))
+		for _, e := range []Edge{{U: w, V: w}, {U: w, V: ids.NodeID(n + rng.Intn(3))}, {U: ids.NodeID(n), V: w}} {
+			bad = slices.Insert(bad, rng.Intn(len(bad)+1), e)
+		}
+		gotP := panicValue(func() { FromEdges(n, bad) })
+		wantP := panicValue(func() { addEach(n, bad) })
+		if gotP == nil || gotP != wantP {
+			t.Fatalf("trial %d: FromEdges(%d, %v) panics with %v, AddEdge with %v", trial, n, bad, gotP, wantP)
 		}
 	}
 }

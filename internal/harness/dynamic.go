@@ -157,7 +157,7 @@ func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided fu
 					if o.Decision != nectar.Undecided {
 						out[ids.NodeID(i)] = dynamic.Verdict{
 							Partitionable: o.Decision == nectar.Partitionable,
-							Key:           o.Decision.String() + "/" + strconv.FormatBool(o.Confirmed),
+							Key:           verdictKey(o),
 						}
 					}
 				}
@@ -175,6 +175,27 @@ func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided fu
 		unfinished = nil
 	}
 	return build, release
+}
+
+// verdictKeys holds a dynamic verdict's Key, Decision.String() + "/" +
+// Confirmed, for every decision and confirmation, so that an epoch builds
+// none.
+var verdictKeys = func() (keys [3][2]string) {
+	for d := range keys {
+		for c := range keys[d] {
+			keys[d][c] = nectar.Decision(d).String() + "/" + strconv.FormatBool(c == 1)
+		}
+	}
+	return keys
+}()
+
+// verdictKey is o's verdict Key.
+func verdictKey(o nectar.Outcome) string {
+	c := 0
+	if o.Confirmed {
+		c = 1
+	}
+	return verdictKeys[o.Decision][c]
 }
 
 // scoreDynamic folds a dynamic run into per-trial metrics.

@@ -2,6 +2,7 @@ package nectar
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -50,29 +51,48 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 	if scheme.N() < g.N() {
 		return nil, fmt.Errorf("nectar: scheme for %d nodes, graph has %d", scheme.N(), g.N())
 	}
-	proofs, index := BuildProofs(scheme, g), graph.NewEdgeIndex(g)
-	nodes := make([]*Node, g.N())
-	// One Config is refilled for every node, and every neighbour list is a
-	// window of one slab, capped at its length: the build allocates these
-	// once per run, where NodeConfig allocates them per node.
-	cfg := new(Config)
-	lists := make([]ids.NodeID, 0, 2*g.M())
-	for i := range nodes {
-		me := ids.NodeID(i)
-		start := len(lists)
+	n, index := g.N(), graph.NewEdgeIndex(g)
+	// Node v's neighbour list and its proofs are the windows [off[v],
+	// off[v+1]) of two slabs, each capped at its length; every edge is
+	// signed once, in g.Edges() order, into one signature slab and its
+	// proof stored in both endpoints' windows. The nodes are one array and
+	// one Config is refilled for each: the build allocates per run, where
+	// NodeConfig allocates per node.
+	off := make([]int, n+1)
+	for v := range n {
+		off[v+1] = off[v] + g.Degree(ids.NodeID(v))
+	}
+	lists := make([]ids.NodeID, 0, off[n])
+	proofs := make([]Proof, off[n])
+	slab := make([]byte, 0, scheme.Verifier().SigSize()*off[n])
+	stmt := statementWriter()
+	for u := range n {
+		me := ids.NodeID(u)
 		lists = append(lists, g.Neighbors(me)...)
-		fillConfig(cfg, g, t, scheme, proofs, me, lists[start:len(lists):len(lists)], roundsOverride, opts)
+		for k, v := range g.Neighbors(me) {
+			if me < v {
+				var p Proof
+				p, slab = appendProof(slab, &stmt, scheme.SignerFor(me), scheme.SignerFor(v))
+				j, _ := slices.BinarySearch(g.Neighbors(v), me)
+				proofs[off[u]+k], proofs[off[v]+j] = p, p
+			}
+		}
+	}
+	nodes, out := make([]Node, n), make([]*Node, n)
+	cfg := new(Config)
+	for i := range nodes {
+		lo, hi := off[i], off[i+1]
+		fillConfig(cfg, g, t, scheme, ids.NodeID(i), lists[lo:hi:hi], proofs[lo:hi:hi], roundsOverride, opts)
 		cfg.index = index
-		nd, err := NewNode(*cfg)
-		if err != nil {
-			for _, built := range nodes[:i] {
+		if err := nodes[i].init(*cfg); err != nil {
+			for _, built := range out[:i] {
 				built.Release()
 			}
-			return nil, fmt.Errorf("nectar: node %v: %w", me, err)
+			return nil, fmt.Errorf("nectar: node %v: %w", ids.NodeID(i), err)
 		}
-		nodes[i] = nd
+		out[i] = &nodes[i]
 	}
-	return nodes, nil
+	return out, nil
 }
 
 // NodeConfig is node me's Config on g — the one BuildNodes hands NewNode,
@@ -81,19 +101,20 @@ func BuildNodes(g *graph.Graph, t int, scheme sig.Scheme, roundsOverride int, op
 // from scheme.
 func NodeConfig(g *graph.Graph, t int, scheme sig.Scheme, proofs map[graph.Edge]Proof, me ids.NodeID, roundsOverride int, opts ...BuildOption) Config {
 	var cfg Config
-	fillConfig(&cfg, g, t, scheme, proofs, me, append([]ids.NodeID(nil), g.Neighbors(me)...), roundsOverride, opts)
+	fillConfig(&cfg, g, t, scheme, me, append([]ids.NodeID(nil), g.Neighbors(me)...), NeighborProofs(proofs, g, me), roundsOverride, opts)
 	return cfg
 }
 
 // fillConfig overwrites cfg with node me's Config on g, its neighbour list
-// neighbors (a copy of g's, which the node keeps), and applies opts.
-func fillConfig(cfg *Config, g *graph.Graph, t int, scheme sig.Scheme, proofs map[graph.Edge]Proof, me ids.NodeID, neighbors []ids.NodeID, roundsOverride int, opts []BuildOption) {
+// neighbors (a copy of g's, which the node keeps) and their proofs, and
+// applies opts.
+func fillConfig(cfg *Config, g *graph.Graph, t int, scheme sig.Scheme, me ids.NodeID, neighbors []ids.NodeID, proofs []Proof, roundsOverride int, opts []BuildOption) {
 	*cfg = Config{
 		N:         g.N(),
 		T:         t,
 		Me:        me,
 		Neighbors: neighbors,
-		Proofs:    NeighborProofs(proofs, g, me),
+		Proofs:    proofs,
 		Signer:    scheme.SignerFor(me),
 		Verifier:  scheme.Verifier(),
 		Rounds:    roundsOverride,

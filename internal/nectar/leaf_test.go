@@ -148,7 +148,7 @@ func TestDegreeOneNodeRelaysForAStranger(t *testing.T) {
 	cfg := Config{
 		N: 6, T: 1, Me: 0,
 		Neighbors: []ids.NodeID{1},
-		Proofs:    map[ids.NodeID]Proof{1: MakeProof(scheme.SignerFor(0), scheme.SignerFor(1))},
+		Proofs:    []Proof{MakeProof(scheme.SignerFor(0), scheme.SignerFor(1))},
 		Signer:    appendCounter{scheme.SignerFor(0), &calls},
 		Verifier:  scheme.Verifier(),
 	}

@@ -69,8 +69,9 @@ type Config struct {
 	Me ids.NodeID
 	// Neighbors is Γ(Me).
 	Neighbors []ids.NodeID
-	// Proofs maps each neighbor to the proof of the shared edge.
-	Proofs map[ids.NodeID]Proof
+	// Proofs holds one proof per neighbor, in Neighbors' order: Proofs[k]
+	// is the proof of the edge {Me, Neighbors[k]}.
+	Proofs []Proof
 	// Signer is the local signing capability.
 	Signer sig.Signer
 	// Verifier checks signatures of all processes. It must come from the
@@ -330,25 +331,38 @@ var _ rounds.SplitAware = (*Node)(nil)
 // NewNode validates cfg and initializes Gi with the local neighborhood
 // (Alg. 1 ll. 1-4).
 func NewNode(cfg Config) (*Node, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("nectar: N must be positive, got %d", cfg.N)
-	}
-	if cfg.T < 0 {
-		return nil, fmt.Errorf("nectar: negative T %d", cfg.T)
-	}
-	if int(cfg.Me) >= cfg.N {
-		return nil, fmt.Errorf("nectar: Me=%v out of range [0,%d)", cfg.Me, cfg.N)
-	}
-	if cfg.Signer == nil || cfg.Verifier == nil {
-		return nil, fmt.Errorf("nectar: Signer and Verifier are required")
-	}
-	if cfg.Signer.ID() != cfg.Me {
-		return nil, fmt.Errorf("nectar: signer bound to %v, node is %v", cfg.Signer.ID(), cfg.Me)
-	}
-	if err := CheckRounds(cfg.N, cfg.Rounds); err != nil {
+	nd := new(Node)
+	if err := nd.init(cfg); err != nil {
 		return nil, err
 	}
-	nd := &Node{cfg: cfg, nRounds: cfg.Rounds}
+	return nd, nil
+}
+
+// init is NewNode on a Node the caller has allocated: BuildNodes builds a
+// run's nodes in one array. On error nd holds nothing borrowed.
+func (nd *Node) init(cfg Config) error {
+	if cfg.N <= 0 {
+		return fmt.Errorf("nectar: N must be positive, got %d", cfg.N)
+	}
+	if cfg.T < 0 {
+		return fmt.Errorf("nectar: negative T %d", cfg.T)
+	}
+	if int(cfg.Me) >= cfg.N {
+		return fmt.Errorf("nectar: Me=%v out of range [0,%d)", cfg.Me, cfg.N)
+	}
+	if cfg.Signer == nil || cfg.Verifier == nil {
+		return fmt.Errorf("nectar: Signer and Verifier are required")
+	}
+	if cfg.Signer.ID() != cfg.Me {
+		return fmt.Errorf("nectar: signer bound to %v, node is %v", cfg.Signer.ID(), cfg.Me)
+	}
+	if err := CheckRounds(cfg.N, cfg.Rounds); err != nil {
+		return err
+	}
+	if len(cfg.Proofs) != len(cfg.Neighbors) {
+		return fmt.Errorf("nectar: %d proofs for %d neighbors", len(cfg.Proofs), len(cfg.Neighbors))
+	}
+	*nd = Node{cfg: cfg, nRounds: cfg.Rounds}
 	if nd.nRounds == 0 {
 		nd.nRounds = cfg.N - 1
 	}
@@ -362,20 +376,18 @@ func NewNode(cfg Config) (*Node, error) {
 		nd.view = new(graph.EdgeSet)
 	}
 	nd.view.ResetOn(cfg.N, cfg.index)
-	for _, nb := range cfg.Neighbors {
+	for k, nb := range cfg.Neighbors {
 		var err error
 		if nb == cfg.Me || int(nb) >= cfg.N {
 			err = fmt.Errorf("nectar: invalid neighbor %v", nb)
 		} else if !nd.view.Add(cfg.Me, nb) {
 			err = fmt.Errorf("nectar: duplicate neighbor %v", nb)
-		} else if p, ok := cfg.Proofs[nb]; !ok {
-			err = fmt.Errorf("nectar: missing proof for neighbor %v", nb)
-		} else if p.Edge != graph.NewEdge(cfg.Me, nb) {
-			err = fmt.Errorf("nectar: proof for %v has edge %v", nb, p.Edge)
+		} else if e := cfg.Proofs[k].Edge; e != graph.NewEdge(cfg.Me, nb) {
+			err = fmt.Errorf("nectar: proof %d, for neighbor %v, has edge %v", k, nb, e)
 		}
 		if err != nil {
 			nd.release(nil)
-			return nil, err
+			return err
 		}
 	}
 	if cfg.Verifier.BindsMessage() && cfg.VerifyCache != nil { // an unbound scheme's Verify costs less than asking the cache
@@ -385,16 +397,15 @@ func NewNode(cfg Config) (*Node, error) {
 	// Proofs are checked in wire form (in the emit arena, which Emit
 	// resets), the form the proof ledger compares.
 	sigSize := cfg.Verifier.SigSize()
-	for _, nb := range cfg.Neighbors {
-		p := cfg.Proofs[nb]
+	for k, p := range cfg.Proofs {
 		nd.enc.Reset()
 		p.encode(&nd.enc, sigSize) // a signature of another width is invalid, not to be cut to size
 		if len(p.SigU) != sigSize || len(p.SigV) != sigSize || nd.scr.checkSigs(cfg.Verifier, p.Edge, nd.enc.Bytes(), nil, 0) != nil {
 			nd.release(nil)
-			return nil, fmt.Errorf("nectar: proof for neighbor %v does not verify", nb)
+			return fmt.Errorf("nectar: proof for neighbor %v does not verify", cfg.Neighbors[k])
 		}
 	}
-	return nd, nil
+	return nil
 }
 
 // CheckRounds validates an n-node system and its round horizon (0 = the
@@ -445,8 +456,7 @@ func (nd *Node) Emit(round int) []rounds.Send {
 	sigSize := v.SigSize()
 	ps := proofWireSize(sigSize)
 	if round == 1 {
-		for _, j := range nd.cfg.Neighbors {
-			p := nd.cfg.Proofs[j]
+		for _, p := range nd.cfg.Proofs {
 			start := nd.enc.Len()
 			EdgeMsg{
 				Proof: p,

@@ -3,6 +3,7 @@ package nectar
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -350,42 +351,57 @@ func TestViewReturnsACopy(t *testing.T) {
 func TestNewNodeValidation(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	v := scheme.Verifier()
+	proof := func(nb ids.NodeID) Proof { return MakeProof(scheme.SignerFor(0), scheme.SignerFor(nb)) }
 	good := func() Config {
-		p := MakeProof(scheme.SignerFor(0), scheme.SignerFor(1))
 		return Config{
 			N: 4, T: 1, Me: 0,
 			Neighbors: []ids.NodeID{1},
-			Proofs:    map[ids.NodeID]Proof{1: p},
+			Proofs:    []Proof{proof(1)},
 			Signer:    scheme.SignerFor(0),
 			Verifier:  v,
 		}
 	}
-	if _, err := NewNode(good()); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	twoNeighbors := func(c *Config) {
+		c.Neighbors, c.Proofs = []ids.NodeID{1, 2}, []Proof{proof(1), proof(2)}
+	}
+	for _, mut := range []func(*Config){func(*Config) {}, twoNeighbors} {
+		cfg := good()
+		mut(&cfg)
+		if _, err := NewNode(cfg); err != nil {
+			t.Fatalf("valid config rejected: %v", err)
+		}
 	}
 	mutations := []struct {
 		name string
 		mut  func(*Config)
+		want string // a substring of the error; "" = any error
 	}{
-		{"zero N", func(c *Config) { c.N = 0 }},
-		{"negative T", func(c *Config) { c.T = -1 }},
-		{"me out of range", func(c *Config) { c.Me = 9; c.Signer = sig.NewHMAC(10, 1).SignerFor(9) }},
-		{"nil signer", func(c *Config) { c.Signer = nil }},
-		{"nil verifier", func(c *Config) { c.Verifier = nil }},
-		{"signer identity mismatch", func(c *Config) { c.Signer = scheme.SignerFor(2) }},
-		{"negative rounds", func(c *Config) { c.Rounds = -2 }},
-		{"self neighbor", func(c *Config) { c.Neighbors = []ids.NodeID{0} }},
-		{"neighbor out of range", func(c *Config) { c.Neighbors = []ids.NodeID{7} }},
-		{"duplicate neighbor", func(c *Config) { c.Neighbors = []ids.NodeID{1, 1} }},
-		{"missing proof", func(c *Config) { c.Proofs = nil }},
+		{"zero N", func(c *Config) { c.N = 0 }, ""},
+		{"negative T", func(c *Config) { c.T = -1 }, ""},
+		{"me out of range", func(c *Config) { c.Me = 9; c.Signer = sig.NewHMAC(10, 1).SignerFor(9) }, ""},
+		{"nil signer", func(c *Config) { c.Signer = nil }, ""},
+		{"nil verifier", func(c *Config) { c.Verifier = nil }, ""},
+		{"signer identity mismatch", func(c *Config) { c.Signer = scheme.SignerFor(2) }, ""},
+		{"negative rounds", func(c *Config) { c.Rounds = -2 }, ""},
+		{"self neighbor", func(c *Config) { c.Neighbors = []ids.NodeID{0} }, "invalid neighbor"},
+		{"neighbor out of range", func(c *Config) { c.Neighbors = []ids.NodeID{7} }, "invalid neighbor"},
+		{"duplicate neighbor", func(c *Config) {
+			c.Neighbors, c.Proofs = []ids.NodeID{1, 1}, []Proof{proof(1), proof(1)}
+		}, "duplicate neighbor"},
+		{"missing proof", func(c *Config) { c.Proofs = nil }, "0 proofs for 1 neighbors"},
+		{"proof count mismatch", func(c *Config) { c.Proofs = append(c.Proofs, proof(2)) }, "2 proofs for 1 neighbors"},
 		{"proof for wrong edge", func(c *Config) {
-			c.Proofs = map[ids.NodeID]Proof{1: MakeProof(scheme.SignerFor(2), scheme.SignerFor(3))}
-		}},
+			c.Proofs = []Proof{MakeProof(scheme.SignerFor(2), scheme.SignerFor(3))}
+		}, "has edge"},
+		{"swapped proofs", func(c *Config) {
+			twoNeighbors(c)
+			c.Proofs[0], c.Proofs[1] = c.Proofs[1], c.Proofs[0]
+		}, "proof 0, for neighbor p1, has edge {p0,p2}"},
 		{"invalid proof signature", func(c *Config) {
-			p := c.Proofs[1]
+			p := c.Proofs[0]
 			p.SigU = make([]byte, len(p.SigU))
-			c.Proofs = map[ids.NodeID]Proof{1: p}
-		}},
+			c.Proofs = []Proof{p}
+		}, "does not verify"},
 	}
 	for _, tc := range mutations {
 		t.Run(tc.name, func(t *testing.T) {
@@ -393,6 +409,8 @@ func TestNewNodeValidation(t *testing.T) {
 			tc.mut(&cfg)
 			if _, err := NewNode(cfg); err == nil {
 				t.Error("invalid config accepted")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not say %q", err, tc.want)
 			}
 		})
 	}

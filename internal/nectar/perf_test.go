@@ -223,14 +223,14 @@ func newFirstSeenFixture(tb testing.TB, schemeName string, hops, count int, wrap
 	n := 2*count + hops + 4
 	scheme := sig.ByName(schemeName, n, 1)
 	me := scheme.SignerFor(0)
-	cfg := Config{N: n, T: 1, Me: 0, Signer: me, Verifier: scheme.Verifier(), Proofs: map[ids.NodeID]Proof{}}
+	cfg := Config{N: n, T: 1, Me: 0, Signer: me, Verifier: scheme.Verifier()}
 	for _, w := range wrap { // the node signs through a wrapper; its proofs are its own
 		cfg.Signer = w(cfg.Signer)
 	}
 	g := graph.New(n)
 	for _, nb := range []ids.NodeID{1, ids.NodeID(n - 2), ids.NodeID(n - 1)} {
 		cfg.Neighbors = append(cfg.Neighbors, nb)
-		cfg.Proofs[nb] = MakeProof(me, scheme.SignerFor(nb))
+		cfg.Proofs = append(cfg.Proofs, MakeProof(me, scheme.SignerFor(nb)))
 		g.AddEdge(0, nb)
 	}
 	for i := 0; i < count; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -345,5 +346,43 @@ func TestFailedBuildLeavesNoTrace(t *testing.T) {
 	}
 	if got := runTaped(t, g, scheme, 0); !reflect.DeepEqual(got, want) {
 		t.Error("run after a failed build differs from the reference")
+	}
+}
+
+// TestBuildNodesAllocatesPerRun pins what BuildNodes allocates as a count
+// per run, whatever n (DESIGN.md §9): the neighbour lists, the proofs and
+// their signatures are one slab each, the nodes one array, and each node's
+// scratch comes warm off the free list. Both sizes keep their views over
+// the run's edge index (n > 192). Collections are off while it measures, as
+// one empties the free lists. Before, each node cost three objects: its
+// NeighborProofs map, its map buckets and the Node itself.
+func TestBuildNodesAllocatesPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector thins sync.Pool")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	build := func(scheme string, n int) float64 {
+		g, err := topology.Harary(4, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sig.ByName(scheme, n, 1)
+		return testing.AllocsPerRun(3, func() {
+			nodes, err := BuildNodes(g, 1, s, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, nd := range nodes {
+				nd.release(nil)
+			}
+		})
+	}
+	const small, large = 256, 1024
+	for _, scheme := range []string{"slim", "hmac"} {
+		a, b := build(scheme, small), build(scheme, large)
+		t.Logf("%s: %.0f objects at n = %d, %.0f at n = %d", scheme, a, small, b, large)
+		if a != b {
+			t.Errorf("%s: BuildNodes allocates %.0f at n = %d and %.0f at n = %d: want the same", scheme, a, small, b, large)
+		}
 	}
 }

@@ -174,12 +174,12 @@ func BuildProofs(scheme sig.Scheme, g *graph.Graph) map[graph.Edge]Proof {
 }
 
 // NeighborProofs extracts from all (as built by BuildProofs) the proofs
-// for the edges incident to node me in g, keyed by neighbor — the shape
-// NECTAR's Config expects.
-func NeighborProofs(all map[graph.Edge]Proof, g *graph.Graph, me ids.NodeID) map[ids.NodeID]Proof {
-	out := make(map[ids.NodeID]Proof, g.Degree(me))
-	for _, nb := range g.Neighbors(me) {
-		out[nb] = all[graph.NewEdge(me, nb)]
+// for the edges incident to node me in g, in the order of g's neighbor
+// list — the shape NECTAR's Config expects.
+func NeighborProofs(all map[graph.Edge]Proof, g *graph.Graph, me ids.NodeID) []Proof {
+	out := make([]Proof, g.Degree(me))
+	for k, nb := range g.Neighbors(me) {
+		out[k] = all[graph.NewEdge(me, nb)]
 	}
 	return out
 }

@@ -116,8 +116,8 @@ func TestBuildProofsAndNeighborProofs(t *testing.T) {
 	if len(mine) != 2 {
 		t.Fatalf("node 0 has %d neighbor proofs, want 2", len(mine))
 	}
-	for nb, p := range mine {
-		if p.Edge != graph.NewEdge(0, nb) {
+	for k, p := range mine {
+		if nb := g.Neighbors(0)[k]; p.Edge != graph.NewEdge(0, nb) {
 			t.Errorf("proof for neighbor %v covers %v", nb, p.Edge)
 		}
 	}

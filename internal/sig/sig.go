@@ -211,8 +211,8 @@ var hmacDomain = [1]byte{0x01}
 type HMAC struct {
 	n int
 	// states holds, per node, two marshaled SHA-256 states of stride bytes
-	// each: the inner hash after key⊕ipad‖0x01 and the outer hash after
-	// key⊕opad.
+	// each, appended to one slab: the inner hash after key⊕ipad‖0x01 and
+	// the outer hash after key⊕opad.
 	states  []byte
 	stride  int
 	pool    sync.Pool // of *hmacScratch
@@ -243,21 +243,40 @@ type hmacScratch struct {
 	tag   [hmacSigSize]byte // Verify's expected signature
 }
 
+// binaryAppender is encoding.BinaryAppender, which SHA-256 digests
+// implement from Go 1.24 on; declared here so the package builds on
+// toolchains that have neither.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
 // NewHMAC builds the HMAC scheme for n nodes from seed.
-func NewHMAC(n int, seed int64) *HMAC {
+func NewHMAC(n int, seed int64) *HMAC { return newHMAC(n, seed, newSHA256State()) }
+
+// newHMAC is NewHMAC hashing the pads with d.
+func newHMAC(n int, seed int64, d sha256State) *HMAC {
 	s := &HMAC{n: n, signers: make([]hmacSigner, n)}
 	s.pool.New = func() any { return &hmacScratch{d: newSHA256State()} }
-	d := newSHA256State()
+	app, appends := d.(binaryAppender)
+	// Each midstate is appended to states: in place where the digest
+	// appends, else marshaled and copied (the first always, to size the
+	// slab). The bytes are the same.
 	snapshot := func() {
-		st, err := d.MarshalBinary()
+		var err error
+		if appends && s.states != nil {
+			s.states, err = app.AppendBinary(s.states)
+		} else {
+			var st []byte
+			st, err = d.MarshalBinary()
+			if s.states == nil { // every state has the first one's size
+				s.stride = len(st)
+				s.states = make([]byte, 0, n*2*s.stride)
+			}
+			s.states = append(s.states, st...)
+		}
 		if err != nil { // never, for a SHA-256 digest: a toolchain bug
 			panic("sig: marshaling SHA-256 state: " + err.Error())
 		}
-		if s.states == nil { // every state has the first one's size
-			s.stride = len(st)
-			s.states = make([]byte, 0, n*2*s.stride)
-		}
-		s.states = append(s.states, st...)
 	}
 	// The pads reach the digest through an interface, so they escape: one
 	// pair for every key, not a pair per key.

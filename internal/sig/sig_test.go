@@ -200,6 +200,51 @@ func TestHMACMatchesReference(t *testing.T) {
 	}
 }
 
+// marshalOnly hides a digest's AppendBinary: the digest of a toolchain
+// before Go 1.24.
+type marshalOnly struct{ sha256State }
+
+// TestHMACMidstatesAreMarshaled: the midstates NewHMAC appends to its slab
+// are byte for byte what MarshalBinary returns for the same pad blocks,
+// whether the digest appends them (AppendBinary, Go ≥ 1.24) or only
+// marshals them.
+func TestHMACMidstatesAreMarshaled(t *testing.T) {
+	const n, seed = 5, 9
+	var want []byte
+	for id := 0; id < n; id++ {
+		key := deriveSeed(seed, uint32(id), "hmac-key")
+		for _, pad := range []byte{0x36, 0x5c} {
+			block := bytes.Repeat([]byte{pad}, sha256.BlockSize)
+			for j, b := range key {
+				block[j] ^= b
+			}
+			d := newSHA256State()
+			d.Write(block)
+			if pad == 0x36 {
+				d.Write(hmacDomain[:])
+			}
+			st, err := d.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, st...)
+		}
+	}
+	_, appends := newSHA256State().(binaryAppender)
+	t.Logf("this toolchain's digest appends: %v", appends)
+	for name, s := range map[string]*HMAC{
+		"NewHMAC":      NewHMAC(n, seed),
+		"marshal only": newHMAC(n, seed, marshalOnly{newSHA256State()}),
+	} {
+		if !bytes.Equal(s.states, want) {
+			t.Errorf("%s: midstates (%d bytes) differ from MarshalBinary's (%d bytes)", name, len(s.states), len(want))
+		}
+		if s.stride*2*n != len(want) {
+			t.Errorf("%s: stride %d, want %d", name, s.stride, len(want)/(2*n))
+		}
+	}
+}
+
 // TestHMACRejectsAlteredSignature: Verify accepts Sign's output and nothing
 // else — not a single flipped bit in the tag or in the zero filler, not the
 // signature cut short or extended, not the right bytes under another signer.

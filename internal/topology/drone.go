@@ -56,15 +56,15 @@ func Drone(n int, d, radius float64, rng *rand.Rand) (*graph.Graph, []Point, err
 // GeometricGraph builds the unit-disk style graph over the given points:
 // an edge joins every pair at distance ≤ radius.
 func GeometricGraph(pts []Point, radius float64) *graph.Graph {
-	g := graph.New(len(pts))
+	var edges []graph.Edge
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
 			if pts[i].Dist(pts[j]) <= radius {
-				g.AddEdge(ids.NodeID(i), ids.NodeID(j))
+				edges = append(edges, graph.Edge{U: ids.NodeID(i), V: ids.NodeID(j)})
 			}
 		}
 	}
-	return g
+	return graph.FromEdges(len(pts), edges)
 }
 
 // randomInDisk draws a point uniformly from the disk of the given radius

@@ -110,9 +110,9 @@ func BuildProofs(scheme Scheme, g *Graph) map[Edge]Proof {
 	return inectar.BuildProofs(scheme, g)
 }
 
-// NeighborProofs extracts the proofs for edges incident to me, keyed by
-// neighbor, as Config.Proofs expects.
-func NeighborProofs(all map[Edge]Proof, g *Graph, me NodeID) map[NodeID]Proof {
+// NeighborProofs extracts the proofs for edges incident to me, in the
+// order of g.Neighbors(me), as Config.Proofs expects.
+func NeighborProofs(all map[Edge]Proof, g *Graph, me NodeID) []Proof {
 	return inectar.NeighborProofs(all, g, me)
 }
 

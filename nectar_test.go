@@ -220,7 +220,7 @@ func TestRoundsBeyondTheWireLimit(t *testing.T) {
 		_, err := NewNode(Config{
 			N: tc.n, T: 1, Me: 0, Rounds: tc.rounds,
 			Neighbors: []NodeID{1},
-			Proofs:    map[NodeID]Proof{1: MakeProof(scheme.SignerFor(0), scheme.SignerFor(1))},
+			Proofs:    []Proof{MakeProof(scheme.SignerFor(0), scheme.SignerFor(1))},
 			Signer:    scheme.SignerFor(0),
 			Verifier:  scheme.Verifier(),
 		})
