@@ -1,7 +1,7 @@
 package nectar
 
 // Simulate and the experiment harness assemble a NECTAR run through the
-// same builder (internal/harness.BuildNectar); these tests pin that the two
+// same builder (internal/harness.BuildNectar); these tests pin that the
 // adaptors over it agree on every Byzantine behaviour.
 
 import (
@@ -14,11 +14,13 @@ import (
 )
 
 // TestSimulateMatchesExperimentTrial runs every (graph, scheme, behaviour)
-// with Byzantine nodes {2, 7} once through Simulate and once as a one-trial
-// experiment on the same fixed scenario, and requires the same scored run:
-// detect and confirm rates, mean unicast bytes of the correct nodes,
-// agreement, executed rounds and every fast-path counter. The two drivers
-// derive different keys from the seed; nothing scored depends on them.
+// with Byzantine nodes {2, 7} through Simulate, as a one-trial experiment
+// on the same fixed scenario and as epoch 0 of a one-epoch SimulateDynamic
+// on a static schedule, and requires the same scored run: detect and
+// confirm rates, mean unicast bytes of the correct nodes, agreement,
+// executed rounds and (all but the epoch) every fast-path counter. The
+// drivers derive different keys from the seed; nothing scored depends on
+// them.
 func TestSimulateMatchesExperimentTrial(t *testing.T) {
 	harary, err := Harary(4, 12)
 	if err != nil {
@@ -68,6 +70,11 @@ func TestSimulateMatchesExperimentTrial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: RunExperiment: %v", label, err)
 				}
+				dyn, err := SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(topo.g), T: len(byz), Seed: seed,
+					SchemeName: scheme, Epochs: 1, Byzantine: cfg.Byzantine, Blocked: cfg.Blocked, Workers: 1})
+				if err != nil {
+					t.Fatalf("%s: SimulateDynamic: %v", label, err)
+				}
 				want := simTrial(sim, n)
 				got := exp.Trials[0]
 				got = ExperimentTrial{DetectRate: got.DetectRate, ConfirmRate: got.ConfirmRate,
@@ -75,6 +82,12 @@ func TestSimulateMatchesExperimentTrial(t *testing.T) {
 					ActiveRounds: got.ActiveRounds, FastPath: got.FastPath}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: drivers disagree:\nexperiment: %+v\nsimulate:   %+v", label, got, want)
+				}
+				ep := dyn.Epochs[0]
+				epoch := simTrial(&SimulationResult{Outcomes: ep.Outcomes, Agreement: ep.Agreement,
+					BytesSent: ep.BytesSent, ActiveRounds: ep.ActiveRounds}, n)
+				if want.FastPath = epoch.FastPath; epoch != want { // an epoch reports no fast-path counters
+					t.Errorf("%s: epoch 0 disagrees:\ndynamic:  %+v\nsimulate: %+v", label, epoch, want)
 				}
 			}
 		}

@@ -180,12 +180,7 @@ func (r *DynamicResult) PublishMetrics(reg *MetricsRegistry, t int) {
 	var agreed int64
 	for _, ep := range r.Epochs {
 		margin.Observe(float64(ep.Kappa - t))
-		// Agreement on the whole output: the decision and the confirmed flag.
-		same := ep.Agreement
-		for _, o := range ep.Outcomes {
-			same = same && o.Confirmed == ep.Confirmed
-		}
-		if same {
+		if ep.Agreement {
 			agreed++
 		}
 	}

@@ -20,8 +20,8 @@ const epochSeedStride = 0x9E3779B9
 type Verdict struct {
 	// Partitionable is the node's partitionability verdict.
 	Partitionable bool
-	// Key identifies the full decision (verdict plus any auxiliary
-	// outputs) for the agreement metric.
+	// Key labels the epoch_verdict event; agreement reads only
+	// Partitionable.
 	Key string
 }
 
@@ -89,10 +89,11 @@ type EpochReport struct {
 	Absent []ids.NodeID
 	// Verdicts holds each correct, present node's scored decision.
 	Verdicts map[ids.NodeID]Verdict
-	// Agreement reports whether all verdict keys are identical.
+	// Agreement reports whether every correct, present node decided the
+	// same value: none or all Verdicts are Partitionable (DESIGN.md §7).
 	Agreement bool
-	// Decision is the lowest-ID correct node's key (the run's headline
-	// decision when Agreement holds).
+	// Decision is the lowest-ID correct node's Key, the epoch_verdict
+	// label (the epoch's decision when Agreement holds).
 	Decision string
 	// Metrics is the epoch's engine traffic.
 	Metrics *rounds.Metrics
@@ -263,7 +264,6 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 				Kappa:              kappa,
 				TruthPartitionable: kappa <= cfg.T,
 				Absent:             absent.Sorted(),
-				Agreement:          true,
 			},
 			stack: stack,
 			done:  make(chan error, 1),
@@ -301,13 +301,17 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 		}
 		rep := f.rep
 		rep.Verdicts = f.stack.Finish()
-		for _, id := range sortedKeys(rep.Verdicts) {
-			if rep.Decision == "" {
-				rep.Decision = rep.Verdicts[id].Key
-			} else if rep.Verdicts[id].Key != rep.Decision {
-				rep.Agreement = false
+		// Decisions are binary, so every node decided the same value
+		// exactly when none or all of them decided partitionable.
+		partitionable, lowest := 0, ^ids.NodeID(0)
+		for id, v := range rep.Verdicts {
+			if v.Partitionable {
+				partitionable++
 			}
+			lowest = min(lowest, id)
 		}
+		rep.Agreement = partitionable == 0 || partitionable == len(rep.Verdicts)
+		rep.Decision = rep.Verdicts[lowest].Key
 		if cfg.Tracer != nil {
 			cfg.Tracer.Emit(obs.Event{Type: obs.EvEpochVerdict, Epoch: rep.Epoch, Key: rep.Decision,
 				Attrs: []obs.Attr{{K: "agreement", V: b2i(rep.Agreement)}, {K: "truth_partitionable", V: b2i(rep.TruthPartitionable)}}})
@@ -407,14 +411,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// sortedKeys returns the verdict map's keys in ID order (deterministic
-// agreement scoring).
-func sortedKeys(m map[ids.NodeID]Verdict) []ids.NodeID {
-	set := ids.NewSet()
-	for id := range m {
-		set.Add(id)
-	}
-	return set.Sorted()
 }

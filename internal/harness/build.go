@@ -30,10 +30,9 @@ func Protocols() []ProtocolKind {
 
 // nodeDecision is one correct node's scored decision.
 type nodeDecision struct {
-	// detected reports whether the node flagged a (potential) partition.
+	// detected reports whether the node flagged a (potential) partition:
+	// the decision bit Agreement is read from (DESIGN.md §7).
 	detected bool
-	// key identifies the full decision for the Agreement metric.
-	key string
 	// confirmed is NECTAR's validity output (false for baselines).
 	confirmed bool
 }
@@ -65,7 +64,6 @@ func buildNectar(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, 
 			if o.Decision != nectar.Undecided {
 				out[i] = nodeDecision{
 					detected:  o.Decision == nectar.Partitionable,
-					key:       o.Decision.String(),
 					confirmed: o.Confirmed,
 				}
 			}
@@ -262,7 +260,7 @@ func buildBaseline(spec *Spec, sc *Scenario, trialSeed int64, scheme sig.Scheme,
 				continue
 			}
 			o := nd.Decide()
-			out[i] = nodeDecision{detected: o.Partitioned, key: fmt.Sprintf("partitioned=%v", o.Partitioned)}
+			out[i] = nodeDecision{detected: o.Partitioned}
 		}
 		return out, obs.FastPath{}
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"github.com/nectar-repro/nectar/internal/dynamic"
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -71,7 +70,7 @@ type DynamicTrial struct {
 	// flips (0 when there were none).
 	MeanLatency float64
 	// AgreementRate is the fraction of epochs in which all correct,
-	// present nodes decided identically.
+	// present nodes decided the same value (dynamic.EpochReport.Agreement).
 	AgreementRate float64
 	// AccuracyRate is the fraction of (epoch, correct node) verdicts
 	// matching the epoch's ground truth.
@@ -157,7 +156,7 @@ func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided fu
 					if o.Decision != nectar.Undecided {
 						out[ids.NodeID(i)] = dynamic.Verdict{
 							Partitionable: o.Decision == nectar.Partitionable,
-							Key:           verdictKey(o),
+							Key:           o.Decision.String(),
 						}
 					}
 				}
@@ -175,27 +174,6 @@ func NectarEpochs(cfg NectarConfig, schemeName string, tr obs.Tracer, decided fu
 		unfinished = nil
 	}
 	return build, release
-}
-
-// verdictKeys holds a dynamic verdict's Key, Decision.String() + "/" +
-// Confirmed, for every decision and confirmation, so that an epoch builds
-// none.
-var verdictKeys = func() (keys [3][2]string) {
-	for d := range keys {
-		for c := range keys[d] {
-			keys[d][c] = nectar.Decision(d).String() + "/" + strconv.FormatBool(c == 1)
-		}
-	}
-	return keys
-}()
-
-// verdictKey is o's verdict Key.
-func verdictKey(o nectar.Outcome) string {
-	c := 0
-	if o.Confirmed {
-		c = 1
-	}
-	return verdictKeys[o.Decision][c]
 }
 
 // scoreDynamic folds a dynamic run into per-trial metrics.

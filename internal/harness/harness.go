@@ -83,8 +83,8 @@ type Trial struct {
 	// Accuracy is the fraction of correct nodes whose decision matches
 	// ground truth (the paper's "decision success rate", Fig. 8).
 	Accuracy float64
-	// Agreement reports whether all correct nodes decided identically
-	// (Def. 3 Agreement).
+	// Agreement reports whether all correct nodes decided the same value
+	// (Def. 3 Agreement): none or all of them flagged a partition.
 	Agreement bool
 	// DetectRate is the fraction of correct nodes flagging a partition.
 	DetectRate float64
@@ -271,12 +271,11 @@ func score(spec *Spec, sc *Scenario, decisions []nodeDecision, pc obs.FastPath, 
 	}
 
 	t := Trial{
-		Truth: truth, Agreement: true, Rounds: m.Rounds, ActiveRounds: m.ActiveRounds,
+		Truth: truth, Rounds: m.Rounds, ActiveRounds: m.ActiveRounds,
 		FastPath: pc,
 	}
 	var correct, detected, confirmed, accurate int
 	var bytesSum, bytesMax, bcastSum int64
-	firstKey := ""
 	for i, d := range decisions {
 		if sc.Byz.Has(ids.NodeID(i)) {
 			continue
@@ -291,11 +290,6 @@ func score(spec *Spec, sc *Scenario, decisions []nodeDecision, pc obs.FastPath, 
 		if d.detected == expected {
 			accurate++
 		}
-		if firstKey == "" {
-			firstKey = d.key
-		} else if d.key != firstKey {
-			t.Agreement = false
-		}
 		b := m.BytesSent[i]
 		bytesSum += b
 		bcastSum += m.BytesBroadcast[i]
@@ -303,6 +297,7 @@ func score(spec *Spec, sc *Scenario, decisions []nodeDecision, pc obs.FastPath, 
 			bytesMax = b
 		}
 	}
+	t.Agreement = detected == 0 || detected == correct
 	if correct > 0 {
 		t.Accuracy = float64(accurate) / float64(correct)
 		t.DetectRate = float64(detected) / float64(correct)
