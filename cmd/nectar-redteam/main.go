@@ -3,7 +3,8 @@
 // maximizes a damage objective — over every placement when C(n,t) fits
 // the evaluation budget, by an annealing walk when it does not — and
 // reports it next to a random-placement baseline and the paper's
-// guarantee. Runs are bit-for-bit reproducible from the flags.
+// guarantee. Each evaluation trial runs n-1 rounds (Alg. 1), and runs are
+// bit-for-bit reproducible from the flags.
 //
 // Examples:
 //
@@ -46,7 +47,6 @@ func run(args []string, out *os.File) error {
 	trials := fs.Int("trials", 3, "engine trials per candidate evaluation")
 	seed := fs.Int64("seed", 1, "random seed (the whole run reproduces from it)")
 	scheme := fs.String("scheme", "hmac", "signature scheme: "+strings.Join(sig.Names(), "|"))
-	rounds := fs.Int("rounds", 0, "engine horizon override (0 = n-1)")
 	jobs := fs.Int("jobs", 0, "parallelism budget for candidate evaluations (0 = GOMAXPROCS; never changes results)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text")
 	verbose := fs.Bool("v", false, "print the full search trace")
@@ -70,7 +70,6 @@ func run(args []string, out *os.File) error {
 		Trials:          *trials,
 		Seed:            *seed,
 		SchemeName:      *scheme,
-		Rounds:          *rounds,
 		Jobs:            *jobs,
 	})
 	if err != nil {

@@ -102,7 +102,7 @@ func TestRedTeamCLIErrors(t *testing.T) {
 		{append(ring, "-t", "2", "-baseline", "-2"), "BaselineSamples"},
 		{append(ring, "-t", "2", "-budget", "-1"), "Budget"},
 		{append(ring, "-t", "2", "-trials", "-1"), "Trials"},
-		{append(ring, "-t", "2", "-rounds", "-5"), "Rounds"},
+		{append(ring, "-t", "2", "-rounds", "5"), "flag provided but not defined: -rounds"},
 	}
 	for _, tc := range cases {
 		_, err := capture(t, tc.args)

@@ -3,7 +3,8 @@
 // -churn it instead runs epoch-based re-detection over a time-varying
 // topology (link flapping, node churn, partition/heal, or drone
 // mobility) and reports per-epoch decisions, ground-truth κ vs t, and
-// detection latency.
+// detection latency. A run, or an epoch, has n-1 rounds (Alg. 1) and ends
+// early once every node is quiescent; no flag changes the horizon.
 //
 // Examples:
 //
@@ -57,7 +58,6 @@ func run(args []string) error {
 	t := fs.Int("t", 1, "assumed Byzantine bound")
 	seed := fs.Int64("seed", 1, "random seed")
 	scheme := fs.String("scheme", "ed25519", "signature scheme: "+strings.Join(sig.Names(), "|"))
-	rounds := fs.Int("rounds", 0, "round override (0 = n-1); the per-epoch horizon under -churn")
 	byzList := fs.String("byz", "", "comma-separated Byzantine node IDs")
 	behavior := fs.String("behavior", string(nectar.AttackCrash),
 		"Byzantine behavior: "+strings.Join(behaviors(), "|"))
@@ -78,11 +78,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Checked before any schedule is built: a negative -rounds would
+	// Checked before any schedule is built: a negative -epochs would
 	// otherwise surface as a schedule horizon error that names no flag.
-	if *rounds < 0 {
-		return fmt.Errorf("-rounds must be >= 0, got %d", *rounds)
-	}
 	if *epochs < 0 {
 		return fmt.Errorf("-epochs must be >= 0, got %d", *epochs)
 	}
@@ -133,7 +130,7 @@ func run(args []string) error {
 		}
 		return runDynamic(&topo, dynFlags{
 			kind: *churn, t: *t, seed: *seed, scheme: *scheme,
-			epochRounds: *rounds, epochs: *epochs, rate: *churnRate,
+			epochs: *epochs, rate: *churnRate,
 			drift: *drift, byzantine: byzantine, blocked: blockedMap,
 			workers: *workers, asJSON: *asJSON, tracePath: *tracePath,
 			metricsOut: *metricsOut,
@@ -153,7 +150,6 @@ func run(args []string) error {
 		T:          *t,
 		Seed:       *seed,
 		SchemeName: *scheme,
-		Rounds:     *rounds,
 		Byzantine:  byzantine,
 		Blocked:    blockedMap,
 		Workers:    *workers,
@@ -219,29 +215,25 @@ func run(args []string) error {
 
 // dynFlags carries the -churn run's parameters.
 type dynFlags struct {
-	kind        string
-	t           int
-	seed        int64
-	scheme      string
-	epochRounds int
-	epochs      int
-	rate        float64
-	drift       float64
-	workers     int
-	byzantine   map[nectar.NodeID]nectar.AttackKind
-	blocked     map[nectar.NodeID][]nectar.NodeID
-	asJSON      bool
-	tracePath   string
-	metricsOut  string
+	kind       string
+	t          int
+	seed       int64
+	scheme     string
+	epochs     int
+	rate       float64
+	drift      float64
+	workers    int
+	byzantine  map[nectar.NodeID]nectar.AttackKind
+	blocked    map[nectar.NodeID][]nectar.NodeID
+	asJSON     bool
+	tracePath  string
+	metricsOut string
 }
 
 // buildSchedule compiles the selected dynamic workload over the chosen
-// base topology.
+// base topology, in epochs of the n-1 rounds SimulateDynamic runs.
 func buildSchedule(topo *cliutil.TopologyFlags, f dynFlags, rng *rand.Rand) (*nectar.EdgeSchedule, error) {
-	epochRounds := f.epochRounds
-	if epochRounds == 0 {
-		epochRounds = topo.N - 1
-	}
+	epochRounds := topo.N - 1
 	epochs := f.epochs
 	horizon := epochs * epochRounds
 	switch f.kind {
@@ -289,15 +281,14 @@ func runDynamic(topo *cliutil.TopologyFlags, f dynFlags) error {
 		return err
 	}
 	cfg := nectar.DynamicConfig{
-		Schedule:    sched,
-		T:           f.t,
-		Seed:        f.seed,
-		SchemeName:  f.scheme,
-		EpochRounds: f.epochRounds,
-		Epochs:      f.epochs,
-		Byzantine:   f.byzantine,
-		Blocked:     f.blocked,
-		Workers:     f.workers,
+		Schedule:   sched,
+		T:          f.t,
+		Seed:       f.seed,
+		SchemeName: f.scheme,
+		Epochs:     f.epochs,
+		Byzantine:  f.byzantine,
+		Blocked:    f.blocked,
+		Workers:    f.workers,
 	}
 	var sink *cliutil.TraceSink
 	if f.tracePath != "" {

@@ -72,7 +72,7 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "nosuch"}, ""},
 		{[]string{"-topo", "ring", "-n", "6", "-t", "-1", "-scheme", "hmac"}, "nectar: negative T -1"},
 		{[]string{"-topo", "ring", "-n", "6", "-t", "-1", "-scheme", "hmac", "-churn", "flap"}, "nectar: negative T -1"},
-		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-rounds", "-3"}, "-rounds must be >= 0, got -3"},
+		{[]string{"-topo", "ring", "-n", "6", "-rounds", "3"}, "flag provided but not defined: -rounds"},
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-epochs", "-2"}, "-epochs must be >= 0, got -2"},
 		{[]string{"-topo", "ring", "-n", "6", "-churn", "flap", "-kappa", "incremental"}, "flag provided but not defined: -kappa"},
 		{[]string{"-topo", "ring", "-n", "8", "-churn", "flap", "-churn-rate", "NaN", "-epochs", "2"}, "Flapping probabilities must be in [0,1]"},
@@ -150,7 +150,7 @@ func TestBehaviorErrorNamesValidBehaviors(t *testing.T) {
 func TestMetricsOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.prom")
 	if err := run([]string{"-topo", "harary", "-k", "4", "-n", "10", "-t", "1", "-seed", "3",
-		"-scheme", "hmac", "-churn", "partition", "-rounds", "9", "-epochs", "4",
+		"-scheme", "hmac", "-churn", "partition", "-epochs", "4",
 		"-metrics-out", path}); err != nil {
 		t.Fatal(err)
 	}

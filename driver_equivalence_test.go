@@ -62,13 +62,13 @@ func TestSimulateMatchesExperimentTrial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Simulate: %v", label, err)
 				}
-				exp, err := RunExperiment(ExperimentSpec{
+				exps, err := RunExperiments([]ExperimentSpec{{
 					Protocol: ProtoNectar, Attack: beh,
 					Scenario: func(*rand.Rand) (*Scenario, error) { return sc, nil },
-					T:        len(byz), Trials: 1, Seed: seed, SchemeName: scheme, Jobs: 1,
-				})
+					T:        len(byz), Trials: 1, Seed: seed, SchemeName: scheme,
+				}}, 1)
 				if err != nil {
-					t.Fatalf("%s: RunExperiment: %v", label, err)
+					t.Fatalf("%s: RunExperiments: %v", label, err)
 				}
 				dyn, err := SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(topo.g), T: len(byz), Seed: seed,
 					SchemeName: scheme, Epochs: 1, Byzantine: cfg.Byzantine, Blocked: cfg.Blocked, Workers: 1})
@@ -76,7 +76,7 @@ func TestSimulateMatchesExperimentTrial(t *testing.T) {
 					t.Fatalf("%s: SimulateDynamic: %v", label, err)
 				}
 				want := simTrial(sim, n)
-				got := exp.Trials[0]
+				got := exps[0].Trials[0]
 				got = ExperimentTrial{DetectRate: got.DetectRate, ConfirmRate: got.ConfirmRate,
 					MeanBytesPerNode: got.MeanBytesPerNode, Agreement: got.Agreement,
 					ActiveRounds: got.ActiveRounds, FastPath: got.FastPath}

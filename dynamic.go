@@ -81,8 +81,6 @@ type DynamicConfig struct {
 	Seed int64
 	// SchemeName selects signatures ("" = "ed25519", as in Simulate).
 	SchemeName string
-	// EpochRounds is the engine horizon per epoch (0 = n-1).
-	EpochRounds int
 	// Epochs is the number of detection epochs (0 = enough to cover the
 	// schedule plus one fresh epoch on the final topology).
 	Epochs int
@@ -144,7 +142,7 @@ type DetectionFlip = dynamic.Flip
 
 // DynamicResult reports a full epoch-based re-detection run.
 type DynamicResult struct {
-	// EpochRounds is the resolved per-epoch horizon.
+	// EpochRounds is the per-epoch horizon, n-1.
 	EpochRounds int
 	// Epochs holds the per-epoch reports in order.
 	Epochs []EpochResult
@@ -220,7 +218,7 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := inectar.CheckRounds(n, cfg.EpochRounds); err != nil {
+	if err := inectar.CheckRounds(n, 0); err != nil {
 		return nil, err
 	}
 	blocked, err := checkByzantine(n, cfg.T, cfg.Byzantine, cfg.Blocked)
@@ -231,18 +229,17 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	// order, on this goroutine).
 	var decided [][]Outcome
 	build, release := harness.NectarEpochs(harness.NectarConfig{
-		T: cfg.T, Rounds: cfg.EpochRounds, Byzantine: cfg.Byzantine, Blocked: blocked,
+		T: cfg.T, Byzantine: cfg.Byzantine, Blocked: blocked,
 	}, schemeName, cfg.Tracer, func(outs []Outcome) { decided = append(decided, outs) })
 	defer release()
 
 	inner, err := dynamic.Run(dynamic.Config{
-		Schedule:    cfg.Schedule,
-		T:           cfg.T,
-		Seed:        cfg.Seed,
-		EpochRounds: cfg.EpochRounds,
-		Epochs:      cfg.Epochs,
-		Workers:     cfg.Workers,
-		Tracer:      cfg.Tracer,
+		Schedule: cfg.Schedule,
+		T:        cfg.T,
+		Seed:     cfg.Seed,
+		Epochs:   cfg.Epochs,
+		Workers:  cfg.Workers,
+		Tracer:   cfg.Tracer,
 	}, build)
 	if err != nil {
 		return nil, err

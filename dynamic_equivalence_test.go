@@ -3,6 +3,7 @@ package nectar
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -277,5 +278,14 @@ func TestSimulateDynamicValidation(t *testing.T) {
 	}
 	if _, err := SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(g), T: -1}); err == nil || err.Error() != "nectar: negative T -1" {
 		t.Errorf("negative T: err = %v, want nectar: negative T -1", err)
+	}
+	if _, err := SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(g), T: 1, Epochs: -1}); err == nil ||
+		!strings.Contains(err.Error(), "negative Epochs -1") {
+		t.Errorf("negative Epochs: err = %v, want it named", err)
+	}
+	if _, err := SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(g), T: 1,
+		Byzantine: map[NodeID]AttackKind{2: AttackSplitBrain}}); err == nil ||
+		!strings.HasPrefix(err.Error(), "nectar: ") || !strings.Contains(err.Error(), "Blocked") {
+		t.Errorf("split-brain without Blocked: err = %v, want a nectar: error naming Blocked", err)
 	}
 }

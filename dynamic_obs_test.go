@@ -21,8 +21,7 @@ func TestDynamicDetectionMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := SimulateDynamic(DynamicConfig{
-		Schedule: sched, T: 1, Seed: 3, SchemeName: "hmac",
-		EpochRounds: 9, Epochs: 4,
+		Schedule: sched, T: 1, Seed: 3, SchemeName: "hmac", Epochs: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -334,12 +335,11 @@ func TestExperimentEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		jobs := base
-		jobs.Jobs = 8 // 4 trials × 2 engine workers
-		got, err := RunExperiment(jobs)
+		gots, err := RunExperiments([]ExperimentSpec{base}, 8) // 4 trials × 2 engine workers
 		if err != nil {
 			t.Fatalf("%s/jobs-8: %v", proto, err)
 		}
+		got := gots[0]
 		for i := range ref.Trials {
 			r, g := ref.Trials[i], got.Trials[i]
 			if r.Accuracy != g.Accuracy || r.Agreement != g.Agreement ||
@@ -355,10 +355,13 @@ func TestExperimentEquivalence(t *testing.T) {
 	}
 }
 
-// TestSimulateRejectsMisconfiguredBlocked: Blocked entries for nodes not
-// running the split-brain behaviour must fail loudly, not silently no-op.
+// TestSimulateRejectsMisconfiguredBlocked: Blocked entries that would
+// silently no-op — for nodes not running the split-brain behaviour, out of
+// range, or naming no node but the split-brain node itself — fail loudly,
+// in Simulate's own check and naming Blocked.
 func TestSimulateRejectsMisconfiguredBlocked(t *testing.T) {
 	g := Ring(8)
+	splitBrain := map[NodeID]AttackKind{0: AttackSplitBrain}
 	cases := []SimulationConfig{
 		// Blocked for a crash node.
 		{Graph: g, T: 1, Byzantine: map[NodeID]AttackKind{0: AttackCrash},
@@ -366,13 +369,18 @@ func TestSimulateRejectsMisconfiguredBlocked(t *testing.T) {
 		// Blocked for a node that is not Byzantine at all.
 		{Graph: g, T: 1, Blocked: map[NodeID][]NodeID{3: {1}}},
 		// Blocked target out of range.
-		{Graph: g, T: 1, Byzantine: map[NodeID]AttackKind{0: AttackSplitBrain},
-			Blocked: map[NodeID][]NodeID{0: {99}}},
+		{Graph: g, T: 1, Byzantine: splitBrain, Blocked: map[NodeID][]NodeID{0: {99}}},
+		// A split-brain node with no Blocked entry, or an empty one.
+		{Graph: g, T: 1, Byzantine: splitBrain},
+		{Graph: g, T: 1, Byzantine: splitBrain, Blocked: map[NodeID][]NodeID{0: {}}},
+		// A split-brain node blocking only itself.
+		{Graph: g, T: 1, Byzantine: splitBrain, Blocked: map[NodeID][]NodeID{0: {0}}},
 	}
 	for i, cfg := range cases {
 		cfg.SchemeName = "hmac"
-		if _, err := Simulate(cfg); err == nil {
-			t.Errorf("case %d: misconfigured Blocked accepted", i)
+		if _, err := Simulate(cfg); err == nil || !strings.HasPrefix(err.Error(), "nectar: ") ||
+			!strings.Contains(err.Error(), "Blocked") {
+			t.Errorf("case %d: err = %v, want a nectar: error naming Blocked", i, err)
 		}
 	}
 }

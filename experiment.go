@@ -55,9 +55,10 @@ const (
 
 // RunExperiment executes the spec's trials and aggregates accuracy,
 // agreement and network-cost statistics with 95% confidence intervals.
-// Trials run through the plan/scheduler pipeline (DESIGN.md §10) under
-// the spec's Jobs budget (0 = GOMAXPROCS), split between trial-level and
-// engine-level workers; results are identical for any budget.
+// Trials run through the plan/scheduler pipeline (DESIGN.md §10) at a
+// GOMAXPROCS budget, split between trial-level and engine-level workers;
+// RunExperiments takes the budget as an argument. Results are identical
+// for any budget.
 func RunExperiment(spec ExperimentSpec) (*ExperimentResult, error) {
 	return harness.Run(spec)
 }

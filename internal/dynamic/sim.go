@@ -197,8 +197,11 @@ func Run(cfg Config, build BuildFn) (*Result, error) {
 	if cfg.T < 0 {
 		return nil, fmt.Errorf("dynamic: negative T %d", cfg.T)
 	}
-	if cfg.EpochRounds < 0 || cfg.Epochs < 0 {
-		return nil, fmt.Errorf("dynamic: negative EpochRounds or Epochs")
+	if cfg.EpochRounds < 0 {
+		return nil, fmt.Errorf("dynamic: negative EpochRounds %d", cfg.EpochRounds)
+	}
+	if cfg.Epochs < 0 {
+		return nil, fmt.Errorf("dynamic: negative Epochs %d", cfg.Epochs)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("dynamic: negative Workers %d", cfg.Workers)

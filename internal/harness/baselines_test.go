@@ -40,14 +40,14 @@ func baselinePins() []Spec {
 				for _, seed := range []int64{1, 2} {
 					specs = append(specs, Spec{
 						Name:     fmt.Sprintf("%s/%s/%s/seed=%d", p, a, sc.name, seed),
-						Protocol: p, Attack: a, Scenario: sc.fn, T: 2, Trials: 2, Seed: seed, Rounds: sc.rounds,
+						Protocol: p, Attack: a, Scenario: sc.fn, T: 2, Trials: 2, Seed: seed, rounds: sc.rounds,
 					})
 				}
 			}
 		}
 		specs = append(specs,
 			Spec{Name: string(p) + "/splitbrain/bridge/loss=0.3", Protocol: p, Attack: AttackSplitBrain,
-				Scenario: bridge, T: 2, Trials: 2, Seed: 3, Rounds: 20, LossRate: 0.3})
+				Scenario: bridge, T: 2, Trials: 2, Seed: 3, LossRate: 0.3, rounds: 20})
 	}
 	return specs
 }

@@ -78,7 +78,7 @@ func buildNectar(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, 
 func nectarTrial(spec *Spec, sc *Scenario, trialSeed int64) (*NectarRun, error) {
 	return BuildNectar(NectarConfig{
 		Graph: sc.Graph, T: spec.T, Scheme: trialScheme(spec, sc.Graph.N(), trialSeed),
-		Rounds: spec.Rounds, Seed: trialSeed,
+		Rounds: spec.rounds, Seed: trialSeed,
 		Byzantine: sc.attacks(spec.Attack), Blocked: sc.Blocked, NoVerifyCache: spec.noVerifyCache,
 	})
 }
@@ -93,8 +93,9 @@ type NectarConfig struct {
 	// Scheme signs proofs and relays; the run's verification cache is
 	// scoped to it.
 	Scheme sig.Scheme
-	// Rounds overrides the n-1 horizon (0 = n-1); the phased attack keys
-	// its switch round on the resolved horizon.
+	// Rounds shortens the n-1 horizon (0 = n-1) for tests' cut-short
+	// runs; the phased attack keys its switch round on the resolved
+	// horizon.
 	Rounds int
 	// Seed is the engine seed: garbage flooder b is seeded Seed^b.
 	Seed int64
@@ -249,7 +250,7 @@ func buildBaseline(spec *Spec, sc *Scenario, trialSeed int64, scheme sig.Scheme,
 		}
 		nodes[i], protos[i] = nd, nd
 	}
-	c := &wrapCtx{g: g, blocked: sc.Blocked, seed: trialSeed, scheme: scheme, rounds: spec.Rounds}
+	c := &wrapCtx{g: g, blocked: sc.Blocked, seed: trialSeed, scheme: scheme, rounds: spec.rounds}
 	if err := c.wrap(spec.Protocol, protos, sc.attacks(spec.Attack), nil); err != nil {
 		return nil, nil, err
 	}

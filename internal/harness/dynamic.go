@@ -33,16 +33,9 @@ type DynamicSpec struct {
 	// SchemeName selects the signature scheme ("" = "hmac", the harness
 	// default).
 	SchemeName string
-	// EpochRounds is the engine horizon per epoch (0 = n-1).
-	EpochRounds int
 	// Epochs is the number of detection epochs per trial (0 = cover the
 	// schedule horizon plus one fresh epoch).
 	Epochs int
-	// Jobs is the spec's total parallelism budget, split between
-	// trial-level workers and each trial's own budget (epochs in flight,
-	// then engine workers) exactly like Spec.Jobs (0 = GOMAXPROCS; see
-	// DESIGN.md §10).
-	Jobs int
 }
 
 // validate checks the spec and returns a copy with defaults resolved.
@@ -53,8 +46,8 @@ func (s DynamicSpec) validate() (DynamicSpec, error) {
 	if s.SchemeName == "" {
 		s.SchemeName = "hmac"
 	}
-	return s, checkCounts(s.SchemeName, count{"Trials", s.Trials, true}, count{"Jobs", s.Jobs, false},
-		count{"T", s.T, false}, count{"EpochRounds", s.EpochRounds, false}, count{"Epochs", s.Epochs, false})
+	return s, checkCounts(s.SchemeName, count{"Trials", s.Trials, true}, count{"T", s.T, false},
+		count{"Epochs", s.Epochs, false})
 }
 
 // DynamicTrial is the scored outcome of one dynamic run.
@@ -107,15 +100,14 @@ func runDynamicTrial(spec *DynamicSpec, trial, engineWorkers int) (DynamicTrial,
 	if err != nil {
 		return DynamicTrial{}, err
 	}
-	build, release := NectarEpochs(NectarConfig{T: spec.T, Rounds: spec.EpochRounds}, spec.SchemeName, nil, nil)
+	build, release := NectarEpochs(NectarConfig{T: spec.T}, spec.SchemeName, nil, nil)
 	defer release()
 	res, err := dynamic.Run(dynamic.Config{
-		Schedule:    sched,
-		T:           spec.T,
-		Seed:        trialSeed ^ 0x5F5F5F5F,
-		EpochRounds: spec.EpochRounds,
-		Epochs:      spec.Epochs,
-		Workers:     engineWorkers,
+		Schedule: sched,
+		T:        spec.T,
+		Seed:     trialSeed ^ 0x5F5F5F5F,
+		Epochs:   spec.Epochs,
+		Workers:  engineWorkers,
 	}, build)
 	if err != nil {
 		return DynamicTrial{}, err

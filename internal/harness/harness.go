@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -33,16 +34,6 @@ type Spec struct {
 	// SchemeName selects the signature scheme ("" = "hmac"; use
 	// "ed25519" for real asymmetric crypto — see DESIGN.md §4).
 	SchemeName string
-	// Rounds overrides the protocol horizon (0 = n-1 rounds; the epoch
-	// for the baselines).
-	Rounds int
-	// Jobs is the spec's total parallelism budget, split between
-	// trial-level workers and each trial's engine workers (DESIGN.md
-	// §10): trials win while there are enough of them to fill the
-	// budget, leftover budget goes to the engine. 0 means GOMAXPROCS;
-	// negative is invalid. The budget never changes results, only
-	// wall-clock.
-	Jobs int
 	// LossRate injects independent message loss (violating the paper's
 	// reliable-channel assumption) — for baseline robustness studies and
 	// NECTAR degradation analysis. See rounds.Config.LossRate.
@@ -53,6 +44,10 @@ type Spec struct {
 	// NECTAR trials without the per-trial boards and proof ledger (§9): the
 	// references this package's tests compare the default against.
 	fullHorizon, noVerifyCache bool
+	// rounds shortens the horizon below n-1 (0 = n-1), for this package's
+	// tests only: the baselines' pinned runs stop while gossip still
+	// spreads.
+	rounds int
 }
 
 // Truth is the scenario's ground truth, computed from the generated graph
@@ -98,7 +93,7 @@ type Trial struct {
 	// MeanBroadcastBytes counts each multicast (one rounds.Send) once — the
 	// salticidae-style multicast accounting of the paper's cost figures.
 	MeanBroadcastBytes float64
-	// Rounds is the configured horizon; ActiveRounds is how many rounds
+	// Rounds is the horizon, n-1; ActiveRounds is how many rounds
 	// the engine actually executed before every node went quiescent
 	// (equal to Rounds when no early exit happened).
 	Rounds       int
@@ -143,8 +138,7 @@ func (s Spec) validate() (Spec, error) {
 	if s.SchemeName == "" {
 		s.SchemeName = "hmac"
 	}
-	if err := checkCounts(s.SchemeName, count{"Trials", s.Trials, true}, count{"Jobs", s.Jobs, false},
-		count{"T", s.T, false}, count{"Rounds", s.Rounds, false}); err != nil {
+	if err := checkCounts(s.SchemeName, count{"Trials", s.Trials, true}, count{"T", s.T, false}); err != nil {
 		return s, err
 	}
 	if !(s.LossRate >= 0 && s.LossRate < 1) { // NaN fails too
@@ -204,13 +198,9 @@ func runTrial(spec *Spec, trial, engineWorkers int) (Trial, error) {
 	if err != nil {
 		return Trial{}, err
 	}
-	r := spec.Rounds
-	if r == 0 {
-		r = sc.Graph.N() - 1
-	}
 	metrics, err := rounds.Run(rounds.Config{
 		Graph:       sc.Graph,
-		Rounds:      r,
+		Rounds:      cmp.Or(spec.rounds, sc.Graph.N()-1),
 		Seed:        trialSeed,
 		Workers:     engineWorkers,
 		FullHorizon: spec.fullHorizon,

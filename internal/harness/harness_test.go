@@ -97,8 +97,8 @@ func TestUnknownSchemeRejectedUpFront(t *testing.T) {
 	check("redteam", err)
 }
 
-// TestSpecCountsRejectedUpFront: a static or dynamic spec's bound,
-// horizon and loss rate are checked by its constructor, before a trial
+// TestSpecCountsRejectedUpFront: a static or dynamic spec's bound, epoch
+// count and loss rate are checked by its constructor, before a trial
 // generates a scenario or a schedule — where each used to fail only once
 // unit 0 ran, and an MtG trial with a negative T ran to completion.
 func TestSpecCountsRejectedUpFront(t *testing.T) {
@@ -133,12 +133,10 @@ func TestSpecCountsRejectedUpFront(t *testing.T) {
 		{"nectar T", "T", static(func(s *Spec) { s.T = -1 })},
 		{"mtg T", "T", static(func(s *Spec) { s.Protocol, s.T = ProtoMtG, -1 })},
 		{"mtgv2 T", "T", static(func(s *Spec) { s.Protocol, s.T = ProtoMtGv2, -1 })},
-		{"Rounds", "Rounds", static(func(s *Spec) { s.Rounds = -3 })},
 		{"LossRate NaN", "LossRate", static(func(s *Spec) { s.LossRate = math.NaN() })},
 		{"LossRate 1", "LossRate", static(func(s *Spec) { s.LossRate = 1 })},
 		{"LossRate negative", "LossRate", static(func(s *Spec) { s.LossRate = -0.1 })},
 		{"dynamic T", "T", dyn(func(d *DynamicSpec) { d.T = -1 })},
-		{"EpochRounds", "EpochRounds", dyn(func(d *DynamicSpec) { d.EpochRounds = -1 })},
 		{"Epochs", "Epochs", dyn(func(d *DynamicSpec) { d.Epochs = -2 })},
 	} {
 		if c.err == nil || !strings.Contains(c.err.Error(), c.field) {
@@ -159,7 +157,6 @@ func TestRedTeamCountsRejectedUpFront(t *testing.T) {
 		"Budget":          func(s *RedTeamSpec) { s.Budget = -1 },
 		"BaselineSamples": func(s *RedTeamSpec) { s.BaselineSamples = -2 },
 		"Trials":          func(s *RedTeamSpec) { s.Trials = -1 },
-		"Rounds":          func(s *RedTeamSpec) { s.Rounds = -5 },
 		"Jobs":            func(s *RedTeamSpec) { s.Jobs = -1 },
 	} {
 		r := redTeamSpecForTest()

@@ -52,8 +52,8 @@ func NewRedTeamRunner(spec RedTeamSpec) (exp.TrialRunner, error) {
 	// Every count is checked here, before the search's unit runs: T against
 	// n only once the topology is sampled, the rest in full.
 	if err := checkCounts(spec.SchemeName, count{"Trials", spec.Trials, true}, count{"Jobs", spec.Jobs, false},
-		count{"T", spec.T, true}, count{"Rounds", spec.Rounds, false},
-		count{"Budget", spec.Budget, false}, count{"BaselineSamples", spec.BaselineSamples, false}); err != nil {
+		count{"T", spec.T, true}, count{"Budget", spec.Budget, false},
+		count{"BaselineSamples", spec.BaselineSamples, false}); err != nil {
 		return nil, err
 	}
 	if !spec.Objective.Valid() {
@@ -78,20 +78,19 @@ func planKey(name string) string {
 }
 
 // Run executes the experiment and aggregates its metrics. It is a
-// one-spec plan over the shared pipeline: the Jobs budget (0 =
-// GOMAXPROCS) is split between trial workers and each trial's engine
-// workers (a single trial gets the whole budget for its engine).
+// one-spec plan over the shared pipeline at a GOMAXPROCS budget, split
+// between trial workers and each trial's engine workers (a single trial
+// gets the whole budget for its engine).
 func Run(spec Spec) (*Result, error) {
-	return runOne[*Result](spec, spec.Name, spec.Jobs, NewRunner)
+	return runOne[*Result](spec, spec.Name, 0, NewRunner)
 }
 
 // RunDynamic executes the dynamic experiment: each trial generates a
 // schedule, re-runs NECTAR epoch by epoch over it, and scores agreement,
 // accuracy against the per-epoch ground truth, and detection latency.
-// Scheduling matches Run: a one-spec plan under the DynamicSpec.Jobs
-// budget.
+// Scheduling matches Run.
 func RunDynamic(spec DynamicSpec) (*DynamicResult, error) {
-	return runOne[*DynamicResult](spec, spec.Name, spec.Jobs, NewDynamicRunner)
+	return runOne[*DynamicResult](spec, spec.Name, 0, NewDynamicRunner)
 }
 
 // RunRedTeam executes the search described by spec (one unit, so the

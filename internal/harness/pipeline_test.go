@@ -98,9 +98,7 @@ func TestPipelineMatchesLegacyRunBitForBit(t *testing.T) {
 	for _, spec := range pipelineMatrix() {
 		want := stripResult(legacyRun(t, spec))
 		for _, jobs := range []int{0, 1, 3} {
-			s := spec
-			s.Jobs = jobs
-			got, err := Run(s)
+			got, err := runOne[*Result](spec, spec.Name, jobs, NewRunner)
 			if err != nil {
 				t.Fatalf("%s jobs=%d: %v", spec.Name, jobs, err)
 			}
@@ -129,8 +127,7 @@ func TestDynamicPipelineMatchesLegacyBitForBit(t *testing.T) {
 	want := stripDynamic(legacyRunDynamic(t, dynamicSpecForTest()))
 	for _, jobs := range []int{1, 4, 64} { // 64: budget left over for each trial's epoch window
 		s := dynamicSpecForTest()
-		s.Jobs = jobs
-		got, err := RunDynamic(s)
+		got, err := runOne[*DynamicResult](s, s.Name, jobs, NewDynamicRunner)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -248,17 +245,14 @@ func TestPlanAggregatesInvariantAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestJobsValidation pins the budget knob's validation.
+// TestJobsValidation pins the budget's validation, wherever it is given.
 func TestJobsValidation(t *testing.T) {
-	spec := pipelineMatrix()[0]
-	spec.Jobs = -1
-	if _, err := Run(spec); err == nil {
-		t.Error("negative Spec.Jobs accepted")
+	if _, err := RunAll(pipelineMatrix()[:1], -1); err == nil {
+		t.Error("negative RunAll jobs accepted")
 	}
 	d := dynamicSpecForTest()
-	d.Jobs = -2
-	if _, err := RunDynamic(d); err == nil {
-		t.Error("negative DynamicSpec.Jobs accepted")
+	if _, err := runOne[*DynamicResult](d, d.Name, -2, NewDynamicRunner); err == nil {
+		t.Error("negative dynamic jobs accepted")
 	}
 	r := redTeamSpecForTest()
 	r.Jobs = -3

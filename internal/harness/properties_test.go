@@ -156,16 +156,12 @@ func buildForInspection(spec *Spec) (*Scenario, []rounds.Protocol, []*nectar.Nod
 	return sc, run.Protos, run.Nodes, nil
 }
 
-// runEngine drives a stack built by buildForInspection through the spec's
+// runEngine drives a stack built by buildForInspection through the n-1
 // round horizon.
 func runEngine(spec *Spec, sc *Scenario, protos []rounds.Protocol) error {
-	r := spec.Rounds
-	if r == 0 {
-		r = sc.Graph.N() - 1
-	}
 	_, err := rounds.Run(rounds.Config{
 		Graph:   sc.Graph,
-		Rounds:  r,
+		Rounds:  sc.Graph.N() - 1,
 		Seed:    spec.Seed,
 		Workers: 1,
 	}, protos)

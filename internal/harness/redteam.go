@@ -49,8 +49,6 @@ type RedTeamSpec struct {
 	Seed int64
 	// SchemeName selects the signature scheme ("" = "hmac").
 	SchemeName string
-	// Rounds overrides the engine horizon (0 = n-1).
-	Rounds int
 	// Jobs is the parallelism budget for the per-candidate evaluation
 	// trials (0 = GOMAXPROCS). The search scores one candidate at a
 	// time, so the budget flows into each candidate's trials. Never
@@ -212,7 +210,7 @@ func redTeamMetrics(spec *RedTeamSpec, g *graph.Graph, p redteam.Placement, jobs
 	// first or last, and whether the search is exact or sampled.
 	pSeed := spec.Seed ^ int64(placementHash(p))
 	sc := redTeamScenario(g, p, pSeed)
-	res, err := Run(Spec{
+	res, err := runOne[*Result](Spec{
 		Name:       spec.Name,
 		Protocol:   spec.Protocol,
 		Attack:     spec.Attack,
@@ -221,9 +219,7 @@ func redTeamMetrics(spec *RedTeamSpec, g *graph.Graph, p redteam.Placement, jobs
 		Trials:     spec.Trials,
 		Seed:       pSeed,
 		SchemeName: spec.SchemeName,
-		Rounds:     spec.Rounds,
-		Jobs:       jobs,
-	})
+	}, spec.Name, jobs, NewRunner)
 	if err != nil {
 		return redteam.EvalMetrics{}, err
 	}

@@ -45,7 +45,7 @@ func captureDynamic(t *testing.T) []obs.Event {
 	}
 	rec := obs.NewRecorder(nil)
 	if _, err := nectar.SimulateDynamic(nectar.DynamicConfig{
-		Schedule: sched, T: 1, Seed: 7, Epochs: 2, EpochRounds: 9,
+		Schedule: sched, T: 1, Seed: 7, Epochs: 2,
 		SchemeName: "hmac", Workers: 1, Tracer: rec,
 	}); err != nil {
 		t.Fatal(err)

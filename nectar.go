@@ -19,6 +19,11 @@
 //     trials, attacks, accuracy/agreement/cost statistics.
 //   - Node + RunTCP: a single protocol state machine to embed in a real
 //     deployment, and a TCP runner for it.
+//
+// Every simulated run takes Alg. 1's horizon of n-1 rounds, which the
+// engine cuts short once every node is quiescent; only a Node's Config sets
+// another. An experiment's parallelism budget is an argument of
+// RunExperiments, never a field of its spec.
 package nectar
 
 import (

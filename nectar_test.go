@@ -3,6 +3,8 @@ package nectar
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -193,12 +195,13 @@ func TestFacadeNodeConstruction(t *testing.T) {
 }
 
 // TestRoundsBeyondTheWireLimit: a chain's hop count travels as a uint16 and
-// grows by one per round, so a horizon past 65 535 rounds — given, or the
-// default n-1 — would wrap it and lose liveness silently; and a view packs
-// each endpoint of an edge into 16 bits, so n stops at 65 536 even under a
-// short horizon. NewNode refuses either, and so do Simulate and
-// SimulateDynamic, with the same error and before they generate a key (the
-// large-n rows would otherwise spend seconds on Ed25519 key pairs first).
+// grows by one per round, so a horizon past 65 535 rounds — given to a
+// node, or the default n-1 — would wrap it and lose liveness silently; and
+// a view packs each endpoint of an edge into 16 bits, so n stops at 65 536
+// even under a short horizon. NewNode refuses either, and Simulate and
+// SimulateDynamic, which run n-1 rounds, refuse a too-large n with the
+// same error and before they generate a key (the large-n rows would
+// otherwise spend seconds on Ed25519 key pairs first).
 func TestRoundsBeyondTheWireLimit(t *testing.T) {
 	const limit = 1<<16 - 1
 	scheme := NewHMACScheme(2, 1)
@@ -227,22 +230,52 @@ func TestRoundsBeyondTheWireLimit(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("NewNode(N=%d, Rounds=%d): err = %v, want ok = %v", tc.n, tc.rounds, err, tc.ok)
 		}
-		if tc.ok && tc.n > 8 {
-			continue // a whole system of that size is not a unit test
-		}
 		want := fmt.Sprint(err)
 		if !tc.ok && !strings.Contains(want, tc.names) {
 			t.Errorf("NewNode(N=%d, Rounds=%d): error %q does not name the limit", tc.n, tc.rounds, want)
 		}
+		if tc.rounds != 0 || (tc.ok && tc.n > 8) {
+			continue // the drivers take no horizon; a whole system of that size is not a unit test
+		}
 		g := NewGraph(tc.n)
 		g.AddEdge(0, 1)
-		_, err = Simulate(SimulationConfig{Graph: g, T: 1, Rounds: tc.rounds})
+		_, err = Simulate(SimulationConfig{Graph: g, T: 1})
 		if got := fmt.Sprint(err); got != want {
-			t.Errorf("Simulate(n=%d, Rounds=%d): err = %s, want %s", tc.n, tc.rounds, got, want)
+			t.Errorf("Simulate(n=%d): err = %s, want %s", tc.n, got, want)
 		}
-		_, err = SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(g), T: 1, EpochRounds: tc.rounds, Epochs: 1})
-		if got := fmt.Sprint(err); got != want && tc.rounds >= 0 { // a negative EpochRounds has the dynamic layer's own error
-			t.Errorf("SimulateDynamic(n=%d, EpochRounds=%d): err = %s, want %s", tc.n, tc.rounds, got, want)
+		_, err = SimulateDynamic(DynamicConfig{Schedule: StaticSchedule(g), T: 1, Epochs: 1})
+		if got := fmt.Sprint(err); got != want {
+			t.Errorf("SimulateDynamic(n=%d): err = %s, want %s", tc.n, got, want)
 		}
+	}
+}
+
+// TestKnobCensus pins the exported fields of the three run configurations:
+// adding a knob is a reviewed edit of this list, not a side effect. The
+// horizon is n-1 everywhere (Alg. 1) and an experiment's parallelism budget
+// is an argument of RunExperiments, so neither is a field.
+func TestKnobCensus(t *testing.T) {
+	total := 0
+	for _, c := range []struct {
+		config any
+		want   []string
+	}{
+		{SimulationConfig{}, []string{"Graph", "T", "Seed", "SchemeName", "Byzantine", "Blocked", "Workers", "Tracer"}},
+		{DynamicConfig{}, []string{"Schedule", "T", "Seed", "SchemeName", "Epochs", "Byzantine", "Blocked", "Workers", "Tracer"}},
+		{ExperimentSpec{}, []string{"Name", "Protocol", "Attack", "Scenario", "T", "Trials", "Seed", "SchemeName", "LossRate"}},
+	} {
+		var got []string
+		for _, f := range reflect.VisibleFields(reflect.TypeOf(c.config)) {
+			if f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%T fields %v, want %v", c.config, got, c.want)
+		}
+		total += len(got)
+	}
+	if total != 26 {
+		t.Errorf("%d exported fields in all, want 26", total)
 	}
 }

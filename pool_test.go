@@ -18,6 +18,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/nectar-repro/nectar/internal/dynamic"
+	"github.com/nectar-repro/nectar/internal/harness"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/rounds"
 	"github.com/nectar-repro/nectar/internal/sig"
@@ -46,12 +48,21 @@ func dirtyPools(t *testing.T) {
 	for _, cfg := range []SimulationConfig{
 		{Graph: g, T: 3, Seed: 99, SchemeName: "slim", Byzantine: map[NodeID]AttackKind{4: AttackGarbage}},
 		{Graph: g, T: 3, Seed: 98, SchemeName: "hmac", Byzantine: map[NodeID]AttackKind{9: AttackStale}},
-		{Graph: Ring(5), T: 1, Seed: 97, SchemeName: "hmac", Rounds: 1}, // cut short: queues loaded at Decide
 	} {
 		if _, err := Simulate(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Cut short after one round: relay queues are still loaded at Decide.
+	ring := Ring(5)
+	run, err := harness.BuildNectar(harness.NectarConfig{Graph: ring, T: 1, Scheme: NewHMACScheme(5, 97), Rounds: 1, Seed: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rounds.Run(rounds.Config{Graph: ring, Rounds: 1, Seed: 97}, run.Protos); err != nil {
+		t.Fatal(err)
+	}
+	run.Finish(NewDecideCache(), nil, 0)
 }
 
 // TestWarmPoolsEquivalenceProperty: for a slice of the engine-equivalence
@@ -213,9 +224,11 @@ func TestFailedDynamicBuildLeavesNoTrace(t *testing.T) {
 	}
 	// Split-brain without a Blocked set fails in harness.BuildNectar, after
 	// BuildNodes — but only once the node is present to be wrapped.
-	lateFailure := good
-	lateFailure.Blocked = nil
-	if _, err := SimulateDynamic(lateFailure); err == nil || !strings.Contains(err.Error(), "epoch 3") {
+	// SimulateDynamic refuses it up front, so its stack is driven directly.
+	build, release := harness.NectarEpochs(harness.NectarConfig{T: 1, Byzantine: good.Byzantine}, "hmac", nil, nil)
+	_, err = dynamic.Run(dynamic.Config{Schedule: sched, T: 1, Seed: 2, Epochs: 6, Workers: 4}, build)
+	release()
+	if err == nil || !strings.Contains(err.Error(), "epoch 3") {
 		t.Fatalf("bad config: got error %v, want a failure at epoch 3", err)
 	}
 	got, err := SimulateDynamic(good)

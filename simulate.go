@@ -23,8 +23,6 @@ type SimulationConfig struct {
 	// SchemeName selects signatures: "" = "ed25519" (Simulate favors
 	// fidelity; use "hmac" for speed on large graphs).
 	SchemeName string
-	// Rounds overrides the n-1 round horizon (0 = default).
-	Rounds int
 	// Byzantine assigns attacks to Byzantine nodes (may be empty): any
 	// NECTAR attack but AttackNone.
 	Byzantine map[NodeID]AttackKind
@@ -67,7 +65,7 @@ type SimulationResult struct {
 	// §5).
 	BytesSent      []int64
 	BytesBroadcast []int64
-	// Rounds is the configured round horizon (n-1 unless overridden).
+	// Rounds is the round horizon, n-1 (Alg. 1).
 	Rounds int
 	// ActiveRounds is the number of rounds the engine actually executed:
 	// less than Rounds when every node went quiescent early (§IV-E), in
@@ -90,7 +88,7 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("nectar: empty graph")
 	}
-	if err := inectar.CheckRounds(n, cfg.Rounds); err != nil {
+	if err := inectar.CheckRounds(n, 0); err != nil {
 		return nil, err
 	}
 	schemeName, err := resolveSchemeName(cfg.SchemeName)
@@ -103,20 +101,16 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	}
 	run, err := harness.BuildNectar(harness.NectarConfig{
 		Graph: cfg.Graph, T: cfg.T, Scheme: sig.ByName(schemeName, n, cfg.Seed),
-		Rounds: cfg.Rounds, Seed: cfg.Seed, Byzantine: cfg.Byzantine, Blocked: blocked,
+		Seed: cfg.Seed, Byzantine: cfg.Byzantine, Blocked: blocked,
 		NoVerifyCache: cfg.noVerifyCache, ParanoidVerify: cfg.paranoidVerify,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer run.Release() // the engine's error path; a no-op after Finish
-	r := cfg.Rounds
-	if r == 0 {
-		r = n - 1
-	}
 	metrics, err := rounds.Run(rounds.Config{
 		Graph:       cfg.Graph,
-		Rounds:      r,
+		Rounds:      n - 1,
 		Seed:        cfg.Seed,
 		FullHorizon: cfg.fullHorizon,
 		Workers:     cfg.Workers,
@@ -131,7 +125,7 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	res := &SimulationResult{
 		BytesSent:      metrics.BytesSent,
 		BytesBroadcast: metrics.BytesBroadcast,
-		Rounds:         r,
+		Rounds:         n - 1,
 		ActiveRounds:   metrics.ActiveRounds,
 		FastPath:       fastPath,
 	}
@@ -181,9 +175,9 @@ func byzantineAttacks() []AttackKind {
 
 // checkByzantine validates a Byzantine assignment for an n-node system with
 // bound t — t ≥ 0, attacks from byzantineAttacks, in-range IDs, count within
-// t, and Blocked entries only for split-brain nodes (anything else would
-// silently no-op) — and converts the Blocked lists to sets. A split-brain
-// node with no Blocked targets gets no set, which BuildNectar rejects.
+// t, and in-range Blocked targets for split-brain nodes only, each with a
+// target other than itself (anything else would silently no-op) — and
+// converts the Blocked lists to sets.
 func checkByzantine(n, t int, byzantine map[NodeID]AttackKind, blocked map[NodeID][]NodeID) (map[NodeID]ids.Set, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("nectar: negative T %d", t)
@@ -194,6 +188,9 @@ func checkByzantine(n, t int, byzantine map[NodeID]AttackKind, blocked map[NodeI
 		}
 		if valid := byzantineAttacks(); !slices.Contains(valid, a) {
 			return nil, fmt.Errorf("nectar: node %v has unknown attack %q (valid: %v)", b, a, valid)
+		}
+		if a == AttackSplitBrain && !slices.ContainsFunc(blocked[b], func(to NodeID) bool { return to != b }) {
+			return nil, fmt.Errorf("nectar: split-brain node %v has no Blocked target but itself", b)
 		}
 	}
 	if len(byzantine) > t {
@@ -210,9 +207,7 @@ func checkByzantine(n, t int, byzantine map[NodeID]AttackKind, blocked map[NodeI
 				return nil, fmt.Errorf("nectar: Blocked target %v of node %v out of range", to, b)
 			}
 		}
-		if len(targets) > 0 {
-			sets[b] = ids.NewSet(targets...)
-		}
+		sets[b] = ids.NewSet(targets...)
 	}
 	return sets, nil
 }
