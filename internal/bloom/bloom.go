@@ -24,11 +24,21 @@ type Filter struct {
 // 64) and the given number of hash functions. It panics on non-positive
 // parameters (filter geometry is static configuration, not runtime input).
 func New(mBits, hashes int) *Filter {
-	if mBits <= 0 || hashes <= 0 {
-		panic(fmt.Sprintf("bloom: invalid geometry mBits=%d hashes=%d", mBits, hashes))
+	f := Over(make([]uint64, Words(mBits)), hashes)
+	return &f
+}
+
+// Words returns the number of 64-bit words a filter of mBits bits takes.
+func Words(mBits int) int { return (mBits + 63) / 64 }
+
+// Over returns an empty filter of len(words)·64 bits stored in words, which
+// must be zero, so many filters can be windows of one slab. It panics on
+// empty words or non-positive hashes, as New does.
+func Over(words []uint64, hashes int) Filter {
+	if len(words) == 0 || hashes <= 0 {
+		panic(fmt.Sprintf("bloom: invalid geometry mBits=%d hashes=%d", 64*len(words), hashes))
 	}
-	words := (mBits + 63) / 64
-	return &Filter{bits: make([]uint64, words), mBits: words * 64, hashes: hashes}
+	return Filter{bits: words, mBits: 64 * len(words), hashes: hashes}
 }
 
 // MBits returns the filter width in bits.
@@ -72,18 +82,6 @@ func (f *Filter) MightContain(id ids.NodeID) bool {
 		}
 	})
 	return ok
-}
-
-// Union merges other into f. Filters must share geometry.
-func (f *Filter) Union(other *Filter) error {
-	if other.mBits != f.mBits || other.hashes != f.hashes {
-		return fmt.Errorf("bloom: geometry mismatch (%d/%d vs %d/%d)",
-			f.mBits, f.hashes, other.mBits, other.hashes)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	return nil
 }
 
 // Fill sets every bit — the §V-D Byzantine poisoning: a full filter claims
@@ -149,9 +147,9 @@ func (f *Filter) UnmarshalInto(data []byte) error {
 	return nil
 }
 
-// UnionBinary merges a MarshalBinary encoding into f in place — Union with
-// the filter UnmarshalInto would decode, without building it. data must
-// match f's geometry; on a length mismatch f is left unchanged.
+// UnionBinary merges a MarshalBinary encoding into f in place: the bitwise
+// OR with the filter UnmarshalInto would decode, without building it. data
+// must match f's geometry; on a length mismatch f is left unchanged.
 func (f *Filter) UnionBinary(data []byte) error {
 	if len(data) != f.ByteSize() {
 		return fmt.Errorf("bloom: %d bytes for a %d-byte filter", len(data), f.ByteSize())

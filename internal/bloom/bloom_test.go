@@ -2,12 +2,26 @@ package bloom
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/nectar-repro/nectar/internal/ids"
 )
+
+// Union merges other into f: the reference UnionBinary is held to. Filters
+// must share geometry.
+func (f *Filter) Union(other *Filter) error {
+	if other.mBits != f.mBits || other.hashes != f.hashes {
+		return fmt.Errorf("bloom: geometry mismatch (%d/%d vs %d/%d)",
+			f.mBits, f.hashes, other.mBits, other.hashes)
+	}
+	for i := range f.bits {
+		f.bits[i] |= other.bits[i]
+	}
+	return nil
+}
 
 func TestNoFalseNegatives(t *testing.T) {
 	f := New(256, 3)

@@ -9,9 +9,9 @@ import (
 )
 
 // baselinesDigest is the SHA-256 of every baselinePins row's Trial results.
-// It changes only when what MtG or MtGv2 put on the wire, draw from their
-// RNGs, meter or decide changes.
-const baselinesDigest = "be5f7ee9c8e6e0605d3a00919eb92dae22796e2a462ac473846c0ced34bd08b7"
+// It changes only when what MtG or MtGv2 put on the wire, whom they draw as
+// partners, what they meter or what they decide changes.
+const baselinesDigest = "7e560f71c89d71864bb88947f291f7f0d93003ee4843ee6b2fbfbb0ad0bae1b7"
 
 // baselinePins lists the pinned baseline runs: MtG and MtGv2 under every
 // attack the catalogue defines for each, on Harary(4,12) with a random
@@ -53,7 +53,7 @@ func baselinePins() []Spec {
 }
 
 // TestBaselinesPinned holds the baselines' results to a golden digest: any
-// change to their wire bytes, RNG streams, metering or decisions moves it.
+// change to their wire bytes, partner draws, metering or decisions moves it.
 // The per-row digests it logs locate a mismatch against a known-good run.
 func TestBaselinesPinned(t *testing.T) {
 	h := sha256.New()

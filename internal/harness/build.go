@@ -206,62 +206,44 @@ func (r *NectarRun) Release() {
 	r.vcache = nil
 }
 
-// baselineNode is an MtG or MtGv2 node.
-type baselineNode interface {
-	rounds.Protocol
-	Decide() mtg.Outcome
-}
-
 func buildMtG(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
-	g := sc.Graph
-	return buildBaseline(spec, sc, trialSeed, nil, func(me ids.NodeID) (baselineNode, error) {
-		return mtg.NewNode(mtg.Config{
-			N: g.N(), Me: me,
-			Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
-			Seed:      trialSeed,
-		})
-	})
+	nodes, err := mtg.BuildNodes(sc.Graph, trialSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return wrapBaseline(spec, sc, trialSeed, nil, nodes)
 }
 
 func buildMtGv2(spec *Spec, sc *Scenario, trialSeed int64) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
-	g := sc.Graph
-	scheme := trialScheme(spec, g.N(), trialSeed)
-	return buildBaseline(spec, sc, trialSeed, scheme, func(me ids.NodeID) (baselineNode, error) {
-		return mtg.NewNodeV2(mtg.ConfigV2{
-			N: g.N(), Me: me,
-			Neighbors: append([]ids.NodeID(nil), g.Neighbors(me)...),
-			Signer:    scheme.SignerFor(me),
-			Verifier:  scheme.Verifier(),
-			Seed:      trialSeed,
-		})
-	})
+	scheme := trialScheme(spec, sc.Graph.N(), trialSeed)
+	nodes, err := mtg.BuildNodesV2(sc.Graph, scheme, trialSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return wrapBaseline(spec, sc, trialSeed, scheme, nodes)
 }
 
-// buildBaseline wires a baseline trial: newNode builds each vertex's node,
-// then every Byzantine node goes behind the spec's attack.
-func buildBaseline(spec *Spec, sc *Scenario, trialSeed int64, scheme sig.Scheme, newNode func(ids.NodeID) (baselineNode, error)) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
-	g := sc.Graph
-	protos := make([]rounds.Protocol, g.N())
-	nodes := make([]baselineNode, g.N())
-	for i := range protos {
-		nd, err := newNode(ids.NodeID(i))
-		if err != nil {
-			return nil, nil, err
-		}
-		nodes[i], protos[i] = nd, nd
+// wrapBaseline wires a baseline trial from its built nodes: every
+// Byzantine node goes behind the spec's attack.
+func wrapBaseline[T any, P interface {
+	*T
+	rounds.Protocol
+	Decide() mtg.Outcome
+}](spec *Spec, sc *Scenario, trialSeed int64, scheme sig.Scheme, nodes []T) ([]rounds.Protocol, func() ([]nodeDecision, obs.FastPath), error) {
+	protos := make([]rounds.Protocol, len(nodes))
+	for i := range nodes {
+		protos[i] = P(&nodes[i])
 	}
-	c := &wrapCtx{g: g, blocked: sc.Blocked, seed: trialSeed, scheme: scheme, rounds: spec.rounds}
+	c := &wrapCtx{g: sc.Graph, blocked: sc.Blocked, seed: trialSeed, scheme: scheme, rounds: spec.rounds}
 	if err := c.wrap(spec.Protocol, protos, sc.attacks(spec.Attack), nil); err != nil {
 		return nil, nil, err
 	}
 	finish := func() ([]nodeDecision, obs.FastPath) {
-		out := make([]nodeDecision, g.N())
-		for i, nd := range nodes {
-			if sc.Byz.Has(ids.NodeID(i)) {
-				continue
+		out := make([]nodeDecision, len(nodes))
+		for i := range nodes {
+			if !sc.Byz.Has(ids.NodeID(i)) {
+				out[i] = nodeDecision{detected: P(&nodes[i]).Decide().Partitioned}
 			}
-			o := nd.Decide()
-			out[i] = nodeDecision{detected: o.Partitioned}
 		}
 		return out, obs.FastPath{}
 	}

@@ -3,7 +3,6 @@ package mtg
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -14,49 +13,78 @@ import (
 	"github.com/nectar-repro/nectar/internal/topology"
 )
 
-// refPick is gossip-partner selection by a fresh rand.Perm per round: what
-// partners.pick must reproduce draw for draw.
-func refPick(rng *rand.Rand, neighbors []ids.NodeID) []ids.NodeID {
-	if len(neighbors) <= 1 {
-		return neighbors
+// TestPartnerDependsOnlyOnItsKeys: a pick is a function of (seed, me,
+// round) and the degree alone — the same drawn forwards, backwards or
+// twice — and a node with one neighbour picks it, one with none nothing.
+func TestPartnerDependsOnlyOnItsKeys(t *testing.T) {
+	const rounds = 64
+	for degree := 2; degree <= 40; degree++ {
+		for _, seed := range []int64{0, 1, -7, 1 << 40} {
+			me := ids.NodeID(degree * 3)
+			fwd := make([]int, rounds)
+			for r := range fwd {
+				fwd[r] = partner(seed, me, r, degree)
+				if fwd[r] < 0 || fwd[r] >= degree {
+					t.Fatalf("degree %d: round %d picks position %d", degree, r, fwd[r])
+				}
+			}
+			for r := rounds - 1; r >= 0; r-- {
+				if got := partner(seed, me, r, degree); got != fwd[r] {
+					t.Fatalf("degree %d seed %d: round %d picks %d drawn backwards, %d forwards", degree, seed, r, got, fwd[r])
+				}
+			}
+		}
 	}
-	return []ids.NodeID{neighbors[rng.Perm(len(neighbors))[0]]}
-}
-
-// TestPartnersMatchRandPerm: the in-place draw picks the partner a fresh
-// rand.Perm would, round after round, and leaves the RNG where Perm leaves
-// it.
-func TestPartnersMatchRandPerm(t *testing.T) {
-	for k := 0; k <= 40; k++ {
-		neighbors := make([]ids.NodeID, k)
-		for i := range neighbors {
-			neighbors[i] = ids.NodeID(3 * i) // positions and IDs differ
+	for r := range 10 {
+		if got := partner(3, 4, r, 1); got != 0 {
+			t.Errorf("one neighbour: round %d picks %d, want 0", r, got)
 		}
-		seed := int64(1000 * k)
-		p := newPartners(seed, 7, k)
-		ref := rand.New(rand.NewSource(seed ^ 7<<32))
-		for round := 0; round < 3; round++ {
-			want := refPick(ref, neighbors)
-			var got []ids.NodeID
-			if pos := p.pick(); pos >= 0 {
-				got = append(got, neighbors[pos])
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("k=%d round %d: picked %v, rand.Perm picks %v", k, round, got, want)
-			}
-		}
-		if a, b := p.rng.Int63(), ref.Int63(); a != b {
-			t.Fatalf("k=%d: next draw %d, rand.Perm's stream gives %d", k, a, b)
+		if got := partner(3, 4, r, 0); got != -1 {
+			t.Errorf("no neighbour: round %d picks %d, want -1", r, got)
 		}
 	}
 }
 
-// refV2 is an MtGv2 node as the reference codec defines it: partners by
-// rand.Perm, batches by EncodeBatch over a map of held credentials, and
+// TestPartnerIsUniform: over every key a pick draws from — seed, node and
+// round — each position of a list of 2–5 neighbours is picked, at counts a
+// χ² test (p = 0.001) cannot tell from uniform. A draw that ignores a key,
+// or a constant one, fails it.
+func TestPartnerIsUniform(t *testing.T) {
+	// χ² critical values at p = 0.001 for 1–4 degrees of freedom.
+	critical := map[int]float64{2: 10.83, 3: 13.82, 4: 16.27, 5: 18.47}
+	const perPosition = 4000
+	for degree := 2; degree <= 5; degree++ {
+		samples := perPosition * degree
+		for key := range 3 { // vary the seed, the node or the round
+			counts := make([]int, degree)
+			for i := range samples {
+				seed, me, round := int64(11), ids.NodeID(5), 9
+				switch key {
+				case 0:
+					seed = int64(i)
+				case 1:
+					me = ids.NodeID(i)
+				case 2:
+					round = i
+				}
+				counts[partner(seed, me, round, degree)]++
+			}
+			chi2 := 0.0
+			for _, c := range counts {
+				dev := float64(c - perPosition)
+				chi2 += dev * dev / perPosition
+			}
+			if chi2 > critical[degree] || slices.Contains(counts, 0) {
+				t.Errorf("degree %d, key %d: counts %v, χ² = %.1f (critical %.2f)", degree, key, counts, chi2, critical[degree])
+			}
+		}
+	}
+}
+
+// refV2 is an MtGv2 node as the reference codec defines it: batches by EncodeBatch over a map of held credentials, and
 // deliveries by DecodeBatch followed by the per-entry check.
 type refV2 struct {
 	cfg   ConfigV2
-	rng   *rand.Rand
 	known map[ids.NodeID][]byte
 	order []ids.NodeID
 	sent  map[ids.NodeID]int
@@ -77,28 +105,28 @@ func expand(sends []rounds.Send) []rounds.Send {
 func newRefV2(cfg ConfigV2) *refV2 {
 	return &refV2{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Me)<<32)),
 		known: map[ids.NodeID][]byte{cfg.Me: SignID(cfg.Signer)},
 		order: []ids.NodeID{cfg.Me},
 		sent:  map[ids.NodeID]int{},
 	}
 }
 
-func (r *refV2) emit() []rounds.Send {
-	var out []rounds.Send
-	for _, to := range refPick(r.rng, r.cfg.Neighbors) {
-		from := r.sent[to]
-		if from >= len(r.order) {
-			continue
-		}
-		var batch []SignedID
-		for _, id := range r.order[from:] {
-			batch = append(batch, SignedID{ID: id, Sig: r.known[id]})
-		}
-		r.sent[to] = len(r.order)
-		out = append(out, rounds.Send{To: []ids.NodeID{to}, Data: EncodeBatch(batch, r.cfg.Verifier.SigSize())})
+func (r *refV2) emit(round int) []rounds.Send {
+	k := partner(r.cfg.Seed, r.cfg.Me, round, len(r.cfg.Neighbors))
+	if k < 0 {
+		return nil
 	}
-	return out
+	to := r.cfg.Neighbors[k]
+	from := r.sent[to]
+	if from >= len(r.order) {
+		return nil
+	}
+	var batch []SignedID
+	for _, id := range r.order[from:] {
+		batch = append(batch, SignedID{ID: id, Sig: r.known[id]})
+	}
+	r.sent[to] = len(r.order)
+	return []rounds.Send{{To: []ids.NodeID{to}, Data: EncodeBatch(batch, r.cfg.Verifier.SigSize())}}
 }
 
 func (r *refV2) deliver(data []byte) {
@@ -178,7 +206,7 @@ func TestNodeV2MatchesReference(t *testing.T) {
 				outs := make([][]rounds.Send, n)
 				for i, nd := range nodes {
 					outs[i] = expand(nd.Emit(r))
-					want := refs[i].emit()
+					want := refs[i].emit(r)
 					if len(outs[i]) != len(want) {
 						t.Fatalf("round %d node %d: %d sends, reference %d", r, i, len(outs[i]), len(want))
 					}

@@ -15,8 +15,9 @@
 package mtg
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"github.com/nectar-repro/nectar/internal/bloom"
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -53,15 +54,14 @@ type Config struct {
 	// All nodes must agree on the geometry (static configuration).
 	FilterBits   int
 	FilterHashes int
-	// Seed drives gossip partner selection.
+	// Seed keys gossip partner selection.
 	Seed int64
 }
 
 // Node is a correct MindTheGap process.
 type Node struct {
-	cfg      Config
-	filter   *bloom.Filter
-	partners partners
+	cfg    Config
+	filter bloom.Filter
 	// payload and sendBuf hold the round's encoded filter and send; both
 	// are reused every round (the rounds.Protocol buffer contract).
 	payload []byte
@@ -72,23 +72,48 @@ var _ rounds.Protocol = (*Node)(nil)
 
 // NewNode validates cfg and builds an MtG node knowing only itself.
 func NewNode(cfg Config) (*Node, error) {
-	if err := validateBase(cfg.N, cfg.Me, cfg.Neighbors); err != nil {
+	n := new(Node)
+	if err := n.init(cfg, new(slabs)); err != nil {
 		return nil, err
 	}
-	if cfg.FilterBits == 0 {
-		cfg.FilterBits = DefaultFilterBits
-	}
-	if cfg.FilterHashes == 0 {
-		cfg.FilterHashes = DefaultFilterHashes
-	}
-	n := &Node{
-		cfg:      cfg,
-		filter:   bloom.New(cfg.FilterBits, cfg.FilterHashes),
-		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors)),
-	}
-	n.payload = make([]byte, 0, n.filter.ByteSize())
-	n.filter.Add(cfg.Me)
 	return n, nil
+}
+
+// BuildNodes builds the MtG node of every vertex of g, at the default
+// geometry and gossiping by seed, in one array: each node's neighbour
+// list, filter words, payload and send are windows of one slab per kind,
+// so a build allocates per run where NewNode allocates per node.
+func BuildNodes(g Neighborhoods, seed int64) ([]Node, error) {
+	n, words := g.N(), bloom.Words(DefaultFilterBits)
+	st := newSlabs(g)
+	st.words, st.bytes = make([]uint64, n*words), make([]byte, n*8*words)
+	nodes := make([]Node, n)
+	for i := range nodes {
+		me := ids.NodeID(i)
+		if err := nodes[i].init(Config{N: n, Me: me, Neighbors: st.list(g, me), Seed: seed}, st); err != nil {
+			return nil, err
+		}
+	}
+	return nodes, nil
+}
+
+// init is NewNode on a node the caller has allocated, its buffers taken
+// from st.
+func (n *Node) init(cfg Config, st *slabs) error {
+	if err := validateBase(cfg.N, cfg.Me, cfg.Neighbors); err != nil {
+		return err
+	}
+	cfg.FilterBits = cmp.Or(cfg.FilterBits, DefaultFilterBits)
+	cfg.FilterHashes = cmp.Or(cfg.FilterHashes, DefaultFilterHashes)
+	words := bloom.Words(cfg.FilterBits)
+	*n = Node{
+		cfg:     cfg,
+		filter:  bloom.Over(take(&st.words, words), cfg.FilterHashes),
+		payload: take(&st.bytes, 8*words)[:0],
+		sendBuf: take(&st.sends, 1)[:0],
+	}
+	n.filter.Add(cfg.Me)
+	return nil
 }
 
 // Emit implements rounds.Protocol: each round the node sends its current
@@ -96,7 +121,7 @@ func NewNode(cfg Config) (*Node, error) {
 // what makes MtG's network cost independent of topology, d and radius
 // (Fig. 4).
 func (n *Node) Emit(round int) []rounds.Send {
-	k := n.partners.pick()
+	k := partner(n.cfg.Seed, n.cfg.Me, round, len(n.cfg.Neighbors))
 	if k < 0 {
 		return nil
 	}
@@ -127,10 +152,9 @@ func (n *Node) Decide() Outcome {
 	return Outcome{Partitioned: known < n.cfg.N, Known: known}
 }
 
-// Filter exposes a copy of the node's filter (tests, examples).
-func (n *Node) Filter() *bloom.Filter { return n.filter.Clone() }
-
-// validateBase checks the fields shared by both baselines.
+// validateBase checks the fields shared by both baselines. A repeat is
+// searched for only behind a neighbour that does not ascend, so a graph's
+// sorted list is checked in one pass.
 func validateBase(n int, me ids.NodeID, neighbors []ids.NodeID) error {
 	if n <= 0 {
 		return fmt.Errorf("mtg: N must be positive, got %d", n)
@@ -138,46 +162,77 @@ func validateBase(n int, me ids.NodeID, neighbors []ids.NodeID) error {
 	if int(me) >= n {
 		return fmt.Errorf("mtg: Me=%v out of range [0,%d)", me, n)
 	}
-	seen := make(ids.Set, len(neighbors))
-	for _, nb := range neighbors {
+	for k, nb := range neighbors {
 		if nb == me || int(nb) >= n {
 			return fmt.Errorf("mtg: invalid neighbor %v", nb)
 		}
-		if seen.Has(nb) {
+		if k > 0 && nb <= neighbors[k-1] && slices.Contains(neighbors[:k], nb) {
 			return fmt.Errorf("mtg: duplicate neighbor %v", nb)
 		}
-		seen.Add(nb)
 	}
 	return nil
 }
 
-// partners draws a node's gossip partner each round as a position in its
-// neighbor list: the first element of a permutation drawn into a scratch
-// reused every round. It makes exactly the Intn draws rand.Perm(degree)
-// makes, so a node's RNG stream — and with it every later pick — is what a
-// fresh permutation per round would give.
-type partners struct {
-	rng  *rand.Rand
-	perm []int
+// Neighborhoods is what the builders read of a network: its size and each
+// vertex's neighbour list. A *graph.Graph is one.
+type Neighborhoods interface {
+	N() int
+	Neighbors(v ids.NodeID) []ids.NodeID
 }
 
-func newPartners(seed int64, me ids.NodeID, degree int) partners {
-	return partners{rng: rand.New(rand.NewSource(seed ^ int64(me)<<32)), perm: make([]int, degree)}
+// slabs is the storage nodes take their buffers from: a build sizes each for
+// all its nodes, a lone node's are empty (each take allocates its window).
+// A window is capped at its length, so an append to one cannot reach the next.
+type slabs struct {
+	lists []ids.NodeID
+	sends []rounds.Send
+	bytes []byte
+	words []uint64 // MtG's filters
+	known []bool   // MtGv2's credential flags
+	sent  []int    // MtGv2's per-neighbour counts
 }
 
-// pick returns this round's partner, or -1 for a node without neighbors. A
-// node with one neighbor picks it without a draw.
-func (p *partners) pick() int {
-	switch len(p.perm) {
-	case 0:
-		return -1
-	case 1:
-		return 0
+// newSlabs returns slabs holding g's neighbour lists and one send per node;
+// the builder sizes the rest.
+func newSlabs(g Neighborhoods) *slabs {
+	total := 0
+	for v := range g.N() {
+		total += len(g.Neighbors(ids.NodeID(v)))
 	}
-	for i := range p.perm { // rand.Perm, in place
-		j := p.rng.Intn(i + 1)
-		p.perm[i] = p.perm[j]
-		p.perm[j] = i
+	return &slabs{lists: make([]ids.NodeID, total), sends: make([]rounds.Send, g.N())}
+}
+
+// list returns a copy of v's neighbour list in g, taken from st.
+func (st *slabs) list(g Neighborhoods, v ids.NodeID) []ids.NodeID {
+	nb := g.Neighbors(v)
+	w := take(&st.lists, len(nb))
+	copy(w, nb)
+	return w
+}
+
+// take cuts the next k elements off *slab as a window capped at k, or
+// allocates the window when the slab is short.
+func take[T any](slab *[]T, k int) []T {
+	if len(*slab) < k {
+		return make([]T, k)
 	}
-	return p.perm[0]
+	w := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return w
+}
+
+// partner returns node me's gossip partner in round as a position in its
+// neighbour list, or -1 for a node without neighbours: a stateless draw,
+// the keys (seed, me, round) mixed by SplitMix64 as the engine's loss draw
+// mixes its own, the index drawn as its delivery shuffle draws one. One
+// neighbour is picked without a draw.
+func partner(seed int64, me ids.NodeID, round, degree int) int {
+	if degree < 2 {
+		return degree - 1
+	}
+	x := rounds.SplitMix64(uint64(seed) ^ 0x6d74672d70617274) // "mtg-part"
+	x = rounds.SplitMix64(x ^ uint64(me))
+	x = rounds.SplitMix64(x ^ uint64(round))
+	k, _ := rounds.DrawBelow(x, uint64(degree))
+	return int(k)
 }

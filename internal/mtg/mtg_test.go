@@ -2,6 +2,8 @@ package mtg
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -76,7 +78,7 @@ func TestMtGCostIsTopologyIndependent(t *testing.T) {
 	epoch := 20
 	sparse, mSparse := runMtG(t, topology.Ring(10), epoch)
 	_, mDense := runMtG(t, topology.Complete(10), epoch)
-	per := int64(epoch) * int64(sparse[0].Filter().ByteSize()+rounds.DefaultMsgOverhead)
+	per := int64(epoch) * int64(sparse[0].filter.ByteSize()+rounds.DefaultMsgOverhead)
 	for i := range mSparse.BytesSent {
 		if mSparse.BytesSent[i] != per || mDense.BytesSent[i] != per {
 			t.Fatalf("node %d: sparse=%d dense=%d, want %d",
@@ -96,24 +98,137 @@ func TestMtGIgnoresMalformedFilters(t *testing.T) {
 	}
 }
 
+// neighborRows are the neighbour lists every constructor and builder must
+// refuse for node 0 of 4, with the error each gives.
+var neighborRows = []struct {
+	name      string
+	neighbors []ids.NodeID
+	want      string
+}{
+	{"self neighbor", []ids.NodeID{1, 0}, "mtg: invalid neighbor p0"},
+	{"dup neighbor", []ids.NodeID{1, 1}, "mtg: duplicate neighbor p1"},
+	{"dup neighbor unsorted", []ids.NodeID{3, 1, 2, 1}, "mtg: duplicate neighbor p1"},
+	{"neighbor out of range", []ids.NodeID{8}, "mtg: invalid neighbor p8"},
+}
+
 func TestMtGValidation(t *testing.T) {
 	base := Config{N: 4, Me: 0, Neighbors: []ids.NodeID{1}}
 	cases := []struct {
 		name string
 		mut  func(Config) Config
+		want string
 	}{
-		{"zero N", func(c Config) Config { c.N = 0; return c }},
-		{"me out of range", func(c Config) Config { c.Me = 9; return c }},
-		{"self neighbor", func(c Config) Config { c.Neighbors = []ids.NodeID{0}; return c }},
-		{"dup neighbor", func(c Config) Config { c.Neighbors = []ids.NodeID{1, 1}; return c }},
-		{"neighbor out of range", func(c Config) Config { c.Neighbors = []ids.NodeID{8}; return c }},
+		{"zero N", func(c Config) Config { c.N = 0; return c }, "mtg: N must be positive, got 0"},
+		{"me out of range", func(c Config) Config { c.Me = 9; return c }, "mtg: Me=p9 out of range [0,4)"},
+	}
+	for _, row := range neighborRows {
+		nbrs := row.neighbors
+		cases = append(cases, struct {
+			name string
+			mut  func(Config) Config
+			want string
+		}{row.name, func(c Config) Config { c.Neighbors = nbrs; return c }, row.want})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewNode(tc.mut(base)); err == nil {
-				t.Error("invalid config accepted")
+			if _, err := NewNode(tc.mut(base)); err == nil || err.Error() != tc.want {
+				t.Errorf("got error %v, want %q", err, tc.want)
 			}
 		})
+	}
+	if _, err := NewNode(Config{N: 4, Me: 0, Neighbors: []ids.NodeID{3, 1, 2}}); err != nil {
+		t.Errorf("unsorted distinct neighbours rejected: %v", err)
+	}
+}
+
+// badNeighborhoods is a 4-vertex network whose vertex 0 has the given list.
+type badNeighborhoods []ids.NodeID
+
+func (b badNeighborhoods) N() int { return 4 }
+
+func (b badNeighborhoods) Neighbors(v ids.NodeID) []ids.NodeID {
+	if v == 0 {
+		return b
+	}
+	return nil
+}
+
+// isolated is a network of that many vertices and no edges.
+type isolated int
+
+func (n isolated) N() int                          { return int(n) }
+func (isolated) Neighbors(ids.NodeID) []ids.NodeID { return nil }
+
+// TestBuildersRejectBadNeighbors: both slab builders refuse what NewNode
+// and NewNodeV2 refuse, with the same error.
+func TestBuildersRejectBadNeighbors(t *testing.T) {
+	scheme := sig.NewHMAC(4, 1)
+	for _, row := range neighborRows {
+		g := badNeighborhoods(row.neighbors)
+		if _, err := BuildNodes(g, 1); err == nil || err.Error() != row.want {
+			t.Errorf("BuildNodes, %s: got error %v, want %q", row.name, err, row.want)
+		}
+		if _, err := BuildNodesV2(g, scheme, 1); err == nil || err.Error() != row.want {
+			t.Errorf("BuildNodesV2, %s: got error %v, want %q", row.name, err, row.want)
+		}
+	}
+}
+
+// TestBuildersMatchNewNode: a run of slab-built nodes is a run of nodes
+// built one by one — same metrics, same decisions — so the windows a build
+// hands out neither overlap nor change what a node does.
+func TestBuildersMatchNewNode(t *testing.T) {
+	g, err := topology.Harary(4, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(protos []rounds.Protocol) *rounds.Metrics {
+		m, err := rounds.Run(rounds.Config{Graph: g, Rounds: 6, Seed: 3}, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	n, scheme := g.N(), sig.NewHMAC(12, 2)
+	built, err := BuildNodes(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtV2, err := BuildNodesV2(g, scheme, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, oneV2 := make([]*Node, n), make([]*NodeV2, n)
+	protos := make([][]rounds.Protocol, 4)
+	for i := range n {
+		me := ids.NodeID(i)
+		nbrs := append([]ids.NodeID(nil), g.Neighbors(me)...)
+		if one[i], err = NewNode(Config{N: n, Me: me, Neighbors: nbrs, Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if oneV2[i], err = NewNodeV2(ConfigV2{N: n, Me: me, Neighbors: nbrs, Signer: scheme.SignerFor(me), Verifier: scheme.Verifier(), Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
+		protos[0] = append(protos[0], &built[i])
+		protos[1] = append(protos[1], one[i])
+		protos[2] = append(protos[2], &builtV2[i])
+		protos[3] = append(protos[3], oneV2[i])
+	}
+	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
+		if a, b := run(protos[pair[0]]), run(protos[pair[1]]); !reflect.DeepEqual(a, b) {
+			t.Errorf("runs %v: built metrics %+v, one by one %+v", pair, a, b)
+		}
+	}
+	for i := range n {
+		if a, b := built[i].Decide(), one[i].Decide(); a != b {
+			t.Errorf("MtG node %d: built decides %+v, one by one %+v", i, a, b)
+		}
+		if a, b := builtV2[i].Decide(), oneV2[i].Decide(); a != b {
+			t.Errorf("MtGv2 node %d: built decides %+v, one by one %+v", i, a, b)
+		}
+		if !slices.Equal(builtV2[i].discovered(), oneV2[i].discovered()) {
+			t.Errorf("MtGv2 node %d: built holds %v, one by one %v", i, builtV2[i].discovered(), oneV2[i].discovered())
+		}
 	}
 }
 
@@ -282,5 +397,16 @@ func TestMtGv2Validation(t *testing.T) {
 	bad.N = math.MaxUint16
 	if _, err := NewNodeV2(bad); err != nil {
 		t.Errorf("N = %d rejected: %v", bad.N, err)
+	}
+	// The builder refuses it before sizing a slab of n² flags.
+	if _, err := BuildNodesV2(isolated(math.MaxUint16+1), scheme, 1); err == nil {
+		t.Error("BuildNodesV2: n past a batch's u16 count accepted")
+	}
+	for _, row := range neighborRows {
+		bad = good
+		bad.Neighbors = row.neighbors
+		if _, err := NewNodeV2(bad); err == nil || err.Error() != row.want {
+			t.Errorf("%s: got error %v, want %q", row.name, err, row.want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/rounds"
 	"github.com/nectar-repro/nectar/internal/sig"
-	"github.com/nectar-repro/nectar/internal/wire"
 )
 
 // MtGv2: MtG hardened with signatures. Nodes flood signed process IDs
@@ -17,71 +16,12 @@ import (
 // relays (the §V-D split-brain attack measures exactly that).
 
 // idTag is the domain-separation prefix of every credential statement.
-var idTag = []byte("mtg-id-v1")
+const idTag = "mtg-id-v1"
 
 // appendIDStatement appends the canonical statement a node signs to prove
 // liveness to dst.
 func appendIDStatement(dst []byte, id ids.NodeID) []byte {
 	return binary.BigEndian.AppendUint32(append(dst, idTag...), uint32(id))
-}
-
-// SignID returns the signer's signed-ID credential.
-func SignID(s sig.Signer) []byte { return s.Sign(appendIDStatement(nil, s.ID())) }
-
-// VerifyID reports whether sg is id's valid signed-ID credential.
-func VerifyID(v sig.Verifier, id ids.NodeID, sg []byte) bool {
-	return v.Verify(id, appendIDStatement(nil, id), sg)
-}
-
-// SignedID is one flooded credential.
-type SignedID struct {
-	ID  ids.NodeID
-	Sig []byte
-}
-
-// EncodeBatch serializes a batch of signed IDs: u16 count, then fixed
-// (id, signature) entries. With DecodeBatch it is the reference codec that
-// NodeV2's in-place Emit and Deliver are tested against.
-func EncodeBatch(batch []SignedID, sigSize int) []byte {
-	w := wire.NewWriter(2 + len(batch)*(4+sigSize))
-	w.U16(uint16(len(batch)))
-	for _, e := range batch {
-		w.NodeID(e.ID)
-		if len(e.Sig) != sigSize {
-			fixed := make([]byte, sigSize)
-			copy(fixed, e.Sig)
-			w.Raw(fixed)
-			continue
-		}
-		w.Raw(e.Sig)
-	}
-	return w.Bytes()
-}
-
-// DecodeBatch parses an EncodeBatch payload.
-func DecodeBatch(data []byte, sigSize int) ([]SignedID, error) {
-	r := wire.NewReader(data)
-	count := int(r.U16())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if count*(4+sigSize) > r.Remaining() {
-		return nil, wire.ErrTruncated
-	}
-	out := make([]SignedID, 0, count)
-	for i := 0; i < count; i++ {
-		e := SignedID{ID: r.NodeID()}
-		raw := r.Raw(sigSize)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		e.Sig = append([]byte(nil), raw...)
-		out = append(out, e)
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // BatchWireSize returns the encoded size of a batch with the given number
@@ -100,7 +40,7 @@ type ConfigV2 struct {
 	Signer sig.Signer
 	// Verifier validates received credentials.
 	Verifier sig.Verifier
-	// Seed drives gossip partner selection.
+	// Seed keys gossip partner selection.
 	Seed int64
 }
 
@@ -111,15 +51,14 @@ type NodeV2 struct {
 	// known[id] records that id's credential is held; creds holds the held
 	// credentials in discovery order (own first) and in wire form, so a
 	// batch is a count and a suffix of creds. Sized for all N, it never grows.
-	known    []bool
-	creds    []byte
-	sent     []int // credentials sent so far, by neighbor position
-	partners partners
-	// Round scratch: the batch, the send, a checked credential's
-	// statement.
-	enc     wire.Writer
+	known []bool
+	creds []byte
+	sent  []int // credentials sent so far, by neighbor position
+	// Round scratch: the batch (room for every credential), the send, a
+	// checked credential's statement.
+	batch   []byte
 	sendBuf []rounds.Send
-	stmt    []byte
+	stmt    [len(idTag) + 4]byte
 }
 
 var _ rounds.Protocol = (*NodeV2)(nil)
@@ -127,33 +66,68 @@ var _ rounds.Protocol = (*NodeV2)(nil)
 // NewNodeV2 validates cfg and builds an MtGv2 node knowing only its own
 // credential.
 func NewNodeV2(cfg ConfigV2) (*NodeV2, error) {
-	if err := validateBase(cfg.N, cfg.Me, cfg.Neighbors); err != nil {
+	n := new(NodeV2)
+	if err := n.init(cfg, new(slabs)); err != nil {
 		return nil, err
+	}
+	return n, nil
+}
+
+// BuildNodesV2 builds the MtGv2 node of every vertex of g, keyed by scheme
+// and gossiping by seed, in one array as BuildNodes builds MtG's: lists,
+// credentials and their flags, counts, batches and sends are slab windows.
+func BuildNodesV2(g Neighborhoods, scheme sig.Scheme, seed int64) ([]NodeV2, error) {
+	n, v := g.N(), scheme.Verifier()
+	entry, st := 4+v.SigSize(), newSlabs(g)
+	if n <= math.MaxUint16 { // past it, init refuses node 0 before taking a window
+		st.known, st.sent = make([]bool, n*n), make([]int, len(st.lists))
+		st.bytes = make([]byte, n*(n*entry+BatchWireSize(n, entry-4)))
+	}
+	nodes := make([]NodeV2, n)
+	for i := range nodes {
+		me := ids.NodeID(i)
+		cfg := ConfigV2{N: n, Me: me, Neighbors: st.list(g, me), Signer: scheme.SignerFor(me), Verifier: v, Seed: seed}
+		if err := nodes[i].init(cfg, st); err != nil {
+			return nil, err
+		}
+	}
+	return nodes, nil
+}
+
+// init is NewNodeV2 on a node the caller has allocated, its buffers taken
+// from st. The own credential is signed straight into its reserved entry.
+func (n *NodeV2) init(cfg ConfigV2, st *slabs) error {
+	if err := validateBase(cfg.N, cfg.Me, cfg.Neighbors); err != nil {
+		return err
 	}
 	// A batch counts its credentials in a u16: a node holding more would
 	// send a wrapped count, and every receiver drop the whole batch.
 	if cfg.N > math.MaxUint16 {
-		return nil, fmt.Errorf("mtg: N=%d exceeds the %d credentials a batch can count", cfg.N, math.MaxUint16)
+		return fmt.Errorf("mtg: N=%d exceeds the %d credentials a batch can count", cfg.N, math.MaxUint16)
 	}
 	if cfg.Signer == nil || cfg.Verifier == nil {
-		return nil, fmt.Errorf("mtg: Signer and Verifier are required for MtGv2")
+		return fmt.Errorf("mtg: Signer and Verifier are required for MtGv2")
 	}
 	if cfg.Signer.ID() != cfg.Me {
-		return nil, fmt.Errorf("mtg: signer bound to %v, node is %v", cfg.Signer.ID(), cfg.Me)
+		return fmt.Errorf("mtg: signer bound to %v, node is %v", cfg.Signer.ID(), cfg.Me)
 	}
 	entry := 4 + cfg.Verifier.SigSize()
-	n := &NodeV2{
-		cfg:      cfg,
-		entry:    entry,
-		known:    make([]bool, cfg.N),
-		creds:    make([]byte, 0, cfg.N*entry),
-		sent:     make([]int, len(cfg.Neighbors)),
-		partners: newPartners(cfg.Seed, cfg.Me, len(cfg.Neighbors)),
-		// Room for one partner's batch of every credential; more grow it.
-		enc: wire.MakeWriter(BatchWireSize(cfg.N, entry-4)),
+	*n = NodeV2{
+		cfg:     cfg,
+		entry:   entry,
+		known:   take(&st.known, cfg.N),
+		creds:   take(&st.bytes, cfg.N*entry)[:0],
+		sent:    take(&st.sent, len(cfg.Neighbors)),
+		batch:   take(&st.bytes, BatchWireSize(cfg.N, entry-4))[:0],
+		sendBuf: take(&st.sends, 1)[:0],
 	}
-	n.accept(cfg.Me, SignID(cfg.Signer))
-	return n, nil
+	stmt := appendIDStatement(n.stmt[:0], cfg.Me)
+	if as, ok := cfg.Signer.(sig.AppendSigner); ok {
+		n.accept(cfg.Me, as.AppendSign(n.creds[4:4:entry], stmt))
+	} else {
+		n.accept(cfg.Me, cfg.Signer.Sign(stmt))
+	}
+	return nil
 }
 
 // accept records id's credential, copying sg cut or zero-padded to the
@@ -175,21 +149,20 @@ func (n *NodeV2) held() int { return len(n.creds) / n.entry }
 // the paper's cost containment for MtGv2). The batch is byte for byte
 // EncodeBatch of those credentials.
 func (n *NodeV2) Emit(round int) []rounds.Send {
-	k, held := n.partners.pick(), n.held()
+	k, held := partner(n.cfg.Seed, n.cfg.Me, round, len(n.sent)), n.held()
 	if k < 0 || n.sent[k] >= held {
 		return nil
 	}
-	n.enc.Reset()
-	n.enc.U16(uint16(held - n.sent[k]))
-	n.enc.Raw(n.creds[n.sent[k]*n.entry:])
+	n.batch = binary.BigEndian.AppendUint16(n.batch[:0], uint16(held-n.sent[k]))
+	n.batch = append(n.batch, n.creds[n.sent[k]*n.entry:]...)
 	n.sent[k] = held
-	n.sendBuf = append(n.sendBuf[:0], rounds.Send{To: n.cfg.Neighbors[k : k+1 : k+1], Data: n.enc.Bytes()})
+	n.sendBuf = append(n.sendBuf[:0], rounds.Send{To: n.cfg.Neighbors[k : k+1 : k+1], Data: n.batch})
 	return n.sendBuf
 }
 
 // Quiescent implements rounds.Quiescer: a node with no credential left
 // unsent to any neighbor emits nothing in future rounds regardless of
-// which gossip partners its RNG would pick (send-at-most-once per
+// which gossip partners it would draw (send-at-most-once per
 // neighbor), so it is quiescent until a new credential arrives.
 func (n *NodeV2) Quiescent() bool {
 	held := n.held()
@@ -216,8 +189,7 @@ func (n *NodeV2) Deliver(round int, from ids.NodeID, data []byte) {
 			continue
 		}
 		sg := e[4:n.entry]
-		n.stmt = appendIDStatement(n.stmt[:0], id)
-		if n.cfg.Verifier.Verify(id, n.stmt, sg) {
+		if n.cfg.Verifier.Verify(id, appendIDStatement(n.stmt[:0], id), sg) {
 			n.accept(id, sg)
 		}
 	}
@@ -228,13 +200,4 @@ func (n *NodeV2) Deliver(round int, from ids.NodeID, data []byte) {
 func (n *NodeV2) Decide() Outcome {
 	held := n.held()
 	return Outcome{Partitioned: held < n.cfg.N, Known: held}
-}
-
-// Known returns the set of IDs whose credentials the node holds.
-func (n *NodeV2) Known() ids.Set {
-	out := make(ids.Set, n.held())
-	for e := n.creds; len(e) > 0; e = e[n.entry:] {
-		out.Add(ids.NodeID(binary.BigEndian.Uint32(e)))
-	}
-	return out
 }

@@ -113,6 +113,57 @@ func TestReleaseScrubsStaging(t *testing.T) {
 	}
 }
 
+// beacon sends one payload to all its neighbours every round, so each
+// recipient's inbox holds one message per neighbour.
+type beacon struct{ to []ids.NodeID }
+
+func (b beacon) Emit(int) []Send                 { return []Send{{To: b.to, Data: []byte("b")}} }
+func (b beacon) Deliver(int, ids.NodeID, []byte) {}
+
+// TestReleaseClearsToHighWater: after a run with inboxes of 32 a small run
+// with inboxes of 2 borrows the same staging, and its release clears the
+// 2 slots it pulled into, not the 32-slot capacity the large run left —
+// slots past them keep a mark the small run never touched.
+func TestReleaseClearsToHighWater(t *testing.T) {
+	var st *staging
+	withStagingPool(t, func() *staging { st = new(staging); return st })
+	run := func(g *graph.Graph) {
+		protos := make([]Protocol, g.N())
+		for i := range protos {
+			protos[i] = beacon{g.Neighbors(ids.NodeID(i))}
+		}
+		if _, err := Run(Config{Graph: g, Rounds: 2, Seed: 1, Workers: 1}, protos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(topology.Complete(33))
+	wk := st.workers[0]
+	slots := wk.inbox[:cap(wk.inbox)]
+	if len(slots) < 32 {
+		t.Fatalf("fixture broken: the large run left an inbox of capacity %d", len(slots))
+	}
+	junk := []byte("mark")
+	for i := range slots {
+		slots[i] = delivery{from: 1 << 30, data: junk}
+	}
+	run(topology.Ring(6))
+	if st.workers[0] != wk || cap(wk.inbox) != len(slots) {
+		t.Fatal("the small run did not reuse the large run's inbox")
+	}
+	cleared := 0
+	for i, d := range slots {
+		switch {
+		case d.from == 0 && d.data == nil:
+			cleared++
+		case d.from != 1<<30 || &d.data[0] != &junk[0]:
+			t.Fatalf("slot %d holds %+v after release", i, d)
+		}
+	}
+	if cleared != 2 || slots[0].data != nil || slots[1].data != nil {
+		t.Errorf("release cleared %d of %d slots, want the small run's 2", cleared, len(slots))
+	}
+}
+
 // checkScrubbed fails the test unless st, as released by a run at the
 // given worker count, holds nothing but capacity.
 func checkScrubbed(t *testing.T, st *staging, workers int) {

@@ -281,11 +281,13 @@ type delivery struct {
 }
 
 // worker is one worker's private state: the counters that would otherwise
-// contend, the inbox it pulls each recipient's messages into, and the
-// positions of that recipient in the sender's current list. Per-sender
-// metric rows need no worker — each sender is metered by one.
+// contend, the inbox it pulls each recipient's messages into and the
+// longest inbox it has pulled this run (hw, which release clears up to),
+// and the positions of that recipient in the sender's current list.
+// Per-sender metric rows need no worker — each sender is metered by one.
 type worker struct {
 	inbox                []delivery
+	hw                   int
 	at                   []int
 	bytes, nonEdge, lost int64
 }
@@ -653,7 +655,7 @@ func (e *engine) exchange(round int) error {
 		for _, d := range buf {
 			out = append(out, Envelope{From: d.from, To: ids.NodeID(j), Data: d.data})
 		}
-		wk.inbox = buf
+		wk.inbox, wk.hw = buf, max(wk.hw, len(buf))
 	}
 	e.sent = out
 	in, err := e.cfg.Transport.Exchange(round, out)
@@ -689,6 +691,7 @@ func (e *engine) deliver(wk *worker, j, round int) {
 	if cap(inbox) != cap(wk.inbox) {
 		wk.inbox = inbox
 	}
+	wk.hw = max(wk.hw, len(inbox))
 	if len(inbox) == 0 {
 		return
 	}
@@ -719,15 +722,17 @@ func (e *engine) allQuiescent() bool {
 // Each input is mixed through the finalizer separately — packing them
 // into bit fields would alias once an outbox exceeds the field width.
 func lossDraw(seed int64, round, from, k int) float64 {
-	h := splitmix64(uint64(seed) ^ 0x1055105510551055)
-	h = splitmix64(h ^ uint64(round))
-	h = splitmix64(h ^ uint64(from))
-	h = splitmix64(h ^ uint64(k))
+	h := SplitMix64(uint64(seed) ^ 0x1055105510551055)
+	h = SplitMix64(h ^ uint64(round))
+	h = SplitMix64(h ^ uint64(from))
+	h = SplitMix64(h ^ uint64(k))
 	return float64(h>>11) / (1 << 53)
 }
 
-// splitmix64 is the SplitMix64 finalizer (Steele et al.).
-func splitmix64(h uint64) uint64 {
+// SplitMix64 is the SplitMix64 finalizer (Steele et al.), the mixer of
+// every stateless draw: loss, the delivery shuffle, the baselines' gossip
+// partners.
+func SplitMix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -737,21 +742,27 @@ func splitmix64(h uint64) uint64 {
 }
 
 // shuffleInbox permutes d by a Fisher–Yates pass over the SplitMix64
-// stream keyed by key (DESIGN.md §6). Each index is drawn without bias:
-// Lemire's multiply-shift, redrawn while the low half of the product falls
-// below 2⁶⁴ mod n, which is below n, so most draws skip the division. One
+// stream keyed by key (DESIGN.md §6), each index drawn by DrawBelow. One
 // message draws nothing.
 func shuffleInbox(key int64, d []delivery) {
 	x := uint64(key)
 	for i := len(d) - 1; i > 0; i-- {
-		n := uint64(i + 1)
-		for {
-			x += 0x9e3779b97f4a7c15
-			j, low := bits.Mul64(splitmix64(x), n)
-			if low >= n || low >= -n%n {
-				d[i], d[j] = d[j], d[i]
-				break
-			}
+		var j uint64
+		j, x = DrawBelow(x, uint64(i+1))
+		d[i], d[j] = d[j], d[i]
+	}
+}
+
+// DrawBelow returns a uniform draw below n > 0 from the SplitMix64 stream at
+// state x, and the stream's next state. It draws without bias: Lemire's
+// multiply-shift, redrawn while the low half of the product falls below
+// 2⁶⁴ mod n, which is below n, so most draws skip the division.
+func DrawBelow(x, n uint64) (j, next uint64) {
+	for {
+		x += 0x9e3779b97f4a7c15
+		j, low := bits.Mul64(SplitMix64(x), n)
+		if low >= n || low >= -n%n {
+			return j, x
 		}
 	}
 }
